@@ -263,15 +263,6 @@ def schedule_canonical(schedule: Schedule) -> dict:
     }
 
 
-def schedule_from_canonical(raw: dict) -> Schedule:
-    return Schedule(
-        decision_times=tuple(raw["decision_times"]),
-        update_time=raw["update_time"],
-        trial_days=int(raw["trial_days"]),
-        trial_start_ts=int(raw["trial_start_ts"]),
-    )
-
-
 def header_config_dict(
     config: RunConfig, participants: list[str], environment: dict | None = None
 ) -> dict:

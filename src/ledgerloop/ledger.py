@@ -12,7 +12,6 @@ recomputation or the chain linkage.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
@@ -62,19 +61,26 @@ def decode_float(hex_str: str) -> float:
     return struct.unpack(">d", raw)[0]
 
 
+_NESTED = (dict, list, tuple, float)  # the only values the check must look into
+
+
 def _reject_floats(obj, path="$"):
     if isinstance(obj, float):
         raise ConfigurationError(
             f"raw float at {path}; canonical payloads must hex-encode floats"
         )
+    # Leaves are skipped without a call, so paths are only built for
+    # containers and floats.
     if isinstance(obj, dict):
         for k, v in obj.items():
             if not isinstance(k, str):
                 raise ConfigurationError(f"non-string key at {path}: {k!r}")
-            _reject_floats(v, f"{path}.{k}")
+            if isinstance(v, _NESTED):
+                _reject_floats(v, f"{path}.{k}")
     elif isinstance(obj, (list, tuple)):
         for i, v in enumerate(obj):
-            _reject_floats(v, f"{path}[{i}]")
+            if isinstance(v, _NESTED):
+                _reject_floats(v, f"{path}[{i}]")
 
 
 def canonical_json_bytes(obj) -> bytes:
@@ -84,7 +90,15 @@ def canonical_json_bytes(obj) -> bytes:
     into hashed bytes; callers encode floats with :func:`encode_float` first.
     """
     _reject_floats(obj)
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=True).encode("ascii")
+    return _dumps(obj)
+
+
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+
+
+def _dumps(obj) -> bytes:
+    # The encoding step of canonical_json_bytes, for bodies already checked.
+    return _ENCODER.encode(obj).encode("ascii")
 
 
 @dataclass(frozen=True)
@@ -118,9 +132,12 @@ class EventEnvelope:
         }
 
     def to_line(self) -> bytes:
+        """The record's line, without the newline. The body is not checked
+        for raw floats here: :meth:`Ledger.append` and :func:`verify_chain`
+        check it with :func:`canonical_json_bytes`."""
         body = self.body_dict()
         body["hash"] = self.hash.hex()
-        return canonical_json_bytes(body)
+        return _dumps(body)
 
 
 def compute_record_hash(prev_hash: bytes, body_bytes: bytes) -> bytes:
@@ -193,6 +210,8 @@ class Ledger:
         self._records: list[EventEnvelope] = _records or []
         self._last_hash = self._records[-1].hash if self._records else GENESIS_HASH
         self._fh = None
+        self._size = 0  # file offset just past the last whole record
+        self._torn = False  # a failed append left bytes that could not be cut
         if self.path is not None:
             if _create:
                 if self.path.exists():
@@ -206,6 +225,7 @@ class Ledger:
                     self._fh = open(self.path, "ab")
                 except OSError as exc:
                     raise StorageError(f"cannot open ledger file: {exc}") from None
+            self._size = self._fh.tell()  # append mode starts at the end
 
     # -- construction ------------------------------------------------------
 
@@ -258,10 +278,12 @@ class Ledger:
                 f"profile {self.environment_profile!r}"
             )
         with self._lock:
+            if self._torn:
+                raise StorageError(f"{self.path} ends in a torn record; refusing to append")
             seq = len(self._records)
             if event_type == "HEADER" and seq != 0:
                 raise ConfigurationError("HEADER is only valid at seq 0")
-            envelope = EventEnvelope(
+            fields = dict(
                 seq=seq,
                 stream_id=self.stream_id,
                 environment_profile=self.environment_profile,
@@ -271,22 +293,33 @@ class Ledger:
                 event_type=event_type,
                 payload=payload,
                 prev_hash=self._last_hash,
-                hash=b"",
             )
-            body = canonical_json_bytes(envelope.body_dict())
+            body = canonical_json_bytes(EventEnvelope(**fields, hash=b"").body_dict())
             rec_hash = compute_record_hash(self._last_hash, body)
-            envelope = dataclasses.replace(envelope, hash=rec_hash)
+            envelope = EventEnvelope(**fields, hash=rec_hash)
             if self._fh is not None:
+                line = envelope.to_line() + b"\n"
                 try:
-                    self._fh.write(envelope.to_line() + b"\n")
+                    self._fh.write(line)
                     self._fh.flush()
                     if self.fsync:
                         os.fsync(self._fh.fileno())
                 except OSError as exc:
+                    self._cut_torn_tail()
                     raise StorageError(f"append to {self.path} failed: {exc}") from None
+                self._size += len(line)
             self._records.append(envelope)
             self._last_hash = rec_hash
             return envelope
+
+    def _cut_torn_tail(self) -> None:
+        """Truncate the file to the last whole record after a failed write, so
+        the file never holds bytes the in-memory ledger does not. If that fails
+        too, every later append is refused instead of chaining onto them."""
+        try:
+            self._fh.truncate(self._size)
+        except OSError:
+            self._torn = True
 
     def iterate(
         self, from_seq: int = 0, event_types: Iterable[str] | None = None
@@ -336,7 +369,8 @@ def read_records(path: str | Path) -> Iterator[EventEnvelope]:
 
 
 def verify_chain(source: "Ledger | str | Path") -> int | None:
-    """Recompute every hash and check seq gaplessness and chain linkage.
+    """Recompute every hash and check seq gaplessness, chain linkage and that
+    every line is the canonical encoding of its record (no raw floats).
 
     Returns None when the whole ledger verifies, otherwise the smallest
     offending seq. Works on a file path or a Ledger (file-backed ledgers are
@@ -363,7 +397,10 @@ def verify_chain(source: "Ledger | str | Path") -> int | None:
             return i
         if record.prev_hash != prev_hash:
             return i
-        body = canonical_json_bytes(record.body_dict())
+        try:
+            body = canonical_json_bytes(record.body_dict())
+        except ConfigurationError:  # a raw float: no canonical record has one
+            return i
         if compute_record_hash(prev_hash, body) != record.hash:
             return i
         # The canonical re-encoding must reproduce the stored line exactly;

@@ -75,9 +75,11 @@ class PosteriorState:
     Arrays are locked read-only after construction; "updating" a state means
     building a new one. ``state_hash`` is the SHA-256 of the canonical
     serialization and is recomputed on construction, never trusted from input.
+    The Cholesky factor of the precision is derived data: computed at most
+    once per state and kept out of serialization, hashing and equality.
     """
 
-    __slots__ = ("mean", "precision", "update_count", "last_update_seq", "state_hash")
+    __slots__ = ("mean", "precision", "update_count", "last_update_seq", "state_hash", "_factor")
 
     def __init__(
         self,
@@ -108,6 +110,7 @@ class PosteriorState:
             self, "last_update_seq", None if last_update_seq is None else int(last_update_seq)
         )
         object.__setattr__(self, "state_hash", hashlib.sha256(canonical_serialize(self)).digest())
+        object.__setattr__(self, "_factor", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PosteriorState is immutable")
@@ -115,6 +118,21 @@ class PosteriorState:
     @property
     def dim(self) -> int:
         return self.mean.shape[0]
+
+    @property
+    def factor(self):
+        """``cho_factor(precision, lower=True)``, computed on first use.
+
+        Raises NumericalStateError, without caching anything, when the
+        precision is not positive definite.
+        """
+        if self._factor is None:
+            self._set_factor(_cho(self.precision))
+        return self._factor
+
+    def _set_factor(self, factor) -> None:
+        factor[0].flags.writeable = False
+        object.__setattr__(self, "_factor", factor)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PosteriorState):
@@ -233,10 +251,9 @@ def action_probability(
 
     # v = h' Sigma_hh h with Sigma = Lambda^-1, computed as x' Lambda^-1 x
     # for the zero-padded vector x = [0; h] via one Cholesky solve.
-    factor = _cho(state.precision)
     x = np.zeros(state.dim, dtype=np.float64)
     x[d_g:] = h
-    v = float(x @ cho_solve(factor, x))
+    v = float(x @ cho_solve(state.factor, x))
 
     if v <= 0.0:
         # Degenerate posterior along h: the limit of Phi(delta/sqrt(v)).
@@ -313,12 +330,16 @@ def update_posterior(
     mean = cho_solve(factor, rhs)
     if last_update_seq is None:
         last_update_seq = state.last_update_seq
-    return PosteriorState(
+    new_state = PosteriorState(
         mean,
         precision,
         update_count=state.update_count + len(batch),
         last_update_seq=last_update_seq,
     )
+    # The state holds a bit-identical copy of ``precision``, so this factor
+    # is the one action_probability would compute from it.
+    new_state._set_factor(factor)
+    return new_state
 
 
 def canonical_serialize(state: PosteriorState) -> bytes:

@@ -11,6 +11,7 @@ which is itself logged like any other decision.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass, field
 
 from . import events
@@ -183,25 +184,9 @@ class VersionRegistry:
             raise ConfigurationError("activation seqs must be strictly increasing")
         self.entries.append((version_id, activation_seq, fingerprint))
 
-    def active_at(self, seq: int) -> str:
-        active = None
-        for version_id, activation_seq, _ in self.entries:
-            if activation_seq <= seq:
-                active = version_id
-        if active is None:
-            raise ConfigurationError(f"no version active at seq {seq}")
-        return active
-
     @property
     def current(self) -> str | None:
         return self.entries[-1][0] if self.entries else None
-
-
-@dataclass
-class _Datum:
-    seq: int
-    device_ts: int
-    value: float
 
 
 class Runtime:
@@ -245,7 +230,9 @@ class Runtime:
         self.states: dict[str, PosteriorState] = {
             pid: init_state(model_config) for pid in self.participants
         }
-        self._data: dict[tuple[str, str], list[_Datum]] = {}
+        # (participant, feature) -> [(device_ts, -seq, value)], kept sorted, so
+        # the datum a snapshot uses is the last entry at or before its due time.
+        self._data: dict[tuple[str, str], list[tuple[int, int, float]]] = {}
         self._snapshots: dict[tuple[str, int], tuple[int, FeatureSnapshot]] = {}
         self._decisions: dict[tuple[str, int], DecisionRecord] = {}
         self._pending_outcomes: dict[str, list[tuple[int, events.OutcomeInfo]]] = {
@@ -329,8 +316,9 @@ class Runtime:
             device_ts=device_ts,
             version_id=self.version_id,
         )
-        self._data.setdefault((participant_id, feature), []).append(
-            _Datum(seq=record.seq, device_ts=device_ts, value=value)
+        bisect.insort(
+            self._data.setdefault((participant_id, feature), []),
+            (device_ts, -record.seq, value),
         )
         return record.seq
 
@@ -355,9 +343,10 @@ class Runtime:
     def assemble_features(self, participant_id: str, decision_index: int, backend_ts: int | None = None) -> FeatureSnapshot:
         """Build and log the immutable snapshot for one decision point.
 
-        Missing data never blocks assembly: each feature resolves to the most
-        recent datum with device_ts within the current window (`observed`),
-        within the carry-forward horizon (`imputed`, method "locf"), or to the
+        Missing data never blocks assembly: each feature resolves to its most
+        recent datum (latest device_ts at or before the due time, lowest seq on
+        a tie) when that falls within the current window (`observed`) or the
+        carry-forward horizon (`imputed`, method "locf"), else to the
         configured default.
         """
         self._require_participant(participant_id)
@@ -365,22 +354,19 @@ class Runtime:
         if backend_ts is None:
             backend_ts = due
         resolved: dict[str, tuple[float, str, str | None, int | None]] = {}
+        after_due = (due, math.inf)  # sorts after every entry with device_ts <= due
         for name in self.features.names:
             data = self._data.get((participant_id, name), ())
-            best: _Datum | None = None
-            for datum in data:
-                if datum.device_ts > due:
-                    continue
-                if best is None or (datum.device_ts, -datum.seq) > (best.device_ts, -best.seq):
-                    best = datum
-            if best is None:
+            i = bisect.bisect_right(data, after_due)
+            if i == 0:
                 resolved[name] = (self.imputation.default_for(name), "default", None, None)
                 continue
-            age = decision_index - self._window_index(best.device_ts)
+            device_ts, _, value = data[i - 1]
+            age = decision_index - self._window_index(device_ts)
             if age == 0:
-                resolved[name] = (best.value, "observed", None, best.device_ts)
+                resolved[name] = (value, "observed", None, device_ts)
             elif age <= self.imputation.horizon:
-                resolved[name] = (best.value, "imputed", "locf", best.device_ts)
+                resolved[name] = (value, "imputed", "locf", device_ts)
             else:
                 resolved[name] = (self.imputation.default_for(name), "default", None, None)
 

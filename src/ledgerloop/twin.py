@@ -11,6 +11,7 @@ interventions, which closes the action -> behavior -> data feedback loop.
 from __future__ import annotations
 
 import dataclasses
+import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -243,13 +244,12 @@ def true_effect(twin: ParticipantTwin, context: dict[str, float], features: Feat
 @dataclass
 class TrialTruth:
     """What the twin knows and the ledger does not: realized parameters,
-    true contexts, true effects, and realized outcomes."""
+    true effects, and realized outcomes."""
 
     env: EnvironmentSpec
     participants: dict[str, ParticipantTwin] = field(default_factory=dict)
     deltas: dict[tuple[str, int], float] = field(default_factory=dict)
     outcomes: dict[tuple[str, int], float] = field(default_factory=dict)
-    contexts: dict[tuple[str, int], dict[str, float]] = field(default_factory=dict)
 
 
 @dataclass
@@ -365,7 +365,8 @@ def run_trial(
     total_points = schedule.total_points
     trial_end_ts = schedule.trial_start_ts + env.n_days * MS_PER_DAY
 
-    # Pending arrivals: (arrival_ts, insertion counter, kind, args)
+    # Pending arrivals, a heap of (arrival_ts, insertion counter, kind, args):
+    # ties on arrival go in insertion order.
     pending: list[tuple[int, int, str, tuple]] = []
     counter = itertools.count()
     switch_done = False
@@ -384,14 +385,11 @@ def run_trial(
                 arrival = schedule.due_ts(late_idx) + ARRIVAL_EPSILON_MS
             else:
                 arrival = trial_end_ts
-        pending.append((arrival, next(counter), kind, args))
+        heapq.heappush(pending, (arrival, next(counter), kind, args))
 
     def flush(now_ts: int) -> None:
-        if not pending:
-            return
-        due_now = sorted([p for p in pending if p[0] <= now_ts], key=lambda p: (p[0], p[1]))
-        pending[:] = [p for p in pending if p[0] > now_ts]
-        for arrival, _, kind, args in due_now:
+        while pending and pending[0][0] <= now_ts:
+            arrival, _, kind, args = heapq.heappop(pending)
             if kind == "data":
                 pid, fname, value, device_ts = args
                 runtime.ingest_observation(pid, fname, value, device_ts, backend_ts=arrival)
@@ -433,7 +431,6 @@ def run_trial(
                 runtime.assemble_features(pid, idx, backend_ts=ts)
                 delta = true_effect(twin, context, features)
                 truth.deltas[(pid, idx)] = delta
-                truth.contexts[(pid, idx)] = context
                 if override is not None:
                     oracle_pi[(pid, idx)] = 1.0 if delta > 0.0 else 0.0
                 record = runtime.make_decision(pid, idx, backend_ts=ts)

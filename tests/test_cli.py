@@ -5,6 +5,7 @@ import yaml
 
 from conftest import BASE_CONFIG, deep_merge
 from ledgerloop.cli import main
+from ledgerloop.ledger import compute_record_hash
 
 
 @pytest.fixture
@@ -143,3 +144,20 @@ def test_twin_run_parallel_jobs_matches_serial(tmp_path, config_path):
     assert main(["twin-run", "--config", cfg, "--out", str(out1), "--jobs", "1"]) == 0
     assert main(["twin-run", "--config", cfg, "--out", str(out2), "--jobs", "2"]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+
+
+def test_replay_verify_raw_float_with_valid_chain_is_audit_error(tmp_path, config_path, capsys):
+    ledger_path = tmp_path / "trial.ndjson"
+    main(["simulate", "--config", config_path(), "--out", str(ledger_path)])
+    lines = ledger_path.read_bytes().splitlines()
+    # Rewrite the last record with a raw float and re-chain it, so only the
+    # canonical-form check can catch it.
+    body = json.loads(lines[-1])
+    del body["hash"]
+    body["payload"]["raw"] = 0.5
+    raw = json.dumps(body, sort_keys=True, separators=(",", ":")).encode("ascii")
+    body["hash"] = compute_record_hash(bytes.fromhex(body["prev_hash"]), raw).hex()
+    lines[-1] = json.dumps(body, sort_keys=True, separators=(",", ":")).encode("ascii")
+    ledger_path.write_bytes(b"\n".join(lines) + b"\n")
+    assert main(["replay-verify", "--ledger", str(ledger_path)]) == 2
+    assert f"first_bad_seq={len(lines) - 1}" in capsys.readouterr().err

@@ -328,3 +328,99 @@ def test_envelope_line_round_trip():
     parsed = json.loads(line)
     body = {k: v for k, v in parsed.items() if k != "hash"}
     assert compute_record_hash(bytes.fromhex(parsed["prev_hash"]), canonical_json_bytes(body)) == bytes.fromhex(parsed["hash"])
+
+
+def test_append_writes_exactly_to_line_for_nested_payload_and_hash_keys(tmp_path):
+    ledger = make_ledger(tmp_path)
+    payloads = [
+        {"payload": {"payload": "inner", "hash": "not-a-hash"}, "hash": [1, {"hash": None}]},
+        {"a": {"payload": [{"payload": {"payload": 0}}]}, "prev_hash": "x", "seq": -1},
+        {},
+    ]
+    records = [
+        ledger.append("ALERT", p, backend_ts=i, version_id="v1") for i, p in enumerate(payloads)
+    ]
+    lines = ledger.path.read_bytes().split(b"\n")
+    assert lines[-1] == b""
+    assert lines[:-1] == [record.to_line() for record in records]
+    assert verify_chain(ledger.path) is None
+
+
+class _TearingHandle:
+    """File handle stand-in whose next write puts half the bytes in the file
+    and then fails, as a full disk or an I/O error can."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.armed = True
+
+    def write(self, data):
+        if not self.armed:
+            return self._fh.write(data)
+        self.armed = False
+        self._fh.write(data[: len(data) // 2])
+        self._fh.flush()
+        raise OSError(28, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def test_failed_append_leaves_no_torn_bytes(tmp_path):
+    ledger = make_ledger(tmp_path)
+    append_n(ledger, 1)
+    size = ledger.path.stat().st_size
+    ledger._fh = _TearingHandle(ledger._fh)
+    with pytest.raises(StorageError):
+        append_n(ledger, 1)
+    assert ledger.path.stat().st_size == size
+    assert len(ledger) == 1
+    more = ledger.append("ALERT", {"note": "after"}, backend_ts=5, version_id="v1")
+    assert more.seq == 1
+    ledger.close()
+    assert verify_chain(ledger.path) is None
+    assert [r.hash for r in read_records(ledger.path)] == [r.hash for r in ledger.records()]
+
+
+def test_failed_append_after_reopen_cuts_back_to_existing_end(tmp_path):
+    ledger = make_ledger(tmp_path)
+    append_n(ledger, 3)
+    ledger.close()
+    reopened = Ledger.open(tmp_path / "events.ndjson")
+    size = reopened.path.stat().st_size
+    reopened._fh = _TearingHandle(reopened._fh)
+    with pytest.raises(StorageError):
+        append_n(reopened, 1)
+    assert reopened.path.stat().st_size == size
+    assert verify_chain(reopened.path) is None
+
+
+def test_append_refused_when_torn_bytes_cannot_be_cut(tmp_path):
+    ledger = make_ledger(tmp_path)
+    append_n(ledger, 1)
+    handle = _TearingHandle(ledger._fh)
+
+    def failing_truncate(size):
+        raise OSError(5, "Input/output error")
+
+    handle.truncate = failing_truncate
+    ledger._fh = handle
+    with pytest.raises(StorageError):
+        append_n(ledger, 1)
+    with pytest.raises(StorageError, match="torn"):
+        append_n(ledger, 1)
+    assert len(ledger) == 1
+
+
+def test_raw_float_with_valid_chain_is_reported_at_its_seq(tmp_path):
+    ledger = make_ledger(tmp_path)
+    append_n(ledger, 3)
+    lines = ledger.path.read_bytes().splitlines()
+    body = json.loads(lines[2])
+    del body["hash"]
+    body["payload"]["message"] = 0.5
+    raw = json.dumps(body, sort_keys=True, separators=(",", ":")).encode("ascii")
+    body["hash"] = compute_record_hash(bytes.fromhex(body["prev_hash"]), raw).hex()
+    lines[2] = json.dumps(body, sort_keys=True, separators=(",", ":")).encode("ascii")
+    ledger.path.write_bytes(b"\n".join(lines) + b"\n")
+    assert verify_chain(ledger.path) == 2

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 
 from ledgerloop.errors import (
     ConfigurationError,
@@ -144,6 +145,42 @@ def test_non_pd_precision_raises_numerical_state_error():
     snap = make_snapshot((1.0,), (1.0,))
     with pytest.raises(NumericalStateError):
         action_probability(bad, snap, config)
+
+
+def test_cached_factor_is_invisible_to_serialization_hash_and_equality():
+    config = make_config(d_g=2, d_h=2)
+    rng = np.random.default_rng(11)
+    batch = [
+        (make_snapshot(tuple(rng.normal(size=2)), tuple(rng.normal(size=2))), a, float(rng.normal()))
+        for a in (0, 1, 1)
+    ]
+    updated = update_posterior(init_state(config), batch, config)  # factor handed over
+    rebuilt = canonical_deserialize(canonical_serialize(updated))  # factor not yet computed
+    encoded, digest = canonical_serialize(rebuilt), rebuilt.state_hash
+    assert rebuilt._factor is None
+
+    snap = make_snapshot((0.3, -1.0), (1.0, 0.5))
+    probs = [action_probability(s, snap, config) for s in (updated, rebuilt)]
+    assert rebuilt._factor is not None
+    assert canonical_serialize(rebuilt) == canonical_serialize(updated) == encoded
+    assert rebuilt.state_hash == updated.state_hash == digest
+    assert rebuilt == updated and hash(rebuilt) == hash(updated)
+    # Same bits as factorizing the precision afresh for the decision.
+    x = np.zeros(4)
+    x[2:] = snap.treatment
+    v = float(x @ cho_solve(cho_factor(updated.precision, lower=True), x))
+    delta = float(np.asarray(snap.treatment) @ updated.mean[2:])
+    expected = 0.5 * math.erfc(-(delta / math.sqrt(v)) / math.sqrt(2.0))
+    assert [struct.pack(">d", p[0]) for p in probs] == [struct.pack(">d", expected)] * 2
+    assert not updated.factor[0].flags.writeable
+
+
+def test_failed_factorization_is_not_cached():
+    bad = PosteriorState(np.zeros(2), np.array([[1.0, 0.0], [0.0, -1.0]]))
+    for _ in range(2):
+        with pytest.raises(NumericalStateError):
+            bad.factor
+    assert bad._factor is None
 
 
 def test_dimension_mismatch_is_config_error():

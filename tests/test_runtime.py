@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_run_config, make_runtime, start_runtime
 from ledgerloop import events
@@ -138,6 +140,75 @@ def test_on_time_data_has_no_superseded_reference():
     runtime = fresh_runtime()
     seq = runtime.ingest_observation("p0", "engagement", 0.9, H9 - 60_000, backend_ts=H9 - 60_000)
     assert runtime.ledger.records()[seq].payload["superseded_snapshot_seq"] is None
+
+
+# The 3-day conftest schedule: due times of decision points 0..5, trial start 0.
+DUES = [day * MS_PER_DAY + t for day in range(3) for t in (H9, H18)]
+EDGE_TS = sorted({-MS_PER_DAY, -1, 0, 1} | {d + k for d in DUES for k in (-1, 0, 1)})
+FEATURES = ("intercept", "prior_outcome", "time_of_day", "engagement")
+
+
+def scan_reference(runtime, data, decision_index):
+    """Feature assembly as a linear scan over every datum (seq, device_ts,
+    value) ingested so far: the latest device_ts at or before the due time,
+    the lowest seq on a tie."""
+    due = DUES[decision_index]
+    resolved = {}
+    for name in FEATURES:
+        best = None
+        for seq, device_ts, value in data.get(name, ()):
+            if device_ts > due:
+                continue
+            if best is None or (device_ts, -seq) > (best[1], -best[0]):
+                best = (seq, device_ts, value)
+        default = (runtime.imputation.default_for(name), "default", None, None)
+        if best is None:
+            resolved[name] = default
+            continue
+        _, device_ts, value = best
+        window = -1 if device_ts < 0 else next(
+            (j for j, d in enumerate(DUES) if device_ts <= d), len(DUES)
+        )
+        age = decision_index - window
+        if age == 0:
+            resolved[name] = (value, "observed", None, device_ts)
+        elif age <= runtime.imputation.horizon:
+            resolved[name] = (value, "imputed", "locf", device_ts)
+        else:
+            resolved[name] = default
+    return [resolved[n] for n in runtime.features.baseline + runtime.features.treatment]
+
+
+ingest_op = st.tuples(
+    st.just("ingest"),
+    st.sampled_from(FEATURES),
+    st.floats(-10.0, 10.0, allow_nan=False),
+    st.one_of(st.sampled_from(EDGE_TS), st.integers(-MS_PER_DAY, 3 * MS_PER_DAY)),
+)
+assemble_op = st.tuples(st.just("assemble"), st.integers(0, len(DUES) - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(horizon=st.integers(0, 4), ops=st.lists(st.one_of(ingest_op, assemble_op), max_size=40))
+def test_indexed_assembly_matches_linear_scan(horizon, ops):
+    # Arbitrary interleavings give out-of-order and late arrivals; the edge
+    # timestamps give device_ts ties, data before the trial start (window -1)
+    # and ages on both sides of the carry-forward horizon.
+    runtime = fresh_runtime(imputation={"horizon": horizon})
+    data: dict[str, list] = {}
+    for op in ops:
+        if op[0] == "ingest":
+            _, name, value, ts = op
+            seq = runtime.ingest_observation("p0", name, value, ts, backend_ts=max(ts, 0))
+            data.setdefault(name, []).append((seq, ts, value))
+            continue
+        idx = op[1]
+        snapshot = runtime.assemble_features("p0", idx)
+        expected = scan_reference(runtime, data, idx)
+        assert snapshot.baseline + snapshot.treatment == tuple(e[0] for e in expected)
+        assert snapshot.provenance == tuple(e[1] for e in expected)
+        assert snapshot.imputation_methods == tuple(e[2] for e in expected)
+        assert snapshot.source_device_ts == tuple(e[3] for e in expected)
 
 
 # -- decisions ----------------------------------------------------------------------
