@@ -1,5 +1,6 @@
-"""Golden-bytes oracle: pinned SHA-256 digests of a small simulated ledger and
-of the twin-run report on the same config.
+"""Golden-bytes oracle: pinned SHA-256 digests of a small simulated ledger, of
+its divergence report (``replay-verify --out``) and monitor report
+(``monitor-report --replay``), and of the twin-run report on the same config.
 
 The config is small (3 participants x 3 days) but walks every write path: a
 mid-trial version switch, injected policy exceptions (fallback decisions and
@@ -9,6 +10,10 @@ output byte fails here, so refactors and speedups must keep these digests.
 """
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -33,6 +38,10 @@ GOLDEN_CONFIG = deep_merge(
 
 SIMULATE_SHA256 = "922e0378f47d90048ee593fa4037845b2ace07b8380f205fb0e608d6df2e79b1"
 TWIN_RUN_SHA256 = "c73391ef23a98c8b6af2949ef5c749e2ac1778cea64ffde4b35a5b49c4fbddc5"
+DIVERGENCE_SHA256 = "785e181cc8323d04b735112981b67c37764acd0728e43b3796f287da35fca767"
+MONITOR_SHA256 = "c5a934a5a641236a632b2ddbaec0f6ac0ffc05a0175d6a367b99fb04619133ca"
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.fixture
@@ -40,6 +49,13 @@ def golden_config(tmp_path):
     path = tmp_path / "golden.yaml"
     path.write_text(yaml.safe_dump(GOLDEN_CONFIG))
     return str(path)
+
+
+@pytest.fixture
+def golden_ledger(tmp_path, golden_config):
+    path = tmp_path / "golden.ndjson"
+    assert main(["simulate", "--config", golden_config, "--out", str(path)]) == 0
+    return path
 
 
 def _sha256(path) -> str:
@@ -64,3 +80,31 @@ def test_twin_run_report_bytes_are_pinned(tmp_path, golden_config):
     report_path = tmp_path / "golden-eval.txt"
     assert main(["twin-run", "--config", golden_config, "--out", str(report_path)]) == 0
     assert _sha256(report_path) == TWIN_RUN_SHA256
+
+
+def test_divergence_report_bytes_are_pinned(tmp_path, golden_ledger):
+    report_path = tmp_path / "golden-divergence.txt"
+    assert main(["replay-verify", "--ledger", str(golden_ledger), "--out", str(report_path)]) == 0
+    assert _sha256(report_path) == DIVERGENCE_SHA256
+
+
+def test_monitor_report_bytes_are_pinned(tmp_path, golden_ledger):
+    report_path = tmp_path / "golden-monitor.txt"
+    args = ["monitor-report", "--ledger", str(golden_ledger), "--out", str(report_path), "--replay"]
+    assert main(args) == 0
+    assert _sha256(report_path) == MONITOR_SHA256
+
+
+def test_replay_verify_in_fresh_process(tmp_path, golden_ledger):
+    # Nothing from the writing process (caches, cached factors, imported
+    # state) may be needed for the replay to be exact.
+    report_path = tmp_path / "golden-divergence.txt"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "ledgerloop.cli", "replay-verify",
+         "--ledger", str(golden_ledger), "--out", str(report_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert _sha256(report_path) == DIVERGENCE_SHA256
