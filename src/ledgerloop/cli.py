@@ -25,7 +25,7 @@ from .errors import (
     LedgerLoopError,
     StorageError,
 )
-from .ledger import Ledger, decode_float, verify_chain
+from .ledger import Ledger, decode_float, read_records
 from .monitor import DEFAULT_RULES, AlertRule, compute_metrics, emit_report, evaluate_alerts
 from .replay import default_logic, replay_verify
 from .runtime import FailureInjectionSpec
@@ -137,6 +137,7 @@ def _cmd_simulate(args) -> int:
     env = _resolve_env(config, args)
     out = _fresh_out_path(args.out)
     result = twin.run_trial(env, config, config.master_seed, out_path=out, fsync=args.fsync)
+    result.ledger.close()
     print(f"ledger {out} written: {len(result.ledger)} events, stream {result.ledger.stream_id}")
     return EXIT_OK
 
@@ -179,19 +180,13 @@ def _cmd_twin_tune(args) -> int:
 
 
 def _cmd_replay_verify(args) -> int:
-    bad = verify_chain(args.ledger)
-    if bad is not None:
-        print(f"audit error: hash chain broken, first_bad_seq={bad}", file=sys.stderr)
-        return EXIT_AUDIT
-    ledger = Ledger.open(args.ledger)
-    if args.versions is not None:
-        version_ids = [v for v in args.versions.split(",") if v]
-    else:
-        version_ids = sorted(
-            {r.version_id for r in ledger.records()}
-        )
-    logic = {vid: default_logic() for vid in version_ids}
-    report = replay_verify(ledger, logic)
+    with Ledger.open(args.ledger) as ledger:
+        if args.versions is not None:
+            version_ids = [v for v in args.versions.split(",") if v]
+        else:
+            version_ids = sorted({r.version_id for r in ledger.records()})
+        logic = {vid: default_logic() for vid in version_ids}
+        report = replay_verify(ledger, logic)
     if args.out is not None:
         _fresh_out_path(args.out).write_bytes(report.to_bytes())
     if report.exact:
@@ -233,13 +228,13 @@ def _load_rules(path_str: str | None) -> list[AlertRule]:
 def _cmd_monitor_report(args) -> int:
     rules = _load_rules(args.rules)
     out = _fresh_out_path(args.out)
-    ledger = Ledger.open(args.ledger)
-    metrics = compute_metrics(ledger)
-    divergence = None
-    if args.replay:
-        version_ids = sorted({r.version_id for r in ledger.records()})
-        divergence = replay_verify(ledger, {vid: default_logic() for vid in version_ids})
-    alerts = evaluate_alerts(metrics, rules, ledger=ledger if args.append_alerts else None)
+    with Ledger.open(args.ledger) as ledger:
+        metrics = compute_metrics(ledger)
+        divergence = None
+        if args.replay:
+            version_ids = sorted({r.version_id for r in ledger.records()})
+            divergence = replay_verify(ledger, {vid: default_logic() for vid in version_ids})
+        alerts = evaluate_alerts(metrics, rules, ledger=ledger if args.append_alerts else None)
     out.write_bytes(emit_report(metrics, alerts, divergence))
     print(f"monitor report {out} written: {len(alerts)} alerts")
     if divergence is not None and not divergence.exact:
@@ -266,11 +261,17 @@ def _decoded_payload_view(event_type: str, payload: dict):
 
 
 def _cmd_ledger_inspect(args) -> int:
-    ledger = Ledger.open(args.ledger)
-    records = ledger.records()
-    if not (0 <= args.seq < len(records)):
-        raise ConfigurationError(f"--seq {args.seq} out of range [0, {len(records)})")
-    record = records[args.seq]
+    # Verifies the records up to the one asked for, not the rest, so a record
+    # before a break in the chain can still be looked at.
+    count = 0
+    for record in read_records(args.ledger):
+        if record.seq == args.seq:
+            break
+        count += 1
+    else:
+        if count == 0:
+            raise DecodeError("ledger file is empty")
+        raise ConfigurationError(f"--seq {args.seq} out of range [0, {count})")
     body = record.body_dict()
     body["hash"] = record.hash.hex()
     print(json.dumps(body, indent=2, sort_keys=True))
@@ -306,7 +307,13 @@ def main(argv: list[str] | None = None) -> int:
     except StorageError as exc:
         print(f"storage error: {exc}", file=sys.stderr)
         return EXIT_STORAGE
-    except (AuditError, DecodeError) as exc:
+    except DecodeError as exc:
+        if exc.seq is not None:  # a ledger record failed the read pass
+            print(f"audit error: hash chain broken, first_bad_seq={exc.seq}", file=sys.stderr)
+        else:
+            print(f"audit error: {exc}", file=sys.stderr)
+        return EXIT_AUDIT
+    except AuditError as exc:
         print(f"audit error: {exc}", file=sys.stderr)
         return EXIT_AUDIT
     except LedgerLoopError as exc:

@@ -5,9 +5,14 @@ lexicographically sorted keys, no insignificant whitespace, integers in base
 10, and every float carried as a 16-hex-digit big-endian IEEE-754 string (see
 :func:`encode_float`). Record ``n`` has ``seq == n``; its ``hash`` is the
 SHA-256 of ``prev_hash`` concatenated with the canonical bytes of the record
-body (everything except the ``hash`` field itself), and record 0 chains from
-32 zero bytes. Any single corrupted byte therefore breaks either a hash
+body (everything except the ``hash`` field itself, which is the record's line
+with its ``"hash":"<64 hex>",`` member cut out), and record 0 chains from 32
+zero bytes. Any single corrupted byte therefore breaks either a hash
 recomputation or the chain linkage.
+
+Every read of a ledger file goes through one verified pass (:func:`_verified`):
+:func:`read_records`, :meth:`Ledger.open` and :func:`verify_chain` all check
+the same things, so a record a reader sees has passed the chain check.
 """
 
 from __future__ import annotations
@@ -133,8 +138,9 @@ class EventEnvelope:
 
     def to_line(self) -> bytes:
         """The record's line, without the newline. The body is not checked
-        for raw floats here: :meth:`Ledger.append` and :func:`verify_chain`
-        check it with :func:`canonical_json_bytes`."""
+        for raw floats here: :meth:`Ledger.append` checks it with
+        :func:`canonical_json_bytes`, and the read pass refuses them on
+        parse."""
         body = self.body_dict()
         body["hash"] = self.hash.hex()
         return _dumps(body)
@@ -144,12 +150,22 @@ def compute_record_hash(prev_hash: bytes, body_bytes: bytes) -> bytes:
     return hashlib.sha256(prev_hash + body_bytes).digest()
 
 
+def _is_device_ts(value) -> bool:
+    # An integer (bool is not one) or None. Keeping it a scalar keeps every
+    # member that sorts before "hash" a scalar, which _verified relies on.
+    return value is None or type(value) is int
+
+
 def _envelope_from_dict(obj: dict, seq_hint: int) -> EventEnvelope:
     try:
         prev_hash = bytes.fromhex(obj["prev_hash"])
         rec_hash = bytes.fromhex(obj["hash"])
         if len(prev_hash) != 32 or len(rec_hash) != 32:
             raise ValueError("hashes must be 32 bytes")
+        if not _is_device_ts(obj["device_ts"]):
+            raise ValueError("device_ts must be an integer or null")
+        if not isinstance(obj["environment_profile"], str) or not isinstance(obj["event_type"], str):
+            raise ValueError("environment_profile and event_type must be strings")
         return EventEnvelope(
             seq=int(obj["seq"]),
             stream_id=obj["stream_id"],
@@ -166,10 +182,19 @@ def _envelope_from_dict(obj: dict, seq_hint: int) -> EventEnvelope:
         raise DecodeError(f"malformed record at seq {seq_hint}: {exc}", seq=seq_hint) from None
 
 
+def _reject_number(text: str):
+    raise ValueError(f"raw number {text}; canonical records hex-encode floats")
+
+
+# No canonical record holds a float literal or NaN/Infinity. The C scanner
+# calls these hooks only when it meets one, so valid lines pay nothing.
+_DECODER = json.JSONDecoder(parse_float=_reject_number, parse_constant=_reject_number)
+
+
 def _parse_line(line: bytes, seq_hint: int) -> EventEnvelope:
     try:
-        obj = json.loads(line)
-    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        obj = _DECODER.decode(line.decode("ascii"))
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, a raw float
         raise DecodeError(f"record {seq_hint} is not valid JSON: {exc}", seq=seq_hint) from None
     if not isinstance(obj, dict):
         raise DecodeError(f"record {seq_hint} is not an object", seq=seq_hint)
@@ -231,13 +256,16 @@ class Ledger:
 
     @classmethod
     def open(cls, path: str | Path) -> "Ledger":
-        """Load an existing ledger file, decoding every record eagerly.
+        """Load an existing ledger file through the verified read pass.
 
-        Raises DecodeError (carrying the failing seq) on a corrupt record.
+        Raises DecodeError carrying the first bad seq when any record fails
+        the chain check (the seq :func:`verify_chain` returns), and a
+        DecodeError without a seq when the file is empty. The ledger holds
+        the file open for appends; close it, or use it as a context manager.
         """
         records = list(read_records(path))
         if not records:
-            raise DecodeError("ledger file is empty", seq=0)
+            raise DecodeError("ledger file is empty")
         first = records[0]
         ledger = cls(
             stream_id=first.stream_id,
@@ -268,6 +296,8 @@ class Ledger:
         """
         if event_type not in EVENT_TYPES:
             raise ConfigurationError(f"unknown event_type {event_type!r}")
+        if not _is_device_ts(device_ts):
+            raise ConfigurationError(f"device_ts must be an integer or None, got {device_ts!r}")
         if stream_id is not None and stream_id != self.stream_id:
             raise IsolationError(
                 f"stream {stream_id!r} does not match ledger stream {self.stream_id!r}"
@@ -357,55 +387,72 @@ class Ledger:
         self.close()
 
 
-def read_records(path: str | Path) -> Iterator[EventEnvelope]:
-    """Stream records from a ledger file; DecodeError carries the bad seq."""
+_HASH_MEMBER = b',"hash":"'
+_HASH_MEMBER_LEN = len(_HASH_MEMBER) + 64 + 1  # the key, 64 hex digits, the closing quote
+
+
+def _file_lines(path: str | Path) -> Iterator[bytes]:
+    """The lines of a ledger file, split as ``bytes.splitlines`` splits them,
+    read one file line at a time so the whole file is never held at once."""
     try:
         with open(path, "rb") as fh:
-            raw = fh.read()
+            for chunk in fh:
+                yield from chunk.splitlines()
     except OSError as exc:
         raise StorageError(f"cannot read ledger file {path}: {exc}") from None
-    for i, line in enumerate(raw.splitlines()):
-        yield _parse_line(line, i)
+
+
+def _verified(lines: Iterable[bytes]) -> Iterator[EventEnvelope]:
+    """The one read pass: yield each record once it has passed every check;
+    raise DecodeError carrying the seq of the first record that does not.
+
+    Per line: one parse (the decoder refuses raw floats and NaN/Infinity),
+    the seq and ``prev_hash`` linkage, one canonical re-encode that must equal
+    the stored line byte for byte, and one SHA-256 over ``prev_hash`` plus the
+    body bytes. The body bytes are the line with its ``"hash":"<64 hex>",``
+    member cut out: the line is canonical by then, its members are sorted and
+    those before ``hash`` are scalars, so the first ``,"hash":"`` is the
+    record's own. A wrong cut could only fail the hash comparison.
+    """
+    prev_hash = GENESIS_HASH
+    for seq, line in enumerate(lines):
+        record = _parse_line(line, seq)
+        if record.seq != seq:
+            raise DecodeError(f"record {seq} carries seq {record.seq}", seq=seq)
+        if record.prev_hash != prev_hash:
+            raise DecodeError(f"record {seq} does not chain from the record before it", seq=seq)
+        if record.to_line() != line:
+            raise DecodeError(f"record {seq} is not in canonical form", seq=seq)
+        cut = line.find(_HASH_MEMBER)
+        body = line[:cut] + line[cut + _HASH_MEMBER_LEN:]
+        if compute_record_hash(prev_hash, body) != record.hash:
+            raise DecodeError(f"record {seq} does not match its hash", seq=seq)
+        prev_hash = record.hash
+        yield record
+
+
+def read_records(path: str | Path) -> Iterator[EventEnvelope]:
+    """Stream the verified records of a ledger file (see :func:`_verified`);
+    raises DecodeError carrying the first bad seq."""
+    return _verified(_file_lines(path))
 
 
 def verify_chain(source: "Ledger | str | Path") -> int | None:
-    """Recompute every hash and check seq gaplessness, chain linkage and that
-    every line is the canonical encoding of its record (no raw floats).
+    """Check seq gaplessness, chain linkage, every hash, and that every line
+    is the canonical encoding of its record (no raw floats), with the same
+    pass that :func:`read_records` and :meth:`Ledger.open` run.
 
     Returns None when the whole ledger verifies, otherwise the smallest
     offending seq. Works on a file path or a Ledger (file-backed ledgers are
     re-read from disk so on-disk corruption is what gets checked).
     """
     if isinstance(source, Ledger) and source.path is None:
-        lines = [record.to_line() for record in source.records()]
+        lines = (record.to_line() for record in source.records())
     else:
-        path = source.path if isinstance(source, Ledger) else Path(source)
-        try:
-            with open(path, "rb") as fh:
-                data = fh.read()
-        except OSError as exc:
-            raise StorageError(f"cannot read ledger file {path}: {exc}") from None
-        lines = data.splitlines()
-
-    prev_hash = GENESIS_HASH
-    for i, line in enumerate(lines):
-        try:
-            record = _parse_line(line, i)
-        except DecodeError:
-            return i
-        if record.seq != i:
-            return i
-        if record.prev_hash != prev_hash:
-            return i
-        try:
-            body = canonical_json_bytes(record.body_dict())
-        except ConfigurationError:  # a raw float: no canonical record has one
-            return i
-        if compute_record_hash(prev_hash, body) != record.hash:
-            return i
-        # The canonical re-encoding must reproduce the stored line exactly;
-        # anything else means the on-disk bytes are not canonical.
-        if record.to_line() != bytes(line):
-            return i
-        prev_hash = record.hash
+        lines = _file_lines(source.path if isinstance(source, Ledger) else source)
+    try:
+        for _ in _verified(lines):
+            pass
+    except DecodeError as exc:
+        return exc.seq
     return None

@@ -10,7 +10,9 @@ reads; it cannot append to the ledger under audit.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Callable, Mapping
 
 from . import events, policy
@@ -123,6 +125,9 @@ def merge_reports(*reports: DivergenceReport) -> DivergenceReport:
     return merged
 
 
+_AT_SEQ = itemgetter(0)  # timelines are (seq, value) lists in seq order
+
+
 @dataclass
 class Reconstruction:
     """Everything rebuilt from one ledger pass: indexes plus recomputed states."""
@@ -140,13 +145,10 @@ class Reconstruction:
     updates: list  # (seq, UpdateInfo, recomputed_bytes, pre_state_hash, envelope_version)
 
     def version_at(self, seq: int) -> str:
-        active = None
-        for at_seq, version_id in self.version_timeline:
-            if at_seq <= seq:
-                active = version_id
-        if active is None:
+        i = bisect_right(self.version_timeline, seq, key=_AT_SEQ)
+        if i == 0:
             raise StructuralAuditError(f"no version active at seq {seq}")
-        return active
+        return self.version_timeline[i - 1][1]
 
     def logic_at(self, seq: int) -> PolicyLogic:
         return self.logic_by_version[self.version_at(seq)]
@@ -155,11 +157,8 @@ class Reconstruction:
         timeline = self.states.get(participant_id)
         if not timeline:
             raise StructuralAuditError(f"unknown participant {participant_id!r}")
-        state = timeline[0][1]
-        for at_seq, candidate in timeline:
-            if at_seq < seq:
-                state = candidate
-        return state
+        i = bisect_left(timeline, seq, key=_AT_SEQ)
+        return timeline[max(i - 1, 0)][1]
 
 
 def reconstruct_states(
@@ -167,10 +166,11 @@ def reconstruct_states(
 ) -> Reconstruction:
     """Fold the ledger's update events through per-version policy logic.
 
-    Precondition: verify_chain passed. Raises AuditError when any event
-    carries a version with no registered logic, StructuralAuditError when the
-    ledger's structure itself is inconsistent (bad batch references, missing
-    header, double consumption).
+    Precondition: the ledger's chain verifies, as every Ledger's does (see
+    :func:`ledgerloop.monitor.compute_metrics`). Raises AuditError when any
+    event carries a version with no registered logic, StructuralAuditError
+    when the ledger's structure itself is inconsistent (bad batch references,
+    missing header, double consumption).
     """
     records = ledger.records()
     if not records or records[0].event_type != "HEADER":
