@@ -25,6 +25,7 @@ from .errors import (
     LedgerLoopError,
     StorageError,
 )
+from .events import StreamIndex
 from .ledger import Ledger, decode_float, read_records
 from .monitor import DEFAULT_RULES, AlertRule, compute_metrics, emit_report, evaluate_alerts
 from .replay import default_logic, replay_verify
@@ -181,12 +182,12 @@ def _cmd_twin_tune(args) -> int:
 
 def _cmd_replay_verify(args) -> int:
     with Ledger.open(args.ledger) as ledger:
-        if args.versions is not None:
-            version_ids = [v for v in args.versions.split(",") if v]
-        else:
-            version_ids = sorted({r.version_id for r in ledger.records()})
-        logic = {vid: default_logic() for vid in version_ids}
-        report = replay_verify(ledger, logic)
+        index = StreamIndex.fold(ledger.records())
+    if args.versions is not None:
+        version_ids = [v for v in args.versions.split(",") if v]
+    else:
+        version_ids = sorted(index.stamped)
+    report = replay_verify(index, {vid: default_logic() for vid in version_ids})
     if args.out is not None:
         _fresh_out_path(args.out).write_bytes(report.to_bytes())
     if report.exact:
@@ -229,11 +230,11 @@ def _cmd_monitor_report(args) -> int:
     rules = _load_rules(args.rules)
     out = _fresh_out_path(args.out)
     with Ledger.open(args.ledger) as ledger:
-        metrics = compute_metrics(ledger)
+        index = StreamIndex.fold(ledger.records())
+        metrics = compute_metrics(index)
         divergence = None
         if args.replay:
-            version_ids = sorted({r.version_id for r in ledger.records()})
-            divergence = replay_verify(ledger, {vid: default_logic() for vid in version_ids})
+            divergence = replay_verify(index, {vid: default_logic() for vid in sorted(index.stamped)})
         alerts = evaluate_alerts(metrics, rules, ledger=ledger if args.append_alerts else None)
     out.write_bytes(emit_report(metrics, alerts, divergence))
     print(f"monitor report {out} written: {len(alerts)} alerts")

@@ -1,9 +1,9 @@
 """Plain-text run configuration: parsing, validation, canonical encoding.
 
 One YAML file declares everything a run needs (model, schedule, features,
-imputation, failure injection, twin environment, tuning grids, monitor
-rules). Validation errors always name the offending field path so the CLI
-can exit 64 with a usable diagnostic. The canonical dict written into the
+imputation, failure injection, twin environment, tuning grids). Validation
+errors always name the offending field path so the CLI can exit 64 with a
+usable diagnostic. The canonical dict written into the
 ledger header is rebuilt from the *typed* values with all floats hex-encoded,
 so its digest does not depend on YAML formatting quirks.
 """
@@ -22,16 +22,12 @@ from .policy import ModelConfig
 from .runtime import FailureInjectionSpec, FeatureSpec, ImputationPolicy, Schedule
 
 
-def _get(mapping: dict, path: str, default=None, required=False):
-    node = mapping
-    parts = path.split(".")
-    for i, key in enumerate(parts):
-        if not isinstance(node, dict) or key not in node:
-            if required:
-                raise ConfigurationError(f"{'.'.join(parts[: i + 1])}: missing required field")
-            return default
-        node = node[key]
-    return node
+def _get(mapping: dict, key: str, default=None, required=False):
+    if not isinstance(mapping, dict) or key not in mapping:
+        if required:
+            raise ConfigurationError(f"{key}: missing required field")
+        return default
+    return mapping[key]
 
 
 def _number(value, path: str) -> float:
@@ -75,15 +71,6 @@ def model_config_from_dict(raw: dict, where: str = "model") -> ModelConfig:
 
 
 @dataclass(frozen=True)
-class AlertRuleSpec:
-    metric: str
-    comparator: str
-    threshold: float
-    window: str = "per-day"
-    severity: str = "medium"
-
-
-@dataclass(frozen=True)
 class VersionSwitch:
     day: int
     version_id: str
@@ -105,7 +92,6 @@ class RunConfig:
     environment: dict = field(default_factory=dict)
     grid: dict = field(default_factory=dict)
     tuning: dict = field(default_factory=dict)
-    monitor_rules: tuple[AlertRuleSpec, ...] = ()
     version_switch: VersionSwitch | None = None
 
 
@@ -175,20 +161,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         ),
     )
 
-    rules = []
-    for i, rule_raw in enumerate(_get(raw, "monitor.rules", []) or []):
-        rules.append(
-            AlertRuleSpec(
-                metric=str(_get(rule_raw, "metric", required=True)),
-                comparator=str(_get(rule_raw, "comparator", required=True)),
-                threshold=_number(
-                    _get(rule_raw, "threshold", required=True), f"monitor.rules[{i}].threshold"
-                ),
-                window=str(_get(rule_raw, "window", "per-day")),
-                severity=str(_get(rule_raw, "severity", "medium")),
-            )
-        )
-
     switch_raw = _get(raw, "version_switch")
     version_switch = None
     if switch_raw is not None:
@@ -220,7 +192,6 @@ def config_from_dict(raw: dict) -> RunConfig:
         environment=_get(raw, "environment", {}) or {},
         grid=_get(raw, "grid", {}) or {},
         tuning=_get(raw, "tuning", {}) or {},
-        monitor_rules=tuple(rules),
         version_switch=version_switch,
     )
 

@@ -1,16 +1,24 @@
-"""Typed payload schemas for every ledger event.
+"""Typed payload schemas for every ledger event, and the one index over them.
 
 Builders turn domain values into canonical-ready dicts (floats hex-encoded,
 digests as hex strings); parsers invert them bit-exactly. These are the only
 places that know which payload fields are floats.
+
+:class:`StreamIndex` is the one fold over ledger records. The runtime applies
+each record it appends, together with the typed value it built the payload
+from; replay and the monitor fold a ledger's records, parsing each payload
+once. Both sides therefore index versions, snapshots, decisions and outcomes
+with the same code.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from operator import itemgetter
 
 from .errors import DecodeError, StructuralAuditError
-from .ledger import decode_float, encode_float
+from .ledger import EventEnvelope, Ledger, decode_float, encode_float
 from .policy import DecisionRecord, FeatureSnapshot
 
 
@@ -279,3 +287,127 @@ def alert_payload(
         "day": day,
         "severity": severity,
     }
+
+
+# -- the stream index ------------------------------------------------------------
+
+Row = tuple[FeatureSnapshot, int, float]  # (snapshot, action, reward) of one consumed outcome
+
+
+def parse_value(record: EventEnvelope):
+    """The typed value :meth:`StreamIndex.apply` takes with ``record``."""
+    etype, payload = record.event_type, record.payload
+    if etype == "FEATURE_SNAPSHOT":
+        return parse_snapshot(payload)
+    if etype == "DECISION":
+        return parse_decision(payload)
+    if etype == "OUTCOME_OBSERVED":
+        return parse_outcome(payload)
+    if etype == "MODEL_UPDATE":
+        return parse_update(payload)
+    if etype == "VERSION_CHANGE":
+        return payload.get("version_id")
+    if etype == "HEADER":
+        return parse_header(payload)
+    return None  # the index keeps the other event types by envelope alone
+
+
+@dataclass
+class StreamIndex:
+    """What the runtime, replay and the monitor know of a stream's records.
+
+    Snapshots and decisions are keyed by ``(participant_id, decision_index)``
+    and hold the record with its typed value; a later snapshot for a point
+    replaces the earlier one, a second decision is a structural error. An
+    outcome stays pending until a MODEL_UPDATE consuming it is applied.
+    """
+
+    header: HeaderInfo | None = None
+    versions: list[tuple[int, str]] = field(default_factory=list)  # (seq, id) per VERSION_CHANGE
+    stamped: dict[str, int] = field(default_factory=dict)  # envelope version_id -> first seq
+    size: int = 0  # records applied
+    snapshots: dict[tuple[str, int], tuple[EventEnvelope, FeatureSnapshot]] = field(default_factory=dict)
+    decisions: dict[tuple[str, int], tuple[EventEnvelope, DecisionRecord]] = field(default_factory=dict)
+    outcomes: dict[int, OutcomeInfo] = field(default_factory=dict)
+    pending: dict[str, list[int]] = field(default_factory=dict)  # participant -> outcome seqs
+    updates: list[tuple[EventEnvelope, UpdateInfo, list[Row]]] = field(default_factory=list)
+    errors: list[EventEnvelope] = field(default_factory=list)
+
+    @classmethod
+    def fold(cls, records: list[EventEnvelope]) -> "StreamIndex":
+        """The index of a ledger's records, each payload parsed once."""
+        if not records or records[0].event_type != "HEADER":
+            raise StructuralAuditError("ledger does not start with a HEADER record")
+        index = cls()
+        for record in records:
+            index.apply(record, parse_value(record))
+        return index
+
+    def apply(self, record: EventEnvelope, value) -> None:
+        """Fold in one record with the typed value of its payload."""
+        self.size += 1
+        self.stamped.setdefault(record.version_id, record.seq)
+        etype = record.event_type
+        if etype == "FEATURE_SNAPSHOT":
+            participant_id, decision_index, snapshot = value
+            self.snapshots[(participant_id, decision_index)] = (record, snapshot)
+        elif etype == "DECISION":
+            key = (value.participant_id, value.decision_index)
+            if key in self.decisions:
+                raise StructuralAuditError(f"DECISION at seq {record.seq} repeats {key}")
+            self.decisions[key] = (record, value)
+        elif etype == "OUTCOME_OBSERVED":
+            self.outcomes[record.seq] = value
+            self.pending.setdefault(value.participant_id, []).append(record.seq)
+        elif etype == "MODEL_UPDATE":
+            rows = self.batch(value.participant_id, value.batch_seqs, record.seq)
+            pending = self.pending.get(value.participant_id, [])
+            self.pending[value.participant_id] = [s for s in pending if s not in value.batch_seqs]
+            self.updates.append((record, value, rows))
+        elif etype == "ERROR":
+            self.errors.append(record)
+        elif etype == "VERSION_CHANGE":
+            self.versions.append((record.seq, value))
+        elif etype == "HEADER":
+            self.header = value
+
+    def batch(self, participant_id: str, batch_seqs, seq: int) -> list[Row]:
+        """The rows of an update at ``seq`` consuming ``batch_seqs``; raises
+        StructuralAuditError unless the seqs increase and each is a pending
+        earlier outcome of ``participant_id`` with a snapshot and decision."""
+        if any(a >= b for a, b in zip(batch_seqs, batch_seqs[1:])):
+            raise StructuralAuditError(f"MODEL_UPDATE at seq {seq} has non-increasing batch_seqs")
+        rows = []
+        for outcome_seq in batch_seqs:
+            outcome = self.outcomes.get(outcome_seq)
+            problem = None
+            if outcome_seq >= seq:
+                problem = f"references future seq {outcome_seq}"
+            elif outcome is None:
+                problem = f"references seq {outcome_seq}, which is not an OUTCOME_OBSERVED event"
+            elif outcome.participant_id != participant_id:
+                problem = f"has outcome seq {outcome_seq} of another participant"
+            elif outcome_seq not in self.pending[participant_id]:
+                problem = f"has outcome seq {outcome_seq} consumed twice"
+            if problem is not None:
+                raise StructuralAuditError(f"MODEL_UPDATE at seq {seq} {problem}")
+            key = (participant_id, outcome.decision_index)
+            if key not in self.snapshots or key not in self.decisions:
+                raise StructuralAuditError(
+                    f"outcome at seq {outcome_seq} references decision "
+                    f"{outcome.decision_index} with no snapshot/decision"
+                )
+            rows.append((self.snapshots[key][1], self.decisions[key][1].action, outcome.reward))
+        return rows
+
+    def version_at(self, seq: int) -> str:
+        """The version the last VERSION_CHANGE at or before ``seq`` activated."""
+        i = bisect_right(self.versions, seq, key=itemgetter(0))
+        if i == 0:
+            raise StructuralAuditError(f"no version active at seq {seq}")
+        return self.versions[i - 1][1]
+
+
+def stream_index(source: Ledger | StreamIndex) -> StreamIndex:
+    """The index of a ledger, folded from its records; an index is its own."""
+    return source if isinstance(source, StreamIndex) else StreamIndex.fold(source.records())

@@ -207,7 +207,9 @@ class Ledger:
     File-backed when ``path`` is given (each append is flushed, and fsynced
     by default, before returning) or purely in-memory when ``path`` is None,
     which the digital twin uses for throwaway evaluation runs. The record
-    bytes are identical either way.
+    bytes are identical either way. The file is opened for appending only
+    when a new ledger creates it or a loaded one is first appended to, so
+    loading and auditing a ledger needs no write access.
 
     Appends are serialized by an internal lock; readers always observe a
     prefix of the final record sequence.
@@ -234,23 +236,28 @@ class Ledger:
         self._lock = threading.Lock()
         self._records: list[EventEnvelope] = _records or []
         self._last_hash = self._records[-1].hash if self._records else GENESIS_HASH
-        self._fh = None
+        self._handle = None
         self._size = 0  # file offset just past the last whole record
         self._torn = False  # a failed append left bytes that could not be cut
-        if self.path is not None:
-            if _create:
-                if self.path.exists():
-                    raise StorageError(f"refusing to overwrite existing ledger {self.path}")
-                try:
-                    self._fh = open(self.path, "ab")
-                except OSError as exc:
-                    raise StorageError(f"cannot create ledger file: {exc}") from None
-            else:
-                try:
-                    self._fh = open(self.path, "ab")
-                except OSError as exc:
-                    raise StorageError(f"cannot open ledger file: {exc}") from None
-            self._size = self._fh.tell()  # append mode starts at the end
+        if self.path is not None and _create:
+            if self.path.exists():
+                raise StorageError(f"refusing to overwrite existing ledger {self.path}")
+            self._fh  # creates the file
+
+    @property
+    def _fh(self):
+        """The append handle of a file-backed ledger, opened on first use."""
+        if self._handle is None and self.path is not None:
+            try:
+                self._handle = open(self.path, "ab")
+            except OSError as exc:
+                raise StorageError(f"cannot open ledger file for appending: {exc}") from None
+            self._size = self._handle.tell()  # append mode starts at the end
+        return self._handle
+
+    @_fh.setter
+    def _fh(self, handle) -> None:
+        self._handle = handle
 
     # -- construction ------------------------------------------------------
 
@@ -261,7 +268,8 @@ class Ledger:
         Raises DecodeError carrying the first bad seq when any record fails
         the chain check (the seq :func:`verify_chain` returns), and a
         DecodeError without a seq when the file is empty. The ledger holds
-        the file open for appends; close it, or use it as a context manager.
+        no file handle until its first append; close it after appending, or
+        use it as a context manager.
         """
         records = list(read_records(path))
         if not records:
@@ -327,13 +335,14 @@ class Ledger:
             body = canonical_json_bytes(EventEnvelope(**fields, hash=b"").body_dict())
             rec_hash = compute_record_hash(self._last_hash, body)
             envelope = EventEnvelope(**fields, hash=rec_hash)
-            if self._fh is not None:
+            if self.path is not None:
                 line = envelope.to_line() + b"\n"
+                fh = self._fh
                 try:
-                    self._fh.write(line)
-                    self._fh.flush()
+                    fh.write(line)
+                    fh.flush()
                     if self.fsync:
-                        os.fsync(self._fh.fileno())
+                        os.fsync(fh.fileno())
                 except OSError as exc:
                     self._cut_torn_tail()
                     raise StorageError(f"append to {self.path} failed: {exc}") from None
@@ -376,9 +385,9 @@ class Ledger:
         return len(self)
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
 
     def __enter__(self) -> "Ledger":
         return self

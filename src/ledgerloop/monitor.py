@@ -2,6 +2,8 @@
 
 The monitor is read-mostly: it recomputes intervention-fidelity metrics from
 the ledger and may append ALERT events, but never touches existing records.
+It reads the ledger through the shared :class:`ledgerloop.events.StreamIndex`
+and only adds the per-day aggregation.
 Metrics are defined so that a healthy trial is exactly clean (coverage 1.0,
 fallback rate 0.0) and every number is reproducible from the ledger alone.
 """
@@ -9,10 +11,11 @@ fallback rate 0.0) and every number is reproducible from the ledger alone.
 from __future__ import annotations
 
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from . import events
-from .errors import AuditError, ConfigurationError
+from .errors import ConfigurationError
 from .ledger import Ledger, canonical_json_bytes, encode_float
 from .replay import DivergenceReport
 from .runtime import MS_PER_DAY
@@ -103,7 +106,7 @@ def _day_metrics(
     }
 
 
-def compute_metrics(ledger: Ledger) -> MetricTable:
+def compute_metrics(source: Ledger | events.StreamIndex) -> MetricTable:
     """Per-day and overall fidelity metrics for one trial ledger.
 
     Precondition: the ledger's chain verifies. Every Ledger satisfies it: one
@@ -111,45 +114,34 @@ def compute_metrics(ledger: Ledger) -> MetricTable:
     hashed from its canonical bytes. Decisions and snapshots attribute to
     days by decision index; updates and errors by backend timestamp.
     """
-    records = ledger.records()
-    if not records or records[0].event_type != "HEADER":
-        raise AuditError("ledger does not start with a HEADER record")
-    header = events.parse_header(records[0].payload)
+    index = events.stream_index(source)
+    header = index.header
     schedule_cfg = header.config["schedule"]
-    participants = header.config.get("participants", [])
     k = len(schedule_cfg["decision_times"])
     trial_days = int(schedule_cfg["trial_days"])
     trial_start = int(schedule_cfg.get("trial_start_ts", 0))
-    n_participants = len(participants)
-
-    decisions_by_day: dict[int, list] = {d: [] for d in range(trial_days)}
-    entries_by_day: dict[int, list] = {d: [] for d in range(trial_days)}
-    updates_by_day: dict[int, int] = {d: 0 for d in range(trial_days)}
-    update_failures_by_day: dict[int, int] = {d: 0 for d in range(trial_days)}
-    errors_by_day: dict[int, int] = {d: 0 for d in range(trial_days)}
+    n_participants = len(header.config.get("participants", []))
 
     def ts_day(ts: int) -> int:
         return min(max((ts - trial_start) // MS_PER_DAY, 0), trial_days - 1)
 
-    for record in records:
-        etype = record.event_type
-        if etype == "DECISION":
-            decision = events.parse_decision(record.payload)
-            decisions_by_day.setdefault(decision.decision_index // k, []).append(decision)
-        elif etype == "FEATURE_SNAPSHOT":
-            _, idx, snapshot = events.parse_snapshot(record.payload)
-            entries_by_day.setdefault(idx // k, []).extend(snapshot.provenance)
-        elif etype == "MODEL_UPDATE":
-            updates_by_day[ts_day(record.backend_ts)] += 1
-        elif etype == "ERROR":
-            day = ts_day(record.backend_ts)
-            errors_by_day[day] += 1
-            if record.payload.get("kind") == "update_failure":
-                update_failures_by_day[day] += 1
+    decisions_by_day: dict[int, list] = defaultdict(list)
+    for _, decision in index.decisions.values():
+        decisions_by_day[decision.decision_index // k].append(decision)
+    entries_by_day: dict[int, list] = defaultdict(list)
+    for (_, idx), (_, snapshot) in index.snapshots.items():
+        entries_by_day[idx // k].extend(snapshot.provenance)
+    updates_by_day = Counter(ts_day(record.backend_ts) for record, _, _ in index.updates)
+    errors_by_day = Counter(ts_day(record.backend_ts) for record in index.errors)
+    update_failures_by_day = Counter(
+        ts_day(record.backend_ts)
+        for record in index.errors
+        if record.payload.get("kind") == "update_failure"
+    )
 
     table = MetricTable(
-        stream_id=records[0].stream_id,
-        environment_profile=records[0].environment_profile,
+        stream_id=header.stream_id,
+        environment_profile=header.environment_profile,
         n_participants=n_participants,
         trial_days=trial_days,
         points_per_day=k,
@@ -158,21 +150,19 @@ def compute_metrics(ledger: Ledger) -> MetricTable:
     for day in range(trial_days):
         table.per_day[day] = _day_metrics(
             scheduled_per_day,
-            decisions_by_day.get(day, []),
-            entries_by_day.get(day, []),
-            updates_by_day.get(day, 0),
-            update_failures_by_day.get(day, 0),
-            errors_by_day.get(day, 0),
+            decisions_by_day[day],
+            entries_by_day[day],
+            updates_by_day[day],
+            update_failures_by_day[day],
+            errors_by_day[day],
         )
-    all_decisions = [d for day in sorted(decisions_by_day) for d in decisions_by_day[day]]
-    all_entries = [e for day in sorted(entries_by_day) for e in entries_by_day[day]]
     table.overall = _day_metrics(
         scheduled_per_day * trial_days,
-        all_decisions,
-        all_entries,
-        sum(updates_by_day.values()),
-        sum(update_failures_by_day.values()),
-        sum(errors_by_day.values()),
+        [decision for _, decision in index.decisions.values()],
+        [tag for _, snapshot in index.snapshots.values() for tag in snapshot.provenance],
+        len(index.updates),
+        update_failures_by_day.total(),
+        len(index.errors),
     )
     return table
 

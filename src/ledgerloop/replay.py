@@ -1,23 +1,27 @@
 """Replay audit: reconstruct model states from a ledger and verify that every
 logged decision and update is bit-exactly reproducible.
 
-Comparison is bit-exact, never tolerance-based: floats travel as IEEE-754 bit
-patterns, update summation order is fixed, and Cholesky is the single solve
-algorithm, so an honest ledger replays to the last bit. The auditor only ever
+Replay reads the ledger through the shared
+:class:`ledgerloop.events.StreamIndex`, the same fold the runtime keeps while
+it writes, and adds only the posterior recompute. Comparison is bit-exact,
+never tolerance-based: floats travel as IEEE-754 bit patterns, update
+summation order is fixed, and Cholesky is the single solve algorithm, so an
+honest ledger replays to the last bit. The auditor only ever
 reads; it cannot append to the ledger under audit.
 """
 
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Mapping
 
-from . import events, policy
+from . import policy
 from .config import model_config_from_canonical
 from .errors import AuditError, LedgerLoopError, StructuralAuditError
+from .events import StreamIndex, stream_index
 from .ledger import Ledger, canonical_json_bytes, encode_float
 from .policy import ModelConfig, PosteriorState
 
@@ -130,28 +134,15 @@ _AT_SEQ = itemgetter(0)  # timelines are (seq, value) lists in seq order
 
 @dataclass
 class Reconstruction:
-    """Everything rebuilt from one ledger pass: indexes plus recomputed states."""
+    """The stream index of a ledger plus the posterior states recomputed
+    from it."""
 
     config: ModelConfig
-    deployment_seed: int
-    version_timeline: list[tuple[int, str]]
     logic_by_version: Mapping[str, PolicyLogic]
+    index: StreamIndex
     # per participant: [(seq_effective_from, state)] in seq order
     states: dict[str, list[tuple[int, PosteriorState]]]
-    snapshots: dict[tuple[str, int], tuple[int, object]]
-    decisions: list  # (seq, DecisionRecord, envelope_version)
-    decision_by_key: dict  # (participant_id, decision_index) -> DecisionRecord
-    outcomes: dict[int, events.OutcomeInfo]
-    updates: list  # (seq, UpdateInfo, recomputed_bytes, pre_state_hash, envelope_version)
-
-    def version_at(self, seq: int) -> str:
-        i = bisect_right(self.version_timeline, seq, key=_AT_SEQ)
-        if i == 0:
-            raise StructuralAuditError(f"no version active at seq {seq}")
-        return self.version_timeline[i - 1][1]
-
-    def logic_at(self, seq: int) -> PolicyLogic:
-        return self.logic_by_version[self.version_at(seq)]
+    updates: list  # (seq, UpdateInfo, recomputed_bytes, pre_state_hash)
 
     def state_before(self, participant_id: str, seq: int) -> PosteriorState:
         timeline = self.states.get(participant_id)
@@ -162,7 +153,7 @@ class Reconstruction:
 
 
 def reconstruct_states(
-    ledger: Ledger, logic_by_version: Mapping[str, PolicyLogic] | None = None
+    source: Ledger | StreamIndex, logic_by_version: Mapping[str, PolicyLogic] | None = None
 ) -> Reconstruction:
     """Fold the ledger's update events through per-version policy logic.
 
@@ -172,99 +163,37 @@ def reconstruct_states(
     when the ledger's structure itself is inconsistent (bad batch references,
     missing header, double consumption).
     """
-    records = ledger.records()
-    if not records or records[0].event_type != "HEADER":
-        raise StructuralAuditError("ledger does not start with a HEADER record")
-    header = events.parse_header(records[0].payload)
-    config = model_config_from_canonical(header.config["model"])
-    participants = list(header.config.get("participants", []))
+    index = stream_index(source)
+    config = model_config_from_canonical(index.header.config["model"])
     if logic_by_version is None:
         logic_by_version = {config.version_id: default_logic()}
-
-    def lookup_logic(version_id: str, seq: int) -> PolicyLogic:
+    # Every version the ledger names, envelope stamps before a VERSION_CHANGE
+    # payload at the same seq; the first one without logic is the error.
+    named = [(seq, version_id) for version_id, seq in index.stamped.items()] + index.versions
+    for seq, version_id in sorted(named, key=_AT_SEQ):
         if version_id not in logic_by_version:
-            raise AuditError(
-                f"version {version_id!r} at seq {seq} has no registered logic"
-            )
-        return logic_by_version[version_id]
+            raise AuditError(f"version {version_id!r} at seq {seq} has no registered logic")
 
-    initial_logic = lookup_logic(records[0].version_id, 0)
+    init_state = logic_by_version[next(iter(index.stamped))].init_state  # the HEADER's
+    pids = [*index.header.config.get("participants", []), *(pid for pid, _ in index.snapshots)]
+    states = {pid: [(0, init_state(config))] for pid in dict.fromkeys(pids)}
     recon = Reconstruction(
         config=config,
-        deployment_seed=header.deployment_seed,
-        version_timeline=[],
         logic_by_version=logic_by_version,
-        states={pid: [(0, initial_logic.init_state(config))] for pid in participants},
-        snapshots={},
-        decisions=[],
-        decision_by_key={},
-        outcomes={},
+        index=index,
+        states=states,
         updates=[],
     )
-    consumed: set[int] = set()
-
-    for record in records:
-        lookup_logic(record.version_id, record.seq)
-        etype = record.event_type
-        if etype == "VERSION_CHANGE":
-            version_id = record.payload.get("version_id")
-            lookup_logic(version_id, record.seq)
-            recon.version_timeline.append((record.seq, version_id))
-        elif etype == "FEATURE_SNAPSHOT":
-            pid, idx, snapshot = events.parse_snapshot(record.payload)
-            recon.snapshots[(pid, idx)] = (record.seq, snapshot)
-            if pid not in recon.states:
-                recon.states[pid] = [(0, initial_logic.init_state(config))]
-        elif etype == "DECISION":
-            decision = events.parse_decision(record.payload)
-            recon.decisions.append((record.seq, decision, record.version_id))
-            recon.decision_by_key[(decision.participant_id, decision.decision_index)] = decision
-        elif etype == "OUTCOME_OBSERVED":
-            recon.outcomes[record.seq] = events.parse_outcome(record.payload)
-        elif etype == "MODEL_UPDATE":
-            info = events.parse_update(record.payload)
-            if any(a >= b for a, b in zip(info.batch_seqs, info.batch_seqs[1:])):
-                raise StructuralAuditError(
-                    f"MODEL_UPDATE at seq {record.seq} has non-increasing batch_seqs"
-                )
-            batch = []
-            for outcome_seq in info.batch_seqs:
-                if outcome_seq >= record.seq:
-                    raise StructuralAuditError(
-                        f"MODEL_UPDATE at seq {record.seq} references future seq {outcome_seq}"
-                    )
-                if outcome_seq in consumed:
-                    raise StructuralAuditError(
-                        f"outcome seq {outcome_seq} consumed twice (at seq {record.seq})"
-                    )
-                outcome = recon.outcomes.get(outcome_seq)
-                if outcome is None:
-                    raise StructuralAuditError(
-                        f"MODEL_UPDATE at seq {record.seq} references seq {outcome_seq}, "
-                        "which is not an OUTCOME_OBSERVED event"
-                    )
-                if outcome.participant_id != info.participant_id:
-                    raise StructuralAuditError(
-                        f"outcome seq {outcome_seq} belongs to another participant"
-                    )
-                snap = recon.snapshots.get((info.participant_id, outcome.decision_index))
-                dec = recon.decision_by_key.get((info.participant_id, outcome.decision_index))
-                if snap is None or dec is None:
-                    raise StructuralAuditError(
-                        f"outcome seq {outcome_seq} has no snapshot/decision for "
-                        f"decision {outcome.decision_index}"
-                    )
-                batch.append((snap[1], dec.action, outcome.reward))
-                consumed.add(outcome_seq)
-            logic = lookup_logic(record.version_id, record.seq)
-            pre_state = recon.state_before(info.participant_id, record.seq)
-            new_state = logic.update_posterior(
-                pre_state, batch, config, last_update_seq=max(info.batch_seqs)
-            )
-            recon.updates.append(
-                (record.seq, info, logic.serialize(new_state), pre_state.state_hash, record.version_id)
-            )
-            recon.states.setdefault(info.participant_id, []).append((record.seq, new_state))
+    for record, info, rows in index.updates:
+        logic = logic_by_version[record.version_id]
+        pre_state = recon.state_before(info.participant_id, record.seq)
+        new_state = logic.update_posterior(
+            pre_state, rows, config, last_update_seq=max(info.batch_seqs)
+        )
+        recon.updates.append(
+            (record.seq, info, logic.serialize(new_state), pre_state.state_hash)
+        )
+        states[info.participant_id].append((record.seq, new_state))
     return recon
 
 
@@ -278,23 +207,23 @@ def verify_decisions(ledger: Ledger, recon: Reconstruction) -> DivergenceReport:
     """
     report = DivergenceReport()
     checked = 0
-    for seq, decision, envelope_version in recon.decisions:
+    for record, decision in recon.index.decisions.values():
         checked += 1
+        seq, envelope_version = record.seq, record.version_id
         pid, idx = decision.participant_id, decision.decision_index
-        snap_entry = recon.snapshots.get((pid, idx))
-        if snap_entry is None or snap_entry[0] >= seq:
+        snap_entry = recon.index.snapshots.get((pid, idx))
+        if snap_entry is None or snap_entry[0].seq >= seq:
             raise StructuralAuditError(
                 f"DECISION at seq {seq} has no prior FEATURE_SNAPSHOT for "
                 f"({pid}, {idx})"
             )
         _, snapshot = snap_entry
-        logic = recon.logic_at(seq)
-
-        expected_version = recon.version_at(seq)
+        expected_version = recon.index.version_at(seq)
+        logic = recon.logic_by_version[expected_version]
         if envelope_version != expected_version or decision.version_id != expected_version:
             report.record(seq, "version_id", decision.version_id, expected_version)
 
-        expected_seed = logic.derive_decision_seed(recon.deployment_seed, pid, idx)
+        expected_seed = logic.derive_decision_seed(recon.index.header.deployment_seed, pid, idx)
         if expected_seed != decision.seed:
             report.record(seq, "seed", str(decision.seed), str(expected_seed))
 
@@ -327,7 +256,7 @@ def verify_updates(ledger: Ledger, recon: Reconstruction) -> DivergenceReport:
     byte, and check hash self-consistency of the update payloads."""
     report = DivergenceReport()
     checked = 0
-    for seq, info, recomputed_bytes, pre_hash, _version in recon.updates:
+    for seq, info, recomputed_bytes, pre_hash in recon.updates:
         checked += 1
         if info.pre_state_hash != pre_hash:
             report.record(seq, "pre_state_hash", info.pre_state_hash.hex(), pre_hash.hex())
@@ -345,18 +274,18 @@ def verify_updates(ledger: Ledger, recon: Reconstruction) -> DivergenceReport:
 
 
 def replay_verify(
-    ledger: Ledger, logic_by_version: Mapping[str, PolicyLogic] | None = None
+    source: Ledger | StreamIndex, logic_by_version: Mapping[str, PolicyLogic] | None = None
 ) -> DivergenceReport:
     """Full audit: reconstruct, then verify decisions and updates.
 
     Raises AuditError/StructuralAuditError for attribution and structure
     problems; returns a DivergenceReport (status exact or diverged) otherwise.
     """
-    recon = reconstruct_states(ledger, logic_by_version)
-    decisions_report = verify_decisions(ledger, recon)
-    updates_report = verify_updates(ledger, recon)
+    recon = reconstruct_states(source, logic_by_version)
+    decisions_report = verify_decisions(source, recon)
+    updates_report = verify_updates(source, recon)
     merged = merge_reports(decisions_report, updates_report)
-    merged.counts["events_total"] = len(ledger)
-    merged.counts["snapshots_seen"] = len(recon.snapshots)
-    merged.counts["outcomes_seen"] = len(recon.outcomes)
+    merged.counts["events_total"] = recon.index.size
+    merged.counts["snapshots_seen"] = len(recon.index.snapshots)
+    merged.counts["outcomes_seen"] = len(recon.index.outcomes)
     return merged

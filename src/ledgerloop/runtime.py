@@ -22,7 +22,7 @@ from .errors import (
     StorageError,
     StructuralAuditError,
 )
-from .ledger import Ledger
+from .ledger import EventEnvelope, Ledger
 from .policy import (
     DecisionRecord,
     FeatureSnapshot,
@@ -171,24 +171,6 @@ class FailureInjectionSpec:
             raise ConfigurationError("injection.delay_geometric_p must be in (0, 1]")
 
 
-class VersionRegistry:
-    """Ordered record of which algorithm version was active from which seq."""
-
-    def __init__(self):
-        self.entries: list[tuple[str, int, str]] = []
-
-    def activate(self, version_id: str, activation_seq: int, fingerprint: str) -> None:
-        if any(v == version_id for v, _, _ in self.entries):
-            raise ConfigurationError(f"version {version_id!r} already activated")
-        if self.entries and activation_seq <= self.entries[-1][1]:
-            raise ConfigurationError("activation seqs must be strictly increasing")
-        self.entries.append((version_id, activation_seq, fingerprint))
-
-    @property
-    def current(self) -> str | None:
-        return self.entries[-1][0] if self.entries else None
-
-
 class Runtime:
     """Drives one stream: all participants share the ledger and the model
     configuration, while posterior states and data caches are per participant.
@@ -222,7 +204,8 @@ class Runtime:
         self.injection = injection
         self.deployment_seed = deployment_seed
         self.participants = list(participants)
-        self.registry = VersionRegistry()
+        # Every record the runtime appends, folded in as it is written.
+        self.index = events.StreamIndex()
         # decision_override(participant_id, decision_index, snapshot) -> pi;
         # used by the twin for oracle baselines, never in real deployments.
         self.decision_override = decision_override
@@ -233,40 +216,43 @@ class Runtime:
         # (participant, feature) -> [(device_ts, -seq, value)], kept sorted, so
         # the datum a snapshot uses is the last entry at or before its due time.
         self._data: dict[tuple[str, str], list[tuple[int, int, float]]] = {}
-        self._snapshots: dict[tuple[str, int], tuple[int, FeatureSnapshot]] = {}
-        self._decisions: dict[tuple[str, int], DecisionRecord] = {}
-        self._pending_outcomes: dict[str, list[tuple[int, events.OutcomeInfo]]] = {
-            pid: [] for pid in self.participants
-        }
         self._due_cache = [
             self.schedule.due_ts(i) for i in range(self.schedule.total_points)
         ]
+
+    def _log(self, value, event_type: str, payload: dict, **envelope) -> EventEnvelope:
+        """Append one record and fold it into the index with ``value``, the
+        typed value its payload was built from."""
+        record = self.ledger.append(event_type, payload, **envelope)
+        self.index.apply(record, value)
+        return record
 
     # -- lifecycle -----------------------------------------------------------
 
     def start(self, header_config: dict, config_digest: str, fingerprint: str, backend_ts: int) -> None:
         """Write the header record and activate the configured version."""
         version_id = self.model_config.version_id
-        self.ledger.append(
-            "HEADER",
-            events.header_payload(
-                stream_id=self.ledger.stream_id,
-                environment_profile=self.ledger.environment_profile,
-                deployment_seed=self.deployment_seed,
-                config=header_config,
-                config_digest=config_digest,
-            ),
-            backend_ts=backend_ts,
-            version_id=version_id,
+        payload = events.header_payload(
+            stream_id=self.ledger.stream_id,
+            environment_profile=self.ledger.environment_profile,
+            deployment_seed=self.deployment_seed,
+            config=header_config,
+            config_digest=config_digest,
+        )
+        self._log(
+            events.HeaderInfo(**payload), "HEADER", payload,
+            backend_ts=backend_ts, version_id=version_id,
         )
         self.register_version(version_id, fingerprint, backend_ts)
 
     def register_version(self, version_id: str, fingerprint: str, backend_ts: int) -> int:
         """Activate a new algorithm version; all later events carry it."""
-        seq = self.ledger.next_seq()
-        self.registry.activate(version_id, seq, fingerprint)
-        previous = self.registry.entries[-2][0] if len(self.registry.entries) > 1 else None
-        record = self.ledger.append(
+        versions = self.index.versions
+        if any(v == version_id for _, v in versions):
+            raise ConfigurationError(f"version {version_id!r} already activated")
+        previous = versions[-1][1] if versions else None
+        record = self._log(
+            version_id,
             "VERSION_CHANGE",
             events.version_change_payload(version_id, fingerprint, previous),
             backend_ts=backend_ts,
@@ -276,10 +262,9 @@ class Runtime:
 
     @property
     def version_id(self) -> str:
-        current = self.registry.current
-        if current is None:
+        if not self.index.versions:
             raise ConfigurationError("no version registered; call start() first")
-        return current
+        return self.index.versions[-1][1]
 
     # -- ingestion -----------------------------------------------------------
 
@@ -303,11 +288,10 @@ class Runtime:
         snapshot; the new event just references the superseded snapshot seq.
         """
         home = self._window_index(device_ts)
-        superseded = None
-        snap = self._snapshots.get((participant_id, home))
-        if snap is not None:
-            superseded = snap[0]
-        record = self.ledger.append(
+        snap = self.index.snapshots.get((participant_id, home))
+        superseded = None if snap is None else snap[0].seq
+        record = self._log(
+            None,
             "DATA_INGESTED",
             events.data_ingested_payload(
                 participant_id, feature, value, device_ts, superseded
@@ -327,15 +311,14 @@ class Runtime:
     ) -> int:
         """Append one OUTCOME_OBSERVED event; consumed by a later update cycle."""
         self._require_participant(participant_id)
-        record = self.ledger.append(
+        record = self._log(
+            events.OutcomeInfo(participant_id, decision_index, float(reward), device_ts),
             "OUTCOME_OBSERVED",
             events.outcome_payload(participant_id, decision_index, reward, device_ts),
             backend_ts=backend_ts,
             device_ts=device_ts,
             version_id=self.version_id,
         )
-        info = events.parse_outcome(record.payload)
-        self._pending_outcomes[participant_id].append((record.seq, info))
         return record.seq
 
     # -- decision path ---------------------------------------------------------
@@ -381,13 +364,13 @@ class Runtime:
             source_device_ts=tuple(e[3] for e in entries),
             assembled_ts=due,
         )
-        record = self.ledger.append(
+        self._log(
+            (participant_id, decision_index, snapshot),
             "FEATURE_SNAPSHOT",
             events.snapshot_payload(participant_id, decision_index, snapshot),
             backend_ts=backend_ts,
             version_id=self.version_id,
         )
-        self._snapshots[(participant_id, decision_index)] = (record.seq, snapshot)
         return snapshot
 
     def make_decision(self, participant_id: str, decision_index: int, backend_ts: int | None = None) -> DecisionRecord:
@@ -398,12 +381,12 @@ class Runtime:
         errors escape. A DECISION event is always appended.
         """
         self._require_participant(participant_id)
-        key = (participant_id, decision_index)
-        if key not in self._snapshots:
+        snap = self.index.snapshots.get((participant_id, decision_index))
+        if snap is None:
             raise StructuralAuditError(
                 f"no FEATURE_SNAPSHOT for {participant_id} decision {decision_index}"
             )
-        _, snapshot = self._snapshots[key]
+        _, snapshot = snap
         if backend_ts is None:
             backend_ts = self.schedule.due_ts(decision_index)
         seed = derive_decision_seed(self.deployment_seed, participant_id, decision_index)
@@ -431,7 +414,8 @@ class Runtime:
             fallback = True
             fallback_reason = f"{type(exc).__name__}: {exc}"
             pi_raw = pi = FALLBACK_PI
-            self.ledger.append(
+            self._log(
+                None,
                 "ERROR",
                 events.error_payload(
                     kind="policy_exception",
@@ -455,13 +439,13 @@ class Runtime:
             fallback_reason=fallback_reason,
             version_id=version_id,
         )
-        self.ledger.append(
+        self._log(
+            record,
             "DECISION",
             events.decision_payload(record),
             backend_ts=backend_ts,
             version_id=version_id,
         )
-        self._decisions[key] = record
         return record
 
     # -- learning ---------------------------------------------------------------
@@ -474,30 +458,20 @@ class Runtime:
         outcomes remain pending for the next cycle.
         """
         self._require_participant(participant_id)
-        pending = self._pending_outcomes[participant_id]
+        batch_seqs = tuple(self.index.pending.get(participant_id, ()))
         state = self.states[participant_id]
-        if not pending:
+        if not batch_seqs:
             return state
         try:
-            batch = []
-            batch_seqs = []
-            for seq, info in pending:
-                snap = self._snapshots.get((participant_id, info.decision_index))
-                dec = self._decisions.get((participant_id, info.decision_index))
-                if snap is None or dec is None:
-                    raise StructuralAuditError(
-                        f"outcome at seq {seq} references decision "
-                        f"{info.decision_index} with no snapshot/decision"
-                    )
-                batch.append((snap[1], dec.action, info.reward))
-                batch_seqs.append(seq)
+            batch = self.index.batch(participant_id, batch_seqs, self.ledger.next_seq())
             new_state = update_posterior(
                 state, batch, self.model_config, last_update_seq=max(batch_seqs)
             )
         except (StorageError, IsolationError):
             raise
         except Exception as exc:
-            self.ledger.append(
+            self._log(
+                None,
                 "ERROR",
                 events.error_payload(
                     kind="update_failure",
@@ -509,18 +483,13 @@ class Runtime:
             )
             return state
 
-        self.ledger.append(
-            "MODEL_UPDATE",
-            events.update_payload(
-                participant_id=participant_id,
-                batch_seqs=batch_seqs,
-                pre_state_hash=state.state_hash,
-                post_state_hash=new_state.state_hash,
-                post_state=canonical_serialize(new_state),
-            ),
-            backend_ts=backend_ts,
-            version_id=self.version_id,
+        info = events.UpdateInfo(
+            participant_id, batch_seqs, state.state_hash, new_state.state_hash,
+            canonical_serialize(new_state),
+        )
+        self._log(
+            info, "MODEL_UPDATE", events.update_payload(**vars(info)),
+            backend_ts=backend_ts, version_id=self.version_id,
         )
         self.states[participant_id] = new_state
-        self._pending_outcomes[participant_id] = []
         return new_state

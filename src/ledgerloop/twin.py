@@ -255,6 +255,7 @@ class TrialTruth:
 @dataclass
 class TrialResult:
     ledger: Ledger
+    index: events.StreamIndex  # the runtime's, folded as it wrote the ledger
     truth: TrialTruth
     env: EnvironmentSpec
     candidate_label: str
@@ -448,6 +449,7 @@ def run_trial(
     truth.participants = dict(twins)
     return TrialResult(
         ledger=ledger,
+        index=runtime.index,
         truth=truth,
         env=env,
         candidate_label=candidate_label,
@@ -532,14 +534,13 @@ def evaluate_rows(results: list[TrialResult]) -> list[EvalRow]:
     for result in results:
         env = result.env
         truth = result.truth
-        scheduled = env.n_participants * env.n_days * _points_per_day(result)
+        points_per_day = len(result.index.header.config["schedule"]["decision_times"])
+        scheduled = env.n_participants * env.n_days * points_per_day
         n_decisions = 0
         fallbacks = 0
         pis: list[float] = []
         regret = 0.0
-        for record in result.ledger.iterate(event_types={"DECISION"}):
-            decision = events.parse_decision(record.payload)
-            key = (decision.participant_id, decision.decision_index)
+        for key, (_, decision) in result.index.decisions.items():
             if key not in truth.deltas:
                 raise ConfigurationError(
                     f"ledger decision {key} not found in environment ground truth"
@@ -592,11 +593,6 @@ def aggregate_rows(rows: list[EvalRow]) -> list[EvalAggregate]:
 def evaluate(results: list[TrialResult]) -> EvalReport:
     rows = evaluate_rows(results)
     return EvalReport(rows=tuple(rows), aggregates=tuple(aggregate_rows(rows)))
-
-
-def _points_per_day(result: TrialResult) -> int:
-    header = next(result.ledger.iterate(event_types={"HEADER"}))
-    return len(events.parse_header(header.payload).config["schedule"]["decision_times"])
 
 
 def _eval_row_task(task: tuple) -> EvalRow:

@@ -122,12 +122,12 @@ def test_criterion_1_end_to_end_replay(tmp_path):
     ledger_path = tmp_path / "accept1.ndjson"
     assert main(["simulate", "--config", str(config_path), "--out", str(ledger_path)]) == 0
 
-    ledger = Ledger.open(ledger_path)
-    decisions = list(ledger.iterate(event_types={"DECISION"}))
-    assert len(decisions) == 20 * 28 * 2
+    with Ledger.open(ledger_path) as ledger:
+        decisions = list(ledger.iterate(event_types={"DECISION"}))
+        assert len(decisions) == 20 * 28 * 2
 
-    assert main(["replay-verify", "--ledger", str(ledger_path)]) == 0
-    report = replay_verify(ledger, {"v1.0.0": default_logic()})
+        assert main(["replay-verify", "--ledger", str(ledger_path)]) == 0
+        report = replay_verify(ledger, {"v1.0.0": default_logic()})
     assert report.exact
     assert report.first_divergent_seq is None
     assert not report.field_diffs
@@ -306,6 +306,7 @@ def test_criterion_8_imputation_preservation(tmp_path):
     assert runtime.ledger.records()[snap_seq].to_line() == line_before
     file_line_after = (tmp_path / "manual.ndjson").read_bytes().splitlines()[snap_seq]
     assert file_line_after == file_line_before
+    runtime.ledger.close()
 
     # Full-trial version: delays injected, imputed snapshots exist, replay exact.
     config = make_run_config()
@@ -359,7 +360,7 @@ def test_criterion_9_version_traceability():
 def test_criterion_10_tamper_evidence(tmp_path):
     config = make_run_config()
     path = tmp_path / "tamper.ndjson"
-    run_trial(full_scale_env(n_participants=2, n_days=3), config, 10, out_path=path)
+    run_trial(full_scale_env(n_participants=2, n_days=3), config, 10, out_path=path).ledger.close()
     original = path.read_bytes()
     assert verify_chain(path) is None
 
@@ -389,7 +390,8 @@ def test_criterion_10_tamper_evidence(tmp_path):
         from ledgerloop.errors import LedgerLoopError
 
         try:
-            report = replay_verify(Ledger.open(mutated_path), {"v1.0.0": default_logic()})
+            with Ledger.open(mutated_path) as mutated:
+                report = replay_verify(mutated, {"v1.0.0": default_logic()})
         except LedgerLoopError:
             detected += 1
             continue

@@ -107,3 +107,38 @@ def test_empty_ledger_is_an_audit_error(tmp_path, capsys):
     for argv in (["replay-verify"], ["ledger-inspect", "--seq", "0"]):
         assert main([*argv, "--ledger", str(empty)]) == 2
         assert capsys.readouterr().err == "audit error: ledger file is empty\n"
+
+
+def test_audits_need_no_write_access(tmp_path, ledger_path, monkeypatch):
+    # Only an append opens the ledger file for writing: auditing a ledger the
+    # process may not write to works, and appending alerts is refused.
+    import builtins
+
+    from ledgerloop import ledger as ledger_module
+    from ledgerloop.ledger import read_records, verify_chain
+
+    def no_append_open(file, mode="r", *args, **kwargs):
+        if "a" in mode:
+            raise PermissionError(13, "Permission denied", str(file))
+        return builtins.open(file, mode, *args, **kwargs)
+
+    rules = tmp_path / "rules.yaml"
+    rules.write_text(yaml.safe_dump({"rules": [
+        {"metric": "fallback_rate", "comparator": ">=", "threshold": 0, "window": "overall"},
+    ]}))
+    before = ledger_path.read_bytes()
+    monkeypatch.setattr(ledger_module, "open", no_append_open, raising=False)
+    assert main(["replay-verify", "--ledger", str(ledger_path)]) == 0
+    assert main(["monitor-report", "--ledger", str(ledger_path),
+                 "--out", str(tmp_path / "mon.txt"), "--replay"]) == 0
+    assert main(["monitor-report", "--ledger", str(ledger_path), "--out",
+                 str(tmp_path / "refused.txt"), "--rules", str(rules), "--append-alerts"]) == 74
+    assert ledger_path.read_bytes() == before
+
+    monkeypatch.undo()
+    assert main(["monitor-report", "--ledger", str(ledger_path), "--out",
+                 str(tmp_path / "alerts.txt"), "--rules", str(rules), "--append-alerts"]) == 0
+    assert ledger_path.read_bytes().startswith(before)
+    assert verify_chain(ledger_path) is None
+    appended = list(read_records(ledger_path))[len(before.splitlines()):]
+    assert [r.event_type for r in appended] == ["ALERT"]

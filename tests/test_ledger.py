@@ -23,9 +23,21 @@ from ledgerloop.ledger import (
 )
 
 
+_made: list[Ledger] = []
+
+
 def make_ledger(tmp_path=None, profile="test", name="stream-1"):
     path = None if tmp_path is None else tmp_path / "events.ndjson"
-    return Ledger(stream_id=name, environment_profile=profile, path=path)
+    ledger = Ledger(stream_id=name, environment_profile=profile, path=path)
+    _made.append(ledger)
+    return ledger
+
+
+@pytest.fixture(autouse=True)
+def _close_made_ledgers():
+    yield
+    while _made:
+        _made.pop().close()
 
 
 def append_n(ledger, n, event_type="ERROR"):
@@ -131,6 +143,7 @@ def test_profile_mismatch_is_isolation_error(tmp_path):
             version_id="v1",
             environment_profile="dev",
         )
+    ledger.close()
 
 
 def test_stream_mismatch_is_isolation_error():
@@ -308,6 +321,7 @@ def test_open_round_trip(tmp_path):
     assert more.seq == 5
     assert more.prev_hash == originals[-1].hash
     assert verify_chain(reopened) is None
+    reopened.close()
 
 
 def test_read_records_decode_error_carries_seq(tmp_path):
@@ -393,6 +407,7 @@ def test_failed_append_after_reopen_cuts_back_to_existing_end(tmp_path):
         append_n(reopened, 1)
     assert reopened.path.stat().st_size == size
     assert verify_chain(reopened.path) is None
+    reopened.close()
 
 
 def test_append_refused_when_torn_bytes_cannot_be_cut(tmp_path):

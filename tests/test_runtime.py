@@ -305,7 +305,7 @@ def test_no_outcomes_no_update_event():
 def test_single_outcome_matches_update_posterior():
     runtime = fresh_runtime()
     record = run_decision_point(runtime, "p0", 0, H9)
-    snapshot = runtime._snapshots[("p0", 0)][1]
+    snapshot = runtime.index.snapshots[("p0", 0)][1]
     outcome_seq = runtime.ingest_outcome("p0", 0, 1.25, H9 + 1000, backend_ts=H9 + 1000)
     new_state = runtime.run_update_cycle("p0", backend_ts=H23)
     expected = update_posterior(
@@ -379,7 +379,7 @@ def test_update_failure_keeps_state_and_outcomes():
     assert "MODEL_UPDATE" not in kinds
     errors = [r for r in runtime.ledger.records() if r.event_type == "ERROR"]
     assert errors and errors[-1].payload["kind"] == "update_failure"
-    assert runtime._pending_outcomes["p0"]  # still pending for a later cycle
+    assert runtime.index.pending["p0"]  # still pending for a later cycle
 
 
 # -- version registry ----------------------------------------------------------------
@@ -387,8 +387,8 @@ def test_update_failure_keeps_state_and_outcomes():
 
 def test_initial_version_registered_at_seq_one():
     runtime = fresh_runtime()
-    assert runtime.registry.entries[0][0] == "v1.0.0"
-    assert runtime.registry.entries[0][1] == 1  # right after the header
+    assert runtime.index.versions[0][1] == "v1.0.0"
+    assert runtime.index.versions[0][0] == 1  # right after the header
     records = runtime.ledger.records()
     assert records[1].event_type == "VERSION_CHANGE"
 

@@ -1,0 +1,89 @@
+"""The stream index the runtime keeps while it writes a ledger is the one a
+reader folds from the file, so replay and the monitor audit the runtime's own
+bookkeeping rather than a second reading of the records."""
+
+import copy
+
+import pytest
+
+from conftest import make_run_config
+from ledgerloop import runtime as runtime_module
+from ledgerloop.errors import NumericalStateError, StructuralAuditError
+from ledgerloop.events import StreamIndex
+from ledgerloop.ledger import Ledger
+from ledgerloop.policy import update_posterior
+from ledgerloop.twin import EnvironmentSpec, run_trial
+
+
+def small_env(**overrides) -> EnvironmentSpec:
+    base = dict(
+        effect_mean=(0.5, 0.0, 0.0),
+        baseline_mean=(0.2, 0.0, 0.0),
+        outcome_noise_sd=0.5,
+        engagement_noise_sd=0.05,
+        n_participants=3,
+        n_days=4,
+    )
+    base.update(overrides)
+    return EnvironmentSpec(**base)
+
+
+def test_runtime_index_equals_the_index_folded_from_its_file(tmp_path, monkeypatch):
+    calls = []
+
+    def third_update_fails(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 3:
+            raise NumericalStateError("injected update failure")
+        return update_posterior(*args, **kwargs)
+
+    monkeypatch.setattr(runtime_module, "update_posterior", third_update_fails)
+    config = make_run_config(
+        injection={"policy_exception_prob": 0.2, "delay_geometric_p": 0.6},
+        version_switch={"day": 2, "version_id": "v1.0.1"},
+    )
+    path = tmp_path / "trial.ndjson"
+    result = run_trial(small_env(), config, 5, out_path=path)
+    result.ledger.close()
+    with Ledger.open(path) as ledger:
+        records = ledger.records()
+    folded = StreamIndex.fold(records)
+
+    # The trial holds every case the two folds must agree on.
+    assert [v for _, v in folded.versions] == ["v1.0.0", "v1.0.1"]
+    assert any(decision.fallback for _, decision in folded.decisions.values())
+    assert any(
+        r.event_type == "DATA_INGESTED" and r.payload["superseded_snapshot_seq"] is not None
+        for r in records
+    )
+    failures = [r for r in folded.errors if r.payload["kind"] == "update_failure"]
+    assert len(failures) == 1
+    failure = failures[0]
+    # The failed cycle consumed nothing: the participant's next update takes
+    # the outcomes that were pending when it failed.
+    pid = failure.payload["participant_id"]
+    retry = next(
+        info for record, info, _ in folded.updates
+        if record.seq > failure.seq and info.participant_id == pid
+    )
+    assert min(retry.batch_seqs) < failure.seq
+
+    assert result.index == folded
+    assert folded.size == len(records)
+
+
+def test_a_second_decision_for_one_point_is_a_structural_error():
+    result = run_trial(small_env(n_days=1), make_run_config(), 3)
+    out = Ledger(stream_id=result.ledger.stream_id, environment_profile="test")
+    records = result.ledger.records()
+    first_decision = next(r for r in records if r.event_type == "DECISION")
+    for record in [*records, first_decision]:
+        out.append(
+            record.event_type,
+            copy.deepcopy(record.payload),
+            backend_ts=record.backend_ts,
+            version_id=record.version_id,
+            device_ts=record.device_ts,
+        )
+    with pytest.raises(StructuralAuditError, match="repeats"):
+        StreamIndex.fold(out.records())

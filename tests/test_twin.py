@@ -182,8 +182,8 @@ def test_trial_determinism_byte_identical(tmp_path):
     env = small_env()
     p1 = tmp_path / "a.ndjson"
     p2 = tmp_path / "b.ndjson"
-    run_trial(env, config, 11, out_path=p1)
-    run_trial(env, config, 11, out_path=p2)
+    run_trial(env, config, 11, out_path=p1).ledger.close()
+    run_trial(env, config, 11, out_path=p2).ledger.close()
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.stat().st_size > 0
 
@@ -193,8 +193,8 @@ def test_trial_different_seed_differs(tmp_path):
     env = small_env()
     p1 = tmp_path / "a.ndjson"
     p2 = tmp_path / "b.ndjson"
-    run_trial(env, config, 11, out_path=p1)
-    run_trial(env, config, 12, out_path=p2)
+    run_trial(env, config, 11, out_path=p1).ledger.close()
+    run_trial(env, config, 12, out_path=p2).ledger.close()
     assert p1.read_bytes() != p2.read_bytes()
 
 
