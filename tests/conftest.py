@@ -1,7 +1,9 @@
+import json
+
 import pytest
 
 from ledgerloop.config import RunConfig, config_from_dict
-from ledgerloop.ledger import Ledger
+from ledgerloop.ledger import GENESIS_HASH, Ledger, compute_record_hash
 from ledgerloop.runtime import Runtime
 from ledgerloop.rng import derive_seed
 
@@ -50,6 +52,34 @@ def deep_merge(base: dict, overrides: dict) -> dict:
         else:
             out[key] = value
     return out
+
+
+def rechain(path, seq: int, edit) -> None:
+    """Apply ``edit`` to the JSON object of record ``seq`` of a ledger file,
+    then re-derive every hash from there on with plain ``json``, so the file's
+    chain verifies and only the edited content can be refused."""
+    lines = path.read_bytes().splitlines()
+    prev = GENESIS_HASH if seq == 0 else bytes.fromhex(json.loads(lines[seq - 1])["hash"])
+    for i in range(seq, len(lines)):
+        record = json.loads(lines[i])
+        if i == seq:
+            edit(record)
+        del record["hash"]
+        record["prev_hash"] = prev.hex()
+        body = json.dumps(record, sort_keys=True, separators=(",", ":")).encode("ascii")
+        prev = compute_record_hash(prev, body)
+        record["hash"] = prev.hex()
+        lines[i] = json.dumps(record, sort_keys=True, separators=(",", ":")).encode("ascii")
+    path.write_bytes(b"\n".join(lines) + b"\n")
+
+
+def first_seq(path, event_type: str, where=lambda payload: True) -> int:
+    """The seq of the first record of ``event_type`` whose payload passes ``where``."""
+    for seq, line in enumerate(path.read_bytes().splitlines()):
+        record = json.loads(line)
+        if record["event_type"] == event_type and where(record["payload"]):
+            return seq
+    raise AssertionError(f"no {event_type} record")
 
 
 def make_run_config(**overrides) -> RunConfig:

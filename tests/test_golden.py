@@ -1,6 +1,8 @@
 """Golden-bytes oracle: pinned SHA-256 digests of a small simulated ledger, of
 its divergence report (``replay-verify --out``) and monitor report
-(``monitor-report --replay``), and of the twin-run report on the same config.
+(``monitor-report --replay``), of the twin-run and twin-tune reports on the
+same config, and of the divergence report of a copy of the ledger with one
+decision's ``pi_raw`` changed and the chain re-derived.
 
 The config is small (3 participants x 3 days) but walks every write path: a
 mid-trial version switch, injected policy exceptions (fallback decisions and
@@ -18,7 +20,7 @@ from pathlib import Path
 import pytest
 import yaml
 
-from conftest import BASE_CONFIG, deep_merge
+from conftest import BASE_CONFIG, deep_merge, first_seq, rechain
 from ledgerloop.cli import main
 
 GOLDEN_CONFIG = deep_merge(
@@ -40,6 +42,8 @@ SIMULATE_SHA256 = "922e0378f47d90048ee593fa4037845b2ace07b8380f205fb0e608d6df2e7
 TWIN_RUN_SHA256 = "c73391ef23a98c8b6af2949ef5c749e2ac1778cea64ffde4b35a5b49c4fbddc5"
 DIVERGENCE_SHA256 = "785e181cc8323d04b735112981b67c37764acd0728e43b3796f287da35fca767"
 MONITOR_SHA256 = "c5a934a5a641236a632b2ddbaec0f6ac0ffc05a0175d6a367b99fb04619133ca"
+TWIN_TUNE_SHA256 = "e495c3c42ef74d1762b98109afbfd8f2edc8fa499651e5f9b2094f03215e96af"
+DIVERGED_SHA256 = "9c81e11baf0583787514dc0f256d5878709f6b22a4cf2e85f6c895801153555c"
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -108,3 +112,27 @@ def test_replay_verify_in_fresh_process(tmp_path, golden_ledger):
     )
     assert done.returncode == 0, done.stderr
     assert _sha256(report_path) == DIVERGENCE_SHA256
+
+
+def test_twin_tune_report_bytes_are_pinned(tmp_path):
+    config = tmp_path / "tune.yaml"
+    tuning = {"prior_precision_scale": [0.5, 1.0], "seeds": [1, 2]}
+    config.write_text(yaml.safe_dump(deep_merge(GOLDEN_CONFIG, {"tuning": tuning})))
+    report_path = tmp_path / "golden-tune.txt"
+    args = ["twin-tune", "--config", str(config), "--out", str(report_path), "--jobs", "2"]
+    assert main(args) == 0
+    assert report_path.read_bytes().count(b'"kind":"ranked"') == 2
+    assert _sha256(report_path) == TWIN_TUNE_SHA256
+
+
+def test_diverged_divergence_report_bytes_are_pinned(tmp_path, golden_ledger):
+    def flip_pi_raw_low_bit(record):
+        bits = int(record["payload"]["pi_raw"], 16) ^ 1
+        record["payload"]["pi_raw"] = f"{bits:016x}"
+
+    seq = first_seq(golden_ledger, "DECISION", lambda payload: not payload["fallback"])
+    rechain(golden_ledger, seq, flip_pi_raw_low_bit)
+    report_path = tmp_path / "golden-diverged.txt"
+    assert main(["replay-verify", "--ledger", str(golden_ledger), "--out", str(report_path)]) == 1
+    assert f'"first_divergent_seq":{seq}'.encode() in report_path.read_bytes()
+    assert _sha256(report_path) == DIVERGED_SHA256
