@@ -25,8 +25,8 @@ from .errors import (
     LedgerLoopError,
     StorageError,
 )
-from .events import StreamIndex
-from .ledger import Ledger, decode_float, read_records
+from .events import StreamIndex, decoded_floats
+from .ledger import Ledger, read_records
 from .monitor import DEFAULT_RULES, AlertRule, compute_metrics, emit_report, evaluate_alerts
 from .replay import default_logic, replay_verify
 from .runtime import FailureInjectionSpec
@@ -243,24 +243,6 @@ def _cmd_monitor_report(args) -> int:
     return EXIT_OK
 
 
-def _decoded_payload_view(event_type: str, payload: dict):
-    float_fields = {
-        "DATA_INGESTED": ("value",),
-        "DECISION": ("pi", "pi_raw"),
-        "OUTCOME_OBSERVED": ("reward",),
-        "ALERT": ("threshold", "value"),
-    }
-    list_float_fields = {"FEATURE_SNAPSHOT": ("baseline", "treatment")}
-    view = dict(payload)
-    for name in float_fields.get(event_type, ()):
-        if isinstance(view.get(name), str):
-            view[name] = decode_float(view[name])
-    for name in list_float_fields.get(event_type, ()):
-        if isinstance(view.get(name), list):
-            view[name] = [decode_float(v) for v in view[name]]
-    return view
-
-
 def _cmd_ledger_inspect(args) -> int:
     # Verifies the records up to the one asked for, not the rest, so a record
     # before a break in the chain can still be looked at.
@@ -273,10 +255,8 @@ def _cmd_ledger_inspect(args) -> int:
         if count == 0:
             raise DecodeError("ledger file is empty")
         raise ConfigurationError(f"--seq {args.seq} out of range [0, {count})")
-    body = record.body_dict()
-    body["hash"] = record.hash.hex()
-    print(json.dumps(body, indent=2, sort_keys=True))
-    decoded = _decoded_payload_view(record.event_type, record.payload)
+    print(json.dumps(json.loads(record.to_line()), indent=2, sort_keys=True))
+    decoded = decoded_floats(record.event_type, record.payload)
     if decoded != record.payload:
         print("# decoded floats:")
         print(json.dumps(decoded, indent=2, sort_keys=True, default=str))

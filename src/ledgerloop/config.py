@@ -17,7 +17,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigurationError
-from .ledger import canonical_json_bytes, decode_float, encode_float
+from .ledger import canonical_json_bytes, decode_float, encode_float, map_floats
 from .policy import ModelConfig
 from .runtime import FailureInjectionSpec, FeatureSpec, ImputationPolicy, Schedule
 
@@ -199,19 +199,6 @@ def config_from_dict(raw: dict) -> RunConfig:
 # -- canonical encoding -----------------------------------------------------------
 
 
-def model_config_canonical(model: ModelConfig) -> dict:
-    return {
-        "baseline_dim": model.baseline_dim,
-        "treatment_dim": model.treatment_dim,
-        "noise_variance": encode_float(model.noise_variance),
-        "prior_mean": [encode_float(v) for v in model.prior_mean],
-        "prior_precision_scale": encode_float(model.prior_precision_scale),
-        "clip_min": encode_float(model.clip_min),
-        "clip_max": encode_float(model.clip_max),
-        "version_id": model.version_id,
-    }
-
-
 def model_config_from_canonical(raw: dict) -> ModelConfig:
     return ModelConfig(
         baseline_dim=int(raw["baseline_dim"]),
@@ -225,66 +212,28 @@ def model_config_from_canonical(raw: dict) -> ModelConfig:
     )
 
 
-def schedule_canonical(schedule: Schedule) -> dict:
-    return {
-        "decision_times": list(schedule.decision_times),
-        "update_time": schedule.update_time,
-        "trial_days": schedule.trial_days,
-        "trial_start_ts": schedule.trial_start_ts,
-    }
-
-
-def header_config_dict(
-    config: RunConfig, participants: list[str], environment: dict | None = None
-) -> dict:
-    """Self-describing run parameters embedded in the ledger header.
+def header_config_dict(config: RunConfig, participants: list[str], environment=None) -> dict:
+    """Self-describing run parameters embedded in the ledger header: the typed
+    values with every float hex-encoded. ``environment`` is an
+    ``EnvironmentSpec`` or a mapping, by default the config's own.
 
     Replay rebuilds the model config from this; the monitor reads schedule
     and participants from it.
     """
-    env = environment if environment is not None else config.environment
-    return {
-        "model": model_config_canonical(config.model),
-        "schedule": schedule_canonical(config.schedule),
-        "features": {
-            "baseline": list(config.features.baseline),
-            "treatment": list(config.features.treatment),
+    return map_floats(
+        {
+            "model": config.model,
+            "schedule": config.schedule,
+            "features": config.features,
+            "imputation": config.imputation,
+            "injection": config.injection,
+            "participants": participants,
+            "environment": environment if environment is not None else config.environment,
         },
-        "imputation": {
-            "horizon": config.imputation.horizon,
-            "defaults": {
-                k: encode_float(v) for k, v in sorted(config.imputation.defaults.items())
-            },
-        },
-        "injection": {
-            "policy_exception_prob": encode_float(config.injection.policy_exception_prob),
-            "data_loss_prob": (
-                None
-                if config.injection.data_loss_prob is None
-                else encode_float(config.injection.data_loss_prob)
-            ),
-            "delay_geometric_p": (
-                None
-                if config.injection.delay_geometric_p is None
-                else encode_float(config.injection.delay_geometric_p)
-            ),
-        },
-        "participants": list(participants),
-        "environment": _encode_floats(env),
-    }
+        encode_float,
+    )
 
 
 def config_digest(header_config: dict) -> str:
     return hashlib.sha256(canonical_json_bytes(header_config)).hexdigest()
 
-
-def _encode_floats(obj):
-    if isinstance(obj, float):
-        return encode_float(obj)
-    if isinstance(obj, bool) or obj is None or isinstance(obj, (int, str)):
-        return obj
-    if isinstance(obj, dict):
-        return {str(k): _encode_floats(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_encode_floats(v) for v in obj]
-    raise ConfigurationError(f"cannot canonicalize config value {obj!r}")

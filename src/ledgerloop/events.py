@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from operator import itemgetter
 
 from .errors import DecodeError, StructuralAuditError
-from .ledger import EventEnvelope, Ledger, decode_float, encode_float
+from .ledger import FORMAT_VERSION, EventEnvelope, Ledger, decode_float, encode_float
 from .policy import DecisionRecord, FeatureSnapshot
 
 
@@ -32,7 +32,7 @@ def header_payload(
     config_digest: str,
 ) -> dict:
     return {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "stream_id": stream_id,
         "environment_profile": environment_profile,
         "deployment_seed": deployment_seed,
@@ -289,6 +289,31 @@ def alert_payload(
     }
 
 
+# -- decoded view -----------------------------------------------------------------
+
+# Hex-encoded float fields by event type; FEATURE_SNAPSHOT's hold lists of them.
+_FLOAT_FIELDS = {
+    "DATA_INGESTED": ("value",),
+    "DECISION": ("pi", "pi_raw"),
+    "OUTCOME_OBSERVED": ("reward",),
+    "ALERT": ("threshold", "value"),
+    "FEATURE_SNAPSHOT": ("baseline", "treatment"),
+}
+
+
+def decoded_floats(event_type: str, payload: dict) -> dict:
+    """A copy of ``payload`` with its hex-encoded float fields decoded, for
+    display; fields that do not hold the expected encoding stay as they are."""
+    view = dict(payload)
+    for name in _FLOAT_FIELDS.get(event_type, ()):
+        value = view.get(name)
+        if isinstance(value, str):
+            view[name] = decode_float(value)
+        elif isinstance(value, list):
+            view[name] = [decode_float(v) for v in value]
+    return view
+
+
 # -- the stream index ------------------------------------------------------------
 
 Row = tuple[FeatureSnapshot, int, float]  # (snapshot, action, reward) of one consumed outcome
@@ -373,8 +398,11 @@ class StreamIndex:
 
     def batch(self, participant_id: str, batch_seqs, seq: int) -> list[Row]:
         """The rows of an update at ``seq`` consuming ``batch_seqs``; raises
-        StructuralAuditError unless the seqs increase and each is a pending
-        earlier outcome of ``participant_id`` with a snapshot and decision."""
+        StructuralAuditError unless the seqs are non-empty, increase, and each
+        is a pending earlier outcome of ``participant_id`` with a snapshot and
+        decision."""
+        if not batch_seqs:
+            raise StructuralAuditError(f"MODEL_UPDATE at seq {seq} has an empty batch_seqs")
         if any(a >= b for a, b in zip(batch_seqs, batch_seqs[1:])):
             raise StructuralAuditError(f"MODEL_UPDATE at seq {seq} has non-increasing batch_seqs")
         rows = []

@@ -5,18 +5,23 @@ lexicographically sorted keys, no insignificant whitespace, integers in base
 10, and every float carried as a 16-hex-digit big-endian IEEE-754 string (see
 :func:`encode_float`). Record ``n`` has ``seq == n``; its ``hash`` is the
 SHA-256 of ``prev_hash`` concatenated with the canonical bytes of the record
-body (everything except the ``hash`` field itself, which is the record's line
-with its ``"hash":"<64 hex>",`` member cut out), and record 0 chains from 32
-zero bytes. Any single corrupted byte therefore breaks either a hash
+body (everything except the ``hash`` field itself), and record 0 chains from
+32 zero bytes. The line is the body with the ``hash`` member inserted (see
+:func:`_line`). Any single corrupted byte therefore breaks either a hash
 recomputation or the chain linkage.
 
 Every read of a ledger file goes through one verified pass (:func:`_verified`):
 :func:`read_records`, :meth:`Ledger.open` and :func:`verify_chain` all check
 the same things, so a record a reader sees has passed the chain check.
+
+This module is the one canonical encode path: ledger lines, the run header
+(:func:`map_floats`) and every report (:func:`report_bytes`) are built
+with :func:`canonical_json_bytes`.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -106,6 +111,36 @@ def _dumps(obj) -> bytes:
     return _ENCODER.encode(obj).encode("ascii")
 
 
+def map_floats(obj, show):
+    """``obj`` ready for :func:`canonical_json_bytes`: every float replaced by
+    ``show(float)`` (the run header uses :func:`encode_float`), a dataclass by
+    the dict of its fields, and a tuple by a list."""
+    if isinstance(obj, float):
+        return show(obj)
+    if obj is None or isinstance(obj, (bool, int, str)):
+        return obj
+    if isinstance(obj, dict):
+        return {str(k): map_floats(v, show) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [map_floats(v, show) for v in obj]
+    if dataclasses.is_dataclass(obj):
+        return {f.name: map_floats(getattr(obj, f.name), show) for f in dataclasses.fields(obj)}
+    raise ConfigurationError(f"cannot encode {obj!r} canonically")
+
+
+def _shown(value: float) -> dict:
+    return {"dec": repr(value), "hex": encode_float(value)}
+
+
+def report_bytes(title: str, items: Iterable) -> bytes:
+    """A report: the line ``# ledgerloop <title> report v1``, then one
+    canonical JSON line per item, every float shown as
+    ``{"dec": repr, "hex": bits}``."""
+    lines = [f"# ledgerloop {title} report v1".encode("ascii")]
+    lines.extend(canonical_json_bytes(map_floats(item, _shown)) for item in items)
+    return b"\n".join(lines) + b"\n"
+
+
 @dataclass(frozen=True)
 class EventEnvelope:
     """One ledger record. ``payload`` is a canonical-ready dict (no raw
@@ -137,22 +172,25 @@ class EventEnvelope:
         }
 
     def to_line(self) -> bytes:
-        """The record's line, without the newline. The body is not checked
-        for raw floats here: :meth:`Ledger.append` checks it with
-        :func:`canonical_json_bytes`, and the read pass refuses them on
-        parse."""
-        body = self.body_dict()
-        body["hash"] = self.hash.hex()
-        return _dumps(body)
+        """The record's line, without the newline: the bytes :meth:`Ledger.append` wrote."""
+        return _line(_dumps(self.body_dict()), self.hash)
 
 
 def compute_record_hash(prev_hash: bytes, body_bytes: bytes) -> bytes:
     return hashlib.sha256(prev_hash + body_bytes).digest()
 
 
+def _line(body: bytes, rec_hash: bytes) -> bytes:
+    """A record's line: its canonical body with ``,"hash":"<hex>"`` inserted
+    just before ``,"payload":``, where sorting puts it. Every member ahead of
+    ``payload`` is a scalar, so the first ``,"payload":`` is the member."""
+    at = body.index(b',"payload":')
+    return body[:at] + b',"hash":"' + rec_hash.hex().encode("ascii") + b'"' + body[at:]
+
+
 def _is_device_ts(value) -> bool:
     # An integer (bool is not one) or None. Keeping it a scalar keeps every
-    # member that sorts before "hash" a scalar, which _verified relies on.
+    # member that sorts before "payload" a scalar, which _line relies on.
     return value is None or type(value) is int
 
 
@@ -164,8 +202,11 @@ def _envelope_from_dict(obj: dict, seq_hint: int) -> EventEnvelope:
             raise ValueError("hashes must be 32 bytes")
         if not _is_device_ts(obj["device_ts"]):
             raise ValueError("device_ts must be an integer or null")
-        if not isinstance(obj["environment_profile"], str) or not isinstance(obj["event_type"], str):
-            raise ValueError("environment_profile and event_type must be strings")
+        strings = ("stream_id", "environment_profile", "version_id", "event_type")
+        if not all(isinstance(obj[k], str) for k in strings):
+            raise ValueError(f"{', '.join(strings)} must be strings")
+        if not isinstance(obj["payload"], dict):
+            raise ValueError("payload must be an object")
         return EventEnvelope(
             seq=int(obj["seq"]),
             stream_id=obj["stream_id"],
@@ -229,6 +270,8 @@ class Ledger:
                 f"unknown environment_profile {environment_profile!r}; "
                 f"expected one of {ENVIRONMENT_PROFILES}"
             )
+        if not isinstance(stream_id, str):
+            raise ConfigurationError(f"stream_id must be a string, got {stream_id!r}")
         self.stream_id = stream_id
         self.environment_profile = environment_profile
         self.path = Path(path) if path is not None else None
@@ -306,6 +349,10 @@ class Ledger:
             raise ConfigurationError(f"unknown event_type {event_type!r}")
         if not _is_device_ts(device_ts):
             raise ConfigurationError(f"device_ts must be an integer or None, got {device_ts!r}")
+        if type(backend_ts) is not int or not isinstance(version_id, str):
+            raise ConfigurationError("backend_ts must be an integer and version_id a string")
+        if not isinstance(payload, dict):
+            raise ConfigurationError(f"payload must be a dict, got {type(payload).__name__}")
         if stream_id is not None and stream_id != self.stream_id:
             raise IsolationError(
                 f"stream {stream_id!r} does not match ledger stream {self.stream_id!r}"
@@ -336,7 +383,7 @@ class Ledger:
             rec_hash = compute_record_hash(self._last_hash, body)
             envelope = EventEnvelope(**fields, hash=rec_hash)
             if self.path is not None:
-                line = envelope.to_line() + b"\n"
+                line = _line(body, rec_hash) + b"\n"
                 fh = self._fh
                 try:
                     fh.write(line)
@@ -396,10 +443,6 @@ class Ledger:
         self.close()
 
 
-_HASH_MEMBER = b',"hash":"'
-_HASH_MEMBER_LEN = len(_HASH_MEMBER) + 64 + 1  # the key, 64 hex digits, the closing quote
-
-
 def _file_lines(path: str | Path) -> Iterator[bytes]:
     """The lines of a ledger file, split as ``bytes.splitlines`` splits them,
     read one file line at a time so the whole file is never held at once."""
@@ -416,12 +459,10 @@ def _verified(lines: Iterable[bytes]) -> Iterator[EventEnvelope]:
     raise DecodeError carrying the seq of the first record that does not.
 
     Per line: one parse (the decoder refuses raw floats and NaN/Infinity),
-    the seq and ``prev_hash`` linkage, one canonical re-encode that must equal
-    the stored line byte for byte, and one SHA-256 over ``prev_hash`` plus the
-    body bytes. The body bytes are the line with its ``"hash":"<64 hex>",``
-    member cut out: the line is canonical by then, its members are sorted and
-    those before ``hash`` are scalars, so the first ``,"hash":"`` is the
-    record's own. A wrong cut could only fail the hash comparison.
+    the seq and ``prev_hash`` linkage, one canonical re-encode of the body,
+    which with its ``hash`` member inserted (:func:`_line`) must equal the
+    stored line byte for byte, and one SHA-256 over ``prev_hash`` plus that
+    body.
     """
     prev_hash = GENESIS_HASH
     for seq, line in enumerate(lines):
@@ -430,10 +471,9 @@ def _verified(lines: Iterable[bytes]) -> Iterator[EventEnvelope]:
             raise DecodeError(f"record {seq} carries seq {record.seq}", seq=seq)
         if record.prev_hash != prev_hash:
             raise DecodeError(f"record {seq} does not chain from the record before it", seq=seq)
-        if record.to_line() != line:
+        body = _dumps(record.body_dict())
+        if _line(body, record.hash) != line:
             raise DecodeError(f"record {seq} is not in canonical form", seq=seq)
-        cut = line.find(_HASH_MEMBER)
-        body = line[:cut] + line[cut + _HASH_MEMBER_LEN:]
         if compute_record_hash(prev_hash, body) != record.hash:
             raise DecodeError(f"record {seq} does not match its hash", seq=seq)
         prev_hash = record.hash

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 from . import events
 from .errors import ConfigurationError
-from .ledger import Ledger, canonical_json_bytes, encode_float
+from .ledger import Ledger, report_bytes
 from .replay import DivergenceReport
 from .runtime import MS_PER_DAY
 
@@ -54,6 +54,7 @@ class AlertRule:
             raise ConfigurationError(f"unknown comparator {self.comparator!r} in alert rule")
         if self.window not in ("per-day", "overall"):
             raise ConfigurationError(f"alert window must be per-day or overall, got {self.window!r}")
+        object.__setattr__(self, "threshold", float(self.threshold))
 
 
 #: Shipped defaults; thresholds are starting points meant to be tuned in the twin.
@@ -229,73 +230,42 @@ def emit_report(
 ) -> bytes:
     """Canonical report: context, per-day and overall metrics, alerts, and
     the replay verdict when one was supplied. Same inputs, same bytes."""
-
-    def fmt(values: dict) -> dict:
-        out = {}
-        for key, value in values.items():
-            if isinstance(value, float):
-                out[key] = {"dec": repr(value), "hex": encode_float(value)}
-            else:
-                out[key] = value
-        return out
-
-    lines = [b"# ledgerloop monitor report v1"]
-    lines.append(
-        canonical_json_bytes(
-            {
-                "kind": "context",
-                "stream_id": metrics.stream_id,
-                "environment_profile": metrics.environment_profile,
-                "n_participants": metrics.n_participants,
-                "trial_days": metrics.trial_days,
-                "points_per_day": metrics.points_per_day,
-            }
-        )
-    )
-    lines.append(canonical_json_bytes({"kind": "overall", "metrics": fmt(metrics.overall)}))
-    for day in sorted(metrics.per_day):
-        lines.append(
-            canonical_json_bytes(
-                {"kind": "day", "day": day, "metrics": fmt(metrics.per_day[day])}
-            )
-        )
+    items = [
+        {
+            "kind": "context",
+            "stream_id": metrics.stream_id,
+            "environment_profile": metrics.environment_profile,
+            "n_participants": metrics.n_participants,
+            "trial_days": metrics.trial_days,
+            "points_per_day": metrics.points_per_day,
+        },
+        {"kind": "overall", "metrics": metrics.overall},
+    ]
+    items += [{"kind": "day", "day": d, "metrics": m} for d, m in sorted(metrics.per_day.items())]
     for alert in alerts:
-        lines.append(
-            canonical_json_bytes(
-                {
-                    "kind": "alert",
-                    "metric": alert.rule.metric,
-                    "comparator": alert.rule.comparator,
-                    "threshold": {
-                        "dec": repr(alert.rule.threshold),
-                        "hex": encode_float(alert.rule.threshold),
-                    },
-                    "value": {"dec": repr(alert.value), "hex": encode_float(alert.value)},
-                    "window": alert.rule.window,
-                    "day": alert.day,
-                    "severity": alert.rule.severity,
-                    "message": alert.message,
-                }
-            )
+        items.append(
+            {
+                "kind": "alert",
+                "metric": alert.rule.metric,
+                "comparator": alert.rule.comparator,
+                "threshold": alert.rule.threshold,
+                "value": alert.value,
+                "window": alert.rule.window,
+                "day": alert.day,
+                "severity": alert.rule.severity,
+                "message": alert.message,
+            }
         )
     if divergence is not None:
-        lines.append(
-            canonical_json_bytes(
-                {
-                    "kind": "replay",
-                    "status": divergence.status,
-                    "first_divergent_seq": divergence.first_divergent_seq,
-                    "deployment_reproducibility": "PASS" if divergence.exact else "FAIL",
-                }
-            )
-        )
-    lines.append(
-        canonical_json_bytes(
+        items.append(
             {
-                "kind": "summary",
-                "alert_count": len(alerts),
-                "replay_included": divergence is not None,
+                "kind": "replay",
+                "status": divergence.status,
+                "first_divergent_seq": divergence.first_divergent_seq,
+                "deployment_reproducibility": "PASS" if divergence.exact else "FAIL",
             }
         )
+    items.append(
+        {"kind": "summary", "alert_count": len(alerts), "replay_included": divergence is not None}
     )
-    return b"\n".join(lines) + b"\n"
+    return report_bytes("monitor", items)

@@ -63,6 +63,8 @@ class ModelConfig:
         if self.clip_min > self.clip_max:
             raise ConfigurationError("clip_min must be <= clip_max")
         object.__setattr__(self, "prior_mean", tuple(float(v) for v in self.prior_mean))
+        for name in ("noise_variance", "prior_precision_scale", "clip_min", "clip_max"):
+            object.__setattr__(self, name, float(getattr(self, name)))
 
     @property
     def dim(self) -> int:

@@ -22,7 +22,7 @@ from . import policy
 from .config import model_config_from_canonical
 from .errors import AuditError, LedgerLoopError, StructuralAuditError
 from .events import StreamIndex, stream_index
-from .ledger import Ledger, canonical_json_bytes, encode_float
+from .ledger import Ledger, encode_float, report_bytes
 from .policy import ModelConfig, PosteriorState
 
 
@@ -95,28 +95,12 @@ class DivergenceReport:
         return self.status == "exact"
 
     def to_bytes(self) -> bytes:
-        lines = [b"# ledgerloop divergence report v1"]
-        lines.append(
-            canonical_json_bytes(
-                {
-                    "status": self.status,
-                    "first_divergent_seq": self.first_divergent_seq,
-                    "counts": self.counts,
-                }
-            )
-        )
-        for diff in self.field_diffs:
-            lines.append(
-                canonical_json_bytes(
-                    {
-                        "seq": diff.seq,
-                        "path": diff.path,
-                        "logged": diff.logged,
-                        "recomputed": diff.recomputed,
-                    }
-                )
-            )
-        return b"\n".join(lines) + b"\n"
+        verdict = {
+            "status": self.status,
+            "first_divergent_seq": self.first_divergent_seq,
+            "counts": self.counts,
+        }
+        return report_bytes("divergence", [verdict, *self.field_diffs])
 
 
 def merge_reports(*reports: DivergenceReport) -> DivergenceReport:

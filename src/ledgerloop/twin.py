@@ -20,7 +20,7 @@ from pathlib import Path
 from . import events
 from .config import RunConfig, config_digest, header_config_dict
 from .errors import ConfigurationError
-from .ledger import Ledger, canonical_json_bytes, decode_float, encode_float
+from .ledger import Ledger, decode_float, report_bytes
 from .replay import default_logic
 from .rng import SplitMix64, derive_seed
 from .runtime import MS_PER_DAY, MS_PER_MINUTE, FeatureSpec, Runtime
@@ -52,6 +52,8 @@ class EnvironmentSpec:
     def __post_init__(self):
         object.__setattr__(self, "effect_mean", tuple(float(v) for v in self.effect_mean))
         object.__setattr__(self, "baseline_mean", tuple(float(v) for v in self.baseline_mean))
+        for name in _ENV_FLOAT_FIELDS:  # a grid level may be written as an integer
+            object.__setattr__(self, name, float(getattr(self, name)))
         if self.effect_sd < 0 or self.baseline_sd < 0 or self.engagement_noise_sd < 0:
             raise ConfigurationError("environment sd parameters must be non-negative")
         if self.outcome_noise_sd < 0:
@@ -79,13 +81,10 @@ def environment_from_dict(raw: dict, label: str = "env") -> EnvironmentSpec:
     if not isinstance(raw, dict):
         raise ConfigurationError("environment: expected a mapping")
     kwargs: dict = {"label": raw.get("label", label)}
-    for name in _ENV_VECTOR_FIELDS:
-        if name in raw:
-            kwargs[name] = tuple(float(v) for v in raw[name])
-    for name in _ENV_FLOAT_FIELDS:
+    for name in _ENV_VECTOR_FIELDS + _ENV_FLOAT_FIELDS:  # EnvironmentSpec makes them floats
         if name in raw:
             value = raw[name]
-            kwargs[name] = decode_float(value) if isinstance(value, str) else float(value)
+            kwargs[name] = decode_float(value) if isinstance(value, str) else value
     for name in _ENV_INT_FIELDS:
         if name in raw:
             kwargs[name] = int(raw[name])
@@ -93,17 +92,6 @@ def environment_from_dict(raw: dict, label: str = "env") -> EnvironmentSpec:
     if unknown:
         raise ConfigurationError(f"environment.{sorted(unknown)[0]}: unknown field")
     return EnvironmentSpec(**kwargs)
-
-
-def environment_canonical(env: EnvironmentSpec) -> dict:
-    out: dict = {"label": env.label}
-    for name in _ENV_VECTOR_FIELDS:
-        out[name] = [encode_float(v) for v in getattr(env, name)]
-    for name in _ENV_FLOAT_FIELDS:
-        out[name] = encode_float(getattr(env, name))
-    for name in _ENV_INT_FIELDS:
-        out[name] = getattr(env, name)
-    return out
 
 
 def build_environment_grid(
@@ -126,9 +114,6 @@ def build_environment_grid(
     grid = []
     for i, combo in enumerate(itertools.product(*level_lists)):
         overrides = dict(zip(ordered, combo))
-        for vec in _ENV_VECTOR_FIELDS:
-            if vec in overrides:
-                overrides[vec] = tuple(float(v) for v in overrides[vec])
         grid.append(dataclasses.replace(base, label=f"env{i:03d}", **overrides))
     return grid
 
@@ -337,7 +322,7 @@ def run_trial(
     )
 
     run_config = dataclasses.replace(config, schedule=schedule)
-    header = header_config_dict(run_config, participants, environment_canonical(env))
+    header = header_config_dict(run_config, participants, env)
     runtime.start(
         header_config=header,
         config_digest=config_digest(header),
@@ -493,23 +478,11 @@ class EvalReport:
     aggregates: tuple[EvalAggregate, ...]
 
     def to_bytes(self) -> bytes:
-        lines = [b"# ledgerloop eval report v1"]
-        for row in self.rows:
-            lines.append(canonical_json_bytes({"kind": "row", **_row_dict(row)}))
-        for agg in self.aggregates:
-            lines.append(canonical_json_bytes({"kind": "aggregate", **_row_dict(agg)}))
-        return b"\n".join(lines) + b"\n"
-
-
-def _row_dict(obj) -> dict:
-    out: dict = {}
-    for f in dataclasses.fields(obj):
-        value = getattr(obj, f.name)
-        if isinstance(value, float):
-            out[f.name] = {"dec": repr(value), "hex": encode_float(value)}
-        else:
-            out[f.name] = value
-    return out
+        return report_bytes(
+            "eval",
+            [{"kind": "row", **dataclasses.asdict(row)} for row in self.rows]
+            + [{"kind": "aggregate", **dataclasses.asdict(agg)} for agg in self.aggregates],
+        )
 
 
 def _mean(xs: list[float]) -> float:
@@ -722,28 +695,16 @@ def tune(
 
 
 def tuning_report_bytes(ranked: list[RankedCandidate], report: EvalReport) -> bytes:
-    lines = [b"# ledgerloop tuning report v1"]
-    for item in ranked:
-        lines.append(
-            canonical_json_bytes(
-                {
-                    "kind": "ranked",
-                    "rank": item.rank,
-                    "candidate": item.candidate.label,
-                    "prior_precision_scale": {
-                        "dec": repr(item.candidate.prior_precision_scale),
-                        "hex": encode_float(item.candidate.prior_precision_scale),
-                    },
-                    "noise_variance": {
-                        "dec": repr(item.candidate.noise_variance),
-                        "hex": encode_float(item.candidate.noise_variance),
-                    },
-                    "score": {"dec": repr(item.score), "hex": encode_float(item.score)},
-                    "regret_variance": {
-                        "dec": repr(item.regret_variance),
-                        "hex": encode_float(item.regret_variance),
-                    },
-                }
-            )
-        )
-    return b"\n".join(lines) + b"\n" + report.to_bytes()
+    items = [
+        {
+            "kind": "ranked",
+            "rank": item.rank,
+            "candidate": item.candidate.label,
+            "prior_precision_scale": item.candidate.prior_precision_scale,
+            "noise_variance": item.candidate.noise_variance,
+            "score": item.score,
+            "regret_variance": item.regret_variance,
+        }
+        for item in ranked
+    ]
+    return report_bytes("tuning", items) + report.to_bytes()

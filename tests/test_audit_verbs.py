@@ -13,7 +13,7 @@ import warnings
 import pytest
 import yaml
 
-from conftest import BASE_CONFIG, deep_merge
+from conftest import BASE_CONFIG, deep_merge, first_seq, rechain
 from ledgerloop.cli import main
 
 SMALL = {"environment": {"n_participants": 2, "n_days": 2}}
@@ -99,6 +99,41 @@ def test_replay_verify_on_a_broken_chain_keeps_its_message(tmp_path, ledger_path
     assert main(["replay-verify", "--ledger", str(ledger_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "audit error: hash chain broken, first_bad_seq=5\n"
     assert not out.exists()
+
+
+def _set(**members):
+    return lambda record: record.update(members)
+
+
+@pytest.mark.parametrize(
+    "event_type, edit",
+    [
+        ("DECISION", _set(event_type="ERROR", payload=["x"])),
+        ("VERSION_CHANGE", _set(payload="x")),
+        ("DECISION", _set(version_id=7)),
+        ("DECISION", _set(stream_id=None)),
+    ],
+    ids=["list-payload", "string-payload", "int-version_id", "null-stream_id"],
+)
+def test_malformed_envelope_is_an_audit_error(tmp_path, ledger_path, capsys, event_type, edit):
+    # The chain is re-derived, so only the envelope's shape can be refused.
+    seq = first_seq(ledger_path, event_type)
+    rechain(ledger_path, seq, edit)
+    for argv in (["replay-verify"], ["monitor-report", "--out", str(tmp_path / "mon.txt"), "--replay"]):
+        assert main([*argv, "--ledger", str(ledger_path)]) == 2
+        assert capsys.readouterr().err == f"audit error: hash chain broken, first_bad_seq={seq}\n"
+    assert not (tmp_path / "mon.txt").exists()
+
+
+def test_empty_update_batch_is_an_audit_error(tmp_path, ledger_path, capsys):
+    seq = first_seq(ledger_path, "MODEL_UPDATE")
+    rechain(ledger_path, seq, lambda record: record["payload"].update(batch_seqs=[]))
+    for argv in (["replay-verify"], ["monitor-report", "--out", str(tmp_path / "mon.txt"), "--replay"]):
+        assert main([*argv, "--ledger", str(ledger_path)]) == 2
+        assert capsys.readouterr().err == (
+            f"audit error: MODEL_UPDATE at seq {seq} has an empty batch_seqs\n"
+        )
+    assert not (tmp_path / "mon.txt").exists()
 
 
 def test_empty_ledger_is_an_audit_error(tmp_path, capsys):

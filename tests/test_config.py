@@ -7,7 +7,6 @@ from ledgerloop.config import (
     header_config_dict,
     load_config,
     model_config_from_canonical,
-    model_config_canonical,
 )
 from ledgerloop.errors import ConfigurationError
 
@@ -73,7 +72,7 @@ def test_version_switch_beyond_trial_rejected_at_run_time():
 
 def test_model_config_canonical_round_trip():
     config = make_run_config()
-    back = model_config_from_canonical(model_config_canonical(config.model))
+    back = model_config_from_canonical(header_config_dict(config, ["p000"])["model"])
     assert back == config.model
 
 

@@ -219,6 +219,20 @@ def test_append_refuses_non_integer_device_ts(device_ts):
     assert verify_chain(ledger) is None
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("payload", ["x"]), ("payload", "x"), ("backend_ts", "1"), ("backend_ts", True), ("version_id", 7)],
+)
+def test_append_refuses_what_the_read_pass_refuses(name, value):
+    ledger = Ledger(stream_id="s", environment_profile="test")
+    args = {"payload": {}, "backend_ts": 0, "version_id": "v1", name: value}
+    with pytest.raises(ConfigurationError, match=name):
+        ledger.append("ALERT", **args)
+    assert len(ledger) == 0
+    with pytest.raises(ConfigurationError, match="stream_id"):
+        Ledger(stream_id=7, environment_profile="test")
+
+
 def test_in_memory_and_file_verdicts_match(small_ledger):
     with Ledger.open(small_ledger) as ledger:
         in_memory = Ledger(ledger.stream_id, ledger.environment_profile, _records=ledger.records())
