@@ -16,10 +16,18 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from operator import itemgetter
+from typing import Iterable
 
 from .errors import DecodeError, StructuralAuditError
 from .ledger import FORMAT_VERSION, EventEnvelope, Ledger, decode_float, encode_float
 from .policy import DecisionRecord, FeatureSnapshot
+
+
+def _participant(payload: dict) -> str:
+    participant_id = payload["participant_id"]
+    if not isinstance(participant_id, str):
+        raise TypeError(f"participant_id must be a string, got {participant_id!r}")
+    return participant_id
 
 
 # -- HEADER ------------------------------------------------------------------
@@ -95,7 +103,7 @@ class DatumInfo:
 def parse_data_ingested(payload: dict) -> DatumInfo:
     try:
         return DatumInfo(
-            participant_id=payload["participant_id"],
+            participant_id=_participant(payload),
             feature=payload["feature"],
             value=decode_float(payload["value"]),
             device_ts=int(payload["device_ts"]),
@@ -130,7 +138,7 @@ def parse_snapshot(payload: dict) -> tuple[str, int, FeatureSnapshot]:
             source_device_ts=tuple(payload["source_device_ts"]),
             assembled_ts=int(payload["assembled_ts"]),
         )
-        return payload["participant_id"], int(payload["decision_index"]), snapshot
+        return _participant(payload), int(payload["decision_index"]), snapshot
     except (KeyError, TypeError, ValueError) as exc:
         raise DecodeError(f"malformed FEATURE_SNAPSHOT payload: {exc}") from None
 
@@ -154,7 +162,7 @@ def decision_payload(record: DecisionRecord) -> dict:
 def parse_decision(payload: dict) -> DecisionRecord:
     try:
         return DecisionRecord(
-            participant_id=payload["participant_id"],
+            participant_id=_participant(payload),
             decision_index=int(payload["decision_index"]),
             pi_raw=decode_float(payload["pi_raw"]),
             pi=decode_float(payload["pi"]),
@@ -190,7 +198,7 @@ class OutcomeInfo:
 def parse_outcome(payload: dict) -> OutcomeInfo:
     try:
         return OutcomeInfo(
-            participant_id=payload["participant_id"],
+            participant_id=_participant(payload),
             decision_index=int(payload["decision_index"]),
             reward=decode_float(payload["reward"]),
             device_ts=int(payload["device_ts"]),
@@ -231,7 +239,7 @@ class UpdateInfo:
 def parse_update(payload: dict) -> UpdateInfo:
     try:
         return UpdateInfo(
-            participant_id=payload["participant_id"],
+            participant_id=_participant(payload),
             batch_seqs=tuple(int(s) for s in payload["batch_seqs"]),
             pre_state_hash=bytes.fromhex(payload["pre_state_hash"]),
             post_state_hash=bytes.fromhex(payload["post_state_hash"]),
@@ -359,13 +367,18 @@ class StreamIndex:
     errors: list[EventEnvelope] = field(default_factory=list)
 
     @classmethod
-    def fold(cls, records: list[EventEnvelope]) -> "StreamIndex":
-        """The index of a ledger's records, each payload parsed once."""
-        if not records or records[0].event_type != "HEADER":
-            raise StructuralAuditError("ledger does not start with a HEADER record")
+    def fold(cls, records: Iterable[EventEnvelope]) -> "StreamIndex":
+        """The index of a ledger's records, each payload parsed once. The
+        records are taken one at a time, so a stream from
+        :func:`ledgerloop.ledger.read_records` is never held whole, and a
+        problem is raised at the first record that has one."""
         index = cls()
         for record in records:
+            if index.size == 0 and record.event_type != "HEADER":
+                break
             index.apply(record, parse_value(record))
+        if index.header is None:
+            raise StructuralAuditError("ledger does not start with a HEADER record")
         return index
 
     def apply(self, record: EventEnvelope, value) -> None:

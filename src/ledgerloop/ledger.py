@@ -28,6 +28,7 @@ import os
 import struct
 import threading
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -194,35 +195,6 @@ def _is_device_ts(value) -> bool:
     return value is None or type(value) is int
 
 
-def _envelope_from_dict(obj: dict, seq_hint: int) -> EventEnvelope:
-    try:
-        prev_hash = bytes.fromhex(obj["prev_hash"])
-        rec_hash = bytes.fromhex(obj["hash"])
-        if len(prev_hash) != 32 or len(rec_hash) != 32:
-            raise ValueError("hashes must be 32 bytes")
-        if not _is_device_ts(obj["device_ts"]):
-            raise ValueError("device_ts must be an integer or null")
-        strings = ("stream_id", "environment_profile", "version_id", "event_type")
-        if not all(isinstance(obj[k], str) for k in strings):
-            raise ValueError(f"{', '.join(strings)} must be strings")
-        if not isinstance(obj["payload"], dict):
-            raise ValueError("payload must be an object")
-        return EventEnvelope(
-            seq=int(obj["seq"]),
-            stream_id=obj["stream_id"],
-            environment_profile=obj["environment_profile"],
-            device_ts=obj["device_ts"],
-            backend_ts=int(obj["backend_ts"]),
-            version_id=obj["version_id"],
-            event_type=obj["event_type"],
-            payload=obj["payload"],
-            prev_hash=prev_hash,
-            hash=rec_hash,
-        )
-    except (KeyError, ValueError, TypeError) as exc:
-        raise DecodeError(f"malformed record at seq {seq_hint}: {exc}", seq=seq_hint) from None
-
-
 def _reject_number(text: str):
     raise ValueError(f"raw number {text}; canonical records hex-encode floats")
 
@@ -232,14 +204,58 @@ def _reject_number(text: str):
 _DECODER = json.JSONDecoder(parse_float=_reject_number, parse_constant=_reject_number)
 
 
+_KEYS = frozenset((
+    "backend_ts", "device_ts", "environment_profile", "event_type", "hash",
+    "payload", "prev_hash", "seq", "stream_id", "version_id",
+))
+# The envelope's members up to ``payload``, in EventEnvelope's field order.
+_ENVELOPE_MEMBERS = itemgetter(
+    "seq", "stream_id", "environment_profile", "device_ts", "backend_ts",
+    "version_id", "event_type", "payload",
+)
+_HASH_MEMBER = len(b',"hash":"') + 64 + 1  # the hash member's bytes in a line
+
+
+def _digest(text) -> bytes:
+    """A 32-byte digest from its 64 lowercase hex chars. ``bytes.fromhex``
+    also takes uppercase and whitespace, so the round trip must match too."""
+    if type(text) is not str:
+        raise ValueError("hashes must be strings")
+    raw = bytes.fromhex(text)
+    if len(raw) != 32 or raw.hex() != text:
+        raise ValueError("hashes must be 64 lowercase hex chars")
+    return raw
+
+
 def _parse_line(line: bytes, seq_hint: int) -> EventEnvelope:
+    """The record a stored line holds, once the line has passed every check
+    that needs no other record: valid JSON, exactly the envelope's members
+    with their types, canonical form, and both hashes as lowercase hex."""
     try:
         obj = _DECODER.decode(line.decode("ascii"))
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, a raw float
         raise DecodeError(f"record {seq_hint} is not valid JSON: {exc}", seq=seq_hint) from None
-    if not isinstance(obj, dict):
-        raise DecodeError(f"record {seq_hint} is not an object", seq=seq_hint)
-    return _envelope_from_dict(obj, seq_hint)
+    try:
+        if type(obj) is not dict or obj.keys() != _KEYS:
+            raise ValueError(f"members must be {', '.join(sorted(_KEYS))}")
+        fields = _ENVELOPE_MEMBERS(obj)
+        seq, stream_id, profile, device_ts, backend_ts, version_id, event_type, payload = fields
+        if type(seq) is not int or type(backend_ts) is not int:
+            raise ValueError("seq and backend_ts must be integers")
+        if not _is_device_ts(device_ts):
+            raise ValueError("device_ts must be an integer or null")
+        if not (type(stream_id) is type(profile) is type(version_id) is type(event_type) is str):
+            raise ValueError("stream_id, environment_profile, version_id, event_type must be strings")
+        if type(payload) is not dict:
+            raise ValueError("payload must be an object")
+        prev_hash, rec_hash = _digest(obj["prev_hash"]), _digest(obj["hash"])
+    except ValueError as exc:
+        raise DecodeError(f"malformed record at seq {seq_hint}: {exc}", seq=seq_hint) from None
+    # Sorting puts "hash" just before "payload", so re-encoding the parsed
+    # object must give back the stored line byte for byte.
+    if _dumps(obj) != line:
+        raise DecodeError(f"record {seq_hint} is not in canonical form", seq=seq_hint)
+    return EventEnvelope(*fields, prev_hash, rec_hash)
 
 
 class Ledger:
@@ -315,8 +331,6 @@ class Ledger:
         use it as a context manager.
         """
         records = list(read_records(path))
-        if not records:
-            raise DecodeError("ledger file is empty")
         first = records[0]
         ledger = cls(
             stream_id=first.stream_id,
@@ -368,20 +382,26 @@ class Ledger:
             seq = len(self._records)
             if event_type == "HEADER" and seq != 0:
                 raise ConfigurationError("HEADER is only valid at seq 0")
-            fields = dict(
-                seq=seq,
-                stream_id=self.stream_id,
-                environment_profile=self.environment_profile,
-                device_ts=device_ts,
-                backend_ts=backend_ts,
-                version_id=version_id,
-                event_type=event_type,
-                payload=payload,
-                prev_hash=self._last_hash,
+            prev_hash = self._last_hash
+            # Every envelope member was type-checked above; only the payload
+            # can still hold a raw float.
+            _reject_floats(payload, "$.payload")
+            body = _dumps({
+                "seq": seq,
+                "stream_id": self.stream_id,
+                "environment_profile": self.environment_profile,
+                "device_ts": device_ts,
+                "backend_ts": backend_ts,
+                "version_id": version_id,
+                "event_type": event_type,
+                "payload": payload,
+                "prev_hash": prev_hash.hex(),
+            })
+            rec_hash = compute_record_hash(prev_hash, body)
+            envelope = EventEnvelope(
+                seq, self.stream_id, self.environment_profile, device_ts, backend_ts,
+                version_id, event_type, payload, prev_hash, rec_hash,
             )
-            body = canonical_json_bytes(EventEnvelope(**fields, hash=b"").body_dict())
-            rec_hash = compute_record_hash(self._last_hash, body)
-            envelope = EventEnvelope(**fields, hash=rec_hash)
             if self.path is not None:
                 line = _line(body, rec_hash) + b"\n"
                 fh = self._fh
@@ -456,13 +476,13 @@ def _file_lines(path: str | Path) -> Iterator[bytes]:
 
 def _verified(lines: Iterable[bytes]) -> Iterator[EventEnvelope]:
     """The one read pass: yield each record once it has passed every check;
-    raise DecodeError carrying the seq of the first record that does not.
+    raise DecodeError carrying the seq of the first record that does not,
+    or one without a seq after the last line if there was none.
 
-    Per line: one parse (the decoder refuses raw floats and NaN/Infinity),
-    the seq and ``prev_hash`` linkage, one canonical re-encode of the body,
-    which with its ``hash`` member inserted (:func:`_line`) must equal the
-    stored line byte for byte, and one SHA-256 over ``prev_hash`` plus that
-    body.
+    Per line: one parse, which also checks the line's own shape and
+    canonical form (:func:`_parse_line`), then the seq and ``prev_hash``
+    linkage, and one SHA-256 over ``prev_hash`` plus the body: the line with
+    its ``hash`` member cut out (the inverse of :func:`_line`).
     """
     prev_hash = GENESIS_HASH
     for seq, line in enumerate(lines):
@@ -471,18 +491,20 @@ def _verified(lines: Iterable[bytes]) -> Iterator[EventEnvelope]:
             raise DecodeError(f"record {seq} carries seq {record.seq}", seq=seq)
         if record.prev_hash != prev_hash:
             raise DecodeError(f"record {seq} does not chain from the record before it", seq=seq)
-        body = _dumps(record.body_dict())
-        if _line(body, record.hash) != line:
-            raise DecodeError(f"record {seq} is not in canonical form", seq=seq)
-        if compute_record_hash(prev_hash, body) != record.hash:
+        # Every member ahead of "hash" is a scalar, so the first match is it.
+        at = line.index(b',"hash":"')
+        if compute_record_hash(prev_hash, line[:at] + line[at + _HASH_MEMBER:]) != record.hash:
             raise DecodeError(f"record {seq} does not match its hash", seq=seq)
         prev_hash = record.hash
         yield record
+    if prev_hash is GENESIS_HASH:
+        raise DecodeError("ledger file is empty")
 
 
 def read_records(path: str | Path) -> Iterator[EventEnvelope]:
     """Stream the verified records of a ledger file (see :func:`_verified`);
-    raises DecodeError carrying the first bad seq."""
+    raises DecodeError carrying the first bad seq, or without a seq once an
+    empty file is read to its end."""
     return _verified(_file_lines(path))
 
 

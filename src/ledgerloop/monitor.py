@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from . import events
-from .errors import ConfigurationError
+from .errors import ConfigurationError, DecodeError
 from .ledger import Ledger, report_bytes
 from .replay import DivergenceReport
 from .runtime import MS_PER_DAY
@@ -117,11 +117,17 @@ def compute_metrics(source: Ledger | events.StreamIndex) -> MetricTable:
     """
     index = events.stream_index(source)
     header = index.header
-    schedule_cfg = header.config["schedule"]
-    k = len(schedule_cfg["decision_times"])
-    trial_days = int(schedule_cfg["trial_days"])
-    trial_start = int(schedule_cfg.get("trial_start_ts", 0))
-    n_participants = len(header.config.get("participants", []))
+    try:
+        schedule_cfg = header.config["schedule"]
+        decision_times = schedule_cfg["decision_times"]
+        if type(decision_times) is not list or not decision_times:
+            raise ValueError("decision_times must be a non-empty list")
+        k = len(decision_times)
+        trial_days = int(schedule_cfg["trial_days"])
+        trial_start = int(schedule_cfg.get("trial_start_ts", 0))
+        n_participants = len(header.config.get("participants", []))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DecodeError(f"malformed HEADER config: {exc}") from None
 
     def ts_day(ts: int) -> int:
         return min(max((ts - trial_start) // MS_PER_DAY, 0), trial_days - 1)

@@ -6,6 +6,7 @@ verb opens on the ledger under audit is closed before the verb returns.
 """
 
 import gc
+import hashlib
 import json
 import sys
 import warnings
@@ -139,7 +140,8 @@ def test_empty_update_batch_is_an_audit_error(tmp_path, ledger_path, capsys):
 def test_empty_ledger_is_an_audit_error(tmp_path, capsys):
     empty = tmp_path / "empty.ndjson"
     empty.write_bytes(b"")
-    for argv in (["replay-verify"], ["ledger-inspect", "--seq", "0"]):
+    for argv in (["replay-verify"], ["ledger-inspect", "--seq", "0"],
+                 ["monitor-report", "--out", str(tmp_path / "mon.txt")]):
         assert main([*argv, "--ledger", str(empty)]) == 2
         assert capsys.readouterr().err == "audit error: ledger file is empty\n"
 
@@ -177,3 +179,117 @@ def test_audits_need_no_write_access(tmp_path, ledger_path, monkeypatch):
     assert verify_chain(ledger_path) is None
     appended = list(read_records(ledger_path))[len(before.splitlines()):]
     assert [r.event_type for r in appended] == ["ALERT"]
+
+
+AUDITS = (["replay-verify"], ["monitor-report", "--replay"])
+
+
+def _audit(tmp_path, ledger_path, argv):
+    if argv[0] == "monitor-report":
+        argv = [*argv, "--out", str(tmp_path / "mon.txt")]
+    return main([*argv, "--ledger", str(ledger_path)])
+
+
+@pytest.mark.parametrize("event_type", ["DECISION", "FEATURE_SNAPSHOT"])
+def test_non_string_participant_id_is_an_audit_error(tmp_path, ledger_path, capsys, event_type):
+    seq = first_seq(ledger_path, event_type)
+    rechain(ledger_path, seq, lambda record: record["payload"].update(participant_id=["x"]))
+    for argv in AUDITS:
+        assert _audit(tmp_path, ledger_path, argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"audit error: malformed {event_type} payload: participant_id")
+    assert not (tmp_path / "mon.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "schedule",
+    ["x", ["09:00"], {}, {"decision_times": [], "trial_days": 2},
+     {"decision_times": "09:00", "trial_days": 2}, {"decision_times": ["09:00"], "trial_days": "two"}],
+)
+def test_malformed_header_schedule_is_an_audit_error(tmp_path, ledger_path, capsys, schedule):
+    rechain(ledger_path, 0, lambda record: record["payload"]["config"].update(schedule=schedule))
+    out = tmp_path / "mon.txt"
+    assert main(["monitor-report", "--ledger", str(ledger_path), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("audit error: malformed HEADER config: ")
+    assert not out.exists()
+
+
+def test_audits_stream_without_loading_a_ledger(tmp_path, monkeypatch):
+    # Without --append-alerts neither audit builds a Ledger, which would hold
+    # every record of the file; their report bytes are the pinned ones.
+    from test_golden import DIVERGENCE_SHA256, GOLDEN_CONFIG, MONITOR_SHA256
+
+    from ledgerloop.ledger import Ledger
+
+    config = tmp_path / "golden.yaml"
+    config.write_text(yaml.safe_dump(GOLDEN_CONFIG))
+    path = tmp_path / "golden.ndjson"
+    assert main(["simulate", "--config", str(config), "--out", str(path)]) == 0
+
+    def refuse(cls, *args, **kwargs):
+        raise AssertionError("Ledger.open called by an audit")
+
+    monkeypatch.setattr(Ledger, "open", classmethod(refuse))
+    divergence, monitor = tmp_path / "div.txt", tmp_path / "mon.txt"
+    assert main(["replay-verify", "--ledger", str(path), "--out", str(divergence)]) == 0
+    assert main(["monitor-report", "--ledger", str(path), "--out", str(monitor), "--replay"]) == 0
+    assert hashlib.sha256(divergence.read_bytes()).hexdigest() == DIVERGENCE_SHA256
+    assert hashlib.sha256(monitor.read_bytes()).hexdigest() == MONITOR_SHA256
+
+
+def test_structural_error_before_a_chain_break_wins(tmp_path, ledger_path, capsys):
+    # Problems are reported in seq order: the fold meets the empty batch
+    # before the read pass reaches the broken hash further on.
+    seq = first_seq(ledger_path, "MODEL_UPDATE")
+    rechain(ledger_path, seq, lambda record: record["payload"].update(batch_seqs=[]))
+    n = len(ledger_path.read_bytes().splitlines())
+    assert seq < n - 1
+    _flip_hash_byte(ledger_path, n - 1)
+    for argv in AUDITS:
+        assert _audit(tmp_path, ledger_path, argv) == 2
+        assert capsys.readouterr().err == (
+            f"audit error: MODEL_UPDATE at seq {seq} has an empty batch_seqs\n"
+        )
+
+
+def test_chain_break_before_a_structural_error_wins(tmp_path, ledger_path, capsys):
+    seq = first_seq(ledger_path, "MODEL_UPDATE")
+    rechain(ledger_path, seq, lambda record: record["payload"].update(batch_seqs=[]))
+    _flip_hash_byte(ledger_path, seq - 1)
+    for argv in AUDITS:
+        assert _audit(tmp_path, ledger_path, argv) == 2
+        assert capsys.readouterr().err == (
+            f"audit error: hash chain broken, first_bad_seq={seq - 1}\n"
+        )
+
+
+def test_append_alerts_refuses_a_ledger_that_changed(tmp_path, ledger_path, monkeypatch, capsys):
+    # --append-alerts loads the ledger again after the fold; if the file then
+    # holds another number of records, the alerts would not belong to the
+    # audited stream, so nothing is appended and nothing is written.
+    from ledgerloop.ledger import Ledger
+
+    rules = tmp_path / "rules.yaml"
+    rules.write_text(yaml.safe_dump({"rules": [
+        {"metric": "fallback_rate", "comparator": ">=", "threshold": 0, "window": "overall"},
+    ]}))
+    original_open = Ledger.open.__func__
+
+    def open_after_a_write(cls, path):
+        opened = original_open(cls, path)
+        last = opened.records()[-1]
+        opened.append("ERROR", {"kind": "late_writer"}, last.backend_ts, last.version_id)
+        return opened
+
+    monkeypatch.setattr(Ledger, "open", classmethod(open_after_a_write))
+    before = ledger_path.read_bytes()
+    out = tmp_path / "alerts.txt"
+    assert main(["monitor-report", "--ledger", str(ledger_path), "--out", str(out),
+                 "--rules", str(rules), "--append-alerts"]) == 2
+    n = len(before.splitlines())
+    assert capsys.readouterr().err == (
+        f"audit error: {ledger_path} holds {n + 1} records, but {n} were audited; "
+        "it changed during the audit\n"
+    )
+    assert not out.exists()
+    assert b'"event_type":"ALERT"' not in ledger_path.read_bytes()

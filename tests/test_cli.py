@@ -161,3 +161,19 @@ def test_replay_verify_raw_float_with_valid_chain_is_audit_error(tmp_path, confi
     ledger_path.write_bytes(b"\n".join(lines) + b"\n")
     assert main(["replay-verify", "--ledger", str(ledger_path)]) == 2
     assert f"first_bad_seq={len(lines) - 1}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threshold", ["abc", [1], None])
+def test_monitor_report_bad_rule_threshold_exit_64(tmp_path, config_path, capsys, threshold):
+    ledger_path = tmp_path / "trial.ndjson"
+    assert main(["simulate", "--config", config_path(), "--out", str(ledger_path)]) == 0
+    rules_path = tmp_path / "rules.yaml"
+    rules_path.write_text(yaml.safe_dump(
+        {"rules": [{"metric": "fallback_rate", "comparator": ">", "threshold": threshold}]}
+    ))
+    out = tmp_path / "report.txt"
+    capsys.readouterr()
+    assert main(["monitor-report", "--ledger", str(ledger_path), "--out", str(out),
+                 "--rules", str(rules_path)]) == 64
+    assert capsys.readouterr().err.startswith("config error: --rules[0]: ")
+    assert not out.exists()
