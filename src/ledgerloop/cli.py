@@ -17,7 +17,7 @@ from pathlib import Path
 import yaml
 
 from . import twin
-from .config import load_config
+from .config import config_digest, load_config
 from .errors import (
     AuditError,
     ConfigurationError,
@@ -31,7 +31,7 @@ from .events import StreamIndex, decoded_floats
 from . import ledger
 from .ledger import Ledger
 from .monitor import DEFAULT_RULES, AlertRule, compute_metrics, emit_report, evaluate_alerts
-from .replay import default_logic, replay_verify
+from .replay import registered_logics, replay_verify
 from .runtime import FailureInjectionSpec
 
 EXIT_OK = 0
@@ -75,7 +75,7 @@ def _build_parser() -> argparse.ArgumentParser:
     replay_cmd.add_argument(
         "--versions",
         default=None,
-        help="comma-separated version ids with registered logic (default: all in ledger)",
+        help="comma-separated version ids to give logic (default: every version the ledger activates)",
     )
 
     monitor_cmd = sub.add_parser("monitor-report", help="compute metrics, alerts, and a report")
@@ -183,13 +183,22 @@ def _cmd_twin_tune(args) -> int:
     return EXIT_OK
 
 
+def _audited_index(path: str) -> StreamIndex:
+    """The index of the ledger at ``path``, folded through the verified read
+    pass, once its HEADER's ``config_digest`` is found to be its config's."""
+    index = StreamIndex.fold(ledger.read_records(path))
+    header = index.header
+    if config_digest(header.config) != header.config_digest:
+        raise AuditError(
+            f"HEADER config_digest {header.config_digest!r} is not the digest of its config"
+        )
+    return index
+
+
 def _cmd_replay_verify(args) -> int:
-    index = StreamIndex.fold(ledger.read_records(args.ledger))
-    if args.versions is not None:
-        version_ids = [v for v in args.versions.split(",") if v]
-    else:
-        version_ids = sorted(index.stamped)
-    report = replay_verify(index, {vid: default_logic() for vid in version_ids})
+    index = _audited_index(args.ledger)
+    versions = None if args.versions is None else [v for v in args.versions.split(",") if v]
+    report = replay_verify(index, registered_logics(index, versions))
     if args.out is not None:
         _fresh_out_path(args.out).write_bytes(report.to_bytes())
     if report.exact:
@@ -231,11 +240,11 @@ def _load_rules(path_str: str | None) -> list[AlertRule]:
 def _cmd_monitor_report(args) -> int:
     rules = _load_rules(args.rules)
     out = _fresh_out_path(args.out)
-    index = StreamIndex.fold(ledger.read_records(args.ledger))
+    index = _audited_index(args.ledger)
     metrics = compute_metrics(index)
     divergence = None
     if args.replay:
-        divergence = replay_verify(index, {vid: default_logic() for vid in sorted(index.stamped)})
+        divergence = replay_verify(index)
     if args.append_alerts:
         # Only an append needs the ledger object, which loads the file again.
         with Ledger.open(args.ledger) as target:

@@ -261,6 +261,17 @@ def version_change_payload(
     }
 
 
+def parse_version_change(payload: dict) -> tuple[str, str]:
+    """``(version_id, fingerprint)`` of a VERSION_CHANGE payload."""
+    try:
+        version_id, fingerprint = payload["version_id"], payload["fingerprint"]
+    except KeyError as exc:
+        raise DecodeError(f"malformed VERSION_CHANGE payload: missing {exc}") from None
+    if not (isinstance(version_id, str) and isinstance(fingerprint, str)):
+        raise DecodeError("malformed VERSION_CHANGE payload: version_id and fingerprint must be strings")
+    return version_id, fingerprint
+
+
 # -- ERROR / ALERT ---------------------------------------------------------------
 
 def error_payload(
@@ -339,7 +350,7 @@ def parse_value(record: EventEnvelope):
     if etype == "MODEL_UPDATE":
         return parse_update(payload)
     if etype == "VERSION_CHANGE":
-        return payload.get("version_id")
+        return parse_version_change(payload)
     if etype == "HEADER":
         return parse_header(payload)
     return None  # the index keeps the other event types by envelope alone
@@ -357,6 +368,7 @@ class StreamIndex:
 
     header: HeaderInfo | None = None
     versions: list[tuple[int, str]] = field(default_factory=list)  # (seq, id) per VERSION_CHANGE
+    fingerprints: dict[str, str] = field(default_factory=dict)  # version id -> its logic's fingerprint
     stamped: dict[str, int] = field(default_factory=dict)  # envelope version_id -> first seq
     size: int = 0  # records applied
     snapshots: dict[tuple[str, int], tuple[EventEnvelope, FeatureSnapshot]] = field(default_factory=dict)
@@ -405,7 +417,13 @@ class StreamIndex:
         elif etype == "ERROR":
             self.errors.append(record)
         elif etype == "VERSION_CHANGE":
-            self.versions.append((record.seq, value))
+            version_id, fingerprint = value
+            if version_id in self.fingerprints:
+                raise StructuralAuditError(
+                    f"VERSION_CHANGE at seq {record.seq} activates {version_id!r} a second time"
+                )
+            self.versions.append((record.seq, version_id))
+            self.fingerprints[version_id] = fingerprint
         elif etype == "HEADER":
             self.header = value
 

@@ -105,11 +105,18 @@ def canonical_json_bytes(obj) -> bytes:
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
+# JSONEncoder.encode builds a C encoder on every call; build it once. Without
+# the C accelerator the pure-Python encoder gives the same bytes.
+_C_ENCODE = None if json.encoder.c_make_encoder is None else json.encoder.c_make_encoder(
+    None, _ENCODER.default, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True
+)
 
 
 def _dumps(obj) -> bytes:
     # The encoding step of canonical_json_bytes, for bodies already checked.
-    return _ENCODER.encode(obj).encode("ascii")
+    if _C_ENCODE is None:
+        return _ENCODER.encode(obj).encode("ascii")
+    return "".join(_C_ENCODE(obj, 0)).encode("ascii")
 
 
 def map_floats(obj, show):
@@ -426,19 +433,6 @@ class Ledger:
             self._fh.truncate(self._size)
         except OSError:
             self._torn = True
-
-    def iterate(
-        self, from_seq: int = 0, event_types: Iterable[str] | None = None
-    ) -> Iterator[EventEnvelope]:
-        """Yield records in seq order, optionally filtered by event type."""
-        if from_seq < 0:
-            raise ConfigurationError("from_seq must be >= 0")
-        wanted = None if event_types is None else frozenset(event_types)
-        with self._lock:
-            snapshot = self._records[from_seq:]
-        for record in snapshot:
-            if wanted is None or record.event_type in wanted:
-                yield record
 
     def records(self) -> list[EventEnvelope]:
         with self._lock:

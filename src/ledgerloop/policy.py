@@ -10,6 +10,15 @@ stay explorable.
 Everything here is a pure function over immutable values: no operation
 mutates its inputs, and identical inputs give bit-identical outputs. That is
 what makes logged decisions and updates replayable after the fact.
+
+The module-level functions are ``conjugate-linear-v2``, the default logic.
+Its numerics are plain Python floats in one fixed order of operations: a
+lower Cholesky factor computed row by row, forward and back substitution with
+every sum taken in increasing index order, and the outer-product update
+summed in batch order. No BLAS kernel chosen by the host enters, so the bits
+are the same on every IEEE-754 machine with the same ``math.erfc``; the
+logic's fingerprint (``ledgerloop.replay``) checks that. ``policy_v1`` holds
+the earlier numpy/scipy logic for replaying ledgers it wrote.
 """
 
 from __future__ import annotations
@@ -18,9 +27,6 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
-
-import numpy as np
-from scipy.linalg import cho_factor, cho_solve, LinAlgError
 
 from .errors import ConfigurationError, DataError, DecodeError, NumericalStateError
 from .rng import splitmix64_next, unit_float
@@ -74,37 +80,40 @@ class ModelConfig:
 class PosteriorState:
     """Gaussian posterior over the stacked weights, stored as (mean, precision).
 
-    Arrays are locked read-only after construction; "updating" a state means
-    building a new one. ``state_hash`` is the SHA-256 of the canonical
-    serialization and is recomputed on construction, never trusted from input.
-    The Cholesky factor of the precision is derived data: computed at most
-    once per state and kept out of serialization, hashing and equality.
+    ``mean`` is a tuple of d floats and ``precision`` a tuple of d * d floats
+    in row-major order; "updating" a state means building a new one.
+    ``state_hash`` is the SHA-256 of the canonical serialization and is
+    recomputed on construction, never trusted from input. The lower Cholesky
+    factor of the precision is derived data: computed at most once per state
+    and kept out of serialization, hashing and equality.
     """
 
     __slots__ = ("mean", "precision", "update_count", "last_update_seq", "state_hash", "_factor")
 
     def __init__(
         self,
-        mean: np.ndarray,
-        precision: np.ndarray,
+        mean,
+        precision,
         update_count: int = 0,
         last_update_seq: int | None = None,
     ):
-        mean = np.array(mean, dtype=np.float64, copy=True).reshape(-1)
-        precision = np.array(precision, dtype=np.float64, copy=True)
-        d = mean.shape[0]
-        if precision.shape != (d, d):
+        mean = tuple(map(float, mean))
+        d = len(mean)
+        if len(precision) != d * d:
             raise ConfigurationError(
-                f"precision shape {precision.shape} does not match mean length {d}"
+                f"precision has {len(precision)} entries; a row-major {d}x{d} "
+                f"matrix for mean length {d} has {d * d}"
             )
+        precision = tuple(map(float, precision))
         # Symmetry must hold bit-for-bit, not just within tolerance: the
         # canonical encoding stores every entry and replay compares bytes.
-        if not np.array_equal(precision, precision.T):
-            raise ConfigurationError("precision matrix is not bit-exactly symmetric")
+        # The diagonal is compared too, so a NaN on it is refused.
+        for i in range(d):
+            for j in range(i + 1):
+                if precision[i * d + j] != precision[j * d + i]:
+                    raise ConfigurationError("precision matrix is not bit-exactly symmetric")
         if update_count < 0:
             raise ConfigurationError("update_count must be non-negative")
-        mean.flags.writeable = False
-        precision.flags.writeable = False
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "precision", precision)
         object.__setattr__(self, "update_count", int(update_count))
@@ -119,22 +128,19 @@ class PosteriorState:
 
     @property
     def dim(self) -> int:
-        return self.mean.shape[0]
+        return len(self.mean)
 
     @property
-    def factor(self):
-        """``cho_factor(precision, lower=True)``, computed on first use.
+    def factor(self) -> tuple[tuple[float, ...], ...]:
+        """The lower Cholesky factor of the precision, row ``i`` holding its
+        ``i + 1`` entries up to the diagonal, computed on first use.
 
         Raises NumericalStateError, without caching anything, when the
         precision is not positive definite.
         """
         if self._factor is None:
-            self._set_factor(_cho(self.precision))
+            object.__setattr__(self, "_factor", _cholesky(self.precision, self.dim))
         return self._factor
-
-    def _set_factor(self, factor) -> None:
-        factor[0].flags.writeable = False
-        object.__setattr__(self, "_factor", factor)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PosteriorState):
@@ -212,17 +218,62 @@ class DecisionRecord:
 def init_state(config: ModelConfig) -> PosteriorState:
     """Fresh posterior: mean = prior mean, precision = scale * identity."""
     d = config.dim
-    mean = np.asarray(config.prior_mean, dtype=np.float64)
-    precision = np.zeros((d, d), dtype=np.float64)
-    np.fill_diagonal(precision, config.prior_precision_scale)
-    return PosteriorState(mean, precision, update_count=0, last_update_seq=None)
+    scale = config.prior_precision_scale
+    precision = [0.0] * (d * d)
+    precision[:: d + 1] = [scale] * d
+    return PosteriorState(config.prior_mean, precision, update_count=0, last_update_seq=None)
 
 
-def _cho(precision: np.ndarray):
-    try:
-        return cho_factor(precision, lower=True)
-    except (LinAlgError, ValueError) as exc:
-        raise NumericalStateError(f"precision matrix is not positive definite: {exc}") from None
+def _cholesky(precision: tuple[float, ...], d: int) -> tuple[tuple[float, ...], ...]:
+    """Lower Cholesky factor of a row-major d x d matrix, row by row: entry
+    (i, j) is ``a[i][j]`` minus ``L[i][k] * L[j][k]`` for k = 0, 1, ... in
+    turn, then divided by ``L[j][j]``, or its square root on the diagonal."""
+    rows: list[tuple[float, ...]] = []
+    for i in range(d):
+        a_i = precision[i * d : i * d + i + 1]
+        row: list[float] = []
+        for j in range(i + 1):
+            s = a_i[j]
+            r_j = rows[j] if j < i else row
+            for k in range(j):
+                s -= row[k] * r_j[k]
+            if j < i:
+                row.append(s / r_j[j])
+            elif 0.0 < s < math.inf:
+                row.append(math.sqrt(s))
+            else:  # also NaN and infinity
+                raise NumericalStateError(
+                    f"precision matrix is not positive definite (pivot {i} is {s!r})"
+                )
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def _forward(factor, b, start: int = 0) -> list[float]:
+    """``y`` with ``L y = b`` for rows ``start`` on, where ``b`` is zero before
+    ``start`` (so ``y`` is too and those rows are skipped); sums run over
+    k = start, start + 1, ... in turn."""
+    y = [0.0] * len(b)
+    for i in range(start, len(b)):
+        row = factor[i]
+        s = b[i]
+        for k in range(start, i):
+            s -= row[k] * y[k]
+        y[i] = s / row[i]
+    return y
+
+
+def _backward(factor, y) -> list[float]:
+    """``x`` with ``L' x = y``, for i = d - 1 down to 0; each sum runs over
+    k = i + 1, i + 2, ... in turn."""
+    d = len(y)
+    x = [0.0] * d
+    for i in range(d - 1, -1, -1):
+        s = y[i]
+        for k in range(i + 1, d):
+            s -= factor[k][i] * x[k]
+        x[i] = s / factor[i][i]
+    return x
 
 
 def _phi(z: float) -> float:
@@ -247,15 +298,17 @@ def action_probability(
         )
     if state.dim != config.dim:
         raise ConfigurationError("state dimension does not match config")
-    h = np.asarray(snapshot.treatment, dtype=np.float64)
-    mu_h = state.mean[d_g:]
-    delta = float(h @ mu_h)
+    h = snapshot.treatment
+    delta = 0.0
+    for h_j, mu_j in zip(h, state.mean[d_g:]):
+        delta += h_j * mu_j
 
-    # v = h' Sigma_hh h with Sigma = Lambda^-1, computed as x' Lambda^-1 x
-    # for the zero-padded vector x = [0; h] via one Cholesky solve.
-    x = np.zeros(state.dim, dtype=np.float64)
-    x[d_g:] = h
-    v = float(x @ cho_solve(state.factor, x))
+    # v = h' Sigma_hh h with Sigma = Lambda^-1 is x' Lambda^-1 x for the
+    # zero-padded x = [0; h], which is |y|^2 for L y = x.
+    y = _forward(state.factor, (0.0,) * d_g + h, start=d_g)
+    v = 0.0
+    for y_i in y[d_g:]:
+        v += y_i * y_i
 
     if v <= 0.0:
         # Degenerate posterior along h: the limit of Phi(delta/sqrt(v)).
@@ -289,6 +342,8 @@ def decide(pi: float, seed: int) -> int:
     return 1 if u < pi else 0
 
 
+
+
 def update_posterior(
     state: PosteriorState,
     batch: list[tuple[FeatureSnapshot, int, float]],
@@ -319,28 +374,40 @@ def update_posterior(
             raise DataError(f"non-finite reward {reward!r}; batch rejected")
 
     inv_noise = 1.0 / config.noise_variance
-    precision = np.array(state.precision, dtype=np.float64, copy=True)
-    rhs = state.precision @ state.mean
+    precision = list(state.precision)
+    mean = state.mean
+    rhs = []
+    for i in range(d):
+        s = 0.0
+        for a_ij, mu_j in zip(precision[i * d : i * d + d], mean):
+            s += a_ij * mu_j
+        rhs.append(s)
     for snapshot, action, reward in batch:
-        x = np.empty(d, dtype=np.float64)
-        x[:d_g] = snapshot.baseline
-        x[d_g:] = np.asarray(snapshot.treatment, dtype=np.float64) * float(action)
-        precision += np.outer(x, x) * inv_noise
-        rhs += x * (reward * inv_noise)
+        a = float(action)
+        x = snapshot.baseline + tuple(t * a for t in snapshot.treatment)
+        w = reward * inv_noise
+        for i, x_i in enumerate(x):
+            base = i * d
+            for j in range(i + 1):
+                precision[base + j] += (x_i * x[j]) * inv_noise
+            rhs[i] += x_i * w
+    for i in range(d):  # the upper triangle mirrors the lower, bit for bit
+        for j in range(i):
+            precision[j * d + i] = precision[i * d + j]
 
-    factor = _cho(precision)
-    mean = cho_solve(factor, rhs)
+    factor = _cholesky(precision, d)
+    new_mean = _backward(factor, _forward(factor, rhs))
     if last_update_seq is None:
         last_update_seq = state.last_update_seq
     new_state = PosteriorState(
-        mean,
+        new_mean,
         precision,
         update_count=state.update_count + len(batch),
         last_update_seq=last_update_seq,
     )
-    # The state holds a bit-identical copy of ``precision``, so this factor
-    # is the one action_probability would compute from it.
-    new_state._set_factor(factor)
+    # The state holds the same ``precision``, so this factor is the one
+    # action_probability would compute from it.
+    object.__setattr__(new_state, "_factor", factor)
     return new_state
 
 
@@ -348,12 +415,9 @@ def canonical_serialize(state: PosteriorState) -> bytes:
     """Bit-exact encoding: mean entries, then precision row-major, each as
     8 big-endian IEEE-754 bytes, then update_count and last_update_seq as
     8 big-endian bytes (all-ones sentinel for "never updated")."""
-    parts = [struct.pack(">d", float(v)) for v in state.mean]
-    parts += [struct.pack(">d", float(v)) for v in state.precision.reshape(-1)]
-    parts.append(struct.pack(">Q", state.update_count))
     seq = _NO_SEQ if state.last_update_seq is None else state.last_update_seq
-    parts.append(struct.pack(">Q", seq))
-    return b"".join(parts)
+    n = len(state.mean) + len(state.precision)
+    return struct.pack(f">{n}dQQ", *state.mean, *state.precision, state.update_count, seq)
 
 
 def canonical_deserialize(data: bytes) -> PosteriorState:
@@ -373,12 +437,10 @@ def canonical_deserialize(data: bytes) -> PosteriorState:
     if d < 1 or d * d + d + 2 != n:
         raise DecodeError(f"state encoding with {n} words matches no dimension")
     floats = struct.unpack(f">{d + d * d}d", data[: 8 * (d + d * d)])
-    mean = np.array(floats[:d], dtype=np.float64)
-    precision = np.array(floats[d:], dtype=np.float64).reshape(d, d)
     update_count, seq = struct.unpack(">QQ", data[8 * (d + d * d):])
     return PosteriorState(
-        mean,
-        precision,
+        floats[:d],
+        floats[d:],
         update_count=update_count,
         last_update_seq=None if seq == _NO_SEQ else seq,
     )

@@ -4,26 +4,42 @@ logged decision and update is bit-exactly reproducible.
 Replay reads the ledger through the shared
 :class:`ledgerloop.events.StreamIndex`, the same fold the runtime keeps while
 it writes, and adds only the posterior recompute. Comparison is bit-exact,
-never tolerance-based: floats travel as IEEE-754 bit patterns, update
-summation order is fixed, and Cholesky is the single solve algorithm, so an
-honest ledger replays to the last bit. The auditor only ever
-reads; it cannot append to the ledger under audit.
+never tolerance-based: floats travel as IEEE-754 bit patterns, and each
+segment is replayed with the logic that wrote it, so an honest ledger
+replays to the last bit. The auditor only ever reads; it cannot append to
+the ledger under audit.
+
+Which logic replays a segment is decided by the fingerprint its
+VERSION_CHANGE records, looked up in :data:`LOGICS`:
+
+- ``conjugate-linear-v2`` (``ledgerloop.policy``, the default) has as its
+  fingerprint the SHA-256 of its outputs on pinned inputs
+  (:func:`known_answers`). Before a v2 logic is used, to write or to audit,
+  those answers are recomputed on this host; a host that gives other bits
+  is refused instead of producing a ledger or verdict nobody can reproduce.
+- ``conjugate-linear-v1`` (``ledgerloop.policy_v1``, numpy and scipy) keeps
+  the digest of its function names that ledgers written before v2 record.
+  It is imported only when a ledger names it, and needs the ``v1`` extra.
+
+A fingerprint no registered logic has is an audit error, and so is a logic
+given for a version whose recorded fingerprint is not that logic's.
 """
 
 from __future__ import annotations
 
 import hashlib
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
-from typing import Callable, Mapping
+from typing import Callable, Collection, Mapping
 
 from . import policy
 from .config import model_config_from_canonical
 from .errors import AuditError, LedgerLoopError, StructuralAuditError
 from .events import StreamIndex, stream_index
 from .ledger import Ledger, encode_float, report_bytes
-from .policy import ModelConfig, PosteriorState
+from .policy import FeatureSnapshot, ModelConfig, PosteriorState
 
 
 @dataclass(frozen=True)
@@ -35,6 +51,7 @@ class PolicyLogic:
     """
 
     name: str
+    fingerprint: str
     init_state: Callable[[ModelConfig], PosteriorState]
     action_probability: Callable
     decide: Callable[[float, int], int]
@@ -42,24 +59,86 @@ class PolicyLogic:
     update_posterior: Callable
     serialize: Callable[[PosteriorState], bytes]
 
-    @property
-    def fingerprint(self) -> str:
-        descriptor = "|".join(
-            [
-                self.name,
-                self.init_state.__qualname__,
-                self.action_probability.__qualname__,
-                self.decide.__qualname__,
-                self.derive_decision_seed.__qualname__,
-                self.update_posterior.__qualname__,
-            ]
-        )
-        return hashlib.sha256(descriptor.encode()).hexdigest()
+
+# Pinned inputs of the known-answer fingerprint: a 3 + 3 model, four
+# snapshots as (baseline, treatment), and two update batches of
+# (snapshot, action, reward).
+_KAT_CONFIG = ModelConfig(
+    baseline_dim=3,
+    treatment_dim=3,
+    noise_variance=0.7,
+    prior_mean=(0.1, -0.2, 0.3, 0.05, -0.4, 0.25),
+    prior_precision_scale=1.3,
+    clip_min=0.1,
+    clip_max=0.9,
+    version_id="known-answers",
+)
+_KAT_FEATURES = (
+    ((1.0, 0.5, 0.0), (1.0, -0.25, 0.75)),
+    ((1.0, -1.5, 1.0), (1.0, 0.125, -0.5)),
+    ((1.0, 2.0, 0.5), (1.0, 1.75, 0.0)),
+    ((1.0, 0.0, 1.0), (0.0, 0.0, 0.0)),
+)
+_KAT_BATCHES = (
+    ((0, 1, 0.9), (1, 0, -0.35), (2, 1, 1.6)),
+    ((3, 1, 0.2), (1, 1, -1.1), (0, 0, 0.45), (2, 1, 2.5)),
+)
 
 
-def default_logic(name: str = "conjugate-linear-v1") -> PolicyLogic:
+def known_answers(logic: PolicyLogic) -> str:
+    """SHA-256 hex of ``logic``'s outputs on the pinned inputs: the encoded
+    state after init and after each update batch and, at each of those
+    states, ``(pi_raw, pi, seed, action)`` for every snapshot."""
+    config = _KAT_CONFIG
+    n = config.dim
+    snapshots = [
+        FeatureSnapshot(g, h, ("observed",) * n, (None,) * n, (None,) * n, 0)
+        for g, h in _KAT_FEATURES
+    ]
+    digest = hashlib.sha256()
+    state = logic.init_state(config)
+    for step in range(len(_KAT_BATCHES) + 1):
+        if step:
+            rows = [(snapshots[i], action, reward) for i, action, reward in _KAT_BATCHES[step - 1]]
+            state = logic.update_posterior(state, rows, config, last_update_seq=10 * step)
+        digest.update(logic.serialize(state))
+        for i, snapshot in enumerate(snapshots):
+            pi_raw, pi = logic.action_probability(state, snapshot, config)
+            seed = logic.derive_decision_seed(0x5EED, f"p{i}", step)
+            digest.update(struct.pack(">ddQB", pi_raw, pi, seed, logic.decide(pi, seed)))
+    return digest.hexdigest()
+
+
+V1_FINGERPRINT = "afa33f8283aec3d949b023d16d2d632445fd1f045bd2a1c7251f91f28dab2cd3"
+V2_FINGERPRINT = "5dae03d57f39db882224c3ce32c7b0711d57388e5ee57c31b2687fda8e8ecbe0"
+
+
+def _v1() -> PolicyLogic:
+    try:
+        from . import policy_v1
+    except ImportError as exc:
+        raise AuditError(
+            "this ledger was written by conjugate-linear-v1, which needs the optional "
+            f"`v1` extra (numpy and scipy): pip install 'ledgerloop[v1]' ({exc})"
+        ) from None
     return PolicyLogic(
-        name=name,
+        name="conjugate-linear-v1",
+        fingerprint=V1_FINGERPRINT,
+        init_state=policy_v1.init_state,
+        action_probability=policy_v1.action_probability,
+        decide=policy.decide,
+        derive_decision_seed=policy.derive_decision_seed,
+        update_posterior=policy_v1.update_posterior,
+        serialize=policy.canonical_serialize,
+    )
+
+
+def _v2() -> PolicyLogic:
+    # The functions are looked up when the logic is built, not when this
+    # module is imported, so a wrapper installed on ``policy`` sees the calls.
+    logic = PolicyLogic(
+        name="conjugate-linear-v2",
+        fingerprint=V2_FINGERPRINT,
         init_state=policy.init_state,
         action_probability=policy.action_probability,
         decide=policy.decide,
@@ -67,6 +146,50 @@ def default_logic(name: str = "conjugate-linear-v1") -> PolicyLogic:
         update_posterior=policy.update_posterior,
         serialize=policy.canonical_serialize,
     )
+    answers = known_answers(logic)
+    if answers != V2_FINGERPRINT:
+        raise AuditError(
+            f"conjugate-linear-v2 gives the known answers {answers} on this host, not "
+            f"{V2_FINGERPRINT}; its bits here would not replay elsewhere"
+        )
+    return logic
+
+
+# Registered logics by fingerprint: each entry builds its logic when asked.
+LOGICS: dict[str, Callable[[], PolicyLogic]] = {V1_FINGERPRINT: _v1, V2_FINGERPRINT: _v2}
+
+
+def logic_for(fingerprint: str) -> PolicyLogic:
+    """The registered logic with ``fingerprint``; AuditError if there is none,
+    or if it cannot run or be trusted on this host."""
+    build = LOGICS.get(fingerprint)
+    if build is None:
+        raise AuditError(f"fingerprint {fingerprint!r} names no registered logic")
+    return build()
+
+
+def default_logic() -> PolicyLogic:
+    """The logic new ledgers are written with: ``conjugate-linear-v2``."""
+    return logic_for(V2_FINGERPRINT)
+
+
+def registered_logics(
+    index: StreamIndex, versions: Collection[str] | None = None
+) -> dict[str, PolicyLogic]:
+    """The logic of each version the ledger activates (of ``versions`` only,
+    when given), chosen by the fingerprint its VERSION_CHANGE records."""
+    built: dict[str, PolicyLogic] = {}
+    logics = {}
+    for version_id, fingerprint in index.fingerprints.items():
+        if versions is not None and version_id not in versions:
+            continue
+        if fingerprint not in built:
+            try:
+                built[fingerprint] = logic_for(fingerprint)
+            except AuditError as exc:
+                raise AuditError(f"version {version_id!r}: {exc}") from None
+        logics[version_id] = built[fingerprint]
+    return logics
 
 
 @dataclass(frozen=True)
@@ -139,24 +262,34 @@ class Reconstruction:
 def reconstruct_states(
     source: Ledger | StreamIndex, logic_by_version: Mapping[str, PolicyLogic] | None = None
 ) -> Reconstruction:
-    """Fold the ledger's update events through per-version policy logic.
+    """Fold the ledger's update events through per-version policy logic,
+    by default the logic each version's recorded fingerprint names
+    (:func:`registered_logics`).
 
     Precondition: the ledger's chain verifies, as every Ledger's does (see
     :func:`ledgerloop.monitor.compute_metrics`). Raises AuditError when any
-    event carries a version with no registered logic, StructuralAuditError
+    event carries a version with no registered logic or when a version's
+    logic does not have the fingerprint it recorded, StructuralAuditError
     when the ledger's structure itself is inconsistent (bad batch references,
     missing header, double consumption).
     """
     index = stream_index(source)
     config = model_config_from_canonical(index.header.config["model"])
     if logic_by_version is None:
-        logic_by_version = {config.version_id: default_logic()}
+        logic_by_version = registered_logics(index)
     # Every version the ledger names, envelope stamps before a VERSION_CHANGE
     # payload at the same seq; the first one without logic is the error.
     named = [(seq, version_id) for version_id, seq in index.stamped.items()] + index.versions
     for seq, version_id in sorted(named, key=_AT_SEQ):
         if version_id not in logic_by_version:
             raise AuditError(f"version {version_id!r} at seq {seq} has no registered logic")
+    for seq, version_id in index.versions:
+        logic, recorded = logic_by_version[version_id], index.fingerprints[version_id]
+        if logic.fingerprint != recorded:
+            raise AuditError(
+                f"version {version_id!r} at seq {seq} records fingerprint {recorded}, "
+                f"not that of {logic.name} ({logic.fingerprint})"
+            )
 
     init_state = logic_by_version[next(iter(index.stamped))].init_state  # the HEADER's
     pids = [*index.header.config.get("participants", []), *(pid for pid, _ in index.snapshots)]
@@ -181,7 +314,7 @@ def reconstruct_states(
     return recon
 
 
-def verify_decisions(ledger: Ledger, recon: Reconstruction) -> DivergenceReport:
+def verify_decisions(recon: Reconstruction) -> DivergenceReport:
     """Recompute every logged decision from reconstructed state + snapshot.
 
     Normal decisions must reproduce pi_raw, pi (bit-exact via float hex) and
@@ -235,7 +368,7 @@ def verify_decisions(ledger: Ledger, recon: Reconstruction) -> DivergenceReport:
     return report
 
 
-def verify_updates(ledger: Ledger, recon: Reconstruction) -> DivergenceReport:
+def verify_updates(recon: Reconstruction) -> DivergenceReport:
     """Compare every logged post-state against the recomputed fold, byte for
     byte, and check hash self-consistency of the update payloads."""
     report = DivergenceReport()
@@ -266,8 +399,8 @@ def replay_verify(
     problems; returns a DivergenceReport (status exact or diverged) otherwise.
     """
     recon = reconstruct_states(source, logic_by_version)
-    decisions_report = verify_decisions(source, recon)
-    updates_report = verify_updates(source, recon)
+    decisions_report = verify_decisions(recon)
+    updates_report = verify_updates(recon)
     merged = merge_reports(decisions_report, updates_report)
     merged.counts["events_total"] = recon.index.size
     merged.counts["snapshots_seen"] = len(recon.index.snapshots)

@@ -2,10 +2,11 @@
 observations, assembles provenance-tagged feature snapshots, makes decisions
 with fallback protection, and runs batch update cycles.
 
-The runtime holds no algorithm internals: it calls the pure policy functions
-and writes everything it does to the ledger. A policy failure can therefore
-never corrupt the ledger; it degrades to a uniform-random fallback decision,
-which is itself logged like any other decision.
+The runtime holds no algorithm internals: it calls the pure functions of the
+policy logic it is given and writes everything it does to the ledger. A
+policy failure can therefore never corrupt the ledger; it degrades to a
+uniform-random fallback decision, which is itself logged like any other
+decision.
 """
 
 from __future__ import annotations
@@ -23,18 +24,7 @@ from .errors import (
     StructuralAuditError,
 )
 from .ledger import EventEnvelope, Ledger
-from .policy import (
-    DecisionRecord,
-    FeatureSnapshot,
-    ModelConfig,
-    PosteriorState,
-    action_probability,
-    canonical_serialize,
-    decide,
-    derive_decision_seed,
-    init_state,
-    update_posterior,
-)
+from .policy import DecisionRecord, FeatureSnapshot, ModelConfig, PosteriorState
 from .rng import SplitMix64, derive_seed
 
 MS_PER_DAY = 86_400_000
@@ -105,11 +95,6 @@ class Schedule:
         return self.trial_days * self.points_per_day
 
 
-def schedule_decision_points(schedule: Schedule, day: int) -> list[tuple[int, int]]:
-    """Module-level alias of :meth:`Schedule.decision_points`."""
-    return schedule.decision_points(day)
-
-
 @dataclass(frozen=True)
 class FeatureSpec:
     """Names of the data features feeding the baseline and treatment vectors.
@@ -172,8 +157,10 @@ class FailureInjectionSpec:
 
 
 class Runtime:
-    """Drives one stream: all participants share the ledger and the model
-    configuration, while posterior states and data caches are per participant.
+    """Drives one stream: all participants share the ledger, the model
+    configuration and the policy logic (a ``ledgerloop.replay.PolicyLogic``,
+    whose fingerprint every VERSION_CHANGE records), while posterior states
+    and data caches are per participant.
     """
 
     def __init__(
@@ -186,7 +173,7 @@ class Runtime:
         injection: FailureInjectionSpec,
         deployment_seed: int,
         participants: list[str],
-        decision_override=None,
+        logic,
     ):
         d_g, d_h = len(features.baseline), len(features.treatment)
         if (d_g, d_h) != (model_config.baseline_dim, model_config.treatment_dim):
@@ -206,12 +193,10 @@ class Runtime:
         self.participants = list(participants)
         # Every record the runtime appends, folded in as it is written.
         self.index = events.StreamIndex()
-        # decision_override(participant_id, decision_index, snapshot) -> pi;
-        # used by the twin for oracle baselines, never in real deployments.
-        self.decision_override = decision_override
+        self.logic = logic
 
         self.states: dict[str, PosteriorState] = {
-            pid: init_state(model_config) for pid in self.participants
+            pid: logic.init_state(model_config) for pid in self.participants
         }
         # (participant, feature) -> [(device_ts, -seq, value)], kept sorted, so
         # the datum a snapshot uses is the last entry at or before its due time.
@@ -229,7 +214,7 @@ class Runtime:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self, header_config: dict, config_digest: str, fingerprint: str, backend_ts: int) -> None:
+    def start(self, header_config: dict, config_digest: str, backend_ts: int) -> None:
         """Write the header record and activate the configured version."""
         version_id = self.model_config.version_id
         payload = events.header_payload(
@@ -243,16 +228,17 @@ class Runtime:
             events.HeaderInfo(**payload), "HEADER", payload,
             backend_ts=backend_ts, version_id=version_id,
         )
-        self.register_version(version_id, fingerprint, backend_ts)
+        self.register_version(version_id, backend_ts)
 
-    def register_version(self, version_id: str, fingerprint: str, backend_ts: int) -> int:
+    def register_version(self, version_id: str, backend_ts: int) -> int:
         """Activate a new algorithm version; all later events carry it."""
         versions = self.index.versions
-        if any(v == version_id for _, v in versions):
+        if version_id in self.index.fingerprints:
             raise ConfigurationError(f"version {version_id!r} already activated")
         previous = versions[-1][1] if versions else None
+        fingerprint = self.logic.fingerprint
         record = self._log(
-            version_id,
+            (version_id, fingerprint),
             "VERSION_CHANGE",
             events.version_change_payload(version_id, fingerprint, previous),
             backend_ts=backend_ts,
@@ -389,7 +375,7 @@ class Runtime:
         _, snapshot = snap
         if backend_ts is None:
             backend_ts = self.schedule.due_ts(decision_index)
-        seed = derive_decision_seed(self.deployment_seed, participant_id, decision_index)
+        seed = self.logic.derive_decision_seed(self.deployment_seed, participant_id, decision_index)
         version_id = self.version_id
 
         fallback = False
@@ -401,13 +387,8 @@ class Runtime:
                 )
                 if gate.next_float() < self.injection.policy_exception_prob:
                     raise InjectedFailure("injected policy exception")
-            if self.decision_override is not None:
-                pi_raw = pi = float(
-                    self.decision_override(participant_id, decision_index, snapshot)
-                )
-            else:
-                state = self.states[participant_id]
-                pi_raw, pi = action_probability(state, snapshot, self.model_config)
+            state = self.states[participant_id]
+            pi_raw, pi = self.logic.action_probability(state, snapshot, self.model_config)
         except (StorageError, IsolationError):
             raise
         except Exception as exc:
@@ -427,7 +408,7 @@ class Runtime:
                 version_id=version_id,
             )
 
-        action = decide(pi, seed)
+        action = self.logic.decide(pi, seed)
         record = DecisionRecord(
             participant_id=participant_id,
             decision_index=decision_index,
@@ -464,7 +445,7 @@ class Runtime:
             return state
         try:
             batch = self.index.batch(participant_id, batch_seqs, self.ledger.next_seq())
-            new_state = update_posterior(
+            new_state = self.logic.update_posterior(
                 state, batch, self.model_config, last_update_seq=max(batch_seqs)
             )
         except (StorageError, IsolationError):
@@ -485,7 +466,7 @@ class Runtime:
 
         info = events.UpdateInfo(
             participant_id, batch_seqs, state.state_hash, new_state.state_hash,
-            canonical_serialize(new_state),
+            self.logic.serialize(new_state),
         )
         self._log(
             info, "MODEL_UPDATE", events.update_payload(**vars(info)),

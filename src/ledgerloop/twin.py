@@ -253,7 +253,6 @@ def run_trial(
     master_seed: int,
     out_path: str | Path | None = None,
     candidate_label: str = "candidate",
-    policy_kind: str = "bandit",
     fsync: bool = False,
     participant_ids: list[str] | None = None,
 ) -> TrialResult:
@@ -262,12 +261,8 @@ def run_trial(
     Identical (env, config, master_seed) produce byte-identical ledgers. The
     environment's missingness/latency apply to every datum at ingestion; the
     config's failure-injection spec can override them and adds policy
-    exceptions. ``policy_kind`` "oracle" replaces the bandit probability with
-    the ground-truth best action (evaluation baseline only; oracle ledgers
-    are not replayable because their decisions do not follow the policy).
+    exceptions. The runtime uses the default policy logic.
     """
-    if policy_kind not in ("bandit", "oracle"):
-        raise ConfigurationError(f"unknown policy_kind {policy_kind!r}")
     if config.version_switch is not None and config.version_switch.day >= env.n_days:
         raise ConfigurationError(
             "version_switch.day: must fall inside the trial "
@@ -296,12 +291,6 @@ def run_trial(
     stream_id = config.stream_id or f"{env.label}-{candidate_label}-seed{master_seed}"
 
     truth = TrialTruth(env=env)
-    oracle_pi: dict[tuple[str, int], float] = {}
-
-    override = None
-    if policy_kind == "oracle":
-        def override(pid: str, idx: int, _snapshot) -> float:
-            return oracle_pi[(pid, idx)]
 
     ledger = Ledger(
         stream_id=stream_id,
@@ -318,7 +307,7 @@ def run_trial(
         injection=config.injection,
         deployment_seed=deployment_seed,
         participants=participants,
-        decision_override=override,
+        logic=default_logic(),
     )
 
     run_config = dataclasses.replace(config, schedule=schedule)
@@ -326,7 +315,6 @@ def run_trial(
     runtime.start(
         header_config=header,
         config_digest=config_digest(header),
-        fingerprint=default_logic().fingerprint,
         backend_ts=schedule.trial_start_ts,
     )
 
@@ -398,11 +386,7 @@ def run_trial(
         ):
             switch_ts = schedule.trial_start_ts + config.version_switch.day * MS_PER_DAY
             flush(switch_ts)  # arrivals preceding the switch keep the old stamp
-            runtime.register_version(
-                config.version_switch.version_id,
-                default_logic().fingerprint,
-                backend_ts=switch_ts,
-            )
+            runtime.register_version(config.version_switch.version_id, backend_ts=switch_ts)
             switch_done = True
         flush(ts)
         if kind == "decision":
@@ -417,8 +401,6 @@ def run_trial(
                 runtime.assemble_features(pid, idx, backend_ts=ts)
                 delta = true_effect(twin, context, features)
                 truth.deltas[(pid, idx)] = delta
-                if override is not None:
-                    oracle_pi[(pid, idx)] = 1.0 if delta > 0.0 else 0.0
                 record = runtime.make_decision(pid, idx, backend_ts=ts)
                 twins[pid], y, _ = step_participant(
                     twin, env, idx, record.action, features, points_per_day=k
@@ -563,11 +545,6 @@ def aggregate_rows(rows: list[EvalRow]) -> list[EvalAggregate]:
     return aggregates
 
 
-def evaluate(results: list[TrialResult]) -> EvalReport:
-    rows = evaluate_rows(results)
-    return EvalReport(rows=tuple(rows), aggregates=tuple(aggregate_rows(rows)))
-
-
 def _eval_row_task(task: tuple) -> EvalRow:
     env, config, seed, candidate_label = task
     result = run_trial(env, config, seed, candidate_label=candidate_label)
@@ -607,14 +584,10 @@ def run_grid(
 class TuneCandidate:
     prior_precision_scale: float
     noise_variance: float
-    clip: tuple[float, float] | None = None  # optional (p_min, p_max) override
 
     @property
     def label(self) -> str:
-        label = f"lam={self.prior_precision_scale!r},noise={self.noise_variance!r}"
-        if self.clip is not None:
-            label += f",clip=[{self.clip[0]!r},{self.clip[1]!r}]"
-        return label
+        return f"lam={self.prior_precision_scale!r},noise={self.noise_variance!r}"
 
 
 @dataclass(frozen=True)
@@ -654,13 +627,11 @@ def tune(
         raise ConfigurationError("tune requires non-empty envs, seeds, and candidates")
     tasks = []
     for candidate in candidates:
-        overrides: dict = {
-            "prior_precision_scale": candidate.prior_precision_scale,
-            "noise_variance": candidate.noise_variance,
-        }
-        if candidate.clip is not None:
-            overrides["clip_min"], overrides["clip_max"] = candidate.clip
-        model = dataclasses.replace(config.model, **overrides)
+        model = dataclasses.replace(
+            config.model,
+            prior_precision_scale=candidate.prior_precision_scale,
+            noise_variance=candidate.noise_variance,
+        )
         cand_config = dataclasses.replace(config, model=model, stream_id=None)
         for env in envs:
             for seed in seeds:

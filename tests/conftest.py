@@ -4,6 +4,7 @@ import pytest
 
 from ledgerloop.config import RunConfig, config_from_dict
 from ledgerloop.ledger import GENESIS_HASH, Ledger, compute_record_hash
+from ledgerloop.replay import default_logic
 from ledgerloop.runtime import Runtime
 from ledgerloop.rng import derive_seed
 
@@ -82,6 +83,11 @@ def first_seq(path, event_type: str, where=lambda payload: True) -> int:
     raise AssertionError(f"no {event_type} record")
 
 
+def records_of(ledger: Ledger, event_type: str) -> list:
+    """The records of ``ledger`` of one event type, in seq order."""
+    return [record for record in ledger.records() if record.event_type == event_type]
+
+
 def make_run_config(**overrides) -> RunConfig:
     return config_from_dict(deep_merge(BASE_CONFIG, overrides))
 
@@ -106,6 +112,7 @@ def make_runtime(config: RunConfig, participants=("p0", "p1"), path=None) -> Run
         injection=config.injection,
         deployment_seed=derive_seed(config.master_seed, "deployment"),
         participants=list(participants),
+        logic=default_logic(),
     )
     return runtime
 
@@ -114,6 +121,5 @@ def start_runtime(runtime: Runtime) -> None:
     runtime.start(
         header_config={"model": {}, "schedule": {"decision_times": ["09:00", "18:00"], "trial_days": 3, "trial_start_ts": 0}, "participants": runtime.participants},
         config_digest="0" * 64,
-        fingerprint="f" * 64,
         backend_ts=0,
     )

@@ -16,6 +16,7 @@ import yaml
 
 from conftest import BASE_CONFIG, deep_merge, first_seq, rechain
 from ledgerloop.cli import main
+from ledgerloop.config import config_digest
 
 SMALL = {"environment": {"n_participants": 2, "n_days": 2}}
 
@@ -207,11 +208,38 @@ def test_non_string_participant_id_is_an_audit_error(tmp_path, ledger_path, caps
      {"decision_times": "09:00", "trial_days": 2}, {"decision_times": ["09:00"], "trial_days": "two"}],
 )
 def test_malformed_header_schedule_is_an_audit_error(tmp_path, ledger_path, capsys, schedule):
-    rechain(ledger_path, 0, lambda record: record["payload"]["config"].update(schedule=schedule))
+    def set_schedule(record):
+        # The digest is re-derived too, so only the schedule can be refused.
+        header = record["payload"]
+        header["config"]["schedule"] = schedule
+        header["config_digest"] = config_digest(header["config"])
+
+    rechain(ledger_path, 0, set_schedule)
     out = tmp_path / "mon.txt"
     assert main(["monitor-report", "--ledger", str(ledger_path), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("audit error: malformed HEADER config: ")
     assert not out.exists()
+
+
+def test_false_header_config_digest_is_an_audit_error(tmp_path, ledger_path, capsys):
+    rechain(ledger_path, 0, lambda record: record["payload"].update(config_digest="0" * 64))
+    for argv in AUDITS:
+        assert _audit(tmp_path, ledger_path, argv) == 2
+        assert capsys.readouterr().err == (
+            f"audit error: HEADER config_digest {'0' * 64!r} is not the digest of its config\n"
+        )
+    assert not (tmp_path / "mon.txt").exists()
+
+
+def test_unregistered_fingerprint_is_an_audit_error(tmp_path, ledger_path, capsys):
+    seq = first_seq(ledger_path, "VERSION_CHANGE")
+    rechain(ledger_path, seq, lambda record: record["payload"].update(fingerprint="f" * 64))
+    for argv in AUDITS:
+        assert _audit(tmp_path, ledger_path, argv) == 2
+        assert capsys.readouterr().err == (
+            f"audit error: version 'v1.0.0': fingerprint {'f' * 64!r} names no registered logic\n"
+        )
+    assert not (tmp_path / "mon.txt").exists()
 
 
 def test_audits_stream_without_loading_a_ledger(tmp_path, monkeypatch):

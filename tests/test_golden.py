@@ -38,7 +38,7 @@ GOLDEN_CONFIG = deep_merge(
     },
 )
 
-SIMULATE_SHA256 = "922e0378f47d90048ee593fa4037845b2ace07b8380f205fb0e608d6df2e79b1"
+SIMULATE_SHA256 = "ef3c1fa470df38a5fe452871fcfe9fef17392097942680c2a1e216f51c0043e2"
 TWIN_RUN_SHA256 = "c73391ef23a98c8b6af2949ef5c749e2ac1778cea64ffde4b35a5b49c4fbddc5"
 DIVERGENCE_SHA256 = "785e181cc8323d04b735112981b67c37764acd0728e43b3796f287da35fca767"
 MONITOR_SHA256 = "c5a934a5a641236a632b2ddbaec0f6ac0ffc05a0175d6a367b99fb04619133ca"

@@ -202,35 +202,6 @@ def test_header_only_at_seq_zero():
         ledger.append("HEADER", {}, backend_ts=0, version_id="v1")
 
 
-# -- iterate ---------------------------------------------------------------------
-
-
-def test_iterate_empty_ledger():
-    ledger = make_ledger()
-    assert list(ledger.iterate()) == []
-
-
-def test_iterate_filter_by_type():
-    ledger = make_ledger()
-    kinds = [
-        "ERROR", "DECISION", "ERROR", "DECISION", "ALERT",
-        "ERROR", "DECISION", "ERROR", "ALERT", "ERROR",
-    ]
-    for i, kind in enumerate(kinds):
-        payload = {"marker": i}
-        ledger.append(kind, payload, backend_ts=i, version_id="v1")
-    decisions = list(ledger.iterate(event_types={"DECISION"}))
-    assert [r.payload["marker"] for r in decisions] == [1, 3, 6]
-    assert len(list(ledger.iterate())) == 10
-
-
-def test_iterate_past_end_is_empty():
-    ledger = make_ledger()
-    append_n(ledger, 3)
-    assert list(ledger.iterate(from_seq=3)) == []
-    assert len(list(ledger.iterate(from_seq=1))) == 2
-
-
 # -- verify_chain ----------------------------------------------------------------
 
 

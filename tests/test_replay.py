@@ -1,13 +1,16 @@
 import copy
+import math
 import struct
+from pathlib import Path
 
 import pytest
 
-from conftest import make_run_config
-from ledgerloop import events
+from conftest import make_run_config, records_of
+from ledgerloop import events, policy
 from ledgerloop.errors import AuditError, StructuralAuditError
 from ledgerloop.ledger import Ledger, encode_float, verify_chain
 from ledgerloop.replay import (
+    V1_FINGERPRINT,
     default_logic,
     merge_reports,
     reconstruct_states,
@@ -85,7 +88,7 @@ def test_final_state_hash_matches_last_update():
     result = healthy_trial()
     recon = reconstruct_states(result.ledger, logic_for(result.ledger))
     last_updates = {}
-    for record in result.ledger.iterate(event_types={"MODEL_UPDATE"}):
+    for record in records_of(result.ledger, "MODEL_UPDATE"):
         info = events.parse_update(record.payload)
         last_updates[info.participant_id] = info
     assert last_updates
@@ -98,6 +101,27 @@ def test_unregistered_version_is_audit_error():
     result = healthy_trial()
     with pytest.raises(AuditError, match="v1.0.0"):
         reconstruct_states(result.ledger, {"v9.9.9": default_logic()})
+
+
+def test_a_logic_given_for_another_fingerprint_is_audit_error():
+    # The v1 fixture's versions record v1's fingerprint; v2 may not replay them.
+    fixture = Path(__file__).resolve().parent / "fixtures" / "v1-golden.ndjson"
+    index = events.StreamIndex.fold(Ledger.open(fixture).records())
+    with pytest.raises(AuditError, match=f"records fingerprint {V1_FINGERPRINT}, not that of conjugate-linear-v2"):
+        reconstruct_states(index, {"v1.0.0": default_logic(), "v1.1.0": default_logic()})
+
+
+def test_v2_is_refused_where_it_misses_its_known_answers(monkeypatch):
+    exact = policy.update_posterior
+
+    def one_ulp_off(*args, **kwargs):
+        state = exact(*args, **kwargs)
+        mean = [math.nextafter(state.mean[0], math.inf), *state.mean[1:]]
+        return policy.PosteriorState(mean, state.precision, state.update_count, state.last_update_seq)
+
+    monkeypatch.setattr(policy, "update_posterior", one_ulp_off)
+    with pytest.raises(AuditError, match="known answers"):
+        default_logic()
 
 
 def test_reconstruction_requires_header():
@@ -122,7 +146,7 @@ def test_untampered_ledger_is_exact():
 def test_flipped_pi_bit_detected_with_field():
     result = healthy_trial()
 
-    decision_seqs = [r.seq for r in result.ledger.iterate(event_types={"DECISION"})]
+    decision_seqs = [r.seq for r in records_of(result.ledger, "DECISION")]
     target = decision_seqs[3]
 
     def mutate(seq, etype, payload):
@@ -133,7 +157,7 @@ def test_flipped_pi_bit_detected_with_field():
     tampered = rechain(result.ledger, mutate)
     assert verify_chain(tampered) is None  # chain is consistent; content lies
     recon = reconstruct_states(tampered, logic_for(tampered))
-    report = verify_decisions(tampered, recon)
+    report = verify_decisions(recon)
     assert not report.exact
     assert report.first_divergent_seq == target
     assert any(d.path == "pi" and d.seq == target for d in report.field_diffs)
@@ -141,7 +165,7 @@ def test_flipped_pi_bit_detected_with_field():
 
 def test_flipped_action_detected():
     result = healthy_trial()
-    decision_records = list(result.ledger.iterate(event_types={"DECISION"}))
+    decision_records = list(records_of(result.ledger, "DECISION"))
     target = decision_records[0].seq
     original_action = decision_records[0].payload["action"]
 
@@ -152,7 +176,7 @@ def test_flipped_action_detected():
 
     tampered = rechain(result.ledger, mutate)
     recon = reconstruct_states(tampered, logic_for(tampered))
-    report = verify_decisions(tampered, recon)
+    report = verify_decisions(recon)
     assert not report.exact
     diffs = {d.path for d in report.field_diffs if d.seq == target}
     assert "action" in diffs
@@ -163,7 +187,7 @@ def test_flipped_action_detected():
 
 def test_tampered_seed_detected():
     result = healthy_trial()
-    target = next(r.seq for r in result.ledger.iterate(event_types={"DECISION"}))
+    target = next(r.seq for r in records_of(result.ledger, "DECISION"))
 
     def mutate(seq, etype, payload):
         if seq == target:
@@ -172,7 +196,7 @@ def test_tampered_seed_detected():
 
     tampered = rechain(result.ledger, mutate)
     recon = reconstruct_states(tampered, logic_for(tampered))
-    report = verify_decisions(tampered, recon)
+    report = verify_decisions(recon)
     assert any(d.path == "seed" for d in report.field_diffs)
 
 
@@ -182,7 +206,7 @@ def test_fallback_decisions_checked_against_uniform_rule():
     report = replay_verify(result.ledger, logic_for(result.ledger))
     assert report.exact
 
-    decision_seqs = [r.seq for r in result.ledger.iterate(event_types={"DECISION"})]
+    decision_seqs = [r.seq for r in records_of(result.ledger, "DECISION")]
     target = decision_seqs[0]
 
     def mutate(seq, etype, payload):
@@ -192,7 +216,7 @@ def test_fallback_decisions_checked_against_uniform_rule():
 
     tampered = rechain(result.ledger, mutate)
     recon = reconstruct_states(tampered, logic_for(tampered))
-    report = verify_decisions(tampered, recon)
+    report = verify_decisions(recon)
     assert any(d.path == "pi" and d.seq == target for d in report.field_diffs)
 
 
@@ -218,7 +242,7 @@ def test_missing_snapshot_is_structural_error():
 
 def test_perturbed_post_state_detected():
     result = healthy_trial()
-    update_seqs = [r.seq for r in result.ledger.iterate(event_types={"MODEL_UPDATE"})]
+    update_seqs = [r.seq for r in records_of(result.ledger, "MODEL_UPDATE")]
     target = update_seqs[0]
 
     def mutate(seq, etype, payload):
@@ -231,7 +255,7 @@ def test_perturbed_post_state_detected():
 
     tampered = rechain(result.ledger, mutate)
     recon = reconstruct_states(tampered, logic_for(tampered))
-    report = verify_updates(tampered, recon)
+    report = verify_updates(recon)
     assert not report.exact
     assert report.first_divergent_seq == target
     paths = {d.path for d in report.field_diffs}
@@ -240,7 +264,7 @@ def test_perturbed_post_state_detected():
 
 def test_batch_seq_pointing_at_decision_is_structural_error():
     result = healthy_trial()
-    decision_seq = next(r.seq for r in result.ledger.iterate(event_types={"DECISION"}))
+    decision_seq = next(r.seq for r in records_of(result.ledger, "DECISION"))
 
     def mutate(seq, etype, payload):
         if etype == "MODEL_UPDATE":

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_run_config, make_runtime, start_runtime
+from conftest import make_run_config, make_runtime, records_of, start_runtime
 from ledgerloop import events
 from ledgerloop.errors import ConfigurationError, StructuralAuditError
 from ledgerloop.policy import (
@@ -14,7 +14,7 @@ from ledgerloop.policy import (
     init_state,
     update_posterior,
 )
-from ledgerloop.runtime import MS_PER_DAY, Schedule, schedule_decision_points
+from ledgerloop.runtime import MS_PER_DAY, Schedule
 
 H9 = 9 * 3_600_000  # 09:00 in ms
 H18 = 18 * 3_600_000
@@ -26,12 +26,12 @@ H23 = 23 * 3_600_000
 
 def test_schedule_day0_indices():
     sched = Schedule(decision_times=("09:00", "18:00"), update_time="23:00", trial_days=4)
-    assert schedule_decision_points(sched, 0) == [(0, H9), (1, H18)]
+    assert sched.decision_points(0) == [(0, H9), (1, H18)]
 
 
 def test_schedule_day3_indices():
     sched = Schedule(decision_times=("09:00", "18:00"), update_time="23:00", trial_days=4)
-    points = schedule_decision_points(sched, 3)
+    points = sched.decision_points(3)
     assert [idx for idx, _ in points] == [6, 7]
     assert points[0][1] == 3 * MS_PER_DAY + H9
 
@@ -39,7 +39,7 @@ def test_schedule_day3_indices():
 def test_schedule_five_per_day():
     times = ("08:00", "11:00", "14:00", "17:00", "20:00")
     sched = Schedule(decision_times=times, update_time="23:00", trial_days=2)
-    points = schedule_decision_points(sched, 1)
+    points = sched.decision_points(1)
     assert [idx for idx, _ in points] == [5, 6, 7, 8, 9]
 
 
@@ -114,7 +114,7 @@ def test_duplicate_datum_uses_lowest_seq():
     snapshot = runtime.assemble_features("p0", 0)
     assert snapshot.treatment[2] == 0.25
     # both ingestions are in the ledger
-    data_events = list(runtime.ledger.iterate(event_types={"DATA_INGESTED"}))
+    data_events = list(records_of(runtime.ledger, "DATA_INGESTED"))
     assert len(data_events) == 2
 
 
@@ -122,7 +122,7 @@ def test_late_data_references_superseded_snapshot_and_never_mutates_it():
     runtime = fresh_runtime()
     snapshot = runtime.assemble_features("p0", 0)
     assert snapshot.provenance[5] == "default"
-    snap_record = next(runtime.ledger.iterate(event_types={"FEATURE_SNAPSHOT"}))
+    snap_record = records_of(runtime.ledger, "FEATURE_SNAPSHOT")[0]
     line_before = snap_record.to_line()
 
     # ground truth arrives after the decision point it belonged to
@@ -234,7 +234,7 @@ def test_decision_requires_snapshot():
 def test_corrupt_state_falls_back_to_uniform():
     runtime = fresh_runtime()
     runtime.assemble_features("p0", 0)
-    bad = PosteriorState(np.zeros(6), np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0]))
+    bad = PosteriorState(np.zeros(6), np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0]).ravel())
     runtime.states["p0"] = bad
     record = runtime.make_decision("p0", 0)
     assert record.fallback is True
@@ -265,7 +265,7 @@ def test_decision_totality_under_always_failing_policy():
     for idx in range(4):
         runtime.assemble_features("p0", idx)
         runtime.make_decision("p0", idx)
-    decisions = list(runtime.ledger.iterate(event_types={"DECISION"}))
+    decisions = list(records_of(runtime.ledger, "DECISION"))
     assert len(decisions) == 4
     assert all(events.parse_decision(r.payload).fallback for r in decisions)
 
@@ -315,7 +315,7 @@ def test_single_outcome_matches_update_posterior():
         last_update_seq=outcome_seq,
     )
     assert canonical_serialize(new_state) == canonical_serialize(expected)
-    updates = list(runtime.ledger.iterate(event_types={"MODEL_UPDATE"}))
+    updates = list(records_of(runtime.ledger, "MODEL_UPDATE"))
     assert len(updates) == 1
     info = events.parse_update(updates[0].payload)
     assert info.batch_seqs == (outcome_seq,)
@@ -338,7 +338,7 @@ def test_late_outcome_consumed_exactly_once_by_next_cycle():
     )
     runtime.run_update_cycle("p0", backend_ts=2 * MS_PER_DAY + H23)  # day 2: consumes idx 0
 
-    updates = [events.parse_update(r.payload) for r in runtime.ledger.iterate(event_types={"MODEL_UPDATE"})]
+    updates = [events.parse_update(r.payload) for r in records_of(runtime.ledger, "MODEL_UPDATE")]
     assert len(updates) == 2
     all_consumed = [seq for info in updates for seq in info.batch_seqs]
     assert late_seq in updates[1].batch_seqs
@@ -354,7 +354,7 @@ def test_fallback_decisions_feed_updates():
     runtime.ingest_outcome("p0", 0, 0.8, H9 + 1000, backend_ts=H9 + 1000)
     new_state = runtime.run_update_cycle("p0", backend_ts=H23)
     assert new_state.update_count == 1
-    updates = list(runtime.ledger.iterate(event_types={"MODEL_UPDATE"}))
+    updates = list(records_of(runtime.ledger, "MODEL_UPDATE"))
     assert len(updates) == 1
 
 
@@ -396,9 +396,9 @@ def test_initial_version_registered_at_seq_one():
 def test_mid_stream_version_change_stamps_later_events():
     runtime = fresh_runtime()
     run_decision_point(runtime, "p0", 0, H9)
-    runtime.register_version("v1.0.1", "f" * 64, backend_ts=H9 + 1)
+    runtime.register_version("v1.0.1", backend_ts=H9 + 1)
     run_decision_point(runtime, "p0", 1, H18)
-    decisions = list(runtime.ledger.iterate(event_types={"DECISION"}))
+    decisions = list(records_of(runtime.ledger, "DECISION"))
     assert decisions[0].version_id == "v1.0.0"
     assert decisions[1].version_id == "v1.0.1"
     assert events.parse_decision(decisions[1].payload).version_id == "v1.0.1"
@@ -407,13 +407,13 @@ def test_mid_stream_version_change_stamps_later_events():
 def test_duplicate_version_activation_rejected():
     runtime = fresh_runtime()
     with pytest.raises(ConfigurationError):
-        runtime.register_version("v1.0.0", "f" * 64, backend_ts=1)
+        runtime.register_version("v1.0.0", backend_ts=1)
 
 
 def test_every_event_carries_active_version():
     runtime = fresh_runtime()
     run_decision_point(runtime, "p0", 0, H9)
-    runtime.register_version("v2.0.0", "a" * 64, backend_ts=H9 + 1)
+    runtime.register_version("v2.0.0", backend_ts=H9 + 1)
     run_decision_point(runtime, "p0", 1, H18)
     switch_seq = next(
         r.seq for r in runtime.ledger.records()

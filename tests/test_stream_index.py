@@ -3,15 +3,16 @@ reader folds from the file, so replay and the monitor audit the runtime's own
 bookkeeping rather than a second reading of the records."""
 
 import copy
+import dataclasses
 
 import pytest
 
 from conftest import make_run_config
-from ledgerloop import runtime as runtime_module
+from ledgerloop import twin as twin_module
 from ledgerloop.errors import NumericalStateError, StructuralAuditError
 from ledgerloop.events import StreamIndex
 from ledgerloop.ledger import Ledger
-from ledgerloop.policy import update_posterior
+from ledgerloop.replay import default_logic
 from ledgerloop.twin import EnvironmentSpec, run_trial
 
 
@@ -30,14 +31,16 @@ def small_env(**overrides) -> EnvironmentSpec:
 
 def test_runtime_index_equals_the_index_folded_from_its_file(tmp_path, monkeypatch):
     calls = []
+    logic = default_logic()
 
     def third_update_fails(*args, **kwargs):
         calls.append(None)
         if len(calls) == 3:
             raise NumericalStateError("injected update failure")
-        return update_posterior(*args, **kwargs)
+        return logic.update_posterior(*args, **kwargs)
 
-    monkeypatch.setattr(runtime_module, "update_posterior", third_update_fails)
+    failing = dataclasses.replace(logic, update_posterior=third_update_fails)
+    monkeypatch.setattr(twin_module, "default_logic", lambda: failing)
     config = make_run_config(
         injection={"policy_exception_prob": 0.2, "delay_geometric_p": 0.6},
         version_switch={"day": 2, "version_id": "v1.0.1"},
@@ -86,4 +89,23 @@ def test_a_second_decision_for_one_point_is_a_structural_error():
             device_ts=record.device_ts,
         )
     with pytest.raises(StructuralAuditError, match="repeats"):
+        StreamIndex.fold(out.records())
+
+
+def test_a_version_activated_twice_is_a_structural_error():
+    # The index keeps one fingerprint per version, so a second activation
+    # of the same version cannot stand.
+    result = run_trial(small_env(n_days=1), make_run_config(), 3)
+    out = Ledger(stream_id=result.ledger.stream_id, environment_profile="test")
+    records = result.ledger.records()
+    activation = next(r for r in records if r.event_type == "VERSION_CHANGE")
+    for record in [*records, activation]:
+        out.append(
+            record.event_type,
+            copy.deepcopy(record.payload),
+            backend_ts=record.backend_ts,
+            version_id=record.version_id,
+            device_ts=record.device_ts,
+        )
+    with pytest.raises(StructuralAuditError, match=f"seq {len(records)} activates 'v1.0.0' a second time"):
         StreamIndex.fold(out.records())

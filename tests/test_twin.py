@@ -4,7 +4,7 @@ import statistics
 
 import pytest
 
-from conftest import make_run_config
+from conftest import make_run_config, records_of
 from ledgerloop import events
 from ledgerloop.errors import ConfigurationError
 from ledgerloop.twin import (
@@ -13,7 +13,7 @@ from ledgerloop.twin import (
     TuneCandidate,
     build_environment_grid,
     environment_from_dict,
-    evaluate,
+    evaluate_rows,
     realize_participant,
     run_grid,
     run_trial,
@@ -201,18 +201,18 @@ def test_trial_different_seed_differs(tmp_path):
 def test_total_miss_means_nothing_observed():
     config = make_run_config()
     result = run_trial(small_env(miss_prob=1.0), config, 3)
-    snapshots = list(result.ledger.iterate(event_types={"FEATURE_SNAPSHOT"}))
+    snapshots = list(records_of(result.ledger, "FEATURE_SNAPSHOT"))
     assert snapshots
     for record in snapshots:
         _, _, snapshot = events.parse_snapshot(record.payload)
         assert all(tag in ("imputed", "default") for tag in snapshot.provenance)
-    assert not list(result.ledger.iterate(event_types={"DATA_INGESTED"}))
+    assert not list(records_of(result.ledger, "DATA_INGESTED"))
 
 
 def test_decision_count_arithmetic():
     config = make_run_config()
     result = run_trial(small_env(n_participants=2, n_days=3), config, 5)
-    decisions = list(result.ledger.iterate(event_types={"DECISION"}))
+    decisions = list(records_of(result.ledger, "DECISION"))
     assert len(decisions) == 2 * 3 * 2
 
 
@@ -241,7 +241,7 @@ def test_miss_probability_monotonicity():
     for p_miss in (0.0, 0.3, 0.7, 1.0):
         result = run_trial(small_env(miss_prob=p_miss, n_days=4), config, 21)
         observed = 0
-        for record in result.ledger.iterate(event_types={"FEATURE_SNAPSHOT"}):
+        for record in records_of(result.ledger, "FEATURE_SNAPSHOT"):
             _, _, snapshot = events.parse_snapshot(record.payload)
             observed += sum(1 for tag in snapshot.provenance if tag == "observed")
         counts.append(observed)
@@ -250,14 +250,6 @@ def test_miss_probability_monotonicity():
 
 
 # -- evaluation --------------------------------------------------------------------
-
-
-def test_oracle_policy_has_zero_regret():
-    config = make_run_config()
-    result = run_trial(small_env(), config, 2, policy_kind="oracle")
-    report = evaluate([result])
-    assert report.rows[0].cumulative_regret == 0.0
-    assert report.rows[0].decision_coverage == 1.0
 
 
 def test_uniform_policy_regret_matches_closed_form():
@@ -273,16 +265,16 @@ def test_uniform_policy_regret_matches_closed_form():
     n_seeds = 1000
     for seed in range(n_seeds):
         result = run_trial(env, config, seed)
-        total += evaluate([result]).rows[0].cumulative_regret
+        total += evaluate_rows([result])[0].cumulative_regret
     expected = 0.5 * 0.6 * 6  # T = 1 participant x 3 days x 2 points
     assert abs(total / n_seeds - expected) < 0.1  # MC se ~ 0.023
 
 
 def test_coverage_is_one_without_failures():
     config = make_run_config()
-    report = evaluate([run_trial(small_env(), config, 4)])
-    assert report.rows[0].decision_coverage == 1.0
-    assert report.rows[0].fallback_rate == 0.0
+    row = evaluate_rows([run_trial(small_env(), config, 4)])[0]
+    assert row.decision_coverage == 1.0
+    assert row.fallback_rate == 0.0
 
 
 def test_evaluate_rejects_mismatched_ledger():
@@ -291,7 +283,7 @@ def test_evaluate_rejects_mismatched_ledger():
     r2 = run_trial(small_env(), config, 4, participant_ids=["c", "d"])
     mixed = dataclasses.replace(r1, truth=r2.truth)
     with pytest.raises(ConfigurationError):
-        evaluate([mixed])
+        evaluate_rows([mixed])
 
 
 def test_eval_report_bytes_deterministic():
@@ -314,7 +306,7 @@ def test_null_effect_calibration():
     )
     result = run_trial(env, config, 31)
     arm = {0: [], 1: []}
-    for record in result.ledger.iterate(event_types={"DECISION"}):
+    for record in records_of(result.ledger, "DECISION"):
         decision = events.parse_decision(record.payload)
         key = (decision.participant_id, decision.decision_index)
         arm[decision.action].append(result.truth.outcomes[key])
@@ -322,7 +314,7 @@ def test_null_effect_calibration():
     assert n0 + n1 == 25 * 100 * 2
     mean_pis = [
         events.parse_decision(r.payload).pi
-        for r in result.ledger.iterate(event_types={"DECISION"})
+        for r in records_of(result.ledger, "DECISION")
     ]
     assert 0.1 <= statistics.fmean(mean_pis) <= 0.9
     diff = statistics.fmean(arm[1]) - statistics.fmean(arm[0])
@@ -360,13 +352,13 @@ def test_tune_prefers_learning_over_forced_uniform():
         n_participants=4,
         n_days=7,
     )
-    candidates = [
-        TuneCandidate(1.0, 1.0, clip=(0.5, 0.5)),  # forced uniform
-        TuneCandidate(1.0, 1.0, clip=(0.1, 0.9)),  # learning
-    ]
-    ranked, report = tune(config, [env], list(range(10)), candidates)
-    assert ranked[0].candidate.clip == (0.1, 0.9)
-    assert len(report.rows) == 20
+    candidates = [TuneCandidate(1.0, 1.0)]
+    seeds = list(range(10))
+    uniform = make_run_config(model={"clip_min": 0.5, "clip_max": 0.5})
+    (forced,), _ = tune(uniform, [env], seeds, candidates)
+    (learning,), report = tune(config, [env], seeds, candidates)
+    assert learning.score > forced.score
+    assert len(report.rows) == 10
 
 
 def test_tuning_report_bytes_deterministic():
