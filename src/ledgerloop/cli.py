@@ -215,7 +215,12 @@ def _cmd_replay_verify(args) -> int:
 def _load_rules(path_str: str | None) -> list[AlertRule]:
     if path_str is None:
         return list(DEFAULT_RULES)
-    raw = yaml.safe_load(Path(path_str).read_text())
+    try:
+        raw = yaml.safe_load(Path(path_str).read_text())
+    except OSError as exc:
+        raise ConfigurationError(f"--rules file {path_str} cannot be read: {exc}") from None
+    except yaml.YAMLError as exc:
+        raise ConfigurationError(f"--rules file is not valid YAML: {exc}") from None
     if isinstance(raw, dict):
         raw = raw.get("rules", [])
     if not isinstance(raw, list):

@@ -17,7 +17,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigurationError
-from .ledger import canonical_json_bytes, decode_float, encode_float, map_floats
+from .ledger import canonical_json_bytes, encode_float, map_floats
 from .policy import ModelConfig
 from .runtime import FailureInjectionSpec, FeatureSpec, ImputationPolicy, Schedule
 
@@ -199,26 +199,13 @@ def config_from_dict(raw: dict) -> RunConfig:
 # -- canonical encoding -----------------------------------------------------------
 
 
-def model_config_from_canonical(raw: dict) -> ModelConfig:
-    return ModelConfig(
-        baseline_dim=int(raw["baseline_dim"]),
-        treatment_dim=int(raw["treatment_dim"]),
-        noise_variance=decode_float(raw["noise_variance"]),
-        prior_mean=tuple(decode_float(v) for v in raw["prior_mean"]),
-        prior_precision_scale=decode_float(raw["prior_precision_scale"]),
-        clip_min=decode_float(raw["clip_min"]),
-        clip_max=decode_float(raw["clip_max"]),
-        version_id=raw["version_id"],
-    )
-
-
 def header_config_dict(config: RunConfig, participants: list[str], environment=None) -> dict:
     """Self-describing run parameters embedded in the ledger header: the typed
     values with every float hex-encoded. ``environment`` is an
     ``EnvironmentSpec`` or a mapping, by default the config's own.
 
-    Replay rebuilds the model config from this; the monitor reads schedule
-    and participants from it.
+    Audits read its model, schedule and participants back through
+    ``ledgerloop.events.HeaderInfo``.
     """
     return map_floats(
         {

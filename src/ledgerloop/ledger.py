@@ -15,8 +15,9 @@ Every read of a ledger file goes through one verified pass (:func:`_verified`):
 the same things, so a record a reader sees has passed the chain check.
 
 This module is the one canonical encode path: ledger lines, the run header
-(:func:`map_floats`) and every report (:func:`report_bytes`) are built
-with :func:`canonical_json_bytes`.
+and record payloads (:func:`map_floats`) and every report
+(:func:`report_bytes`) are built with :func:`canonical_json_bytes`.
+:func:`strict_inverse` reads a payload back into its typed value.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ import json
 import os
 import struct
 import threading
+import types
+import typing
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
@@ -62,14 +65,28 @@ def encode_float(x: float) -> str:
 
 
 def decode_float(hex_str: str) -> float:
-    """Inverse of :func:`encode_float`; rejects anything but 16 hex chars."""
-    if not isinstance(hex_str, str) or len(hex_str) != 16:
-        raise DecodeError(f"float encoding must be 16 hex chars, got {hex_str!r}")
+    """Inverse of :func:`encode_float`; rejects anything but 16 lowercase hex chars."""
+    if type(hex_str) is str and len(hex_str) == 16:
+        raw = _unhex(hex_str)
+        if raw is not None:
+            return _UNPACK_FLOAT(raw)[0]
+    raise _Refusal(f"expected 16 lowercase hex chars, got {hex_str!r}")
+
+
+_UNPACK_FLOAT = struct.Struct(">d").unpack
+
+
+def _unhex(text) -> bytes | None:
+    """The bytes whose lowercase hex is ``text``, or None if there are none.
+    ``bytes.fromhex`` also takes uppercase and whitespace, so the round trip
+    must give ``text`` back too."""
+    if type(text) is not str:
+        return None
     try:
-        raw = bytes.fromhex(hex_str)
+        raw = bytes.fromhex(text)
     except ValueError:
-        raise DecodeError(f"malformed float encoding {hex_str!r}") from None
-    return struct.unpack(">d", raw)[0]
+        return None
+    return raw if raw.hex() == text else None
 
 
 _NESTED = (dict, list, tuple, float)  # the only values the check must look into
@@ -119,21 +136,172 @@ def _dumps(obj) -> bytes:
     return "".join(_C_ENCODE(obj, 0)).encode("ascii")
 
 
+# The fields of each dataclass that map_floats has met: those its __init__ takes.
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+_LEAVES = {str, int, bool, type(None)}
+
+
 def map_floats(obj, show):
     """``obj`` ready for :func:`canonical_json_bytes`: every float replaced by
-    ``show(float)`` (the run header uses :func:`encode_float`), a dataclass by
-    the dict of its fields, and a tuple by a list."""
-    if isinstance(obj, float):
-        return show(obj)
-    if obj is None or isinstance(obj, (bool, int, str)):
+    ``show(float)`` (ledger payloads and the run header use
+    :func:`encode_float`), bytes by their lowercase hex, a tuple by a list,
+    and a dataclass by the dict of the fields its ``__init__`` takes.
+    :func:`strict_inverse` reads back what ``show=encode_float`` gives."""
+    kind = type(obj)
+    if kind in _LEAVES:
         return obj
-    if isinstance(obj, dict):
-        return {str(k): map_floats(v, show) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
+    if kind is float:
+        return show(obj)
+    if kind is list or kind is tuple:
+        kinds = set(map(type, obj))  # most lists hold one kind of leaf
+        if kinds <= _LEAVES:
+            return list(obj)
+        if kinds == {float}:
+            return [show(v) for v in obj]
         return [map_floats(v, show) for v in obj]
-    if dataclasses.is_dataclass(obj):
-        return {f.name: map_floats(getattr(obj, f.name), show) for f in dataclasses.fields(obj)}
+    names = _FIELD_NAMES.get(kind)
+    if names is not None:
+        fields = {}
+        for name in names:  # most fields hold a leaf
+            value = getattr(obj, name)
+            fields[name] = value if type(value) in _LEAVES else map_floats(value, show)
+        return fields
+    if kind is dict:
+        return {str(k): map_floats(v, show) for k, v in obj.items()}
+    if kind is bytes:
+        return obj.hex()
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        _FIELD_NAMES[kind] = tuple(f.name for f in dataclasses.fields(obj) if f.init)
+        return map_floats(obj, show)
+    for plain in (float, int, str, dict, list, tuple, bytes):  # a numpy float64 is a float
+        if isinstance(obj, plain):
+            return map_floats(plain(obj), show)
     raise ConfigurationError(f"cannot encode {obj!r} canonically")
+
+
+class _Refusal(DecodeError):
+    """A value :func:`strict_inverse` does not take, met at ``path`` (steps
+    ``.member`` and ``[index]``) inside the value being decoded."""
+
+    def __init__(self, problem: str, path: str = ""):
+        super().__init__(f"{path.lstrip('.')}: {problem}" if path else problem)
+        self.problem, self.path = problem, path
+
+
+def _exactly(kind: type, what: str):
+    def convert(value):
+        if type(value) is not kind:  # so an int is never a bool
+            raise _Refusal(f"expected {what}, got {value!r}")
+        return value
+
+    return convert
+
+
+def _bytes(value) -> bytes:
+    raw = _unhex(value)
+    if raw is None:
+        raise _Refusal(f"expected lowercase hex, got {value!r}")
+    return raw
+
+
+def _optional(convert):
+    return lambda value: None if value is None else convert(value)
+
+
+def _tuple_of(convert):
+    def convert_all(value):
+        if type(value) is not list:
+            raise _Refusal(f"expected a list, got {value!r}")
+        try:
+            return tuple(map(convert, value))
+        except _Refusal:
+            for i, item in enumerate(value):  # only to name the item
+                try:
+                    convert(item)
+                except _Refusal as refusal:
+                    raise _Refusal(refusal.problem, f"[{i}]{refusal.path}") from None
+            raise
+
+    return convert_all
+
+
+def _dataclass(cls: type):
+    hints = typing.get_type_hints(cls)
+    spec = tuple((f.name, _converter(hints[f.name])) for f in dataclasses.fields(cls) if f.init)
+    members = frozenset(name for name, _ in spec)
+
+    def convert(value):
+        if type(value) is not dict:
+            raise _Refusal(f"expected an object, got {value!r}")
+        if value.keys() != members:
+            missing = members - value.keys()
+            name = min(missing or value.keys() - members)
+            raise _Refusal("missing" if missing else "not a member", f".{name}")
+        try:
+            kwargs = {name: member(value[name]) for name, member in spec}
+        except _Refusal:
+            for name, member in spec:  # only to name the member
+                try:
+                    member(value[name])
+                except _Refusal as refusal:
+                    raise _Refusal(refusal.problem, f".{name}{refusal.path}") from None
+            raise
+        try:
+            return cls(**kwargs)
+        except ConfigurationError as exc:
+            raise _Refusal(str(exc)) from None
+
+    return convert
+
+
+_SCALARS = {
+    float: decode_float,
+    bytes: _bytes,
+    int: _exactly(int, "an integer"),
+    str: _exactly(str, "a string"),
+    bool: _exactly(bool, "a boolean"),
+    dict: _exactly(dict, "an object"),
+}
+_CONVERTERS: dict = {}
+
+
+def _converter(hint):
+    """The converter for values of the field annotation ``hint``, built once."""
+    convert = _CONVERTERS.get(hint)
+    if convert is not None:
+        return convert
+    args = typing.get_args(hint)
+    if hint in _SCALARS:
+        convert = _SCALARS[hint]
+    elif dataclasses.is_dataclass(hint):
+        convert = _dataclass(hint)
+    elif typing.get_origin(hint) is tuple and len(args) == 2 and args[1] is Ellipsis:
+        convert = _tuple_of(_converter(args[0]))
+    elif typing.get_origin(hint) in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        convert = _optional(_converter(args[0] if args[1] is type(None) else args[1]))
+    else:
+        raise TypeError(f"no canonical decoding for {hint!r}")
+    _CONVERTERS[hint] = convert
+    return convert
+
+
+def strict_inverse(hint, what: str):
+    """The decoder of what ``map_floats(value, encode_float)`` gives for a
+    ``value`` of type ``hint`` (a dataclass, or an annotation built from
+    float, int, str, bool, bytes, dict, ``X | None`` and ``tuple[X, ...]``),
+    compiled from the annotations on first use, once per type. A dataclass
+    needs exactly its ``__init__`` fields as members; an int is never a bool;
+    floats and bytes are lowercase hex; a tuple comes from a list. Anything
+    else, and a ConfigurationError from ``__post_init__``, raises
+    ``DecodeError("<what>: <member>: <problem>")``."""
+
+    def decode(value):
+        try:
+            return _converter(hint)(value)
+        except _Refusal as refusal:
+            raise DecodeError(f"{what}: {refusal}") from None
+
+    return decode
 
 
 def _shown(value: float) -> dict:
@@ -224,12 +392,9 @@ _HASH_MEMBER = len(b',"hash":"') + 64 + 1  # the hash member's bytes in a line
 
 
 def _digest(text) -> bytes:
-    """A 32-byte digest from its 64 lowercase hex chars. ``bytes.fromhex``
-    also takes uppercase and whitespace, so the round trip must match too."""
-    if type(text) is not str:
-        raise ValueError("hashes must be strings")
-    raw = bytes.fromhex(text)
-    if len(raw) != 32 or raw.hex() != text:
+    """A 32-byte digest from its 64 lowercase hex chars."""
+    raw = _unhex(text)
+    if raw is None or len(raw) != 32:
         raise ValueError("hashes must be 64 lowercase hex chars")
     return raw
 

@@ -15,7 +15,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from . import events
-from .errors import ConfigurationError, DecodeError
+from .errors import ConfigurationError
 from .ledger import Ledger, report_bytes
 from .replay import DivergenceReport
 from .runtime import MS_PER_DAY
@@ -117,17 +117,10 @@ def compute_metrics(source: Ledger | events.StreamIndex) -> MetricTable:
     """
     index = events.stream_index(source)
     header = index.header
-    try:
-        schedule_cfg = header.config["schedule"]
-        decision_times = schedule_cfg["decision_times"]
-        if type(decision_times) is not list or not decision_times:
-            raise ValueError("decision_times must be a non-empty list")
-        k = len(decision_times)
-        trial_days = int(schedule_cfg["trial_days"])
-        trial_start = int(schedule_cfg.get("trial_start_ts", 0))
-        n_participants = len(header.config.get("participants", []))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise DecodeError(f"malformed HEADER config: {exc}") from None
+    k = header.schedule.points_per_day
+    trial_days = header.schedule.trial_days
+    trial_start = header.schedule.trial_start_ts
+    n_participants = len(header.participants)
 
     def ts_day(ts: int) -> int:
         return min(max((ts - trial_start) // MS_PER_DAY, 0), trial_days - 1)
@@ -139,11 +132,9 @@ def compute_metrics(source: Ledger | events.StreamIndex) -> MetricTable:
     for (_, idx), (_, snapshot) in index.snapshots.items():
         entries_by_day[idx // k].extend(snapshot.provenance)
     updates_by_day = Counter(ts_day(record.backend_ts) for record, _, _ in index.updates)
-    errors_by_day = Counter(ts_day(record.backend_ts) for record in index.errors)
+    errors_by_day = Counter(ts_day(record.backend_ts) for record, _ in index.errors)
     update_failures_by_day = Counter(
-        ts_day(record.backend_ts)
-        for record in index.errors
-        if record.payload.get("kind") == "update_failure"
+        ts_day(record.backend_ts) for record, error in index.errors if error.kind == "update_failure"
     )
 
     table = MetricTable(
@@ -212,9 +203,9 @@ def evaluate_alerts(
         backend_ts = records[-1].backend_ts if records else 0
         version_id = records[-1].version_id if records else "unknown"
         for alert in fired:
-            ledger.append(
-                "ALERT",
-                events.alert_payload(
+            events.append(
+                ledger,
+                events.AlertInfo(
                     metric=alert.rule.metric,
                     comparator=alert.rule.comparator,
                     threshold=alert.rule.threshold,

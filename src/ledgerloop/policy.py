@@ -205,8 +205,8 @@ class DecisionRecord:
     version_id: str = "v0"
 
     def __post_init__(self):
-        if self.decision_index < 0:
-            raise ConfigurationError("decision_index must be non-negative")
+        if not 0 <= self.decision_index < 2**64:  # its seed derivation takes 8 bytes
+            raise ConfigurationError("decision_index must be in [0, 2**64)")
         if not (0.0 <= self.pi_raw <= 1.0 and 0.0 <= self.pi <= 1.0):
             raise ConfigurationError("probabilities must lie in [0, 1]")
         if self.action not in (0, 1):

@@ -35,7 +35,6 @@ from operator import itemgetter
 from typing import Callable, Collection, Mapping
 
 from . import policy
-from .config import model_config_from_canonical
 from .errors import AuditError, LedgerLoopError, StructuralAuditError
 from .events import StreamIndex, stream_index
 from .ledger import Ledger, encode_float, report_bytes
@@ -274,7 +273,7 @@ def reconstruct_states(
     missing header, double consumption).
     """
     index = stream_index(source)
-    config = model_config_from_canonical(index.header.config["model"])
+    config = index.header.model
     if logic_by_version is None:
         logic_by_version = registered_logics(index)
     # Every version the ledger names, envelope stamps before a VERSION_CHANGE
@@ -292,7 +291,7 @@ def reconstruct_states(
             )
 
     init_state = logic_by_version[next(iter(index.stamped))].init_state  # the HEADER's
-    pids = [*index.header.config.get("participants", []), *(pid for pid, _ in index.snapshots)]
+    pids = [*index.header.participants, *(pid for pid, _ in index.snapshots)]
     states = {pid: [(0, init_state(config))] for pid in dict.fromkeys(pids)}
     recon = Reconstruction(
         config=config,

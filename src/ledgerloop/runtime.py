@@ -29,6 +29,7 @@ from .rng import SplitMix64, derive_seed
 
 MS_PER_DAY = 86_400_000
 MS_PER_MINUTE = 60_000
+MAX_TRIAL_DAYS = 36_525  # a century; the monitor reports every day of a trial
 
 FALLBACK_PI = 0.5  # 1/|A| for two actions
 
@@ -57,8 +58,8 @@ class Schedule:
     def __post_init__(self):
         if not self.decision_times:
             raise ConfigurationError("schedule.decision_times must be non-empty")
-        if self.trial_days < 1:
-            raise ConfigurationError("schedule.trial_days must be positive")
+        if not 1 <= self.trial_days <= MAX_TRIAL_DAYS:
+            raise ConfigurationError(f"schedule.trial_days must be in [1, {MAX_TRIAL_DAYS}]")
         offsets = [
             _parse_clock(t, f"schedule.decision_times[{i}]")
             for i, t in enumerate(self.decision_times)
@@ -205,10 +206,10 @@ class Runtime:
             self.schedule.due_ts(i) for i in range(self.schedule.total_points)
         ]
 
-    def _log(self, value, event_type: str, payload: dict, **envelope) -> EventEnvelope:
-        """Append one record and fold it into the index with ``value``, the
-        typed value its payload was built from."""
-        record = self.ledger.append(event_type, payload, **envelope)
+    def _log(self, value, **envelope) -> EventEnvelope:
+        """Append ``value`` as the payload of a record of its event type and
+        fold the record into the index with it."""
+        record = events.append(self.ledger, value, **envelope)
         self.index.apply(record, value)
         return record
 
@@ -217,17 +218,14 @@ class Runtime:
     def start(self, header_config: dict, config_digest: str, backend_ts: int) -> None:
         """Write the header record and activate the configured version."""
         version_id = self.model_config.version_id
-        payload = events.header_payload(
+        header = events.HeaderInfo(
             stream_id=self.ledger.stream_id,
             environment_profile=self.ledger.environment_profile,
             deployment_seed=self.deployment_seed,
             config=header_config,
             config_digest=config_digest,
         )
-        self._log(
-            events.HeaderInfo(**payload), "HEADER", payload,
-            backend_ts=backend_ts, version_id=version_id,
-        )
+        self._log(header, backend_ts=backend_ts, version_id=version_id)
         self.register_version(version_id, backend_ts)
 
     def register_version(self, version_id: str, backend_ts: int) -> int:
@@ -236,11 +234,8 @@ class Runtime:
         if version_id in self.index.fingerprints:
             raise ConfigurationError(f"version {version_id!r} already activated")
         previous = versions[-1][1] if versions else None
-        fingerprint = self.logic.fingerprint
         record = self._log(
-            (version_id, fingerprint),
-            "VERSION_CHANGE",
-            events.version_change_payload(version_id, fingerprint, previous),
+            events.VersionInfo(version_id, self.logic.fingerprint, previous),
             backend_ts=backend_ts,
             version_id=version_id,
         )
@@ -276,12 +271,9 @@ class Runtime:
         home = self._window_index(device_ts)
         snap = self.index.snapshots.get((participant_id, home))
         superseded = None if snap is None else snap[0].seq
+        value = float(value)  # the payload holds a float, whatever number came in
         record = self._log(
-            None,
-            "DATA_INGESTED",
-            events.data_ingested_payload(
-                participant_id, feature, value, device_ts, superseded
-            ),
+            events.DatumInfo(participant_id, feature, value, device_ts, superseded),
             backend_ts=backend_ts,
             device_ts=device_ts,
             version_id=self.version_id,
@@ -299,8 +291,6 @@ class Runtime:
         self._require_participant(participant_id)
         record = self._log(
             events.OutcomeInfo(participant_id, decision_index, float(reward), device_ts),
-            "OUTCOME_OBSERVED",
-            events.outcome_payload(participant_id, decision_index, reward, device_ts),
             backend_ts=backend_ts,
             device_ts=device_ts,
             version_id=self.version_id,
@@ -342,21 +332,17 @@ class Runtime:
         entries = [resolved[n] for n in self.features.baseline] + [
             resolved[n] for n in self.features.treatment
         ]
-        snapshot = FeatureSnapshot(
+        snapshot = events.SnapshotInfo(
             baseline=tuple(resolved[n][0] for n in self.features.baseline),
             treatment=tuple(resolved[n][0] for n in self.features.treatment),
             provenance=tuple(e[1] for e in entries),
             imputation_methods=tuple(e[2] for e in entries),
             source_device_ts=tuple(e[3] for e in entries),
             assembled_ts=due,
+            participant_id=participant_id,
+            decision_index=decision_index,
         )
-        self._log(
-            (participant_id, decision_index, snapshot),
-            "FEATURE_SNAPSHOT",
-            events.snapshot_payload(participant_id, decision_index, snapshot),
-            backend_ts=backend_ts,
-            version_id=self.version_id,
-        )
+        self._log(snapshot, backend_ts=backend_ts, version_id=self.version_id)
         return snapshot
 
     def make_decision(self, participant_id: str, decision_index: int, backend_ts: int | None = None) -> DecisionRecord:
@@ -396,9 +382,7 @@ class Runtime:
             fallback_reason = f"{type(exc).__name__}: {exc}"
             pi_raw = pi = FALLBACK_PI
             self._log(
-                None,
-                "ERROR",
-                events.error_payload(
+                events.ErrorInfo(
                     kind="policy_exception",
                     message=fallback_reason,
                     participant_id=participant_id,
@@ -420,13 +404,7 @@ class Runtime:
             fallback_reason=fallback_reason,
             version_id=version_id,
         )
-        self._log(
-            record,
-            "DECISION",
-            events.decision_payload(record),
-            backend_ts=backend_ts,
-            version_id=version_id,
-        )
+        self._log(record, backend_ts=backend_ts, version_id=version_id)
         return record
 
     # -- learning ---------------------------------------------------------------
@@ -452,9 +430,7 @@ class Runtime:
             raise
         except Exception as exc:
             self._log(
-                None,
-                "ERROR",
-                events.error_payload(
+                events.ErrorInfo(
                     kind="update_failure",
                     message=f"{type(exc).__name__}: {exc}",
                     participant_id=participant_id,
@@ -468,9 +444,6 @@ class Runtime:
             participant_id, batch_seqs, state.state_hash, new_state.state_hash,
             self.logic.serialize(new_state),
         )
-        self._log(
-            info, "MODEL_UPDATE", events.update_payload(**vars(info)),
-            backend_ts=backend_ts, version_id=self.version_id,
-        )
+        self._log(info, backend_ts=backend_ts, version_id=self.version_id)
         self.states[participant_id] = new_state
         return new_state

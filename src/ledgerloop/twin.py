@@ -18,9 +18,9 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import events
-from .config import RunConfig, config_digest, header_config_dict
+from .config import RunConfig, _int, _number, _vector, config_digest, header_config_dict
 from .errors import ConfigurationError
-from .ledger import Ledger, decode_float, report_bytes
+from .ledger import Ledger, report_bytes
 from .replay import default_logic
 from .rng import SplitMix64, derive_seed
 from .runtime import MS_PER_DAY, MS_PER_MINUTE, FeatureSpec, Runtime
@@ -52,7 +52,7 @@ class EnvironmentSpec:
     def __post_init__(self):
         object.__setattr__(self, "effect_mean", tuple(float(v) for v in self.effect_mean))
         object.__setattr__(self, "baseline_mean", tuple(float(v) for v in self.baseline_mean))
-        for name in _ENV_FLOAT_FIELDS:  # a grid level may be written as an integer
+        for name in _ENV_FLOAT_FIELDS:  # code may pass an integer
             object.__setattr__(self, name, float(getattr(self, name)))
         if self.effect_sd < 0 or self.baseline_sd < 0 or self.engagement_noise_sd < 0:
             raise ConfigurationError("environment sd parameters must be non-negative")
@@ -73,25 +73,24 @@ _ENV_FLOAT_FIELDS = (
     "engagement_persistence", "action_engagement_boost", "engagement_noise_sd",
     "miss_prob", "delay_geometric_p",
 )
-_ENV_VECTOR_FIELDS = ("effect_mean", "baseline_mean")
-_ENV_INT_FIELDS = ("n_participants", "n_days")
+# The check a config value of each EnvironmentSpec field must pass.
+_ENV_CHECKS = {
+    **dict.fromkeys(("effect_mean", "baseline_mean"), _vector),
+    **dict.fromkeys(_ENV_FLOAT_FIELDS, _number),
+    **dict.fromkeys(("n_participants", "n_days"), _int),
+}
 
 
 def environment_from_dict(raw: dict, label: str = "env") -> EnvironmentSpec:
     if not isinstance(raw, dict):
         raise ConfigurationError("environment: expected a mapping")
-    kwargs: dict = {"label": raw.get("label", label)}
-    for name in _ENV_VECTOR_FIELDS + _ENV_FLOAT_FIELDS:  # EnvironmentSpec makes them floats
-        if name in raw:
-            value = raw[name]
-            kwargs[name] = decode_float(value) if isinstance(value, str) else value
-    for name in _ENV_INT_FIELDS:
-        if name in raw:
-            kwargs[name] = int(raw[name])
-    unknown = set(raw) - set(_ENV_VECTOR_FIELDS) - set(_ENV_FLOAT_FIELDS) - set(_ENV_INT_FIELDS) - {"label"}
+    kwargs = {
+        name: check(raw[name], f"environment.{name}") for name, check in _ENV_CHECKS.items() if name in raw
+    }
+    unknown = set(raw) - set(_ENV_CHECKS) - {"label"}
     if unknown:
         raise ConfigurationError(f"environment.{sorted(unknown)[0]}: unknown field")
-    return EnvironmentSpec(**kwargs)
+    return EnvironmentSpec(label=raw.get("label", label), **kwargs)
 
 
 def build_environment_grid(
@@ -110,7 +109,10 @@ def build_environment_grid(
         if not isinstance(levels, (list, tuple)) or len(levels) == 0:
             raise ConfigurationError(f"grid.{name}: axis must be a non-empty list")
     ordered = [name for name in known if name in axes]
-    level_lists = [list(axes[name]) for name in ordered]
+    level_lists = [
+        [_ENV_CHECKS[name](level, f"grid.{name}[{i}]") for i, level in enumerate(axes[name])]
+        for name in ordered
+    ]
     grid = []
     for i, combo in enumerate(itertools.product(*level_lists)):
         overrides = dict(zip(ordered, combo))
@@ -489,7 +491,7 @@ def evaluate_rows(results: list[TrialResult]) -> list[EvalRow]:
     for result in results:
         env = result.env
         truth = result.truth
-        points_per_day = len(result.index.header.config["schedule"]["decision_times"])
+        points_per_day = result.index.header.schedule.points_per_day
         scheduled = env.n_participants * env.n_days * points_per_day
         n_decisions = 0
         fallbacks = 0

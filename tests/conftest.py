@@ -1,8 +1,9 @@
+import dataclasses
 import json
 
 import pytest
 
-from ledgerloop.config import RunConfig, config_from_dict
+from ledgerloop.config import RunConfig, config_digest, config_from_dict, header_config_dict
 from ledgerloop.ledger import GENESIS_HASH, Ledger, compute_record_hash
 from ledgerloop.replay import default_logic
 from ledgerloop.runtime import Runtime
@@ -118,8 +119,15 @@ def make_runtime(config: RunConfig, participants=("p0", "p1"), path=None) -> Run
 
 
 def start_runtime(runtime: Runtime) -> None:
-    runtime.start(
-        header_config={"model": {}, "schedule": {"decision_times": ["09:00", "18:00"], "trial_days": 3, "trial_start_ts": 0}, "participants": runtime.participants},
-        config_digest="0" * 64,
-        backend_ts=0,
+    """Write the runtime's HEADER, its config the one a run with the
+    runtime's parameters would record."""
+    config = dataclasses.replace(
+        make_run_config(),
+        model=runtime.model_config,
+        schedule=runtime.schedule,
+        features=runtime.features,
+        imputation=runtime.imputation,
+        injection=runtime.injection,
     )
+    header = header_config_dict(config, runtime.participants)
+    runtime.start(header_config=header, config_digest=config_digest(header), backend_ts=0)

@@ -322,7 +322,7 @@ def test_criterion_8_imputation_preservation(tmp_path):
     assert late_events, "delay injection produced no late arrivals"
     imputed = 0
     for record in records_of(result.ledger, "FEATURE_SNAPSHOT"):
-        _, _, snap = events.parse_snapshot(record.payload)
+        snap = events.parse_snapshot(record.payload)
         imputed += sum(1 for tag in snap.provenance if tag != "observed")
     assert imputed > 0
     report = replay_verify(result.ledger, {"v1.0.0": default_logic()})

@@ -177,3 +177,39 @@ def test_monitor_report_bad_rule_threshold_exit_64(tmp_path, config_path, capsys
                  "--rules", str(rules_path)]) == 64
     assert capsys.readouterr().err.startswith("config error: --rules[0]: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("rules", [None, "rules: [unclosed\n"], ids=["missing-file", "invalid-yaml"])
+def test_monitor_report_unreadable_rules_file_exit_64(tmp_path, config_path, capsys, rules):
+    ledger_path = tmp_path / "trial.ndjson"
+    assert main(["simulate", "--config", config_path(), "--out", str(ledger_path)]) == 0
+    rules_path = tmp_path / "rules.yaml"
+    if rules is not None:
+        rules_path.write_text(rules)
+    out = tmp_path / "report.txt"
+    capsys.readouterr()
+    assert main(["monitor-report", "--ledger", str(ledger_path), "--out", str(out),
+                 "--rules", str(rules_path)]) == 64
+    assert capsys.readouterr().err.startswith("config error: --rules file ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("drift", ["0.5", [1], "3fe0000000000000"])
+@pytest.mark.parametrize("verb", ["simulate", "twin-run", "twin-tune"])
+def test_environment_fields_are_validated(tmp_path, config_path, capsys, verb, drift):
+    # A number written as a string, hex included, is refused, not read.
+    cfg = config_path({"environment": {"drift": drift}})
+    assert main([verb, "--config", cfg, "--out", str(tmp_path / "out")]) == 64
+    assert capsys.readouterr().err == (
+        f"config error: environment.drift: expected a number, got {drift!r}\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("level", ["abc", "0.5", [1]])
+@pytest.mark.parametrize("verb", ["twin-run", "twin-tune"])
+def test_environment_grid_levels_are_validated(tmp_path, config_path, capsys, verb, level):
+    cfg = config_path({"grid": {"drift": [0.0, level]}})
+    assert main([verb, "--config", cfg, "--out", str(tmp_path / "out")]) == 64
+    assert capsys.readouterr().err == f"config error: grid.drift[1]: expected a number, got {level!r}\n"
+    assert not (tmp_path / "out").exists()

@@ -6,9 +6,10 @@ from ledgerloop.config import (
     config_from_dict,
     header_config_dict,
     load_config,
-    model_config_from_canonical,
 )
 from ledgerloop.errors import ConfigurationError
+from ledgerloop.ledger import strict_inverse
+from ledgerloop.policy import ModelConfig
 
 
 def test_load_config_from_yaml(tmp_path):
@@ -72,7 +73,8 @@ def test_version_switch_beyond_trial_rejected_at_run_time():
 
 def test_model_config_canonical_round_trip():
     config = make_run_config()
-    back = model_config_from_canonical(header_config_dict(config, ["p000"])["model"])
+    decode = strict_inverse(ModelConfig, "model")
+    back = decode(header_config_dict(config, ["p000"])["model"])
     assert back == config.model
 
 

@@ -1,10 +1,14 @@
+import dataclasses
 import math
+import struct
 
 import pytest
 
+from conftest import make_run_config
 from ledgerloop import events
+from ledgerloop.config import config_digest, header_config_dict
 from ledgerloop.errors import DecodeError
-from ledgerloop.ledger import canonical_json_bytes
+from ledgerloop.ledger import EVENT_TYPES, FORMAT_VERSION, canonical_json_bytes, encode_float, map_floats
 from ledgerloop.policy import DecisionRecord, FeatureSnapshot
 
 
@@ -19,64 +23,102 @@ def make_snapshot():
     )
 
 
-def test_snapshot_payload_round_trip():
-    snapshot = make_snapshot()
-    payload = events.snapshot_payload("p1", 4, snapshot)
-    pid, idx, back = events.parse_snapshot(payload)
-    assert (pid, idx) == ("p1", 4)
-    assert back == snapshot
+def make_header(**overrides):
+    config = header_config_dict(make_run_config(), ["p000", "p001"])
+    fields = dict(stream_id="s1", environment_profile="test", deployment_seed=123,
+                  config=config, config_digest=config_digest(config))
+    return events.HeaderInfo(**{**fields, **overrides})
+
+
+# One value of every event type's payload class.
+VALUES = {
+    "HEADER": make_header(),
+    "DATA_INGESTED": events.DatumInfo("p1", "engagement", float("nan"), 5, None),
+    "FEATURE_SNAPSHOT": events.SnapshotInfo(
+        **dataclasses.asdict(make_snapshot()), participant_id="p1", decision_index=4
+    ),
+    "DECISION": DecisionRecord(
+        participant_id="p2", decision_index=11, pi_raw=0.8413447460685429, pi=0.8,
+        seed=2**63 + 17, action=1, fallback=False, version_id="v1.0.0",
+    ),
+    "OUTCOME_OBSERVED": events.OutcomeInfo("p1", 3, -1.5, 999),
+    "MODEL_UPDATE": events.UpdateInfo("p1", (4, 7, 9), b"\x01" * 32, b"\x02" * 32, b"state"),
+    "VERSION_CHANGE": events.VersionInfo("v1.0.1", "ab" * 32, "v1.0.0"),
+    "ERROR": events.ErrorInfo("update_failure", "NumericalStateError: x", "p1"),
+    "ALERT": events.AlertInfo("fallback_rate", ">", 0.2, 0.25, "per-day", 3, "medium"),
+}
+
+
+def encode(value) -> dict:
+    return map_floats(value, encode_float)
+
+
+def round_trip(event_type: str):
+    value = VALUES[event_type]
+    payload = encode(value)
     canonical_json_bytes(payload)  # no raw floats anywhere
+    return payload, events.decode_payload(event_type, payload)
+
+
+@pytest.mark.parametrize("event_type", sorted(VALUES))
+def test_payload_round_trip(event_type):
+    payload, back = round_trip(event_type)
+    assert type(back) is type(VALUES[event_type])
+    assert encode(back) == payload  # bit for bit, NaN included
+
+
+def test_every_event_type_has_a_payload_class():
+    assert sorted(events.PAYLOADS) == sorted(EVENT_TYPES) == sorted(VALUES)
+
+
+def test_snapshot_payload_round_trip():
+    # The payload stays flat: the snapshot's fields next to its point's key.
+    payload, back = round_trip("FEATURE_SNAPSHOT")
+    assert sorted(payload) == sorted(
+        [f.name for f in dataclasses.fields(FeatureSnapshot)] + ["participant_id", "decision_index"]
+    )
+    assert (back.participant_id, back.decision_index) == ("p1", 4)
+    assert FeatureSnapshot(**{k: getattr(back, k) for k in dataclasses.asdict(make_snapshot())}) == make_snapshot()
 
 
 def test_decision_payload_round_trip():
-    record = DecisionRecord(
-        participant_id="p2",
-        decision_index=11,
-        pi_raw=0.8413447460685429,
-        pi=0.8,
-        seed=2**63 + 17,
-        action=1,
-        fallback=False,
-        version_id="v1.0.0",
-    )
-    back = events.parse_decision(events.decision_payload(record))
-    assert back == record
+    _, back = round_trip("DECISION")
+    assert back == VALUES["DECISION"]
+    assert back.seed == 2**63 + 17
 
 
 def test_outcome_payload_round_trip():
-    payload = events.outcome_payload("p1", 3, -1.5, 999)
-    info = events.parse_outcome(payload)
-    assert info.participant_id == "p1"
-    assert info.decision_index == 3
-    assert info.reward == -1.5
-    assert info.device_ts == 999
+    payload, back = round_trip("OUTCOME_OBSERVED")
+    assert payload["reward"] == encode_float(-1.5)
+    assert back == events.OutcomeInfo("p1", 3, -1.5, 999)
 
 
 def test_update_payload_round_trip():
-    payload = events.update_payload("p1", [4, 7, 9], b"\x01" * 32, b"\x02" * 32, b"state")
-    info = events.parse_update(payload)
-    assert info.batch_seqs == (4, 7, 9)
-    assert info.pre_state_hash == b"\x01" * 32
-    assert info.post_state == b"state"
-
-
-def test_update_payload_requires_increasing_seqs():
-    with pytest.raises(Exception):
-        events.update_payload("p1", [4, 4], b"\x01" * 32, b"\x02" * 32, b"")
+    payload, back = round_trip("MODEL_UPDATE")
+    assert payload["pre_state_hash"] == "01" * 32
+    assert payload["batch_seqs"] == [4, 7, 9]
+    assert back.batch_seqs == (4, 7, 9)
+    assert back.post_state == b"state"
 
 
 def test_header_payload_round_trip():
-    payload = events.header_payload("s1", "test", 123, {"model": {}}, "ab" * 32)
-    info = events.parse_header(payload)
-    assert info.stream_id == "s1"
-    assert info.deployment_seed == 123
-    assert info.format_version == 1
+    payload, back = round_trip("HEADER")
+    assert payload["format_version"] == FORMAT_VERSION
+    assert back.stream_id == "s1"
+    assert back.deployment_seed == 123
+    # The config stays the dict it was written as; its typed parts are decoded.
+    assert back.config == payload["config"]
+    config = make_run_config()
+    assert (back.model, back.schedule) == (config.model, config.schedule)
+    assert back.participants == ("p000", "p001")
 
 
 def test_data_ingested_nan_value_round_trip():
-    payload = events.data_ingested_payload("p1", "engagement", float("nan"), 5, None)
+    nan = struct.unpack(">d", bytes.fromhex("7ff8000000000bad"))[0]
+    payload = encode(events.DatumInfo("p1", "engagement", nan, 5, None))
     info = events.parse_data_ingested(payload)
     assert math.isnan(info.value)
+    assert encode_float(info.value) == "7ff8000000000bad"
 
 
 def test_parse_rejects_malformed():
@@ -84,3 +126,61 @@ def test_parse_rejects_malformed():
         events.parse_decision({"participant_id": "p"})
     with pytest.raises(DecodeError):
         events.parse_header({})
+
+
+def _with(event_type: str, **members) -> dict:
+    return {**encode(VALUES[event_type]), **members}
+
+
+@pytest.mark.parametrize(
+    "event_type, payload, message",
+    [
+        ("DECISION", _with("DECISION", fallback=7), "fallback: expected a boolean, got 7"),
+        ("DECISION", _with("DECISION", fallback="x"), "fallback: expected a boolean, got 'x'"),
+        ("DECISION", _with("DECISION", seed=True), "seed: expected an integer, got True"),
+        ("DECISION", _with("DECISION", action=2), "action must be 0 or 1"),
+        ("DECISION", _with("DECISION", pi="3FE999999999999A"), "pi: expected 16 lowercase hex chars"),
+        ("DECISION", _with("DECISION", extra=1), "extra: not a member"),
+        ("FEATURE_SNAPSHOT", _with("FEATURE_SNAPSHOT", provenance="x"), "provenance: expected a list"),
+        ("FEATURE_SNAPSHOT", _with("FEATURE_SNAPSHOT", provenance=["x"] * 6), "unknown provenance tag 'x'"),
+        ("FEATURE_SNAPSHOT", _with("FEATURE_SNAPSHOT", baseline=["3ff0000000000000", 1, "0" * 16]),
+         "baseline[1]: expected 16 lowercase hex chars, got 1"),
+        ("MODEL_UPDATE", _with("MODEL_UPDATE", post_state="AB"), "post_state: expected lowercase hex, got 'AB'"),
+        ("MODEL_UPDATE", _with("MODEL_UPDATE", post_state="ab cd"), "post_state: expected lowercase hex"),
+        ("MODEL_UPDATE", _with("MODEL_UPDATE", batch_seqs=[4, False]), "batch_seqs[1]: expected an integer"),
+        ("VERSION_CHANGE", _with("VERSION_CHANGE", previous_version_id=7), "previous_version_id: expected a string"),
+        ("HEADER", _with("HEADER", stream_id=7), "stream_id: expected a string, got 7"),
+        ("HEADER", _with("HEADER", format_version="7"), "format_version: expected an integer, got '7'"),
+        ("HEADER", _with("HEADER", format_version=2), "format_version 2 is not 1"),
+    ],
+)
+def test_decode_refuses_what_append_cannot_write(event_type, payload, message):
+    with pytest.raises(DecodeError) as caught:
+        events.decode_payload(event_type, payload)
+    assert str(caught.value).startswith(f"malformed {event_type} payload: {message}")
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        ({"baseline_dim": "x"}, "model.baseline_dim: expected an integer, got 'x'"),
+        ({"prior_mean": 7}, "model.prior_mean: expected a list, got 7"),
+        ({"clip_min": encode_float(0.7)}, "model: clip_min must be in (0, 0.5]"),
+    ],
+)
+def test_header_config_is_decoded_strictly(model, message):
+    config = header_config_dict(make_run_config(), ["p000"])
+    config["model"] = {**config["model"], **model}
+    with pytest.raises(DecodeError) as caught:
+        make_header(config=config)
+    assert str(caught.value) == f"malformed HEADER config: {message}"
+
+
+def test_decoded_floats_reads_through_the_codec():
+    payload = encode(VALUES["ALERT"])
+    assert events.decoded_floats("ALERT", payload) == {**payload, "threshold": 0.2, "value": 0.25}
+    snapshot = events.decoded_floats("FEATURE_SNAPSHOT", encode(VALUES["FEATURE_SNAPSHOT"]))
+    assert snapshot["baseline"] == [1.0, 0.5, -0.25]
+    # A payload that does not decode is shown as it is stored.
+    stored = _with("DECISION", pi=7)
+    assert events.decoded_floats("DECISION", stored) == stored

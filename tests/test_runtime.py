@@ -278,7 +278,7 @@ def test_snapshot_always_precedes_decision():
     last_snapshot = {}
     for record in runtime.ledger.records():
         if record.event_type == "FEATURE_SNAPSHOT":
-            _, idx, _ = events.parse_snapshot(record.payload)
+            idx = events.parse_snapshot(record.payload).decision_index
             last_snapshot[idx] = record.seq
         elif record.event_type == "DECISION":
             decision = events.parse_decision(record.payload)

@@ -59,12 +59,12 @@ def test_runtime_index_equals_the_index_folded_from_its_file(tmp_path, monkeypat
         r.event_type == "DATA_INGESTED" and r.payload["superseded_snapshot_seq"] is not None
         for r in records
     )
-    failures = [r for r in folded.errors if r.payload["kind"] == "update_failure"]
+    failures = [(r, e) for r, e in folded.errors if e.kind == "update_failure"]
     assert len(failures) == 1
-    failure = failures[0]
+    failure, error = failures[0]
     # The failed cycle consumed nothing: the participant's next update takes
     # the outcomes that were pending when it failed.
-    pid = failure.payload["participant_id"]
+    pid = error.participant_id
     retry = next(
         info for record, info, _ in folded.updates
         if record.seq > failure.seq and info.participant_id == pid
@@ -109,3 +109,10 @@ def test_a_version_activated_twice_is_a_structural_error():
         )
     with pytest.raises(StructuralAuditError, match=f"seq {len(records)} activates 'v1.0.0' a second time"):
         StreamIndex.fold(out.records())
+
+
+def test_batch_requires_increasing_seqs():
+    # The one check of an update's batch order, for the runtime's update
+    # cycle and the fold alike.
+    with pytest.raises(StructuralAuditError, match="seq 9 has non-increasing batch_seqs"):
+        StreamIndex().batch("p1", (4, 4), 9)

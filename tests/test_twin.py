@@ -204,7 +204,7 @@ def test_total_miss_means_nothing_observed():
     snapshots = list(records_of(result.ledger, "FEATURE_SNAPSHOT"))
     assert snapshots
     for record in snapshots:
-        _, _, snapshot = events.parse_snapshot(record.payload)
+        snapshot = events.parse_snapshot(record.payload)
         assert all(tag in ("imputed", "default") for tag in snapshot.provenance)
     assert not list(records_of(result.ledger, "DATA_INGESTED"))
 
@@ -242,7 +242,7 @@ def test_miss_probability_monotonicity():
         result = run_trial(small_env(miss_prob=p_miss, n_days=4), config, 21)
         observed = 0
         for record in records_of(result.ledger, "FEATURE_SNAPSHOT"):
-            _, _, snapshot = events.parse_snapshot(record.payload)
+            snapshot = events.parse_snapshot(record.payload)
             observed += sum(1 for tag in snapshot.provenance if tag == "observed")
         counts.append(observed)
     assert counts == sorted(counts, reverse=True)
