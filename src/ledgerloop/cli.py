@@ -121,13 +121,10 @@ def _fresh_out_path(path_str: str) -> Path:
 
 
 def _resolve_env(config, args) -> twin.EnvironmentSpec:
-    env = twin.environment_from_dict(config.environment)
-    replacements = {}
-    if getattr(args, "participants", None) is not None:
-        replacements["n_participants"] = args.participants
-    if getattr(args, "days", None) is not None:
-        replacements["n_days"] = args.days
-    return dataclasses.replace(env, **replacements) if replacements else env
+    sizes = {"n_participants": args.participants, "n_days": args.days}
+    return dataclasses.replace(
+        config.environment, **{name: size for name, size in sizes.items() if size is not None}
+    )
 
 
 def _cmd_simulate(args) -> int:
@@ -147,20 +144,15 @@ def _cmd_simulate(args) -> int:
 
 
 def _seeds_for_run(config) -> list[int]:
-    seeds = config.tuning.get("seeds") if isinstance(config.tuning, dict) else None
-    if seeds:
-        return [int(s) for s in seeds]
-    return [config.master_seed]
+    return list(config.tuning.seeds or (config.master_seed,))
 
 
 def _cmd_twin_run(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
-    base_env = twin.environment_from_dict(config.environment)
-    envs = twin.build_environment_grid(base_env, config.grid) if config.grid else [base_env]
     out = _fresh_out_path(args.out)
-    report = twin.run_grid(config, envs, _seeds_for_run(config), jobs=args.jobs)
+    report = twin.run_grid(config, list(config.grid), _seeds_for_run(config), jobs=args.jobs)
     out.write_bytes(report.to_bytes())
     print(f"evaluation report {out} written: {len(report.rows)} trials")
     return EXIT_OK
@@ -170,12 +162,10 @@ def _cmd_twin_tune(args) -> int:
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
-    base_env = twin.environment_from_dict(config.environment)
-    envs = twin.build_environment_grid(base_env, config.grid) if config.grid else [base_env]
     candidates = twin.tuning_candidates(config)
     out = _fresh_out_path(args.out)
     ranked, report = twin.tune(
-        config, envs, _seeds_for_run(config), candidates, jobs=args.jobs
+        config, list(config.grid), _seeds_for_run(config), candidates, jobs=args.jobs
     )
     out.write_bytes(twin.tuning_report_bytes(ranked, report))
     best = ranked[0]

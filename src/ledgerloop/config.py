@@ -10,64 +10,85 @@ so its digest does not depend on YAML formatting quirks.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-from dataclasses import dataclass, field
+import itertools
+from dataclasses import dataclass, field, make_dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import yaml
 
-from .errors import ConfigurationError
-from .ledger import canonical_json_bytes, encode_float, map_floats
+from .errors import ConfigurationError, DecodeError
+from .ledger import (
+    CONFIG_FORMAT,
+    ENVIRONMENT_PROFILES,
+    canonical_json_bytes,
+    decode_as,
+    encode_float,
+    map_floats,
+)
 from .policy import ModelConfig
 from .runtime import FailureInjectionSpec, FeatureSpec, ImputationPolicy, Schedule
 
 
-def _get(mapping: dict, key: str, default=None, required=False):
-    if not isinstance(mapping, dict) or key not in mapping:
-        if required:
-            raise ConfigurationError(f"{key}: missing required field")
-        return default
-    return mapping[key]
+@dataclass(frozen=True)
+class EnvironmentSpec:
+    """Generative parameters of one simulated deployment environment."""
+
+    effect_mean: tuple[float, ...] = (0.5, 0.0, 0.0)
+    effect_sd: float = 0.0
+    baseline_mean: tuple[float, ...] = (0.2, 0.0, 0.0)
+    baseline_sd: float = 0.0
+    drift: float = 0.0
+    outcome_noise_sd: float = 1.0
+    engagement_persistence: float = 0.5
+    action_engagement_boost: float = 0.2
+    engagement_noise_sd: float = 0.1
+    miss_prob: float = 0.0
+    delay_geometric_p: float = 1.0
+    n_participants: int = 20
+    n_days: int = 28
+    label: str = "env"
+
+    def __post_init__(self):
+        object.__setattr__(self, "effect_mean", tuple(float(v) for v in self.effect_mean))
+        object.__setattr__(self, "baseline_mean", tuple(float(v) for v in self.baseline_mean))
+        if self.effect_sd < 0 or self.baseline_sd < 0 or self.engagement_noise_sd < 0:
+            raise ConfigurationError("sd parameters must be non-negative")
+        if self.outcome_noise_sd < 0:
+            raise ConfigurationError("outcome_noise_sd must be non-negative")
+        if not (0.0 <= self.engagement_persistence < 1.0):
+            raise ConfigurationError("engagement_persistence must be in [0, 1)")
+        if not (0.0 <= self.miss_prob <= 1.0):
+            raise ConfigurationError("miss_prob must be in [0, 1]")
+        if not (0.0 < self.delay_geometric_p <= 1.0):
+            raise ConfigurationError("delay_geometric_p must be in (0, 1]")
+        if self.n_participants < 1 or self.n_days < 1:
+            raise ConfigurationError("n_participants and n_days must be positive")
 
 
-def _number(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+# The grid's axes: a list of levels for any EnvironmentSpec field but the label.
+EnvironmentAxes = make_dataclass(
+    "EnvironmentAxes",
+    [
+        (name, tuple[hint, ...] | None, None)
+        for name, hint in get_type_hints(EnvironmentSpec).items()
+        if name != "label"
+    ],
+    frozen=True,
+)
 
 
-def _int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"{path}: expected an integer, got {value!r}")
-    return value
+@dataclass(frozen=True)
+class Tuning:
+    """The twin-tune grid: each candidate's levels, and the seeds every
+    candidate runs on. An empty grid stands for the model's own value, and
+    no seeds for the master seed."""
 
-
-def _vector(value, path: str) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)):
-        raise ConfigurationError(f"{path}: expected a list of numbers, got {value!r}")
-    return tuple(_number(v, f"{path}[{i}]") for i, v in enumerate(value))
-
-
-def model_config_from_dict(raw: dict, where: str = "model") -> ModelConfig:
-    if not isinstance(raw, dict):
-        raise ConfigurationError(f"{where}: expected a mapping")
-    try:
-        return ModelConfig(
-            baseline_dim=_int(_get(raw, "baseline_dim", required=True), f"{where}.baseline_dim"),
-            treatment_dim=_int(_get(raw, "treatment_dim", required=True), f"{where}.treatment_dim"),
-            noise_variance=_number(_get(raw, "noise_variance", 1.0), f"{where}.noise_variance"),
-            prior_mean=_vector(_get(raw, "prior_mean", required=True), f"{where}.prior_mean"),
-            prior_precision_scale=_number(
-                _get(raw, "prior_precision_scale", 1.0), f"{where}.prior_precision_scale"
-            ),
-            clip_min=_number(_get(raw, "clip_min", 0.1), f"{where}.clip_min"),
-            clip_max=_number(_get(raw, "clip_max", 0.9), f"{where}.clip_max"),
-            version_id=str(_get(raw, "version_id", "v1.0.0")),
-        )
-    except ConfigurationError as exc:
-        if str(exc).startswith(where):
-            raise
-        raise ConfigurationError(f"{where}: {exc}") from None
+    prior_precision_scale: tuple[float, ...] = ()
+    noise_variance: tuple[float, ...] = ()
+    seeds: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -76,23 +97,44 @@ class VersionSwitch:
     version_id: str
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Everything one simulate/twin run needs, already validated."""
+@dataclass(frozen=True, kw_only=True)
+class _Sections:
+    """What a config file and a RunConfig share; a file may leave out any
+    section but ``model``."""
 
-    master_seed: int
-    environment_profile: str
-    stream_id: str | None
-    deployment_seed: int | None
     model: ModelConfig
-    schedule: Schedule
-    features: FeatureSpec
-    imputation: ImputationPolicy
-    injection: FailureInjectionSpec
-    environment: dict = field(default_factory=dict)
-    grid: dict = field(default_factory=dict)
-    tuning: dict = field(default_factory=dict)
+    master_seed: int = 0
+    environment_profile: str = "test"
+    stream_id: str | None = None
+    deployment_seed: int | None = None
+    schedule: Schedule = field(default_factory=Schedule)
+    features: FeatureSpec = field(default_factory=FeatureSpec)
+    imputation: ImputationPolicy = field(default_factory=ImputationPolicy)
+    injection: FailureInjectionSpec = field(default_factory=FailureInjectionSpec)
+    environment: EnvironmentSpec = field(default_factory=EnvironmentSpec)
+    tuning: Tuning = field(default_factory=Tuning)
     version_switch: VersionSwitch | None = None
+
+
+@dataclass(frozen=True, kw_only=True)
+class _ConfigFile(_Sections):
+    """What a config file holds: the grid is given by its axes."""
+
+    grid: EnvironmentAxes = field(default_factory=EnvironmentAxes)
+
+
+@dataclass(frozen=True, kw_only=True)
+class RunConfig(_Sections):
+    """Everything one simulate/twin run needs, typed and checked. ``grid``
+    holds the environments twin-run and twin-tune evaluate."""
+
+    grid: tuple[EnvironmentSpec, ...]
+
+
+# Where a config's model defaults differ from ModelConfig's.
+_MODEL_DEFAULTS = {"noise_variance": 1.0, "prior_precision_scale": 1.0, "version_id": "v1.0.0"}
+# Standard features carry implicit imputation defaults; custom ones must be explicit.
+_STANDARD_DEFAULTS = {"intercept": 1.0, "prior_outcome": 0.0, "time_of_day": 0.0, "engagement": 0.0}
 
 
 def load_config(path: str | Path) -> RunConfig:
@@ -108,101 +150,72 @@ def load_config(path: str | Path) -> RunConfig:
 
 
 def config_from_dict(raw: dict) -> RunConfig:
-    profile = _get(raw, "environment_profile", "test")
-    if profile not in ("dev", "test", "prod-sim"):
+    """The typed config of a parsed YAML mapping, every section decoded in
+    one pass from its dataclass's annotations (:data:`CONFIG_FORMAT`), then
+    the checks that span several fields. Any problem raises
+    ConfigurationError naming its path."""
+    if type(raw.get("model")) is dict:
+        raw = {**raw, "model": {**_MODEL_DEFAULTS, **raw["model"]}}
+    try:
+        config = decode_as(_ConfigFile, raw, CONFIG_FORMAT)
+    except DecodeError as exc:
+        raise ConfigurationError(str(exc)) from None
+
+    if config.environment_profile not in ENVIRONMENT_PROFILES:
         raise ConfigurationError(
-            f"environment_profile: {profile!r} is not one of dev/test/prod-sim"
+            f"environment_profile: {config.environment_profile!r} is not one of dev/test/prod-sim"
         )
-    model = model_config_from_dict(_get(raw, "model", required=True))
-
-    sched_raw = _get(raw, "schedule", {})
-    schedule = Schedule(
-        decision_times=tuple(_get(sched_raw, "decision_times", ("09:00", "18:00"))),
-        update_time=_get(sched_raw, "update_time", "23:00"),
-        trial_days=_int(_get(sched_raw, "trial_days", 28), "schedule.trial_days"),
-        trial_start_ts=_int(_get(sched_raw, "trial_start_ts", 0), "schedule.trial_start_ts"),
-    )
-
-    feat_raw = _get(raw, "features", {})
-    features = FeatureSpec(
-        baseline=tuple(_get(feat_raw, "baseline", FeatureSpec.baseline)),
-        treatment=tuple(_get(feat_raw, "treatment", FeatureSpec.treatment)),
-    )
-
-    imp_raw = _get(raw, "imputation", {})
-    # Standard features carry implicit defaults; custom ones must be explicit.
-    default_defaults = {
-        name: (1.0 if name == "intercept" else 0.0)
-        for name in ("intercept", "prior_outcome", "time_of_day", "engagement")
-        if name in features.names
+    names = config.features.names
+    defaults = {
+        **{name: value for name, value in _STANDARD_DEFAULTS.items() if name in names},
+        **config.imputation.defaults,
     }
-    imputation = ImputationPolicy(
-        horizon=_int(_get(imp_raw, "horizon", 3), "imputation.horizon"),
-        defaults={**default_defaults, **(_get(imp_raw, "defaults", {}) or {})},
-    )
-    for name in features.names:
-        if name not in imputation.defaults:
+    for name in names:
+        if name not in defaults:
             raise ConfigurationError(f"imputation.defaults.{name}: missing required field")
-
-    inj_raw = _get(raw, "injection", {})
-    injection = FailureInjectionSpec(
-        policy_exception_prob=_number(
-            _get(inj_raw, "policy_exception_prob", 0.0), "injection.policy_exception_prob"
-        ),
-        data_loss_prob=(
-            None
-            if _get(inj_raw, "data_loss_prob") is None
-            else _number(_get(inj_raw, "data_loss_prob"), "injection.data_loss_prob")
-        ),
-        delay_geometric_p=(
-            None
-            if _get(inj_raw, "delay_geometric_p") is None
-            else _number(_get(inj_raw, "delay_geometric_p"), "injection.delay_geometric_p")
-        ),
-    )
-
-    switch_raw = _get(raw, "version_switch")
-    version_switch = None
-    if switch_raw is not None:
-        version_switch = VersionSwitch(
-            day=_int(_get(switch_raw, "day", required=True), "version_switch.day"),
-            version_id=str(_get(switch_raw, "version_id", required=True)),
-        )
+    switch = config.version_switch
+    if switch is not None:
         # The trial length is governed by the twin environment's n_days, so
         # the upper bound is checked at run time, not here.
-        if version_switch.day < 1:
+        if switch.day < 1:
             raise ConfigurationError("version_switch.day: must be at least 1")
-        if version_switch.version_id == model.version_id:
+        if switch.version_id == config.model.version_id:
             raise ConfigurationError("version_switch.version_id: must differ from model.version_id")
+    return RunConfig(**{
+        **vars(config),
+        "imputation": dataclasses.replace(config.imputation, defaults=defaults),
+        "grid": _environment_grid(config.environment, config.grid),
+    })
 
-    seed_raw = _get(raw, "master_seed", 0)
-    deployment_seed = _get(raw, "deployment_seed")
-    return RunConfig(
-        master_seed=_int(seed_raw, "master_seed"),
-        environment_profile=profile,
-        stream_id=_get(raw, "stream_id"),
-        deployment_seed=(
-            None if deployment_seed is None else _int(deployment_seed, "deployment_seed")
-        ),
-        model=model,
-        schedule=schedule,
-        features=features,
-        imputation=imputation,
-        injection=injection,
-        environment=_get(raw, "environment", {}) or {},
-        grid=_get(raw, "grid", {}) or {},
-        tuning=_get(raw, "tuning", {}) or {},
-        version_switch=version_switch,
-    )
+
+def _environment_grid(base: EnvironmentSpec, axes) -> tuple[EnvironmentSpec, ...]:
+    """The Cartesian product of the axes' levels over ``base``, labelled
+    env000, env001, ...: axes in EnvironmentSpec field order, levels in
+    their given order. Without axes, ``base`` alone."""
+    given = {name: levels for name, levels in vars(axes).items() if levels is not None}
+    if not given:
+        return (base,)
+    for name, levels in given.items():
+        if not levels:
+            raise ConfigurationError(f"grid.{name}: expected a non-empty list")
+    try:
+        return tuple(
+            dataclasses.replace(base, label=f"env{i:03d}", **dict(zip(given, combo)))
+            for i, combo in enumerate(itertools.product(*given.values()))
+        )
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"grid: {exc}") from None
 
 
 # -- canonical encoding -----------------------------------------------------------
 
 
-def header_config_dict(config: RunConfig, participants: list[str], environment=None) -> dict:
+def header_config_dict(
+    config: RunConfig, participants: list[str], environment: EnvironmentSpec | None = None
+) -> dict:
     """Self-describing run parameters embedded in the ledger header: the typed
-    values with every float hex-encoded. ``environment`` is an
-    ``EnvironmentSpec`` or a mapping, by default the config's own.
+    values with every float hex-encoded. ``environment`` is by default the
+    config's own.
 
     Audits read its model, schedule and participants back through
     ``ledgerloop.events.HeaderInfo``.
@@ -215,7 +228,7 @@ def header_config_dict(config: RunConfig, participants: list[str], environment=N
             "imputation": config.imputation,
             "injection": config.injection,
             "participants": participants,
-            "environment": environment if environment is not None else config.environment,
+            "environment": config.environment if environment is None else environment,
         },
         encode_float,
     )

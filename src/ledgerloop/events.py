@@ -209,6 +209,7 @@ Row = tuple[FeatureSnapshot, int, float]  # (snapshot, action, reward) of one co
 # wrapper bound to one of the names (the benchmark's tracer) sees every call.
 _ENTRY_POINTS = {
     "HEADER": "parse_header",
+    "DATA_INGESTED": "parse_data_ingested",
     "FEATURE_SNAPSHOT": "parse_snapshot",
     "DECISION": "parse_decision",
     "OUTCOME_OBSERVED": "parse_outcome",
@@ -217,12 +218,8 @@ _ENTRY_POINTS = {
 
 
 def parse_value(record: EventEnvelope):
-    """The typed value :meth:`StreamIndex.apply` takes with ``record``.
-    DATA_INGESTED payloads, the most frequent, are not decoded: the index
-    keeps nothing of them."""
+    """The typed value :meth:`StreamIndex.apply` takes with ``record``."""
     event_type = record.event_type
-    if event_type == "DATA_INGESTED":
-        return None
     entry = _ENTRY_POINTS.get(event_type)
     if entry is None:
         return decode_payload(event_type, record.payload)

@@ -30,10 +30,10 @@ import struct
 import threading
 import types
 import typing
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConfigurationError, DecodeError, IsolationError, StorageError
 
@@ -180,7 +180,7 @@ def map_floats(obj, show):
 
 
 class _Refusal(DecodeError):
-    """A value :func:`strict_inverse` does not take, met at ``path`` (steps
+    """A value :func:`decode_as` does not take, met at ``path`` (steps
     ``.member`` and ``[index]``) inside the value being decoded."""
 
     def __init__(self, problem: str, path: str = ""):
@@ -225,22 +225,49 @@ def _tuple_of(convert):
     return convert_all
 
 
-def _dataclass(cls: type):
+def _dict_of(convert):
+    def convert_all(value):
+        if type(value) is not dict:
+            raise _Refusal(f"expected an object, got {value!r}")
+        converted = {}
+        for key, item in value.items():
+            if type(key) is not str:
+                raise _Refusal(f"expected a string key, got {key!r}")
+            try:
+                converted[key] = convert(item)
+            except _Refusal as refusal:
+                raise _Refusal(refusal.problem, f".{key}{refusal.path}") from None
+        return converted
+
+    return convert_all
+
+
+def _dataclass(cls: type, fmt: Format):
     hints = typing.get_type_hints(cls)
-    spec = tuple((f.name, _converter(hints[f.name])) for f in dataclasses.fields(cls) if f.init)
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    spec = tuple((f.name, _converter(hints[f.name], fmt)) for f in fields)
     members = frozenset(name for name, _ in spec)
+    # The members a value must hold: every one, or in a format with
+    # defaults, those of the fields without one.
+    required = frozenset(
+        f.name for f in fields
+        if not fmt.defaults or (f.default is MISSING and f.default_factory is MISSING)
+    )
 
     def convert(value):
         if type(value) is not dict:
             raise _Refusal(f"expected an object, got {value!r}")
+        given = spec
         if value.keys() != members:
-            missing = members - value.keys()
-            name = min(missing or value.keys() - members)
-            raise _Refusal("missing" if missing else "not a member", f".{name}")
+            missing, unknown = required - value.keys(), value.keys() - members
+            if missing or unknown:
+                name = min(missing or unknown, key=str)
+                raise _Refusal("missing" if missing else "not a member", f".{name}")
+            given = [(name, member) for name, member in spec if name in value]
         try:
-            kwargs = {name: member(value[name]) for name, member in spec}
+            kwargs = {name: member(value[name]) for name, member in given}
         except _Refusal:
-            for name, member in spec:  # only to name the member
+            for name, member in given:  # only to name the member
                 try:
                     member(value[name])
                 except _Refusal as refusal:
@@ -254,50 +281,96 @@ def _dataclass(cls: type):
     return convert
 
 
-_SCALARS = {
-    float: decode_float,
-    bytes: _bytes,
-    int: _exactly(int, "an integer"),
-    str: _exactly(str, "a string"),
-    bool: _exactly(bool, "a boolean"),
-    dict: _exactly(dict, "an object"),
-}
-_CONVERTERS: dict = {}
+def _number(value) -> float:
+    if type(value) is float:
+        return value
+    if type(value) is int:  # never a bool
+        try:
+            return float(value)
+        except OverflowError:
+            pass
+    raise _Refusal(f"expected a number, got {value!r}")
 
 
-def _converter(hint):
-    """The converter for values of the field annotation ``hint``, built once."""
-    convert = _CONVERTERS.get(hint)
+@dataclass(frozen=True)
+class Format:
+    """How typed values are written as JSON-like data: ``converters`` maps
+    each scalar annotation to its converter (the compiler adds the ones it
+    builds, once per annotation), and ``defaults`` says whether a dataclass
+    member left out takes its field's default."""
+
+    converters: dict
+    defaults: bool
+
+
+# Ledger payloads and the run header: floats and bytes as lowercase hex,
+# exactly the ``__init__`` fields as members.
+LEDGER_FORMAT = Format(
+    {
+        float: decode_float,
+        bytes: _bytes,
+        int: _exactly(int, "an integer"),
+        str: _exactly(str, "a string"),
+        bool: _exactly(bool, "a boolean"),
+        dict: _exactly(dict, "an object"),
+    },
+    defaults=False,
+)
+# A YAML run config: any number but a bool is a float, and a member left out
+# takes its default.
+CONFIG_FORMAT = Format(
+    {
+        float: _number,
+        int: _exactly(int, "an integer"),
+        str: _exactly(str, "a string"),
+        bool: _exactly(bool, "a boolean"),
+    },
+    defaults=True,
+)
+
+
+def _converter(hint, fmt: Format):
+    """The converter for values of the field annotation ``hint`` in ``fmt``,
+    built once."""
+    convert = fmt.converters.get(hint)
     if convert is not None:
         return convert
-    args = typing.get_args(hint)
-    if hint in _SCALARS:
-        convert = _SCALARS[hint]
-    elif dataclasses.is_dataclass(hint):
-        convert = _dataclass(hint)
-    elif typing.get_origin(hint) is tuple and len(args) == 2 and args[1] is Ellipsis:
-        convert = _tuple_of(_converter(args[0]))
-    elif typing.get_origin(hint) in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
-        convert = _optional(_converter(args[0] if args[1] is type(None) else args[1]))
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if dataclasses.is_dataclass(hint):
+        convert = _dataclass(hint, fmt)
+    elif origin is tuple and len(args) == 2 and args[1] is Ellipsis:
+        convert = _tuple_of(_converter(args[0], fmt))
+    elif origin is dict and args[0] is str:
+        convert = _dict_of(_converter(args[1], fmt))
+    elif origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
+        convert = _optional(_converter(args[0] if args[1] is type(None) else args[1], fmt))
     else:
         raise TypeError(f"no canonical decoding for {hint!r}")
-    _CONVERTERS[hint] = convert
+    fmt.converters[hint] = convert
     return convert
+
+
+def decode_as(hint, value, fmt: Format):
+    """``value`` read as a value of type ``hint`` (a dataclass, or an
+    annotation built from the scalars of ``fmt``, ``X | None``,
+    ``tuple[X, ...]`` and ``dict[str, X]``) with the converter compiled from
+    the annotations on first use, once per type and format. A dataclass
+    needs its ``__init__`` fields as members, those with defaults only if
+    ``fmt.defaults`` is false, and no other; a tuple comes from a list.
+    Anything else, and a ConfigurationError from ``__post_init__``, raises
+    ``DecodeError("<member path>: <problem>")``."""
+    return _converter(hint, fmt)(value)
 
 
 def strict_inverse(hint, what: str):
     """The decoder of what ``map_floats(value, encode_float)`` gives for a
-    ``value`` of type ``hint`` (a dataclass, or an annotation built from
-    float, int, str, bool, bytes, dict, ``X | None`` and ``tuple[X, ...]``),
-    compiled from the annotations on first use, once per type. A dataclass
-    needs exactly its ``__init__`` fields as members; an int is never a bool;
-    floats and bytes are lowercase hex; a tuple comes from a list. Anything
-    else, and a ConfigurationError from ``__post_init__``, raises
-    ``DecodeError("<what>: <member>: <problem>")``."""
+    ``value`` of type ``hint``: :func:`decode_as` in :data:`LEDGER_FORMAT`,
+    where an int is never a bool and floats and bytes are lowercase hex.
+    It raises ``DecodeError("<what>: <member>: <problem>")``."""
 
     def decode(value):
         try:
-            return _converter(hint)(value)
+            return _converter(hint, LEDGER_FORMAT)(value)
         except _Refusal as refusal:
             raise DecodeError(f"{what}: {refusal}") from None
 
@@ -317,8 +390,7 @@ def report_bytes(title: str, items: Iterable) -> bytes:
     return b"\n".join(lines) + b"\n"
 
 
-@dataclass(frozen=True)
-class EventEnvelope:
+class EventEnvelope(NamedTuple):
     """One ledger record. ``payload`` is a canonical-ready dict (no raw
     floats); ``prev_hash``/``hash`` are 32-byte digests."""
 

@@ -124,7 +124,7 @@ class ImputationPolicy:
     """Carry-forward horizon (in decision points) and per-feature defaults."""
 
     horizon: int = 3
-    defaults: dict = field(default_factory=dict)
+    defaults: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.horizon < 0:

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import events
-from .config import RunConfig, _int, _number, _vector, config_digest, header_config_dict
+from .config import EnvironmentSpec, RunConfig, config_digest, header_config_dict
 from .errors import ConfigurationError
 from .ledger import Ledger, report_bytes
 from .replay import default_logic
@@ -28,96 +28,6 @@ from .runtime import MS_PER_DAY, MS_PER_MINUTE, FeatureSpec, Runtime
 CONTEXT_LEAD_MS = MS_PER_MINUTE  # context measured one minute before the decision
 OUTCOME_LAG_MS = 30 * MS_PER_MINUTE  # outcome observed half an hour after
 ARRIVAL_EPSILON_MS = 1000  # delayed data lands just after a later decision
-
-
-@dataclass(frozen=True)
-class EnvironmentSpec:
-    """Generative parameters of one simulated deployment environment."""
-
-    effect_mean: tuple[float, ...] = (0.5, 0.0, 0.0)
-    effect_sd: float = 0.0
-    baseline_mean: tuple[float, ...] = (0.2, 0.0, 0.0)
-    baseline_sd: float = 0.0
-    drift: float = 0.0
-    outcome_noise_sd: float = 1.0
-    engagement_persistence: float = 0.5
-    action_engagement_boost: float = 0.2
-    engagement_noise_sd: float = 0.1
-    miss_prob: float = 0.0
-    delay_geometric_p: float = 1.0
-    n_participants: int = 20
-    n_days: int = 28
-    label: str = "env"
-
-    def __post_init__(self):
-        object.__setattr__(self, "effect_mean", tuple(float(v) for v in self.effect_mean))
-        object.__setattr__(self, "baseline_mean", tuple(float(v) for v in self.baseline_mean))
-        for name in _ENV_FLOAT_FIELDS:  # code may pass an integer
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if self.effect_sd < 0 or self.baseline_sd < 0 or self.engagement_noise_sd < 0:
-            raise ConfigurationError("environment sd parameters must be non-negative")
-        if self.outcome_noise_sd < 0:
-            raise ConfigurationError("environment.outcome_noise_sd must be non-negative")
-        if not (0.0 <= self.engagement_persistence < 1.0):
-            raise ConfigurationError("environment.engagement_persistence must be in [0, 1)")
-        if not (0.0 <= self.miss_prob <= 1.0):
-            raise ConfigurationError("environment.miss_prob must be in [0, 1]")
-        if not (0.0 < self.delay_geometric_p <= 1.0):
-            raise ConfigurationError("environment.delay_geometric_p must be in (0, 1]")
-        if self.n_participants < 1 or self.n_days < 1:
-            raise ConfigurationError("environment sizes must be positive")
-
-
-_ENV_FLOAT_FIELDS = (
-    "effect_sd", "baseline_sd", "drift", "outcome_noise_sd",
-    "engagement_persistence", "action_engagement_boost", "engagement_noise_sd",
-    "miss_prob", "delay_geometric_p",
-)
-# The check a config value of each EnvironmentSpec field must pass.
-_ENV_CHECKS = {
-    **dict.fromkeys(("effect_mean", "baseline_mean"), _vector),
-    **dict.fromkeys(_ENV_FLOAT_FIELDS, _number),
-    **dict.fromkeys(("n_participants", "n_days"), _int),
-}
-
-
-def environment_from_dict(raw: dict, label: str = "env") -> EnvironmentSpec:
-    if not isinstance(raw, dict):
-        raise ConfigurationError("environment: expected a mapping")
-    kwargs = {
-        name: check(raw[name], f"environment.{name}") for name, check in _ENV_CHECKS.items() if name in raw
-    }
-    unknown = set(raw) - set(_ENV_CHECKS) - {"label"}
-    if unknown:
-        raise ConfigurationError(f"environment.{sorted(unknown)[0]}: unknown field")
-    return EnvironmentSpec(label=raw.get("label", label), **kwargs)
-
-
-def build_environment_grid(
-    base: EnvironmentSpec, axes: dict[str, list]
-) -> list[EnvironmentSpec]:
-    """Cartesian product of axis levels over EnvironmentSpec fields.
-
-    Axes iterate in EnvironmentSpec field declaration order regardless of the
-    mapping's order; levels keep their given order. Fields without an axis
-    stay at the base value.
-    """
-    known = [f.name for f in dataclasses.fields(EnvironmentSpec) if f.name != "label"]
-    for name, levels in axes.items():
-        if name not in known:
-            raise ConfigurationError(f"grid.{name}: unknown environment field")
-        if not isinstance(levels, (list, tuple)) or len(levels) == 0:
-            raise ConfigurationError(f"grid.{name}: axis must be a non-empty list")
-    ordered = [name for name in known if name in axes]
-    level_lists = [
-        [_ENV_CHECKS[name](level, f"grid.{name}[{i}]") for i, level in enumerate(axes[name])]
-        for name in ordered
-    ]
-    grid = []
-    for i, combo in enumerate(itertools.product(*level_lists)):
-        overrides = dict(zip(ordered, combo))
-        grid.append(dataclasses.replace(base, label=f"env{i:03d}", **overrides))
-    return grid
 
 
 @dataclass(frozen=True)
@@ -602,11 +512,10 @@ class RankedCandidate:
 
 def tuning_candidates(config: RunConfig) -> list[TuneCandidate]:
     """Cartesian product of the tuning grids, in declared level order."""
-    tuning = config.tuning if isinstance(config.tuning, dict) else {}
-    lams = tuning.get("prior_precision_scale") or [config.model.prior_precision_scale]
-    noises = tuning.get("noise_variance") or [config.model.noise_variance]
+    lams = config.tuning.prior_precision_scale or (config.model.prior_precision_scale,)
+    noises = config.tuning.noise_variance or (config.model.noise_variance,)
     return [
-        TuneCandidate(prior_precision_scale=float(lam), noise_variance=float(noise))
+        TuneCandidate(prior_precision_scale=lam, noise_variance=noise)
         for lam in lams
         for noise in noises
     ]

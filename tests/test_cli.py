@@ -4,6 +4,7 @@ import pytest
 import yaml
 
 from conftest import BASE_CONFIG, deep_merge
+from test_config import CONFIG_PROBES
 from ledgerloop.cli import main
 from ledgerloop.ledger import compute_record_hash
 
@@ -212,4 +213,13 @@ def test_environment_grid_levels_are_validated(tmp_path, config_path, capsys, ve
     cfg = config_path({"grid": {"drift": [0.0, level]}})
     assert main([verb, "--config", cfg, "--out", str(tmp_path / "out")]) == 64
     assert capsys.readouterr().err == f"config error: grid.drift[1]: expected a number, got {level!r}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("overrides, message", CONFIG_PROBES)
+@pytest.mark.parametrize("verb", ["simulate", "twin-run", "twin-tune"])
+def test_config_probes_exit_64_with_one_line(tmp_path, config_path, capsys, verb, overrides, message):
+    cfg = config_path(overrides)
+    assert main([verb, "--config", cfg, "--out", str(tmp_path / "out")]) == 64
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()

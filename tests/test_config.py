@@ -63,12 +63,11 @@ def test_version_switch_validation():
 
 
 def test_version_switch_beyond_trial_rejected_at_run_time():
-    from ledgerloop.twin import environment_from_dict, run_trial
+    from ledgerloop.twin import run_trial
 
     config = make_run_config(version_switch={"day": 99, "version_id": "v1.0.1"})
-    env = environment_from_dict(config.environment)
     with pytest.raises(ConfigurationError, match="version_switch.day"):
-        run_trial(env, config, 1)
+        run_trial(config.environment, config, 1)
 
 
 def test_model_config_canonical_round_trip():
@@ -95,3 +94,55 @@ def test_default_intercept_default_is_one():
 def test_injection_validation():
     with pytest.raises(ConfigurationError, match="policy_exception_prob"):
         make_run_config(injection={"policy_exception_prob": 1.5})
+
+
+# One-field edits of a valid config, each with the message it must be
+# refused with: a value of the wrong kind is never read, and nothing is
+# left unchecked until a run needs it.
+CONFIG_PROBES = [
+    ({"imputation": {"defaults": {"intercept": "abc"}}},
+     "imputation.defaults.intercept: expected a number, got 'abc'"),
+    ({"imputation": {"defaults": {"intercept": "1.5"}}},
+     "imputation.defaults.intercept: expected a number, got '1.5'"),
+    ({"imputation": {"defaults": [1]}}, "imputation.defaults: expected an object, got [1]"),
+    ({"tuning": {"prior_precision_scale": ["abc"]}},
+     "tuning.prior_precision_scale[0]: expected a number, got 'abc'"),
+    ({"tuning": {"seeds": ["abc"]}}, "tuning.seeds[0]: expected an integer, got 'abc'"),
+    ({"tuning": [1, 2]}, "tuning: expected an object, got [1, 2]"),
+    ({"grid": [1]}, "grid: expected an object, got [1]"),
+    ({"schedule": "x"}, "schedule: expected an object, got 'x'"),
+    ({"model": {"version_id": 7}}, "model.version_id: expected a string, got 7"),
+    ({"features": {"baseline": "abc"}}, "features.baseline: expected a list, got 'abc'"),
+    ({"version_switch": [1]}, "version_switch: expected an object, got [1]"),
+    ({"version_switch": {"version_id": "v2"}}, "version_switch.day: missing"),
+    ({"model": {"nosie_variance": 2.0}}, "model.nosie_variance: not a member"),
+    ({"modle": {}}, "modle: not a member"),
+]
+
+
+@pytest.mark.parametrize("overrides, message", CONFIG_PROBES)
+def test_config_probes_are_refused_with_their_path(overrides, message):
+    with pytest.raises(ConfigurationError) as caught:
+        make_run_config(**overrides)
+    assert str(caught.value) == message
+
+
+def test_config_holds_only_typed_values():
+    config = make_run_config(
+        model={"noise_variance": 2, "version_id": "v1.0.0"},
+        environment={"drift": 1},
+        tuning={"prior_precision_scale": [1, 0.5], "seeds": [4]},
+    )
+    assert type(config.model.noise_variance) is float
+    assert type(config.environment.drift) is float
+    assert config.tuning.prior_precision_scale == (1.0, 0.5)
+    assert type(config.tuning.prior_precision_scale[0]) is float
+    assert config.tuning.seeds == (4,)
+    assert config.grid == (config.environment,)
+
+
+def test_config_level_model_defaults():
+    raw = {**BASE_CONFIG, "model": {"baseline_dim": 3, "treatment_dim": 3, "prior_mean": [0.0] * 6}}
+    model = config_from_dict(raw).model
+    assert (model.noise_variance, model.prior_precision_scale, model.version_id) == (1.0, 1.0, "v1.0.0")
+    assert (model.clip_min, model.clip_max) == (0.1, 0.9)

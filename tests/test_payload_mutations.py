@@ -115,6 +115,10 @@ def test_any_single_member_edit_gets_an_answer(golden, data):
          "malformed HEADER config: schedule: schedule.trial_days must be in [1, 36525]"),
         # Seed derivation takes the index as 8 bytes.
         ("DECISION", ("decision_index",), 2**64, "malformed DECISION payload: decision_index must be in [0, 2**64)"),
+        # DATA_INGESTED payloads are decoded too, though the fold keeps nothing of them.
+        ("DATA_INGESTED", ("value",), "zz", "malformed DATA_INGESTED payload: value: expected 16 lowercase hex chars"),
+        ("DATA_INGESTED", ("participant_id",), [1], "malformed DATA_INGESTED payload: participant_id: expected a string"),
+        ("DATA_INGESTED", ("bogus",), 7, "malformed DATA_INGESTED payload: bogus: not a member"),
     ],
 )
 def test_edits_that_passed_or_crashed_are_audit_errors(tmp_path, golden, capsys, event_type, path, value, message):

@@ -11,8 +11,6 @@ from ledgerloop.twin import (
     EnvironmentSpec,
     ParticipantTwin,
     TuneCandidate,
-    build_environment_grid,
-    environment_from_dict,
     evaluate_rows,
     realize_participant,
     run_grid,
@@ -46,40 +44,53 @@ def small_env(**overrides) -> EnvironmentSpec:
 # -- environment grid -----------------------------------------------------------
 
 
+def grid_of(axes: dict) -> tuple[EnvironmentSpec, ...]:
+    return make_run_config(grid=axes).grid
+
+
 def test_grid_singleton():
-    grid = build_environment_grid(small_env(), {})
-    assert len(grid) == 1
+    config = make_run_config()
+    assert config.grid == (config.environment,)
+    assert grid_of({}) == (config.environment,)
+    assert config.grid[0].label == "env"
 
 
 def test_grid_two_by_two():
-    axes = {"effect_mean": [(0.0, 0.0, 0.0), (0.5, 0.0, 0.0)], "effect_sd": [0.0, 0.3]}
-    grid = build_environment_grid(small_env(), axes)
+    axes = {"effect_mean": [[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]], "effect_sd": [0.0, 0.3]}
+    grid = grid_of(axes)
     assert len(grid) == 4
     # effect_mean is the earlier field, so it varies slowest
     assert [env.effect_mean[0] for env in grid] == [0.0, 0.0, 0.5, 0.5]
     assert [env.effect_sd for env in grid] == [0.0, 0.3, 0.0, 0.3]
     assert [env.label for env in grid] == ["env000", "env001", "env002", "env003"]
+    # fields without an axis stay at the base environment's value
+    assert {env.outcome_noise_sd for env in grid} == {make_run_config().environment.outcome_noise_sd}
 
 
 def test_grid_three_axes_count_and_order():
     axes = {
-        "drift": [0.0, 0.01, 0.02],
         "miss_prob": [0.0, 0.5],
-        "outcome_noise_sd": [0.5, 1.0],
+        "outcome_noise_sd": [0.5, 1],
+        "drift": [0.0, 0.01, 0.02],
     }
-    grid = build_environment_grid(small_env(), axes)
+    grid = grid_of(axes)
     assert len(grid) == 12
     # declaration order: drift before outcome_noise_sd before miss_prob
     assert [e.drift for e in grid[:4]] == [0.0, 0.0, 0.0, 0.0]
     assert [e.outcome_noise_sd for e in grid[:4]] == [0.5, 0.5, 1.0, 1.0]
+    assert type(grid[2].outcome_noise_sd) is float  # a YAML integer level is read as a float
     assert [e.miss_prob for e in grid[:4]] == [0.0, 0.5, 0.0, 0.5]
 
 
 def test_grid_rejects_empty_axis():
-    with pytest.raises(ConfigurationError):
-        build_environment_grid(small_env(), {"drift": []})
-    with pytest.raises(ConfigurationError):
-        build_environment_grid(small_env(), {"unknown_knob": [1]})
+    with pytest.raises(ConfigurationError, match=r"^grid\.drift: expected a non-empty list$"):
+        grid_of({"drift": []})
+    with pytest.raises(ConfigurationError, match=r"^grid\.unknown_knob: not a member$"):
+        grid_of({"unknown_knob": [1]})
+    with pytest.raises(ConfigurationError, match=r"^grid\.label: not a member$"):
+        grid_of({"label": ["a"]})
+    with pytest.raises(ConfigurationError, match=r"^grid: miss_prob must be in \[0, 1\]$"):
+        grid_of({"miss_prob": [0.5, 2.0]})
 
 
 def test_environment_validation():
@@ -87,8 +98,10 @@ def test_environment_validation():
         small_env(engagement_persistence=1.0)
     with pytest.raises(ConfigurationError):
         small_env(delay_geometric_p=0.0)
-    with pytest.raises(ConfigurationError):
-        environment_from_dict({"bogus": 1})
+    with pytest.raises(ConfigurationError, match=r"^environment\.bogus: not a member$"):
+        make_run_config(environment={"bogus": 1})
+    with pytest.raises(ConfigurationError, match=r"^environment: delay_geometric_p must be in \(0, 1\]$"):
+        make_run_config(environment={"delay_geometric_p": 0.0})
 
 
 # -- participant dynamics ----------------------------------------------------------
