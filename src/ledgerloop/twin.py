@@ -1,5 +1,5 @@
-"""Digital-twin testbed: generative participants, environment grids, full
-trial simulation through the real runtime, candidate evaluation, and tuning.
+"""Digital-twin testbed: generative participants, full trial simulation
+through the real runtime, candidate evaluation, and tuning.
 
 The twin never shortcuts the deployment path: it streams synthetic data into
 the same Runtime/Ledger machinery a deployment would use, so every simulated
