@@ -29,7 +29,7 @@ from .events import StreamIndex, decoded_floats
 # read_records is called through its module, so a wrapper installed there
 # (the benchmark's tracer counts file reads) sees every read.
 from . import ledger
-from .ledger import Ledger
+from .ledger import CONFIG_FORMAT, Ledger, decode_as
 from .monitor import DEFAULT_RULES, AlertRule, compute_metrics, emit_report, evaluate_alerts
 from .replay import registered_logics, replay_verify
 from .runtime import FailureInjectionSpec
@@ -218,16 +218,8 @@ def _load_rules(path_str: str | None) -> list[AlertRule]:
     rules = []
     for i, item in enumerate(raw):
         try:
-            rules.append(
-                AlertRule(
-                    metric=item["metric"],
-                    comparator=item["comparator"],
-                    threshold=float(item["threshold"]),
-                    window=item.get("window", "per-day"),
-                    severity=item.get("severity", "medium"),
-                )
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            rules.append(decode_as(AlertRule, item, CONFIG_FORMAT))
+        except DecodeError as exc:
             raise ConfigurationError(f"--rules[{i}]: {exc}") from None
     return rules
 
@@ -241,7 +233,8 @@ def _cmd_monitor_report(args) -> int:
     if args.replay:
         divergence = replay_verify(index)
     if args.append_alerts:
-        # Only an append needs the ledger object, which loads the file again.
+        # Only an append needs the ledger object. Opening it verifies the
+        # file again but keeps only its last record.
         with Ledger.open(args.ledger) as target:
             if len(target) != index.size:
                 raise AuditError(

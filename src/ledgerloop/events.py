@@ -19,18 +19,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field, fields
 from operator import itemgetter
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from . import runtime
 from .errors import ConfigurationError, DecodeError, StructuralAuditError
-from .ledger import (
-    FORMAT_VERSION,
-    EventEnvelope,
-    Ledger,
-    encode_float,
-    map_floats,
-    strict_inverse,
-)
+from .ledger import FORMAT_VERSION, EventEnvelope, Ledger, map_floats, strict_inverse
 from .policy import DecisionRecord, FeatureSnapshot, ModelConfig
 
 
@@ -154,8 +147,9 @@ _DECODERS = {
 
 def append(ledger: Ledger, value, **envelope) -> EventEnvelope:
     """Append ``value``, an instance of one of :data:`PAYLOADS`, as a record
-    of its event type."""
-    return ledger.append(_EVENT_TYPES[type(value)], map_floats(value, encode_float), **envelope)
+    of its event type; :meth:`Ledger.append` writes it as
+    ``map_floats(value, encode_float)``."""
+    return ledger.append(_EVENT_TYPES[type(value)], value, **envelope)
 
 
 def decode_payload(event_type: str, payload):
@@ -205,6 +199,19 @@ def decoded_floats(event_type: str, payload: dict) -> dict:
 Row = tuple[FeatureSnapshot, int, float]  # (snapshot, action, reward) of one consumed outcome
 
 
+class Stamp(NamedTuple):
+    """What the index keeps of a record's envelope beside its typed value:
+    all that the runtime, replay and the monitor read of it."""
+
+    seq: int
+    backend_ts: int
+    version_id: str
+
+    @classmethod
+    def of(cls, record: EventEnvelope) -> "Stamp":
+        return cls(record.seq, record.backend_ts, record.version_id)
+
+
 # The fold calls these entry points by their module-level names, so a
 # wrapper bound to one of the names (the benchmark's tracer) sees every call.
 _ENTRY_POINTS = {
@@ -230,8 +237,10 @@ def parse_value(record: EventEnvelope):
 class StreamIndex:
     """What the runtime, replay and the monitor know of a stream's records.
 
-    Snapshots and decisions are keyed by ``(participant_id, decision_index)``
-    and hold the record with its typed value; a later snapshot for a point
+    Snapshots, decisions, updates and errors are kept as the record's
+    :class:`Stamp` with its typed value, never the envelope or its payload
+    dict. Snapshots and decisions are keyed by
+    ``(participant_id, decision_index)``; a later snapshot for a point
     replaces the earlier one, a second decision is a structural error. An
     outcome stays pending until a MODEL_UPDATE consuming it is applied.
     """
@@ -241,12 +250,12 @@ class StreamIndex:
     fingerprints: dict[str, str] = field(default_factory=dict)  # version id -> its logic's fingerprint
     stamped: dict[str, int] = field(default_factory=dict)  # envelope version_id -> first seq
     size: int = 0  # records applied
-    snapshots: dict[tuple[str, int], tuple[EventEnvelope, SnapshotInfo]] = field(default_factory=dict)
-    decisions: dict[tuple[str, int], tuple[EventEnvelope, DecisionRecord]] = field(default_factory=dict)
+    snapshots: dict[tuple[str, int], tuple[Stamp, SnapshotInfo]] = field(default_factory=dict)
+    decisions: dict[tuple[str, int], tuple[Stamp, DecisionRecord]] = field(default_factory=dict)
     outcomes: dict[int, OutcomeInfo] = field(default_factory=dict)
     pending: dict[str, list[int]] = field(default_factory=dict)  # participant -> outcome seqs
-    updates: list[tuple[EventEnvelope, UpdateInfo, list[Row]]] = field(default_factory=list)
-    errors: list[tuple[EventEnvelope, ErrorInfo]] = field(default_factory=list)
+    updates: list[tuple[Stamp, UpdateInfo, list[Row]]] = field(default_factory=list)
+    errors: list[tuple[Stamp, ErrorInfo]] = field(default_factory=list)
 
     @classmethod
     def fold(cls, records: Iterable[EventEnvelope]) -> "StreamIndex":
@@ -269,12 +278,12 @@ class StreamIndex:
         self.stamped.setdefault(record.version_id, record.seq)
         etype = record.event_type
         if etype == "FEATURE_SNAPSHOT":
-            self.snapshots[(value.participant_id, value.decision_index)] = (record, value)
+            self.snapshots[(value.participant_id, value.decision_index)] = (Stamp.of(record), value)
         elif etype == "DECISION":
             key = (value.participant_id, value.decision_index)
             if key in self.decisions:
                 raise StructuralAuditError(f"DECISION at seq {record.seq} repeats {key}")
-            self.decisions[key] = (record, value)
+            self.decisions[key] = (Stamp.of(record), value)
         elif etype == "OUTCOME_OBSERVED":
             self.outcomes[record.seq] = value
             self.pending.setdefault(value.participant_id, []).append(record.seq)
@@ -282,9 +291,9 @@ class StreamIndex:
             rows = self.batch(value.participant_id, value.batch_seqs, record.seq)
             pending = self.pending.get(value.participant_id, [])
             self.pending[value.participant_id] = [s for s in pending if s not in value.batch_seqs]
-            self.updates.append((record, value, rows))
+            self.updates.append((Stamp.of(record), value, rows))
         elif etype == "ERROR":
-            self.errors.append((record, value))
+            self.errors.append((Stamp.of(record), value))
         elif etype == "VERSION_CHANGE":
             if value.version_id in self.fingerprints:
                 raise StructuralAuditError(

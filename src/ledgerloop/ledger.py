@@ -11,8 +11,10 @@ body (everything except the ``hash`` field itself), and record 0 chains from
 recomputation or the chain linkage.
 
 Every read of a ledger file goes through one verified pass (:func:`_verified`):
-:func:`read_records`, :meth:`Ledger.open` and :func:`verify_chain` all check
-the same things, so a record a reader sees has passed the chain check.
+:func:`read_records`, :meth:`Ledger.open`, :meth:`Ledger.records` and
+:func:`verify_chain` all check the same things, so a record a reader sees has
+passed the chain check. The file is the one copy of a file-backed ledger's
+records; the ledger object keeps only its last record.
 
 This module is the one canonical encode path: ledger lines, the run header
 and record payloads (:func:`map_floats`) and every report
@@ -31,6 +33,7 @@ import threading
 import types
 import typing
 from dataclasses import MISSING, dataclass
+from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -508,9 +511,13 @@ class Ledger:
     File-backed when ``path`` is given (each append is flushed, and fsynced
     by default, before returning) or purely in-memory when ``path`` is None,
     which the digital twin uses for throwaway evaluation runs. The record
-    bytes are identical either way. The file is opened for appending only
-    when a new ledger creates it or a loaded one is first appended to, so
-    loading and auditing a ledger needs no write access.
+    bytes are identical either way. A file-backed ledger holds no copy of its
+    records, only the last one (its seq gives the count, its hash the chain
+    head): :meth:`records` reads them back through the verified read pass.
+    An in-memory ledger keeps its records in a list, its only storage. The
+    file is opened for appending only when a new ledger creates it or a
+    loaded one is first appended to, so loading and auditing a ledger needs
+    no write access.
 
     Appends are serialized by an internal lock; readers always observe a
     prefix of the final record sequence.
@@ -522,7 +529,6 @@ class Ledger:
         environment_profile: str,
         path: str | Path | None = None,
         fsync: bool = True,
-        _records: list[EventEnvelope] | None = None,
         _create: bool = True,
     ):
         if environment_profile not in ENVIRONMENT_PROFILES:
@@ -537,8 +543,8 @@ class Ledger:
         self.path = Path(path) if path is not None else None
         self.fsync = fsync
         self._lock = threading.Lock()
-        self._records: list[EventEnvelope] = _records or []
-        self._last_hash = self._records[-1].hash if self._records else GENESIS_HASH
+        self._last: EventEnvelope | None = None
+        self._records: list[EventEnvelope] | None = [] if self.path is None else None
         self._handle = None
         self._size = 0  # file offset just past the last whole record
         self._torn = False  # a failed append left bytes that could not be cut
@@ -566,7 +572,8 @@ class Ledger:
 
     @classmethod
     def open(cls, path: str | Path) -> "Ledger":
-        """Load an existing ledger file through the verified read pass.
+        """Open an existing ledger file, streaming it through the verified
+        read pass and keeping only its last record.
 
         Raises DecodeError carrying the first bad seq when any record fails
         the chain check (the seq :func:`verify_chain` returns), and a
@@ -574,15 +581,12 @@ class Ledger:
         no file handle until its first append; close it after appending, or
         use it as a context manager.
         """
-        records = list(read_records(path))
-        first = records[0]
-        ledger = cls(
-            stream_id=first.stream_id,
-            environment_profile=first.environment_profile,
-            path=path,
-            _records=records,
-            _create=False,
-        )
+        records = read_records(path)
+        first = last = next(records)
+        for last in records:
+            pass
+        ledger = cls(first.stream_id, first.environment_profile, path=path, _create=False)
+        ledger._last = last
         return ledger
 
     # -- core operations ---------------------------------------------------
@@ -590,7 +594,7 @@ class Ledger:
     def append(
         self,
         event_type: str,
-        payload: dict,
+        payload: object,
         backend_ts: int,
         version_id: str,
         device_ts: int | None = None,
@@ -599,6 +603,9 @@ class Ledger:
     ) -> EventEnvelope:
         """Append one record: assigns seq, chains hashes, writes durably.
 
+        ``payload`` is a canonical-ready dict, checked for raw floats, or a
+        typed payload (a dataclass instance), written as
+        ``map_floats(payload, encode_float)``.
         ``stream_id``/``environment_profile`` default to the ledger's own;
         passing a mismatching value is an isolation error, which is how
         mixed-profile ledgers are made unrepresentable.
@@ -609,8 +616,16 @@ class Ledger:
             raise ConfigurationError(f"device_ts must be an integer or None, got {device_ts!r}")
         if type(backend_ts) is not int or not isinstance(version_id, str):
             raise ConfigurationError("backend_ts must be an integer and version_id a string")
-        if not isinstance(payload, dict):
-            raise ConfigurationError(f"payload must be a dict, got {type(payload).__name__}")
+        if isinstance(payload, dict):
+            _reject_floats(payload, "$.payload")
+        elif dataclasses.is_dataclass(payload) and not isinstance(payload, type):
+            # map_floats leaves only strings, ints, bools, None, lists and
+            # string-keyed dicts, so there is no raw float to look for.
+            payload = map_floats(payload, encode_float)
+        else:
+            raise ConfigurationError(
+                f"payload must be a dict or a payload dataclass, got {type(payload).__name__}"
+            )
         if stream_id is not None and stream_id != self.stream_id:
             raise IsolationError(
                 f"stream {stream_id!r} does not match ledger stream {self.stream_id!r}"
@@ -623,13 +638,10 @@ class Ledger:
         with self._lock:
             if self._torn:
                 raise StorageError(f"{self.path} ends in a torn record; refusing to append")
-            seq = len(self._records)
+            last = self._last
+            seq, prev_hash = (0, GENESIS_HASH) if last is None else (last.seq + 1, last.hash)
             if event_type == "HEADER" and seq != 0:
                 raise ConfigurationError("HEADER is only valid at seq 0")
-            prev_hash = self._last_hash
-            # Every envelope member was type-checked above; only the payload
-            # can still hold a raw float.
-            _reject_floats(payload, "$.payload")
             body = _dumps({
                 "seq": seq,
                 "stream_id": self.stream_id,
@@ -658,26 +670,37 @@ class Ledger:
                     self._cut_torn_tail()
                     raise StorageError(f"append to {self.path} failed: {exc}") from None
                 self._size += len(line)
-            self._records.append(envelope)
-            self._last_hash = rec_hash
+            else:
+                self._records.append(envelope)
+            self._last = envelope
             return envelope
 
     def _cut_torn_tail(self) -> None:
         """Truncate the file to the last whole record after a failed write, so
-        the file never holds bytes the in-memory ledger does not. If that fails
-        too, every later append is refused instead of chaining onto them."""
+        the file never holds bytes of a record the ledger did not append. If
+        that fails too, every later append is refused instead of chaining onto
+        them."""
         try:
             self._fh.truncate(self._size)
         except OSError:
             self._torn = True
 
     def records(self) -> list[EventEnvelope]:
-        with self._lock:
-            return list(self._records)
+        """Every record appended so far. A file-backed ledger reads them from
+        its file through the verified read pass, so a record changed on disk
+        raises DecodeError carrying its seq."""
+        if self._records is not None:
+            with self._lock:
+                return list(self._records)
+        return list(islice(read_records(self.path), len(self)))
+
+    def last(self) -> EventEnvelope | None:
+        """The last record appended, or None while the ledger is empty."""
+        return self._last
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        last = self._last
+        return 0 if last is None else last.seq + 1
 
     def next_seq(self) -> int:
         return len(self)

@@ -131,10 +131,10 @@ def compute_metrics(source: Ledger | events.StreamIndex) -> MetricTable:
     entries_by_day: dict[int, list] = defaultdict(list)
     for (_, idx), (_, snapshot) in index.snapshots.items():
         entries_by_day[idx // k].extend(snapshot.provenance)
-    updates_by_day = Counter(ts_day(record.backend_ts) for record, _, _ in index.updates)
-    errors_by_day = Counter(ts_day(record.backend_ts) for record, _ in index.errors)
+    updates_by_day = Counter(ts_day(stamp.backend_ts) for stamp, _, _ in index.updates)
+    errors_by_day = Counter(ts_day(stamp.backend_ts) for stamp, _ in index.errors)
     update_failures_by_day = Counter(
-        ts_day(record.backend_ts) for record, error in index.errors if error.kind == "update_failure"
+        ts_day(stamp.backend_ts) for stamp, error in index.errors if error.kind == "update_failure"
     )
 
     table = MetricTable(
@@ -199,9 +199,9 @@ def evaluate_alerts(
                 if compare(value, rule.threshold):
                     fired.append(Alert(rule, day, value))
     if ledger is not None and fired:
-        records = ledger.records()
-        backend_ts = records[-1].backend_ts if records else 0
-        version_id = records[-1].version_id if records else "unknown"
+        last = ledger.last()
+        backend_ts = last.backend_ts if last is not None else 0
+        version_id = last.version_id if last is not None else "unknown"
         for alert in fired:
             events.append(
                 ledger,

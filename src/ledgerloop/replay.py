@@ -300,16 +300,16 @@ def reconstruct_states(
         states=states,
         updates=[],
     )
-    for record, info, rows in index.updates:
-        logic = logic_by_version[record.version_id]
-        pre_state = recon.state_before(info.participant_id, record.seq)
+    for stamp, info, rows in index.updates:
+        logic = logic_by_version[stamp.version_id]
+        pre_state = recon.state_before(info.participant_id, stamp.seq)
         new_state = logic.update_posterior(
             pre_state, rows, config, last_update_seq=max(info.batch_seqs)
         )
         recon.updates.append(
-            (record.seq, info, logic.serialize(new_state), pre_state.state_hash)
+            (stamp.seq, info, logic.serialize(new_state), pre_state.state_hash)
         )
-        states[info.participant_id].append((record.seq, new_state))
+        states[info.participant_id].append((stamp.seq, new_state))
     return recon
 
 
@@ -323,9 +323,9 @@ def verify_decisions(recon: Reconstruction) -> DivergenceReport:
     """
     report = DivergenceReport()
     checked = 0
-    for record, decision in recon.index.decisions.values():
+    for stamp, decision in recon.index.decisions.values():
         checked += 1
-        seq, envelope_version = record.seq, record.version_id
+        seq, envelope_version = stamp.seq, stamp.version_id
         pid, idx = decision.participant_id, decision.decision_index
         snap_entry = recon.index.snapshots.get((pid, idx))
         if snap_entry is None or snap_entry[0].seq >= seq:

@@ -164,19 +164,29 @@ def test_replay_verify_raw_float_with_valid_chain_is_audit_error(tmp_path, confi
     assert f"first_bad_seq={len(lines) - 1}" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("threshold", ["abc", [1], None])
-def test_monitor_report_bad_rule_threshold_exit_64(tmp_path, config_path, capsys, threshold):
+_RULE = {"metric": "fallback_rate", "comparator": ">"}
+
+
+@pytest.mark.parametrize("rule, problem", [
+    pytest.param({**_RULE, "threshold": "abc"}, "threshold: expected a number", id="abc"),
+    pytest.param({**_RULE, "threshold": [1]}, "threshold: expected a number", id="threshold1"),
+    pytest.param({**_RULE, "threshold": None}, "threshold: expected a number", id="None"),
+    # A number written as a string is not read as the number.
+    pytest.param({**_RULE, "threshold": "0.5"}, "threshold: expected a number", id="quoted-number"),
+    # A misspelt key is refused, not ignored in favour of the default.
+    pytest.param({**_RULE, "threshold": 0.5, "severty": "high"}, "severty: not a member",
+                 id="misspelt-key"),
+])
+def test_monitor_report_bad_rule_threshold_exit_64(tmp_path, config_path, capsys, rule, problem):
     ledger_path = tmp_path / "trial.ndjson"
     assert main(["simulate", "--config", config_path(), "--out", str(ledger_path)]) == 0
     rules_path = tmp_path / "rules.yaml"
-    rules_path.write_text(yaml.safe_dump(
-        {"rules": [{"metric": "fallback_rate", "comparator": ">", "threshold": threshold}]}
-    ))
+    rules_path.write_text(yaml.safe_dump({"rules": [rule]}))
     out = tmp_path / "report.txt"
     capsys.readouterr()
     assert main(["monitor-report", "--ledger", str(ledger_path), "--out", str(out),
                  "--rules", str(rules_path)]) == 64
-    assert capsys.readouterr().err.startswith("config error: --rules[0]: ")
+    assert capsys.readouterr().err.startswith(f"config error: --rules[0]: {problem}")
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,6 +294,66 @@ def test_open_round_trip(tmp_path):
     assert more.prev_hash == originals[-1].hash
     assert verify_chain(reopened) is None
     reopened.close()
+
+
+def test_file_backed_ledger_holds_no_record_copies(tmp_path):
+    # The file is the one copy of the records: appending to a file-backed
+    # ledger, or opening one, keeps only the last record in memory.
+    ledger = make_ledger(tmp_path)
+    ledger.fsync = False
+    append_n(ledger, 10)  # the first appends open the file and warm caches
+
+    def appended(i):
+        payload = {"kind": "test", "message": f"e{i}", "participant_id": None, "decision_index": None}
+        ledger.append("ERROR", payload, backend_ts=1000 + i, version_id="v1")
+
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i in range(2000):
+            appended(i)
+        retained = tracemalloc.get_traced_memory()[0] - before
+        ledger.close()
+        before = tracemalloc.get_traced_memory()[0]
+        reopened = Ledger.open(ledger.path)
+        opened = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024
+    assert opened < 64 * 1024
+    assert len(ledger) == len(reopened) == 2010
+    assert reopened.last() == ledger.last()
+    assert [r.hash for r in reopened.records()] == [r.hash for r in read_records(ledger.path)]
+
+
+@pytest.mark.parametrize("k", [0, 4, 9])
+def test_records_raise_at_a_record_changed_on_disk(tmp_path, k):
+    ledger = make_ledger(tmp_path)
+    written = append_n(ledger, 10)
+    assert ledger.records() == written
+    lines = ledger.path.read_bytes().splitlines(keepends=True)
+    line = bytearray(lines[k])
+    line[len(line) // 2] ^= 0x01  # any byte of record k but its newline
+    lines[k] = bytes(line)
+    ledger.path.write_bytes(b"".join(lines))
+    with pytest.raises(DecodeError) as err:
+        ledger.records()
+    assert err.value.seq == k
+
+
+@pytest.mark.parametrize("n", [1, 6])
+def test_open_counts_the_records_and_chains_from_the_last(tmp_path, n):
+    ledger = make_ledger(tmp_path)
+    written = append_n(ledger, n)
+    ledger.close()
+    reopened = Ledger.open(ledger.path)
+    _made.append(reopened)
+    assert len(reopened) == n
+    more = reopened.append("ALERT", {"note": "x"}, backend_ts=9, version_id="v1")
+    assert (more.seq, more.prev_hash) == (n, written[-1].hash)
+    reopened.close()
+    assert verify_chain(ledger.path) is None
+    assert [r.hash for r in read_records(ledger.path)] == [r.hash for r in written] + [more.hash]
 
 
 def test_read_records_decode_error_carries_seq(tmp_path):

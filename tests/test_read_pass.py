@@ -235,6 +235,8 @@ def test_append_refuses_what_the_read_pass_refuses(name, value):
 
 def test_in_memory_and_file_verdicts_match(small_ledger):
     with Ledger.open(small_ledger) as ledger:
-        in_memory = Ledger(ledger.stream_id, ledger.environment_profile, _records=ledger.records())
+        in_memory = Ledger(ledger.stream_id, ledger.environment_profile)
+        for r in ledger.records():
+            in_memory.append(r.event_type, r.payload, r.backend_ts, r.version_id, r.device_ts)
     assert verify_chain(in_memory) is None
     assert [r.to_line() for r in in_memory.records()] == small_ledger.read_bytes().splitlines()

@@ -7,24 +7,30 @@ with an empty hash, ``canonical_json_bytes`` of its ``body_dict()`` (which
 walks the whole body for raw floats), the hash, then a second envelope. The
 new append walks only the payload and encodes the body once; for any
 JSON-like payload it must give the same line and hash, or refuse it with the
-same message.
+same message. A typed payload (a dataclass) is not walked at all: it is
+written as ``map_floats(value, encode_float)``, which cannot hold a float.
 """
 
 import json
+import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ledgerloop.errors import ConfigurationError, DecodeError
+from ledgerloop.events import AlertInfo, DatumInfo, ErrorInfo, OutcomeInfo
 from ledgerloop.ledger import (
     GENESIS_HASH,
     EventEnvelope,
     Ledger,
     canonical_json_bytes,
     compute_record_hash,
+    encode_float,
+    map_floats,
     read_records,
     verify_chain,
 )
@@ -98,6 +104,59 @@ def test_append_matches_the_two_envelope_reference(calls):
         assert path.read_bytes() == b"".join(line + b"\n" for line in lines)
         if lines:
             assert [r.hash for r in read_records(path)] == [r.hash for r in ledger.records()]
+
+
+any_float = (
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.sampled_from([math.nan, -0.0, math.inf, -math.inf])
+    | st.floats(allow_nan=True, allow_infinity=True).map(np.float64)
+)
+members = st.recursive(
+    any_float | st.none() | st.booleans() | st.integers() | st.text(max_size=4) | st.binary(max_size=4),
+    lambda kids: st.lists(kids, max_size=3)
+    | st.tuples(kids, kids)
+    | st.dictionaries(keys, kids, max_size=3)
+    | st.builds(OutcomeInfo, kids, kids, kids, kids),
+    max_leaves=12,
+)
+typed_payloads = (
+    st.builds(DatumInfo, members, members, members, members, members)
+    | st.builds(OutcomeInfo, members, members, any_float, members)
+    | st.builds(ErrorInfo, members, members, members, members)
+    | st.builds(AlertInfo, members, members, any_float, any_float, members, members, members)
+)
+
+
+def _plain(obj) -> bool:
+    """Whether ``obj`` holds only strings, ints, bools, None, lists and
+    string-keyed dicts: no float anywhere."""
+    kind = type(obj)
+    if kind is dict:
+        return all(type(k) is str and _plain(v) for k, v in obj.items())
+    if kind is list:
+        return all(map(_plain, obj))
+    return kind in (str, int, bool, type(None))
+
+
+@settings(max_examples=300, deadline=None)
+@given(typed_payloads)
+@example(AlertInfo("m", "<", math.nan, -0.0, [math.inf, -math.inf], np.float64(-0.0), {1: np.float64("nan")}))
+def test_map_floats_of_a_typed_payload_never_holds_a_float(value):
+    # Ledger.append writes a typed payload as map_floats(value, encode_float)
+    # without walking it for raw floats; this is why it may skip the walk.
+    encoded = map_floats(value, encode_float)
+    assert _plain(encoded)
+    canonical_json_bytes(encoded)  # the raw-float walk finds nothing
+    record = Ledger("s", "test").append("ALERT", value, backend_ts=0, version_id="v1")
+    assert record.payload == encoded
+
+
+def test_append_refuses_a_payload_that_is_neither_a_dict_nor_typed():
+    ledger = Ledger("s", "test")
+    for payload in ([1], "x", None, DatumInfo):
+        with pytest.raises(ConfigurationError, match="payload must be a dict or a payload dataclass"):
+            ledger.append("ALERT", payload, backend_ts=0, version_id="v1")
+    assert len(ledger) == 0
 
 
 def test_append_refusal_names_the_path_inside_the_payload():

@@ -5,13 +5,16 @@ bookkeeping rather than a second reading of the records."""
 import copy
 import dataclasses
 
+import yaml
+
 import pytest
 
 from conftest import make_run_config
 from ledgerloop import twin as twin_module
 from ledgerloop.errors import NumericalStateError, StructuralAuditError
+from ledgerloop.cli import main
 from ledgerloop.events import StreamIndex
-from ledgerloop.ledger import Ledger
+from ledgerloop.ledger import EventEnvelope, Ledger, read_records
 from ledgerloop.replay import default_logic
 from ledgerloop.twin import EnvironmentSpec, run_trial
 
@@ -116,3 +119,34 @@ def test_batch_requires_increasing_seqs():
     # cycle and the fold alike.
     with pytest.raises(StructuralAuditError, match="seq 9 has non-increasing batch_seqs"):
         StreamIndex().batch("p1", (4, 4), 9)
+
+
+def _contents(obj):
+    """``obj`` and every value inside it: container members, dict keys and
+    dataclass fields."""
+    yield obj
+    if isinstance(obj, dict):
+        inner = [*obj.keys(), *obj.values()]
+    elif isinstance(obj, (list, tuple)):
+        inner = obj
+    elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        inner = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
+    else:
+        inner = ()
+    for value in inner:
+        yield from _contents(value)
+
+
+def test_the_folded_golden_index_holds_no_envelope(tmp_path):
+    # The index keeps a (seq, backend_ts, version_id) stamp beside each typed
+    # value, not the envelope with its payload dict.
+    from test_golden import GOLDEN_CONFIG
+
+    config, path = tmp_path / "golden.yaml", tmp_path / "golden.ndjson"
+    config.write_text(yaml.safe_dump(GOLDEN_CONFIG))
+    assert main(["simulate", "--config", str(config), "--out", str(path)]) == 0
+    index = StreamIndex.fold(read_records(path))
+    assert index.snapshots and index.decisions and index.updates and index.errors
+    assert not [v for v in _contents(index) if isinstance(v, EventEnvelope)]
+    stamp, _ = next(iter(index.decisions.values()))
+    assert type(stamp).__name__ == "Stamp" and stamp._fields == ("seq", "backend_ts", "version_id")
