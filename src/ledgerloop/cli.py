@@ -202,7 +202,14 @@ def _cmd_replay_verify(args) -> int:
     return EXIT_DIVERGED
 
 
+@dataclasses.dataclass(frozen=True)
+class _RulesFile:
+    rules: tuple[AlertRule, ...]
+
+
 def _load_rules(path_str: str | None) -> list[AlertRule]:
+    """The rules of a ``--rules`` file: a mapping whose one member is
+    ``rules``, or a bare list of rules."""
     if path_str is None:
         return list(DEFAULT_RULES)
     try:
@@ -211,17 +218,12 @@ def _load_rules(path_str: str | None) -> list[AlertRule]:
         raise ConfigurationError(f"--rules file {path_str} cannot be read: {exc}") from None
     except yaml.YAMLError as exc:
         raise ConfigurationError(f"--rules file is not valid YAML: {exc}") from None
-    if isinstance(raw, dict):
-        raw = raw.get("rules", [])
-    if not isinstance(raw, list):
-        raise ConfigurationError("--rules file must hold a list of rules")
-    rules = []
-    for i, item in enumerate(raw):
-        try:
-            rules.append(decode_as(AlertRule, item, CONFIG_FORMAT))
-        except DecodeError as exc:
-            raise ConfigurationError(f"--rules[{i}]: {exc}") from None
-    return rules
+    if isinstance(raw, list):
+        raw = {"rules": raw}
+    try:
+        return list(decode_as(_RulesFile, raw, CONFIG_FORMAT).rules)
+    except DecodeError as exc:
+        raise ConfigurationError(f"--rules: {exc}") from None
 
 
 def _cmd_monitor_report(args) -> int:

@@ -343,7 +343,3 @@ class StreamIndex:
             raise StructuralAuditError(f"no version active at seq {seq}")
         return self.versions[i - 1][1]
 
-
-def stream_index(source: Ledger | StreamIndex) -> StreamIndex:
-    """The index of a ledger, folded from its records; an index is its own."""
-    return source if isinstance(source, StreamIndex) else StreamIndex.fold(source.records())

@@ -10,11 +10,12 @@ body (everything except the ``hash`` field itself), and record 0 chains from
 :func:`_line`). Any single corrupted byte therefore breaks either a hash
 recomputation or the chain linkage.
 
-Every read of a ledger file goes through one verified pass (:func:`_verified`):
-:func:`read_records`, :meth:`Ledger.open`, :meth:`Ledger.records` and
+A :class:`Ledger` only writes: it keeps its last record, whose seq gives the
+count and whose hash is the chain head, never a copy of the records before
+it. Every read of a ledger file goes through one verified pass
+(:func:`_verified`): :func:`read_records`, :meth:`Ledger.open` and
 :func:`verify_chain` all check the same things, so a record a reader sees has
-passed the chain check. The file is the one copy of a file-backed ledger's
-records; the ledger object keeps only its last record.
+passed the chain check.
 
 This module is the one canonical encode path: ledger lines, the run header
 and record payloads (:func:`map_floats`) and every report
@@ -33,7 +34,6 @@ import threading
 import types
 import typing
 from dataclasses import MISSING, dataclass
-from itertools import islice
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
@@ -264,8 +264,9 @@ def _dataclass(cls: type, fmt: Format):
         if value.keys() != members:
             missing, unknown = required - value.keys(), value.keys() - members
             if missing or unknown:
-                name = min(missing or unknown, key=str)
-                raise _Refusal("missing" if missing else "not a member", f".{name}")
+                # A misspelt member is both; its spelling here names the typo.
+                name = min(unknown or missing, key=str)
+                raise _Refusal("not a member" if unknown else "missing", f".{name}")
             given = [(name, member) for name, member in spec if name in value]
         try:
             kwargs = {name: member(value[name]) for name, member in given}
@@ -508,19 +509,19 @@ def _parse_line(line: bytes, seq_hint: int) -> EventEnvelope:
 class Ledger:
     """Append-only event log for exactly one stream and environment profile.
 
-    File-backed when ``path`` is given (each append is flushed, and fsynced
-    by default, before returning) or purely in-memory when ``path`` is None,
-    which the digital twin uses for throwaway evaluation runs. The record
-    bytes are identical either way. A file-backed ledger holds no copy of its
-    records, only the last one (its seq gives the count, its hash the chain
-    head): :meth:`records` reads them back through the verified read pass.
-    An in-memory ledger keeps its records in a list, its only storage. The
-    file is opened for appending only when a new ledger creates it or a
-    loaded one is first appended to, so loading and auditing a ledger needs
-    no write access.
+    A ledger is a writer: it chains and hashes each record and keeps only
+    the last one, whose seq gives :func:`len` and whose hash is the chain
+    head. With a ``path`` each record's line is written to that file (flushed,
+    and fsynced by default, before the append returns); read the records
+    back with :func:`read_records`. With ``path=None``, as the digital twin's
+    throwaway evaluation runs use, nothing else is kept: the records are
+    chained and hashed exactly as they would be written, so the head is the
+    one the same run's file would end at. The file is opened for appending
+    only when a new ledger creates it or a loaded one is first appended to,
+    so loading and auditing a ledger needs no write access.
 
-    Appends are serialized by an internal lock; readers always observe a
-    prefix of the final record sequence.
+    Appends are serialized by an internal lock, so concurrent appends
+    chain one after another.
     """
 
     def __init__(
@@ -544,7 +545,6 @@ class Ledger:
         self.fsync = fsync
         self._lock = threading.Lock()
         self._last: EventEnvelope | None = None
-        self._records: list[EventEnvelope] | None = [] if self.path is None else None
         self._handle = None
         self._size = 0  # file offset just past the last whole record
         self._torn = False  # a failed append left bytes that could not be cut
@@ -670,8 +670,6 @@ class Ledger:
                     self._cut_torn_tail()
                     raise StorageError(f"append to {self.path} failed: {exc}") from None
                 self._size += len(line)
-            else:
-                self._records.append(envelope)
             self._last = envelope
             return envelope
 
@@ -685,15 +683,6 @@ class Ledger:
         except OSError:
             self._torn = True
 
-    def records(self) -> list[EventEnvelope]:
-        """Every record appended so far. A file-backed ledger reads them from
-        its file through the verified read pass, so a record changed on disk
-        raises DecodeError carrying its seq."""
-        if self._records is not None:
-            with self._lock:
-                return list(self._records)
-        return list(islice(read_records(self.path), len(self)))
-
     def last(self) -> EventEnvelope | None:
         """The last record appended, or None while the ledger is empty."""
         return self._last
@@ -701,9 +690,6 @@ class Ledger:
     def __len__(self) -> int:
         last = self._last
         return 0 if last is None else last.seq + 1
-
-    def next_seq(self) -> int:
-        return len(self)
 
     def close(self) -> None:
         if self._handle is not None:
@@ -767,16 +753,17 @@ def verify_chain(source: "Ledger | str | Path") -> int | None:
     is the canonical encoding of its record (no raw floats), with the same
     pass that :func:`read_records` and :meth:`Ledger.open` run.
 
-    Returns None when the whole ledger verifies, otherwise the smallest
-    offending seq. Works on a file path or a Ledger (file-backed ledgers are
-    re-read from disk so on-disk corruption is what gets checked).
+    Returns None when the whole file verifies, otherwise the smallest
+    offending seq. Takes a file path or a file-backed Ledger, whose file is
+    re-read so on-disk corruption is what gets checked; an in-memory ledger
+    has no records to check and is a ConfigurationError.
     """
-    if isinstance(source, Ledger) and source.path is None:
-        lines = (record.to_line() for record in source.records())
-    else:
-        lines = _file_lines(source.path if isinstance(source, Ledger) else source)
+    if isinstance(source, Ledger):
+        if source.path is None:
+            raise ConfigurationError("an in-memory ledger keeps no records to verify")
+        source = source.path
     try:
-        for _ in _verified(lines):
+        for _ in _verified(_file_lines(source)):
             pass
     except DecodeError as exc:
         return exc.seq

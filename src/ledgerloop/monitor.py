@@ -107,15 +107,11 @@ def _day_metrics(
     }
 
 
-def compute_metrics(source: Ledger | events.StreamIndex) -> MetricTable:
-    """Per-day and overall fidelity metrics for one trial ledger.
-
-    Precondition: the ledger's chain verifies. Every Ledger satisfies it: one
-    from :meth:`Ledger.open` was verified on load, and an appended record is
-    hashed from its canonical bytes. Decisions and snapshots attribute to
-    days by decision index; updates and errors by backend timestamp.
+def compute_metrics(index: events.StreamIndex) -> MetricTable:
+    """Per-day and overall fidelity metrics for one trial ledger's index.
+    Decisions and snapshots attribute to days by decision index; updates and
+    errors by backend timestamp.
     """
-    index = events.stream_index(source)
     header = index.header
     k = header.schedule.points_per_day
     trial_days = header.schedule.trial_days

@@ -36,8 +36,8 @@ from typing import Callable, Collection, Mapping
 
 from . import policy
 from .errors import AuditError, LedgerLoopError, StructuralAuditError
-from .events import StreamIndex, stream_index
-from .ledger import Ledger, encode_float, report_bytes
+from .events import StreamIndex
+from .ledger import encode_float, report_bytes
 from .policy import FeatureSnapshot, ModelConfig, PosteriorState
 
 
@@ -259,20 +259,17 @@ class Reconstruction:
 
 
 def reconstruct_states(
-    source: Ledger | StreamIndex, logic_by_version: Mapping[str, PolicyLogic] | None = None
+    index: StreamIndex, logic_by_version: Mapping[str, PolicyLogic] | None = None
 ) -> Reconstruction:
-    """Fold the ledger's update events through per-version policy logic,
+    """Fold the indexed update events through per-version policy logic,
     by default the logic each version's recorded fingerprint names
     (:func:`registered_logics`).
 
-    Precondition: the ledger's chain verifies, as every Ledger's does (see
-    :func:`ledgerloop.monitor.compute_metrics`). Raises AuditError when any
-    event carries a version with no registered logic or when a version's
-    logic does not have the fingerprint it recorded, StructuralAuditError
-    when the ledger's structure itself is inconsistent (bad batch references,
-    missing header, double consumption).
+    Raises AuditError when any event carries a version with no registered
+    logic or when a version's logic does not have the fingerprint it
+    recorded. Structural problems (bad batch references, a missing header,
+    double consumption) were already raised by the fold that built the index.
     """
-    index = stream_index(source)
     config = index.header.model
     if logic_by_version is None:
         logic_by_version = registered_logics(index)
@@ -390,14 +387,14 @@ def verify_updates(recon: Reconstruction) -> DivergenceReport:
 
 
 def replay_verify(
-    source: Ledger | StreamIndex, logic_by_version: Mapping[str, PolicyLogic] | None = None
+    index: StreamIndex, logic_by_version: Mapping[str, PolicyLogic] | None = None
 ) -> DivergenceReport:
     """Full audit: reconstruct, then verify decisions and updates.
 
     Raises AuditError/StructuralAuditError for attribution and structure
     problems; returns a DivergenceReport (status exact or diverged) otherwise.
     """
-    recon = reconstruct_states(source, logic_by_version)
+    recon = reconstruct_states(index, logic_by_version)
     decisions_report = verify_decisions(recon)
     updates_report = verify_updates(recon)
     merged = merge_reports(decisions_report, updates_report)

@@ -268,6 +268,7 @@ class Runtime:
         Arrival after the snapshot that needed this datum never mutates that
         snapshot; the new event just references the superseded snapshot seq.
         """
+        self._require_participant(participant_id)
         home = self._window_index(device_ts)
         snap = self.index.snapshots.get((participant_id, home))
         superseded = None if snap is None else snap[0].seq
@@ -422,7 +423,7 @@ class Runtime:
         if not batch_seqs:
             return state
         try:
-            batch = self.index.batch(participant_id, batch_seqs, self.ledger.next_seq())
+            batch = self.index.batch(participant_id, batch_seqs, len(self.ledger))
             new_state = self.logic.update_posterior(
                 state, batch, self.model_config, last_update_seq=max(batch_seqs)
             )

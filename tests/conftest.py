@@ -4,7 +4,8 @@ import json
 import pytest
 
 from ledgerloop.config import RunConfig, config_digest, config_from_dict, header_config_dict
-from ledgerloop.ledger import GENESIS_HASH, Ledger, compute_record_hash
+from ledgerloop.events import StreamIndex
+from ledgerloop.ledger import GENESIS_HASH, Ledger, compute_record_hash, read_records
 from ledgerloop.replay import default_logic
 from ledgerloop.runtime import Runtime
 from ledgerloop.rng import derive_seed
@@ -84,9 +85,14 @@ def first_seq(path, event_type: str, where=lambda payload: True) -> int:
     raise AssertionError(f"no {event_type} record")
 
 
-def records_of(ledger: Ledger, event_type: str) -> list:
-    """The records of ``ledger`` of one event type, in seq order."""
-    return [record for record in ledger.records() if record.event_type == event_type]
+def records_of(path, event_type: str) -> list:
+    """The records of one event type in the ledger file at ``path``, in seq order."""
+    return [record for record in read_records(path) if record.event_type == event_type]
+
+
+def index_of(path) -> StreamIndex:
+    """The index folded from the ledger file at ``path``, as the audit verbs fold it."""
+    return StreamIndex.fold(read_records(path))
 
 
 def make_run_config(**overrides) -> RunConfig:

@@ -11,11 +11,11 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import BASE_CONFIG, deep_merge, make_run_config, records_of
+from conftest import BASE_CONFIG, deep_merge, index_of, make_run_config, records_of
 from ledgerloop import events
 from ledgerloop.cli import main
 from ledgerloop.errors import AuditError
-from ledgerloop.ledger import Ledger, encode_float, verify_chain
+from ledgerloop.ledger import encode_float, read_records, verify_chain
 from ledgerloop.policy import (
     FeatureSnapshot,
     ModelConfig,
@@ -122,12 +122,11 @@ def test_criterion_1_end_to_end_replay(tmp_path):
     ledger_path = tmp_path / "accept1.ndjson"
     assert main(["simulate", "--config", str(config_path), "--out", str(ledger_path)]) == 0
 
-    with Ledger.open(ledger_path) as ledger:
-        decisions = list(records_of(ledger, "DECISION"))
-        assert len(decisions) == 20 * 28 * 2
+    decisions = records_of(ledger_path, "DECISION")
+    assert len(decisions) == 20 * 28 * 2
 
-        assert main(["replay-verify", "--ledger", str(ledger_path)]) == 0
-        report = replay_verify(ledger, {"v1.0.0": default_logic()})
+    assert main(["replay-verify", "--ledger", str(ledger_path)]) == 0
+    report = replay_verify(index_of(ledger_path), {"v1.0.0": default_logic()})
     assert report.exact
     assert report.first_divergent_seq is None
     assert not report.field_diffs
@@ -239,11 +238,12 @@ def test_criterion_5_randomization_fidelity():
 
 
 @criterion(6, "fallback totality: 100% injected exceptions, full coverage, pi bit-equal 0.5")
-def test_criterion_6_fallback_totality():
+def test_criterion_6_fallback_totality(tmp_path):
     config = make_run_config(injection={"policy_exception_prob": 1.0})
     env = full_scale_env(n_participants=5, n_days=7)
-    result = run_trial(env, config, 66)
-    decisions = list(records_of(result.ledger, "DECISION"))
+    path = tmp_path / "fallback.ndjson"
+    run_trial(env, config, 66, out_path=path).ledger.close()
+    decisions = records_of(path, "DECISION")
     assert len(decisions) == 5 * 7 * 2  # coverage 1.0 by construction
     half = encode_float(0.5)
     for record in decisions:
@@ -251,7 +251,7 @@ def test_criterion_6_fallback_totality():
         assert decision.fallback is True
         assert record.payload["pi"] == half
         assert decision.action == decide(0.5, decision.seed)
-    report = replay_verify(result.ledger, {"v1.0.0": default_logic()})
+    report = replay_verify(index_of(path), {"v1.0.0": default_logic()})
     assert report.exact
 
 
@@ -274,7 +274,7 @@ def test_criterion_7_learning_sanity():
         if mean_outcome(bandit) > mean_outcome(uniform):
             wins += 1
 
-        recon = reconstruct_states(bandit.ledger, {"v1.0.0": default_logic()})
+        recon = reconstruct_states(bandit.index, {"v1.0.0": default_logic()})
         finals = [timeline[-1][1].mean[d_g] for timeline in recon.states.values()]
         if float(np.mean(finals)) > 0.0:
             sign_hits += 1
@@ -293,68 +293,73 @@ def test_criterion_8_imputation_preservation(tmp_path):
     start_runtime(runtime)
     snapshot = runtime.assemble_features("p0", 0)
     assert snapshot.provenance[5] == "default"  # engagement never arrived
-    snap_seq = next(r.seq for r in records_of(runtime.ledger, "FEATURE_SNAPSHOT"))
-    line_before = runtime.ledger.records()[snap_seq].to_line()
-    file_line_before = (tmp_path / "manual.ndjson").read_bytes().splitlines()[snap_seq]
+    manual = tmp_path / "manual.ndjson"
+    snap_seq = records_of(manual, "FEATURE_SNAPSHOT")[0].seq
+    line_before = list(read_records(manual))[snap_seq].to_line()
+    file_line_before = manual.read_bytes().splitlines()[snap_seq]
 
     late_seq = runtime.ingest_observation(
         "p0", "engagement", 0.9, device_ts=9 * 3_600_000 - 60_000, backend_ts=9 * 3_600_000 + 1
     )
-    late = runtime.ledger.records()[late_seq]
+    runtime.ledger.close()
+    records = list(read_records(manual))
+    late = records[late_seq]
     assert late.event_type == "DATA_INGESTED"
     assert late.payload["superseded_snapshot_seq"] == snap_seq
 
-    assert runtime.ledger.records()[snap_seq].to_line() == line_before
-    file_line_after = (tmp_path / "manual.ndjson").read_bytes().splitlines()[snap_seq]
+    assert records[snap_seq].to_line() == line_before
+    file_line_after = manual.read_bytes().splitlines()[snap_seq]
     assert file_line_after == file_line_before
-    runtime.ledger.close()
 
     # Full-trial version: delays injected, imputed snapshots exist, replay exact.
     config = make_run_config()
     env = full_scale_env(
         n_participants=4, n_days=5, delay_geometric_p=0.6, miss_prob=0.0
     )
-    result = run_trial(env, config, 88)
+    path = tmp_path / "late.ndjson"
+    run_trial(env, config, 88, out_path=path).ledger.close()
     late_events = [
-        r for r in records_of(result.ledger, "DATA_INGESTED")
+        r for r in records_of(path, "DATA_INGESTED")
         if r.payload["superseded_snapshot_seq"] is not None
     ]
     assert late_events, "delay injection produced no late arrivals"
     imputed = 0
-    for record in records_of(result.ledger, "FEATURE_SNAPSHOT"):
+    for record in records_of(path, "FEATURE_SNAPSHOT"):
         snap = events.parse_snapshot(record.payload)
         imputed += sum(1 for tag in snap.provenance if tag != "observed")
     assert imputed > 0
-    report = replay_verify(result.ledger, {"v1.0.0": default_logic()})
+    report = replay_verify(index_of(path), {"v1.0.0": default_logic()})
     assert report.exact
 
 
 @criterion(9, "version traceability: per-segment logic, audit error when missing")
-def test_criterion_9_version_traceability():
+def test_criterion_9_version_traceability(tmp_path):
     config = make_run_config(version_switch={"day": 14, "version_id": "v1.0.1"})
     env = full_scale_env(n_participants=5, n_days=28)
-    result = run_trial(env, config, 99)
+    path = tmp_path / "switch.ndjson"
+    run_trial(env, config, 99, out_path=path).ledger.close()
 
     switch_seq = next(
         r.seq
-        for r in records_of(result.ledger, "VERSION_CHANGE")
+        for r in records_of(path, "VERSION_CHANGE")
         if r.payload["version_id"] == "v1.0.1"
     )
-    for record in result.ledger.records():
+    for record in read_records(path):
         expected = "v1.0.0" if record.seq < switch_seq else "v1.0.1"
         assert record.version_id == expected
     versions_on_decisions = {
         events.parse_decision(r.payload).version_id
-        for r in records_of(result.ledger, "DECISION")
+        for r in records_of(path, "DECISION")
     }
     assert versions_on_decisions == {"v1.0.0", "v1.0.1"}
 
+    index = index_of(path)
     both = {"v1.0.0": default_logic(), "v1.0.1": default_logic()}
-    report = replay_verify(result.ledger, both)
+    report = replay_verify(index, both)
     assert report.exact
 
     with pytest.raises(AuditError, match="v1.0.1"):
-        replay_verify(result.ledger, {"v1.0.0": default_logic()})
+        replay_verify(index, {"v1.0.0": default_logic()})
 
 
 @criterion(10, "tamper evidence: 1000 single-byte corruptions all detected")
@@ -391,8 +396,7 @@ def test_criterion_10_tamper_evidence(tmp_path):
         from ledgerloop.errors import LedgerLoopError
 
         try:
-            with Ledger.open(mutated_path) as mutated:
-                report = replay_verify(mutated, {"v1.0.0": default_logic()})
+            report = replay_verify(index_of(mutated_path), {"v1.0.0": default_logic()})
         except LedgerLoopError:
             detected += 1
             continue

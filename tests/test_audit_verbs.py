@@ -305,7 +305,7 @@ def test_append_alerts_refuses_a_ledger_that_changed(tmp_path, ledger_path, monk
 
     def open_after_a_write(cls, path):
         opened = original_open(cls, path)
-        last = opened.records()[-1]
+        last = opened.last()
         opened.append("ERROR", {"kind": "late_writer"}, last.backend_ts, last.version_id)
         return opened
 

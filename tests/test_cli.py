@@ -112,6 +112,23 @@ def test_monitor_report_custom_rules(tmp_path, config_path):
     assert b'"kind":"alert"' in out.read_bytes()
 
 
+def test_monitor_report_rules_as_a_bare_list(tmp_path, config_path):
+    ledger_path = tmp_path / "trial.ndjson"
+    main(["simulate", "--config", config_path(), "--out", str(ledger_path),
+          "--inject", "policy_exception_prob=1.0"])
+    rules = [{"metric": "fallback_rate", "comparator": ">", "threshold": 0.5, "window": "overall"}]
+    reports = []
+    for form in (rules, {"rules": rules}):
+        rules_path = tmp_path / f"rules{len(reports)}.yaml"
+        rules_path.write_text(yaml.safe_dump(form))
+        out = tmp_path / f"report{len(reports)}.txt"
+        assert main(["monitor-report", "--ledger", str(ledger_path), "--out", str(out),
+                     "--rules", str(rules_path)]) == 0
+        reports.append(out.read_bytes())
+    assert reports[0] == reports[1]
+    assert b'"kind":"alert"' in reports[0]
+
+
 def test_ledger_inspect_prints_record(tmp_path, config_path, capsys):
     ledger_path = tmp_path / "trial.ndjson"
     main(["simulate", "--config", config_path(), "--out", str(ledger_path)])
@@ -186,7 +203,29 @@ def test_monitor_report_bad_rule_threshold_exit_64(tmp_path, config_path, capsys
     capsys.readouterr()
     assert main(["monitor-report", "--ledger", str(ledger_path), "--out", str(out),
                  "--rules", str(rules_path)]) == 64
-    assert capsys.readouterr().err.startswith(f"config error: --rules[0]: {problem}")
+    assert capsys.readouterr().err.startswith(f"config error: --rules: rules[0].{problem}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rules, problem", [
+    pytest.param({"rule": [{**_RULE, "threshold": 0.5}]}, "rule: not a member", id="misspelt-list-key"),
+    pytest.param({"rules": [{**_RULE, "threshold": 0.5}], "severity": "high"}, "severity: not a member",
+                 id="extra-key"),
+    pytest.param({}, "rules: missing", id="no-rules"),
+    pytest.param(5, "expected an object, got 5", id="number"),
+])
+def test_monitor_report_rules_file_keys_exit_64(tmp_path, config_path, capsys, rules, problem):
+    # A rules file is a list of rules or a mapping whose one member is
+    # "rules"; any other key is refused, never read as "no rules".
+    ledger_path = tmp_path / "trial.ndjson"
+    assert main(["simulate", "--config", config_path(), "--out", str(ledger_path)]) == 0
+    rules_path = tmp_path / "rules.yaml"
+    rules_path.write_text(yaml.safe_dump(rules))
+    out = tmp_path / "report.txt"
+    capsys.readouterr()
+    assert main(["monitor-report", "--ledger", str(ledger_path), "--out", str(out),
+                 "--rules", str(rules_path)]) == 64
+    assert capsys.readouterr().err == f"config error: --rules: {problem}\n"
     assert not out.exists()
 
 

@@ -213,10 +213,12 @@ def test_verify_ok(tmp_path):
     assert verify_chain(ledger.path) is None
 
 
-def test_verify_in_memory():
+def test_verify_chain_refuses_an_in_memory_ledger():
+    # An in-memory ledger keeps only its head: there are no records to check.
     ledger = make_ledger()
     append_n(ledger, 5)
-    assert verify_chain(ledger) is None
+    with pytest.raises(ConfigurationError, match="in-memory"):
+        verify_chain(ledger)
 
 
 def test_flip_payload_byte_detected_at_that_seq(tmp_path):
@@ -287,7 +289,9 @@ def test_open_round_trip(tmp_path):
     originals = append_n(ledger, 5)
     ledger.close()
     reopened = Ledger.open(tmp_path / "events.ndjson")
-    assert [r.hash for r in reopened.records()] == [r.hash for r in originals]
+    assert len(reopened) == 5
+    assert reopened.last() == originals[-1]
+    assert [r.hash for r in read_records(reopened.path)] == [r.hash for r in originals]
     # appending continues the chain
     more = reopened.append("ALERT", {"note": "x"}, backend_ts=9, version_id="v1")
     assert more.seq == 5
@@ -296,10 +300,11 @@ def test_open_round_trip(tmp_path):
     reopened.close()
 
 
-def test_file_backed_ledger_holds_no_record_copies(tmp_path):
-    # The file is the one copy of the records: appending to a file-backed
-    # ledger, or opening one, keeps only the last record in memory.
-    ledger = make_ledger(tmp_path)
+@pytest.mark.parametrize("on_file", [True, False], ids=["file", "memory"])
+def test_ledger_holds_no_record_copies(tmp_path, on_file):
+    # A ledger keeps only its last record: appending, to a file or to no
+    # storage at all, or opening a file, holds no copy of the others.
+    ledger = make_ledger(tmp_path if on_file else None)
     ledger.fsync = False
     append_n(ledger, 10)  # the first appends open the file and warm caches
 
@@ -313,31 +318,33 @@ def test_file_backed_ledger_holds_no_record_copies(tmp_path):
         for i in range(2000):
             appended(i)
         retained = tracemalloc.get_traced_memory()[0] - before
-        ledger.close()
-        before = tracemalloc.get_traced_memory()[0]
-        reopened = Ledger.open(ledger.path)
-        opened = tracemalloc.get_traced_memory()[0] - before
+        if on_file:
+            ledger.close()
+            before = tracemalloc.get_traced_memory()[0]
+            reopened = Ledger.open(ledger.path)
+            opened = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert retained < 64 * 1024
-    assert opened < 64 * 1024
-    assert len(ledger) == len(reopened) == 2010
-    assert reopened.last() == ledger.last()
-    assert [r.hash for r in reopened.records()] == [r.hash for r in read_records(ledger.path)]
+    assert len(ledger) == 2010
+    if on_file:
+        assert opened < 64 * 1024
+        assert len(reopened) == 2010
+        assert reopened.last() == ledger.last()
 
 
 @pytest.mark.parametrize("k", [0, 4, 9])
 def test_records_raise_at_a_record_changed_on_disk(tmp_path, k):
     ledger = make_ledger(tmp_path)
     written = append_n(ledger, 10)
-    assert ledger.records() == written
+    assert list(read_records(ledger.path)) == written
     lines = ledger.path.read_bytes().splitlines(keepends=True)
     line = bytearray(lines[k])
     line[len(line) // 2] ^= 0x01  # any byte of record k but its newline
     lines[k] = bytes(line)
     ledger.path.write_bytes(b"".join(lines))
     with pytest.raises(DecodeError) as err:
-        ledger.records()
+        list(read_records(ledger.path))
     assert err.value.seq == k
 
 
@@ -414,7 +421,7 @@ class _TearingHandle:
 
 def test_failed_append_leaves_no_torn_bytes(tmp_path):
     ledger = make_ledger(tmp_path)
-    append_n(ledger, 1)
+    first = append_n(ledger, 1)[0]
     size = ledger.path.stat().st_size
     ledger._fh = _TearingHandle(ledger._fh)
     with pytest.raises(StorageError):
@@ -425,7 +432,7 @@ def test_failed_append_leaves_no_torn_bytes(tmp_path):
     assert more.seq == 1
     ledger.close()
     assert verify_chain(ledger.path) is None
-    assert [r.hash for r in read_records(ledger.path)] == [r.hash for r in ledger.records()]
+    assert [r.hash for r in read_records(ledger.path)] == [first.hash, more.hash]
 
 
 def test_failed_append_after_reopen_cuts_back_to_existing_end(tmp_path):

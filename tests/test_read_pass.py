@@ -22,6 +22,7 @@ from ledgerloop.ledger import (
     Ledger,
     canonical_json_bytes,
     compute_record_hash,
+    read_records,
     verify_chain,
 )
 from ledgerloop.twin import EnvironmentSpec, run_trial
@@ -80,9 +81,8 @@ def open_verdict(path) -> int | None:
     return None
 
 
-@pytest.fixture
-def small_ledger(tmp_path):
-    """A real trial ledger (every event type the runtime writes, late data,
+def small_trial(out_path=None):
+    """A real trial (every event type the runtime writes, late data,
     fallbacks), small enough to re-verify hundreds of times."""
     env = EnvironmentSpec(
         effect_mean=(0.5, 0.0, 0.0),
@@ -95,8 +95,14 @@ def small_ledger(tmp_path):
         n_days=2,
     )
     config = make_run_config(injection={"policy_exception_prob": 0.3})
+    return run_trial(env, config, 7, out_path=out_path)
+
+
+@pytest.fixture
+def small_ledger(tmp_path):
+    """The ledger file of :func:`small_trial`."""
     path = tmp_path / "small.ndjson"
-    run_trial(env, config, 7, out_path=path).ledger.close()
+    small_trial(path).ledger.close()
     return path
 
 
@@ -192,7 +198,7 @@ def test_payload_with_its_own_hash_key_verifies(small_ledger):
     assert reference_verify_chain(small_ledger) is None
     assert verify_chain(small_ledger) is None
     with Ledger.open(small_ledger) as ledger:
-        assert ledger.records()[-1].payload["hash"] == fake
+        assert ledger.last().payload["hash"] == fake
 
 
 def test_dict_device_ts_is_refused(small_ledger):
@@ -209,14 +215,15 @@ def test_dict_device_ts_is_refused(small_ledger):
 
 
 @pytest.mark.parametrize("device_ts", [{"t": 1}, [1], "1", True, 1.5])
-def test_append_refuses_non_integer_device_ts(device_ts):
-    ledger = Ledger(stream_id="s", environment_profile="test")
-    with pytest.raises(ConfigurationError, match="device_ts"):
-        ledger.append("ALERT", {}, backend_ts=0, version_id="v1", device_ts=device_ts)
-    assert len(ledger) == 0
-    ledger.append("ALERT", {}, backend_ts=0, version_id="v1", device_ts=5)
-    ledger.append("ALERT", {}, backend_ts=0, version_id="v1", device_ts=None)
-    assert verify_chain(ledger) is None
+def test_append_refuses_non_integer_device_ts(tmp_path, device_ts):
+    path = tmp_path / "l.ndjson"
+    with Ledger(stream_id="s", environment_profile="test", path=path, fsync=False) as ledger:
+        with pytest.raises(ConfigurationError, match="device_ts"):
+            ledger.append("ALERT", {}, backend_ts=0, version_id="v1", device_ts=device_ts)
+        assert len(ledger) == 0
+        ledger.append("ALERT", {}, backend_ts=0, version_id="v1", device_ts=5)
+        ledger.append("ALERT", {}, backend_ts=0, version_id="v1", device_ts=None)
+    assert verify_chain(path) is None
 
 
 @pytest.mark.parametrize(
@@ -233,10 +240,14 @@ def test_append_refuses_what_the_read_pass_refuses(name, value):
         Ledger(stream_id=7, environment_profile="test")
 
 
-def test_in_memory_and_file_verdicts_match(small_ledger):
-    with Ledger.open(small_ledger) as ledger:
-        in_memory = Ledger(ledger.stream_id, ledger.environment_profile)
-        for r in ledger.records():
-            in_memory.append(r.event_type, r.payload, r.backend_ts, r.version_id, r.device_ts)
-    assert verify_chain(in_memory) is None
-    assert [r.to_line() for r in in_memory.records()] == small_ledger.read_bytes().splitlines()
+def test_in_memory_and_file_ledgers_end_at_one_head(tmp_path):
+    # An in-memory ledger chains exactly as a file-backed one does, so the
+    # same trial ends at the same record count and head with or without a file.
+    path = tmp_path / "trial.ndjson"
+    with small_trial(path).ledger as on_file:
+        pass
+    in_memory = small_trial().ledger
+    assert verify_chain(path) is None
+    *_, stored = read_records(path)
+    assert len(in_memory) == len(on_file) == stored.seq + 1
+    assert in_memory.last().hash == on_file.last().hash == stored.hash

@@ -1,14 +1,13 @@
-import copy
 import math
 import struct
 from pathlib import Path
 
 import pytest
 
-from conftest import make_run_config, records_of
+from conftest import index_of, make_run_config, records_of
 from ledgerloop import events, policy
 from ledgerloop.errors import AuditError, StructuralAuditError
-from ledgerloop.ledger import Ledger, encode_float, verify_chain
+from ledgerloop.ledger import Ledger, encode_float, read_records, verify_chain
 from ledgerloop.replay import (
     V1_FINGERPRINT,
     default_logic,
@@ -39,28 +38,39 @@ def healthy_trial(seed=7, **env_overrides):
     return run_trial(small_env(**env_overrides), config, seed)
 
 
-def logic_for(ledger):
-    return {record_version: default_logic() for record_version in
-            {r.version_id for r in ledger.records()}}
+def trial_file(tmp_path, config=None, seed=7) -> Path:
+    """The ledger file of one small trial, written under ``tmp_path``."""
+    path = tmp_path / "trial.ndjson"
+    run_trial(small_env(), config or make_run_config(), seed, out_path=path).ledger.close()
+    return path
 
 
-def rechain(ledger: Ledger, mutate=None) -> Ledger:
-    """Rebuild a ledger re-deriving the hash chain, optionally mutating
+def logic_for(index):
+    return {version_id: default_logic() for version_id in index.stamped}
+
+
+def rechain(path: Path, mutate=None, skip=()) -> Path:
+    """A copy of a ledger file with its hash chain re-derived, leaving out
+    the records of the event types in ``skip`` and optionally mutating
     payloads: mutate(seq, event_type, payload) -> payload. This simulates a
     tamperer smart enough to fix the chain, which only the verifiers catch."""
-    out = Ledger(stream_id=ledger.stream_id, environment_profile=ledger.environment_profile)
-    for record in ledger.records():
-        payload = copy.deepcopy(record.payload)
-        if mutate is not None:
-            payload = mutate(record.seq, record.event_type, payload) or payload
-        out.append(
-            record.event_type,
-            payload,
-            backend_ts=record.backend_ts,
-            version_id=record.version_id,
-            device_ts=record.device_ts,
-        )
-    return out
+    out_path = path.with_name("rechained.ndjson")
+    first = next(read_records(path))
+    with Ledger(first.stream_id, first.environment_profile, path=out_path, fsync=False) as out:
+        for record in read_records(path):
+            if record.event_type in skip:
+                continue
+            payload = record.payload
+            if mutate is not None:
+                payload = mutate(record.seq, record.event_type, payload) or payload
+            out.append(
+                record.event_type,
+                payload,
+                backend_ts=record.backend_ts,
+                version_id=record.version_id,
+                device_ts=record.device_ts,
+            )
+    return out_path
 
 
 def flip_low_mantissa_bit(hex_str: str) -> str:
@@ -76,7 +86,7 @@ def test_reconstruct_no_updates_gives_initial_states():
     # One day, updates happen at 23:00 but outcomes arrive afterwards only if
     # delayed; with no outcome ever (miss everything) there are no updates.
     result = run_trial(small_env(miss_prob=1.0, n_days=1), config, 1)
-    recon = reconstruct_states(result.ledger, logic_for(result.ledger))
+    recon = reconstruct_states(result.index, logic_for(result.index))
     assert not recon.updates
     for pid, timeline in recon.states.items():
         assert len(timeline) == 1
@@ -86,11 +96,8 @@ def test_reconstruct_no_updates_gives_initial_states():
 
 def test_final_state_hash_matches_last_update():
     result = healthy_trial()
-    recon = reconstruct_states(result.ledger, logic_for(result.ledger))
-    last_updates = {}
-    for record in records_of(result.ledger, "MODEL_UPDATE"):
-        info = events.parse_update(record.payload)
-        last_updates[info.participant_id] = info
+    recon = reconstruct_states(result.index, logic_for(result.index))
+    last_updates = {info.participant_id: info for _, info, _ in result.index.updates}
     assert last_updates
     for pid, info in last_updates.items():
         final_state = recon.states[pid][-1][1]
@@ -100,13 +107,13 @@ def test_final_state_hash_matches_last_update():
 def test_unregistered_version_is_audit_error():
     result = healthy_trial()
     with pytest.raises(AuditError, match="v1.0.0"):
-        reconstruct_states(result.ledger, {"v9.9.9": default_logic()})
+        reconstruct_states(result.index, {"v9.9.9": default_logic()})
 
 
 def test_a_logic_given_for_another_fingerprint_is_audit_error():
     # The v1 fixture's versions record v1's fingerprint; v2 may not replay them.
     fixture = Path(__file__).resolve().parent / "fixtures" / "v1-golden.ndjson"
-    index = events.StreamIndex.fold(Ledger.open(fixture).records())
+    index = index_of(fixture)
     with pytest.raises(AuditError, match=f"records fingerprint {V1_FINGERPRINT}, not that of conjugate-linear-v2"):
         reconstruct_states(index, {"v1.0.0": default_logic(), "v1.1.0": default_logic()})
 
@@ -124,29 +131,30 @@ def test_v2_is_refused_where_it_misses_its_known_answers(monkeypatch):
         default_logic()
 
 
-def test_reconstruction_requires_header():
-    ledger = Ledger(stream_id="s", environment_profile="test")
-    ledger.append("ERROR", {"kind": "k", "message": "m", "participant_id": None, "decision_index": None}, backend_ts=0, version_id="v1")
+def test_reconstruction_requires_header(tmp_path):
+    path = tmp_path / "headless.ndjson"
+    with Ledger(stream_id="s", environment_profile="test", path=path, fsync=False) as ledger:
+        ledger.append("ERROR", {"kind": "k", "message": "m", "participant_id": None, "decision_index": None}, backend_ts=0, version_id="v1")
     with pytest.raises(StructuralAuditError):
-        reconstruct_states(ledger, {"v1": default_logic()})
+        reconstruct_states(index_of(path), {"v1": default_logic()})
 
 
 # -- verify_decisions ------------------------------------------------------------------
 
 
-def test_untampered_ledger_is_exact():
-    result = healthy_trial()
-    report = replay_verify(result.ledger, logic_for(result.ledger))
+def test_untampered_ledger_is_exact(tmp_path):
+    index = index_of(trial_file(tmp_path))
+    report = replay_verify(index, logic_for(index))
     assert report.exact
     assert report.first_divergent_seq is None
     assert report.counts["decisions_checked"] == 12
     assert not report.field_diffs
 
 
-def test_flipped_pi_bit_detected_with_field():
-    result = healthy_trial()
+def test_flipped_pi_bit_detected_with_field(tmp_path):
+    path = trial_file(tmp_path)
 
-    decision_seqs = [r.seq for r in records_of(result.ledger, "DECISION")]
+    decision_seqs = [r.seq for r in records_of(path, "DECISION")]
     target = decision_seqs[3]
 
     def mutate(seq, etype, payload):
@@ -154,18 +162,19 @@ def test_flipped_pi_bit_detected_with_field():
             payload["pi"] = flip_low_mantissa_bit(payload["pi"])
         return payload
 
-    tampered = rechain(result.ledger, mutate)
+    tampered = rechain(path, mutate)
     assert verify_chain(tampered) is None  # chain is consistent; content lies
-    recon = reconstruct_states(tampered, logic_for(tampered))
+    index = index_of(tampered)
+    recon = reconstruct_states(index, logic_for(index))
     report = verify_decisions(recon)
     assert not report.exact
     assert report.first_divergent_seq == target
     assert any(d.path == "pi" and d.seq == target for d in report.field_diffs)
 
 
-def test_flipped_action_detected():
-    result = healthy_trial()
-    decision_records = list(records_of(result.ledger, "DECISION"))
+def test_flipped_action_detected(tmp_path):
+    path = trial_file(tmp_path)
+    decision_records = records_of(path, "DECISION")
     target = decision_records[0].seq
     original_action = decision_records[0].payload["action"]
 
@@ -174,8 +183,8 @@ def test_flipped_action_detected():
             payload["action"] = 1 - payload["action"]
         return payload
 
-    tampered = rechain(result.ledger, mutate)
-    recon = reconstruct_states(tampered, logic_for(tampered))
+    index = index_of(rechain(path, mutate))
+    recon = reconstruct_states(index, logic_for(index))
     report = verify_decisions(recon)
     assert not report.exact
     diffs = {d.path for d in report.field_diffs if d.seq == target}
@@ -185,28 +194,29 @@ def test_flipped_action_detected():
     assert default_logic().decide(decision.pi, decision.seed) == original_action
 
 
-def test_tampered_seed_detected():
-    result = healthy_trial()
-    target = next(r.seq for r in records_of(result.ledger, "DECISION"))
+def test_tampered_seed_detected(tmp_path):
+    path = trial_file(tmp_path)
+    target = records_of(path, "DECISION")[0].seq
 
     def mutate(seq, etype, payload):
         if seq == target:
             payload["seed"] = payload["seed"] ^ 1
         return payload
 
-    tampered = rechain(result.ledger, mutate)
-    recon = reconstruct_states(tampered, logic_for(tampered))
+    index = index_of(rechain(path, mutate))
+    recon = reconstruct_states(index, logic_for(index))
     report = verify_decisions(recon)
     assert any(d.path == "seed" for d in report.field_diffs)
 
 
-def test_fallback_decisions_checked_against_uniform_rule():
+def test_fallback_decisions_checked_against_uniform_rule(tmp_path):
     config = make_run_config(injection={"policy_exception_prob": 1.0})
-    result = run_trial(small_env(), config, 3)
-    report = replay_verify(result.ledger, logic_for(result.ledger))
+    path = trial_file(tmp_path, config, seed=3)
+    index = index_of(path)
+    report = replay_verify(index, logic_for(index))
     assert report.exact
 
-    decision_seqs = [r.seq for r in records_of(result.ledger, "DECISION")]
+    decision_seqs = [r.seq for r in records_of(path, "DECISION")]
     target = decision_seqs[0]
 
     def mutate(seq, etype, payload):
@@ -214,35 +224,25 @@ def test_fallback_decisions_checked_against_uniform_rule():
             payload["pi"] = encode_float(0.75)  # fallback must be exactly 0.5
         return payload
 
-    tampered = rechain(result.ledger, mutate)
-    recon = reconstruct_states(tampered, logic_for(tampered))
+    index = index_of(rechain(path, mutate))
+    recon = reconstruct_states(index, logic_for(index))
     report = verify_decisions(recon)
     assert any(d.path == "pi" and d.seq == target for d in report.field_diffs)
 
 
-def test_missing_snapshot_is_structural_error():
-    result = healthy_trial()
-    out = Ledger(stream_id=result.ledger.stream_id, environment_profile="test")
-    for record in result.ledger.records():
-        if record.event_type == "FEATURE_SNAPSHOT":
-            continue
-        out.append(
-            record.event_type,
-            copy.deepcopy(record.payload),
-            backend_ts=record.backend_ts,
-            version_id=record.version_id,
-            device_ts=record.device_ts,
-        )
+def test_missing_snapshot_is_structural_error(tmp_path):
+    tampered = rechain(trial_file(tmp_path), skip={"FEATURE_SNAPSHOT"})
     with pytest.raises(StructuralAuditError):
-        replay_verify(out, logic_for(out))
+        index = index_of(tampered)
+        replay_verify(index, logic_for(index))
 
 
 # -- verify_updates ---------------------------------------------------------------------
 
 
-def test_perturbed_post_state_detected():
-    result = healthy_trial()
-    update_seqs = [r.seq for r in records_of(result.ledger, "MODEL_UPDATE")]
+def test_perturbed_post_state_detected(tmp_path):
+    path = trial_file(tmp_path)
+    update_seqs = [r.seq for r in records_of(path, "MODEL_UPDATE")]
     target = update_seqs[0]
 
     def mutate(seq, etype, payload):
@@ -253,8 +253,8 @@ def test_perturbed_post_state_detected():
             payload["post_state"] = raw.hex()
         return payload
 
-    tampered = rechain(result.ledger, mutate)
-    recon = reconstruct_states(tampered, logic_for(tampered))
+    index = index_of(rechain(path, mutate))
+    recon = reconstruct_states(index, logic_for(index))
     report = verify_updates(recon)
     assert not report.exact
     assert report.first_divergent_seq == target
@@ -262,22 +262,23 @@ def test_perturbed_post_state_detected():
     assert "post_state" in paths
 
 
-def test_batch_seq_pointing_at_decision_is_structural_error():
-    result = healthy_trial()
-    decision_seq = next(r.seq for r in records_of(result.ledger, "DECISION"))
+def test_batch_seq_pointing_at_decision_is_structural_error(tmp_path):
+    path = trial_file(tmp_path)
+    decision_seq = records_of(path, "DECISION")[0].seq
 
     def mutate(seq, etype, payload):
         if etype == "MODEL_UPDATE":
             payload["batch_seqs"] = [decision_seq]
         return payload
 
-    tampered = rechain(result.ledger, mutate)
+    tampered = rechain(path, mutate)
     with pytest.raises(StructuralAuditError):
-        reconstruct_states(tampered, logic_for(tampered))
+        index = index_of(tampered)
+        reconstruct_states(index, logic_for(index))
 
 
-def test_double_consumption_is_structural_error():
-    result = healthy_trial()
+def test_double_consumption_is_structural_error(tmp_path):
+    path = trial_file(tmp_path)
     first_batch = {}
 
     def mutate(seq, etype, payload):
@@ -289,9 +290,10 @@ def test_double_consumption_is_structural_error():
                 first_batch[pid] = payload["batch_seqs"]
         return payload
 
-    tampered = rechain(result.ledger, mutate)
+    tampered = rechain(path, mutate)
     with pytest.raises(StructuralAuditError, match="consumed twice"):
-        reconstruct_states(tampered, logic_for(tampered))
+        index = index_of(tampered)
+        reconstruct_states(index, logic_for(index))
 
 
 # -- end-to-end soundness ------------------------------------------------------------------
@@ -306,23 +308,23 @@ def test_double_consumption_is_structural_error():
         {"data_loss_prob": 0.2, "delay_geometric_p": 0.7},
     ],
 )
-def test_replay_soundness_across_seeds_and_injection(seed, injection):
-    config = make_run_config(injection=injection)
-    result = run_trial(small_env(), config, seed)
-    report = replay_verify(result.ledger, logic_for(result.ledger))
+def test_replay_soundness_across_seeds_and_injection(tmp_path, seed, injection):
+    index = index_of(trial_file(tmp_path, make_run_config(injection=injection), seed))
+    report = replay_verify(index, logic_for(index))
     assert report.exact, report.field_diffs[:3]
 
 
-def test_replay_never_appends():
-    result = healthy_trial()
-    before = len(result.ledger)
-    replay_verify(result.ledger, logic_for(result.ledger))
-    assert len(result.ledger) == before
+def test_replay_never_appends(tmp_path):
+    path = trial_file(tmp_path)
+    before = path.read_bytes()
+    index = index_of(path)
+    replay_verify(index, logic_for(index))
+    assert path.read_bytes() == before
 
 
 def test_divergence_report_bytes():
     result = healthy_trial()
-    report = replay_verify(result.ledger, logic_for(result.ledger))
+    report = replay_verify(result.index, logic_for(result.index))
     data = report.to_bytes()
     assert data.startswith(b"# ledgerloop divergence report v1\n")
     assert b'"status":"exact"' in data
@@ -330,6 +332,6 @@ def test_divergence_report_bytes():
 
 def test_merge_reports_combines_diffs():
     result = healthy_trial()
-    r1 = replay_verify(result.ledger, logic_for(result.ledger))
+    r1 = replay_verify(result.index, logic_for(result.index))
     merged = merge_reports(r1, r1)
     assert merged.exact

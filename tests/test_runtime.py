@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_run_config, make_runtime, records_of, start_runtime
-from ledgerloop import events
 from ledgerloop.errors import ConfigurationError, StructuralAuditError
+from ledgerloop.ledger import read_records
 from ledgerloop.policy import (
     PosteriorState,
     canonical_serialize,
@@ -57,11 +57,30 @@ def test_schedule_rejects_unsorted_times():
 # -- ingestion and assembly -------------------------------------------------------
 
 
-def fresh_runtime(**overrides):
+def fresh_runtime(path=None, **overrides):
     config = make_run_config(**overrides)
-    runtime = make_runtime(config)
+    runtime = make_runtime(config, path=path)
     start_runtime(runtime)
     return runtime
+
+
+@pytest.fixture
+def file_runtime(tmp_path):
+    """fresh_runtime writing its ledger under tmp_path, closed after the test."""
+    made = []
+
+    def make(**overrides):
+        made.append(fresh_runtime(tmp_path / f"runtime{len(made)}.ndjson", **overrides))
+        return made[-1]
+
+    yield make
+    for runtime in made:
+        runtime.ledger.close()
+
+
+def written(runtime) -> list:
+    """Every record in the runtime's ledger file, read back through the verified pass."""
+    return list(read_records(runtime.ledger.path))
 
 
 def ingest_all(runtime, pid, device_ts, values=None):
@@ -106,40 +125,41 @@ def test_stale_beyond_horizon_falls_to_default():
     assert snapshot.treatment[2] == 0.0
 
 
-def test_duplicate_datum_uses_lowest_seq():
-    runtime = fresh_runtime()
+def test_duplicate_datum_uses_lowest_seq(file_runtime):
+    runtime = file_runtime()
     ts = H9 - 60_000
     runtime.ingest_observation("p0", "engagement", 0.25, ts, backend_ts=ts)
     runtime.ingest_observation("p0", "engagement", 0.75, ts, backend_ts=ts)  # same key and ts
     snapshot = runtime.assemble_features("p0", 0)
     assert snapshot.treatment[2] == 0.25
     # both ingestions are in the ledger
-    data_events = list(records_of(runtime.ledger, "DATA_INGESTED"))
+    data_events = records_of(runtime.ledger.path, "DATA_INGESTED")
     assert len(data_events) == 2
 
 
-def test_late_data_references_superseded_snapshot_and_never_mutates_it():
-    runtime = fresh_runtime()
+def test_late_data_references_superseded_snapshot_and_never_mutates_it(file_runtime):
+    runtime = file_runtime()
     snapshot = runtime.assemble_features("p0", 0)
     assert snapshot.provenance[5] == "default"
-    snap_record = records_of(runtime.ledger, "FEATURE_SNAPSHOT")[0]
+    snap_record = records_of(runtime.ledger.path, "FEATURE_SNAPSHOT")[0]
     line_before = snap_record.to_line()
 
     # ground truth arrives after the decision point it belonged to
     late_seq = runtime.ingest_observation(
         "p0", "engagement", 0.9, H9 - 60_000, backend_ts=H9 + 3_600_000
     )
-    late = runtime.ledger.records()[late_seq]
+    records = written(runtime)
+    late = records[late_seq]
     assert late.payload["superseded_snapshot_seq"] == snap_record.seq
 
-    snap_after = runtime.ledger.records()[snap_record.seq]
+    snap_after = records[snap_record.seq]
     assert snap_after.to_line() == line_before
 
 
-def test_on_time_data_has_no_superseded_reference():
-    runtime = fresh_runtime()
+def test_on_time_data_has_no_superseded_reference(file_runtime):
+    runtime = file_runtime()
     seq = runtime.ingest_observation("p0", "engagement", 0.9, H9 - 60_000, backend_ts=H9 - 60_000)
-    assert runtime.ledger.records()[seq].payload["superseded_snapshot_seq"] is None
+    assert written(runtime)[seq].payload["superseded_snapshot_seq"] is None
 
 
 # The 3-day conftest schedule: due times of decision points 0..5, trial start 0.
@@ -231,8 +251,8 @@ def test_decision_requires_snapshot():
         runtime.make_decision("p0", 0)
 
 
-def test_corrupt_state_falls_back_to_uniform():
-    runtime = fresh_runtime()
+def test_corrupt_state_falls_back_to_uniform(file_runtime):
+    runtime = file_runtime()
     runtime.assemble_features("p0", 0)
     bad = PosteriorState(np.zeros(6), np.diag([1.0, 1.0, 1.0, 1.0, 1.0, -1.0]).ravel())
     runtime.states["p0"] = bad
@@ -240,7 +260,7 @@ def test_corrupt_state_falls_back_to_uniform():
     assert record.fallback is True
     assert record.pi == 0.5
     assert record.fallback_reason and "NumericalStateError" in record.fallback_reason
-    kinds = [r.event_type for r in runtime.ledger.records()]
+    kinds = [r.event_type for r in written(runtime)]
     assert "ERROR" in kinds
     assert kinds[-1] == "DECISION"  # a decision is always produced
 
@@ -265,9 +285,9 @@ def test_decision_totality_under_always_failing_policy():
     for idx in range(4):
         runtime.assemble_features("p0", idx)
         runtime.make_decision("p0", idx)
-    decisions = list(records_of(runtime.ledger, "DECISION"))
+    decisions = [decision for _, decision in runtime.index.decisions.values()]
     assert len(decisions) == 4
-    assert all(events.parse_decision(r.payload).fallback for r in decisions)
+    assert all(decision.fallback for decision in decisions)
 
 
 def test_snapshot_always_precedes_decision():
@@ -275,14 +295,9 @@ def test_snapshot_always_precedes_decision():
     for idx in range(3):
         runtime.assemble_features("p0", idx)
         runtime.make_decision("p0", idx)
-    last_snapshot = {}
-    for record in runtime.ledger.records():
-        if record.event_type == "FEATURE_SNAPSHOT":
-            idx = events.parse_snapshot(record.payload).decision_index
-            last_snapshot[idx] = record.seq
-        elif record.event_type == "DECISION":
-            decision = events.parse_decision(record.payload)
-            assert last_snapshot[decision.decision_index] < record.seq
+    assert len(runtime.index.decisions) == 3
+    for key, (stamp, _) in runtime.index.decisions.items():
+        assert runtime.index.snapshots[key][0].seq < stamp.seq
 
 
 # -- update cycles --------------------------------------------------------------------
@@ -299,7 +314,7 @@ def test_no_outcomes_no_update_event():
     state = runtime.states["p0"]
     out = runtime.run_update_cycle("p0", backend_ts=H23)
     assert out is state
-    assert all(r.event_type != "MODEL_UPDATE" for r in runtime.ledger.records())
+    assert not runtime.index.updates
 
 
 def test_single_outcome_matches_update_posterior():
@@ -315,9 +330,9 @@ def test_single_outcome_matches_update_posterior():
         last_update_seq=outcome_seq,
     )
     assert canonical_serialize(new_state) == canonical_serialize(expected)
-    updates = list(records_of(runtime.ledger, "MODEL_UPDATE"))
+    updates = runtime.index.updates
     assert len(updates) == 1
-    info = events.parse_update(updates[0].payload)
+    _, info, _ = updates[0]
     assert info.batch_seqs == (outcome_seq,)
     assert info.post_state == canonical_serialize(expected)
 
@@ -338,7 +353,7 @@ def test_late_outcome_consumed_exactly_once_by_next_cycle():
     )
     runtime.run_update_cycle("p0", backend_ts=2 * MS_PER_DAY + H23)  # day 2: consumes idx 0
 
-    updates = [events.parse_update(r.payload) for r in records_of(runtime.ledger, "MODEL_UPDATE")]
+    updates = [info for _, info, _ in runtime.index.updates]
     assert len(updates) == 2
     all_consumed = [seq for info in updates for seq in info.batch_seqs]
     assert late_seq in updates[1].batch_seqs
@@ -354,8 +369,7 @@ def test_fallback_decisions_feed_updates():
     runtime.ingest_outcome("p0", 0, 0.8, H9 + 1000, backend_ts=H9 + 1000)
     new_state = runtime.run_update_cycle("p0", backend_ts=H23)
     assert new_state.update_count == 1
-    updates = list(records_of(runtime.ledger, "MODEL_UPDATE"))
-    assert len(updates) == 1
+    assert len(runtime.index.updates) == 1
 
 
 def test_unknown_participant_is_config_error():
@@ -368,6 +382,14 @@ def test_unknown_participant_is_config_error():
         runtime.run_update_cycle("ghost", backend_ts=H23)
 
 
+def test_unknown_participant_observation_is_refused_before_logging():
+    runtime = fresh_runtime()
+    before = len(runtime.ledger)
+    with pytest.raises(ConfigurationError, match="unknown participant 'ghost'"):
+        runtime.ingest_observation("ghost", "engagement", 0.5, H9, backend_ts=H9)
+    assert len(runtime.ledger) == runtime.index.size == before
+
+
 def test_update_failure_keeps_state_and_outcomes():
     runtime = fresh_runtime()
     run_decision_point(runtime, "p0", 0, H9)
@@ -375,21 +397,20 @@ def test_update_failure_keeps_state_and_outcomes():
     before = runtime.states["p0"]
     after = runtime.run_update_cycle("p0", backend_ts=H23)
     assert after is before
-    kinds = [r.event_type for r in runtime.ledger.records()]
-    assert "MODEL_UPDATE" not in kinds
-    errors = [r for r in runtime.ledger.records() if r.event_type == "ERROR"]
-    assert errors and errors[-1].payload["kind"] == "update_failure"
+    assert not runtime.index.updates
+    errors = runtime.index.errors
+    assert errors and errors[-1][1].kind == "update_failure"
     assert runtime.index.pending["p0"]  # still pending for a later cycle
 
 
 # -- version registry ----------------------------------------------------------------
 
 
-def test_initial_version_registered_at_seq_one():
-    runtime = fresh_runtime()
+def test_initial_version_registered_at_seq_one(file_runtime):
+    runtime = file_runtime()
     assert runtime.index.versions[0][1] == "v1.0.0"
     assert runtime.index.versions[0][0] == 1  # right after the header
-    records = runtime.ledger.records()
+    records = written(runtime)
     assert records[1].event_type == "VERSION_CHANGE"
 
 
@@ -398,10 +419,10 @@ def test_mid_stream_version_change_stamps_later_events():
     run_decision_point(runtime, "p0", 0, H9)
     runtime.register_version("v1.0.1", backend_ts=H9 + 1)
     run_decision_point(runtime, "p0", 1, H18)
-    decisions = list(records_of(runtime.ledger, "DECISION"))
-    assert decisions[0].version_id == "v1.0.0"
-    assert decisions[1].version_id == "v1.0.1"
-    assert events.parse_decision(decisions[1].payload).version_id == "v1.0.1"
+    (first, _), (second, decision) = runtime.index.decisions.values()
+    assert first.version_id == "v1.0.0"
+    assert second.version_id == "v1.0.1"
+    assert decision.version_id == "v1.0.1"
 
 
 def test_duplicate_version_activation_rejected():
@@ -410,15 +431,16 @@ def test_duplicate_version_activation_rejected():
         runtime.register_version("v1.0.0", backend_ts=1)
 
 
-def test_every_event_carries_active_version():
-    runtime = fresh_runtime()
+def test_every_event_carries_active_version(file_runtime):
+    runtime = file_runtime()
     run_decision_point(runtime, "p0", 0, H9)
     runtime.register_version("v2.0.0", backend_ts=H9 + 1)
     run_decision_point(runtime, "p0", 1, H18)
+    records = written(runtime)
     switch_seq = next(
-        r.seq for r in runtime.ledger.records()
+        r.seq for r in records
         if r.event_type == "VERSION_CHANGE" and r.payload["version_id"] == "v2.0.0"
     )
-    for record in runtime.ledger.records():
+    for record in records:
         expected = "v1.0.0" if record.seq < switch_seq else "v2.0.0"
         assert record.version_id == expected

@@ -2,7 +2,6 @@
 reader folds from the file, so replay and the monitor audit the runtime's own
 bookkeeping rather than a second reading of the records."""
 
-import copy
 import dataclasses
 
 import yaml
@@ -14,7 +13,7 @@ from ledgerloop import twin as twin_module
 from ledgerloop.errors import NumericalStateError, StructuralAuditError
 from ledgerloop.cli import main
 from ledgerloop.events import StreamIndex
-from ledgerloop.ledger import EventEnvelope, Ledger, read_records
+from ledgerloop.ledger import EventEnvelope, read_records
 from ledgerloop.replay import default_logic
 from ledgerloop.twin import EnvironmentSpec, run_trial
 
@@ -51,8 +50,7 @@ def test_runtime_index_equals_the_index_folded_from_its_file(tmp_path, monkeypat
     path = tmp_path / "trial.ndjson"
     result = run_trial(small_env(), config, 5, out_path=path)
     result.ledger.close()
-    with Ledger.open(path) as ledger:
-        records = ledger.records()
+    records = list(read_records(path))
     folded = StreamIndex.fold(records)
 
     # The trial holds every case the two folds must agree on.
@@ -78,40 +76,34 @@ def test_runtime_index_equals_the_index_folded_from_its_file(tmp_path, monkeypat
     assert folded.size == len(records)
 
 
-def test_a_second_decision_for_one_point_is_a_structural_error():
-    result = run_trial(small_env(n_days=1), make_run_config(), 3)
-    out = Ledger(stream_id=result.ledger.stream_id, environment_profile="test")
-    records = result.ledger.records()
-    first_decision = next(r for r in records if r.event_type == "DECISION")
-    for record in [*records, first_decision]:
-        out.append(
-            record.event_type,
-            copy.deepcopy(record.payload),
-            backend_ts=record.backend_ts,
-            version_id=record.version_id,
-            device_ts=record.device_ts,
-        )
+def repeat_first(path, event_type: str) -> int:
+    """Write a one-day trial to ``path`` and append its first record of
+    ``event_type`` once more, chained as any append is; the new record's seq."""
+    with run_trial(small_env(n_days=1), make_run_config(), 3, out_path=path).ledger as ledger:
+        first = next(r for r in read_records(path) if r.event_type == event_type)
+        return ledger.append(
+            first.event_type,
+            first.payload,
+            backend_ts=first.backend_ts,
+            version_id=first.version_id,
+            device_ts=first.device_ts,
+        ).seq
+
+
+def test_a_second_decision_for_one_point_is_a_structural_error(tmp_path):
+    path = tmp_path / "trial.ndjson"
+    repeat_first(path, "DECISION")
     with pytest.raises(StructuralAuditError, match="repeats"):
-        StreamIndex.fold(out.records())
+        StreamIndex.fold(read_records(path))
 
 
-def test_a_version_activated_twice_is_a_structural_error():
+def test_a_version_activated_twice_is_a_structural_error(tmp_path):
     # The index keeps one fingerprint per version, so a second activation
     # of the same version cannot stand.
-    result = run_trial(small_env(n_days=1), make_run_config(), 3)
-    out = Ledger(stream_id=result.ledger.stream_id, environment_profile="test")
-    records = result.ledger.records()
-    activation = next(r for r in records if r.event_type == "VERSION_CHANGE")
-    for record in [*records, activation]:
-        out.append(
-            record.event_type,
-            copy.deepcopy(record.payload),
-            backend_ts=record.backend_ts,
-            version_id=record.version_id,
-            device_ts=record.device_ts,
-        )
-    with pytest.raises(StructuralAuditError, match=f"seq {len(records)} activates 'v1.0.0' a second time"):
-        StreamIndex.fold(out.records())
+    path = tmp_path / "trial.ndjson"
+    seq = repeat_first(path, "VERSION_CHANGE")
+    with pytest.raises(StructuralAuditError, match=f"seq {seq} activates 'v1.0.0' a second time"):
+        StreamIndex.fold(read_records(path))
 
 
 def test_batch_requires_increasing_seqs():

@@ -7,6 +7,7 @@ import pytest
 from conftest import make_run_config, records_of
 from ledgerloop import events
 from ledgerloop.errors import ConfigurationError
+from ledgerloop.ledger import read_records
 from ledgerloop.twin import (
     EnvironmentSpec,
     ParticipantTwin,
@@ -211,38 +212,39 @@ def test_trial_different_seed_differs(tmp_path):
     assert p1.read_bytes() != p2.read_bytes()
 
 
-def test_total_miss_means_nothing_observed():
+def test_total_miss_means_nothing_observed(tmp_path):
     config = make_run_config()
-    result = run_trial(small_env(miss_prob=1.0), config, 3)
-    snapshots = list(records_of(result.ledger, "FEATURE_SNAPSHOT"))
+    path = tmp_path / "trial.ndjson"
+    run_trial(small_env(miss_prob=1.0), config, 3, out_path=path).ledger.close()
+    snapshots = records_of(path, "FEATURE_SNAPSHOT")
     assert snapshots
     for record in snapshots:
         snapshot = events.parse_snapshot(record.payload)
         assert all(tag in ("imputed", "default") for tag in snapshot.provenance)
-    assert not list(records_of(result.ledger, "DATA_INGESTED"))
+    assert not records_of(path, "DATA_INGESTED")
 
 
 def test_decision_count_arithmetic():
     config = make_run_config()
     result = run_trial(small_env(n_participants=2, n_days=3), config, 5)
-    decisions = list(records_of(result.ledger, "DECISION"))
-    assert len(decisions) == 2 * 3 * 2
+    assert len(result.index.decisions) == 2 * 3 * 2
 
 
-def test_seed_isolation_between_participants():
+def test_seed_isolation_between_participants(tmp_path):
     config = make_run_config()
     env = small_env(n_participants=3, miss_prob=0.2, delay_geometric_p=0.8)
 
-    def participant_payloads(result, pid):
+    def participant_payloads(path, pid):
         out = []
-        for record in result.ledger.records():
+        for record in read_records(path):
             if record.event_type in ("DECISION", "OUTCOME_OBSERVED", "FEATURE_SNAPSHOT"):
                 if record.payload.get("participant_id") == pid:
                     out.append((record.event_type, record.payload))
         return out
 
-    base = run_trial(env, config, 9, participant_ids=["pA", "pB", "pC"])
-    changed = run_trial(env, config, 9, participant_ids=["pX", "pB", "pC"])
+    base, changed = tmp_path / "base.ndjson", tmp_path / "changed.ndjson"
+    run_trial(env, config, 9, out_path=base, participant_ids=["pA", "pB", "pC"]).ledger.close()
+    run_trial(env, config, 9, out_path=changed, participant_ids=["pX", "pB", "pC"]).ledger.close()
     for pid in ("pB", "pC"):
         assert participant_payloads(base, pid) == participant_payloads(changed, pid)
     assert participant_payloads(base, "pA") != participant_payloads(changed, "pX")
@@ -254,8 +256,7 @@ def test_miss_probability_monotonicity():
     for p_miss in (0.0, 0.3, 0.7, 1.0):
         result = run_trial(small_env(miss_prob=p_miss, n_days=4), config, 21)
         observed = 0
-        for record in records_of(result.ledger, "FEATURE_SNAPSHOT"):
-            snapshot = events.parse_snapshot(record.payload)
+        for _, snapshot in result.index.snapshots.values():
             observed += sum(1 for tag in snapshot.provenance if tag == "observed")
         counts.append(observed)
     assert counts == sorted(counts, reverse=True)
@@ -319,16 +320,13 @@ def test_null_effect_calibration():
     )
     result = run_trial(env, config, 31)
     arm = {0: [], 1: []}
-    for record in records_of(result.ledger, "DECISION"):
-        decision = events.parse_decision(record.payload)
+    decisions = [decision for _, decision in result.index.decisions.values()]
+    for decision in decisions:
         key = (decision.participant_id, decision.decision_index)
         arm[decision.action].append(result.truth.outcomes[key])
     n0, n1 = len(arm[0]), len(arm[1])
     assert n0 + n1 == 25 * 100 * 2
-    mean_pis = [
-        events.parse_decision(r.payload).pi
-        for r in records_of(result.ledger, "DECISION")
-    ]
+    mean_pis = [decision.pi for decision in decisions]
     assert 0.1 <= statistics.fmean(mean_pis) <= 0.9
     diff = statistics.fmean(arm[1]) - statistics.fmean(arm[0])
     se = math.sqrt(statistics.variance(arm[1]) / n1 + statistics.variance(arm[0]) / n0)
