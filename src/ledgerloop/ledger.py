@@ -467,18 +467,12 @@ _ENVELOPE_MEMBERS = itemgetter(
 _HASH_MEMBER = len(b',"hash":"') + 64 + 1  # the hash member's bytes in a line
 
 
-def _digest(text) -> bytes:
-    """A 32-byte digest from its 64 lowercase hex chars."""
-    raw = _unhex(text)
-    if raw is None or len(raw) != 32:
-        raise ValueError("hashes must be 64 lowercase hex chars")
-    return raw
-
-
-def _parse_line(line: bytes, seq_hint: int) -> EventEnvelope:
-    """The record a stored line holds, once the line has passed every check
+def _parse_line(line: bytes, seq_hint: int) -> tuple:
+    """The envelope members up to ``payload`` of a stored line, with its
+    ``prev_hash`` and ``hash`` texts, once the line has passed every check
     that needs no other record: valid JSON, exactly the envelope's members
-    with their types, canonical form, and both hashes as lowercase hex."""
+    with their types, and canonical form. Whether the hash texts are the
+    right lowercase hex is for the chain check to find (:func:`_verified`)."""
     try:
         obj = _DECODER.decode(line.decode("ascii"))
     except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, a raw float
@@ -496,14 +490,16 @@ def _parse_line(line: bytes, seq_hint: int) -> EventEnvelope:
             raise ValueError("stream_id, environment_profile, version_id, event_type must be strings")
         if type(payload) is not dict:
             raise ValueError("payload must be an object")
-        prev_hash, rec_hash = _digest(obj["prev_hash"]), _digest(obj["hash"])
+        prev_text, hash_text = obj["prev_hash"], obj["hash"]
+        if not (type(prev_text) is type(hash_text) is str and len(hash_text) == 64):
+            raise ValueError("hashes must be 64-char strings")
     except ValueError as exc:
         raise DecodeError(f"malformed record at seq {seq_hint}: {exc}", seq=seq_hint) from None
     # Sorting puts "hash" just before "payload", so re-encoding the parsed
     # object must give back the stored line byte for byte.
     if _dumps(obj) != line:
         raise DecodeError(f"record {seq_hint} is not in canonical form", seq=seq_hint)
-    return EventEnvelope(*fields, prev_hash, rec_hash)
+    return fields, prev_text, hash_text
 
 
 class Ledger:
@@ -722,21 +718,25 @@ def _verified(lines: Iterable[bytes]) -> Iterator[EventEnvelope]:
     Per line: one parse, which also checks the line's own shape and
     canonical form (:func:`_parse_line`), then the seq and ``prev_hash``
     linkage, and one SHA-256 over ``prev_hash`` plus the body: the line with
-    its ``hash`` member cut out (the inverse of :func:`_line`).
+    its ``hash`` member cut out (the inverse of :func:`_line`). Both hashes
+    are compared as the text they are stored as; the envelope's digests are
+    the bytes of that SHA-256.
     """
-    prev_hash = GENESIS_HASH
+    prev_hash, prev_text = GENESIS_HASH, GENESIS_HASH.hex()
     for seq, line in enumerate(lines):
-        record = _parse_line(line, seq)
-        if record.seq != seq:
-            raise DecodeError(f"record {seq} carries seq {record.seq}", seq=seq)
-        if record.prev_hash != prev_hash:
+        fields, line_prev_text, hash_text = _parse_line(line, seq)
+        if fields[0] != seq:
+            raise DecodeError(f"record {seq} carries seq {fields[0]}", seq=seq)
+        if line_prev_text != prev_text:
             raise DecodeError(f"record {seq} does not chain from the record before it", seq=seq)
         # Every member ahead of "hash" is a scalar, so the first match is it.
         at = line.index(b',"hash":"')
-        if compute_record_hash(prev_hash, line[:at] + line[at + _HASH_MEMBER:]) != record.hash:
+        digest = hashlib.sha256(prev_hash + line[:at] + line[at + _HASH_MEMBER:])
+        if digest.hexdigest() != hash_text:
             raise DecodeError(f"record {seq} does not match its hash", seq=seq)
-        prev_hash = record.hash
-        yield record
+        rec_hash = digest.digest()
+        yield EventEnvelope(*fields, prev_hash, rec_hash)
+        prev_hash, prev_text = rec_hash, hash_text
     if prev_hash is GENESIS_HASH:
         raise DecodeError("ledger file is empty")
 

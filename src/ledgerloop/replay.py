@@ -28,8 +28,9 @@ given for a version whose recorded fingerprint is not that logic's.
 from __future__ import annotations
 
 import hashlib
+import heapq
+import math
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Collection, Mapping
@@ -235,40 +236,45 @@ def merge_reports(*reports: DivergenceReport) -> DivergenceReport:
     return merged
 
 
-_AT_SEQ = itemgetter(0)  # timelines are (seq, value) lists in seq order
+_AT_SEQ = itemgetter(0)
 
 
 @dataclass
 class Reconstruction:
-    """The stream index of a ledger plus the posterior states recomputed
-    from it."""
+    """The stream index of a ledger plus what one walk over its decisions
+    and updates recomputed from it."""
 
     config: ModelConfig
     logic_by_version: Mapping[str, PolicyLogic]
     index: StreamIndex
-    # per participant: [(seq_effective_from, state)] in seq order
-    states: dict[str, list[tuple[int, PosteriorState]]]
-    updates: list  # (seq, UpdateInfo, recomputed_bytes, pre_state_hash)
-
-    def state_before(self, participant_id: str, seq: int) -> PosteriorState:
-        timeline = self.states.get(participant_id)
-        if not timeline:
-            raise StructuralAuditError(f"unknown participant {participant_id!r}")
-        i = bisect_left(timeline, seq, key=_AT_SEQ)
-        return timeline[max(i - 1, 0)][1]
+    states: dict[str, PosteriorState]  # each participant's final posterior
+    # (seq, UpdateInfo, recomputed post-state bytes or "error:<type>", pre_state_hash)
+    updates: list
+    # seq of each non-fallback decision with a prior snapshot -> its
+    # recomputed (pi_raw, pi), or "error:<type>"
+    probabilities: dict[int, tuple[float, float] | str]
 
 
 def reconstruct_states(
     index: StreamIndex, logic_by_version: Mapping[str, PolicyLogic] | None = None
 ) -> Reconstruction:
-    """Fold the indexed update events through per-version policy logic,
+    """Walk the indexed decisions and updates together in seq order, holding
+    one current posterior per participant, through per-version policy logic,
     by default the logic each version's recorded fingerprint names
     (:func:`registered_logics`).
+
+    Each update is recomputed from its participant's current state; one the
+    logic refuses is recorded as ``error:<type>`` and the participant stays
+    at its pre-state, as the runtime's does after a failed update. Each
+    non-fallback decision's ``(pi_raw, pi)`` is recomputed from the state
+    current at its seq.
 
     Raises AuditError when any event carries a version with no registered
     logic or when a version's logic does not have the fingerprint it
     recorded. Structural problems (bad batch references, a missing header,
-    double consumption) were already raised by the fold that built the index.
+    double consumption) were already raised by the fold that built the index;
+    a decision with no prior snapshot is left for :func:`verify_decisions`
+    to raise.
     """
     config = index.header.model
     if logic_by_version is None:
@@ -287,31 +293,46 @@ def reconstruct_states(
                 f"not that of {logic.name} ({logic.fingerprint})"
             )
 
-    init_state = logic_by_version[next(iter(index.stamped))].init_state  # the HEADER's
+    initial = logic_by_version[next(iter(index.stamped))].init_state(config)  # the HEADER's
     pids = [*index.header.participants, *(pid for pid, _ in index.snapshots)]
-    states = {pid: [(0, init_state(config))] for pid in dict.fromkeys(pids)}
-    recon = Reconstruction(
-        config=config,
-        logic_by_version=logic_by_version,
-        index=index,
-        states=states,
-        updates=[],
+    states = dict.fromkeys(pids, initial)
+    updates, probabilities = [], {}
+    first_version_seq = index.versions[0][0] if index.versions else math.inf
+    # Stamps order by seq, which no two records share.
+    walk = heapq.merge(
+        ((stamp, decision, None) for stamp, decision in index.decisions.values()),
+        index.updates,
+        key=_AT_SEQ,
     )
-    for stamp, info, rows in index.updates:
+    for stamp, value, rows in walk:
+        seq, pid = stamp.seq, value.participant_id
+        if rows is None:  # a decision
+            snap = index.snapshots.get((pid, value.decision_index))
+            if value.fallback or snap is None or snap[0].seq >= seq or seq < first_version_seq:
+                continue  # nothing to recompute, or verify_decisions raises
+            logic = logic_by_version[index.version_at(seq)]
+            try:
+                probabilities[seq] = logic.action_probability(states[pid], snap[1], config)
+            except LedgerLoopError as exc:
+                probabilities[seq] = f"error:{type(exc).__name__}"
+            continue
         logic = logic_by_version[stamp.version_id]
-        pre_state = recon.state_before(info.participant_id, stamp.seq)
-        new_state = logic.update_posterior(
-            pre_state, rows, config, last_update_seq=max(info.batch_seqs)
-        )
-        recon.updates.append(
-            (stamp.seq, info, logic.serialize(new_state), pre_state.state_hash)
-        )
-        states[info.participant_id].append((stamp.seq, new_state))
-    return recon
+        pre_state = states[pid]
+        try:
+            new_state = logic.update_posterior(
+                pre_state, rows, config, last_update_seq=max(value.batch_seqs)
+            )
+        except LedgerLoopError as exc:
+            recomputed = f"error:{type(exc).__name__}"
+        else:
+            recomputed = logic.serialize(new_state)
+            states[pid] = new_state
+        updates.append((seq, value, recomputed, pre_state.state_hash))
+    return Reconstruction(config, logic_by_version, index, states, updates, probabilities)
 
 
 def verify_decisions(recon: Reconstruction) -> DivergenceReport:
-    """Recompute every logged decision from reconstructed state + snapshot.
+    """Check every logged decision against what the walk recomputed.
 
     Normal decisions must reproduce pi_raw, pi (bit-exact via float hex) and
     the action from (pi, logged seed); fallback decisions are checked against
@@ -330,7 +351,6 @@ def verify_decisions(recon: Reconstruction) -> DivergenceReport:
                 f"DECISION at seq {seq} has no prior FEATURE_SNAPSHOT for "
                 f"({pid}, {idx})"
             )
-        _, snapshot = snap_entry
         expected_version = recon.index.version_at(seq)
         logic = recon.logic_by_version[expected_version]
         if envelope_version != expected_version or decision.version_id != expected_version:
@@ -346,12 +366,11 @@ def verify_decisions(recon: Reconstruction) -> DivergenceReport:
             if encode_float(decision.pi_raw) != encode_float(0.5):
                 report.record(seq, "pi_raw", encode_float(decision.pi_raw), encode_float(0.5))
         else:
-            state = recon.state_before(pid, seq)
-            try:
-                pi_raw, pi = logic.action_probability(state, snapshot, recon.config)
-            except LedgerLoopError as exc:
-                report.record(seq, "pi_raw", encode_float(decision.pi_raw), f"error:{type(exc).__name__}")
+            recomputed = recon.probabilities[seq]
+            if isinstance(recomputed, str):  # the logic refused
+                report.record(seq, "pi_raw", encode_float(decision.pi_raw), recomputed)
                 continue
+            pi_raw, pi = recomputed
             if encode_float(pi_raw) != encode_float(decision.pi_raw):
                 report.record(seq, "pi_raw", encode_float(decision.pi_raw), encode_float(pi_raw))
             if encode_float(pi) != encode_float(decision.pi):
@@ -369,14 +388,14 @@ def verify_updates(recon: Reconstruction) -> DivergenceReport:
     byte, and check hash self-consistency of the update payloads."""
     report = DivergenceReport()
     checked = 0
-    for seq, info, recomputed_bytes, pre_hash in recon.updates:
+    for seq, info, recomputed, pre_hash in recon.updates:
         checked += 1
         if info.pre_state_hash != pre_hash:
             report.record(seq, "pre_state_hash", info.pre_state_hash.hex(), pre_hash.hex())
-        if info.post_state != recomputed_bytes:
-            report.record(
-                seq, "post_state", info.post_state.hex(), recomputed_bytes.hex()
-            )
+        if isinstance(recomputed, str):  # the logic refused to recompute it
+            report.record(seq, "post_state", info.post_state.hex(), recomputed)
+        elif info.post_state != recomputed:
+            report.record(seq, "post_state", info.post_state.hex(), recomputed.hex())
         logged_digest = hashlib.sha256(info.post_state).digest()
         if info.post_state_hash != logged_digest:
             report.record(

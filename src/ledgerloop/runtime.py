@@ -288,8 +288,19 @@ class Runtime:
     def ingest_outcome(
         self, participant_id: str, decision_index: int, reward: float, device_ts: int, backend_ts: int
     ) -> int:
-        """Append one OUTCOME_OBSERVED event; consumed by a later update cycle."""
+        """Append one OUTCOME_OBSERVED event; consumed by a later update cycle.
+
+        An outcome of a decision point that has no snapshot and decision is
+        refused before anything is logged: no update could ever consume it,
+        and left pending it would fail every later cycle of the participant.
+        """
         self._require_participant(participant_id)
+        key = (participant_id, decision_index)
+        if key not in self.index.snapshots or key not in self.index.decisions:
+            raise ConfigurationError(
+                f"outcome for {participant_id} decision {decision_index}, which has no "
+                "snapshot and decision"
+            )
         record = self._log(
             events.OutcomeInfo(participant_id, decision_index, float(reward), device_ts),
             backend_ts=backend_ts,

@@ -275,7 +275,7 @@ def test_criterion_7_learning_sanity():
             wins += 1
 
         recon = reconstruct_states(bandit.index, {"v1.0.0": default_logic()})
-        finals = [timeline[-1][1].mean[d_g] for timeline in recon.states.values()]
+        finals = [state.mean[d_g] for state in recon.states.values()]
         if float(np.mean(finals)) > 0.0:
             sign_hits += 1
 

@@ -133,3 +133,58 @@ def test_edits_that_passed_or_crashed_are_audit_errors(tmp_path, golden, capsys,
         assert err.startswith(f"audit error: {message}")
         assert len(err.splitlines()) == 1
     assert not out.exists()
+
+
+def _consumed_seqs(path: Path) -> dict[str, int]:
+    """The seq of the outcome the first MODEL_UPDATE consumes first, of that
+    outcome's snapshot and decision, and of the first DATA_INGESTED."""
+    records = _records(path)
+    outcome_seq = records[first_seq(path, "MODEL_UPDATE")]["payload"]["batch_seqs"][0]
+    outcome = records[outcome_seq]["payload"]
+    key = (outcome["participant_id"], outcome["decision_index"])
+
+    def of_key(payload):
+        return (payload["participant_id"], payload["decision_index"]) == key
+
+    return {
+        "OUTCOME_OBSERVED": outcome_seq,
+        "FEATURE_SNAPSHOT": first_seq(path, "FEATURE_SNAPSHOT", of_key),
+        "DECISION": first_seq(path, "DECISION", of_key),
+        "DATA_INGESTED": first_seq(path, "DATA_INGESTED"),
+    }
+
+
+FLOAT_MEMBERS = [
+    ("OUTCOME_OBSERVED", ("reward",)),
+    *(("FEATURE_SNAPSHOT", (block, i)) for block in ("baseline", "treatment") for i in range(3)),
+    ("DECISION", ("pi_raw",)),
+    ("DECISION", ("pi",)),
+    ("DATA_INGESTED", ("value",)),
+]
+NON_FINITE = {"nan": "7ff8000000000000", "+inf": "7ff0000000000000", "-inf": "fff0000000000000"}
+
+
+@pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE.keys())
+@pytest.mark.parametrize("event_type, path", FLOAT_MEMBERS)
+def test_a_non_finite_float_gets_an_answer(tmp_path, golden, event_type, path, value):
+    # The records edited are those the first update consumes, so the value
+    # reaches the posterior recompute: a refused update is a divergence.
+    edited = tmp_path / "edited.ndjson"
+    shutil.copyfile(golden, edited)
+    seq = _consumed_seqs(golden)[event_type]
+    rechain(edited, seq, _setter(path, value))
+    codes = _audit_codes(edited, seq, tmp_path / "mon.txt")
+    assert all(code in (0, 1, 2) for code in codes), codes
+
+
+@pytest.mark.parametrize("value", NON_FINITE.values(), ids=NON_FINITE.keys())
+def test_a_non_finite_reward_is_a_divergence_at_its_update(tmp_path, golden, capsys, value):
+    edited = tmp_path / "edited.ndjson"
+    shutil.copyfile(golden, edited)
+    rechain(edited, _consumed_seqs(golden)["OUTCOME_OBSERVED"], _setter(("reward",), value))
+    report = tmp_path / "report.txt"
+    assert main(["replay-verify", "--ledger", str(edited), "--out", str(report)]) == 1
+    assert "replay diverged" in capsys.readouterr().err
+    diffs = [json.loads(line) for line in report.read_bytes().splitlines()[2:]]
+    at_update = [d for d in diffs if d["seq"] == first_seq(golden, "MODEL_UPDATE")]
+    assert [(d["path"], d["recomputed"]) for d in at_update] == [("post_state", "error:DataError")]

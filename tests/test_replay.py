@@ -1,12 +1,13 @@
+import dataclasses
 import math
 import struct
 from pathlib import Path
 
 import pytest
 
-from conftest import index_of, make_run_config, records_of
+from conftest import index_of, make_run_config, make_runtime, records_of, start_runtime
 from ledgerloop import events, policy
-from ledgerloop.errors import AuditError, StructuralAuditError
+from ledgerloop.errors import AuditError, NumericalStateError, StructuralAuditError
 from ledgerloop.ledger import Ledger, encode_float, read_records, verify_chain
 from ledgerloop.replay import (
     V1_FINGERPRINT,
@@ -17,6 +18,7 @@ from ledgerloop.replay import (
     verify_decisions,
     verify_updates,
 )
+from ledgerloop.runtime import MS_PER_DAY
 from ledgerloop.twin import EnvironmentSpec, run_trial
 
 
@@ -88,9 +90,7 @@ def test_reconstruct_no_updates_gives_initial_states():
     result = run_trial(small_env(miss_prob=1.0, n_days=1), config, 1)
     recon = reconstruct_states(result.index, logic_for(result.index))
     assert not recon.updates
-    for pid, timeline in recon.states.items():
-        assert len(timeline) == 1
-        state = timeline[0][1]
+    for pid, state in recon.states.items():
         assert state.update_count == 0
 
 
@@ -100,8 +100,50 @@ def test_final_state_hash_matches_last_update():
     last_updates = {info.participant_id: info for _, info, _ in result.index.updates}
     assert last_updates
     for pid, info in last_updates.items():
-        final_state = recon.states[pid][-1][1]
-        assert final_state.state_hash == info.post_state_hash
+        assert recon.states[pid].state_hash == info.post_state_hash
+
+
+def test_final_states_are_the_runtimes(tmp_path):
+    # Three days of two participants, with a version switch on day 2,
+    # injected fallbacks, data that arrives after its snapshot, and one
+    # update the logic refuses: its outcomes stay pending for the next cycle.
+    config = make_run_config(injection={"policy_exception_prob": 0.3})
+    runtime = make_runtime(config, path=tmp_path / "trial.ndjson")
+    refusals = []
+
+    def refuse_once(state, batch, *args, **kwargs):
+        if not refusals:
+            refusals.append(len(batch))
+            raise NumericalStateError("refused once")
+        return policy.update_posterior(state, batch, *args, **kwargs)
+
+    runtime.logic = dataclasses.replace(runtime.logic, update_posterior=refuse_once)
+    start_runtime(runtime)
+    fallbacks = 0
+    for day in range(3):
+        if day == 2:
+            runtime.register_version("v1.1.0", backend_ts=day * MS_PER_DAY)
+        for idx, due in runtime.schedule.decision_points(day):
+            for k, pid in enumerate(runtime.participants):
+                runtime.ingest_observation(pid, "engagement", 0.25 * (idx + k), due - 60_000, backend_ts=due - 60_000)
+                runtime.assemble_features(pid, idx, backend_ts=due)
+                # The prior outcome of this point arrives only after its snapshot.
+                runtime.ingest_observation(pid, "prior_outcome", 0.5 - k, due - 1000, backend_ts=due + 1)
+                fallbacks += runtime.make_decision(pid, idx, backend_ts=due + 2).fallback
+                runtime.ingest_outcome(pid, idx, 0.1 * idx - k, due + 3, backend_ts=due + 3)
+        for pid in runtime.participants:
+            runtime.run_update_cycle(pid, backend_ts=runtime.schedule.update_ts(day))
+    runtime.ledger.close()
+    assert refusals and fallbacks
+    assert [info.kind for _, info in runtime.index.errors].count("update_failure") == 1
+
+    index = index_of(tmp_path / "trial.ndjson")
+    recon = reconstruct_states(index)
+    assert recon.states.keys() == runtime.states.keys()
+    for pid, state in runtime.states.items():
+        assert state.update_count > 0
+        assert recon.states[pid].state_hash == state.state_hash
+    assert replay_verify(index).exact
 
 
 def test_unregistered_version_is_audit_error():

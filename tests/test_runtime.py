@@ -390,6 +390,17 @@ def test_unknown_participant_observation_is_refused_before_logging():
     assert len(runtime.ledger) == runtime.index.size == before
 
 
+def test_outcome_without_a_decision_is_refused_before_logging():
+    runtime = fresh_runtime()
+    before = len(runtime.ledger)
+    with pytest.raises(ConfigurationError, match="p0 decision 99, which has no snapshot and decision"):
+        runtime.ingest_outcome("p0", 99, 1.0, H9, backend_ts=H9)
+    assert len(runtime.ledger) == runtime.index.size == before
+    run_decision_point(runtime, "p0", 0, H9)
+    runtime.ingest_outcome("p0", 0, 1.0, H9 + 1000, backend_ts=H9 + 1000)
+    assert runtime.run_update_cycle("p0", backend_ts=H23).update_count > 0
+
+
 def test_update_failure_keeps_state_and_outcomes():
     runtime = fresh_runtime()
     run_decision_point(runtime, "p0", 0, H9)
