@@ -1,10 +1,12 @@
 """Typed payloads of every ledger event, and the one index over them.
 
-Each event type's payload is one frozen dataclass (:data:`PAYLOADS`). It is
-written as ``map_floats(value, encode_float)`` (:func:`append`) and read back
-by the strict inverse of that, :func:`ledgerloop.ledger.strict_inverse`
-(:func:`decode_payload`); no other module knows how a payload field is
-encoded. The ``parse_*`` functions are the inverse's entry points for the
+Each event type's payload is one frozen dataclass (:data:`PAYLOADS`). Its
+annotations are compiled twice by the ledger's one annotation compiler: into
+the encoder :meth:`ledgerloop.ledger.Ledger.append` writes it with
+(:func:`append`), whose bytes are those of ``map_floats(value,
+encode_float)``, and into the strict inverse of that,
+:func:`ledgerloop.ledger.strict_inverse` (:func:`decode_payload`); no other
+module knows how a payload field is encoded. The ``parse_*`` functions are the inverse's entry points for the
 event types read most; the benchmark's tracer times them by name.
 
 :class:`StreamIndex` is the one fold over ledger records. The runtime applies
@@ -147,8 +149,9 @@ _DECODERS = {
 
 def append(ledger: Ledger, value, **envelope) -> EventEnvelope:
     """Append ``value``, an instance of one of :data:`PAYLOADS`, as a record
-    of its event type; :meth:`Ledger.append` writes it as
-    ``map_floats(value, encode_float)``."""
+    of its event type; :meth:`Ledger.append` writes it with its class's
+    compiled encoder, and refuses it (ConfigurationError) if a member's type
+    is not its annotation's."""
     return ledger.append(_EVENT_TYPES[type(value)], value, **envelope)
 
 

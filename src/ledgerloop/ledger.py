@@ -10,17 +10,25 @@ body (everything except the ``hash`` field itself), and record 0 chains from
 :func:`_line`). Any single corrupted byte therefore breaks either a hash
 recomputation or the chain linkage.
 
+Canonical bytes have one definition, :func:`_dumps` (``json`` with sorted
+keys and compact ASCII separators). :func:`canonical_json_bytes` is it with
+a check for raw floats first; reports (:func:`report_bytes`), the config
+digest and dict payloads are written with it, and the read pass re-encodes
+every stored line with it. A record's body is written by :func:`_body` with
+one %-format of its scalar envelope members around the payload's text. A
+typed payload's text comes from its class's encoder, compiled on the class's
+first append from the same annotations :func:`strict_inverse` reads the
+payload back with (one annotation compiler, :func:`_converter`, builds
+both); it checks each member's type and writes the bytes ``_dumps`` would
+give for ``map_floats(value, encode_float)``. Every line the encoder writes
+is therefore checked against ``_dumps`` by every audit.
+
 A :class:`Ledger` only writes: it keeps its last record, whose seq gives the
 count and whose hash is the chain head, never a copy of the records before
 it. Every read of a ledger file goes through one verified pass
 (:func:`_verified`): :func:`read_records`, :meth:`Ledger.open` and
 :func:`verify_chain` all check the same things, so a record a reader sees has
 passed the chain check.
-
-This module is the one canonical encode path: ledger lines, the run header
-and record payloads (:func:`map_floats`) and every report
-(:func:`report_bytes`) are built with :func:`canonical_json_bytes`.
-:func:`strict_inverse` reads a payload back into its typed value.
 """
 
 from __future__ import annotations
@@ -132,11 +140,15 @@ _C_ENCODE = None if json.encoder.c_make_encoder is None else json.encoder.c_make
 )
 
 
-def _dumps(obj) -> bytes:
-    # The encoding step of canonical_json_bytes, for bodies already checked.
+def _json_text(obj) -> str:
+    # The encoding step of canonical_json_bytes, for values already checked.
     if _C_ENCODE is None:
-        return _ENCODER.encode(obj).encode("ascii")
-    return "".join(_C_ENCODE(obj, 0)).encode("ascii")
+        return _ENCODER.encode(obj)
+    return "".join(_C_ENCODE(obj, 0))
+
+
+def _dumps(obj) -> bytes:
+    return _json_text(obj).encode("ascii")
 
 
 # The fields of each dataclass that map_floats has met: those its __init__ takes.
@@ -298,13 +310,23 @@ def _number(value) -> float:
 
 @dataclass(frozen=True)
 class Format:
-    """How typed values are written as JSON-like data: ``converters`` maps
-    each scalar annotation to its converter (the compiler adds the ones it
-    builds, once per annotation), and ``defaults`` says whether a dataclass
-    member left out takes its field's default."""
+    """How typed values are read from or written as JSON-like data.
+
+    ``converters`` maps each scalar annotation to its converter (the
+    compiler adds the ones it builds, once per annotation), and
+    ``defaults`` says whether a dataclass member left out takes its field's
+    default. The ``of_*`` builders make the converter of a dataclass, a
+    ``tuple[X, ...]``, a ``dict[str, X]`` and an ``X | None`` from those of
+    its parts (None: the format has no converter for that form). They read
+    by default; :data:`LEDGER_ENCODING` swaps in builders that write.
+    """
 
     converters: dict
     defaults: bool
+    of_dataclass: typing.Callable = _dataclass
+    of_tuple: typing.Callable = _tuple_of
+    of_dict: typing.Callable | None = _dict_of
+    of_optional: typing.Callable = _optional
 
 
 # Ledger payloads and the run header: floats and bytes as lowercase hex,
@@ -341,17 +363,140 @@ def _converter(hint, fmt: Format):
         return convert
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if dataclasses.is_dataclass(hint):
-        convert = _dataclass(hint, fmt)
+        convert = fmt.of_dataclass(hint, fmt)
     elif origin is tuple and len(args) == 2 and args[1] is Ellipsis:
-        convert = _tuple_of(_converter(args[0], fmt))
-    elif origin is dict and args[0] is str:
-        convert = _dict_of(_converter(args[1], fmt))
+        convert = fmt.of_tuple(_converter(args[0], fmt))
+    elif origin is dict and args[0] is str and fmt.of_dict is not None:
+        convert = fmt.of_dict(_converter(args[1], fmt))
     elif origin in (typing.Union, types.UnionType) and len(args) == 2 and type(None) in args:
-        convert = _optional(_converter(args[0] if args[1] is type(None) else args[1], fmt))
+        convert = fmt.of_optional(_converter(args[0] if args[1] is type(None) else args[1], fmt))
     else:
-        raise TypeError(f"no canonical decoding for {hint!r}")
+        raise TypeError(f"no canonical form for {hint!r}")
     fmt.converters[hint] = convert
     return convert
+
+
+# -- the compiled payload encoder ----------------------------------------------------
+
+
+class _Piece(NamedTuple):
+    """How a compiled encoder writes the values of one annotation, as source
+    text with ``{0}`` standing for the value: ``check`` is true exactly for
+    the values it takes (described by ``what``), and ``arg`` is what the
+    %-format ``spec`` turns into the value's canonical JSON text. The piece
+    of a dataclass is its compiled encoder, ``encode``, alone."""
+
+    check: str = ""
+    spec: str = ""
+    arg: str = ""
+    what: str = ""
+    encode: typing.Callable | None = None
+
+    def inline(self) -> "_Piece":
+        if self.encode is not None:
+            raise TypeError("no compiled encoding for a dataclass inside a payload")
+        return self
+
+    def text(self, value: str) -> str:
+        """An expression for the JSON text of ``value``."""
+        arg = self.arg.replace("{0}", value)
+        return arg if self.spec == "%s" else f"({self.spec!r} % ({arg},))"
+
+
+_FLOAT_BITS = struct.Struct(">d").pack  # encode_float is _FLOAT_BITS(x).hex()
+_quoted = json.encoder.encode_basestring_ascii  # a string's JSON text, as _dumps writes it
+
+
+def _canonical_text(obj: dict) -> str:
+    return canonical_json_bytes(obj).decode("ascii")
+
+
+def _misfit(member: str, what: str, value):
+    raise ConfigurationError(f"{member}: expected {what}, got {value!r}")
+
+
+def _tuple_piece(item: _Piece) -> _Piece:
+    item = item.inline()
+    return _Piece(
+        f"(isinstance({{0}}, tuple) and all([{item.check.replace('{0}', '_i')} for _i in {{0}}]))",
+        "[%s]",
+        f"\",\".join([{item.text('_i')} for _i in {{0}}])",
+        f"a tuple, each item {item.what}",
+    )
+
+
+def _optional_piece(inner: _Piece) -> _Piece:
+    inner = inner.inline()
+    return _Piece(
+        f"({{0}} is None or {inner.check})",
+        "%s",
+        f"(\"null\" if {{0}} is None else {inner.text('{0}')})",
+        f"{inner.what} or None",
+    )
+
+
+def _encoder_piece(cls: type, fmt: Format) -> _Piece:
+    """Compile the encoder of the dataclass ``cls``: a function of one value
+    that returns its canonical JSON text (the members its ``__init__`` takes,
+    in sorted order) with one %-format, once every member has passed its
+    check; a member that does not raises ConfigurationError naming it."""
+    hints = typing.get_type_hints(cls)
+    names = sorted(f.name for f in dataclasses.fields(cls) if f.init)
+    members = [(name, f"m{i}", _converter(hints[name], fmt).inline()) for i, name in enumerate(names)]
+    spec = ",".join(_quoted(name) + ":" + piece.spec for name, _, piece in members)
+    checks = [piece.check.replace("{0}", var) for _, var, piece in members]
+    source = "\n".join([
+        "def encode(value):",
+        *(f"    {var} = value.{name}" for name, var, _ in members),
+        f"    if not ({' and '.join(checks) or 'True'}):",
+        *(f"        if not {check}: _misfit({name!r}, {piece.what!r}, {var})"
+          for (name, var, piece), check in zip(members, checks)),
+        f"    return {'{' + spec + '}'!r} % ({''.join(piece.arg.replace('{0}', var) + ', ' for _, var, piece in members)})",
+    ])
+    namespace: dict = {}
+    # The module's own namespace, so the helpers are looked up when called.
+    exec(compile(source, f"<encoder of {cls.__qualname__}>", "exec"), globals(), namespace)
+    return _Piece(encode=namespace["encode"])
+
+
+# Ledger payloads as written: the inverse of LEDGER_FORMAT on every value it
+# reads. A float member takes any float, an int member any int but a bool.
+LEDGER_ENCODING = Format(
+    {
+        float: _Piece("isinstance({0}, float)", '"%s"', "_FLOAT_BITS({0}).hex()", "a float"),
+        int: _Piece("(isinstance({0}, int) and type({0}) is not bool)", "%d", "{0}", "an integer"),
+        bool: _Piece("type({0}) is bool", "%s", '("true" if {0} else "false")', "a boolean"),
+        str: _Piece("isinstance({0}, str)", "%s", "_quoted({0})", "a string"),
+        bytes: _Piece("isinstance({0}, bytes)", '"%s"', "{0}.hex()", "bytes"),
+        dict: _Piece("isinstance({0}, dict)", "%s", "_canonical_text({0})", "an object"),
+    },
+    defaults=False,
+    of_dataclass=_encoder_piece,
+    of_tuple=_tuple_piece,
+    of_dict=None,
+    of_optional=_optional_piece,
+)
+
+
+def _payload_text(event_type: str, payload) -> str:
+    """The canonical JSON text of a record's payload: a dict's once it has
+    no raw float, a typed payload's (a dataclass instance) from its class's
+    encoder, compiled on first use from the annotations :func:`strict_inverse`
+    reads it back with. ConfigurationError for a payload it cannot write."""
+    if isinstance(payload, dict):
+        _reject_floats(payload, "$.payload")
+        return _json_text(payload)
+    piece = LEDGER_ENCODING.converters.get(type(payload))
+    if piece is None and dataclasses.is_dataclass(payload) and not isinstance(payload, type):
+        piece = _converter(type(payload), LEDGER_ENCODING)
+    if piece is None or piece.encode is None:
+        raise ConfigurationError(
+            f"payload must be a dict or a payload dataclass, got {type(payload).__name__}"
+        )
+    try:
+        return piece.encode(payload)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"{event_type} payload: {exc}") from None
 
 
 def decode_as(hint, value, fmt: Format):
@@ -395,8 +540,10 @@ def report_bytes(title: str, items: Iterable) -> bytes:
 
 
 class EventEnvelope(NamedTuple):
-    """One ledger record. ``payload`` is a canonical-ready dict (no raw
-    floats); ``prev_hash``/``hash`` are 32-byte digests."""
+    """One ledger record. ``payload`` is the payload dict of a record read
+    back, or the value the record was appended with: a canonical-ready dict
+    (no raw floats) or a typed payload. ``prev_hash``/``hash`` are 32-byte
+    digests."""
 
     seq: int
     stream_id: str
@@ -405,12 +552,16 @@ class EventEnvelope(NamedTuple):
     backend_ts: int
     version_id: str
     event_type: str
-    payload: dict
+    payload: object
     prev_hash: bytes
     hash: bytes
 
     def body_dict(self) -> dict:
-        """Record body as written to disk, minus the hash field."""
+        """Record body as written to disk, minus the hash field; a typed
+        payload as the JSON object of the text its encoder wrote."""
+        payload = self.payload
+        if not isinstance(payload, dict):
+            payload = _DECODER.decode(_payload_text(self.event_type, payload))
         return {
             "seq": self.seq,
             "stream_id": self.stream_id,
@@ -419,7 +570,7 @@ class EventEnvelope(NamedTuple):
             "backend_ts": self.backend_ts,
             "version_id": self.version_id,
             "event_type": self.event_type,
-            "payload": self.payload,
+            "payload": payload,
             "prev_hash": self.prev_hash.hex(),
         }
 
@@ -430,6 +581,25 @@ class EventEnvelope(NamedTuple):
 
 def compute_record_hash(prev_hash: bytes, body_bytes: bytes) -> bytes:
     return hashlib.sha256(prev_hash + body_bytes).digest()
+
+
+# A record body: its members in sorted order, the payload as its JSON text.
+_BODY = (
+    '{"backend_ts":%d,"device_ts":%s,"environment_profile":%s,"event_type":%s,'
+    '"payload":%s,"prev_hash":"%s","seq":%d,"stream_id":%s,"version_id":%s}'
+)
+
+
+def _body(seq, stream_id, environment_profile, device_ts, backend_ts, version_id,
+          event_type, payload_text, prev_hash) -> bytes:
+    """A record's canonical body (every member but ``hash``) with one
+    %-format: the bytes :func:`_dumps` gives for its body dict, since every
+    envelope member is an int, None or a string."""
+    return (_BODY % (
+        backend_ts, "null" if device_ts is None else device_ts, _quoted(environment_profile),
+        _quoted(event_type), payload_text, prev_hash.hex(), seq, _quoted(stream_id),
+        _quoted(version_id),
+    )).encode("ascii")
 
 
 def _line(body: bytes, rec_hash: bytes) -> bytes:
@@ -600,8 +770,12 @@ class Ledger:
         """Append one record: assigns seq, chains hashes, writes durably.
 
         ``payload`` is a canonical-ready dict, checked for raw floats, or a
-        typed payload (a dataclass instance), written as
-        ``map_floats(payload, encode_float)``.
+        typed payload (a dataclass instance), written by its class's
+        compiled encoder: the bytes of ``map_floats(payload,
+        encode_float)``, once every member holds its annotation's type (a
+        float member any float, an int member any int but a bool). A
+        payload that cannot be written is a ConfigurationError naming the
+        event type and the member, raised before anything is written.
         ``stream_id``/``environment_profile`` default to the ledger's own;
         passing a mismatching value is an isolation error, which is how
         mixed-profile ledgers are made unrepresentable.
@@ -612,16 +786,7 @@ class Ledger:
             raise ConfigurationError(f"device_ts must be an integer or None, got {device_ts!r}")
         if type(backend_ts) is not int or not isinstance(version_id, str):
             raise ConfigurationError("backend_ts must be an integer and version_id a string")
-        if isinstance(payload, dict):
-            _reject_floats(payload, "$.payload")
-        elif dataclasses.is_dataclass(payload) and not isinstance(payload, type):
-            # map_floats leaves only strings, ints, bools, None, lists and
-            # string-keyed dicts, so there is no raw float to look for.
-            payload = map_floats(payload, encode_float)
-        else:
-            raise ConfigurationError(
-                f"payload must be a dict or a payload dataclass, got {type(payload).__name__}"
-            )
+        text = _payload_text(event_type, payload)
         if stream_id is not None and stream_id != self.stream_id:
             raise IsolationError(
                 f"stream {stream_id!r} does not match ledger stream {self.stream_id!r}"
@@ -638,17 +803,10 @@ class Ledger:
             seq, prev_hash = (0, GENESIS_HASH) if last is None else (last.seq + 1, last.hash)
             if event_type == "HEADER" and seq != 0:
                 raise ConfigurationError("HEADER is only valid at seq 0")
-            body = _dumps({
-                "seq": seq,
-                "stream_id": self.stream_id,
-                "environment_profile": self.environment_profile,
-                "device_ts": device_ts,
-                "backend_ts": backend_ts,
-                "version_id": version_id,
-                "event_type": event_type,
-                "payload": payload,
-                "prev_hash": prev_hash.hex(),
-            })
+            body = _body(
+                seq, self.stream_id, self.environment_profile, device_ts, backend_ts,
+                version_id, event_type, text, prev_hash,
+            )
             rec_hash = compute_record_hash(prev_hash, body)
             envelope = EventEnvelope(
                 seq, self.stream_id, self.environment_profile, device_ts, backend_ts,

@@ -106,17 +106,13 @@ class FeatureSpec:
 
     baseline: tuple[str, ...] = ("intercept", "prior_outcome", "time_of_day")
     treatment: tuple[str, ...] = ("intercept", "prior_outcome", "engagement")
+    # Every feature name once, in first-use order.
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.baseline or not self.treatment:
             raise ConfigurationError("features.baseline and features.treatment must be non-empty")
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        seen: dict[str, None] = {}
-        for name in self.baseline + self.treatment:
-            seen.setdefault(name)
-        return tuple(seen)
+        object.__setattr__(self, "names", tuple(dict.fromkeys(self.baseline + self.treatment)))
 
 
 @dataclass(frozen=True)

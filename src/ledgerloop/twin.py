@@ -122,8 +122,10 @@ def step_participant(
     )
     e_next = min(1.0, max(0.0, e_next))
 
-    next_twin = dataclasses.replace(
-        twin,
+    next_twin = ParticipantTwin(
+        participant_id=twin.participant_id,
+        b=twin.b,
+        theta=twin.theta,
         engagement=e_next,
         prior_outcome=y,
         t=t + 1,

@@ -1,28 +1,47 @@
-"""The single-step append against the two-envelope append it replaced, and
-the read pass on hashes written in a form ``bytes.fromhex`` accepts but the
-canonical encoding does not.
+"""The single-step append against the two-envelope append it replaced, the
+compiled payload encoder against ``map_floats``, and the read pass on hashes
+written in a form ``bytes.fromhex`` accepts but the canonical encoding does
+not.
 
 ``reference_append`` keeps the earlier append as the oracle: an envelope
 with an empty hash, ``canonical_json_bytes`` of its ``body_dict()`` (which
 walks the whole body for raw floats), the hash, then a second envelope. The
-new append walks only the payload and encodes the body once; for any
+new append walks only a dict payload and encodes the body once; for any
 JSON-like payload it must give the same line and hash, or refuse it with the
-same message. A typed payload (a dataclass) is not walked at all: it is
-written as ``map_floats(value, encode_float)``, which cannot hold a float.
+same message. A typed payload (a dataclass) is written by its class's
+compiled encoder: for every well-typed value of every payload class it must
+give the line and hash of the oracle fed ``map_floats(value, encode_float)``,
+and it refuses a member whose type is not its annotation's before anything
+is written.
 """
 
 import json
 import math
+import re
+import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import make_run_config
+from ledgerloop.config import config_digest, header_config_dict
 from ledgerloop.errors import ConfigurationError, DecodeError
-from ledgerloop.events import AlertInfo, DatumInfo, ErrorInfo, OutcomeInfo
+from ledgerloop.events import (
+    PAYLOADS,
+    AlertInfo,
+    DatumInfo,
+    ErrorInfo,
+    HeaderInfo,
+    OutcomeInfo,
+    SnapshotInfo,
+    UpdateInfo,
+    VersionInfo,
+    append,
+)
 from ledgerloop.ledger import (
     GENESIS_HASH,
     EventEnvelope,
@@ -34,6 +53,7 @@ from ledgerloop.ledger import (
     read_records,
     verify_chain,
 )
+from ledgerloop.policy import PROVENANCE_TAGS, DecisionRecord
 
 
 def reference_append(prev_hash, seq, event_type, payload, backend_ts, version_id, device_ts):
@@ -106,49 +126,138 @@ def test_append_matches_the_two_envelope_reference(calls):
             assert [r.to_line() for r in read_records(path)] == lines
 
 
+def _bits(n: int) -> float:
+    return struct.unpack(">d", n.to_bytes(8, "big"))[0]
+
+
+# Every float bit pattern (NaN payloads included), -0.0, the infinities, and
+# a float subclass, which a float member takes too.
 any_float = (
     st.floats(allow_nan=True, allow_infinity=True)
-    | st.sampled_from([math.nan, -0.0, math.inf, -math.inf])
+    | st.integers(0, 2**64 - 1).map(_bits)
+    | st.sampled_from([-0.0, math.inf, -math.inf, _bits(0x7FF8000000000BAD), _bits(0xFFF0000000000001)])
     | st.floats(allow_nan=True, allow_infinity=True).map(np.float64)
 )
-members = st.recursive(
-    any_float | st.none() | st.booleans() | st.integers() | st.text(max_size=4) | st.binary(max_size=4),
-    lambda kids: st.lists(kids, max_size=3)
-    | st.tuples(kids, kids)
-    | st.dictionaries(keys, kids, max_size=3)
-    | st.builds(OutcomeInfo, kids, kids, kids, kids),
-    max_leaves=12,
-)
-typed_payloads = (
-    st.builds(DatumInfo, members, members, members, members, members)
-    | st.builds(OutcomeInfo, members, members, any_float, members)
-    | st.builds(ErrorInfo, members, members, members, members)
-    | st.builds(AlertInfo, members, members, any_float, any_float, members, members, members)
-)
+texts = st.text(max_size=5) | st.sampled_from(["", "é", "日本", "\u2028", '"%s\\'])
+ints = st.integers() | st.sampled_from([0, -1, 2**64, -(2**70)])
+probabilities = st.floats(0.0, 1.0) | st.just(-0.0)
 
 
-def _plain(obj) -> bool:
-    """Whether ``obj`` holds only strings, ints, bools, None, lists and
-    string-keyed dicts: no float anywhere."""
-    kind = type(obj)
-    if kind is dict:
-        return all(type(k) is str and _plain(v) for k, v in obj.items())
-    if kind is list:
-        return all(map(_plain, obj))
-    return kind in (str, int, bool, type(None))
+@st.composite
+def snapshots(draw):
+    n_base, n_treat = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    tags = draw(st.lists(st.sampled_from(PROVENANCE_TAGS), min_size=n_base + n_treat,
+                         max_size=n_base + n_treat))
+    methods = [draw(texts.filter(bool)) if tag == "imputed" else draw(st.none() | texts)
+               for tag in tags]
+    return SnapshotInfo(
+        baseline=tuple(draw(st.lists(any_float, min_size=n_base, max_size=n_base))),
+        treatment=tuple(draw(st.lists(any_float, min_size=n_treat, max_size=n_treat))),
+        provenance=tuple(tags),
+        imputation_methods=tuple(methods),
+        source_device_ts=tuple(draw(st.lists(st.none() | ints, min_size=len(tags), max_size=len(tags)))),
+        assembled_ts=draw(ints),
+        participant_id=draw(texts),
+        decision_index=draw(ints),
+    )
 
 
-@settings(max_examples=300, deadline=None)
-@given(typed_payloads)
-@example(AlertInfo("m", "<", math.nan, -0.0, [math.inf, -math.inf], np.float64(-0.0), {1: np.float64("nan")}))
-def test_map_floats_of_a_typed_payload_never_holds_a_float(value):
-    # Ledger.append writes a typed payload as map_floats(value, encode_float)
-    # without walking it for raw floats; this is why it may skip the walk.
-    encoded = map_floats(value, encode_float)
-    assert _plain(encoded)
-    canonical_json_bytes(encoded)  # the raw-float walk finds nothing
-    record = Ledger("s", "test").append("ALERT", value, backend_ts=0, version_id="v1")
-    assert record.payload == encoded
+@st.composite
+def decisions(draw):
+    fallback = draw(st.booleans())
+    return DecisionRecord(
+        participant_id=draw(texts),
+        decision_index=draw(st.integers(0, 2**64 - 1)),
+        pi_raw=draw(probabilities),
+        pi=draw(probabilities),
+        seed=draw(ints),
+        action=draw(st.sampled_from([0, 1])),
+        fallback=fallback,
+        fallback_reason=draw(texts.filter(bool) if fallback else st.none() | texts),
+        version_id=draw(texts),
+    )
+
+
+RUN_CONFIG = make_run_config()
+
+
+def _header(stream_id, profile, seed, participants, digest):
+    config = header_config_dict(RUN_CONFIG, participants)
+    return HeaderInfo(stream_id, profile, seed, config, digest or config_digest(config))
+
+
+# Well-typed values of every payload class, as the ledger's writers make them.
+TYPED = {
+    "HEADER": st.builds(_header, texts, texts, ints, st.lists(texts, max_size=3), st.none() | texts),
+    "DATA_INGESTED": st.builds(DatumInfo, texts, texts, any_float, ints, st.none() | ints),
+    "FEATURE_SNAPSHOT": snapshots(),
+    "DECISION": decisions(),
+    "OUTCOME_OBSERVED": st.builds(OutcomeInfo, texts, ints, any_float, ints),
+    "MODEL_UPDATE": st.builds(
+        UpdateInfo, texts, st.lists(ints, max_size=4).map(tuple), st.binary(max_size=4),
+        st.binary(max_size=4), st.binary(max_size=4),
+    ),
+    "VERSION_CHANGE": st.builds(VersionInfo, texts, texts, st.none() | texts),
+    "ERROR": st.builds(ErrorInfo, texts, texts, st.none() | texts, st.none() | ints),
+    "ALERT": st.builds(AlertInfo, texts, texts, any_float, any_float, texts, st.none() | ints, texts),
+}
+
+
+def test_every_payload_class_has_a_strategy():
+    assert sorted(TYPED) == sorted(PAYLOADS)
+
+
+@pytest.mark.parametrize("event_type", sorted(TYPED))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_compiled_encoder_writes_the_reference_bytes(event_type, data):
+    # The compiled encoder against map_floats(value, encode_float) encoded
+    # with canonical_json_bytes, on both storage modes.
+    # Only a ledger's first record may be a HEADER.
+    values = data.draw(st.lists(TYPED[event_type], min_size=1, max_size=1 if event_type == "HEADER" else 3))
+    envelopes = data.draw(st.lists(
+        st.tuples(st.integers(0, 2**53), texts, st.none() | ints), min_size=len(values), max_size=len(values)
+    ))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "l.ndjson"
+        with Ledger("s", "test", path=path, fsync=False) as on_file:
+            in_memory = Ledger("s", "test")
+            prev_hash, lines = GENESIS_HASH, []
+            for value, (backend_ts, version_id, device_ts) in zip(values, envelopes):
+                expected = reference_append(
+                    prev_hash, len(lines), event_type, map_floats(value, encode_float),
+                    backend_ts, version_id, device_ts,
+                )
+                for ledger in (on_file, in_memory):
+                    record = append(ledger, value, backend_ts=backend_ts, version_id=version_id,
+                                    device_ts=device_ts)
+                    assert record.hash == expected.hash
+                    assert ledger.last().to_line() == expected.to_line()
+                prev_hash = expected.hash
+                lines.append(expected.to_line())
+        assert path.read_bytes() == b"".join(line + b"\n" for line in lines)
+
+
+def test_ill_typed_members_are_refused_before_anything_is_written(tmp_path):
+    # Each of these was written at one time, and every audit then refused
+    # the file: an int value, a bool action, a float device_ts.
+    probes = [
+        (DatumInfo("p0", "f", 1, 5, None), "DATA_INGESTED payload: value: expected a float"),
+        (DecisionRecord("p0", 0, 0.5, 0.5, 7, True, False),
+         "DECISION payload: action: expected an integer, got True"),
+        (OutcomeInfo("p0", 0, 0.5, 5.0), "OUTCOME_OBSERVED payload: device_ts: expected an integer"),
+    ]
+    path = tmp_path / "l.ndjson"
+    with Ledger("s", "test", path=path, fsync=False) as ledger:
+        append(ledger, OutcomeInfo("p0", 0, 0.5, 5), backend_ts=0, version_id="v1")
+        before = path.read_bytes()
+        for value, message in probes:
+            with pytest.raises(ConfigurationError, match=re.escape(message)):
+                append(ledger, value, backend_ts=1, version_id="v1")
+            assert len(ledger) == 1
+            assert path.read_bytes() == before
+        append(ledger, OutcomeInfo("p0", 1, 0.5, 6), backend_ts=1, version_id="v1")
+    assert [r.seq for r in read_records(path)] == [0, 1]
 
 
 def test_append_refuses_a_payload_that_is_neither_a_dict_nor_typed():
