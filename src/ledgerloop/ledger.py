@@ -158,10 +158,11 @@ _LEAVES = {str, int, bool, type(None)}
 
 def map_floats(obj, show):
     """``obj`` ready for :func:`canonical_json_bytes`: every float replaced by
-    ``show(float)`` (ledger payloads and the run header use
-    :func:`encode_float`), bytes by their lowercase hex, a tuple by a list,
-    and a dataclass by the dict of the fields its ``__init__`` takes.
-    :func:`strict_inverse` reads back what ``show=encode_float`` gives."""
+    ``show(float)`` (the run header uses :func:`encode_float`), bytes by
+    their lowercase hex, a tuple by a list, and a dataclass by the dict of
+    the fields its ``__init__`` takes. :func:`strict_inverse` reads back
+    what ``show=encode_float`` gives; a ledger payload's compiled encoder
+    writes the canonical bytes of exactly that."""
     kind = type(obj)
     if kind in _LEAVES:
         return obj
