@@ -1,8 +1,9 @@
 """Golden-bytes oracle: pinned SHA-256 digests of a small simulated ledger, of
 its divergence report (``replay-verify --out``) and monitor report
 (``monitor-report --replay``), of the twin-run and twin-tune reports on the
-same config, and of the divergence report of a copy of the ledger with one
-decision's ``pi_raw`` changed and the chain re-derived.
+same config, and of the divergence reports of two copies of the ledger with
+their chains re-derived: one with one decision's ``pi_raw`` changed, one with
+decisions and updates changed in five ways.
 
 The config is small (3 participants x 3 days) but walks every write path: a
 mid-trial version switch, injected policy exceptions (fallback decisions and
@@ -20,8 +21,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from conftest import BASE_CONFIG, deep_merge, first_seq, rechain
+from conftest import BASE_CONFIG, deep_merge, rechain, records_of
 from ledgerloop.cli import main
+from ledgerloop.ledger import encode_float
 
 GOLDEN_CONFIG = deep_merge(
     BASE_CONFIG,
@@ -44,6 +46,7 @@ DIVERGENCE_SHA256 = "785e181cc8323d04b735112981b67c37764acd0728e43b3796f287da35f
 MONITOR_SHA256 = "c5a934a5a641236a632b2ddbaec0f6ac0ffc05a0175d6a367b99fb04619133ca"
 TWIN_TUNE_SHA256 = "e495c3c42ef74d1762b98109afbfd8f2edc8fa499651e5f9b2094f03215e96af"
 DIVERGED_SHA256 = "9c81e11baf0583787514dc0f256d5878709f6b22a4cf2e85f6c895801153555c"
+DIVERGED_SEVERAL_SHA256 = "71165fb7a37564e82cb29cd1e10fec38de4af33d7d6fa3f1aa5a12303cd93431"
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -125,14 +128,66 @@ def test_twin_tune_report_bytes_are_pinned(tmp_path):
     assert _sha256(report_path) == TWIN_TUNE_SHA256
 
 
-def test_diverged_divergence_report_bytes_are_pinned(tmp_path, golden_ledger):
-    def flip_pi_raw_low_bit(record):
-        bits = int(record["payload"]["pi_raw"], 16) ^ 1
-        record["payload"]["pi_raw"] = f"{bits:016x}"
+def _flip_low_bit(name):
+    """An edit flipping the lowest bit of the hex payload field ``name``."""
 
-    seq = first_seq(golden_ledger, "DECISION", lambda payload: not payload["fallback"])
-    rechain(golden_ledger, seq, flip_pi_raw_low_bit)
+    def edit(record):
+        value = record["payload"][name]
+        record["payload"][name] = value[:-1] + f"{int(value[-1], 16) ^ 1:x}"
+
+    return edit
+
+
+def _xor_seed(record):
+    record["payload"]["seed"] ^= 1
+
+
+def _set_pi(record):
+    record["payload"]["pi"] = encode_float(0.75)
+
+
+def _any(payload):
+    return True
+
+
+def _normal(payload):
+    return not payload["fallback"]
+
+
+def _fallback(payload):
+    return payload["fallback"]
+
+
+# Each case is a list of (event type, payload filter, position among the
+# records it passes, edit). The second mixes every kind of diff, so the
+# pinned bytes fix their order: decisions before updates, each in seq order.
+DIVERGENCE_EDITS = {
+    "pi_raw": ([("DECISION", _normal, 0, _flip_low_bit("pi_raw"))], DIVERGED_SHA256),
+    "several": (
+        [
+            ("DECISION", _normal, 1, _flip_low_bit("pi")),
+            ("DECISION", _any, 3, _xor_seed),
+            ("DECISION", _fallback, 1, _set_pi),
+            ("MODEL_UPDATE", _any, 0, _flip_low_bit("post_state")),
+            ("MODEL_UPDATE", _any, -1, _flip_low_bit("pre_state_hash")),
+        ],
+        DIVERGED_SEVERAL_SHA256,
+    ),
+}
+
+
+@pytest.mark.parametrize("case", DIVERGENCE_EDITS)
+def test_diverged_divergence_report_bytes_are_pinned(tmp_path, golden_ledger, case):
+    edits, digest = DIVERGENCE_EDITS[case]
+    seqs = []
+    for event_type, where, position, edit in edits:
+        seq = [r.seq for r in records_of(golden_ledger, event_type) if where(r.payload)][position]
+        rechain(golden_ledger, seq, edit)
+        seqs.append(seq)
     report_path = tmp_path / "golden-diverged.txt"
     assert main(["replay-verify", "--ledger", str(golden_ledger), "--out", str(report_path)]) == 1
-    assert f'"first_divergent_seq":{seq}'.encode() in report_path.read_bytes()
-    assert _sha256(report_path) == DIVERGED_SHA256
+    report = report_path.read_bytes()
+    assert f'"first_divergent_seq":{min(seqs)}'.encode() in report
+    for seq in seqs:
+        assert f'"seq":{seq}'.encode() in report
+    assert _sha256(report_path) == digest
