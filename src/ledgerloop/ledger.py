@@ -151,8 +151,6 @@ def _dumps(obj) -> bytes:
     return _json_text(obj).encode("ascii")
 
 
-# The fields of each dataclass that map_floats has met: those its __init__ takes.
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 _LEAVES = {str, int, bool, type(None)}
 
 
@@ -169,26 +167,14 @@ def map_floats(obj, show):
     if kind is float:
         return show(obj)
     if kind is list or kind is tuple:
-        kinds = set(map(type, obj))  # most lists hold one kind of leaf
-        if kinds <= _LEAVES:
-            return list(obj)
-        if kinds == {float}:
-            return [show(v) for v in obj]
         return [map_floats(v, show) for v in obj]
-    names = _FIELD_NAMES.get(kind)
-    if names is not None:
-        fields = {}
-        for name in names:  # most fields hold a leaf
-            value = getattr(obj, name)
-            fields[name] = value if type(value) in _LEAVES else map_floats(value, show)
-        return fields
     if kind is dict:
         return {str(k): map_floats(v, show) for k, v in obj.items()}
     if kind is bytes:
         return obj.hex()
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        _FIELD_NAMES[kind] = tuple(f.name for f in dataclasses.fields(obj) if f.init)
-        return map_floats(obj, show)
+        fields = dataclasses.fields(obj)
+        return {f.name: map_floats(getattr(obj, f.name), show) for f in fields if f.init}
     for plain in (float, int, str, dict, list, tuple, bytes):  # a numpy float64 is a float
         if isinstance(obj, plain):
             return map_floats(plain(obj), show)

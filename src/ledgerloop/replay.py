@@ -3,11 +3,13 @@ logged decision and update is bit-exactly reproducible.
 
 Replay reads the ledger through the shared
 :class:`ledgerloop.events.StreamIndex`, the same fold the runtime keeps while
-it writes, and adds only the posterior recompute. Comparison is bit-exact,
-never tolerance-based: floats travel as IEEE-754 bit patterns, and each
-segment is replayed with the logic that wrote it, so an honest ledger
-replays to the last bit. The auditor only ever reads; it cannot append to
-the ledger under audit.
+it writes, and adds only the posterior recompute: one seq-ordered walk over
+the decisions and updates that compares each one where it recomputes it,
+keeping nothing but each participant's current posterior and the diffs.
+Comparison is bit-exact, never tolerance-based: floats travel as IEEE-754
+bit patterns, and each segment is replayed with the logic that wrote it, so
+an honest ledger replays to the last bit. The auditor only ever reads; it
+cannot append to the ledger under audit.
 
 Which logic replays a segment is decided by the fingerprint its
 VERSION_CHANGE records, looked up in :data:`LOGICS`:
@@ -29,7 +31,6 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import math
 import struct
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -44,20 +45,20 @@ from .policy import FeatureSnapshot, ModelConfig, PosteriorState
 
 @dataclass(frozen=True)
 class PolicyLogic:
-    """The policy operation set of one algorithm version.
+    """What one algorithm version's policy numerics are: its prior, its
+    action probability and its posterior update.
 
     Replay applies, segment by segment, the logic registered for the version
-    that was active when each event was written.
+    that was active when each event was written. The seed derivation, the
+    coin and the state encoding are the same for every logic, so they are
+    called from :mod:`ledgerloop.policy` directly.
     """
 
     name: str
     fingerprint: str
     init_state: Callable[[ModelConfig], PosteriorState]
     action_probability: Callable
-    decide: Callable[[float, int], int]
-    derive_decision_seed: Callable[[int, str, int], int]
     update_posterior: Callable
-    serialize: Callable[[PosteriorState], bytes]
 
 
 # Pinned inputs of the known-answer fingerprint: a 3 + 3 model, four
@@ -101,11 +102,11 @@ def known_answers(logic: PolicyLogic) -> str:
         if step:
             rows = [(snapshots[i], action, reward) for i, action, reward in _KAT_BATCHES[step - 1]]
             state = logic.update_posterior(state, rows, config, last_update_seq=10 * step)
-        digest.update(logic.serialize(state))
+        digest.update(policy.canonical_serialize(state))
         for i, snapshot in enumerate(snapshots):
             pi_raw, pi = logic.action_probability(state, snapshot, config)
-            seed = logic.derive_decision_seed(0x5EED, f"p{i}", step)
-            digest.update(struct.pack(">ddQB", pi_raw, pi, seed, logic.decide(pi, seed)))
+            seed = policy.derive_decision_seed(0x5EED, f"p{i}", step)
+            digest.update(struct.pack(">ddQB", pi_raw, pi, seed, policy.decide(pi, seed)))
     return digest.hexdigest()
 
 
@@ -126,10 +127,7 @@ def _v1() -> PolicyLogic:
         fingerprint=V1_FINGERPRINT,
         init_state=policy_v1.init_state,
         action_probability=policy_v1.action_probability,
-        decide=policy.decide,
-        derive_decision_seed=policy.derive_decision_seed,
         update_posterior=policy_v1.update_posterior,
-        serialize=policy.canonical_serialize,
     )
 
 
@@ -141,10 +139,7 @@ def _v2() -> PolicyLogic:
         fingerprint=V2_FINGERPRINT,
         init_state=policy.init_state,
         action_probability=policy.action_probability,
-        decide=policy.decide,
-        derive_decision_seed=policy.derive_decision_seed,
         update_posterior=policy.update_posterior,
-        serialize=policy.canonical_serialize,
     )
     answers = known_answers(logic)
     if answers != V2_FINGERPRINT:
@@ -241,18 +236,13 @@ _AT_SEQ = itemgetter(0)
 
 @dataclass
 class Reconstruction:
-    """The stream index of a ledger plus what one walk over its decisions
-    and updates recomputed from it."""
+    """The stream index of a ledger, each participant's final posterior, and
+    the diffs one walk over its decisions and updates found."""
 
-    config: ModelConfig
-    logic_by_version: Mapping[str, PolicyLogic]
     index: StreamIndex
-    states: dict[str, PosteriorState]  # each participant's final posterior
-    # (seq, UpdateInfo, recomputed post-state bytes or "error:<type>", pre_state_hash)
-    updates: list
-    # seq of each non-fallback decision with a prior snapshot -> its
-    # recomputed (pi_raw, pi), or "error:<type>"
-    probabilities: dict[int, tuple[float, float] | str]
+    states: dict[str, PosteriorState]
+    decisions: DivergenceReport
+    updates: DivergenceReport
 
 
 def reconstruct_states(
@@ -261,20 +251,28 @@ def reconstruct_states(
     """Walk the indexed decisions and updates together in seq order, holding
     one current posterior per participant, through per-version policy logic,
     by default the logic each version's recorded fingerprint names
-    (:func:`registered_logics`).
+    (:func:`registered_logics`), and check each one where it is recomputed.
 
-    Each update is recomputed from its participant's current state; one the
-    logic refuses is recorded as ``error:<type>`` and the participant stays
-    at its pre-state, as the runtime's does after a failed update. Each
-    non-fallback decision's ``(pi_raw, pi)`` is recomputed from the state
-    current at its seq.
+    - A decision's version stamp and seed are re-derived. A fallback decision
+      must carry the uniform rule's ``pi_raw = pi = 1/2``; any other has its
+      ``(pi_raw, pi)`` recomputed from the state current at its seq, and one
+      the logic refuses is recorded as ``error:<type>`` with no action check.
+      The action must follow from the logged ``(pi, seed)``.
+    - An update's pre-state hash must be its participant's current state's,
+      its post-state the recomputed one byte for byte, and its post-state
+      hash the digest of the logged post-state. One the logic refuses is
+      recorded as ``error:<type>`` and the participant stays at its
+      pre-state, as the runtime's does after a failed update.
+
+    Diffs go to one report for decisions and one for updates, each in seq
+    order; nothing else recomputed is kept.
 
     Raises AuditError when any event carries a version with no registered
     logic or when a version's logic does not have the fingerprint it
-    recorded. Structural problems (bad batch references, a missing header,
-    double consumption) were already raised by the fold that built the index;
-    a decision with no prior snapshot is left for :func:`verify_decisions`
-    to raise.
+    recorded, and StructuralAuditError at a decision with no prior snapshot
+    or no active version. Other structural problems (bad batch references, a
+    missing header, double consumption) were already raised by the fold that
+    built the index.
     """
     config = index.header.model
     if logic_by_version is None:
@@ -296,8 +294,8 @@ def reconstruct_states(
     initial = logic_by_version[next(iter(index.stamped))].init_state(config)  # the HEADER's
     pids = [*index.header.participants, *(pid for pid, _ in index.snapshots)]
     states = dict.fromkeys(pids, initial)
-    updates, probabilities = [], {}
-    first_version_seq = index.versions[0][0] if index.versions else math.inf
+    decisions, updates = DivergenceReport(), DivergenceReport()
+    deployment_seed = index.header.deployment_seed
     # Stamps order by seq, which no two records share.
     walk = heapq.merge(
         ((stamp, decision, None) for stamp, decision in index.decisions.values()),
@@ -307,108 +305,73 @@ def reconstruct_states(
     for stamp, value, rows in walk:
         seq, pid = stamp.seq, value.participant_id
         if rows is None:  # a decision
-            snap = index.snapshots.get((pid, value.decision_index))
-            if value.fallback or snap is None or snap[0].seq >= seq or seq < first_version_seq:
-                continue  # nothing to recompute, or verify_decisions raises
-            logic = logic_by_version[index.version_at(seq)]
-            try:
-                probabilities[seq] = logic.action_probability(states[pid], snap[1], config)
-            except LedgerLoopError as exc:
-                probabilities[seq] = f"error:{type(exc).__name__}"
+            idx = value.decision_index
+            snap = index.snapshots.get((pid, idx))
+            if snap is None or snap[0].seq >= seq:
+                raise StructuralAuditError(
+                    f"DECISION at seq {seq} has no prior FEATURE_SNAPSHOT for ({pid}, {idx})"
+                )
+            version_id = index.version_at(seq)
+            if stamp.version_id != version_id or value.version_id != version_id:
+                decisions.record(seq, "version_id", value.version_id, version_id)
+            seed = policy.derive_decision_seed(deployment_seed, pid, idx)
+            if seed != value.seed:
+                decisions.record(seq, "seed", str(value.seed), str(seed))
+            if value.fallback:
+                expected = (("pi", value.pi, 0.5), ("pi_raw", value.pi_raw, 0.5))
+            else:
+                logic = logic_by_version[version_id]
+                try:
+                    pi_raw, pi = logic.action_probability(states[pid], snap[1], config)
+                except LedgerLoopError as exc:
+                    logged = encode_float(value.pi_raw)
+                    decisions.record(seq, "pi_raw", logged, f"error:{type(exc).__name__}")
+                    continue
+                expected = (("pi_raw", value.pi_raw, pi_raw), ("pi", value.pi, pi))
+            for path, logged, recomputed in expected:
+                if encode_float(logged) != encode_float(recomputed):
+                    decisions.record(seq, path, encode_float(logged), encode_float(recomputed))
+            action = policy.decide(value.pi, value.seed)
+            if action != value.action:
+                decisions.record(seq, "action", str(value.action), str(action))
             continue
-        logic = logic_by_version[stamp.version_id]
-        pre_state = states[pid]
+        pre_hash = states[pid].state_hash
+        if value.pre_state_hash != pre_hash:
+            updates.record(seq, "pre_state_hash", value.pre_state_hash.hex(), pre_hash.hex())
         try:
-            new_state = logic.update_posterior(
-                pre_state, rows, config, last_update_seq=max(value.batch_seqs)
+            new_state = logic_by_version[stamp.version_id].update_posterior(
+                states[pid], rows, config, last_update_seq=max(value.batch_seqs)
             )
         except LedgerLoopError as exc:
-            recomputed = f"error:{type(exc).__name__}"
+            updates.record(seq, "post_state", value.post_state.hex(), f"error:{type(exc).__name__}")
         else:
-            recomputed = logic.serialize(new_state)
             states[pid] = new_state
-        updates.append((seq, value, recomputed, pre_state.state_hash))
-    return Reconstruction(config, logic_by_version, index, states, updates, probabilities)
+            recomputed = policy.canonical_serialize(new_state)
+            if value.post_state != recomputed:
+                updates.record(seq, "post_state", value.post_state.hex(), recomputed.hex())
+        logged_digest = hashlib.sha256(value.post_state).digest()
+        if value.post_state_hash != logged_digest:
+            updates.record(seq, "post_state_hash", value.post_state_hash.hex(), logged_digest.hex())
+    decisions.counts["decisions_checked"] = len(index.decisions)
+    updates.counts["updates_checked"] = len(index.updates)
+    return Reconstruction(index, states, decisions, updates)
 
 
 def verify_decisions(recon: Reconstruction) -> DivergenceReport:
-    """Check every logged decision against what the walk recomputed.
-
-    Normal decisions must reproduce pi_raw, pi (bit-exact via float hex) and
-    the action from (pi, logged seed); fallback decisions are checked against
-    the uniform rule (pi = 1/2, same coin). Seeds and the version stamp are
-    re-derived and compared as well.
-    """
-    report = DivergenceReport()
-    checked = 0
-    for stamp, decision in recon.index.decisions.values():
-        checked += 1
-        seq, envelope_version = stamp.seq, stamp.version_id
-        pid, idx = decision.participant_id, decision.decision_index
-        snap_entry = recon.index.snapshots.get((pid, idx))
-        if snap_entry is None or snap_entry[0].seq >= seq:
-            raise StructuralAuditError(
-                f"DECISION at seq {seq} has no prior FEATURE_SNAPSHOT for "
-                f"({pid}, {idx})"
-            )
-        expected_version = recon.index.version_at(seq)
-        logic = recon.logic_by_version[expected_version]
-        if envelope_version != expected_version or decision.version_id != expected_version:
-            report.record(seq, "version_id", decision.version_id, expected_version)
-
-        expected_seed = logic.derive_decision_seed(recon.index.header.deployment_seed, pid, idx)
-        if expected_seed != decision.seed:
-            report.record(seq, "seed", str(decision.seed), str(expected_seed))
-
-        if decision.fallback:
-            if encode_float(decision.pi) != encode_float(0.5):
-                report.record(seq, "pi", encode_float(decision.pi), encode_float(0.5))
-            if encode_float(decision.pi_raw) != encode_float(0.5):
-                report.record(seq, "pi_raw", encode_float(decision.pi_raw), encode_float(0.5))
-        else:
-            recomputed = recon.probabilities[seq]
-            if isinstance(recomputed, str):  # the logic refused
-                report.record(seq, "pi_raw", encode_float(decision.pi_raw), recomputed)
-                continue
-            pi_raw, pi = recomputed
-            if encode_float(pi_raw) != encode_float(decision.pi_raw):
-                report.record(seq, "pi_raw", encode_float(decision.pi_raw), encode_float(pi_raw))
-            if encode_float(pi) != encode_float(decision.pi):
-                report.record(seq, "pi", encode_float(decision.pi), encode_float(pi))
-
-        action = logic.decide(decision.pi, decision.seed)
-        if action != decision.action:
-            report.record(seq, "action", str(decision.action), str(action))
-    report.counts["decisions_checked"] = checked
-    return report
+    """The walk's report on every logged decision (see :func:`reconstruct_states`)."""
+    return recon.decisions
 
 
 def verify_updates(recon: Reconstruction) -> DivergenceReport:
-    """Compare every logged post-state against the recomputed fold, byte for
-    byte, and check hash self-consistency of the update payloads."""
-    report = DivergenceReport()
-    checked = 0
-    for seq, info, recomputed, pre_hash in recon.updates:
-        checked += 1
-        if info.pre_state_hash != pre_hash:
-            report.record(seq, "pre_state_hash", info.pre_state_hash.hex(), pre_hash.hex())
-        if isinstance(recomputed, str):  # the logic refused to recompute it
-            report.record(seq, "post_state", info.post_state.hex(), recomputed)
-        elif info.post_state != recomputed:
-            report.record(seq, "post_state", info.post_state.hex(), recomputed.hex())
-        logged_digest = hashlib.sha256(info.post_state).digest()
-        if info.post_state_hash != logged_digest:
-            report.record(
-                seq, "post_state_hash", info.post_state_hash.hex(), logged_digest.hex()
-            )
-    report.counts["updates_checked"] = checked
-    return report
+    """The walk's report on every logged update (see :func:`reconstruct_states`)."""
+    return recon.updates
 
 
 def replay_verify(
     index: StreamIndex, logic_by_version: Mapping[str, PolicyLogic] | None = None
 ) -> DivergenceReport:
-    """Full audit: reconstruct, then verify decisions and updates.
+    """Full audit: the walk's decision and update reports, merged in that
+    order, with the index's counts.
 
     Raises AuditError/StructuralAuditError for attribution and structure
     problems; returns a DivergenceReport (status exact or diverged) otherwise.

@@ -15,7 +15,7 @@ import bisect
 import math
 from dataclasses import dataclass, field
 
-from . import events
+from . import events, policy
 from .errors import (
     ConfigurationError,
     InjectedFailure,
@@ -369,7 +369,7 @@ class Runtime:
         _, snapshot = snap
         if backend_ts is None:
             backend_ts = self.schedule.due_ts(decision_index)
-        seed = self.logic.derive_decision_seed(self.deployment_seed, participant_id, decision_index)
+        seed = policy.derive_decision_seed(self.deployment_seed, participant_id, decision_index)
         version_id = self.version_id
 
         fallback = False
@@ -400,7 +400,7 @@ class Runtime:
                 version_id=version_id,
             )
 
-        action = self.logic.decide(pi, seed)
+        action = policy.decide(pi, seed)
         record = DecisionRecord(
             participant_id=participant_id,
             decision_index=decision_index,
@@ -450,7 +450,7 @@ class Runtime:
 
         info = events.UpdateInfo(
             participant_id, batch_seqs, state.state_hash, new_state.state_hash,
-            self.logic.serialize(new_state),
+            policy.canonical_serialize(new_state),
         )
         self._log(info, backend_ts=backend_ts, version_id=self.version_id)
         self.states[participant_id] = new_state

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import events
 from .config import EnvironmentSpec, RunConfig, config_digest, header_config_dict
 from .errors import ConfigurationError
-from .ledger import Ledger, report_bytes
+from .ledger import LEDGER_ENCODING, Ledger, _converter, report_bytes
 from .replay import default_logic
 from .rng import SplitMix64, derive_seed
 from .runtime import MS_PER_DAY, MS_PER_MINUTE, FeatureSpec, Runtime
@@ -471,6 +471,10 @@ def _run_tasks(tasks: list[tuple], jobs: int = 1) -> list[EvalRow]:
         return [_eval_row_task(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
+    # Each payload class's encoder is compiled on its first append; compiled
+    # here, before the pool forks, the workers inherit them.
+    for cls in events.PAYLOADS.values():
+        _converter(cls, LEDGER_ENCODING)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_eval_row_task, tasks))
 

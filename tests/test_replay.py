@@ -89,7 +89,7 @@ def test_reconstruct_no_updates_gives_initial_states():
     # delayed; with no outcome ever (miss everything) there are no updates.
     result = run_trial(small_env(miss_prob=1.0, n_days=1), config, 1)
     recon = reconstruct_states(result.index, logic_for(result.index))
-    assert not recon.updates
+    assert recon.updates.counts["updates_checked"] == 0
     for pid, state in recon.states.items():
         assert state.update_count == 0
 
@@ -233,7 +233,7 @@ def test_flipped_action_detected(tmp_path):
     assert "action" in diffs
     # independent oracle: the decide rule applied to (pi, seed) must give the original
     decision = events.parse_decision(decision_records[0].payload)
-    assert default_logic().decide(decision.pi, decision.seed) == original_action
+    assert policy.decide(decision.pi, decision.seed) == original_action
 
 
 def test_tampered_seed_detected(tmp_path):

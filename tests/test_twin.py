@@ -7,7 +7,7 @@ import pytest
 from conftest import make_run_config, records_of
 from ledgerloop import events
 from ledgerloop.errors import ConfigurationError
-from ledgerloop.ledger import read_records
+from ledgerloop.ledger import LEDGER_ENCODING, read_records
 from ledgerloop.twin import (
     EnvironmentSpec,
     ParticipantTwin,
@@ -307,6 +307,14 @@ def test_eval_report_bytes_deterministic():
     b = run_grid(config, [env], [1, 2]).to_bytes()
     assert a == b
     assert a.startswith(b"# ledgerloop eval report v1\n")
+
+
+def test_pool_workers_inherit_the_compiled_payload_encoders(monkeypatch):
+    # Compiled in the parent before the pool forks, not once in each worker.
+    for cls in events.PAYLOADS.values():
+        monkeypatch.delitem(LEDGER_ENCODING.converters, cls, raising=False)
+    run_grid(make_run_config(), [small_env(n_days=1)], [1, 2], jobs=2)
+    assert all(cls in LEDGER_ENCODING.converters for cls in events.PAYLOADS.values())
 
 
 def test_null_effect_calibration():
