@@ -15,13 +15,20 @@ keys and compact ASCII separators). :func:`canonical_json_bytes` is it with
 a check for raw floats first; reports (:func:`report_bytes`), the config
 digest and dict payloads are written with it, and the read pass re-encodes
 every stored line with it. A record's body is written by :func:`_body` with
-one %-format of its scalar envelope members around the payload's text. A
-typed payload's text comes from its class's encoder, compiled on the class's
-first append from the same annotations :func:`strict_inverse` reads the
-payload back with (one annotation compiler, :func:`_converter`, builds
-both); it checks each member's type and writes the bytes ``_dumps`` would
-give for ``map_floats(value, encode_float)``. Every line the encoder writes
-is therefore checked against ``_dumps`` by every audit.
+one %-format of its scalar envelope members around the payload's text.
+
+One annotation compiler, :func:`_converter`, builds each payload class's
+encoder and decoder from its annotations, each compiled to straight-line
+code on the class's first use (never at import). The encoder checks each
+member's type and writes the bytes ``_dumps`` would give for
+``map_floats(value, encode_float)``, so every line it writes is checked
+against ``_dumps`` by every audit. The decoder (:func:`_decoder`, behind
+:func:`strict_inverse`) is its inverse: it checks the member names once and
+each member's type inline, decodes all of a record's floats with one hex
+decode and one ``struct.unpack``, and builds the value through the class's
+own ``__init__``; a value it refuses is read again by the annotation walk
+(:func:`_dataclass`), whose message names the member. A run config is read
+by that walk alone (:data:`CONFIG_FORMAT`).
 
 A :class:`Ledger` only writes: it keeps its last record, whose seq gives the
 count and whose hash is the chain head, never a copy of the records before
@@ -295,6 +302,115 @@ def _number(value) -> float:
     raise _Refusal(f"expected a number, got {value!r}")
 
 
+# -- the compiled payload decoder ----------------------------------------------------
+
+def _as_is(hint) -> frozenset | None:
+    """The types of the JSON values the ledger format takes unchanged for
+    ``hint``: a scalar's one type, with None's for an optional scalar (None
+    for any other annotation, floats and bytes included)."""
+    if typing.get_origin(hint) in (typing.Union, types.UnionType):
+        args = typing.get_args(hint)
+        if len(args) != 2 or type(None) not in args:
+            return None
+        inner = _as_is(args[0] if args[1] is type(None) else args[1])
+        return None if inner is None else inner | {type(None)}
+    return frozenset({hint}) if hint in (int, str, bool, dict) else None
+
+
+def _decoder(cls: type, fmt: Format):
+    """Compile the decoder of the dataclass ``cls`` in :data:`LEDGER_FORMAT`:
+    a function of one value that checks the member names once and
+    each member's type inline, decodes every float member (a tuple's items
+    too) with one :func:`_unhex` and one ``struct.unpack`` of their joined
+    hex, and builds the value through ``cls``'s own ``__init__``. A member
+    of another annotation (a dataclass, say) goes through its converter.
+
+    A value it does not take, or that ``cls`` refuses, is read again by the
+    annotation walk (:func:`_dataclass`), which refuses it with the message
+    that names the member; so its refusals are the walk's, word for word."""
+    walk = _dataclass(cls, fmt)
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    namespace = {
+        "cls": cls, "walk": walk, "members": frozenset(f.name for f in fields), "_unhex": _unhex,
+        "_Refusal": _Refusal, "ConfigurationError": ConfigurationError, "_unpack": struct.unpack,
+        "_STR": frozenset({str}), "_SIXTEEN": frozenset({16}),
+    }
+    checks, unhexed, args = [], [], []  # args: the __init__ argument of each field
+    scalars, tuples = [], []  # the float members' vars
+    for i, f in enumerate(fields):
+        hint, var = hints[f.name], f"m{i}"
+        origin, hint_args = typing.get_origin(hint), typing.get_args(hint)
+        item = hint_args[0] if origin is tuple and len(hint_args) == 2 and hint_args[1] is Ellipsis else None
+        kinds = _as_is(hint)
+        item_kinds = None if item is None else _as_is(item)
+        if hint is float:
+            checks.append(f"type({var}) is str and len({var}) == 16")
+            scalars.append(var)
+            arg = f"f[{len(scalars) - 1}]"
+        elif item is float:
+            checks.append(f"type({var}) is list and {{*map(type, {var})}} <= _STR and {{*map(len, {var})}} <= _SIXTEEN")
+            tuples.append(var)
+            arg = f"t{i}"
+        elif hint is bytes:
+            unhexed.append(var)
+            arg = var
+        elif kinds is not None:
+            kind = next(iter(kinds - {type(None)})).__name__
+            checks.append(f"type({var}) is {kind}" if len(kinds) == 1 else f"({var} is None or type({var}) is {kind})")
+            arg = var
+        elif item_kinds is not None:
+            namespace[f"k{i}"] = item_kinds
+            checks.append(f"type({var}) is list and {{*map(type, {var})}} <= k{i}")
+            arg = f"tuple({var})"
+        else:
+            namespace[f"c{i}"] = _converter(hint, fmt)
+            arg = f"c{i}({var})"
+        args.append(f"{f.name}={arg}" if f.kw_only else arg)
+    body = [
+        "def decode(value):",
+        "    if type(value) is dict and value.keys() == members:",
+        *(f"        m{i} = value[{f.name!r}]" for i, f in enumerate(fields)),
+        f"        if {' and '.join(checks) or 'True'}:",
+    ]
+    indent = " " * 12
+
+    def guard(condition: str) -> None:
+        nonlocal indent
+        body.append(f"{indent}if {condition}:")
+        indent += "    "
+
+    if unhexed:
+        body += [f"{indent}{var} = _unhex({var})" for var in unhexed]
+        guard(" and ".join(f"{var} is not None" for var in unhexed))
+    if scalars or tuples:
+        # Every hex text is 16 chars long, so the joined text is lowercase
+        # hex exactly when each one is; the tuples' floats follow the scalars'.
+        parts = scalars + [f"*{var}" for var in tuples]
+        text = parts[0] if parts == scalars[:1] else f"''.join(({', '.join(parts)},))"
+        body.append(f"{indent}raw = _unhex({text})")
+        guard("raw is not None")
+        if tuples:
+            body.append(f"{indent}f = _unpack('>%dd' % (len(raw) >> 3), raw)")
+        else:
+            namespace["_unpack_scalars"] = struct.Struct(f">{len(scalars)}d").unpack
+            body.append(f"{indent}f = _unpack_scalars(raw)")
+        at = str(len(scalars))
+        for var in tuples:
+            end = f"{at} + len({var})"
+            body.append(f"{indent}t{var[1:]} = f[{at}:{end}]")
+            at = end
+    body += [
+        f"{indent}try:",
+        f"{indent}    return cls({', '.join(args)})",
+        f"{indent}except (_Refusal, ConfigurationError):",
+        f"{indent}    pass",
+        "    return walk(value)",
+    ]
+    exec(compile("\n".join(body), f"<decoder of {cls.__qualname__}>", "exec"), namespace)
+    return namespace["decode"]
+
+
 @dataclass(frozen=True)
 class Format:
     """How typed values are read from or written as JSON-like data.
@@ -317,7 +433,8 @@ class Format:
 
 
 # Ledger payloads and the run header: floats and bytes as lowercase hex,
-# exactly the ``__init__`` fields as members.
+# exactly the ``__init__`` fields as members; a dataclass is read by its
+# compiled decoder.
 LEDGER_FORMAT = Format(
     {
         float: decode_float,
@@ -328,6 +445,7 @@ LEDGER_FORMAT = Format(
         dict: _exactly(dict, "an object"),
     },
     defaults=False,
+    of_dataclass=_decoder,
 )
 # A YAML run config: any number but a bool is a float, and a member left out
 # takes its default.
@@ -504,9 +622,14 @@ def strict_inverse(hint, what: str):
     where an int is never a bool and floats and bytes are lowercase hex.
     It raises ``DecodeError("<what>: <member>: <problem>")``."""
 
+    convert = None
+
     def decode(value):
+        nonlocal convert
+        if convert is None:  # compiled on first use, never at import
+            convert = _converter(hint, LEDGER_FORMAT)
         try:
-            return _converter(hint, LEDGER_FORMAT)(value)
+            return convert(value)
         except _Refusal as refusal:
             raise DecodeError(f"{what}: {refusal}") from None
 

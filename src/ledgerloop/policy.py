@@ -15,10 +15,15 @@ The module-level functions are ``conjugate-linear-v2``, the default logic.
 Its numerics are plain Python floats in one fixed order of operations: a
 lower Cholesky factor computed row by row, forward and back substitution with
 every sum taken in increasing index order, and the outer-product update
-summed in batch order. No BLAS kernel chosen by the host enters, so the bits
-are the same on every IEEE-754 machine with the same ``math.erfc``; the
-logic's fingerprint (``ledgerloop.replay``) checks that. ``policy_v1`` holds
-the earlier numpy/scipy logic for replaying ledgers it wrote.
+summed in batch order. That order lives in generated code: for each model
+dimension d, :func:`kernels` writes the factor, the update and the action
+probability's solve as straight-line Python source, every loop unrolled, and
+compiles it on first use (never at import). ``tests/policy_loops.py`` keeps
+the loop form, which the kernels must match bit for bit. No BLAS kernel
+chosen by the host enters, so the bits are the same on every IEEE-754 machine
+with the same ``math.erfc``; the logic's fingerprint (``ledgerloop.replay``)
+checks that. ``policy_v1`` holds the earlier numpy/scipy logic for replaying
+ledgers it wrote.
 """
 
 from __future__ import annotations
@@ -27,11 +32,13 @@ import hashlib
 import math
 import struct
 from dataclasses import dataclass
+from typing import Callable
 
 from .errors import ConfigurationError, DataError, DecodeError, NumericalStateError
 from .rng import splitmix64_next, unit_float
 
 PROVENANCE_TAGS = ("observed", "imputed", "default")
+_FLOAT = frozenset({float})
 
 # Sentinel for "no update yet" in the canonical state encoding.
 _NO_SEQ = 0xFFFFFFFFFFFFFFFF
@@ -123,6 +130,21 @@ class PosteriorState:
         object.__setattr__(self, "state_hash", hashlib.sha256(canonical_serialize(self)).digest())
         object.__setattr__(self, "_factor", None)
 
+    @classmethod
+    def _built(cls, mean, precision, update_count, last_update_seq, factor) -> "PosteriorState":
+        """The state a kernel computed, with its precision's ``factor``:
+        tuples of floats, the precision symmetric by construction, so none
+        of ``__init__``'s conversions and checks are repeated."""
+        state = object.__new__(cls)
+        setattr_ = object.__setattr__
+        setattr_(state, "mean", mean)
+        setattr_(state, "precision", precision)
+        setattr_(state, "update_count", update_count)
+        setattr_(state, "last_update_seq", None if last_update_seq is None else int(last_update_seq))
+        setattr_(state, "state_hash", hashlib.sha256(canonical_serialize(state)).digest())
+        setattr_(state, "_factor", factor)
+        return state
+
     def __setattr__(self, name, value):
         raise AttributeError("PosteriorState is immutable")
 
@@ -139,7 +161,7 @@ class PosteriorState:
         precision is not positive definite.
         """
         if self._factor is None:
-            object.__setattr__(self, "_factor", _cholesky(self.precision, self.dim))
+            object.__setattr__(self, "_factor", kernels(len(self.mean)).factor(self.precision))
         return self._factor
 
     def __eq__(self, other) -> bool:
@@ -176,8 +198,11 @@ class FeatureSnapshot:
     assembled_ts: int
 
     def __post_init__(self):
-        object.__setattr__(self, "baseline", tuple(float(v) for v in self.baseline))
-        object.__setattr__(self, "treatment", tuple(float(v) for v in self.treatment))
+        baseline, treatment = self.baseline, self.treatment
+        # A decoder or the runtime hands over tuples of floats already.
+        if not (type(baseline) is tuple is type(treatment) and {*map(type, baseline + treatment)} <= _FLOAT):
+            object.__setattr__(self, "baseline", tuple(map(float, baseline)))
+            object.__setattr__(self, "treatment", tuple(map(float, treatment)))
         n = len(self.baseline) + len(self.treatment)
         if len(self.provenance) != n:
             raise ConfigurationError("provenance must tag every feature entry")
@@ -224,56 +249,127 @@ def init_state(config: ModelConfig) -> PosteriorState:
     return PosteriorState(config.prior_mean, precision, update_count=0, last_update_seq=None)
 
 
-def _cholesky(precision: tuple[float, ...], d: int) -> tuple[tuple[float, ...], ...]:
-    """Lower Cholesky factor of a row-major d x d matrix, row by row: entry
-    (i, j) is ``a[i][j]`` minus ``L[i][k] * L[j][k]`` for k = 0, 1, ... in
-    turn, then divided by ``L[j][j]``, or its square root on the diagonal."""
-    rows: list[tuple[float, ...]] = []
+# -- straight-line kernels -------------------------------------------------------
+#
+# The numerics of one dimension d are generated as Python source with every
+# loop unrolled, the entries held in locals named by position: ``a{i}_{j}``
+# the precision, ``l{i}_{j}`` its lower Cholesky factor, ``m{i}`` the mean.
+# Each statement is one step of the fixed order in the module docstring;
+# ``tests/policy_loops.py`` keeps the loop form they must match bit for bit.
+
+
+def _not_positive_definite(pivot: int, s: float) -> NumericalStateError:
+    return NumericalStateError(f"precision matrix is not positive definite (pivot {pivot} is {s!r})")
+
+
+def _cholesky_lines(d: int) -> list[str]:
+    """Statements setting ``l{i}_{j}`` from ``a{i}_{j}`` (i >= j), row by
+    row: entry (i, j) is ``a{i}_{j}`` minus ``l{i}_{k} * l{j}_{k}`` for
+    k = 0, 1, ... in turn, then divided by ``l{j}_{j}``, or its square root
+    on the diagonal, which must lie in (0, inf) (NaN does not)."""
+    lines = []
     for i in range(d):
-        a_i = precision[i * d : i * d + i + 1]
-        row: list[float] = []
         for j in range(i + 1):
-            s = a_i[j]
-            r_j = rows[j] if j < i else row
-            for k in range(j):
-                s -= row[k] * r_j[k]
+            s = f"a{i}_{j}" + "".join(f" - l{i}_{k} * l{j}_{k}" for k in range(j))
             if j < i:
-                row.append(s / r_j[j])
-            elif 0.0 < s < math.inf:
-                row.append(math.sqrt(s))
-            else:  # also NaN and infinity
-                raise NumericalStateError(
-                    f"precision matrix is not positive definite (pivot {i} is {s!r})"
-                )
-        rows.append(tuple(row))
-    return tuple(rows)
+                lines.append(f"l{i}_{j} = ({s}) / l{j}_{j}")
+            else:
+                lines += [
+                    f"s = {s}",
+                    f"if not 0.0 < s < inf: raise _not_positive_definite({i}, s)",
+                    f"l{i}_{i} = sqrt(s)",
+                ]
+    return lines
 
 
-def _forward(factor, b, start: int = 0) -> list[float]:
-    """``y`` with ``L y = b`` for rows ``start`` on, where ``b`` is zero before
-    ``start`` (so ``y`` is too and those rows are skipped); sums run over
-    k = start, start + 1, ... in turn."""
-    y = [0.0] * len(b)
-    for i in range(start, len(b)):
-        row = factor[i]
-        s = b[i]
-        for k in range(start, i):
-            s -= row[k] * y[k]
-        y[i] = s / row[i]
-    return y
+def _factor_text(d: int, start: int = 0) -> str:
+    """A factor as source text: a tuple of rows, row ``i`` a tuple of the
+    ``l{i}_{j}`` up to the diagonal; rows and columns before ``start`` are
+    ``_``, so that as an unpacking target it names only the rest."""
+    rows = (
+        "_" if i < start else "(" + "".join("_, " if j < start else f"l{i}_{j}, " for j in range(i + 1)) + ")"
+        for i in range(d)
+    )
+    return "(" + ", ".join(rows) + ",)"
 
 
-def _backward(factor, y) -> list[float]:
-    """``x`` with ``L' x = y``, for i = d - 1 down to 0; each sum runs over
-    k = i + 1, i + 2, ... in turn."""
-    d = len(y)
-    x = [0.0] * d
-    for i in range(d - 1, -1, -1):
-        s = y[i]
-        for k in range(i + 1, d):
-            s -= factor[k][i] * x[k]
-        x[i] = s / factor[i][i]
-    return x
+def _kernel_source(d: int) -> str:
+    """The source of dimension ``d``'s kernels:
+
+    - ``factor(precision)``: the lower Cholesky factor, row ``i`` a tuple of
+      its ``i + 1`` entries.
+    - ``update(precision, mean, rows, inv_noise)``: the update's new mean,
+      precision and factor. ``rhs[i]`` starts as row ``i`` of the precision
+      times the mean, summed from 0.0; each row ``(x0, ..., x{d-1}, w)``
+      then adds ``(x_i * x_j) * inv_noise`` to the lower triangle and
+      ``x_i * w`` to ``rhs[i]``. The upper triangle mirrors the lower, and
+      the mean solves ``L y = rhs``, then ``L' mean = y``.
+    - ``action_{s}(factor, mean, h)`` for each split ``s`` of the d entries
+      into ``s`` baseline and ``d - s`` treatment ones: ``delta``, the sum
+      of ``h_j * mean[s + j]`` from 0.0, and ``v``, the sum of ``y_i * y_i``
+      from 0.0 for ``L y = [0; h]`` solved from row ``s`` on.
+    """
+    n = range(d)
+    lower = [(i, j) for i in n for j in range(i + 1)]
+    cholesky = [f"    {line}" for line in _cholesky_lines(d)]
+    lines = [
+        "def factor(precision):",
+        f"    {', '.join(f'a{i}_{j}' if j <= i else '_' for i in n for j in n)}, = precision",
+        *cholesky,
+        f"    return {_factor_text(d)}",
+        "",
+        "def update(precision, mean, rows, inv_noise):",
+        f"    {', '.join(f'a{i}_{j}' for i in n for j in n)}, = precision",
+        f"    {', '.join(f'm{i}' for i in n)}, = mean",
+        *(f"    r{i} = 0.0" + "".join(f" + a{i}_{j} * m{j}" for j in n) for i in n),
+        f"    for {''.join(f'x{i}, ' for i in n)}w in rows:",
+        *(f"        a{i}_{j} += (x{i} * x{j}) * inv_noise" for i, j in lower),
+        *(f"        r{i} += x{i} * w" for i in n),
+        *cholesky,
+        *(f"    y{i} = (r{i}" + "".join(f" - l{i}_{k} * y{k}" for k in range(i)) + f") / l{i}_{i}" for i in n),
+        *(f"    z{i} = (y{i}" + "".join(f" - l{k}_{i} * z{k}" for k in range(i + 1, d)) + f") / l{i}_{i}"
+          for i in reversed(n)),
+        f"    return ({''.join(f'z{i}, ' for i in n)}), "
+        f"({''.join(f'a{max(i, j)}_{min(i, j)}, ' for i in n for j in n)}), {_factor_text(d)}",
+    ]
+    for s in range(1, d):
+        t = range(s, d)
+        lines += [
+            "",
+            f"def action_{s}(factor, mean, h):",
+            f"    {_factor_text(d, s)} = factor",
+            f"    {', '.join('_' if i < s else f'm{i}' for i in n)}, = mean",
+            f"    {''.join(f'h{i}, ' for i in t)}= h",
+            "    delta = 0.0" + "".join(f" + h{i} * m{i}" for i in t),
+            *(f"    y{i} = (h{i}" + "".join(f" - l{i}_{k} * y{k}" for k in range(s, i)) + f") / l{i}_{i}" for i in t),
+            "    return delta, 0.0" + "".join(f" + y{i} * y{i}" for i in t),
+        ]
+    return "\n".join(lines) + "\n"
+
+
+@dataclass(frozen=True)
+class _Kernels:
+    """The compiled kernels of one dimension (see :func:`_kernel_source`);
+    ``action`` maps the baseline dimension to its kernel."""
+
+    factor: Callable
+    update: Callable
+    action: dict[int, Callable]
+
+
+_KERNELS: dict[int, _Kernels] = {}
+
+
+def kernels(d: int) -> _Kernels:
+    """The kernels of dimension ``d``, compiled on first use and kept."""
+    compiled = _KERNELS.get(d)
+    if compiled is None:
+        namespace = {"sqrt": math.sqrt, "inf": math.inf, "_not_positive_definite": _not_positive_definite}
+        exec(compile(_kernel_source(d), f"<kernels of d={d}>", "exec"), namespace)
+        compiled = _KERNELS[d] = _Kernels(
+            namespace["factor"], namespace["update"], {s: namespace[f"action_{s}"] for s in range(1, d)}
+        )
+    return compiled
 
 
 def _phi(z: float) -> float:
@@ -288,7 +384,8 @@ def action_probability(
 
     Returns ``(pi_raw, pi)`` where pi_raw is the posterior probability that
     the treatment effect h(s)'theta is positive and pi is pi_raw clipped to
-    [clip_min, clip_max].
+    [clip_min, clip_max]. DataError when pi_raw is not a number in [0, 1],
+    as a NaN or infinite feature makes it.
     """
     d_g, d_h = config.baseline_dim, config.treatment_dim
     if len(snapshot.baseline) != d_g or len(snapshot.treatment) != d_h:
@@ -298,23 +395,16 @@ def action_probability(
         )
     if state.dim != config.dim:
         raise ConfigurationError("state dimension does not match config")
-    h = snapshot.treatment
-    delta = 0.0
-    for h_j, mu_j in zip(h, state.mean[d_g:]):
-        delta += h_j * mu_j
-
-    # v = h' Sigma_hh h with Sigma = Lambda^-1 is x' Lambda^-1 x for the
-    # zero-padded x = [0; h], which is |y|^2 for L y = x.
-    y = _forward(state.factor, (0.0,) * d_g + h, start=d_g)
-    v = 0.0
-    for y_i in y[d_g:]:
-        v += y_i * y_i
-
+    # delta = h' mu_h; v = h' Sigma_hh h with Sigma = Lambda^-1 is
+    # x' Lambda^-1 x for the zero-padded x = [0; h], which is |y|^2 for L y = x.
+    delta, v = kernels(config.dim).action[d_g](state.factor, state.mean, snapshot.treatment)
     if v <= 0.0:
         # Degenerate posterior along h: the limit of Phi(delta/sqrt(v)).
         pi_raw = 1.0 if delta > 0.0 else (0.5 if delta == 0.0 else 0.0)
     else:
         pi_raw = _phi(delta / math.sqrt(v))
+    if not 0.0 <= pi_raw <= 1.0:  # NaN, from a NaN or infinite feature
+        raise DataError(f"pi_raw {pi_raw!r} is not a probability")
     pi = min(config.clip_max, max(config.clip_min, pi_raw))
     return pi_raw, pi
 
@@ -342,8 +432,6 @@ def decide(pi: float, seed: int) -> int:
     return 1 if u < pi else 0
 
 
-
-
 def update_posterior(
     state: PosteriorState,
     batch: list[tuple[FeatureSnapshot, int, float]],
@@ -365,6 +453,8 @@ def update_posterior(
     if state.dim != d:
         raise ConfigurationError("state dimension does not match config")
 
+    inv_noise = 1.0 / config.noise_variance
+    rows = []  # each x = [g; a * h] with w = reward / sigma^2 after it
     for snapshot, action, reward in batch:
         if len(snapshot.baseline) != d_g or len(snapshot.treatment) != d_h:
             raise ConfigurationError("snapshot dims do not match config")
@@ -372,43 +462,15 @@ def update_posterior(
             raise DataError(f"action must be 0 or 1, got {action!r}")
         if not math.isfinite(reward):
             raise DataError(f"non-finite reward {reward!r}; batch rejected")
-
-    inv_noise = 1.0 / config.noise_variance
-    precision = list(state.precision)
-    mean = state.mean
-    rhs = []
-    for i in range(d):
-        s = 0.0
-        for a_ij, mu_j in zip(precision[i * d : i * d + d], mean):
-            s += a_ij * mu_j
-        rhs.append(s)
-    for snapshot, action, reward in batch:
         a = float(action)
-        x = snapshot.baseline + tuple(t * a for t in snapshot.treatment)
-        w = reward * inv_noise
-        for i, x_i in enumerate(x):
-            base = i * d
-            for j in range(i + 1):
-                precision[base + j] += (x_i * x[j]) * inv_noise
-            rhs[i] += x_i * w
-    for i in range(d):  # the upper triangle mirrors the lower, bit for bit
-        for j in range(i):
-            precision[j * d + i] = precision[i * d + j]
+        rows.append((*snapshot.baseline, *[t * a for t in snapshot.treatment], reward * inv_noise))
 
-    factor = _cholesky(precision, d)
-    new_mean = _backward(factor, _forward(factor, rhs))
+    mean, precision, factor = kernels(d).update(state.precision, state.mean, rows, inv_noise)
     if last_update_seq is None:
         last_update_seq = state.last_update_seq
-    new_state = PosteriorState(
-        new_mean,
-        precision,
-        update_count=state.update_count + len(batch),
-        last_update_seq=last_update_seq,
+    return PosteriorState._built(
+        mean, precision, state.update_count + len(batch), last_update_seq, factor
     )
-    # The state holds the same ``precision``, so this factor is the one
-    # action_probability would compute from it.
-    object.__setattr__(new_state, "_factor", factor)
-    return new_state
 
 
 def canonical_serialize(state: PosteriorState) -> bytes:

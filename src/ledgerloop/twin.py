@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from . import events
+from . import events, policy
 from .config import EnvironmentSpec, RunConfig, config_digest, header_config_dict
 from .errors import ConfigurationError
 from .ledger import LEDGER_ENCODING, Ledger, _converter, report_bytes
@@ -471,10 +471,13 @@ def _run_tasks(tasks: list[tuple], jobs: int = 1) -> list[EvalRow]:
         return [_eval_row_task(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
-    # Each payload class's encoder is compiled on its first append; compiled
-    # here, before the pool forks, the workers inherit them.
+    # Each payload class's encoder is compiled on its first append, and the
+    # posterior kernels of a dimension on their first call; compiled here,
+    # before the pool forks, the workers inherit them.
     for cls in events.PAYLOADS.values():
         _converter(cls, LEDGER_ENCODING)
+    for dim in {task[1].model.dim for task in tasks}:
+        policy.kernels(dim)
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_eval_row_task, tasks))
 

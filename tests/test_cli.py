@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -272,3 +276,22 @@ def test_config_probes_exit_64_with_one_line(tmp_path, config_path, capsys, verb
     assert main([verb, "--config", cfg, "--out", str(tmp_path / "out")]) == 64
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_importing_the_cli_compiles_no_kernel_and_no_decoder():
+    # The posterior kernels and the payload decoders are compiled on first
+    # use, so a verb's set-up is only its imports; checked in a fresh
+    # interpreter, since this one has run verbs already.
+    script = (
+        "import gc, types\n"
+        "import ledgerloop.cli\n"
+        "from ledgerloop import policy\n"
+        "compiled = [f.__code__.co_filename for f in gc.get_objects() if isinstance(f, types.FunctionType)\n"
+        "            and f.__code__.co_filename.startswith(('<kernels of', '<decoder of', '<encoder of'))]\n"
+        "print(len(policy._KERNELS), compiled)\n"
+    )
+    root = Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "0 []\n"

@@ -19,8 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import first_seq, rechain
+from ledgerloop import events, ledger
 from ledgerloop.cli import main
 from ledgerloop.config import config_digest
+from ledgerloop.errors import DecodeError
+from ledgerloop.ledger import encode_float, map_floats
 from test_golden import GOLDEN_CONFIG
 
 
@@ -188,3 +191,50 @@ def test_a_non_finite_reward_is_a_divergence_at_its_update(tmp_path, golden, cap
     diffs = [json.loads(line) for line in report.read_bytes().splitlines()[2:]]
     at_update = [d for d in diffs if d["seq"] == first_seq(golden, "MODEL_UPDATE")]
     assert [(d["path"], d["recomputed"]) for d in at_update] == [("post_state", "error:DataError")]
+
+
+def _sample_payloads(path: Path) -> dict[str, dict]:
+    """One stored payload of every event type in :data:`events.PAYLOADS`:
+    the golden ledger's first, or for a type it has none of, a written one."""
+    samples = {}
+    for record in _records(path):
+        samples.setdefault(record["event_type"], record["payload"])
+    alert = events.AlertInfo("decision_coverage", ">=", 0.5, 0.25, "overall", None, "warning")
+    samples.setdefault("ALERT", map_floats(alert, encode_float))
+    return samples
+
+
+def _edits(payload: dict):
+    """The payload, then every edit the tests above make of one member (a
+    value of each JSON type, an out-of-range integer, a non-finite float)
+    and of one item of a list member, a member left out and one added."""
+    yield payload
+    for name in sorted(payload):
+        for value in [*JSON_VALUES, *OUT_OF_RANGE, *NON_FINITE.values(), "ABCDEF0123456789", "0" * 15]:
+            yield {**payload, name: value}
+            if isinstance(payload[name], list) and payload[name]:
+                yield {**payload, name: [value, *payload[name][1:]]}
+        yield {key: payload[key] for key in payload if key != name}
+    yield {**payload, "bogus": 7}
+
+
+def _outcome(decode, value):
+    # Floats compared by their bits, so a NaN equals itself.
+    try:
+        return "value", map_floats(decode(value), encode_float)
+    except DecodeError as exc:
+        return "refused", type(exc), str(exc)
+
+
+@pytest.mark.parametrize("event_type", events.PAYLOADS)
+def test_the_compiled_decoder_answers_as_the_annotation_walk(golden, event_type):
+    cls = events.PAYLOADS[event_type]
+    compiled = ledger._converter(cls, ledger.LEDGER_FORMAT)
+    walk = ledger._dataclass(cls, ledger.LEDGER_FORMAT)
+    assert compiled is not walk and compiled.__code__.co_filename == f"<decoder of {cls.__qualname__}>"
+    answers = set()
+    for value in _edits(_sample_payloads(golden)[event_type]):
+        answer = _outcome(compiled, value)
+        assert answer == _outcome(walk, value), value
+        answers.add(answer[0])
+    assert answers == {"value", "refused"}

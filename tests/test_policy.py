@@ -2,6 +2,7 @@ import hashlib
 import struct
 
 import numpy as np
+import policy_loops
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -171,7 +172,7 @@ def test_cached_factor_is_invisible_to_serialization_hash_and_equality():
     assert rebuilt == updated and hash(rebuilt) == hash(updated)
     # The factor the update handed over is the one factorizing afresh gives,
     # so both states decide to the same bits.
-    assert updated.factor == rebuilt.factor == policy._cholesky(updated.precision, 4)
+    assert updated.factor == rebuilt.factor == policy_loops.cholesky(updated.precision, 4)
     assert [struct.pack(">dd", *p) for p in probs] == [struct.pack(">dd", *probs[0])] * 2
     assert all(type(row) is tuple for row in updated.factor)
 
@@ -514,3 +515,24 @@ print(struct.pack(">dd", pi_raw, pi).hex(), canonical_serialize(state).hex())
     pi_raw, pi = action_probability(state, snap, config)
     expected_prefix = _struct.pack(">dd", pi_raw, pi).hex()
     assert runs.pop().split()[0] == expected_prefix
+
+
+def test_snapshot_members_come_out_as_tuples_of_floats():
+    # Tuples of floats are kept as given; anything else is converted, and
+    # every tag and length check still runs.
+    for baseline, treatment in [
+        ((1, True), (np.float64(0.25), 2)),
+        ([1.0, 0.5], (0.0, -1.0)),
+        (np.array([1.0, 0.5]), (False, np.float64(3.0))),
+    ]:
+        n = len(baseline) + len(treatment)
+        snap = FeatureSnapshot(baseline, treatment, ("observed",) * n, (None,) * n, (0,) * n, 0)
+        for block, given in ((snap.baseline, baseline), (snap.treatment, treatment)):
+            assert type(block) is tuple and all(type(v) is float for v in block)
+            assert block == tuple(float(v) for v in given)
+    kept = (1.0, 0.5)
+    assert make_snapshot(kept, (0.0, 1.0)).baseline is kept
+    with pytest.raises(ConfigurationError, match="provenance must tag every feature entry"):
+        FeatureSnapshot((1.0,), (1.0,), ("observed",), (None, None), (0, 0), 0)
+    with pytest.raises(ConfigurationError, match="unknown provenance tag"):
+        FeatureSnapshot((1.0,), (1.0,), ("observed", "guessed"), (None, None), (0, 0), 0)

@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_run_config, make_runtime, records_of, start_runtime
+from ledgerloop.cli import main
 from ledgerloop.errors import ConfigurationError, StructuralAuditError
 from ledgerloop.ledger import read_records
 from ledgerloop.policy import (
@@ -263,6 +266,32 @@ def test_corrupt_state_falls_back_to_uniform(file_runtime):
     kinds = [r.event_type for r in written(runtime)]
     assert "ERROR" in kinds
     assert kinds[-1] == "DECISION"  # a decision is always produced
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+def test_a_non_finite_feature_falls_back_to_uniform(tmp_path, capsys, bad):
+    # Its pi_raw is NaN: the logic refuses it (DataError), so the decision is
+    # the uniform fallback with an ERROR before it, and it replays exact.
+    path = tmp_path / "ledger.ndjson"
+    runtime = make_runtime(make_run_config(), participants=("p0",), path=path)
+    start_runtime(runtime)
+    ts = runtime.schedule.due_ts(0) - 1000
+    for name in runtime.features.names:
+        value = bad if name == "engagement" else 0.5
+        runtime.ingest_observation("p0", name, value, ts, backend_ts=ts)
+    runtime.assemble_features("p0", 0)
+    record = runtime.make_decision("p0", 0)
+    runtime.ledger.close()
+    assert record.fallback and record.pi_raw == record.pi == 0.5
+    assert record.fallback_reason.startswith("DataError: pi_raw nan is not a probability")
+    errors = records_of(path, "ERROR")
+    assert [(e.payload["kind"], e.payload["message"]) for e in errors] == [
+        ("policy_exception", record.fallback_reason)
+    ]
+    assert written(runtime)[-1].event_type == "DECISION"
+    assert main(["replay-verify", "--ledger", str(path)]) == 0
+    assert main(["monitor-report", "--replay", "--ledger", str(path), "--out", str(tmp_path / "m.txt")]) == 0
+    assert "replay exact" in capsys.readouterr().out
 
 
 def test_fallback_decision_with_seed_zero():
