@@ -304,6 +304,7 @@ def _number(value) -> float:
 
 # -- the compiled payload decoder ----------------------------------------------------
 
+
 def _as_is(hint) -> frozenset | None:
     """The types of the JSON values the ledger format takes unchanged for
     ``hint``: a scalar's one type, with None's for an optional scalar (None

@@ -293,8 +293,8 @@ def _factor_text(d: int, start: int = 0) -> str:
     return "(" + ", ".join(rows) + ",)"
 
 
-def _kernel_source(d: int) -> str:
-    """The source of dimension ``d``'s kernels:
+def _kernel_source(d: int) -> dict[str, str]:
+    """The source of each of dimension ``d``'s kernels, by name:
 
     - ``factor(precision)``: the lower Cholesky factor, row ``i`` a tuple of
       its ``i + 1`` entries.
@@ -302,40 +302,42 @@ def _kernel_source(d: int) -> str:
       precision and factor. ``rhs[i]`` starts as row ``i`` of the precision
       times the mean, summed from 0.0; each row ``(x0, ..., x{d-1}, w)``
       then adds ``(x_i * x_j) * inv_noise`` to the lower triangle and
-      ``x_i * w`` to ``rhs[i]``. The upper triangle mirrors the lower, and
-      the mean solves ``L y = rhs``, then ``L' mean = y``.
+      ``x_i * w`` to ``rhs[i]``. The upper triangle mirrors the lower,
+      ``factor`` factors it, and the mean solves ``L y = rhs``, then
+      ``L' mean = y``.
     - ``action_{s}(factor, mean, h)`` for each split ``s`` of the d entries
       into ``s`` baseline and ``d - s`` treatment ones: ``delta``, the sum
       of ``h_j * mean[s + j]`` from 0.0, and ``v``, the sum of ``y_i * y_i``
       from 0.0 for ``L y = [0; h]`` solved from row ``s`` on.
     """
     n = range(d)
-    lower = [(i, j) for i in n for j in range(i + 1)]
-    cholesky = [f"    {line}" for line in _cholesky_lines(d)]
-    lines = [
-        "def factor(precision):",
-        f"    {', '.join(f'a{i}_{j}' if j <= i else '_' for i in n for j in n)}, = precision",
-        *cholesky,
-        f"    return {_factor_text(d)}",
-        "",
-        "def update(precision, mean, rows, inv_noise):",
-        f"    {', '.join(f'a{i}_{j}' for i in n for j in n)}, = precision",
-        f"    {', '.join(f'm{i}' for i in n)}, = mean",
-        *(f"    r{i} = 0.0" + "".join(f" + a{i}_{j} * m{j}" for j in n) for i in n),
-        f"    for {''.join(f'x{i}, ' for i in n)}w in rows:",
-        *(f"        a{i}_{j} += (x{i} * x{j}) * inv_noise" for i, j in lower),
-        *(f"        r{i} += x{i} * w" for i in n),
-        *cholesky,
-        *(f"    y{i} = (r{i}" + "".join(f" - l{i}_{k} * y{k}" for k in range(i)) + f") / l{i}_{i}" for i in n),
-        *(f"    z{i} = (y{i}" + "".join(f" - l{k}_{i} * z{k}" for k in range(i + 1, d)) + f") / l{i}_{i}"
-          for i in reversed(n)),
-        f"    return ({''.join(f'z{i}, ' for i in n)}), "
-        f"({''.join(f'a{max(i, j)}_{min(i, j)}, ' for i in n for j in n)}), {_factor_text(d)}",
-    ]
+    functions = {
+        "factor": [
+            "def factor(precision):",
+            f"    {', '.join(f'a{i}_{j}' if j <= i else '_' for i in n for j in n)}, = precision",
+            *(f"    {line}" for line in _cholesky_lines(d)),
+            f"    return {_factor_text(d)}",
+        ],
+        "update": [
+            "def update(precision, mean, rows, inv_noise):",
+            f"    {', '.join(f'a{i}_{j}' for i in n for j in n)}, = precision",
+            f"    {', '.join(f'm{i}' for i in n)}, = mean",
+            *(f"    r{i} = 0.0" + "".join(f" + a{i}_{j} * m{j}" for j in n) for i in n),
+            f"    for {''.join(f'x{i}, ' for i in n)}w in rows:",
+            *(f"        a{i}_{j} += (x{i} * x{j}) * inv_noise" for i in n for j in range(i + 1)),
+            *(f"        r{i} += x{i} * w" for i in n),
+            f"    precision = ({''.join(f'a{max(i, j)}_{min(i, j)}, ' for i in n for j in n)})",
+            "    lower = factor(precision)",
+            f"    {_factor_text(d)} = lower",
+            *(f"    y{i} = (r{i}" + "".join(f" - l{i}_{k} * y{k}" for k in range(i)) + f") / l{i}_{i}" for i in n),
+            *(f"    z{i} = (y{i}" + "".join(f" - l{k}_{i} * z{k}" for k in range(i + 1, d)) + f") / l{i}_{i}"
+              for i in reversed(n)),
+            f"    return ({''.join(f'z{i}, ' for i in n)}), precision, lower",
+        ],
+    }
     for s in range(1, d):
         t = range(s, d)
-        lines += [
-            "",
+        functions[f"action_{s}"] = [
             f"def action_{s}(factor, mean, h):",
             f"    {_factor_text(d, s)} = factor",
             f"    {', '.join('_' if i < s else f'm{i}' for i in n)}, = mean",
@@ -344,7 +346,7 @@ def _kernel_source(d: int) -> str:
             *(f"    y{i} = (h{i}" + "".join(f" - l{i}_{k} * y{k}" for k in range(s, i)) + f") / l{i}_{i}" for i in t),
             "    return delta, 0.0" + "".join(f" + y{i} * y{i}" for i in t),
         ]
-    return "\n".join(lines) + "\n"
+    return {name: "\n".join(lines) + "\n" for name, lines in functions.items()}
 
 
 @dataclass(frozen=True)
@@ -365,7 +367,10 @@ def kernels(d: int) -> _Kernels:
     compiled = _KERNELS.get(d)
     if compiled is None:
         namespace = {"sqrt": math.sqrt, "inf": math.inf, "_not_positive_definite": _not_positive_definite}
-        exec(compile(_kernel_source(d), f"<kernels of d={d}>", "exec"), namespace)
+        # One compile per function: compiling holds the parse tree of its
+        # input, and a process pool's workers inherit that peak.
+        for source in _kernel_source(d).values():
+            exec(compile(source, f"<kernels of d={d}>", "exec"), namespace)
         compiled = _KERNELS[d] = _Kernels(
             namespace["factor"], namespace["update"], {s: namespace[f"action_{s}"] for s in range(1, d)}
         )
