@@ -25,7 +25,7 @@ from .errors import (
     LedgerLoopError,
     StorageError,
 )
-from .events import StreamIndex, decoded_floats
+from .events import PAYLOADS, StreamIndex, decoded_floats
 # read_records is called through its module, so a wrapper installed there
 # (the benchmark's tracer counts file reads) sees every read.
 from . import ledger
@@ -175,8 +175,9 @@ def _cmd_twin_tune(args) -> int:
 
 def _audited_index(path: str) -> StreamIndex:
     """The index of the ledger at ``path``, folded through the verified read
-    pass, once its HEADER's ``config_digest`` is found to be its config's."""
-    index = StreamIndex.fold(ledger.read_records(path))
+    pass with typed payloads, once its HEADER's ``config_digest`` is found
+    to be its config's."""
+    index = StreamIndex.fold(ledger.read_records(path, PAYLOADS))
     header = index.header
     if config_digest(header.config) != header.config_digest:
         raise AuditError(

@@ -1,17 +1,20 @@
 """Typed payloads of every ledger event, and the one index over them.
 
 Each event type's payload is one frozen dataclass (:data:`PAYLOADS`). Its
-annotations are compiled twice by the ledger's one annotation compiler: into
-the encoder :meth:`ledgerloop.ledger.Ledger.append` writes it with
+annotations are compiled by the ledger's one annotation compiler: into the
+encoder :meth:`ledgerloop.ledger.Ledger.append` writes it with
 (:func:`append`), whose bytes are those of ``map_floats(value,
-encode_float)``, and into the strict inverse of that,
-:func:`ledgerloop.ledger.strict_inverse` (:func:`decode_payload`); no other
-module knows how a payload field is encoded. The ``parse_*`` functions are the inverse's entry points for the
-event types read most; the benchmark's tracer times them by name.
+encode_float)``; into the line matcher a typed read of a ledger file
+(``read_records(path, PAYLOADS)``) decodes its records with; and into the
+annotation walk, :func:`ledgerloop.ledger.strict_inverse`, which decodes a
+payload dict (:func:`decode_payload`). No other module knows how a payload
+field is encoded. The ``parse_*`` functions are the walk's entry points for
+the event types read most; the benchmark's tracer times them by name.
 
 :class:`StreamIndex` is the one fold over ledger records. The runtime applies
 each record it appends together with the typed value it appended; replay and
-the monitor fold a ledger's records, decoding each payload once. Both sides
+the monitor fold a ledger's records, each payload decoded once, by the read
+pass's line matcher or, for a line it does not take, by the walk. Both sides
 therefore index versions, snapshots, decisions and outcomes with the same
 code.
 """
@@ -228,12 +231,16 @@ _ENTRY_POINTS = {
 
 
 def parse_value(record: EventEnvelope):
-    """The typed value :meth:`StreamIndex.apply` takes with ``record``."""
+    """The typed value :meth:`StreamIndex.apply` takes with ``record``: its
+    payload as it is when the read pass typed it already."""
+    payload = record.payload
+    if type(payload) is not dict:
+        return payload
     event_type = record.event_type
     entry = _ENTRY_POINTS.get(event_type)
     if entry is None:
-        return decode_payload(event_type, record.payload)
-    return globals()[entry](record.payload)
+        return decode_payload(event_type, payload)
+    return globals()[entry](payload)
 
 
 @dataclass
@@ -262,7 +269,8 @@ class StreamIndex:
 
     @classmethod
     def fold(cls, records: Iterable[EventEnvelope]) -> "StreamIndex":
-        """The index of a ledger's records, each payload parsed once. The
+        """The index of a ledger's records, each payload decoded once (a
+        typed payload is taken as it is, see :func:`parse_value`). The
         records are taken one at a time, so a stream from
         :func:`ledgerloop.ledger.read_records` is never held whole, and a
         problem is raised at the first record that has one."""

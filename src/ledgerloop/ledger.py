@@ -13,37 +13,48 @@ recomputation or the chain linkage.
 Canonical bytes have one definition, :func:`_dumps` (``json`` with sorted
 keys and compact ASCII separators). :func:`canonical_json_bytes` is it with
 a check for raw floats first; reports (:func:`report_bytes`), the config
-digest and dict payloads are written with it, and the read pass re-encodes
-every stored line with it. A record's body is written by :func:`_body` with
-one %-format of its scalar envelope members around the payload's text.
+digest and dict payloads are written with it, and the read pass's JSON path
+re-encodes every line it reads with it. A record's body is written by
+:func:`_body` with one %-format of its scalar envelope members around the
+payload's text.
 
-One annotation compiler, :func:`_converter`, builds each payload class's
-encoder and decoder from its annotations, each compiled to straight-line
-code on the class's first use (never at import). The encoder checks each
-member's type and writes the bytes ``_dumps`` would give for
-``map_floats(value, encode_float)``, so every line it writes is checked
-against ``_dumps`` by every audit. The decoder (:func:`_decoder`, behind
-:func:`strict_inverse`) is its inverse: it checks the member names once and
-each member's type inline, decodes all of a record's floats with one hex
-decode and one ``struct.unpack``, and builds the value through the class's
-own ``__init__``; a value it refuses is read again by the annotation walk
-(:func:`_dataclass`), whose message names the member. A run config is read
-by that walk alone (:data:`CONFIG_FORMAT`).
+One annotation compiler, :func:`_converter`, turns each payload class's
+annotations into three things, each compiled to straight-line code on the
+class's first use (never at import). The encoder checks each member's type
+and writes the bytes ``_dumps`` would give for ``map_floats(value,
+encode_float)``. The line matcher (:func:`_line_reader`) is one anchored
+regex over a whole record line that admits only the canonical bytes of a
+record carrying that class's payload, with a converter from its groups to
+the typed value, built through the class's own ``__init__``. The
+annotation walk (:func:`_dataclass`, behind :func:`strict_inverse`) decodes
+a payload dict and names the member it refuses; it also reads a run config
+(:data:`CONFIG_FORMAT`).
 
 A :class:`Ledger` only writes: it keeps its last record, whose seq gives the
 count and whose hash is the chain head, never a copy of the records before
 it. Every read of a ledger file goes through one verified pass
 (:func:`_verified`): :func:`read_records`, :meth:`Ledger.open` and
 :func:`verify_chain` all check the same things, so a record a reader sees has
-passed the chain check.
+passed the chain check. A typed read (``read_records(path, payloads)``, as
+the audits read) tries each line's matcher first. A match proves that the
+line is canonical, holds exactly the envelope's members and its class's,
+each of its annotation's type, and that the class takes the value; the
+typed value then stands for the payload. Any other line (the HEADER, whose
+config is a dict; a string with an escape; every malformed line; a value
+the class refuses) goes through the JSON path, :func:`_parse_line`, which
+gives every verdict and message a line gets. Either way the seq, linkage
+and SHA-256 checks follow. :func:`read_records` without ``payloads`` yields
+payload dicts.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import os
+import re
 import struct
 import threading
 import types
@@ -51,7 +62,7 @@ import typing
 from dataclasses import MISSING, dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, Mapping, NamedTuple
 
 from .errors import ConfigurationError, DecodeError, IsolationError, StorageError
 
@@ -302,116 +313,6 @@ def _number(value) -> float:
     raise _Refusal(f"expected a number, got {value!r}")
 
 
-# -- the compiled payload decoder ----------------------------------------------------
-
-
-def _as_is(hint) -> frozenset | None:
-    """The types of the JSON values the ledger format takes unchanged for
-    ``hint``: a scalar's one type, with None's for an optional scalar (None
-    for any other annotation, floats and bytes included)."""
-    if typing.get_origin(hint) in (typing.Union, types.UnionType):
-        args = typing.get_args(hint)
-        if len(args) != 2 or type(None) not in args:
-            return None
-        inner = _as_is(args[0] if args[1] is type(None) else args[1])
-        return None if inner is None else inner | {type(None)}
-    return frozenset({hint}) if hint in (int, str, bool, dict) else None
-
-
-def _decoder(cls: type, fmt: Format):
-    """Compile the decoder of the dataclass ``cls`` in :data:`LEDGER_FORMAT`:
-    a function of one value that checks the member names once and
-    each member's type inline, decodes every float member (a tuple's items
-    too) with one :func:`_unhex` and one ``struct.unpack`` of their joined
-    hex, and builds the value through ``cls``'s own ``__init__``. A member
-    of another annotation (a dataclass, say) goes through its converter.
-
-    A value it does not take, or that ``cls`` refuses, is read again by the
-    annotation walk (:func:`_dataclass`), which refuses it with the message
-    that names the member; so its refusals are the walk's, word for word."""
-    walk = _dataclass(cls, fmt)
-    hints = typing.get_type_hints(cls)
-    fields = [f for f in dataclasses.fields(cls) if f.init]
-    namespace = {
-        "cls": cls, "walk": walk, "members": frozenset(f.name for f in fields), "_unhex": _unhex,
-        "_Refusal": _Refusal, "ConfigurationError": ConfigurationError, "_unpack": struct.unpack,
-        "_STR": frozenset({str}), "_SIXTEEN": frozenset({16}),
-    }
-    checks, unhexed, args = [], [], []  # args: the __init__ argument of each field
-    scalars, tuples = [], []  # the float members' vars
-    for i, f in enumerate(fields):
-        hint, var = hints[f.name], f"m{i}"
-        origin, hint_args = typing.get_origin(hint), typing.get_args(hint)
-        item = hint_args[0] if origin is tuple and len(hint_args) == 2 and hint_args[1] is Ellipsis else None
-        kinds = _as_is(hint)
-        item_kinds = None if item is None else _as_is(item)
-        if hint is float:
-            checks.append(f"type({var}) is str and len({var}) == 16")
-            scalars.append(var)
-            arg = f"f[{len(scalars) - 1}]"
-        elif item is float:
-            checks.append(f"type({var}) is list and {{*map(type, {var})}} <= _STR and {{*map(len, {var})}} <= _SIXTEEN")
-            tuples.append(var)
-            arg = f"t{i}"
-        elif hint is bytes:
-            unhexed.append(var)
-            arg = var
-        elif kinds is not None:
-            kind = next(iter(kinds - {type(None)})).__name__
-            checks.append(f"type({var}) is {kind}" if len(kinds) == 1 else f"({var} is None or type({var}) is {kind})")
-            arg = var
-        elif item_kinds is not None:
-            namespace[f"k{i}"] = item_kinds
-            checks.append(f"type({var}) is list and {{*map(type, {var})}} <= k{i}")
-            arg = f"tuple({var})"
-        else:
-            namespace[f"c{i}"] = _converter(hint, fmt)
-            arg = f"c{i}({var})"
-        args.append(f"{f.name}={arg}" if f.kw_only else arg)
-    body = [
-        "def decode(value):",
-        "    if type(value) is dict and value.keys() == members:",
-        *(f"        m{i} = value[{f.name!r}]" for i, f in enumerate(fields)),
-        f"        if {' and '.join(checks) or 'True'}:",
-    ]
-    indent = " " * 12
-
-    def guard(condition: str) -> None:
-        nonlocal indent
-        body.append(f"{indent}if {condition}:")
-        indent += "    "
-
-    if unhexed:
-        body += [f"{indent}{var} = _unhex({var})" for var in unhexed]
-        guard(" and ".join(f"{var} is not None" for var in unhexed))
-    if scalars or tuples:
-        # Every hex text is 16 chars long, so the joined text is lowercase
-        # hex exactly when each one is; the tuples' floats follow the scalars'.
-        parts = scalars + [f"*{var}" for var in tuples]
-        text = parts[0] if parts == scalars[:1] else f"''.join(({', '.join(parts)},))"
-        body.append(f"{indent}raw = _unhex({text})")
-        guard("raw is not None")
-        if tuples:
-            body.append(f"{indent}f = _unpack('>%dd' % (len(raw) >> 3), raw)")
-        else:
-            namespace["_unpack_scalars"] = struct.Struct(f">{len(scalars)}d").unpack
-            body.append(f"{indent}f = _unpack_scalars(raw)")
-        at = str(len(scalars))
-        for var in tuples:
-            end = f"{at} + len({var})"
-            body.append(f"{indent}t{var[1:]} = f[{at}:{end}]")
-            at = end
-    body += [
-        f"{indent}try:",
-        f"{indent}    return cls({', '.join(args)})",
-        f"{indent}except (_Refusal, ConfigurationError):",
-        f"{indent}    pass",
-        "    return walk(value)",
-    ]
-    exec(compile("\n".join(body), f"<decoder of {cls.__qualname__}>", "exec"), namespace)
-    return namespace["decode"]
-
-
 @dataclass(frozen=True)
 class Format:
     """How typed values are read from or written as JSON-like data.
@@ -422,7 +323,8 @@ class Format:
     default. The ``of_*`` builders make the converter of a dataclass, a
     ``tuple[X, ...]``, a ``dict[str, X]`` and an ``X | None`` from those of
     its parts (None: the format has no converter for that form). They read
-    by default; :data:`LEDGER_ENCODING` swaps in builders that write.
+    by default; :data:`LEDGER_ENCODING` swaps in builders that write, and
+    :data:`LEDGER_MATCHING` builders of the patterns a line matcher reads.
     """
 
     converters: dict
@@ -434,8 +336,7 @@ class Format:
 
 
 # Ledger payloads and the run header: floats and bytes as lowercase hex,
-# exactly the ``__init__`` fields as members; a dataclass is read by its
-# compiled decoder.
+# exactly the ``__init__`` fields as members.
 LEDGER_FORMAT = Format(
     {
         float: decode_float,
@@ -446,7 +347,6 @@ LEDGER_FORMAT = Format(
         dict: _exactly(dict, "an object"),
     },
     defaults=False,
-    of_dataclass=_decoder,
 )
 # A YAML run config: any number but a bool is a float, and a member left out
 # takes its default.
@@ -652,8 +552,9 @@ def report_bytes(title: str, items: Iterable) -> bytes:
 
 class EventEnvelope(NamedTuple):
     """One ledger record. ``payload`` is the payload dict of a record read
-    back, or the value the record was appended with: a canonical-ready dict
-    (no raw floats) or a typed payload. ``prev_hash``/``hash`` are 32-byte
+    back (its typed value where a typed read's line matcher took the line),
+    or the value the record was appended with: a canonical-ready dict (no
+    raw floats) or a typed payload. ``prev_hash``/``hash`` are 32-byte
     digests."""
 
     seq: int
@@ -781,6 +682,124 @@ def _parse_line(line: bytes, seq_hint: int) -> tuple:
     if _dumps(obj) != line:
         raise DecodeError(f"record {seq_hint} is not in canonical form", seq=seq_hint)
     return fields, prev_text, hash_text
+
+
+# -- the compiled line matchers ------------------------------------------------------
+
+
+class _Pattern(NamedTuple):
+    """How a line matcher reads the values of one annotation: ``regex``, with
+    no capture group, admits exactly their canonical JSON texts, and
+    ``convert`` is an expression for the value whose text is ``{0}``.
+    ``scalar``: no text holds a comma outside a string. An empty ``regex``
+    means no matcher reads the annotation (a dict, a dataclass), so a line
+    holding one is read by :func:`_parse_line`."""
+
+    regex: str = ""
+    convert: str = ""
+    scalar: bool = True
+
+
+# What a string's JSON text holds when encode_basestring_ascii leaves every
+# character as it is: printable ASCII but the quote and the backslash.
+_PLAIN = r"[ !#-\[\]-~]*"
+_INT = "0|-?[1-9][0-9]*"
+# The item texts of a list that a tuple's pattern has admitted: each is a
+# plain string or holds no comma.
+_ITEMS = re.compile(r'"[^"]*"|[^,\[\]]+')
+_fromhex = bytes.fromhex
+
+
+def _tuple_pattern(item: _Pattern) -> _Pattern:
+    if not (item.regex and item.scalar):
+        return _Pattern()
+    return _Pattern(
+        rf"\[(?:(?:{item.regex})(?:,(?:{item.regex}))*)?\]",
+        f"tuple([{item.convert.replace('{0}', '_i')} for _i in _ITEMS.findall({{0}})])",
+        scalar=False,
+    )
+
+
+def _optional_pattern(inner: _Pattern) -> _Pattern:
+    if not inner.regex:
+        return inner
+    return inner._replace(
+        regex=f"null|{inner.regex}", convert=f"(None if {{0}} == 'null' else {inner.convert})"
+    )
+
+
+# Ledger lines as a line matcher reads them: LEDGER_FORMAT's values, each
+# only in its canonical text.
+LEDGER_MATCHING = Format(
+    {
+        float: _Pattern('"[0-9a-f]{16}"', "_UNPACK_FLOAT(_fromhex({0}[1:-1]))[0]"),
+        bytes: _Pattern('"(?:[0-9a-f]{2})*"', "_fromhex({0}[1:-1])"),
+        int: _Pattern(_INT, "int({0})"),
+        str: _Pattern(f'"{_PLAIN}"', "{0}[1:-1]"),
+        bool: _Pattern("true|false", "({0} == 'true')"),
+        dict: _Pattern(),
+    },
+    defaults=False,
+    of_dataclass=lambda cls, fmt: _Pattern(),
+    of_tuple=_tuple_pattern,
+    of_dict=None,
+    of_optional=_optional_pattern,
+)
+
+# A record's line, its members in sorted order; the groups are backend_ts,
+# device_ts, environment_profile, hash, the payload's members, prev_hash,
+# seq, stream_id and version_id.
+_LINE = (
+    r'\{"backend_ts":(%(int)s),"device_ts":(null|%(int)s),"environment_profile":"(%(plain)s)",'
+    r'"event_type":%(event_type)s,"hash":"([0-9a-f]{64})","payload":\{%(payload)s\},'
+    r'"prev_hash":"([0-9a-f]{64})","seq":(%(int)s),"stream_id":"(%(plain)s)","version_id":"(%(plain)s)"\}'
+)
+
+
+@functools.cache
+def _line_reader(event_type: str, cls: type):
+    """Compile, on first use and never at import, the line matcher of the
+    records of ``event_type`` whose payload class is ``cls``: a function of
+    a line's text that returns what :func:`_parse_line` returns for the
+    line, with the payload's typed value built through ``cls``'s own
+    ``__init__``. One anchored regex admits only the canonical bytes of
+    such a record, so a line it takes would pass every check of
+    :func:`_parse_line` and decode to the same value. It returns None for
+    any other line and for a value ``cls`` refuses; the JSON path reads
+    those. None for a class with a member no pattern reads."""
+    hints = typing.get_type_hints(cls)
+    fields = [f for f in dataclasses.fields(cls) if f.init]
+    patterns = {f.name: _converter(hints[f.name], LEDGER_MATCHING) for f in fields}
+    if not all(pattern.regex for pattern in patterns.values()):
+        return None
+    names = sorted(patterns)
+    regex = _LINE % {
+        "int": _INT, "plain": _PLAIN, "event_type": re.escape(_quoted(event_type)),
+        "payload": ",".join(f"{re.escape(_quoted(name))}:({patterns[name].regex})" for name in names),
+    }
+    var = {name: f"m{i}" for i, name in enumerate(names)}
+    args = [patterns[f.name].convert.replace("{0}", var[f.name]) for f in fields]
+    source = "\n".join([
+        "def read(text):",
+        "    m = fullmatch(text)",
+        "    if m is None:",
+        "        return None",
+        f"    backend_ts, device_ts, profile, hash_text, {''.join(v + ', ' for v in var.values())}"
+        "prev_text, seq, stream_id, version_id = m.groups()",
+        "    try:",
+        f"        value = cls({', '.join(f'{f.name}={arg}' if f.kw_only else arg for f, arg in zip(fields, args))})",
+        "        return (int(seq), stream_id, profile, None if device_ts == 'null' else int(device_ts),",
+        "                int(backend_ts), version_id, event_type, value), prev_text, hash_text",
+        "    except (ConfigurationError, ValueError):  # ValueError: an int too long to convert",
+        "        return None",
+    ])
+    namespace = {
+        "fullmatch": re.compile(regex).fullmatch, "cls": cls, "event_type": event_type,
+        "ConfigurationError": ConfigurationError, "_UNPACK_FLOAT": _UNPACK_FLOAT,
+        "_fromhex": _fromhex, "_ITEMS": _ITEMS,
+    }
+    exec(compile(source, f"<line matcher of {cls.__qualname__}>", "exec"), namespace)
+    return namespace["read"]
 
 
 class Ledger:
@@ -979,21 +998,41 @@ def _file_lines(path: str | Path) -> Iterator[bytes]:
         raise StorageError(f"cannot read ledger file {path}: {exc}") from None
 
 
-def _verified(lines: Iterable[bytes]) -> Iterator[EventEnvelope]:
+def _verified(
+    lines: Iterable[bytes], payloads: Mapping[str, type] | None = None
+) -> Iterator[EventEnvelope]:
     """The one read pass: yield each record once it has passed every check;
     raise DecodeError carrying the seq of the first record that does not,
     or one without a seq after the last line if there was none.
 
-    Per line: one parse, which also checks the line's own shape and
-    canonical form (:func:`_parse_line`), then the seq and ``prev_hash``
-    linkage, and one SHA-256 over ``prev_hash`` plus the body: the line with
-    its ``hash`` member cut out (the inverse of :func:`_line`). Both hashes
-    are compared as the text they are stored as; the envelope's digests are
-    the bytes of that SHA-256.
+    Per line, first the checks that need no other record: with
+    ``payloads`` (the payload class of each event type), the line matcher
+    of its event type's class (:func:`_line_reader`), whose match also
+    gives the typed payload; otherwise, and for a line the matcher does not
+    take, one parse, which checks the line's shape and canonical form
+    (:func:`_parse_line`) and gives the payload dict. Then the seq and
+    ``prev_hash`` linkage, and one SHA-256 over ``prev_hash`` plus the
+    body: the line with its ``hash`` member cut out (the inverse of
+    :func:`_line`). Both hashes are compared as the text they are stored
+    as; the envelope's digests are the bytes of that SHA-256.
     """
+    readers = {} if payloads is None else {
+        event_type: _line_reader(event_type, cls) for event_type, cls in payloads.items()
+    }
     prev_hash, prev_text = GENESIS_HASH, GENESIS_HASH.hex()
     for seq, line in enumerate(lines):
-        fields, line_prev_text, hash_text = _parse_line(line, seq)
+        parsed = None
+        if readers:
+            # A matcher takes only whole lines of its own event type, so a
+            # malformed line's slice at worst finds one that does not match.
+            text = line.decode("latin-1")
+            at = text.find('"event_type":"') + 14
+            reader = readers.get(text[at:text.find('"', at)])
+            if reader is not None:
+                parsed = reader(text)
+        if parsed is None:
+            parsed = _parse_line(line, seq)
+        fields, line_prev_text, hash_text = parsed
         if fields[0] != seq:
             raise DecodeError(f"record {seq} carries seq {fields[0]}", seq=seq)
         if line_prev_text != prev_text:
@@ -1010,11 +1049,15 @@ def _verified(lines: Iterable[bytes]) -> Iterator[EventEnvelope]:
         raise DecodeError("ledger file is empty")
 
 
-def read_records(path: str | Path) -> Iterator[EventEnvelope]:
+def read_records(path: str | Path, payloads: Mapping[str, type] | None = None) -> Iterator[EventEnvelope]:
     """Stream the verified records of a ledger file (see :func:`_verified`);
     raises DecodeError carrying the first bad seq, or without a seq once an
-    empty file is read to its end."""
-    return _verified(_file_lines(path))
+    empty file is read to its end. A record's payload is its dict, or with
+    ``payloads`` (the payload class of each event type, as
+    ``events.PAYLOADS``) its typed value wherever its line matcher took the
+    line; a dict payload then comes from a line no matcher takes, such as
+    the HEADER, a string with an escape, or a value its class refuses."""
+    return _verified(_file_lines(path), payloads)
 
 
 def verify_chain(source: "Ledger | str | Path") -> int | None:

@@ -263,12 +263,17 @@ class Runtime:
 
         Arrival after the snapshot that needed this datum never mutates that
         snapshot; the new event just references the superseded snapshot seq.
+        A NaN or infinite value is refused before anything is logged: a
+        snapshot holding it would fail every later update cycle of the
+        participant.
         """
         self._require_participant(participant_id)
+        value = float(value)  # the payload holds a float, whatever number came in
+        if not math.isfinite(value):
+            raise ConfigurationError(f"{feature} value {value!r} of {participant_id} is not finite")
         home = self._window_index(device_ts)
         snap = self.index.snapshots.get((participant_id, home))
         superseded = None if snap is None else snap[0].seq
-        value = float(value)  # the payload holds a float, whatever number came in
         record = self._log(
             events.DatumInfo(participant_id, feature, value, device_ts, superseded),
             backend_ts=backend_ts,
@@ -286,9 +291,10 @@ class Runtime:
     ) -> int:
         """Append one OUTCOME_OBSERVED event; consumed by a later update cycle.
 
-        An outcome of a decision point that has no snapshot and decision is
-        refused before anything is logged: no update could ever consume it,
-        and left pending it would fail every later cycle of the participant.
+        An outcome of a decision point that has no snapshot and decision, or
+        with a NaN or infinite reward, is refused before anything is logged:
+        no update could ever consume it, and left pending it would fail every
+        later cycle of the participant.
         """
         self._require_participant(participant_id)
         key = (participant_id, decision_index)
@@ -297,8 +303,11 @@ class Runtime:
                 f"outcome for {participant_id} decision {decision_index}, which has no "
                 "snapshot and decision"
             )
+        reward = float(reward)
+        if not math.isfinite(reward):
+            raise ConfigurationError(f"reward {reward!r} for {participant_id} decision {decision_index} is not finite")
         record = self._log(
-            events.OutcomeInfo(participant_id, decision_index, float(reward), device_ts),
+            events.OutcomeInfo(participant_id, decision_index, reward, device_ts),
             backend_ts=backend_ts,
             device_ts=device_ts,
             version_id=self.version_id,

@@ -279,19 +279,19 @@ def test_config_probes_exit_64_with_one_line(tmp_path, config_path, capsys, verb
 
 
 def test_importing_the_cli_compiles_no_kernel_and_no_decoder():
-    # The posterior kernels and the payload decoders are compiled on first
-    # use, so a verb's set-up is only its imports; checked in a fresh
-    # interpreter, since this one has run verbs already.
+    # The posterior kernels, the payload encoders and the line matchers are
+    # compiled on first use, so a verb's set-up is only its imports; checked
+    # in a fresh interpreter, since this one has run verbs already.
     script = (
         "import gc, types\n"
         "import ledgerloop.cli\n"
-        "from ledgerloop import policy\n"
+        "from ledgerloop import ledger, policy\n"
         "compiled = [f.__code__.co_filename for f in gc.get_objects() if isinstance(f, types.FunctionType)\n"
-        "            and f.__code__.co_filename.startswith(('<kernels of', '<decoder of', '<encoder of'))]\n"
-        "print(len(policy._KERNELS), compiled)\n"
+        "            and f.__code__.co_filename.startswith(('<kernels of', '<line matcher of', '<encoder of'))]\n"
+        "print(len(policy._KERNELS), ledger._line_reader.cache_info().currsize, compiled)\n"
     )
     root = Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout == "0 []\n"
+    assert done.stdout == "0 0 []\n"

@@ -1,5 +1,5 @@
 """The single verified read pass against the two-encode chain check it
-replaced.
+replaced, and its typed read against its JSON path.
 
 ``reference_verify_chain`` is that earlier check, kept here as the oracle:
 parse, then one canonical encode of the body for the hash and one of the
@@ -7,25 +7,44 @@ whole record for the canonical-form check. The new pass parses once,
 re-encodes once and hashes the stored line with its ``hash`` member cut out;
 on every input below it must name the same first bad seq, and
 ``Ledger.open`` must fail exactly where ``verify_chain`` does.
+
+A typed read (``read_records(path, PAYLOADS)``) tries each line's compiled
+line matcher first and falls back on the JSON path. It must give the
+records the JSON path gives, each payload decoded by the annotation walk,
+and every audit verdict the JSON path gives.
 """
 
 import json
+import re
+import shutil
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_run_config
+from conftest import first_seq, make_run_config, rechain
+from ledgerloop import ledger as ledger_module
+from ledgerloop.cli import main
 from ledgerloop.errors import ConfigurationError, DecodeError
+from ledgerloop.events import PAYLOADS, DatumInfo, append, decode_payload
 from ledgerloop.ledger import (
     GENESIS_HASH,
     EventEnvelope,
     Ledger,
     canonical_json_bytes,
     compute_record_hash,
+    encode_float,
+    map_floats,
     read_records,
     verify_chain,
 )
 from ledgerloop.twin import EnvironmentSpec, run_trial
+from test_golden import GOLDEN_CONFIG
+from test_record_path import TYPED, ints, texts
 
 
 def _reference_envelope(obj: dict) -> EventEnvelope:
@@ -251,3 +270,140 @@ def test_in_memory_and_file_ledgers_end_at_one_head(tmp_path):
     *_, stored = read_records(path)
     assert len(in_memory) == len(on_file) == stored.seq + 1
     assert in_memory.last().hash == on_file.last().hash == stored.hash
+
+
+# -- the typed read ----------------------------------------------------------------
+
+
+def _typed_and_plain(path):
+    """The records of a typed read and of a read by the JSON path alone."""
+    return list(read_records(path, PAYLOADS)), list(read_records(path))
+
+
+def _assert_reads_equal(event_type, line, record, plain):
+    assert record._replace(payload=None) == plain._replace(payload=None)
+    # Only a string with an escape, or the HEADER's config, keeps a line
+    # from its matcher; the JSON path then gives the payload dict.
+    assert (type(record.payload) is dict) == (event_type == "HEADER" or b"\\" in line)
+    typed = record.payload
+    if type(typed) is dict:
+        typed = decode_payload(event_type, typed)
+    # Floats compared by their bits, so a NaN equals itself.
+    assert map_floats(typed, encode_float) == map_floats(decode_payload(event_type, plain.payload), encode_float)
+
+
+@pytest.mark.parametrize("event_type", sorted(TYPED))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_the_typed_read_gives_the_json_paths_records(event_type, data):
+    values = data.draw(st.lists(TYPED[event_type], min_size=1, max_size=1 if event_type == "HEADER" else 4))
+    envelopes = data.draw(st.lists(
+        st.tuples(st.integers(0, 2**53), texts, st.none() | ints), min_size=len(values), max_size=len(values)
+    ))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "l.ndjson"
+        with Ledger("s", "test", path=path, fsync=False) as ledger:
+            for value, (backend_ts, version_id, device_ts) in zip(values, envelopes):
+                append(ledger, value, backend_ts=backend_ts, version_id=version_id, device_ts=device_ts)
+        lines = path.read_bytes().splitlines()
+        typed, plain = _typed_and_plain(path)
+    assert len(typed) == len(plain) == len(values)
+    for line, record, expected, value in zip(lines, typed, plain, values):
+        _assert_reads_equal(event_type, line, record, expected)
+        assert map_floats(decode_payload(event_type, expected.payload), encode_float) == map_floats(
+            value, encode_float
+        )
+
+
+@pytest.mark.parametrize("text", ['"', "\\", "\x01", "\x7f", "é", "\u2028"])
+def test_a_string_with_an_escape_takes_the_json_path(tmp_path, text):
+    path = tmp_path / "l.ndjson"
+    with Ledger("s", "test", path=path, fsync=False) as ledger:
+        append(ledger, DatumInfo("p0", "f", 0.5, 1, None), backend_ts=0, version_id="v1")
+        append(ledger, DatumInfo(f"p{text}0", "f", 0.5, 1, None), backend_ts=0, version_id="v1")
+    typed, plain = _typed_and_plain(path)
+    assert [type(record.payload) for record in typed] == [DatumInfo, dict]
+    for line, record, expected in zip(path.read_bytes().splitlines(), typed, plain):
+        _assert_reads_equal("DATA_INGESTED", line, record, expected)
+
+
+@pytest.fixture(scope="module")
+def golden(tmp_path_factory) -> Path:
+    tmp = tmp_path_factory.mktemp("golden")
+    config = tmp / "golden.yaml"
+    config.write_text(yaml.safe_dump(GOLDEN_CONFIG))
+    path = tmp / "golden.ndjson"
+    assert main(["simulate", "--config", str(config), "--out", str(path)]) == 0
+    return path
+
+
+def _edit_line(path, seq, edit):
+    """Apply ``edit`` to the bytes of the line of record ``seq``, give the
+    line the hash of its body as stored, and re-chain every later record, so
+    only the edit can be refused."""
+    lines = path.read_bytes().splitlines()
+    line = edit(lines[seq])
+    assert line != lines[seq]
+    prev = bytes.fromhex(json.loads(lines[seq - 1])["hash"])
+    cut = line.index(b',"hash":"')
+    at = cut + len(b',"hash":"')
+    rec_hash = compute_record_hash(prev, line[:cut] + line[at + 65:])
+    lines[seq] = line[:at] + rec_hash.hex().encode("ascii") + line[at + 64:]
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    try:
+        json.loads(lines[seq])
+    except ValueError:
+        return  # no later record is read
+    rechain(path, seq + 1, lambda record: None)
+
+
+def _text(old: bytes, new: bytes):
+    return lambda p, s: _edit_line(p, s, lambda line: line.replace(old, new, 1))
+
+
+def _member(name, value):
+    return lambda p, s: rechain(p, s, lambda record: record["payload"].update({name: value}))
+
+
+def _swap_first_members(line: bytes) -> bytes:
+    return re.sub(rb'"payload":\{("[a-z_]+":\d+),("[a-z_]+":\d+),', rb'"payload":{\2,\1,', line, count=1)
+
+
+# Each edit: the event type of the record it edits, and how it edits it.
+LINE_EDITS = {
+    "uppercase hex digit": ("DATA_INGESTED", _member("value", "3FF0000000000000")),
+    "inserted space": ("DATA_INGESTED", _text(b'"value":"', b'"value": "')),
+    "negative zero": ("DECISION", _text(b'"decision_index":0,', b'"decision_index":-0,')),
+    "leading zero": ("DECISION", _text(b'"decision_index":0,', b'"decision_index":00,')),
+    "escaped letter": ("DATA_INGESTED", _text(b'"p000"', b'"p000\\u0041"')),
+    "duplicated member": ("DATA_INGESTED", _text(b'"participant_id":"p000",', b'"participant_id":"p000",' * 2)),
+    "swapped members": ("OUTCOME_OBSERVED", lambda p, s: _edit_line(p, s, _swap_first_members)),
+    "true for an int": ("OUTCOME_OBSERVED", _member("device_ts", True)),
+    "odd-length bytes": (
+        "MODEL_UPDATE", lambda p, s: rechain(p, s, lambda r: r["payload"].update(post_state=r["payload"]["post_state"] + "a")),
+    ),
+    "refused by __post_init__": ("DECISION", _member("action", 2)),
+}
+
+
+def _audit_answers(path, out) -> list[tuple[int, bool]]:
+    answers = []
+    for argv in (["replay-verify"], ["monitor-report", "--replay", "--out", str(out)]):
+        code = main([*argv, "--ledger", str(path)])
+        answers.append((code, out.exists()))
+    return answers
+
+
+@pytest.mark.parametrize("edit", sorted(LINE_EDITS))
+def test_a_line_edit_gets_the_json_paths_verdict(tmp_path, golden, capsys, monkeypatch, edit):
+    event_type, apply = LINE_EDITS[edit]
+    edited = tmp_path / "edited.ndjson"
+    shutil.copyfile(golden, edited)
+    apply(edited, first_seq(edited, event_type))
+    typed = _audit_answers(edited, tmp_path / "typed.txt"), capsys.readouterr()
+    plain_read = ledger_module.read_records
+    monkeypatch.setattr(ledger_module, "read_records", lambda path, payloads=None: plain_read(path))
+    plain = _audit_answers(edited, tmp_path / "plain.txt"), capsys.readouterr()
+    assert typed == plain
+    assert typed[0] == [(2, False), (2, False)]
+    assert typed[1].err.count("\n") == 2

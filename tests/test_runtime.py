@@ -270,15 +270,18 @@ def test_corrupt_state_falls_back_to_uniform(file_runtime):
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
 def test_a_non_finite_feature_falls_back_to_uniform(tmp_path, capsys, bad):
-    # Its pi_raw is NaN: the logic refuses it (DataError), so the decision is
-    # the uniform fallback with an ERROR before it, and it replays exact.
+    # A non-finite datum is refused at ingest, but an imputation default
+    # can still be one. Its pi_raw is NaN: the logic refuses it (DataError),
+    # so the decision is the uniform fallback with an ERROR before it, and
+    # it replays exact.
     path = tmp_path / "ledger.ndjson"
-    runtime = make_runtime(make_run_config(), participants=("p0",), path=path)
+    config = make_run_config(imputation={"defaults": {"engagement": bad}})
+    runtime = make_runtime(config, participants=("p0",), path=path)
     start_runtime(runtime)
     ts = runtime.schedule.due_ts(0) - 1000
     for name in runtime.features.names:
-        value = bad if name == "engagement" else 0.5
-        runtime.ingest_observation("p0", name, value, ts, backend_ts=ts)
+        if name != "engagement":
+            runtime.ingest_observation("p0", name, 0.5, ts, backend_ts=ts)
     runtime.assemble_features("p0", 0)
     record = runtime.make_decision("p0", 0)
     runtime.ledger.close()
@@ -430,11 +433,29 @@ def test_outcome_without_a_decision_is_refused_before_logging():
     assert runtime.run_update_cycle("p0", backend_ts=H23).update_count > 0
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+def test_a_non_finite_datum_or_reward_is_refused_before_logging(bad):
+    # Logged, it would fail every later update cycle of the participant.
+    runtime = fresh_runtime()
+    before = len(runtime.ledger)
+    with pytest.raises(ConfigurationError, match=f"engagement value {bad!r} of p0 is not finite"):
+        runtime.ingest_observation("p0", "engagement", bad, H9 - 1000, backend_ts=H9 - 1000)
+    assert len(runtime.ledger) == runtime.index.size == before
+    run_decision_point(runtime, "p0", 0, H9)
+    before = len(runtime.ledger)
+    with pytest.raises(ConfigurationError, match=f"reward {bad!r} for p0 decision 0 is not finite"):
+        runtime.ingest_outcome("p0", 0, bad, H9 + 1000, backend_ts=H9 + 1000)
+    assert len(runtime.ledger) == runtime.index.size == before
+    runtime.ingest_outcome("p0", 0, 1.0, H9 + 1000, backend_ts=H9 + 1000)
+    assert runtime.run_update_cycle("p0", backend_ts=H23).update_count == 1
+
+
 def test_update_failure_keeps_state_and_outcomes():
     runtime = fresh_runtime()
     run_decision_point(runtime, "p0", 0, H9)
-    runtime.ingest_outcome("p0", 0, float("inf"), H9 + 1000, backend_ts=H9 + 1000)
-    before = runtime.states["p0"]
+    runtime.ingest_outcome("p0", 0, 1.0, H9 + 1000, backend_ts=H9 + 1000)
+    # A precision the factor refuses makes the update fail.
+    runtime.states["p0"] = before = PosteriorState(np.zeros(6), np.diag([1.0] * 5 + [-1.0]).ravel())
     after = runtime.run_update_cycle("p0", backend_ts=H23)
     assert after is before
     assert not runtime.index.updates
