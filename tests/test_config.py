@@ -117,6 +117,9 @@ CONFIG_PROBES = [
     ({"version_switch": {"version_id": "v2"}}, "version_switch.day: missing"),
     ({"model": {"nosie_variance": 2.0}}, "model.nosie_variance: not a member"),
     ({"modle": {}}, "modle: not a member"),
+    # Two bad members: the first in field order.
+    ({"model": {"version_id": 7, "noise_variance": "x"}},
+     "model.noise_variance: expected a number, got 'x'"),
 ]
 
 

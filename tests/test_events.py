@@ -132,6 +132,10 @@ def _with(event_type: str, **members) -> dict:
     return {**encode(VALUES[event_type]), **members}
 
 
+def _without(event_type: str, name: str) -> dict:
+    return {k: v for k, v in encode(VALUES[event_type]).items() if k != name}
+
+
 @pytest.mark.parametrize(
     "event_type, payload, message",
     [
@@ -158,6 +162,28 @@ def test_decode_refuses_what_append_cannot_write(event_type, payload, message):
     with pytest.raises(DecodeError) as caught:
         events.decode_payload(event_type, payload)
     assert str(caught.value).startswith(f"malformed {event_type} payload: {message}")
+
+
+# Several problems at once: the walk names one, the same one every time.
+@pytest.mark.parametrize(
+    "event_type, payload, message",
+    [
+        # Both ill-typed: pi comes first in field order.
+        ("DECISION", _with("DECISION", pi=7, action="x"),
+         "malformed DECISION payload: pi: expected 16 lowercase hex chars, got 7"),
+        # One member unknown and one missing: the unknown one, though the
+        # missing one sorts first.
+        ("DECISION", {**_without("DECISION", "action"), "zzz": 1},
+         "malformed DECISION payload: zzz: not a member"),
+        # Two bad items: the first index.
+        ("MODEL_UPDATE", _with("MODEL_UPDATE", batch_seqs=[4, False, "x"]),
+         "malformed MODEL_UPDATE payload: batch_seqs[1]: expected an integer, got False"),
+    ],
+)
+def test_the_walk_names_the_first_problem(event_type, payload, message):
+    with pytest.raises(DecodeError) as caught:
+        events.decode_payload(event_type, payload)
+    assert str(caught.value) == message
 
 
 @pytest.mark.parametrize(
