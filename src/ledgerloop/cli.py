@@ -187,11 +187,12 @@ def _audited_index(path: str) -> StreamIndex:
 
 
 def _cmd_replay_verify(args) -> int:
+    out = None if args.out is None else _fresh_out_path(args.out)
     index = _audited_index(args.ledger)
     versions = None if args.versions is None else [v for v in args.versions.split(",") if v]
     report = replay_verify(index, registered_logics(index, versions))
-    if args.out is not None:
-        _fresh_out_path(args.out).write_bytes(report.to_bytes())
+    if out is not None:
+        out.write_bytes(report.to_bytes())
     if report.exact:
         print(f"replay exact: {report.counts}")
         return EXIT_OK

@@ -6,10 +6,12 @@ encoder :meth:`ledgerloop.ledger.Ledger.append` writes it with
 (:func:`append`), whose bytes are those of ``map_floats(value,
 encode_float)``; into the line matcher a typed read of a ledger file
 (``read_records(path, PAYLOADS)``) decodes its records with; and into the
-annotation walk, :func:`ledgerloop.ledger.strict_inverse`, which decodes a
-payload dict (:func:`decode_payload`). No other module knows how a payload
+annotation walk, ``decode_as(cls, payload, LEDGER_FORMAT)``, which decodes
+a payload dict (:func:`decode_payload`). No other module knows how a payload
 field is encoded. The ``parse_*`` functions are the walk's entry points for
-the event types read most; the benchmark's tracer times them by name.
+the event types the fold indexes; the benchmark's tracer times them by
+name. A typed read leaves them the HEADER and any line its matcher does not
+take.
 
 :class:`StreamIndex` is the one fold over ledger records. The runtime applies
 each record it appends together with the typed value it appended; replay and
@@ -28,7 +30,7 @@ from typing import Iterable, NamedTuple
 
 from . import runtime
 from .errors import ConfigurationError, DecodeError, StructuralAuditError
-from .ledger import FORMAT_VERSION, EventEnvelope, Ledger, map_floats, strict_inverse
+from .ledger import FORMAT_VERSION, LEDGER_FORMAT, EventEnvelope, Ledger, _Refusal, decode_as, map_floats
 from .policy import DecisionRecord, FeatureSnapshot, ModelConfig
 
 
@@ -41,7 +43,6 @@ class RunHeader:
     participants: tuple[str, ...]
 
 
-_decode_run_header = strict_inverse(RunHeader, "malformed HEADER config")
 _RUN_HEADER_MEMBERS = tuple(f.name for f in fields(RunHeader))
 
 
@@ -64,8 +65,11 @@ class HeaderInfo:
     def __post_init__(self):
         if self.format_version != FORMAT_VERSION:
             raise ConfigurationError(f"format_version {self.format_version!r} is not {FORMAT_VERSION}")
-        config = self.config
-        typed = _decode_run_header({k: config[k] for k in _RUN_HEADER_MEMBERS if k in config})
+        given = {k: self.config[k] for k in _RUN_HEADER_MEMBERS if k in self.config}
+        try:
+            typed = decode_as(RunHeader, given, LEDGER_FORMAT)
+        except _Refusal as refusal:
+            raise DecodeError(f"malformed HEADER config: {refusal}") from None
         for name in _RUN_HEADER_MEMBERS:
             object.__setattr__(self, name, getattr(typed, name))
 
@@ -144,10 +148,6 @@ PAYLOADS: dict[str, type] = {
     "ALERT": AlertInfo,
 }
 _EVENT_TYPES = {cls: event_type for event_type, cls in PAYLOADS.items()}
-_DECODERS = {
-    event_type: strict_inverse(cls, f"malformed {event_type} payload")
-    for event_type, cls in PAYLOADS.items()
-}
 
 
 def append(ledger: Ledger, value, **envelope) -> EventEnvelope:
@@ -160,11 +160,16 @@ def append(ledger: Ledger, value, **envelope) -> EventEnvelope:
 
 def decode_payload(event_type: str, payload):
     """The typed value of a payload of ``event_type``; DecodeError unless
-    the payload is one :func:`append` could have written."""
-    decode = _DECODERS.get(event_type)
-    if decode is None:
+    the payload is one :func:`append` could have written. A refusal of
+    the walk is prefixed ``malformed <event_type> payload:``; the HEADER's
+    own refusal of its config passes through as it is."""
+    cls = PAYLOADS.get(event_type)
+    if cls is None:
         raise DecodeError(f"unknown event type {event_type!r}")
-    return decode(payload)
+    try:
+        return decode_as(cls, payload, LEDGER_FORMAT)
+    except _Refusal as refusal:
+        raise DecodeError(f"malformed {event_type} payload: {refusal}") from None
 
 
 def parse_header(payload) -> HeaderInfo:

@@ -18,17 +18,19 @@ re-encodes every line it reads with it. A record's body is written by
 :func:`_body` with one %-format of its scalar envelope members around the
 payload's text.
 
-One annotation compiler, :func:`_converter`, turns each payload class's
-annotations into three things, each compiled to straight-line code on the
-class's first use (never at import). The encoder checks each member's type
-and writes the bytes ``_dumps`` would give for ``map_floats(value,
-encode_float)``. The line matcher (:func:`_line_reader`) is one anchored
-regex over a whole record line that admits only the canonical bytes of a
-record carrying that class's payload, with a converter from its groups to
-the typed value, built through the class's own ``__init__``. The
-annotation walk (:func:`_dataclass`, behind :func:`strict_inverse`) decodes
-a payload dict and names the member it refuses; it also reads a run config
-(:data:`CONFIG_FORMAT`).
+One annotation compiler, :func:`_converter`, reads each payload class's
+annotations two ways. With :data:`LEDGER_TEXT`, one table that states each
+scalar's check, text, regex and converter side by side, it generates
+straight-line code on the class's first use (never at import): the
+encoder, which checks each member's type and writes the bytes ``_dumps``
+would give for ``map_floats(value, encode_float)``; and the line matcher
+(:func:`_line_reader`), one anchored regex over a whole record line that
+admits only the canonical bytes of a record carrying that class's payload,
+with a converter from its groups to the typed value, built through the
+class's own ``__init__``. With :data:`LEDGER_FORMAT` it builds the
+annotation walk (:func:`_dataclass`, behind :func:`decode_as`), which
+decodes a payload dict and names the member it refuses; the walk also
+reads a run config (:data:`CONFIG_FORMAT`).
 
 A :class:`Ledger` only writes: it keeps its last record, whose seq gives the
 count and whose hash is the chain head, never a copy of the records before
@@ -176,9 +178,9 @@ def map_floats(obj, show):
     """``obj`` ready for :func:`canonical_json_bytes`: every float replaced by
     ``show(float)`` (the run header uses :func:`encode_float`), bytes by
     their lowercase hex, a tuple by a list, and a dataclass by the dict of
-    the fields its ``__init__`` takes. :func:`strict_inverse` reads back
-    what ``show=encode_float`` gives; a ledger payload's compiled encoder
-    writes the canonical bytes of exactly that."""
+    the fields its ``__init__`` takes. ``decode_as(hint, value,
+    LEDGER_FORMAT)`` reads back what ``show=encode_float`` gives; a ledger
+    payload's compiled encoder writes the canonical bytes of exactly that."""
     kind = type(obj)
     if kind in _LEAVES:
         return obj
@@ -232,15 +234,13 @@ def _tuple_of(convert):
     def convert_all(value):
         if type(value) is not list:
             raise _Refusal(f"expected a list, got {value!r}")
-        try:
-            return tuple(map(convert, value))
-        except _Refusal:
-            for i, item in enumerate(value):  # only to name the item
-                try:
-                    convert(item)
-                except _Refusal as refusal:
-                    raise _Refusal(refusal.problem, f"[{i}]{refusal.path}") from None
-            raise
+        items = []
+        for i, item in enumerate(value):
+            try:
+                items.append(convert(item))
+            except _Refusal as refusal:
+                raise _Refusal(refusal.problem, f"[{i}]{refusal.path}") from None
+        return tuple(items)
 
     return convert_all
 
@@ -277,23 +277,19 @@ def _dataclass(cls: type, fmt: Format):
     def convert(value):
         if type(value) is not dict:
             raise _Refusal(f"expected an object, got {value!r}")
-        given = spec
         if value.keys() != members:
             missing, unknown = required - value.keys(), value.keys() - members
             if missing or unknown:
                 # A misspelt member is both; its spelling here names the typo.
                 name = min(unknown or missing, key=str)
                 raise _Refusal("not a member" if unknown else "missing", f".{name}")
-            given = [(name, member) for name, member in spec if name in value]
-        try:
-            kwargs = {name: member(value[name]) for name, member in given}
-        except _Refusal:
-            for name, member in given:  # only to name the member
+        kwargs = {}
+        for name, member in spec:
+            if name in value:
                 try:
-                    member(value[name])
+                    kwargs[name] = member(value[name])
                 except _Refusal as refusal:
                     raise _Refusal(refusal.problem, f".{name}{refusal.path}") from None
-            raise
         try:
             return cls(**kwargs)
         except ConfigurationError as exc:
@@ -323,8 +319,9 @@ class Format:
     default. The ``of_*`` builders make the converter of a dataclass, a
     ``tuple[X, ...]``, a ``dict[str, X]`` and an ``X | None`` from those of
     its parts (None: the format has no converter for that form). They read
-    by default; :data:`LEDGER_ENCODING` swaps in builders that write, and
-    :data:`LEDGER_MATCHING` builders of the patterns a line matcher reads.
+    by default (the annotation walk); :data:`LEDGER_TEXT` swaps in builders
+    of the :class:`_Text` that the compiled encoders and line matchers are
+    generated from.
     """
 
     converters: dict
@@ -382,23 +379,33 @@ def _converter(hint, fmt: Format):
     return convert
 
 
-# -- the compiled payload encoder ----------------------------------------------------
+# -- the ledger's text of each annotation --------------------------------------------
 
 
-class _Piece(NamedTuple):
-    """How a compiled encoder writes the values of one annotation, as source
-    text with ``{0}`` standing for the value: ``check`` is true exactly for
-    the values it takes (described by ``what``), and ``arg`` is what the
-    %-format ``spec`` turns into the value's canonical JSON text. The piece
-    of a dataclass is its compiled encoder, ``encode``, alone."""
+class _Text(NamedTuple):
+    """The canonical JSON text of the values of one annotation, both ways, as
+    source text with ``{0}`` standing for a value or its text.
+
+    Written by a compiled encoder: ``check`` is true exactly for the values
+    it takes (described by ``what``), and ``arg`` is what the %-format
+    ``spec`` turns into a value's text. Read by a line matcher: ``regex``,
+    with no capture group, admits exactly those texts, and ``convert`` is an
+    expression for the value whose text is ``{0}``; ``scalar``: no text
+    holds a comma outside a string. An empty ``regex`` means no matcher
+    reads the annotation (a dict, a dataclass), so a line holding one is
+    read by :func:`_parse_line`. The text of a dataclass is its compiled
+    encoder, ``encode``, alone."""
 
     check: str = ""
     spec: str = ""
     arg: str = ""
     what: str = ""
+    regex: str = ""
+    convert: str = ""
+    scalar: bool = True
     encode: typing.Callable | None = None
 
-    def inline(self) -> "_Piece":
+    def inline(self) -> "_Text":
         if self.encode is not None:
             raise TypeError("no compiled encoding for a dataclass inside a payload")
         return self
@@ -411,6 +418,14 @@ class _Piece(NamedTuple):
 
 _FLOAT_BITS = struct.Struct(">d").pack  # encode_float is _FLOAT_BITS(x).hex()
 _quoted = json.encoder.encode_basestring_ascii  # a string's JSON text, as _dumps writes it
+# What a string's JSON text holds when encode_basestring_ascii leaves every
+# character as it is: printable ASCII but the quote and the backslash.
+_PLAIN = r"[ !#-\[\]-~]*"
+_INT = "0|-?[1-9][0-9]*"
+# The item texts of a list that a tuple's regex has admitted: each is a
+# plain string or holds no comma.
+_ITEMS = re.compile(r'"[^"]*"|[^,\[\]]+')
+_fromhex = bytes.fromhex
 
 
 def _canonical_text(obj: dict) -> str:
@@ -421,27 +436,33 @@ def _misfit(member: str, what: str, value):
     raise ConfigurationError(f"{member}: expected {what}, got {value!r}")
 
 
-def _tuple_piece(item: _Piece) -> _Piece:
+def _tuple_text(item: _Text) -> _Text:
     item = item.inline()
-    return _Piece(
+    return _Text(
         f"(isinstance({{0}}, tuple) and all([{item.check.replace('{0}', '_i')} for _i in {{0}}]))",
         "[%s]",
         f"\",\".join([{item.text('_i')} for _i in {{0}}])",
         f"a tuple, each item {item.what}",
+        rf"\[(?:(?:{item.regex})(?:,(?:{item.regex}))*)?\]" if item.regex and item.scalar else "",
+        f"tuple([{item.convert.replace('{0}', '_i')} for _i in _ITEMS.findall({{0}})])",
+        scalar=False,
     )
 
 
-def _optional_piece(inner: _Piece) -> _Piece:
+def _optional_text(inner: _Text) -> _Text:
     inner = inner.inline()
-    return _Piece(
+    return _Text(
         f"({{0}} is None or {inner.check})",
         "%s",
         f"(\"null\" if {{0}} is None else {inner.text('{0}')})",
         f"{inner.what} or None",
+        inner.regex and f"null|{inner.regex}",
+        f"(None if {{0}} == 'null' else {inner.convert})",
+        inner.scalar,
     )
 
 
-def _encoder_piece(cls: type, fmt: Format) -> _Piece:
+def _encoder_piece(cls: type, fmt: Format) -> _Text:
     """Compile the encoder of the dataclass ``cls``: a function of one value
     that returns its canonical JSON text (the members its ``__init__`` takes,
     in sorted order) with one %-format, once every member has passed its
@@ -462,39 +483,47 @@ def _encoder_piece(cls: type, fmt: Format) -> _Piece:
     namespace: dict = {}
     # The module's own namespace, so the helpers are looked up when called.
     exec(compile(source, f"<encoder of {cls.__qualname__}>", "exec"), globals(), namespace)
-    return _Piece(encode=namespace["encode"])
+    return _Text(encode=namespace["encode"])
 
 
-# Ledger payloads as written: the inverse of LEDGER_FORMAT on every value it
-# reads. A float member takes any float, an int member any int but a bool.
-LEDGER_ENCODING = Format(
+# LEDGER_FORMAT's values as the ledger writes and reads their text: per
+# scalar, its check, its text, its regex and its converter. An encoder takes
+# any float for a float member and any int but a bool for an int member; a
+# line matcher takes each value only in its canonical text.
+LEDGER_TEXT = Format(
     {
-        float: _Piece("isinstance({0}, float)", '"%s"', "_FLOAT_BITS({0}).hex()", "a float"),
-        int: _Piece("(isinstance({0}, int) and type({0}) is not bool)", "%d", "{0}", "an integer"),
-        bool: _Piece("type({0}) is bool", "%s", '("true" if {0} else "false")', "a boolean"),
-        str: _Piece("isinstance({0}, str)", "%s", "_quoted({0})", "a string"),
-        bytes: _Piece("isinstance({0}, bytes)", '"%s"', "{0}.hex()", "bytes"),
-        dict: _Piece("isinstance({0}, dict)", "%s", "_canonical_text({0})", "an object"),
+        float: _Text("isinstance({0}, float)", '"%s"', "_FLOAT_BITS({0}).hex()", "a float",
+                     '"[0-9a-f]{16}"', "_UNPACK_FLOAT(_fromhex({0}[1:-1]))[0]"),
+        int: _Text("(isinstance({0}, int) and type({0}) is not bool)", "%d", "{0}", "an integer",
+                   _INT, "int({0})"),
+        bool: _Text("type({0}) is bool", "%s", '("true" if {0} else "false")', "a boolean",
+                    "true|false", "({0} == 'true')"),
+        str: _Text("isinstance({0}, str)", "%s", "_quoted({0})", "a string",
+                   f'"{_PLAIN}"', "{0}[1:-1]"),
+        bytes: _Text("isinstance({0}, bytes)", '"%s"', "{0}.hex()", "bytes",
+                     '"(?:[0-9a-f]{2})*"', "_fromhex({0}[1:-1])"),
+        dict: _Text("isinstance({0}, dict)", "%s", "_canonical_text({0})", "an object"),
     },
     defaults=False,
     of_dataclass=_encoder_piece,
-    of_tuple=_tuple_piece,
+    of_tuple=_tuple_text,
     of_dict=None,
-    of_optional=_optional_piece,
+    of_optional=_optional_text,
 )
 
 
 def _payload_text(event_type: str, payload) -> str:
     """The canonical JSON text of a record's payload: a dict's once it has
     no raw float, a typed payload's (a dataclass instance) from its class's
-    encoder, compiled on first use from the annotations :func:`strict_inverse`
-    reads it back with. ConfigurationError for a payload it cannot write."""
+    encoder, compiled on first use from the annotations the annotation walk
+    and the line matchers read it back with. ConfigurationError for a
+    payload it cannot write."""
     if isinstance(payload, dict):
         _reject_floats(payload, "$.payload")
         return _json_text(payload)
-    piece = LEDGER_ENCODING.converters.get(type(payload))
+    piece = LEDGER_TEXT.converters.get(type(payload))
     if piece is None and dataclasses.is_dataclass(payload) and not isinstance(payload, type):
-        piece = _converter(type(payload), LEDGER_ENCODING)
+        piece = _converter(type(payload), LEDGER_TEXT)
     if piece is None or piece.encode is None:
         raise ConfigurationError(
             f"payload must be a dict or a payload dataclass, got {type(payload).__name__}"
@@ -513,28 +542,10 @@ def decode_as(hint, value, fmt: Format):
     needs its ``__init__`` fields as members, those with defaults only if
     ``fmt.defaults`` is false, and no other; a tuple comes from a list.
     Anything else, and a ConfigurationError from ``__post_init__``, raises
-    ``DecodeError("<member path>: <problem>")``."""
+    ``DecodeError("<member path>: <problem>")``: a :class:`_Refusal` naming
+    the first problem in field and item order, or an unknown member before
+    a missing one."""
     return _converter(hint, fmt)(value)
-
-
-def strict_inverse(hint, what: str):
-    """The decoder of what ``map_floats(value, encode_float)`` gives for a
-    ``value`` of type ``hint``: :func:`decode_as` in :data:`LEDGER_FORMAT`,
-    where an int is never a bool and floats and bytes are lowercase hex.
-    It raises ``DecodeError("<what>: <member>: <problem>")``."""
-
-    convert = None
-
-    def decode(value):
-        nonlocal convert
-        if convert is None:  # compiled on first use, never at import
-            convert = _converter(hint, LEDGER_FORMAT)
-        try:
-            return convert(value)
-        except _Refusal as refusal:
-            raise DecodeError(f"{what}: {refusal}") from None
-
-    return decode
 
 
 def _shown(value: float) -> dict:
@@ -686,66 +697,6 @@ def _parse_line(line: bytes, seq_hint: int) -> tuple:
 
 # -- the compiled line matchers ------------------------------------------------------
 
-
-class _Pattern(NamedTuple):
-    """How a line matcher reads the values of one annotation: ``regex``, with
-    no capture group, admits exactly their canonical JSON texts, and
-    ``convert`` is an expression for the value whose text is ``{0}``.
-    ``scalar``: no text holds a comma outside a string. An empty ``regex``
-    means no matcher reads the annotation (a dict, a dataclass), so a line
-    holding one is read by :func:`_parse_line`."""
-
-    regex: str = ""
-    convert: str = ""
-    scalar: bool = True
-
-
-# What a string's JSON text holds when encode_basestring_ascii leaves every
-# character as it is: printable ASCII but the quote and the backslash.
-_PLAIN = r"[ !#-\[\]-~]*"
-_INT = "0|-?[1-9][0-9]*"
-# The item texts of a list that a tuple's pattern has admitted: each is a
-# plain string or holds no comma.
-_ITEMS = re.compile(r'"[^"]*"|[^,\[\]]+')
-_fromhex = bytes.fromhex
-
-
-def _tuple_pattern(item: _Pattern) -> _Pattern:
-    if not (item.regex and item.scalar):
-        return _Pattern()
-    return _Pattern(
-        rf"\[(?:(?:{item.regex})(?:,(?:{item.regex}))*)?\]",
-        f"tuple([{item.convert.replace('{0}', '_i')} for _i in _ITEMS.findall({{0}})])",
-        scalar=False,
-    )
-
-
-def _optional_pattern(inner: _Pattern) -> _Pattern:
-    if not inner.regex:
-        return inner
-    return inner._replace(
-        regex=f"null|{inner.regex}", convert=f"(None if {{0}} == 'null' else {inner.convert})"
-    )
-
-
-# Ledger lines as a line matcher reads them: LEDGER_FORMAT's values, each
-# only in its canonical text.
-LEDGER_MATCHING = Format(
-    {
-        float: _Pattern('"[0-9a-f]{16}"', "_UNPACK_FLOAT(_fromhex({0}[1:-1]))[0]"),
-        bytes: _Pattern('"(?:[0-9a-f]{2})*"', "_fromhex({0}[1:-1])"),
-        int: _Pattern(_INT, "int({0})"),
-        str: _Pattern(f'"{_PLAIN}"', "{0}[1:-1]"),
-        bool: _Pattern("true|false", "({0} == 'true')"),
-        dict: _Pattern(),
-    },
-    defaults=False,
-    of_dataclass=lambda cls, fmt: _Pattern(),
-    of_tuple=_tuple_pattern,
-    of_dict=None,
-    of_optional=_optional_pattern,
-)
-
 # A record's line, its members in sorted order; the groups are backend_ts,
 # device_ts, environment_profile, hash, the payload's members, prev_hash,
 # seq, stream_id and version_id.
@@ -766,19 +717,19 @@ def _line_reader(event_type: str, cls: type):
     such a record, so a line it takes would pass every check of
     :func:`_parse_line` and decode to the same value. It returns None for
     any other line and for a value ``cls`` refuses; the JSON path reads
-    those. None for a class with a member no pattern reads."""
+    those. None for a class with a member no regex reads."""
     hints = typing.get_type_hints(cls)
     fields = [f for f in dataclasses.fields(cls) if f.init]
-    patterns = {f.name: _converter(hints[f.name], LEDGER_MATCHING) for f in fields}
-    if not all(pattern.regex for pattern in patterns.values()):
+    texts = {f.name: _converter(hints[f.name], LEDGER_TEXT) for f in fields}
+    if not all(text.regex for text in texts.values()):
         return None
-    names = sorted(patterns)
+    names = sorted(texts)
     regex = _LINE % {
         "int": _INT, "plain": _PLAIN, "event_type": re.escape(_quoted(event_type)),
-        "payload": ",".join(f"{re.escape(_quoted(name))}:({patterns[name].regex})" for name in names),
+        "payload": ",".join(f"{re.escape(_quoted(name))}:({texts[name].regex})" for name in names),
     }
     var = {name: f"m{i}" for i, name in enumerate(names)}
-    args = [patterns[f.name].convert.replace("{0}", var[f.name]) for f in fields]
+    args = [texts[f.name].convert.replace("{0}", var[f.name]) for f in fields]
     source = "\n".join([
         "def read(text):",
         "    m = fullmatch(text)",
@@ -793,11 +744,8 @@ def _line_reader(event_type: str, cls: type):
         "    except (ConfigurationError, ValueError):  # ValueError: an int too long to convert",
         "        return None",
     ])
-    namespace = {
-        "fullmatch": re.compile(regex).fullmatch, "cls": cls, "event_type": event_type,
-        "ConfigurationError": ConfigurationError, "_UNPACK_FLOAT": _UNPACK_FLOAT,
-        "_fromhex": _fromhex, "_ITEMS": _ITEMS,
-    }
+    # The module's own names, and the three this matcher binds.
+    namespace = {**globals(), "fullmatch": re.compile(regex).fullmatch, "cls": cls, "event_type": event_type}
     exec(compile(source, f"<line matcher of {cls.__qualname__}>", "exec"), namespace)
     return namespace["read"]
 

@@ -125,9 +125,12 @@ class ImputationPolicy:
     def __post_init__(self):
         if self.horizon < 0:
             raise ConfigurationError("imputation.horizon must be non-negative")
-        object.__setattr__(
-            self, "defaults", {k: float(v) for k, v in dict(self.defaults).items()}
-        )
+        defaults = {k: float(v) for k, v in dict(self.defaults).items()}
+        for name, value in defaults.items():
+            # A snapshot holding a NaN or infinite default fails every later update.
+            if not math.isfinite(value):
+                raise ConfigurationError(f"imputation.defaults.{name} must be finite, got {value!r}")
+        object.__setattr__(self, "defaults", defaults)
 
     def default_for(self, feature: str) -> float:
         if feature not in self.defaults:

@@ -20,7 +20,7 @@ from pathlib import Path
 from . import events, policy
 from .config import EnvironmentSpec, RunConfig, config_digest, header_config_dict
 from .errors import ConfigurationError
-from .ledger import LEDGER_ENCODING, Ledger, _converter, report_bytes
+from .ledger import LEDGER_TEXT, Ledger, _converter, report_bytes
 from .replay import default_logic
 from .rng import SplitMix64, derive_seed
 from .runtime import MS_PER_DAY, MS_PER_MINUTE, FeatureSpec, Runtime
@@ -475,7 +475,7 @@ def _run_tasks(tasks: list[tuple], jobs: int = 1) -> list[EvalRow]:
     # posterior kernels of a dimension on their first call; compiled here,
     # before the pool forks, the workers inherit them.
     for cls in events.PAYLOADS.values():
-        _converter(cls, LEDGER_ENCODING)
+        _converter(cls, LEDGER_TEXT)
     for dim in {task[1].model.dim for task in tasks}:
         policy.kernels(dim)
     with ProcessPoolExecutor(max_workers=jobs) as pool:

@@ -103,6 +103,24 @@ def test_replay_verify_on_a_broken_chain_keeps_its_message(tmp_path, ledger_path
     assert not out.exists()
 
 
+def test_replay_verify_refuses_an_existing_out_before_reading_the_ledger(
+    tmp_path, ledger_path, monkeypatch, capsys
+):
+    from ledgerloop import ledger
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the ledger was read")
+
+    monkeypatch.setattr(ledger, "read_records", refuse)
+    out = tmp_path / "div.txt"
+    out.write_bytes(b"kept")
+    assert main(["replay-verify", "--ledger", str(ledger_path), "--out", str(out)]) == 74
+    assert capsys.readouterr().err == (
+        f"storage error: output {out} already exists; reruns require a new output path\n"
+    )
+    assert out.read_bytes() == b"kept"
+
+
 def _set(**members):
     return lambda record: record.update(members)
 

@@ -8,7 +8,7 @@ from ledgerloop.config import (
     load_config,
 )
 from ledgerloop.errors import ConfigurationError
-from ledgerloop.ledger import strict_inverse
+from ledgerloop.ledger import LEDGER_FORMAT, decode_as
 from ledgerloop.policy import ModelConfig
 
 
@@ -72,8 +72,7 @@ def test_version_switch_beyond_trial_rejected_at_run_time():
 
 def test_model_config_canonical_round_trip():
     config = make_run_config()
-    decode = strict_inverse(ModelConfig, "model")
-    back = decode(header_config_dict(config, ["p000"])["model"])
+    back = decode_as(ModelConfig, header_config_dict(config, ["p000"])["model"], LEDGER_FORMAT)
     assert back == config.model
 
 
@@ -117,6 +116,13 @@ CONFIG_PROBES = [
     ({"version_switch": {"version_id": "v2"}}, "version_switch.day: missing"),
     ({"model": {"nosie_variance": 2.0}}, "model.nosie_variance: not a member"),
     ({"modle": {}}, "modle: not a member"),
+    # A default the runtime could impute into a snapshot is finite.
+    ({"imputation": {"defaults": {"engagement": float("nan")}}},
+     "imputation: imputation.defaults.engagement must be finite, got nan"),
+    ({"imputation": {"defaults": {"engagement": float("inf")}}},
+     "imputation: imputation.defaults.engagement must be finite, got inf"),
+    ({"imputation": {"defaults": {"engagement": float("-inf")}}},
+     "imputation: imputation.defaults.engagement must be finite, got -inf"),
     # Two bad members: the first in field order.
     ({"model": {"version_id": 7, "noise_variance": "x"}},
      "model.noise_variance: expected a number, got 'x'"),

@@ -17,7 +17,7 @@ from ledgerloop.policy import (
     init_state,
     update_posterior,
 )
-from ledgerloop.runtime import MS_PER_DAY, Schedule
+from ledgerloop.runtime import MS_PER_DAY, ImputationPolicy, Schedule
 
 H9 = 9 * 3_600_000  # 09:00 in ms
 H18 = 18 * 3_600_000
@@ -269,13 +269,19 @@ def test_corrupt_state_falls_back_to_uniform(file_runtime):
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
-def test_a_non_finite_feature_falls_back_to_uniform(tmp_path, capsys, bad):
-    # A non-finite datum is refused at ingest, but an imputation default
-    # can still be one. Its pi_raw is NaN: the logic refuses it (DataError),
-    # so the decision is the uniform fallback with an ERROR before it, and
-    # it replays exact.
+def test_a_non_finite_feature_falls_back_to_uniform(tmp_path, capsys, monkeypatch, bad):
+    # A non-finite datum is refused at ingest and a non-finite imputation
+    # default at config load, so the value is imputed through a patched
+    # default. Its pi_raw is NaN: the logic refuses it (DataError), so the
+    # decision is the uniform fallback with an ERROR before it, and it
+    # replays exact.
+    default_for = ImputationPolicy.default_for
+    monkeypatch.setattr(
+        ImputationPolicy, "default_for",
+        lambda self, feature: bad if feature == "engagement" else default_for(self, feature),
+    )
     path = tmp_path / "ledger.ndjson"
-    config = make_run_config(imputation={"defaults": {"engagement": bad}})
+    config = make_run_config()
     runtime = make_runtime(config, participants=("p0",), path=path)
     start_runtime(runtime)
     ts = runtime.schedule.due_ts(0) - 1000

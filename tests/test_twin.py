@@ -7,7 +7,7 @@ import pytest
 from conftest import make_run_config, records_of
 from ledgerloop import events, policy
 from ledgerloop.errors import ConfigurationError
-from ledgerloop.ledger import LEDGER_ENCODING, read_records
+from ledgerloop.ledger import LEDGER_TEXT, read_records
 from ledgerloop.twin import (
     EnvironmentSpec,
     ParticipantTwin,
@@ -313,11 +313,11 @@ def test_pool_workers_inherit_the_compiled_payload_encoders(monkeypatch):
     # Compiled in the parent before the pool forks, not once in each worker:
     # the payload encoders and the posterior kernels of the run's dimension.
     for cls in events.PAYLOADS.values():
-        monkeypatch.delitem(LEDGER_ENCODING.converters, cls, raising=False)
+        monkeypatch.delitem(LEDGER_TEXT.converters, cls, raising=False)
     monkeypatch.setattr(policy, "_KERNELS", {})
     config = make_run_config()
     run_grid(config, [small_env(n_days=1)], [1, 2], jobs=2)
-    assert all(cls in LEDGER_ENCODING.converters for cls in events.PAYLOADS.values())
+    assert all(cls in LEDGER_TEXT.converters for cls in events.PAYLOADS.values())
     assert list(policy._KERNELS) == [config.model.dim]
 
 
