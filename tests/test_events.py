@@ -132,10 +132,6 @@ def _with(event_type: str, **members) -> dict:
     return {**encode(VALUES[event_type]), **members}
 
 
-def _without(event_type: str, name: str) -> dict:
-    return {k: v for k, v in encode(VALUES[event_type]).items() if k != name}
-
-
 @pytest.mark.parametrize(
     "event_type, payload, message",
     [
@@ -173,7 +169,7 @@ def test_decode_refuses_what_append_cannot_write(event_type, payload, message):
          "malformed DECISION payload: pi: expected 16 lowercase hex chars, got 7"),
         # One member unknown and one missing: the unknown one, though the
         # missing one sorts first.
-        ("DECISION", {**_without("DECISION", "action"), "zzz": 1},
+        ("DECISION", {**{k: v for k, v in _with("DECISION").items() if k != "action"}, "zzz": 1},
          "malformed DECISION payload: zzz: not a member"),
         # Two bad items: the first index.
         ("MODEL_UPDATE", _with("MODEL_UPDATE", batch_seqs=[4, False, "x"]),
