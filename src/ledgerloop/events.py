@@ -2,8 +2,8 @@
 
 Each event type's payload is one frozen dataclass (:data:`PAYLOADS`). Its
 annotations are compiled by the ledger's one annotation compiler: into the
-encoder :meth:`ledgerloop.ledger.Ledger.append` writes it with
-(:func:`append`), whose bytes are those of ``map_floats(value,
+writer :meth:`ledgerloop.ledger.Ledger.append` writes its records with
+(:func:`append`), whose payload bytes are those of ``map_floats(value,
 encode_float)``; into the line matcher a typed read of a ledger file
 (``read_records(path, PAYLOADS)``) decodes its records with; and into the
 annotation walk, ``decode_as(cls, payload, LEDGER_FORMAT)``, which decodes
@@ -150,12 +150,12 @@ PAYLOADS: dict[str, type] = {
 _EVENT_TYPES = {cls: event_type for event_type, cls in PAYLOADS.items()}
 
 
-def append(ledger: Ledger, value, **envelope) -> EventEnvelope:
+def append(ledger: Ledger, value, backend_ts: int, version_id: str, device_ts: int | None = None) -> EventEnvelope:
     """Append ``value``, an instance of one of :data:`PAYLOADS`, as a record
     of its event type; :meth:`Ledger.append` writes it with its class's
-    compiled encoder, and refuses it (ConfigurationError) if a member's type
+    compiled writer, and refuses it (ConfigurationError) if a member's type
     is not its annotation's."""
-    return ledger.append(_EVENT_TYPES[type(value)], value, **envelope)
+    return ledger.append(_EVENT_TYPES[type(value)], value, backend_ts, version_id, device_ts)
 
 
 def decode_payload(event_type: str, payload):

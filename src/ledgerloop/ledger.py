@@ -6,23 +6,25 @@ lexicographically sorted keys, no insignificant whitespace, integers in base
 :func:`encode_float`). Record ``n`` has ``seq == n``; its ``hash`` is the
 SHA-256 of ``prev_hash`` concatenated with the canonical bytes of the record
 body (everything except the ``hash`` field itself), and record 0 chains from
-32 zero bytes. The line is the body with the ``hash`` member inserted (see
-:func:`_line`). Any single corrupted byte therefore breaks either a hash
-recomputation or the chain linkage.
+32 zero bytes. The line is the body with the ``hash`` member inserted where
+sorting puts it, just before ``payload``. Any single corrupted byte
+therefore breaks either a hash recomputation or the chain linkage.
 
 Canonical bytes have one definition, :func:`_dumps` (``json`` with sorted
 keys and compact ASCII separators). :func:`canonical_json_bytes` is it with
 a check for raw floats first; reports (:func:`report_bytes`), the config
 digest and dict payloads are written with it, and the read pass's JSON path
-re-encodes every line it reads with it. A record's body is written by
-:func:`_body` with one %-format of its scalar envelope members around the
-payload's text.
+re-encodes every line it reads with it. :meth:`Ledger.append` writes a
+record's members before and after ``hash`` (see :data:`_HEAD`) with one
+%-format each, hashes them, and writes them around the hash member with one
+unbuffered write; :meth:`EventEnvelope.to_line` is the ``_dumps`` reference.
 
 One annotation compiler, :func:`_converter`, reads each payload class's
 annotations two ways. With :data:`LEDGER_TEXT`, one table that states each
 scalar's check, text, regex and converter side by side, it generates
 straight-line code on the class's first use (never at import): the
-encoder, which checks each member's type and writes the bytes ``_dumps``
+writer (:func:`_writer_piece`), which checks each member's type and writes
+a record of the class's event type whose payload is the bytes ``_dumps``
 would give for ``map_floats(value, encode_float)``; and the line matcher
 (:func:`_line_reader`), one anchored regex over a whole record line that
 admits only the canonical bytes of a record carrying that class's payload,
@@ -180,7 +182,7 @@ def map_floats(obj, show):
     their lowercase hex, a tuple by a list, and a dataclass by the dict of
     the fields its ``__init__`` takes. ``decode_as(hint, value,
     LEDGER_FORMAT)`` reads back what ``show=encode_float`` gives; a ledger
-    payload's compiled encoder writes the canonical bytes of exactly that."""
+    payload's compiled writer writes the canonical bytes of exactly that."""
     kind = type(obj)
     if kind in _LEAVES:
         return obj
@@ -320,7 +322,7 @@ class Format:
     ``tuple[X, ...]``, a ``dict[str, X]`` and an ``X | None`` from those of
     its parts (None: the format has no converter for that form). They read
     by default (the annotation walk); :data:`LEDGER_TEXT` swaps in builders
-    of the :class:`_Text` that the compiled encoders and line matchers are
+    of the :class:`_Text` that the compiled writers and line matchers are
     generated from.
     """
 
@@ -386,15 +388,16 @@ class _Text(NamedTuple):
     """The canonical JSON text of the values of one annotation, both ways, as
     source text with ``{0}`` standing for a value or its text.
 
-    Written by a compiled encoder: ``check`` is true exactly for the values
+    Written by a compiled writer: ``check`` is true exactly for the values
     it takes (described by ``what``), and ``arg`` is what the %-format
     ``spec`` turns into a value's text. Read by a line matcher: ``regex``,
     with no capture group, admits exactly those texts, and ``convert`` is an
     expression for the value whose text is ``{0}``; ``scalar``: no text
     holds a comma outside a string. An empty ``regex`` means no matcher
     reads the annotation (a dict, a dataclass), so a line holding one is
-    read by :func:`_parse_line`. The text of a dataclass is its compiled
-    encoder, ``encode``, alone."""
+    read by :func:`_parse_line`. ``write`` writes a record with a payload of
+    the annotation: :func:`_write_dict` for a dict, and for a payload class
+    its compiled writer, which is all of its text."""
 
     check: str = ""
     spec: str = ""
@@ -403,10 +406,10 @@ class _Text(NamedTuple):
     regex: str = ""
     convert: str = ""
     scalar: bool = True
-    encode: typing.Callable | None = None
+    write: typing.Callable | None = None
 
     def inline(self) -> "_Text":
-        if self.encode is not None:
+        if not self.check:
             raise TypeError("no compiled encoding for a dataclass inside a payload")
         return self
 
@@ -462,32 +465,64 @@ def _optional_text(inner: _Text) -> _Text:
     )
 
 
-def _encoder_piece(cls: type, fmt: Format) -> _Text:
-    """Compile the encoder of the dataclass ``cls``: a function of one value
-    that returns its canonical JSON text (the members its ``__init__`` takes,
-    in sorted order) with one %-format, once every member has passed its
-    check; a member that does not raises ConfigurationError naming it."""
+# A record's line on either side of its ``hash`` member, in sorted member
+# order, with the event type's and the payload's text to fill in. Each then
+# takes one %-format; append checks that the envelope's ints are exact, so
+# %s writes them as %d would, and faster.
+_HEAD = '{"backend_ts":%%s,"device_ts":%%s,"environment_profile":%%s,"event_type":%s'
+_TAIL = ',"payload":%s,"prev_hash":"%%s","seq":%%s,"stream_id":%%s,"version_id":%%s}'
+_ANY_HEAD, _DICT_TAIL = _HEAD % "%s", _TAIL % "%s"
+
+
+def _write_dict(payload, event_type, backend_ts, device_ts, profile, prev_hex, seq, stream, version_id):
+    """The head and tail of a record with a dict payload, once it holds no
+    raw float; the generated writers' arguments and bytes."""
+    _reject_floats(payload, "$.payload")
+    device = "null" if device_ts is None else device_ts
+    return ((_ANY_HEAD % (backend_ts, device, profile, _quoted(event_type))).encode("ascii"),
+            (_DICT_TAIL % (_json_text(payload), prev_hex, seq, stream, _quoted(version_id))).encode("ascii"))
+
+
+def _writer_piece(cls: type, fmt: Format) -> _Text:
+    """Compile the writer of the payload class ``cls``, with its event type
+    (``events.PAYLOADS``) baked in: a function of a value and the record's
+    envelope members (``stream`` and ``profile`` as their JSON text, the
+    previous hash as hex) that returns the record's head and tail as ASCII
+    bytes (see :data:`_HEAD`), each with one %-format, once every member has
+    passed its check. A member that does not, or another event type, raises
+    ConfigurationError naming it. No writer for a class that is no event
+    type's payload."""
+    from .events import _EVENT_TYPES  # the schema; it imports this module
+
+    event_type = _EVENT_TYPES.get(cls)
+    if event_type is None:
+        return _Text()
     hints = typing.get_type_hints(cls)
     names = sorted(f.name for f in dataclasses.fields(cls) if f.init)
     members = [(name, f"m{i}", _converter(hints[name], fmt).inline()) for i, name in enumerate(names)]
-    spec = ",".join(_quoted(name) + ":" + piece.spec for name, _, piece in members)
+    payload = "{" + ",".join(_quoted(name) + ":" + piece.spec for name, _, piece in members) + "}"
     checks = [piece.check.replace("{0}", var) for _, var, piece in members]
+    args = "".join(piece.arg.replace("{0}", var) + ", " for _, var, piece in members)
     source = "\n".join([
-        "def encode(value):",
+        "def write(value, event_type, backend_ts, device_ts, profile, prev_hex, seq, stream, version_id):",
+        f"    if event_type != {event_type!r}:",
+        f"        raise ConfigurationError(f'{{event_type}} payload: a {cls.__name__} is the payload of {event_type}')",
         *(f"    {var} = value.{name}" for name, var, _ in members),
         f"    if not ({' and '.join(checks) or 'True'}):",
-        *(f"        if not {check}: _misfit({name!r}, {piece.what!r}, {var})"
+        *(f"        if not {check}: _misfit({event_type + ' payload: ' + name!r}, {piece.what!r}, {var})"
           for (name, var, piece), check in zip(members, checks)),
-        f"    return {'{' + spec + '}'!r} % ({''.join(piece.arg.replace('{0}', var) + ', ' for _, var, piece in members)})",
+        f"    return (({_HEAD % _quoted(event_type)!r} % (backend_ts, 'null' if device_ts is None else device_ts,"
+        " profile)).encode('ascii'),",
+        f"            ({_TAIL % payload!r} % ({args}prev_hex, seq, stream, _quoted(version_id))).encode('ascii'))",
     ])
     namespace: dict = {}
     # The module's own namespace, so the helpers are looked up when called.
-    exec(compile(source, f"<encoder of {cls.__qualname__}>", "exec"), globals(), namespace)
-    return _Text(encode=namespace["encode"])
+    exec(compile(source, f"<writer of {cls.__qualname__}>", "exec"), globals(), namespace)
+    return _Text(write=namespace["write"])
 
 
 # LEDGER_FORMAT's values as the ledger writes and reads their text: per
-# scalar, its check, its text, its regex and its converter. An encoder takes
+# scalar, its check, its text, its regex and its converter. A writer takes
 # any float for a float member and any int but a bool for an int member; a
 # line matcher takes each value only in its canonical text.
 LEDGER_TEXT = Format(
@@ -502,36 +537,14 @@ LEDGER_TEXT = Format(
                    f'"{_PLAIN}"', "{0}[1:-1]"),
         bytes: _Text("isinstance({0}, bytes)", '"%s"', "{0}.hex()", "bytes",
                      '"(?:[0-9a-f]{2})*"', "_fromhex({0}[1:-1])"),
-        dict: _Text("isinstance({0}, dict)", "%s", "_canonical_text({0})", "an object"),
+        dict: _Text("isinstance({0}, dict)", "%s", "_canonical_text({0})", "an object", write=_write_dict),
     },
     defaults=False,
-    of_dataclass=_encoder_piece,
+    of_dataclass=_writer_piece,
     of_tuple=_tuple_text,
     of_dict=None,
     of_optional=_optional_text,
 )
-
-
-def _payload_text(event_type: str, payload) -> str:
-    """The canonical JSON text of a record's payload: a dict's once it has
-    no raw float, a typed payload's (a dataclass instance) from its class's
-    encoder, compiled on first use from the annotations the annotation walk
-    and the line matchers read it back with. ConfigurationError for a
-    payload it cannot write."""
-    if isinstance(payload, dict):
-        _reject_floats(payload, "$.payload")
-        return _json_text(payload)
-    piece = LEDGER_TEXT.converters.get(type(payload))
-    if piece is None and dataclasses.is_dataclass(payload) and not isinstance(payload, type):
-        piece = _converter(type(payload), LEDGER_TEXT)
-    if piece is None or piece.encode is None:
-        raise ConfigurationError(
-            f"payload must be a dict or a payload dataclass, got {type(payload).__name__}"
-        )
-    try:
-        return piece.encode(payload)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"{event_type} payload: {exc}") from None
 
 
 def decode_as(hint, value, fmt: Format):
@@ -581,10 +594,11 @@ class EventEnvelope(NamedTuple):
 
     def body_dict(self) -> dict:
         """Record body as written to disk, minus the hash field; a typed
-        payload as the JSON object of the text its encoder wrote."""
+        payload as ``map_floats(payload, encode_float)``, whose canonical
+        bytes its class's writer wrote."""
         payload = self.payload
         if not isinstance(payload, dict):
-            payload = _DECODER.decode(_payload_text(self.event_type, payload))
+            payload = map_floats(payload, encode_float)
         return {
             "seq": self.seq,
             "stream_id": self.stream_id,
@@ -598,44 +612,19 @@ class EventEnvelope(NamedTuple):
         }
 
     def to_line(self) -> bytes:
-        """The record's line, without the newline: the bytes :meth:`Ledger.append` wrote."""
-        return _line(_dumps(self.body_dict()), self.hash)
+        """The record's line, without the newline: the canonical bytes of
+        its body dict with the ``hash`` member, which :meth:`Ledger.append`
+        wrote without building that dict."""
+        return _dumps({**self.body_dict(), "hash": self.hash.hex()})
 
 
 def compute_record_hash(prev_hash: bytes, body_bytes: bytes) -> bytes:
     return hashlib.sha256(prev_hash + body_bytes).digest()
 
 
-# A record body: its members in sorted order, the payload as its JSON text.
-_BODY = (
-    '{"backend_ts":%d,"device_ts":%s,"environment_profile":%s,"event_type":%s,'
-    '"payload":%s,"prev_hash":"%s","seq":%d,"stream_id":%s,"version_id":%s}'
-)
-
-
-def _body(seq, stream_id, environment_profile, device_ts, backend_ts, version_id,
-          event_type, payload_text, prev_hash) -> bytes:
-    """A record's canonical body (every member but ``hash``) with one
-    %-format: the bytes :func:`_dumps` gives for its body dict, since every
-    envelope member is an int, None or a string."""
-    return (_BODY % (
-        backend_ts, "null" if device_ts is None else device_ts, _quoted(environment_profile),
-        _quoted(event_type), payload_text, prev_hash.hex(), seq, _quoted(stream_id),
-        _quoted(version_id),
-    )).encode("ascii")
-
-
-def _line(body: bytes, rec_hash: bytes) -> bytes:
-    """A record's line: its canonical body with ``,"hash":"<hex>"`` inserted
-    just before ``,"payload":``, where sorting puts it. Every member ahead of
-    ``payload`` is a scalar, so the first ``,"payload":`` is the member."""
-    at = body.index(b',"payload":')
-    return body[:at] + b',"hash":"' + rec_hash.hex().encode("ascii") + b'"' + body[at:]
-
-
 def _is_device_ts(value) -> bool:
     # An integer (bool is not one) or None. Keeping it a scalar keeps every
-    # member that sorts before "payload" a scalar, which _line relies on.
+    # member that sorts before "hash" a scalar, which _verified relies on.
     return value is None or type(value) is int
 
 
@@ -755,9 +744,9 @@ class Ledger:
 
     A ledger is a writer: it chains and hashes each record and keeps only
     the last one, whose seq gives :func:`len` and whose hash is the chain
-    head. With a ``path`` each record's line is written to that file (flushed,
-    and fsynced by default, before the append returns); read the records
-    back with :func:`read_records`. With ``path=None``, as the digital twin's
+    head. With a ``path`` each record's line is written to that file with one
+    unbuffered write (and fsynced by default) before the append returns, so
+    a reader sees it at once; read the records back with :func:`read_records`. With ``path=None``, as the digital twin's
     throwaway evaluation runs use, nothing else is kept: the records are
     chained and hashed exactly as they would be written, so the head is the
     one the same run's file would end at. The file is opened for appending
@@ -785,6 +774,8 @@ class Ledger:
             raise ConfigurationError(f"stream_id must be a string, got {stream_id!r}")
         self.stream_id = stream_id
         self.environment_profile = environment_profile
+        # Their JSON text, as every record's line holds it.
+        self._stream_text, self._profile_text = _quoted(stream_id), _quoted(environment_profile)
         self.path = Path(path) if path is not None else None
         self.fsync = fsync
         self._lock = threading.Lock()
@@ -802,7 +793,7 @@ class Ledger:
         """The append handle of a file-backed ledger, opened on first use."""
         if self._handle is None and self.path is not None:
             try:
-                self._handle = open(self.path, "ab")
+                self._handle = open(self.path, "ab", buffering=0)
             except OSError as exc:
                 raise StorageError(f"cannot open ledger file for appending: {exc}") from None
             self._size = self._handle.tell()  # append mode starts at the end
@@ -848,12 +839,14 @@ class Ledger:
         """Append one record: assigns seq, chains hashes, writes durably.
 
         ``payload`` is a canonical-ready dict, checked for raw floats, or a
-        typed payload (a dataclass instance), written by its class's
-        compiled encoder: the bytes of ``map_floats(payload,
-        encode_float)``, once every member holds its annotation's type (a
-        float member any float, an int member any int but a bool). A
-        payload that cannot be written is a ConfigurationError naming the
-        event type and the member, raised before anything is written.
+        typed payload (an instance of ``event_type``'s payload class),
+        written by its class's compiled writer: the bytes of
+        ``map_floats(payload, encode_float)``, once every member holds its
+        annotation's type (a float member any float, an int member any int
+        but a bool). A payload that cannot be written is a
+        ConfigurationError naming the event type and the member or class,
+        raised before anything is written. A write that fails or is short
+        is a StorageError, and the file is cut back to its last record.
         ``stream_id``/``environment_profile`` default to the ledger's own;
         passing a mismatching value is an isolation error, which is how
         mixed-profile ledgers are made unrepresentable.
@@ -864,38 +857,45 @@ class Ledger:
             raise ConfigurationError(f"device_ts must be an integer or None, got {device_ts!r}")
         if type(backend_ts) is not int or not isinstance(version_id, str):
             raise ConfigurationError("backend_ts must be an integer and version_id a string")
-        text = _payload_text(event_type, payload)
-        if stream_id is not None and stream_id != self.stream_id:
-            raise IsolationError(
-                f"stream {stream_id!r} does not match ledger stream {self.stream_id!r}"
-            )
-        if environment_profile is not None and environment_profile != self.environment_profile:
-            raise IsolationError(
-                f"profile {environment_profile!r} does not match ledger "
-                f"profile {self.environment_profile!r}"
+        kind = dict if isinstance(payload, dict) else type(payload)
+        piece = LEDGER_TEXT.converters.get(kind)
+        if piece is None and dataclasses.is_dataclass(kind):
+            piece = _converter(kind, LEDGER_TEXT)
+        if piece is None or piece.write is None:
+            raise ConfigurationError(
+                f"payload must be a dict or a payload dataclass, got {type(payload).__name__}"
             )
         with self._lock:
-            if self._torn:
-                raise StorageError(f"{self.path} ends in a torn record; refusing to append")
             last = self._last
             seq, prev_hash = (0, GENESIS_HASH) if last is None else (last.seq + 1, last.hash)
+            head, tail = piece.write(payload, event_type, backend_ts, device_ts, self._profile_text,
+                                     prev_hash.hex(), seq, self._stream_text, version_id)
+            if stream_id is not None and stream_id != self.stream_id:
+                raise IsolationError(
+                    f"stream {stream_id!r} does not match ledger stream {self.stream_id!r}"
+                )
+            if environment_profile is not None and environment_profile != self.environment_profile:
+                raise IsolationError(
+                    f"profile {environment_profile!r} does not match ledger "
+                    f"profile {self.environment_profile!r}"
+                )
+            if self._torn:
+                raise StorageError(f"{self.path} ends in a torn record; refusing to append")
             if event_type == "HEADER" and seq != 0:
                 raise ConfigurationError("HEADER is only valid at seq 0")
-            body = _body(
-                seq, self.stream_id, self.environment_profile, device_ts, backend_ts,
-                version_id, event_type, text, prev_hash,
-            )
-            rec_hash = compute_record_hash(prev_hash, body)
-            envelope = EventEnvelope(
+            rec_hash = hashlib.sha256(prev_hash + head + tail).digest()
+            envelope = tuple.__new__(EventEnvelope, (  # EventEnvelope(...), minus a Python call
                 seq, self.stream_id, self.environment_profile, device_ts, backend_ts,
                 version_id, event_type, payload, prev_hash, rec_hash,
-            )
+            ))
             if self.path is not None:
-                line = _line(body, rec_hash) + b"\n"
+                line = b'%s,"hash":"%s"%s\n' % (head, rec_hash.hex().encode("ascii"), tail)
                 fh = self._fh
                 try:
-                    fh.write(line)
-                    fh.flush()
+                    # The handle is unbuffered: one write, which may be short.
+                    written = fh.write(line)
+                    if written != len(line):
+                        raise OSError(f"wrote {written} of {len(line)} bytes")
                     if self.fsync:
                         os.fsync(fh.fileno())
                 except OSError as exc:

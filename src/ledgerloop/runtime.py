@@ -205,10 +205,10 @@ class Runtime:
             self.schedule.due_ts(i) for i in range(self.schedule.total_points)
         ]
 
-    def _log(self, value, **envelope) -> EventEnvelope:
+    def _log(self, value, backend_ts: int, version_id: str, device_ts: int | None = None) -> EventEnvelope:
         """Append ``value`` as the payload of a record of its event type and
         fold the record into the index with it."""
-        record = events.append(self.ledger, value, **envelope)
+        record = events.append(self.ledger, value, backend_ts, version_id, device_ts)
         self.index.apply(record, value)
         return record
 

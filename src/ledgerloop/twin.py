@@ -471,7 +471,7 @@ def _run_tasks(tasks: list[tuple], jobs: int = 1) -> list[EvalRow]:
         return [_eval_row_task(task) for task in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
-    # Each payload class's encoder is compiled on its first append, and the
+    # Each payload class's writer is compiled on its first append, and the
     # posterior kernels of a dimension on their first call; compiled here,
     # before the pool forks, the workers inherit them.
     for cls in events.PAYLOADS.values():

@@ -279,7 +279,7 @@ def test_config_probes_exit_64_with_one_line(tmp_path, config_path, capsys, verb
 
 
 def test_importing_the_cli_compiles_no_kernel_and_no_decoder():
-    # The posterior kernels, the payload encoders and the line matchers are
+    # The posterior kernels, the record writers and the line matchers are
     # compiled on first use, so a verb's set-up is only its imports; checked
     # in a fresh interpreter, since this one has run verbs already.
     script = (
@@ -287,7 +287,7 @@ def test_importing_the_cli_compiles_no_kernel_and_no_decoder():
         "import ledgerloop.cli\n"
         "from ledgerloop import ledger, policy\n"
         "compiled = [f.__code__.co_filename for f in gc.get_objects() if isinstance(f, types.FunctionType)\n"
-        "            and f.__code__.co_filename.startswith(('<kernels of', '<line matcher of', '<encoder of'))]\n"
+        "            and f.__code__.co_filename.startswith(('<kernels of', '<line matcher of', '<writer of'))]\n"
         "print(len(policy._KERNELS), ledger._line_reader.cache_info().currsize, compiled)\n"
     )
     root = Path(__file__).resolve().parents[1]

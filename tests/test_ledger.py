@@ -466,6 +466,106 @@ def test_append_refused_when_torn_bytes_cannot_be_cut(tmp_path):
     assert len(ledger) == 1
 
 
+class _ShortHandle:
+    """File handle stand-in whose next write puts half the bytes in the file
+    and returns that count without raising, as an unbuffered write may."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.armed = True
+
+    def write(self, data):
+        if not self.armed:
+            return self._fh.write(data)
+        self.armed = False
+        return self._fh.write(data[: len(data) // 2])
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def test_a_short_write_is_a_failed_append(tmp_path):
+    ledger = make_ledger(tmp_path)
+    first = append_n(ledger, 1)[0]
+    size = ledger.path.stat().st_size
+    ledger._fh = _ShortHandle(ledger._fh)
+    with pytest.raises(StorageError, match=r"append to .* failed: wrote \d+ of \d+ bytes"):
+        append_n(ledger, 1)
+    assert ledger.path.stat().st_size == size
+    assert len(ledger) == 1
+    more = ledger.append("ALERT", {"note": "after"}, backend_ts=5, version_id="v1")
+    assert (more.seq, more.prev_hash) == (1, first.hash)
+    ledger.close()
+    assert [r.hash for r in read_records(ledger.path)] == [first.hash, more.hash]
+
+
+def test_each_record_is_readable_as_soon_as_its_append_returns(tmp_path):
+    # No user-space buffering: a live audit of a running trial reads every
+    # record appended so far, from a new ledger and from a reopened one.
+    from ledgerloop.events import DatumInfo, append
+
+    def appended_and_read(ledger, i):
+        if i % 2:
+            append(ledger, DatumInfo("p0", "f", i / 4, i, None), backend_ts=i, version_id="v1")
+        else:
+            ledger.append("ALERT", {"i": i}, backend_ts=i, version_id="v1")
+        records = list(read_records(ledger.path))
+        assert len(records) == len(ledger)
+        assert records[-1].hash == ledger.last().hash
+
+    path = tmp_path / "live.ndjson"
+    with Ledger("s", "test", path=path, fsync=False) as ledger:
+        for i in range(3):
+            appended_and_read(ledger, i)
+    with Ledger.open(path) as reopened:
+        for i in range(3, 6):
+            appended_and_read(reopened, i)
+
+
+def test_append_refusals_keep_their_order(tmp_path):
+    # A call with every problem from one step on is refused for that step's.
+    ledger = make_ledger(tmp_path)
+    append_n(ledger, 1)
+    handle = _TearingHandle(ledger._fh)
+
+    def failing_truncate(size):
+        raise OSError(5, "Input/output error")
+
+    handle.truncate = failing_truncate
+    ledger._fh = handle
+    with pytest.raises(StorageError):
+        append_n(ledger, 1)  # the ledger now ends in a torn record
+    steps = [
+        ({"event_type": "NOPE"}, ConfigurationError, "unknown event_type"),
+        ({"device_ts": 1.5}, ConfigurationError, "device_ts must be"),
+        ({"backend_ts": "0"}, ConfigurationError, "backend_ts must be"),
+        ({"payload": {"x": 0.5}}, ConfigurationError, "raw float"),
+        ({"stream_id": "other"}, IsolationError, "stream 'other'"),
+        ({"environment_profile": "dev"}, IsolationError, "profile 'dev'"),
+    ]
+    for i, (_, kind, message) in enumerate(steps):
+        call = {"event_type": "HEADER", "payload": {}, "backend_ts": 0, "version_id": "v1"}
+        for override, _, _ in steps[i:]:
+            call.update(override)
+        with pytest.raises(kind, match=message):
+            ledger.append(**call)
+    with pytest.raises(StorageError, match="torn"):
+        ledger.append("HEADER", {}, backend_ts=0, version_id="v1")
+    # A typed payload's refusal comes before isolation, isolation before the
+    # HEADER's place.
+    from ledgerloop.events import DatumInfo
+
+    whole = make_ledger()
+    append_n(whole, 1)
+    with pytest.raises(ConfigurationError, match="value: expected a float"):
+        whole.append("DATA_INGESTED", DatumInfo("p0", "f", 1, 5, None), 0, "v1", stream_id="other")
+    with pytest.raises(IsolationError):
+        whole.append("HEADER", {}, backend_ts=0, version_id="v1", stream_id="other")
+    with pytest.raises(ConfigurationError, match="HEADER is only valid at seq 0"):
+        whole.append("HEADER", {}, backend_ts=0, version_id="v1")
+    assert len(whole) == 1
+
+
 def test_raw_float_with_valid_chain_is_reported_at_its_seq(tmp_path):
     ledger = make_ledger(tmp_path)
     append_n(ledger, 3)

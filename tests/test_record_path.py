@@ -1,5 +1,5 @@
 """The single-step append against the two-envelope append it replaced, the
-compiled payload encoder against ``map_floats``, and the read pass on hashes
+compiled record writers against ``map_floats``, and the read pass on hashes
 written in a form ``bytes.fromhex`` accepts but the canonical encoding does
 not.
 
@@ -9,10 +9,11 @@ walks the whole body for raw floats), the hash, then a second envelope. The
 new append walks only a dict payload and encodes the body once; for any
 JSON-like payload it must give the same line and hash, or refuse it with the
 same message. A typed payload (a dataclass) is written by its class's
-compiled encoder: for every well-typed value of every payload class it must
-give the line and hash of the oracle fed ``map_floats(value, encode_float)``,
-and it refuses a member whose type is not its annotation's before anything
-is written.
+compiled writer: for every well-typed value of every payload class, under
+any envelope strings, it must give the line and hash of the oracle fed
+``map_floats(value, encode_float)``, and it refuses a member whose type is
+not its annotation's, or a value of another event type's class, before
+anything is written.
 """
 
 import json
@@ -43,6 +44,7 @@ from ledgerloop.events import (
     append,
 )
 from ledgerloop.ledger import (
+    ENVIRONMENT_PROFILES,
     GENESIS_HASH,
     EventEnvelope,
     Ledger,
@@ -56,11 +58,12 @@ from ledgerloop.ledger import (
 from ledgerloop.policy import PROVENANCE_TAGS, DecisionRecord
 
 
-def reference_append(prev_hash, seq, event_type, payload, backend_ts, version_id, device_ts):
+def reference_append(prev_hash, seq, event_type, payload, backend_ts, version_id, device_ts,
+                     stream_id="s", environment_profile="test"):
     fields = dict(
         seq=seq,
-        stream_id="s",
-        environment_profile="test",
+        stream_id=stream_id,
+        environment_profile=environment_profile,
         device_ts=device_ts,
         backend_ts=backend_ts,
         version_id=version_id,
@@ -207,26 +210,37 @@ def test_every_payload_class_has_a_strategy():
     assert sorted(TYPED) == sorted(PAYLOADS)
 
 
+# Envelope strings that JSON escapes: the quote, the backslash, control
+# characters and non-ASCII, beside plain ones.
+envelope_texts = texts | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é", "日本", "\u2028", 'a"b\\c\n'])
+
+
 @pytest.mark.parametrize("event_type", sorted(TYPED))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_compiled_encoder_writes_the_reference_bytes(event_type, data):
-    # The compiled encoder against map_floats(value, encode_float) encoded
-    # with canonical_json_bytes, on both storage modes.
+    # The compiled writer against map_floats(value, encode_float) encoded
+    # with canonical_json_bytes, on both storage modes, with every profile,
+    # escaped envelope strings and a version_id that changes partway.
     # Only a ledger's first record may be a HEADER.
     values = data.draw(st.lists(TYPED[event_type], min_size=1, max_size=1 if event_type == "HEADER" else 3))
     envelopes = data.draw(st.lists(
-        st.tuples(st.integers(0, 2**53), texts, st.none() | ints), min_size=len(values), max_size=len(values)
+        st.tuples(st.integers(0, 2**53), st.none() | ints), min_size=len(values), max_size=len(values)
     ))
+    stream_id = data.draw(envelope_texts)
+    profile = data.draw(st.sampled_from(ENVIRONMENT_PROFILES))
+    versions = data.draw(st.tuples(envelope_texts, envelope_texts))
+    switch = data.draw(st.integers(0, len(values)))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "l.ndjson"
-        with Ledger("s", "test", path=path, fsync=False) as on_file:
-            in_memory = Ledger("s", "test")
+        with Ledger(stream_id, profile, path=path, fsync=False) as on_file:
+            in_memory = Ledger(stream_id, profile)
             prev_hash, lines = GENESIS_HASH, []
-            for value, (backend_ts, version_id, device_ts) in zip(values, envelopes):
+            for i, (value, (backend_ts, device_ts)) in enumerate(zip(values, envelopes)):
+                version_id = versions[i >= switch]
                 expected = reference_append(
                     prev_hash, len(lines), event_type, map_floats(value, encode_float),
-                    backend_ts, version_id, device_ts,
+                    backend_ts, version_id, device_ts, stream_id, profile,
                 )
                 for ledger in (on_file, in_memory):
                     record = append(ledger, value, backend_ts=backend_ts, version_id=version_id,
@@ -236,8 +250,14 @@ def test_compiled_encoder_writes_the_reference_bytes(event_type, data):
                 prev_hash = expected.hash
                 lines.append(expected.to_line())
         assert path.read_bytes() == b"".join(line + b"\n" for line in lines)
-
-
+        # A typed read gives the same records; a line whose envelope strings
+        # hold an escape is read by the JSON path.
+        read = list(read_records(path, PAYLOADS))
+        assert [r.to_line() for r in read] == lines
+        assert read[-1].hash == prev_hash
+        for record in read:
+            if not all(re.fullmatch(r"[ !#-\[\]-~]*", text) for text in (record.stream_id, record.version_id)):
+                assert type(record.payload) is dict
 def test_ill_typed_members_are_refused_before_anything_is_written(tmp_path):
     # Each of these was written at one time, and every audit then refused
     # the file: an int value, a bool action, a float device_ts.
@@ -258,6 +278,33 @@ def test_ill_typed_members_are_refused_before_anything_is_written(tmp_path):
             assert path.read_bytes() == before
         append(ledger, OutcomeInfo("p0", 1, 0.5, 6), backend_ts=1, version_id="v1")
     assert [r.seq for r in read_records(path)] == [0, 1]
+
+
+@pytest.mark.parametrize("event_type", sorted(TYPED))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_a_payload_of_another_event_types_class_is_refused(event_type, data):
+    # Such a record was once written, and every audit then refused the file
+    # ("malformed OUTCOME_OBSERVED payload: feature: not a member").
+    owner = data.draw(st.sampled_from(sorted(set(TYPED) - {event_type})))
+    value = data.draw(TYPED[owner])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "l.ndjson"
+        with Ledger("s", "test", path=path, fsync=False) as ledger:
+            append(ledger, DatumInfo("p000", "engagement", 1.0, 5, None), backend_ts=0, version_id="v1")
+        before = path.read_bytes()
+        with Ledger.open(path) as reopened:
+            with pytest.raises(ConfigurationError) as refused:
+                reopened.append(event_type, value, backend_ts=1, version_id="v1")
+            assert str(refused.value) == (
+                f"{event_type} payload: a {type(value).__name__} is the payload of {owner}"
+            )
+            assert len(reopened) == 1
+            assert path.read_bytes() == before
+            # A dict payload is taken for any event type but a late HEADER.
+            if event_type != "HEADER":
+                reopened.append(event_type, {"any": "thing"}, backend_ts=1, version_id="v1")
+        assert verify_chain(path) is None
 
 
 def test_append_refuses_a_payload_that_is_neither_a_dict_nor_typed():
