@@ -960,9 +960,9 @@ def _verified(
     take, one parse, which checks the line's shape and canonical form
     (:func:`_parse_line`) and gives the payload dict. Then the seq and
     ``prev_hash`` linkage, and one SHA-256 over ``prev_hash`` plus the
-    body: the line with its ``hash`` member cut out (the inverse of
-    :func:`_line`). Both hashes are compared as the text they are stored
-    as; the envelope's digests are the bytes of that SHA-256.
+    body: the line with its ``hash`` member cut out, the head and tail
+    :meth:`Ledger.append` hashed. Both hashes are compared as the text they
+    are stored as; the envelope's digests are the bytes of that SHA-256.
     """
     readers = {} if payloads is None else {
         event_type: _line_reader(event_type, cls) for event_type, cls in payloads.items()
