@@ -25,11 +25,11 @@ from .errors import (
     LedgerLoopError,
     StorageError,
 )
-from .events import PAYLOADS, StreamIndex, decoded_floats
+from .events import StreamIndex
 # read_records is called through its module, so a wrapper installed there
 # (the benchmark's tracer counts file reads) sees every read.
 from . import ledger
-from .ledger import CONFIG_FORMAT, Ledger, decode_as
+from .ledger import CONFIG_FORMAT, Ledger, decode_as, map_floats
 from .monitor import DEFAULT_RULES, AlertRule, compute_metrics, emit_report, evaluate_alerts
 from .replay import registered_logics, replay_verify
 from .runtime import FailureInjectionSpec
@@ -175,9 +175,8 @@ def _cmd_twin_tune(args) -> int:
 
 def _audited_index(path: str) -> StreamIndex:
     """The index of the ledger at ``path``, folded through the verified read
-    pass with typed payloads, once its HEADER's ``config_digest`` is found
-    to be its config's."""
-    index = StreamIndex.fold(ledger.read_records(path, PAYLOADS))
+    pass, once its HEADER's ``config_digest`` is found to be its config's."""
+    index = StreamIndex.fold(ledger.read_records(path))
     header = index.header
     if config_digest(header.config) != header.config_digest:
         raise AuditError(
@@ -265,11 +264,12 @@ def _cmd_ledger_inspect(args) -> int:
         count += 1
     else:
         raise ConfigurationError(f"--seq {args.seq} out of range [0, {count})")
-    print(json.dumps(json.loads(record.to_line()), indent=2, sort_keys=True))
-    decoded = decoded_floats(record.event_type, record.payload)
-    if decoded != record.payload:
+    stored = json.loads(record.to_line())
+    print(json.dumps(stored, indent=2, sort_keys=True))
+    decoded = map_floats(record.payload, float)
+    if decoded != stored["payload"]:  # the payload holds a float
         print("# decoded floats:")
-        print(json.dumps(decoded, indent=2, sort_keys=True, default=str))
+        print(json.dumps(decoded, indent=2, sort_keys=True))
     return EXIT_OK
 
 

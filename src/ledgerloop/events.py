@@ -1,24 +1,23 @@
 """Typed payloads of every ledger event, and the one index over them.
 
-Each event type's payload is one frozen dataclass (:data:`PAYLOADS`). Its
-annotations are compiled by the ledger's one annotation compiler: into the
-writer :meth:`ledgerloop.ledger.Ledger.append` writes its records with
-(:func:`append`), whose payload bytes are those of ``map_floats(value,
-encode_float)``; into the line matcher a typed read of a ledger file
-(``read_records(path, PAYLOADS)``) decodes its records with; and into the
-annotation walk, ``decode_as(cls, payload, LEDGER_FORMAT)``, which decodes
-a payload dict (:func:`decode_payload`). No other module knows how a payload
-field is encoded. The ``parse_*`` functions are the walk's entry points for
-the event types the fold indexes; the benchmark's tracer times them by
-name. A typed read leaves them the HEADER and any line its matcher does not
-take.
+Each event type's payload is one frozen dataclass (:data:`PAYLOADS`), and
+every ledger record carries an instance of it, whether it is appended or
+read back. The annotations are compiled by the ledger's one annotation
+compiler: into the writer :meth:`ledgerloop.ledger.Ledger.append` writes a
+value's record with, which gives the record its event type and whose
+payload bytes are those of ``map_floats(value, encode_float)``; into the
+line matcher the read pass decodes a record's line with; and into the
+annotation walk, ``decode_as(cls, payload, LEDGER_FORMAT)``, which decodes a
+payload dict (:func:`decode_payload`) for a line no matcher takes, such as
+the HEADER's. No other module knows how a payload field is encoded. The
+``parse_*`` functions are the walk's entry points by event type; nothing in
+the read pass calls them, but the benchmark's tracer wraps them by name.
 
 :class:`StreamIndex` is the one fold over ledger records. The runtime applies
-each record it appends together with the typed value it appended; replay and
-the monitor fold a ledger's records, each payload decoded once, by the read
-pass's line matcher or, for a line it does not take, by the walk. Both sides
-therefore index versions, snapshots, decisions and outcomes with the same
-code.
+each record it appends, whose payload is the typed value it appended; replay
+and the monitor fold the records of the read pass, each with its typed
+payload. Both sides therefore index versions, snapshots, decisions and
+outcomes with the same code.
 """
 
 from __future__ import annotations
@@ -30,7 +29,7 @@ from typing import Iterable, NamedTuple
 
 from . import runtime
 from .errors import ConfigurationError, DecodeError, StructuralAuditError
-from .ledger import FORMAT_VERSION, LEDGER_FORMAT, EventEnvelope, Ledger, _Refusal, decode_as, map_floats
+from .ledger import FORMAT_VERSION, LEDGER_FORMAT, EventEnvelope, _Refusal, decode_as
 from .policy import DecisionRecord, FeatureSnapshot, ModelConfig
 
 
@@ -150,19 +149,12 @@ PAYLOADS: dict[str, type] = {
 _EVENT_TYPES = {cls: event_type for event_type, cls in PAYLOADS.items()}
 
 
-def append(ledger: Ledger, value, backend_ts: int, version_id: str, device_ts: int | None = None) -> EventEnvelope:
-    """Append ``value``, an instance of one of :data:`PAYLOADS`, as a record
-    of its event type; :meth:`Ledger.append` writes it with its class's
-    compiled writer, and refuses it (ConfigurationError) if a member's type
-    is not its annotation's."""
-    return ledger.append(_EVENT_TYPES[type(value)], value, backend_ts, version_id, device_ts)
-
-
 def decode_payload(event_type: str, payload):
-    """The typed value of a payload of ``event_type``; DecodeError unless
-    the payload is one :func:`append` could have written. A refusal of
-    the walk is prefixed ``malformed <event_type> payload:``; the HEADER's
-    own refusal of its config passes through as it is."""
+    """The typed value of a payload dict of ``event_type``; DecodeError
+    (without a seq) unless the payload is one ``Ledger.append`` could have
+    written. A refusal of the walk is prefixed ``malformed <event_type>
+    payload:``; the HEADER's own refusal of its config passes through as it
+    is."""
     cls = PAYLOADS.get(event_type)
     if cls is None:
         raise DecodeError(f"unknown event type {event_type!r}")
@@ -196,15 +188,6 @@ def parse_update(payload) -> UpdateInfo:
     return decode_payload("MODEL_UPDATE", payload)
 
 
-def decoded_floats(event_type: str, payload: dict) -> dict:
-    """``payload`` with its floats decoded, for display; one that does not
-    decode is shown as it is stored."""
-    try:
-        return map_floats(decode_payload(event_type, payload), float)
-    except DecodeError:
-        return payload
-
-
 # -- the stream index ------------------------------------------------------------
 
 Row = tuple[FeatureSnapshot, int, float]  # (snapshot, action, reward) of one consumed outcome
@@ -223,39 +206,13 @@ class Stamp(NamedTuple):
         return cls(record.seq, record.backend_ts, record.version_id)
 
 
-# The fold calls these entry points by their module-level names, so a
-# wrapper bound to one of the names (the benchmark's tracer) sees every call.
-_ENTRY_POINTS = {
-    "HEADER": "parse_header",
-    "DATA_INGESTED": "parse_data_ingested",
-    "FEATURE_SNAPSHOT": "parse_snapshot",
-    "DECISION": "parse_decision",
-    "OUTCOME_OBSERVED": "parse_outcome",
-    "MODEL_UPDATE": "parse_update",
-}
-
-
-def parse_value(record: EventEnvelope):
-    """The typed value :meth:`StreamIndex.apply` takes with ``record``: its
-    payload as it is when the read pass typed it already."""
-    payload = record.payload
-    if type(payload) is not dict:
-        return payload
-    event_type = record.event_type
-    entry = _ENTRY_POINTS.get(event_type)
-    if entry is None:
-        return decode_payload(event_type, payload)
-    return globals()[entry](payload)
-
-
 @dataclass
 class StreamIndex:
     """What the runtime, replay and the monitor know of a stream's records.
 
     Snapshots, decisions, updates and errors are kept as the record's
-    :class:`Stamp` with its typed value, never the envelope or its payload
-    dict. Snapshots and decisions are keyed by
-    ``(participant_id, decision_index)``; a later snapshot for a point
+    :class:`Stamp` with its typed value, never the envelope. Snapshots and
+    decisions are keyed by ``(participant_id, decision_index)``; a later snapshot for a point
     replaces the earlier one, a second decision is a structural error. An
     outcome stays pending until a MODEL_UPDATE consuming it is applied.
     """
@@ -274,22 +231,22 @@ class StreamIndex:
 
     @classmethod
     def fold(cls, records: Iterable[EventEnvelope]) -> "StreamIndex":
-        """The index of a ledger's records, each payload decoded once (a
-        typed payload is taken as it is, see :func:`parse_value`). The
-        records are taken one at a time, so a stream from
+        """The index of a ledger's records, each with its typed payload.
+        The records are taken one at a time, so a stream from
         :func:`ledgerloop.ledger.read_records` is never held whole, and a
         problem is raised at the first record that has one."""
         index = cls()
         for record in records:
             if index.size == 0 and record.event_type != "HEADER":
                 break
-            index.apply(record, parse_value(record))
+            index.apply(record)
         if index.header is None:
             raise StructuralAuditError("ledger does not start with a HEADER record")
         return index
 
-    def apply(self, record: EventEnvelope, value) -> None:
-        """Fold in one record with the typed value of its payload."""
+    def apply(self, record: EventEnvelope) -> None:
+        """Fold in one record, keeping its typed payload."""
+        value = record.payload
         self.size += 1
         self.stamped.setdefault(record.version_id, record.seq)
         etype = record.event_type

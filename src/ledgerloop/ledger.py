@@ -13,42 +13,42 @@ therefore breaks either a hash recomputation or the chain linkage.
 Canonical bytes have one definition, :func:`_dumps` (``json`` with sorted
 keys and compact ASCII separators). :func:`canonical_json_bytes` is it with
 a check for raw floats first; reports (:func:`report_bytes`), the config
-digest and dict payloads are written with it, and the read pass's JSON path
-re-encodes every line it reads with it. :meth:`Ledger.append` writes a
+digest and the HEADER's config are written with it, and the read pass's JSON
+path re-encodes every line it reads with it. :meth:`Ledger.append` writes a
 record's members before and after ``hash`` (see :data:`_HEAD`) with one
 %-format each, hashes them, and writes them around the hash member with one
 unbuffered write; :meth:`EventEnvelope.to_line` is the ``_dumps`` reference.
 
-One annotation compiler, :func:`_converter`, reads each payload class's
-annotations two ways. With :data:`LEDGER_TEXT`, one table that states each
-scalar's check, text, regex and converter side by side, it generates
-straight-line code on the class's first use (never at import): the
-writer (:func:`_writer_piece`), which checks each member's type and writes
-a record of the class's event type whose payload is the bytes ``_dumps``
-would give for ``map_floats(value, encode_float)``; and the line matcher
-(:func:`_line_reader`), one anchored regex over a whole record line that
-admits only the canonical bytes of a record carrying that class's payload,
-with a converter from its groups to the typed value, built through the
-class's own ``__init__``. With :data:`LEDGER_FORMAT` it builds the
+Every payload is a typed value: an instance of its event type's class in
+``events.PAYLOADS``. One annotation compiler, :func:`_converter`, reads each
+payload class's annotations two ways. With :data:`LEDGER_TEXT`, one table
+that states each scalar's check, text, regex and converter side by side, it
+generates straight-line code on the class's first use (never at import):
+the writer (:func:`_writer_piece`), which checks each member's type and
+writes a record of the class's event type whose payload is the bytes
+``_dumps`` would give for ``map_floats(value, encode_float)``; and the line
+matcher (:func:`_line_reader`), one anchored regex over a whole record line
+that admits only the canonical bytes of a record carrying that class's
+payload, with a converter from its groups to the typed value, built through
+the class's own ``__init__``. With :data:`LEDGER_FORMAT` it builds the
 annotation walk (:func:`_dataclass`, behind :func:`decode_as`), which
-decodes a payload dict and names the member it refuses; the walk also
-reads a run config (:data:`CONFIG_FORMAT`).
+decodes a payload dict and names the member it refuses; the walk also reads
+a run config (:data:`CONFIG_FORMAT`).
 
 A :class:`Ledger` only writes: it keeps its last record, whose seq gives the
 count and whose hash is the chain head, never a copy of the records before
 it. Every read of a ledger file goes through one verified pass
 (:func:`_verified`): :func:`read_records`, :meth:`Ledger.open` and
 :func:`verify_chain` all check the same things, so a record a reader sees has
-passed the chain check. A typed read (``read_records(path, payloads)``, as
-the audits read) tries each line's matcher first. A match proves that the
-line is canonical, holds exactly the envelope's members and its class's,
-each of its annotation's type, and that the class takes the value; the
-typed value then stands for the payload. Any other line (the HEADER, whose
-config is a dict; a string with an escape; every malformed line; a value
-the class refuses) goes through the JSON path, :func:`_parse_line`, which
-gives every verdict and message a line gets. Either way the seq, linkage
-and SHA-256 checks follow. :func:`read_records` without ``payloads`` yields
-payload dicts.
+passed the chain check and carries its typed payload. Each line's matcher is
+tried first. A match proves that the line is canonical, holds exactly the
+envelope's members and its class's, each of its annotation's type, and that
+the class takes the value. Any other line (the HEADER, whose config is a
+dict; a string with an escape; every malformed line; a value the class
+refuses) goes through the JSON path, :func:`_parse_line`, which gives every
+verdict and message a line gets. Either way the seq, linkage and SHA-256
+checks follow, and then a payload the JSON path read is decoded by the walk
+(``events.decode_payload``), whose refusal is a DecodeError without a seq.
 """
 
 from __future__ import annotations
@@ -66,25 +66,13 @@ import typing
 from dataclasses import MISSING, dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import ConfigurationError, DecodeError, IsolationError, StorageError
 
 GENESIS_HASH = b"\x00" * 32
 
 ENVIRONMENT_PROFILES = ("dev", "test", "prod-sim")
-
-EVENT_TYPES = (
-    "HEADER",
-    "DATA_INGESTED",
-    "FEATURE_SNAPSHOT",
-    "DECISION",
-    "OUTCOME_OBSERVED",
-    "MODEL_UPDATE",
-    "VERSION_CHANGE",
-    "ERROR",
-    "ALERT",
-)
 
 FORMAT_VERSION = 1
 
@@ -162,15 +150,11 @@ _C_ENCODE = None if json.encoder.c_make_encoder is None else json.encoder.c_make
 )
 
 
-def _json_text(obj) -> str:
+def _dumps(obj) -> bytes:
     # The encoding step of canonical_json_bytes, for values already checked.
     if _C_ENCODE is None:
-        return _ENCODER.encode(obj)
-    return "".join(_C_ENCODE(obj, 0))
-
-
-def _dumps(obj) -> bytes:
-    return _json_text(obj).encode("ascii")
+        return _ENCODER.encode(obj).encode("ascii")
+    return "".join(_C_ENCODE(obj, 0)).encode("ascii")
 
 
 _LEAVES = {str, int, bool, type(None)}
@@ -395,8 +379,7 @@ class _Text(NamedTuple):
     expression for the value whose text is ``{0}``; ``scalar``: no text
     holds a comma outside a string. An empty ``regex`` means no matcher
     reads the annotation (a dict, a dataclass), so a line holding one is
-    read by :func:`_parse_line`. ``write`` writes a record with a payload of
-    the annotation: :func:`_write_dict` for a dict, and for a payload class
+    read by :func:`_parse_line`. ``write`` is set for a payload class only:
     its compiled writer, which is all of its text."""
 
     check: str = ""
@@ -414,9 +397,12 @@ class _Text(NamedTuple):
         return self
 
     def text(self, value: str) -> str:
-        """An expression for the JSON text of ``value``."""
+        """An expression for the JSON text of ``value``, as a str."""
         arg = self.arg.replace("{0}", value)
-        return arg if self.spec == "%s" else f"({self.spec!r} % ({arg},))"
+        if self.spec != "%s":
+            return f"({self.spec!r} % ({arg},))"
+        # An int is its own %s argument; a join needs its text.
+        return f"str({arg})" if self.arg == "{0}" else arg
 
 
 _FLOAT_BITS = struct.Struct(">d").pack  # encode_float is _FLOAT_BITS(x).hex()
@@ -467,29 +453,19 @@ def _optional_text(inner: _Text) -> _Text:
 
 # A record's line on either side of its ``hash`` member, in sorted member
 # order, with the event type's and the payload's text to fill in. Each then
-# takes one %-format; append checks that the envelope's ints are exact, so
-# %s writes them as %d would, and faster.
+# takes one %-format; append and the writers check that every int is exact,
+# so %s writes it as %d would, and faster.
 _HEAD = '{"backend_ts":%%s,"device_ts":%%s,"environment_profile":%%s,"event_type":%s'
 _TAIL = ',"payload":%s,"prev_hash":"%%s","seq":%%s,"stream_id":%%s,"version_id":%%s}'
-_ANY_HEAD, _DICT_TAIL = _HEAD % "%s", _TAIL % "%s"
-
-
-def _write_dict(payload, event_type, backend_ts, device_ts, profile, prev_hex, seq, stream, version_id):
-    """The head and tail of a record with a dict payload, once it holds no
-    raw float; the generated writers' arguments and bytes."""
-    _reject_floats(payload, "$.payload")
-    device = "null" if device_ts is None else device_ts
-    return ((_ANY_HEAD % (backend_ts, device, profile, _quoted(event_type))).encode("ascii"),
-            (_DICT_TAIL % (_json_text(payload), prev_hex, seq, stream, _quoted(version_id))).encode("ascii"))
 
 
 def _writer_piece(cls: type, fmt: Format) -> _Text:
     """Compile the writer of the payload class ``cls``, with its event type
     (``events.PAYLOADS``) baked in: a function of a value and the record's
     envelope members (``stream`` and ``profile`` as their JSON text, the
-    previous hash as hex) that returns the record's head and tail as ASCII
-    bytes (see :data:`_HEAD`), each with one %-format, once every member has
-    passed its check. A member that does not, or another event type, raises
+    previous hash as hex) that returns the event type and the record's head
+    and tail as ASCII bytes (see :data:`_HEAD`), each with one %-format,
+    once every member has passed its check. A member that does not raises
     ConfigurationError naming it. No writer for a class that is no event
     type's payload."""
     from .events import _EVENT_TYPES  # the schema; it imports this module
@@ -504,15 +480,13 @@ def _writer_piece(cls: type, fmt: Format) -> _Text:
     checks = [piece.check.replace("{0}", var) for _, var, piece in members]
     args = "".join(piece.arg.replace("{0}", var) + ", " for _, var, piece in members)
     source = "\n".join([
-        "def write(value, event_type, backend_ts, device_ts, profile, prev_hex, seq, stream, version_id):",
-        f"    if event_type != {event_type!r}:",
-        f"        raise ConfigurationError(f'{{event_type}} payload: a {cls.__name__} is the payload of {event_type}')",
+        "def write(value, backend_ts, device_ts, profile, prev_hex, seq, stream, version_id):",
         *(f"    {var} = value.{name}" for name, var, _ in members),
         f"    if not ({' and '.join(checks) or 'True'}):",
         *(f"        if not {check}: _misfit({event_type + ' payload: ' + name!r}, {piece.what!r}, {var})"
           for (name, var, piece), check in zip(members, checks)),
-        f"    return (({_HEAD % _quoted(event_type)!r} % (backend_ts, 'null' if device_ts is None else device_ts,"
-        " profile)).encode('ascii'),",
+        f"    return ({event_type!r}, ({_HEAD % _quoted(event_type)!r} % (backend_ts,"
+        " 'null' if device_ts is None else device_ts, profile)).encode('ascii'),",
         f"            ({_TAIL % payload!r} % ({args}prev_hex, seq, stream, _quoted(version_id))).encode('ascii'))",
     ])
     namespace: dict = {}
@@ -523,21 +497,21 @@ def _writer_piece(cls: type, fmt: Format) -> _Text:
 
 # LEDGER_FORMAT's values as the ledger writes and reads their text: per
 # scalar, its check, its text, its regex and its converter. A writer takes
-# any float for a float member and any int but a bool for an int member; a
-# line matcher takes each value only in its canonical text.
+# any float for a float member and only an exact int for an int member, as
+# the walk and the matcher read back; a line matcher takes each value only
+# in its canonical text.
 LEDGER_TEXT = Format(
     {
         float: _Text("isinstance({0}, float)", '"%s"', "_FLOAT_BITS({0}).hex()", "a float",
                      '"[0-9a-f]{16}"', "_UNPACK_FLOAT(_fromhex({0}[1:-1]))[0]"),
-        int: _Text("(isinstance({0}, int) and type({0}) is not bool)", "%d", "{0}", "an integer",
-                   _INT, "int({0})"),
+        int: _Text("type({0}) is int", "%s", "{0}", "an integer", _INT, "int({0})"),
         bool: _Text("type({0}) is bool", "%s", '("true" if {0} else "false")', "a boolean",
                     "true|false", "({0} == 'true')"),
         str: _Text("isinstance({0}, str)", "%s", "_quoted({0})", "a string",
                    f'"{_PLAIN}"', "{0}[1:-1]"),
         bytes: _Text("isinstance({0}, bytes)", '"%s"', "{0}.hex()", "bytes",
                      '"(?:[0-9a-f]{2})*"', "_fromhex({0}[1:-1])"),
-        dict: _Text("isinstance({0}, dict)", "%s", "_canonical_text({0})", "an object", write=_write_dict),
+        dict: _Text("isinstance({0}, dict)", "%s", "_canonical_text({0})", "an object"),
     },
     defaults=False,
     of_dataclass=_writer_piece,
@@ -575,11 +549,9 @@ def report_bytes(title: str, items: Iterable) -> bytes:
 
 
 class EventEnvelope(NamedTuple):
-    """One ledger record. ``payload`` is the payload dict of a record read
-    back (its typed value where a typed read's line matcher took the line),
-    or the value the record was appended with: a canonical-ready dict (no
-    raw floats) or a typed payload. ``prev_hash``/``hash`` are 32-byte
-    digests."""
+    """One ledger record. ``payload`` is its typed value, an instance of its
+    event type's class in ``events.PAYLOADS``, whether the record was
+    appended or read back. ``prev_hash``/``hash`` are 32-byte digests."""
 
     seq: int
     stream_id: str
@@ -593,12 +565,9 @@ class EventEnvelope(NamedTuple):
     hash: bytes
 
     def body_dict(self) -> dict:
-        """Record body as written to disk, minus the hash field; a typed
-        payload as ``map_floats(payload, encode_float)``, whose canonical
-        bytes its class's writer wrote."""
-        payload = self.payload
-        if not isinstance(payload, dict):
-            payload = map_floats(payload, encode_float)
+        """Record body as written to disk, minus the hash field; the payload
+        as ``map_floats(payload, encode_float)``, whose canonical bytes its
+        class's writer wrote."""
         return {
             "seq": self.seq,
             "stream_id": self.stream_id,
@@ -607,7 +576,7 @@ class EventEnvelope(NamedTuple):
             "backend_ts": self.backend_ts,
             "version_id": self.version_id,
             "event_type": self.event_type,
-            "payload": payload,
+            "payload": map_floats(self.payload, encode_float),
             "prev_hash": self.prev_hash.hex(),
         }
 
@@ -812,9 +781,9 @@ class Ledger:
 
         Raises DecodeError carrying the first bad seq when any record fails
         the chain check (the seq :func:`verify_chain` returns), and a
-        DecodeError without a seq when the file is empty. The ledger holds
-        no file handle until its first append; close it after appending, or
-        use it as a context manager.
+        DecodeError without a seq at a payload the schema refuses or when
+        the file is empty. The ledger holds no file handle until its first
+        append; close it after appending, or use it as a context manager.
         """
         records = read_records(path)
         first = last = next(records)
@@ -828,48 +797,43 @@ class Ledger:
 
     def append(
         self,
-        event_type: str,
-        payload: object,
+        value: object,
         backend_ts: int,
         version_id: str,
         device_ts: int | None = None,
         stream_id: str | None = None,
         environment_profile: str | None = None,
     ) -> EventEnvelope:
-        """Append one record: assigns seq, chains hashes, writes durably.
+        """Append ``value`` as the payload of a record of its event type:
+        assigns seq, chains hashes, writes durably.
 
-        ``payload`` is a canonical-ready dict, checked for raw floats, or a
-        typed payload (an instance of ``event_type``'s payload class),
-        written by its class's compiled writer: the bytes of
-        ``map_floats(payload, encode_float)``, once every member holds its
-        annotation's type (a float member any float, an int member any int
-        but a bool). A payload that cannot be written is a
-        ConfigurationError naming the event type and the member or class,
-        raised before anything is written. A write that fails or is short
-        is a StorageError, and the file is cut back to its last record.
+        ``value`` is an instance of one of ``events.PAYLOADS``, written by its
+        class's compiled writer, which gives the event type: the bytes of
+        ``map_floats(value, encode_float)``, once every member holds its
+        annotation's type (a float member any float, an int member an exact
+        int). A value that cannot be written is a ConfigurationError naming
+        the class, or the event type and the member, raised before anything
+        is written. A write that fails or is short is a StorageError, and
+        the file is cut back to its last record.
         ``stream_id``/``environment_profile`` default to the ledger's own;
         passing a mismatching value is an isolation error, which is how
         mixed-profile ledgers are made unrepresentable.
         """
-        if event_type not in EVENT_TYPES:
-            raise ConfigurationError(f"unknown event_type {event_type!r}")
         if not _is_device_ts(device_ts):
             raise ConfigurationError(f"device_ts must be an integer or None, got {device_ts!r}")
         if type(backend_ts) is not int or not isinstance(version_id, str):
             raise ConfigurationError("backend_ts must be an integer and version_id a string")
-        kind = dict if isinstance(payload, dict) else type(payload)
+        kind = type(value)
         piece = LEDGER_TEXT.converters.get(kind)
         if piece is None and dataclasses.is_dataclass(kind):
             piece = _converter(kind, LEDGER_TEXT)
         if piece is None or piece.write is None:
-            raise ConfigurationError(
-                f"payload must be a dict or a payload dataclass, got {type(payload).__name__}"
-            )
+            raise ConfigurationError(f"payload must be an instance of a payload class, got {kind.__name__}")
         with self._lock:
             last = self._last
             seq, prev_hash = (0, GENESIS_HASH) if last is None else (last.seq + 1, last.hash)
-            head, tail = piece.write(payload, event_type, backend_ts, device_ts, self._profile_text,
-                                     prev_hash.hex(), seq, self._stream_text, version_id)
+            event_type, head, tail = piece.write(value, backend_ts, device_ts, self._profile_text,
+                                                 prev_hash.hex(), seq, self._stream_text, version_id)
             if stream_id is not None and stream_id != self.stream_id:
                 raise IsolationError(
                     f"stream {stream_id!r} does not match ledger stream {self.stream_id!r}"
@@ -886,7 +850,7 @@ class Ledger:
             rec_hash = hashlib.sha256(prev_hash + head + tail).digest()
             envelope = tuple.__new__(EventEnvelope, (  # EventEnvelope(...), minus a Python call
                 seq, self.stream_id, self.environment_profile, device_ts, backend_ts,
-                version_id, event_type, payload, prev_hash, rec_hash,
+                version_id, event_type, value, prev_hash, rec_hash,
             ))
             if self.path is not None:
                 line = b'%s,"hash":"%s"%s\n' % (head, rec_hash.hex().encode("ascii"), tail)
@@ -946,39 +910,37 @@ def _file_lines(path: str | Path) -> Iterator[bytes]:
         raise StorageError(f"cannot read ledger file {path}: {exc}") from None
 
 
-def _verified(
-    lines: Iterable[bytes], payloads: Mapping[str, type] | None = None
-) -> Iterator[EventEnvelope]:
-    """The one read pass: yield each record once it has passed every check;
-    raise DecodeError carrying the seq of the first record that does not,
-    or one without a seq after the last line if there was none.
+def _verified(lines: Iterable[bytes]) -> Iterator[EventEnvelope]:
+    """The one read pass: yield each record, with its typed payload, once it
+    has passed every check; raise DecodeError carrying the seq of the first
+    record whose line does not, one without a seq for the first payload the
+    schema refuses, or one without a seq after the last line if there was
+    none.
 
-    Per line, first the checks that need no other record: with
-    ``payloads`` (the payload class of each event type), the line matcher
-    of its event type's class (:func:`_line_reader`), whose match also
-    gives the typed payload; otherwise, and for a line the matcher does not
-    take, one parse, which checks the line's shape and canonical form
-    (:func:`_parse_line`) and gives the payload dict. Then the seq and
-    ``prev_hash`` linkage, and one SHA-256 over ``prev_hash`` plus the
-    body: the line with its ``hash`` member cut out, the head and tail
-    :meth:`Ledger.append` hashed. Both hashes are compared as the text they
-    are stored as; the envelope's digests are the bytes of that SHA-256.
+    Per line, first the checks that need no other record: the line matcher
+    of its event type's class (:func:`_line_reader`), whose match also gives
+    the typed payload; for a line the matcher does not take, one parse,
+    which checks the line's shape and canonical form (:func:`_parse_line`)
+    and gives the payload dict. Then the seq and ``prev_hash`` linkage, and
+    one SHA-256 over ``prev_hash`` plus the body: the line with its ``hash``
+    member cut out, the head and tail :meth:`Ledger.append` hashed. Both
+    hashes are compared as the text they are stored as; the envelope's
+    digests are the bytes of that SHA-256. Last, a payload dict is decoded
+    by the annotation walk (``events.decode_payload``).
     """
-    readers = {} if payloads is None else {
-        event_type: _line_reader(event_type, cls) for event_type, cls in payloads.items()
-    }
+    from .events import PAYLOADS, decode_payload  # the schema; it imports this module
+
+    readers = {event_type: _line_reader(event_type, cls) for event_type, cls in PAYLOADS.items()}
     prev_hash, prev_text = GENESIS_HASH, GENESIS_HASH.hex()
     for seq, line in enumerate(lines):
-        parsed = None
-        if readers:
-            # A matcher takes only whole lines of its own event type, so a
-            # malformed line's slice at worst finds one that does not match.
-            text = line.decode("latin-1")
-            at = text.find('"event_type":"') + 14
-            reader = readers.get(text[at:text.find('"', at)])
-            if reader is not None:
-                parsed = reader(text)
-        if parsed is None:
+        # A matcher takes only whole lines of its own event type, so a
+        # malformed line's slice at worst finds one that does not match.
+        text = line.decode("latin-1")
+        at = text.find('"event_type":"') + 14
+        reader = readers.get(text[at:text.find('"', at)])
+        parsed = None if reader is None else reader(text)
+        typed = parsed is not None
+        if not typed:
             parsed = _parse_line(line, seq)
         fields, line_prev_text, hash_text = parsed
         if fields[0] != seq:
@@ -990,6 +952,8 @@ def _verified(
         digest = hashlib.sha256(prev_hash + line[:at] + line[at + _HASH_MEMBER:])
         if digest.hexdigest() != hash_text:
             raise DecodeError(f"record {seq} does not match its hash", seq=seq)
+        if not typed:
+            fields = (*fields[:7], decode_payload(fields[6], fields[7]))
         rec_hash = digest.digest()
         yield EventEnvelope(*fields, prev_hash, rec_hash)
         prev_hash, prev_text = rec_hash, hash_text
@@ -997,24 +961,23 @@ def _verified(
         raise DecodeError("ledger file is empty")
 
 
-def read_records(path: str | Path, payloads: Mapping[str, type] | None = None) -> Iterator[EventEnvelope]:
-    """Stream the verified records of a ledger file (see :func:`_verified`);
-    raises DecodeError carrying the first bad seq, or without a seq once an
-    empty file is read to its end. A record's payload is its dict, or with
-    ``payloads`` (the payload class of each event type, as
-    ``events.PAYLOADS``) its typed value wherever its line matcher took the
-    line; a dict payload then comes from a line no matcher takes, such as
-    the HEADER, a string with an escape, or a value its class refuses."""
-    return _verified(_file_lines(path), payloads)
+def read_records(path: str | Path) -> Iterator[EventEnvelope]:
+    """Stream the verified records of a ledger file, each with its typed
+    payload (see :func:`_verified`); raises DecodeError carrying the first
+    bad seq, without a seq at a payload the schema refuses, or without a
+    seq once an empty file is read to its end."""
+    return _verified(_file_lines(path))
 
 
 def verify_chain(source: "Ledger | str | Path") -> int | None:
-    """Check seq gaplessness, chain linkage, every hash, and that every line
-    is the canonical encoding of its record (no raw floats), with the same
-    pass that :func:`read_records` and :meth:`Ledger.open` run.
+    """Check seq gaplessness, chain linkage, every hash, that every line is
+    the canonical encoding of its record (no raw floats), and that every
+    payload is one the schema takes, with the same pass that
+    :func:`read_records` and :meth:`Ledger.open` run.
 
-    Returns None when the whole file verifies, otherwise the smallest
-    offending seq. Takes a file path or a file-backed Ledger, whose file is
+    Returns None when the whole file verifies, otherwise the number of
+    records read before the first refusal: the offending seq, or 0 for an
+    empty file. Takes a file path or a file-backed Ledger, whose file is
     re-read so on-disk corruption is what gets checked; an in-memory ledger
     has no records to check and is a ConfigurationError.
     """
@@ -1022,9 +985,10 @@ def verify_chain(source: "Ledger | str | Path") -> int | None:
         if source.path is None:
             raise ConfigurationError("an in-memory ledger keeps no records to verify")
         source = source.path
+    count = 0
     try:
         for _ in _verified(_file_lines(source)):
-            pass
-    except DecodeError as exc:
-        return exc.seq
+            count += 1
+    except DecodeError:
+        return count
     return None

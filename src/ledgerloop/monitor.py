@@ -199,8 +199,7 @@ def evaluate_alerts(
         backend_ts = last.backend_ts if last is not None else 0
         version_id = last.version_id if last is not None else "unknown"
         for alert in fired:
-            events.append(
-                ledger,
+            ledger.append(
                 events.AlertInfo(
                     metric=alert.rule.metric,
                     comparator=alert.rule.comparator,

@@ -207,9 +207,9 @@ class Runtime:
 
     def _log(self, value, backend_ts: int, version_id: str, device_ts: int | None = None) -> EventEnvelope:
         """Append ``value`` as the payload of a record of its event type and
-        fold the record into the index with it."""
-        record = events.append(self.ledger, value, backend_ts, version_id, device_ts)
-        self.index.apply(record, value)
+        fold the record into the index."""
+        record = self.ledger.append(value, backend_ts, version_id, device_ts)
+        self.index.apply(record)
         return record
 
     # -- lifecycle -----------------------------------------------------------

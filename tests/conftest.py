@@ -4,7 +4,7 @@ import json
 import pytest
 
 from ledgerloop.config import RunConfig, config_digest, config_from_dict, header_config_dict
-from ledgerloop.events import StreamIndex
+from ledgerloop.events import HeaderInfo, StreamIndex
 from ledgerloop.ledger import GENESIS_HASH, Ledger, compute_record_hash, read_records
 from ledgerloop.replay import default_logic
 from ledgerloop.runtime import Runtime
@@ -86,8 +86,15 @@ def first_seq(path, event_type: str, where=lambda payload: True) -> int:
 
 
 def records_of(path, event_type: str) -> list:
-    """The records of one event type in the ledger file at ``path``, in seq order."""
-    return [record for record in read_records(path) if record.event_type == event_type]
+    """The records of one event type in the ledger file at ``path``, in seq
+    order, each with its payload as the dict it is stored as (the dict an
+    edit of :func:`rechain` changes)."""
+    lines = path.read_bytes().splitlines()
+    return [
+        record._replace(payload=json.loads(lines[record.seq])["payload"])
+        for record in read_records(path)
+        if record.event_type == event_type
+    ]
 
 
 def index_of(path) -> StreamIndex:
@@ -97,6 +104,13 @@ def index_of(path) -> StreamIndex:
 
 def make_run_config(**overrides) -> RunConfig:
     return config_from_dict(deep_merge(BASE_CONFIG, overrides))
+
+
+def make_header(stream_id="s", environment_profile="test", **extra) -> HeaderInfo:
+    """A HEADER payload of the base run config, with the members ``extra``
+    added to its config (its ``config_digest`` is the base config's)."""
+    config = header_config_dict(make_run_config(), ["p0", "p1"])
+    return HeaderInfo(stream_id, environment_profile, 0, {**config, **extra}, config_digest(config))
 
 
 @pytest.fixture

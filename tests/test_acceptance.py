@@ -305,7 +305,7 @@ def test_criterion_8_imputation_preservation(tmp_path):
     records = list(read_records(manual))
     late = records[late_seq]
     assert late.event_type == "DATA_INGESTED"
-    assert late.payload["superseded_snapshot_seq"] == snap_seq
+    assert late.payload.superseded_snapshot_seq == snap_seq
 
     assert records[snap_seq].to_line() == line_before
     file_line_after = manual.read_bytes().splitlines()[snap_seq]

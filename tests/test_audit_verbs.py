@@ -17,6 +17,7 @@ import yaml
 from conftest import BASE_CONFIG, deep_merge, first_seq, rechain
 from ledgerloop.cli import main
 from ledgerloop.config import config_digest
+from ledgerloop.events import ErrorInfo
 
 SMALL = {"environment": {"n_participants": 2, "n_days": 2}}
 
@@ -324,7 +325,7 @@ def test_append_alerts_refuses_a_ledger_that_changed(tmp_path, ledger_path, monk
     def open_after_a_write(cls, path):
         opened = original_open(cls, path)
         last = opened.last()
-        opened.append("ERROR", {"kind": "late_writer"}, last.backend_ts, last.version_id)
+        opened.append(ErrorInfo("late_writer", "appended during the audit"), last.backend_ts, last.version_id)
         return opened
 
     monkeypatch.setattr(Ledger, "open", classmethod(open_after_a_write))

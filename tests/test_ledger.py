@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import make_header, rechain
 from ledgerloop.errors import (
     ConfigurationError,
     DecodeError,
@@ -22,6 +23,7 @@ from ledgerloop.ledger import (
     read_records,
     verify_chain,
 )
+from ledgerloop.events import DatumInfo, ErrorInfo, UpdateInfo
 
 
 _made: list[Ledger] = []
@@ -41,18 +43,12 @@ def _close_made_ledgers():
         _made.pop().close()
 
 
-def append_n(ledger, n, event_type="ERROR"):
-    out = []
-    for i in range(n):
-        out.append(
-            ledger.append(
-                event_type,
-                {"kind": "test", "message": f"e{i}", "participant_id": None, "decision_index": None},
-                backend_ts=1000 + i,
-                version_id="v1",
-            )
-        )
-    return out
+def append_n(ledger, n):
+    return [ledger.append(ErrorInfo("test", f"e{i}"), backend_ts=1000 + i, version_id="v1") for i in range(n)]
+
+
+def note(text: str) -> ErrorInfo:
+    return ErrorInfo("note", text)
 
 
 # -- encode_float / decode_float -------------------------------------------------
@@ -137,20 +133,14 @@ def test_chain_rule(tmp_path):
 def test_profile_mismatch_is_isolation_error(tmp_path):
     ledger = Ledger(stream_id="s", environment_profile="prod-sim", path=tmp_path / "l.ndjson")
     with pytest.raises(IsolationError):
-        ledger.append(
-            "ERROR",
-            {"kind": "k", "message": "m", "participant_id": None, "decision_index": None},
-            backend_ts=0,
-            version_id="v1",
-            environment_profile="dev",
-        )
+        ledger.append(note("m"), backend_ts=0, version_id="v1", environment_profile="dev")
     ledger.close()
 
 
 def test_stream_mismatch_is_isolation_error():
     ledger = make_ledger()
     with pytest.raises(IsolationError):
-        ledger.append("ERROR", {}, backend_ts=0, version_id="v1", stream_id="other")
+        ledger.append(note("m"), backend_ts=0, version_id="v1", stream_id="other")
 
 
 def test_append_only_grows_file(tmp_path):
@@ -177,12 +167,7 @@ def test_concurrent_appends_linearize(tmp_path):
     def worker(tag):
         try:
             for i in range(25):
-                ledger.append(
-                    "ERROR",
-                    {"kind": "t", "message": f"{tag}-{i}", "participant_id": None, "decision_index": None},
-                    backend_ts=i,
-                    version_id="v1",
-                )
+                ledger.append(ErrorInfo("t", f"{tag}-{i}"), backend_ts=i, version_id="v1")
         except Exception as exc:  # pragma: no cover - failure reporting only
             errors.append(exc)
 
@@ -200,7 +185,7 @@ def test_header_only_at_seq_zero():
     ledger = make_ledger()
     append_n(ledger, 1)
     with pytest.raises(ConfigurationError):
-        ledger.append("HEADER", {}, backend_ts=0, version_id="v1")
+        ledger.append(make_header("stream-1"), backend_ts=0, version_id="v1")
 
 
 # -- verify_chain ----------------------------------------------------------------
@@ -293,7 +278,7 @@ def test_open_round_trip(tmp_path):
     assert reopened.last() == originals[-1]
     assert [r.hash for r in read_records(reopened.path)] == [r.hash for r in originals]
     # appending continues the chain
-    more = reopened.append("ALERT", {"note": "x"}, backend_ts=9, version_id="v1")
+    more = reopened.append(note("x"), backend_ts=9, version_id="v1")
     assert more.seq == 5
     assert more.prev_hash == originals[-1].hash
     assert verify_chain(reopened) is None
@@ -309,8 +294,7 @@ def test_ledger_holds_no_record_copies(tmp_path, on_file):
     append_n(ledger, 10)  # the first appends open the file and warm caches
 
     def appended(i):
-        payload = {"kind": "test", "message": f"e{i}", "participant_id": None, "decision_index": None}
-        ledger.append("ERROR", payload, backend_ts=1000 + i, version_id="v1")
+        ledger.append(ErrorInfo("test", f"e{i}"), backend_ts=1000 + i, version_id="v1")
 
     tracemalloc.start()
     try:
@@ -356,7 +340,7 @@ def test_open_counts_the_records_and_chains_from_the_last(tmp_path, n):
     reopened = Ledger.open(ledger.path)
     _made.append(reopened)
     assert len(reopened) == n
-    more = reopened.append("ALERT", {"note": "x"}, backend_ts=9, version_id="v1")
+    more = reopened.append(note("x"), backend_ts=9, version_id="v1")
     assert (more.seq, more.prev_hash) == (n, written[-1].hash)
     reopened.close()
     assert verify_chain(ledger.path) is None
@@ -384,15 +368,22 @@ def test_envelope_line_round_trip():
 
 
 def test_append_writes_exactly_to_line_for_nested_payload_and_hash_keys(tmp_path):
+    # The HEADER's config is the one dict in a payload; a string holds the
+    # members' text only with its quotes escaped.
     ledger = make_ledger(tmp_path)
-    payloads = [
-        {"payload": {"payload": "inner", "hash": "not-a-hash"}, "hash": [1, {"hash": None}]},
-        {"a": {"payload": [{"payload": {"payload": 0}}]}, "prev_hash": "x", "seq": -1},
-        {},
+    values = [
+        make_header(
+            "stream-1",
+            payload={"payload": "inner", "hash": "not-a-hash"},
+            hash=[1, {"hash": None}],
+            a={"payload": [{"payload": {"payload": 0}}]},
+            prev_hash="x",
+            seq=-1,
+        ),
+        ErrorInfo('"hash":"', ',"payload":{"hash":"' + "0" * 64 + '"}'),
+        ErrorInfo("", ""),
     ]
-    records = [
-        ledger.append("ALERT", p, backend_ts=i, version_id="v1") for i, p in enumerate(payloads)
-    ]
+    records = [ledger.append(value, backend_ts=i, version_id="v1") for i, value in enumerate(values)]
     lines = ledger.path.read_bytes().split(b"\n")
     assert lines[-1] == b""
     assert lines[:-1] == [record.to_line() for record in records]
@@ -428,7 +419,7 @@ def test_failed_append_leaves_no_torn_bytes(tmp_path):
         append_n(ledger, 1)
     assert ledger.path.stat().st_size == size
     assert len(ledger) == 1
-    more = ledger.append("ALERT", {"note": "after"}, backend_ts=5, version_id="v1")
+    more = ledger.append(note("after"), backend_ts=5, version_id="v1")
     assert more.seq == 1
     ledger.close()
     assert verify_chain(ledger.path) is None
@@ -493,7 +484,7 @@ def test_a_short_write_is_a_failed_append(tmp_path):
         append_n(ledger, 1)
     assert ledger.path.stat().st_size == size
     assert len(ledger) == 1
-    more = ledger.append("ALERT", {"note": "after"}, backend_ts=5, version_id="v1")
+    more = ledger.append(note("after"), backend_ts=5, version_id="v1")
     assert (more.seq, more.prev_hash) == (1, first.hash)
     ledger.close()
     assert [r.hash for r in read_records(ledger.path)] == [first.hash, more.hash]
@@ -502,13 +493,9 @@ def test_a_short_write_is_a_failed_append(tmp_path):
 def test_each_record_is_readable_as_soon_as_its_append_returns(tmp_path):
     # No user-space buffering: a live audit of a running trial reads every
     # record appended so far, from a new ledger and from a reopened one.
-    from ledgerloop.events import DatumInfo, append
-
     def appended_and_read(ledger, i):
-        if i % 2:
-            append(ledger, DatumInfo("p0", "f", i / 4, i, None), backend_ts=i, version_id="v1")
-        else:
-            ledger.append("ALERT", {"i": i}, backend_ts=i, version_id="v1")
+        value = DatumInfo("p0", "f", i / 4, i, None) if i % 2 else note(str(i))
+        ledger.append(value, backend_ts=i, version_id="v1")
         records = list(read_records(ledger.path))
         assert len(records) == len(ledger)
         assert records[-1].hash == ledger.last().hash
@@ -536,33 +523,33 @@ def test_append_refusals_keep_their_order(tmp_path):
     with pytest.raises(StorageError):
         append_n(ledger, 1)  # the ledger now ends in a torn record
     steps = [
-        ({"event_type": "NOPE"}, ConfigurationError, "unknown event_type"),
         ({"device_ts": 1.5}, ConfigurationError, "device_ts must be"),
         ({"backend_ts": "0"}, ConfigurationError, "backend_ts must be"),
-        ({"payload": {"x": 0.5}}, ConfigurationError, "raw float"),
+        ({"value": make_header("stream-1", x=0.5)}, ConfigurationError, "raw float"),
         ({"stream_id": "other"}, IsolationError, "stream 'other'"),
         ({"environment_profile": "dev"}, IsolationError, "profile 'dev'"),
     ]
     for i, (_, kind, message) in enumerate(steps):
-        call = {"event_type": "HEADER", "payload": {}, "backend_ts": 0, "version_id": "v1"}
+        call = {"value": make_header("stream-1"), "backend_ts": 0, "version_id": "v1"}
         for override, _, _ in steps[i:]:
             call.update(override)
         with pytest.raises(kind, match=message):
             ledger.append(**call)
     with pytest.raises(StorageError, match="torn"):
-        ledger.append("HEADER", {}, backend_ts=0, version_id="v1")
-    # A typed payload's refusal comes before isolation, isolation before the
+        ledger.append(make_header("stream-1"), backend_ts=0, version_id="v1")
+    # A value of no payload class is refused before its members are checked,
+    # a member's refusal comes before isolation, isolation before the
     # HEADER's place.
-    from ledgerloop.events import DatumInfo
-
     whole = make_ledger()
     append_n(whole, 1)
+    with pytest.raises(ConfigurationError, match="payload must be an instance of a payload class, got dict"):
+        whole.append({}, backend_ts=0, version_id="v1", stream_id="other")
     with pytest.raises(ConfigurationError, match="value: expected a float"):
-        whole.append("DATA_INGESTED", DatumInfo("p0", "f", 1, 5, None), 0, "v1", stream_id="other")
+        whole.append(DatumInfo("p0", "f", 1, 5, None), 0, "v1", stream_id="other")
     with pytest.raises(IsolationError):
-        whole.append("HEADER", {}, backend_ts=0, version_id="v1", stream_id="other")
+        whole.append(make_header("stream-1"), backend_ts=0, version_id="v1", stream_id="other")
     with pytest.raises(ConfigurationError, match="HEADER is only valid at seq 0"):
-        whole.append("HEADER", {}, backend_ts=0, version_id="v1")
+        whole.append(make_header("stream-1"), backend_ts=0, version_id="v1")
     assert len(whole) == 1
 
 
@@ -578,3 +565,52 @@ def test_raw_float_with_valid_chain_is_reported_at_its_seq(tmp_path):
     lines[2] = json.dumps(body, sort_keys=True, separators=(",", ":")).encode("ascii")
     ledger.path.write_bytes(b"\n".join(lines) + b"\n")
     assert verify_chain(ledger.path) == 2
+
+
+def test_verify_chain_of_an_empty_file_is_zero(tmp_path):
+    # No record verified, as read_records and Ledger.open refuse the file.
+    path = tmp_path / "empty.ndjson"
+    path.write_bytes(b"")
+    assert verify_chain(path) == 0
+    with pytest.raises(DecodeError, match="ledger file is empty") as err:
+        list(read_records(path))
+    assert err.value.seq is None
+    with pytest.raises(DecodeError, match="ledger file is empty"):
+        Ledger.open(path)
+
+
+def test_a_refused_payload_with_a_valid_chain_is_reported_at_its_seq(tmp_path):
+    ledger = make_ledger(tmp_path)
+    append_n(ledger, 4)
+    ledger.close()
+    rechain(ledger.path, 2, lambda record: record["payload"].update(kind=7))
+    assert verify_chain(ledger.path) == 2
+    message = "malformed ERROR payload: kind: expected a string, got 7"
+    with pytest.raises(DecodeError) as err:
+        list(read_records(ledger.path))
+    assert (str(err.value), err.value.seq) == (message, None)
+    with pytest.raises(DecodeError, match=message):
+        Ledger.open(ledger.path)
+    # The records before it are read.
+    records = read_records(ledger.path)
+    assert [next(records).seq for _ in range(2)] == [0, 1]
+
+
+def test_an_int_subclass_member_is_refused():
+    # The walk and the line matcher read back only exact ints.
+    class Count(int):
+        def __str__(self):
+            return "many"
+
+    ledger = make_ledger()
+    for value, message in [
+        (DatumInfo("p0", "f", 0.5, Count(5), None), "DATA_INGESTED payload: device_ts: expected an integer, got 5"),
+        (DatumInfo("p0", "f", 0.5, 5, Count(1)),
+         "DATA_INGESTED payload: superseded_snapshot_seq: expected an integer or None, got 1"),
+        (UpdateInfo("p0", (1, Count(2)), b"", b"", b""),
+         "MODEL_UPDATE payload: batch_seqs: expected a tuple, each item an integer, got (1, 2)"),
+    ]:
+        with pytest.raises(ConfigurationError) as refused:
+            ledger.append(value, backend_ts=0, version_id="v1")
+        assert str(refused.value) == message
+    assert len(ledger) == 0

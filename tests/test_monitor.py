@@ -129,7 +129,7 @@ def test_alerts_appended_to_ledger(tmp_path):
     assert len(records) == len(result.ledger)
     last = records[-1]
     assert last.event_type == "ALERT"
-    assert last.payload["metric"] == "fallback_rate"
+    assert last.payload.metric == "fallback_rate"
     # monitoring appends never break the chain
     assert verify_chain(path) is None
 

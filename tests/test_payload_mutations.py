@@ -5,9 +5,14 @@ The golden ledger is edited one payload member at a time (a HEADER's
 ``config_digest`` re-derived) and re-chained, so only the edited content can
 be refused. ``replay-verify``, ``monitor-report --replay`` and
 ``ledger-inspect`` must then end with exit 0, 1 or 2: never the config-error
-code 64 and never an uncaught exception.
+code 64 and never an uncaught exception. The read pass yields only typed
+payloads: an edit the schema refuses is the one audit error every verb
+gives.
 """
 
+import contextlib
+import hashlib
+import io
 import json
 import shutil
 import tempfile
@@ -23,7 +28,7 @@ from ledgerloop import events, ledger
 from ledgerloop.cli import main
 from ledgerloop.config import config_digest
 from ledgerloop.errors import DecodeError
-from ledgerloop.ledger import encode_float, map_floats
+from ledgerloop.ledger import encode_float, map_floats, read_records
 from test_golden import GOLDEN_CONFIG
 
 
@@ -259,3 +264,75 @@ def test_the_compiled_decoder_answers_as_the_annotation_walk(golden, event_type)
             assert answer == ("value", map_floats(parsed[0][-1], encode_float)), value
         answers.add(answer[0])
     assert answers == {"value", "refused"}
+
+
+# Every value an edit above sets a member to.
+EDIT_VALUES = [*JSON_VALUES, *OUT_OF_RANGE, *NON_FINITE.values()]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_every_record_read_carries_its_typed_payload(golden, data):
+    # Either the read pass yields each record with an instance of its event
+    # type's class, or it raises the one line replay-verify prints.
+    records = _records(golden)
+    seq, path = data.draw(st.sampled_from(_members(records)), label="member")
+    value = data.draw(st.sampled_from(EDIT_VALUES), label="value")
+    with tempfile.TemporaryDirectory() as tmp:
+        edited = Path(tmp) / "edited.ndjson"
+        shutil.copyfile(golden, edited)
+        for ledger_path in (golden, edited):
+            if ledger_path is edited:
+                rechain(edited, seq, _setter(path, value))
+            try:
+                read = list(read_records(ledger_path))
+            except DecodeError as exc:
+                assert ledger_path is edited and exc.seq is None
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err):
+                    assert main(["replay-verify", "--ledger", str(ledger_path)]) == 2
+                assert err.getvalue() == f"audit error: {exc}\n"
+            else:
+                assert len(read) == len(records)
+                assert all(type(r.payload) is events.PAYLOADS[r.event_type] for r in read)
+
+
+# SHA-256 of the standard output of ledger-inspect for every seq of the
+# golden ledger, in seq order.
+INSPECT_SHA256 = "220d2cc7d38b5847a14b462c7ee725215fc2669b57fa3b425fb9455e8d03118f"
+
+
+def _holds_a_float(value) -> bool:
+    if type(value) is float:
+        return True
+    if isinstance(value, dict):
+        return any(_holds_a_float(v) for v in value.values())
+    return isinstance(value, list) and any(_holds_a_float(v) for v in value)
+
+
+def test_ledger_inspect_prints_every_golden_record_as_pinned(golden, capsys):
+    digest = hashlib.sha256()
+    for record in read_records(golden):
+        assert main(["ledger-inspect", "--ledger", str(golden), "--seq", str(record.seq)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        stored = json.loads(out[: out.find("\n}\n") + 2])
+        assert stored == json.loads(record.to_line())
+        # The decoded block is shown only for a payload with a float.
+        assert ("# decoded floats:" in out) == _holds_a_float(map_floats(record.payload, lambda x: x))
+        digest.update(out.encode())
+    assert digest.hexdigest() == INSPECT_SHA256
+
+
+def test_ledger_inspect_of_a_refused_payload_is_the_audit_error(tmp_path, golden, capsys):
+    edited = tmp_path / "edited.ndjson"
+    shutil.copyfile(golden, edited)
+    seq = first_seq(edited, "DECISION")
+    rechain(edited, seq, _setter(("fallback",), 7))
+    message = "audit error: malformed DECISION payload: fallback: expected a boolean, got 7\n"
+    for argv in (["ledger-inspect", "--seq", str(seq)], ["replay-verify"]):
+        assert main([*argv, "--ledger", str(edited)]) == 2
+        assert capsys.readouterr() == ("", message)
+    # A record before it is still shown.
+    assert main(["ledger-inspect", "--ledger", str(edited), "--seq", str(seq - 1)]) == 0
+    assert f'\n  "seq": {seq - 1},\n' in capsys.readouterr().out

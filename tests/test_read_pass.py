@@ -8,10 +8,10 @@ re-encodes once and hashes the stored line with its ``hash`` member cut out;
 on every input below it must name the same first bad seq, and
 ``Ledger.open`` must fail exactly where ``verify_chain`` does.
 
-A typed read (``read_records(path, PAYLOADS)``) tries each line's compiled
-line matcher first and falls back on the JSON path. It must give the
-records the JSON path gives, each payload decoded by the annotation walk,
-and every audit verdict the JSON path gives.
+The read pass tries each line's compiled line matcher first and falls back
+on the JSON path. It must give the records the JSON path alone gives
+(``_parse_line``, then the annotation walk, ``decode_payload``), and every
+audit verdict the JSON path gives.
 """
 
 import json
@@ -30,7 +30,7 @@ from conftest import first_seq, make_run_config, rechain
 from ledgerloop import ledger as ledger_module
 from ledgerloop.cli import main
 from ledgerloop.errors import ConfigurationError, DecodeError
-from ledgerloop.events import PAYLOADS, DatumInfo, append, decode_payload
+from ledgerloop.events import PAYLOADS, DatumInfo, ErrorInfo, decode_payload
 from ledgerloop.ledger import (
     GENESIS_HASH,
     EventEnvelope,
@@ -78,13 +78,15 @@ def reference_verify_chain(path) -> int | None:
             return i
         if record.seq != i or record.prev_hash != prev_hash:
             return i
+        # The body as parsed: the payload dict, raw floats included.
+        body_dict = {**record.body_dict(), "payload": record.payload}
         try:
-            body = canonical_json_bytes(record.body_dict())
+            body = canonical_json_bytes(body_dict)
         except ConfigurationError:
             return i
         if compute_record_hash(prev_hash, body) != record.hash:
             return i
-        if record.to_line() != bytes(line):
+        if canonical_json_bytes({**body_dict, "hash": record.hash.hex()}) != bytes(line):
             return i
         prev_hash = record.hash
     return None
@@ -211,13 +213,14 @@ def test_hand_made_non_canonical_lines_fail_at_their_seq(small_ledger, case):
 
 
 def test_payload_with_its_own_hash_key_verifies(small_ledger):
+    # The HEADER's config is the one payload member that may hold a key.
     fake = "ab" * 32
-    _rewrite_last(small_ledger, _set_payload("hash", fake))
-    assert small_ledger.read_bytes().splitlines()[-1].count(b'"hash":"') == 2
+    rechain(small_ledger, 0, lambda record: record["payload"]["config"].update(hash=fake))
+    assert small_ledger.read_bytes().splitlines()[0].count(b'"hash":"') == 2
     assert reference_verify_chain(small_ledger) is None
     assert verify_chain(small_ledger) is None
-    with Ledger.open(small_ledger) as ledger:
-        assert ledger.last().payload["hash"] == fake
+    Ledger.open(small_ledger).close()
+    assert next(read_records(small_ledger)).payload.config["hash"] == fake
 
 
 def test_dict_device_ts_is_refused(small_ledger):
@@ -238,10 +241,10 @@ def test_append_refuses_non_integer_device_ts(tmp_path, device_ts):
     path = tmp_path / "l.ndjson"
     with Ledger(stream_id="s", environment_profile="test", path=path, fsync=False) as ledger:
         with pytest.raises(ConfigurationError, match="device_ts"):
-            ledger.append("ALERT", {}, backend_ts=0, version_id="v1", device_ts=device_ts)
+            ledger.append(ErrorInfo("k", "m"), backend_ts=0, version_id="v1", device_ts=device_ts)
         assert len(ledger) == 0
-        ledger.append("ALERT", {}, backend_ts=0, version_id="v1", device_ts=5)
-        ledger.append("ALERT", {}, backend_ts=0, version_id="v1", device_ts=None)
+        ledger.append(ErrorInfo("k", "m"), backend_ts=0, version_id="v1", device_ts=5)
+        ledger.append(ErrorInfo("k", "m"), backend_ts=0, version_id="v1", device_ts=None)
     assert verify_chain(path) is None
 
 
@@ -251,9 +254,10 @@ def test_append_refuses_non_integer_device_ts(tmp_path, device_ts):
 )
 def test_append_refuses_what_the_read_pass_refuses(name, value):
     ledger = Ledger(stream_id="s", environment_profile="test")
-    args = {"payload": {}, "backend_ts": 0, "version_id": "v1", name: value}
+    args = {"value": ErrorInfo("k", "m"), "backend_ts": 0, "version_id": "v1"}
+    args["value" if name == "payload" else name] = value
     with pytest.raises(ConfigurationError, match=name):
-        ledger.append("ALERT", **args)
+        ledger.append(**args)
     assert len(ledger) == 0
     with pytest.raises(ConfigurationError, match="stream_id"):
         Ledger(stream_id=7, environment_profile="test")
@@ -272,24 +276,31 @@ def test_in_memory_and_file_ledgers_end_at_one_head(tmp_path):
     assert in_memory.last().hash == on_file.last().hash == stored.hash
 
 
-# -- the typed read ----------------------------------------------------------------
+# -- the line matchers against the JSON path ------------------------------------------
 
 
-def _typed_and_plain(path):
-    """The records of a typed read and of a read by the JSON path alone."""
-    return list(read_records(path, PAYLOADS)), list(read_records(path))
+def json_path_records(path) -> list[EventEnvelope]:
+    """The records of the ledger file at ``path`` as the JSON path alone
+    reads them: each line through ``_parse_line``, then its payload through
+    the annotation walk."""
+    records = []
+    for seq, line in enumerate(path.read_bytes().splitlines()):
+        fields, prev_text, hash_text = ledger_module._parse_line(line, seq)
+        value = decode_payload(fields[6], fields[7])
+        records.append(EventEnvelope(*fields[:7], value, bytes.fromhex(prev_text), bytes.fromhex(hash_text)))
+    return records
 
 
-def _assert_reads_equal(event_type, line, record, plain):
-    assert record._replace(payload=None) == plain._replace(payload=None)
-    # Only a string with an escape, or the HEADER's config, keeps a line
-    # from its matcher; the JSON path then gives the payload dict.
-    assert (type(record.payload) is dict) == (event_type == "HEADER" or b"\\" in line)
-    typed = record.payload
-    if type(typed) is dict:
-        typed = decode_payload(event_type, typed)
+def _assert_reads_equal(event_type, line, record, reference):
+    assert record._replace(payload=None) == reference._replace(payload=None)
+    assert type(record.payload) is type(reference.payload) is PAYLOADS[event_type]
     # Floats compared by their bits, so a NaN equals itself.
-    assert map_floats(typed, encode_float) == map_floats(decode_payload(event_type, plain.payload), encode_float)
+    assert map_floats(record.payload, encode_float) == map_floats(reference.payload, encode_float)
+    # Only a string with an escape, or the HEADER's config, keeps a line
+    # from its matcher.
+    matcher = ledger_module._line_reader(event_type, PAYLOADS[event_type])
+    taken = matcher is not None and matcher(line.decode("latin-1")) is not None
+    assert taken == (event_type != "HEADER" and b"\\" not in line)
 
 
 @pytest.mark.parametrize("event_type", sorted(TYPED))
@@ -304,26 +315,24 @@ def test_the_typed_read_gives_the_json_paths_records(event_type, data):
         path = Path(tmp) / "l.ndjson"
         with Ledger("s", "test", path=path, fsync=False) as ledger:
             for value, (backend_ts, version_id, device_ts) in zip(values, envelopes):
-                append(ledger, value, backend_ts=backend_ts, version_id=version_id, device_ts=device_ts)
+                ledger.append(value, backend_ts=backend_ts, version_id=version_id, device_ts=device_ts)
         lines = path.read_bytes().splitlines()
-        typed, plain = _typed_and_plain(path)
-    assert len(typed) == len(plain) == len(values)
-    for line, record, expected, value in zip(lines, typed, plain, values):
+        typed, reference = list(read_records(path)), json_path_records(path)
+    assert len(typed) == len(reference) == len(values)
+    for line, record, expected, value in zip(lines, typed, reference, values):
         _assert_reads_equal(event_type, line, record, expected)
-        assert map_floats(decode_payload(event_type, expected.payload), encode_float) == map_floats(
-            value, encode_float
-        )
+        assert map_floats(expected.payload, encode_float) == map_floats(value, encode_float)
 
 
 @pytest.mark.parametrize("text", ['"', "\\", "\x01", "\x7f", "é", "\u2028"])
 def test_a_string_with_an_escape_takes_the_json_path(tmp_path, text):
     path = tmp_path / "l.ndjson"
     with Ledger("s", "test", path=path, fsync=False) as ledger:
-        append(ledger, DatumInfo("p0", "f", 0.5, 1, None), backend_ts=0, version_id="v1")
-        append(ledger, DatumInfo(f"p{text}0", "f", 0.5, 1, None), backend_ts=0, version_id="v1")
-    typed, plain = _typed_and_plain(path)
-    assert [type(record.payload) for record in typed] == [DatumInfo, dict]
-    for line, record, expected in zip(path.read_bytes().splitlines(), typed, plain):
+        ledger.append(DatumInfo("p0", "f", 0.5, 1, None), backend_ts=0, version_id="v1")
+        ledger.append(DatumInfo(f"p{text}0", "f", 0.5, 1, None), backend_ts=0, version_id="v1")
+    typed = list(read_records(path))
+    assert [record.payload.participant_id for record in typed] == ["p0", f"p{text}0"]
+    for line, record, expected in zip(path.read_bytes().splitlines(), typed, json_path_records(path)):
         _assert_reads_equal("DATA_INGESTED", line, record, expected)
 
 
@@ -401,8 +410,8 @@ def test_a_line_edit_gets_the_json_paths_verdict(tmp_path, golden, capsys, monke
     shutil.copyfile(golden, edited)
     apply(edited, first_seq(edited, event_type))
     typed = _audit_answers(edited, tmp_path / "typed.txt"), capsys.readouterr()
-    plain_read = ledger_module.read_records
-    monkeypatch.setattr(ledger_module, "read_records", lambda path, payloads=None: plain_read(path))
+    # With no line matcher, every line takes the JSON path.
+    monkeypatch.setattr(ledger_module, "_line_reader", lambda event_type, cls: None)
     plain = _audit_answers(edited, tmp_path / "plain.txt"), capsys.readouterr()
     assert typed == plain
     assert typed[0] == [(2, False), (2, False)]

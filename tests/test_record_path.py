@@ -5,15 +5,13 @@ not.
 
 ``reference_append`` keeps the earlier append as the oracle: an envelope
 with an empty hash, ``canonical_json_bytes`` of its ``body_dict()`` (which
-walks the whole body for raw floats), the hash, then a second envelope. The
-new append walks only a dict payload and encodes the body once; for any
-JSON-like payload it must give the same line and hash, or refuse it with the
-same message. A typed payload (a dataclass) is written by its class's
-compiled writer: for every well-typed value of every payload class, under
-any envelope strings, it must give the line and hash of the oracle fed
-``map_floats(value, encode_float)``, and it refuses a member whose type is
-not its annotation's, or a value of another event type's class, before
-anything is written.
+walks the whole body for raw floats), the hash, then a second envelope.
+Every payload is a typed value, written by its class's compiled writer,
+which gives the record its event type: for every well-typed value of every
+payload class, under any envelope strings, it must give the line and hash of
+the oracle fed ``map_floats(value, encode_float)``, and it refuses a member
+whose type is not its annotation's before anything is written. A record
+whose payload is another event type's is refused by every reader.
 """
 
 import json
@@ -28,7 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_run_config
+from conftest import make_header, make_run_config, rechain
 from ledgerloop.config import config_digest, header_config_dict
 from ledgerloop.errors import ConfigurationError, DecodeError
 from ledgerloop.events import (
@@ -41,7 +39,7 @@ from ledgerloop.events import (
     SnapshotInfo,
     UpdateInfo,
     VersionInfo,
-    append,
+    decode_payload,
 )
 from ledgerloop.ledger import (
     ENVIRONMENT_PROFILES,
@@ -55,7 +53,7 @@ from ledgerloop.ledger import (
     read_records,
     verify_chain,
 )
-from ledgerloop.policy import PROVENANCE_TAGS, DecisionRecord
+from ledgerloop.policy import PROVENANCE_TAGS, DecisionRecord, FeatureSnapshot
 
 
 def reference_append(prev_hash, seq, event_type, payload, backend_ts, version_id, device_ts,
@@ -74,59 +72,6 @@ def reference_append(prev_hash, seq, event_type, payload, backend_ts, version_id
     body = canonical_json_bytes(EventEnvelope(**fields, hash=b"").body_dict())
     rec_hash = compute_record_hash(prev_hash, body)
     return EventEnvelope(**fields, hash=rec_hash)
-
-
-leaves = (
-    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
-    | st.floats(allow_nan=True, allow_infinity=True)
-)
-keys = st.text(max_size=4) | st.integers(-2, 2)
-values = st.recursive(
-    leaves,
-    lambda kids: st.lists(kids, max_size=3)
-    | st.tuples(kids, kids)
-    | st.dictionaries(keys, kids, max_size=3),
-    max_leaves=12,
-)
-appends = st.lists(
-    st.tuples(
-        st.sampled_from(["DATA_INGESTED", "DECISION", "MODEL_UPDATE", "ERROR", "ALERT"]),
-        st.dictionaries(keys, values, max_size=4),
-        st.integers(0, 2**53),
-        st.text(max_size=6),
-        st.none() | st.integers(-(2**40), 2**40),
-    ),
-    min_size=1,
-    max_size=6,
-)
-
-
-@settings(max_examples=300, deadline=None)
-@given(appends)
-def test_append_matches_the_two_envelope_reference(calls):
-    with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "l.ndjson"
-        with Ledger("s", "test", path=path, fsync=False) as ledger:
-            prev_hash, lines = GENESIS_HASH, []
-            for event_type, payload, backend_ts, version_id, device_ts in calls:
-                try:
-                    expected = reference_append(
-                        prev_hash, len(lines), event_type, payload, backend_ts, version_id, device_ts
-                    )
-                except ConfigurationError as exc:
-                    with pytest.raises(ConfigurationError) as refused:
-                        ledger.append(event_type, payload, backend_ts, version_id, device_ts)
-                    assert str(refused.value) == str(exc)
-                    assert len(ledger) == len(lines)
-                    continue
-                record = ledger.append(event_type, payload, backend_ts, version_id, device_ts)
-                assert record == expected
-                assert record.to_line() == expected.to_line()
-                prev_hash = expected.hash
-                lines.append(expected.to_line())
-        assert path.read_bytes() == b"".join(line + b"\n" for line in lines)
-        if lines:
-            assert [r.to_line() for r in read_records(path)] == lines
 
 
 def _bits(n: int) -> float:
@@ -210,6 +155,41 @@ def test_every_payload_class_has_a_strategy():
     assert sorted(TYPED) == sorted(PAYLOADS)
 
 
+# Records of every event type but the HEADER, which only seq 0 may hold.
+appends = st.lists(
+    st.tuples(
+        st.sampled_from(sorted(set(TYPED) - {"HEADER"})).flatmap(lambda t: st.tuples(st.just(t), TYPED[t])),
+        st.integers(0, 2**53),
+        st.text(max_size=6),
+        st.none() | st.integers(-(2**40), 2**40),
+    ),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(appends)
+def test_append_matches_the_two_envelope_reference(calls):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "l.ndjson"
+        with Ledger("s", "test", path=path, fsync=False) as ledger:
+            prev_hash, lines = GENESIS_HASH, []
+            for (event_type, value), backend_ts, version_id, device_ts in calls:
+                expected = reference_append(
+                    prev_hash, len(lines), event_type, map_floats(value, encode_float),
+                    backend_ts, version_id, device_ts,
+                )
+                record = ledger.append(value, backend_ts, version_id, device_ts)
+                assert record._replace(payload=None) == expected._replace(payload=None)
+                assert record.payload is value
+                assert record.to_line() == expected.to_line()
+                prev_hash = expected.hash
+                lines.append(expected.to_line())
+        assert path.read_bytes() == b"".join(line + b"\n" for line in lines)
+        assert [r.to_line() for r in read_records(path)] == lines
+
+
 # Envelope strings that JSON escapes: the quote, the backslash, control
 # characters and non-ASCII, beside plain ones.
 envelope_texts = texts | st.sampled_from(['"', "\\", "\x00\x1f\x7f", "é", "日本", "\u2028", 'a"b\\c\n'])
@@ -243,21 +223,21 @@ def test_compiled_encoder_writes_the_reference_bytes(event_type, data):
                     backend_ts, version_id, device_ts, stream_id, profile,
                 )
                 for ledger in (on_file, in_memory):
-                    record = append(ledger, value, backend_ts=backend_ts, version_id=version_id,
-                                    device_ts=device_ts)
+                    record = ledger.append(value, backend_ts=backend_ts, version_id=version_id,
+                                           device_ts=device_ts)
                     assert record.hash == expected.hash
                     assert ledger.last().to_line() == expected.to_line()
                 prev_hash = expected.hash
                 lines.append(expected.to_line())
         assert path.read_bytes() == b"".join(line + b"\n" for line in lines)
-        # A typed read gives the same records; a line whose envelope strings
-        # hold an escape is read by the JSON path.
-        read = list(read_records(path, PAYLOADS))
+        # The read pass gives the same records, each with its typed value,
+        # whether its line matcher or the JSON path read the line.
+        read = list(read_records(path))
         assert [r.to_line() for r in read] == lines
         assert read[-1].hash == prev_hash
-        for record in read:
-            if not all(re.fullmatch(r"[ !#-\[\]-~]*", text) for text in (record.stream_id, record.version_id)):
-                assert type(record.payload) is dict
+        assert all(type(r.payload) is PAYLOADS[event_type] for r in read)
+        assert [map_floats(r.payload, encode_float) for r in read] == [map_floats(v, encode_float) for v in values]
+
 def test_ill_typed_members_are_refused_before_anything_is_written(tmp_path):
     # Each of these was written at one time, and every audit then refused
     # the file: an int value, a bool action, a float device_ts.
@@ -269,14 +249,14 @@ def test_ill_typed_members_are_refused_before_anything_is_written(tmp_path):
     ]
     path = tmp_path / "l.ndjson"
     with Ledger("s", "test", path=path, fsync=False) as ledger:
-        append(ledger, OutcomeInfo("p0", 0, 0.5, 5), backend_ts=0, version_id="v1")
+        ledger.append(OutcomeInfo("p0", 0, 0.5, 5), backend_ts=0, version_id="v1")
         before = path.read_bytes()
         for value, message in probes:
             with pytest.raises(ConfigurationError, match=re.escape(message)):
-                append(ledger, value, backend_ts=1, version_id="v1")
+                ledger.append(value, backend_ts=1, version_id="v1")
             assert len(ledger) == 1
             assert path.read_bytes() == before
-        append(ledger, OutcomeInfo("p0", 1, 0.5, 6), backend_ts=1, version_id="v1")
+        ledger.append(OutcomeInfo("p0", 1, 0.5, 6), backend_ts=1, version_id="v1")
     assert [r.seq for r in read_records(path)] == [0, 1]
 
 
@@ -284,43 +264,47 @@ def test_ill_typed_members_are_refused_before_anything_is_written(tmp_path):
 @settings(max_examples=10, deadline=None)
 @given(data=st.data())
 def test_a_payload_of_another_event_types_class_is_refused(event_type, data):
-    # Such a record was once written, and every audit then refused the file
-    # ("malformed OUTCOME_OBSERVED payload: feature: not a member").
+    # Append takes the event type from the value's class, so no such record
+    # is written. One made by hand is refused by every reader, with the
+    # walk's message and no seq, once its chain checks have passed.
     owner = data.draw(st.sampled_from(sorted(set(TYPED) - {event_type})))
     value = data.draw(TYPED[owner])
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "l.ndjson"
         with Ledger("s", "test", path=path, fsync=False) as ledger:
-            append(ledger, DatumInfo("p000", "engagement", 1.0, 5, None), backend_ts=0, version_id="v1")
-        before = path.read_bytes()
-        with Ledger.open(path) as reopened:
-            with pytest.raises(ConfigurationError) as refused:
-                reopened.append(event_type, value, backend_ts=1, version_id="v1")
-            assert str(refused.value) == (
-                f"{event_type} payload: a {type(value).__name__} is the payload of {owner}"
-            )
-            assert len(reopened) == 1
-            assert path.read_bytes() == before
-            # A dict payload is taken for any event type but a late HEADER.
-            if event_type != "HEADER":
-                reopened.append(event_type, {"any": "thing"}, backend_ts=1, version_id="v1")
-        assert verify_chain(path) is None
+            ledger.append(value, backend_ts=0, version_id="v1")
+        rechain(path, 0, lambda record: record.update(event_type=event_type))
+        with pytest.raises(DecodeError) as walked:
+            decode_payload(event_type, map_floats(value, encode_float))
+        assert str(walked.value).startswith(f"malformed {event_type} payload: ")
+        for read in (lambda: list(read_records(path)), lambda: Ledger.open(path)):
+            with pytest.raises(DecodeError) as refused:
+                read()
+            assert (str(refused.value), refused.value.seq) == (str(walked.value), None)
+        assert verify_chain(path) == 0
 
 
-def test_append_refuses_a_payload_that_is_neither_a_dict_nor_typed():
+class _Datum(DatumInfo):
+    pass
+
+
+def test_append_refuses_a_value_of_no_payload_class():
     ledger = Ledger("s", "test")
-    for payload in ([1], "x", None, DatumInfo):
-        with pytest.raises(ConfigurationError, match="payload must be a dict or a payload dataclass"):
-            ledger.append("ALERT", payload, backend_ts=0, version_id="v1")
+    snapshot = FeatureSnapshot((), (), (), (), (), 0)
+    datum = _Datum("p0", "f", 0.5, 1, None)
+    for value in ([1], "x", None, DatumInfo, {}, {"kind": "k", "message": "m"}, snapshot, datum):
+        with pytest.raises(ConfigurationError, match="payload must be an instance of a payload class"):
+            ledger.append(value, backend_ts=0, version_id="v1")
     assert len(ledger) == 0
 
 
 def test_append_refusal_names_the_path_inside_the_payload():
+    # The HEADER's config is the one dict a payload holds.
     ledger = Ledger("s", "test")
-    with pytest.raises(ConfigurationError, match=r"raw float at \$\.payload\.a\[1\]\.b;"):
-        ledger.append("ALERT", {"a": [0, {"b": 0.5}]}, backend_ts=0, version_id="v1")
-    with pytest.raises(ConfigurationError, match=r"non-string key at \$\.payload\.a: 3"):
-        ledger.append("ALERT", {"a": {3: "x"}}, backend_ts=0, version_id="v1")
+    with pytest.raises(ConfigurationError, match=r"raw float at \$\.a\[1\]\.b;"):
+        ledger.append(make_header(a=[0, {"b": 0.5}]), backend_ts=0, version_id="v1")
+    with pytest.raises(ConfigurationError, match=r"non-string key at \$\.a: 3"):
+        ledger.append(make_header(a={3: "x"}), backend_ts=0, version_id="v1")
     assert len(ledger) == 0
 
 
@@ -329,7 +313,7 @@ def three_records(tmp_path):
     path = tmp_path / "l.ndjson"
     with Ledger("s", "test", path=path, fsync=False) as ledger:
         for i in range(3):
-            ledger.append("ALERT", {"i": i}, backend_ts=i, version_id="v1")
+            ledger.append(ErrorInfo("k", str(i)), backend_ts=i, version_id="v1")
     return path
 
 

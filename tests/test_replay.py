@@ -8,7 +8,7 @@ import pytest
 from conftest import index_of, make_run_config, make_runtime, records_of, start_runtime
 from ledgerloop import events, policy
 from ledgerloop.errors import AuditError, NumericalStateError, StructuralAuditError
-from ledgerloop.ledger import Ledger, encode_float, read_records, verify_chain
+from ledgerloop.ledger import Ledger, encode_float, map_floats, read_records, verify_chain
 from ledgerloop.replay import (
     V1_FINGERPRINT,
     default_logic,
@@ -54,20 +54,22 @@ def logic_for(index):
 def rechain(path: Path, mutate=None, skip=()) -> Path:
     """A copy of a ledger file with its hash chain re-derived, leaving out
     the records of the event types in ``skip`` and optionally mutating
-    payloads: mutate(seq, event_type, payload) -> payload. This simulates a
-    tamperer smart enough to fix the chain, which only the verifiers catch."""
+    payloads: mutate(seq, event_type, payload) -> payload, on the payload dict
+    as it is stored. This simulates a tamperer smart enough to fix the chain,
+    which only the verifiers catch."""
     out_path = path.with_name("rechained.ndjson")
     first = next(read_records(path))
     with Ledger(first.stream_id, first.environment_profile, path=out_path, fsync=False) as out:
         for record in read_records(path):
             if record.event_type in skip:
                 continue
-            payload = record.payload
+            value = record.payload
             if mutate is not None:
+                payload = map_floats(value, encode_float)
                 payload = mutate(record.seq, record.event_type, payload) or payload
+                value = events.decode_payload(record.event_type, payload)
             out.append(
-                record.event_type,
-                payload,
+                value,
                 backend_ts=record.backend_ts,
                 version_id=record.version_id,
                 device_ts=record.device_ts,
@@ -176,7 +178,7 @@ def test_v2_is_refused_where_it_misses_its_known_answers(monkeypatch):
 def test_reconstruction_requires_header(tmp_path):
     path = tmp_path / "headless.ndjson"
     with Ledger(stream_id="s", environment_profile="test", path=path, fsync=False) as ledger:
-        ledger.append("ERROR", {"kind": "k", "message": "m", "participant_id": None, "decision_index": None}, backend_ts=0, version_id="v1")
+        ledger.append(events.ErrorInfo("k", "m"), backend_ts=0, version_id="v1")
     with pytest.raises(StructuralAuditError):
         reconstruct_states(index_of(path), {"v1": default_logic()})
 

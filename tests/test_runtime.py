@@ -153,7 +153,7 @@ def test_late_data_references_superseded_snapshot_and_never_mutates_it(file_runt
     )
     records = written(runtime)
     late = records[late_seq]
-    assert late.payload["superseded_snapshot_seq"] == snap_record.seq
+    assert late.payload.superseded_snapshot_seq == snap_record.seq
 
     snap_after = records[snap_record.seq]
     assert snap_after.to_line() == line_before
@@ -162,7 +162,7 @@ def test_late_data_references_superseded_snapshot_and_never_mutates_it(file_runt
 def test_on_time_data_has_no_superseded_reference(file_runtime):
     runtime = file_runtime()
     seq = runtime.ingest_observation("p0", "engagement", 0.9, H9 - 60_000, backend_ts=H9 - 60_000)
-    assert written(runtime)[seq].payload["superseded_snapshot_seq"] is None
+    assert written(runtime)[seq].payload.superseded_snapshot_seq is None
 
 
 # The 3-day conftest schedule: due times of decision points 0..5, trial start 0.
@@ -506,7 +506,7 @@ def test_every_event_carries_active_version(file_runtime):
     records = written(runtime)
     switch_seq = next(
         r.seq for r in records
-        if r.event_type == "VERSION_CHANGE" and r.payload["version_id"] == "v2.0.0"
+        if r.event_type == "VERSION_CHANGE" and r.payload.version_id == "v2.0.0"
     )
     for record in records:
         expected = "v1.0.0" if record.seq < switch_seq else "v2.0.0"

@@ -57,7 +57,7 @@ def test_runtime_index_equals_the_index_folded_from_its_file(tmp_path, monkeypat
     assert [v for _, v in folded.versions] == ["v1.0.0", "v1.0.1"]
     assert any(decision.fallback for _, decision in folded.decisions.values())
     assert any(
-        r.event_type == "DATA_INGESTED" and r.payload["superseded_snapshot_seq"] is not None
+        r.event_type == "DATA_INGESTED" and r.payload.superseded_snapshot_seq is not None
         for r in records
     )
     failures = [(r, e) for r, e in folded.errors if e.kind == "update_failure"]
@@ -82,7 +82,6 @@ def repeat_first(path, event_type: str) -> int:
     with run_trial(small_env(n_days=1), make_run_config(), 3, out_path=path).ledger as ledger:
         first = next(r for r in read_records(path) if r.event_type == event_type)
         return ledger.append(
-            first.event_type,
             first.payload,
             backend_ts=first.backend_ts,
             version_id=first.version_id,

@@ -7,7 +7,7 @@ import pytest
 from conftest import make_run_config, records_of
 from ledgerloop import events, policy
 from ledgerloop.errors import ConfigurationError
-from ledgerloop.ledger import LEDGER_TEXT, read_records
+from ledgerloop.ledger import LEDGER_TEXT, encode_float, map_floats, read_records
 from ledgerloop.twin import (
     EnvironmentSpec,
     ParticipantTwin,
@@ -238,8 +238,8 @@ def test_seed_isolation_between_participants(tmp_path):
         out = []
         for record in read_records(path):
             if record.event_type in ("DECISION", "OUTCOME_OBSERVED", "FEATURE_SNAPSHOT"):
-                if record.payload.get("participant_id") == pid:
-                    out.append((record.event_type, record.payload))
+                if record.payload.participant_id == pid:
+                    out.append((record.event_type, map_floats(record.payload, encode_float)))
         return out
 
     base, changed = tmp_path / "base.ndjson", tmp_path / "changed.ndjson"
