@@ -14,10 +14,8 @@ import json
 import sys
 from pathlib import Path
 
-import yaml
-
 from . import twin
-from .config import config_digest, load_config
+from .config import config_digest, load_config, read_yaml
 from .errors import (
     AuditError,
     ConfigurationError,
@@ -213,12 +211,7 @@ def _load_rules(path_str: str | None) -> list[AlertRule]:
     ``rules``, or a bare list of rules."""
     if path_str is None:
         return list(DEFAULT_RULES)
-    try:
-        raw = yaml.safe_load(Path(path_str).read_text())
-    except OSError as exc:
-        raise ConfigurationError(f"--rules file {path_str} cannot be read: {exc}") from None
-    except yaml.YAMLError as exc:
-        raise ConfigurationError(f"--rules file is not valid YAML: {exc}") from None
+    raw = read_yaml(path_str, f"--rules file {path_str} cannot be read", "--rules file is not valid YAML")
     if isinstance(raw, list):
         raw = {"rules": raw}
     try:

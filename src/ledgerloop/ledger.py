@@ -28,9 +28,12 @@ the writer (:func:`_writer_piece`), which checks each member's type and
 writes a record of the class's event type whose payload is the bytes
 ``_dumps`` would give for ``map_floats(value, encode_float)``; and the line
 matcher (:func:`_line_reader`), one anchored regex over a whole record line
-that admits only the canonical bytes of a record carrying that class's
-payload, with a converter from its groups to the typed value, built through
-the class's own ``__init__``. With :data:`LEDGER_FORMAT` it builds the
+with a converter from its groups to the typed value, built through the
+class's own ``__init__``, which converts each tuple or bytes member in a
+fixed number of C calls. Regex and converter together take only the
+canonical bytes of a record carrying that class's payload: the regex admits
+a bytes member with an odd digit count too, which its converter's
+``bytes.fromhex`` refuses. With :data:`LEDGER_FORMAT` it builds the
 annotation walk (:func:`_dataclass`, behind :func:`decode_as`), which
 decodes a payload dict and names the member it refuses; the walk also reads
 a run config (:data:`CONFIG_FORMAT`).
@@ -44,11 +47,12 @@ passed the chain check and carries its typed payload. Each line's matcher is
 tried first. A match proves that the line is canonical, holds exactly the
 envelope's members and its class's, each of its annotation's type, and that
 the class takes the value. Any other line (the HEADER, whose config is a
-dict; a string with an escape; every malformed line; a value the class
-refuses) goes through the JSON path, :func:`_parse_line`, which gives every
-verdict and message a line gets. Either way the seq, linkage and SHA-256
-checks follow, and then a payload the JSON path read is decoded by the walk
-(``events.decode_payload``), whose refusal is a DecodeError without a seq.
+dict; a string with an escape; every malformed line, an odd-length bytes
+member among them; a value the class refuses) goes through the JSON path,
+:func:`_parse_line`, which gives every verdict and message a line gets.
+Either way the seq, linkage and SHA-256 checks follow, and then a payload
+the JSON path read is decoded by the walk (``events.decode_payload``),
+whose refusal is a DecodeError without a seq.
 """
 
 from __future__ import annotations
@@ -375,12 +379,17 @@ class _Text(NamedTuple):
     Written by a compiled writer: ``check`` is true exactly for the values
     it takes (described by ``what``), and ``arg`` is what the %-format
     ``spec`` turns into a value's text. Read by a line matcher: ``regex``,
-    with no capture group, admits exactly those texts, and ``convert`` is an
-    expression for the value whose text is ``{0}``; ``scalar``: no text
-    holds a comma outside a string. An empty ``regex`` means no matcher
-    reads the annotation (a dict, a dataclass), so a line holding one is
-    read by :func:`_parse_line`. ``write`` is set for a payload class only:
-    its compiled writer, which is all of its text."""
+    with no capture group, admits those texts, and ``convert`` is an
+    expression for the value whose text is ``{0}``. The regex admits only
+    canonical texts, but for one: a bytes text with an odd digit count
+    matches it, and its converter's ``bytes.fromhex`` refuses it with a
+    ValueError, so the line takes the JSON path. ``items``, if set, is an
+    expression for the tuple of the values whose list text ``{0}`` holds at
+    least one item, in a fixed number of C calls (see :func:`_tuple_text`);
+    ``scalar``: no text holds a comma outside a string. An empty ``regex``
+    means no matcher reads the annotation (a dict, a dataclass), so a line
+    holding one is read by :func:`_parse_line`. ``write`` is set for a
+    payload class only: its compiled writer, which is all of its text."""
 
     check: str = ""
     spec: str = ""
@@ -388,6 +397,7 @@ class _Text(NamedTuple):
     what: str = ""
     regex: str = ""
     convert: str = ""
+    items: str = ""
     scalar: bool = True
     write: typing.Callable | None = None
 
@@ -415,10 +425,16 @@ _INT = "0|-?[1-9][0-9]*"
 # plain string or holds no comma.
 _ITEMS = re.compile(r'"[^"]*"|[^,\[\]]+')
 _fromhex = bytes.fromhex
+_unpack = struct.unpack
 
 
 def _canonical_text(obj: dict) -> str:
-    return canonical_json_bytes(obj).decode("ascii")
+    # The HEADER's config is the one dict a payload holds; a refusal names
+    # it as _misfit names every other member.
+    try:
+        return canonical_json_bytes(obj).decode("ascii")
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"HEADER payload: config: {exc}") from None
 
 
 def _misfit(member: str, what: str, value):
@@ -426,14 +442,26 @@ def _misfit(member: str, what: str, value):
 
 
 def _tuple_text(item: _Text) -> _Text:
+    """A tuple's text: a JSON list of its items' texts. A line matcher
+    converts a list in one piece with the item's ``items``; failing that,
+    if no item text holds a string, and so no comma, from one split at the
+    commas; failing that (optional strings, which may hold commas), item by
+    item from :data:`_ITEMS`."""
     item = item.inline()
+    each = item.convert.replace("{0}", "_i")
+    if item.items:
+        items = item.items
+    elif '"' not in item.regex:
+        items = f"tuple([{each} for _i in {{0}}[1:-1].split(',')])"
+    else:
+        items = f"tuple([{each} for _i in _ITEMS.findall({{0}})])"
     return _Text(
         f"(isinstance({{0}}, tuple) and all([{item.check.replace('{0}', '_i')} for _i in {{0}}]))",
         "[%s]",
         f"\",\".join([{item.text('_i')} for _i in {{0}}])",
         f"a tuple, each item {item.what}",
         rf"\[(?:(?:{item.regex})(?:,(?:{item.regex}))*)?\]" if item.regex and item.scalar else "",
-        f"tuple([{item.convert.replace('{0}', '_i')} for _i in _ITEMS.findall({{0}})])",
+        f"(() if {{0}} == '[]' else {items})",
         scalar=False,
     )
 
@@ -447,7 +475,7 @@ def _optional_text(inner: _Text) -> _Text:
         f"{inner.what} or None",
         inner.regex and f"null|{inner.regex}",
         f"(None if {{0}} == 'null' else {inner.convert})",
-        inner.scalar,
+        scalar=inner.scalar,
     )
 
 
@@ -496,21 +524,27 @@ def _writer_piece(cls: type, fmt: Format) -> _Text:
 
 
 # LEDGER_FORMAT's values as the ledger writes and reads their text: per
-# scalar, its check, its text, its regex and its converter. A writer takes
-# any float for a float member and only an exact int for an int member, as
-# the walk and the matcher read back; a line matcher takes each value only
-# in its canonical text.
+# scalar, its check, its text, its regex, its converter and, for a list of
+# it, its list converter. A writer takes any float for a float member and
+# only an exact int for an int member, as the walk and the matcher read
+# back; a line matcher takes each value only in its canonical text. A bytes
+# text with an odd digit count matches its regex but not its converter,
+# whose ValueError sends the line to the JSON path. A list of floats is one
+# ``fromhex`` of its joined digits and one unpack (each item's text and its
+# comma are 19 characters); a list of plain strings, which hold no quote,
+# is one split at the quotes and comma between two of them.
 LEDGER_TEXT = Format(
     {
         float: _Text("isinstance({0}, float)", '"%s"', "_FLOAT_BITS({0}).hex()", "a float",
-                     '"[0-9a-f]{16}"', "_UNPACK_FLOAT(_fromhex({0}[1:-1]))[0]"),
+                     '"[0-9a-f]{16}"', "_UNPACK_FLOAT(_fromhex({0}[1:-1]))[0]",
+                     """_unpack('>%dd' % (len({0}) // 19), _fromhex({0}[2:-2].replace('","', '')))"""),
         int: _Text("type({0}) is int", "%s", "{0}", "an integer", _INT, "int({0})"),
         bool: _Text("type({0}) is bool", "%s", '("true" if {0} else "false")', "a boolean",
                     "true|false", "({0} == 'true')"),
         str: _Text("isinstance({0}, str)", "%s", "_quoted({0})", "a string",
-                   f'"{_PLAIN}"', "{0}[1:-1]"),
+                   f'"{_PLAIN}"', "{0}[1:-1]", """tuple({0}[2:-2].split('","'))"""),
         bytes: _Text("isinstance({0}, bytes)", '"%s"', "{0}.hex()", "bytes",
-                     '"(?:[0-9a-f]{2})*"', "_fromhex({0}[1:-1])"),
+                     '"[0-9a-f]*"', "_fromhex({0}[1:-1])"),
         dict: _Text("isinstance({0}, dict)", "%s", "_canonical_text({0})", "an object"),
     },
     defaults=False,
@@ -671,8 +705,9 @@ def _line_reader(event_type: str, cls: type):
     records of ``event_type`` whose payload class is ``cls``: a function of
     a line's text that returns what :func:`_parse_line` returns for the
     line, with the payload's typed value built through ``cls``'s own
-    ``__init__``. One anchored regex admits only the canonical bytes of
-    such a record, so a line it takes would pass every check of
+    ``__init__``. One anchored regex admits the canonical bytes of such a
+    record, and a bytes member with an odd digit count, which the
+    converter refuses; so a line it takes would pass every check of
     :func:`_parse_line` and decode to the same value. It returns None for
     any other line and for a value ``cls`` refuses; the JSON path reads
     those. None for a class with a member no regex reads."""
@@ -699,7 +734,7 @@ def _line_reader(event_type: str, cls: type):
         f"        value = cls({', '.join(f'{f.name}={arg}' if f.kw_only else arg for f, arg in zip(fields, args))})",
         "        return (int(seq), stream_id, profile, None if device_ts == 'null' else int(device_ts),",
         "                int(backend_ts), version_id, event_type, value), prev_text, hash_text",
-        "    except (ConfigurationError, ValueError):  # ValueError: an int too long to convert",
+        "    except (ConfigurationError, ValueError):  # ValueError: an int too long, odd hex digits",
         "        return None",
     ])
     # The module's own names, and the three this matcher binds.
@@ -955,7 +990,7 @@ def _verified(lines: Iterable[bytes]) -> Iterator[EventEnvelope]:
         if not typed:
             fields = (*fields[:7], decode_payload(fields[6], fields[7]))
         rec_hash = digest.digest()
-        yield EventEnvelope(*fields, prev_hash, rec_hash)
+        yield tuple.__new__(EventEnvelope, (*fields, prev_hash, rec_hash))  # minus a Python call
         prev_hash, prev_text = rec_hash, hash_text
     if prev_hash is GENESIS_HASH:
         raise DecodeError("ledger file is empty")

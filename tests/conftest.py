@@ -2,8 +2,9 @@ import dataclasses
 import json
 
 import pytest
+import yaml
 
-from ledgerloop.config import RunConfig, config_digest, config_from_dict, header_config_dict
+from ledgerloop.config import _YAML_LOADER, RunConfig, config_digest, config_from_dict, header_config_dict
 from ledgerloop.events import HeaderInfo, StreamIndex
 from ledgerloop.ledger import GENESIS_HASH, Ledger, compute_record_hash, read_records
 from ledgerloop.replay import default_logic
@@ -45,6 +46,37 @@ BASE_CONFIG = {
         "n_days": 3,
     },
 }
+
+
+_yaml_load = yaml.load
+YAML_CHECKED: list[str] = []  # every text the libyaml check below has read
+
+
+def yaml_outcome(text: str, loader):
+    """What ``loader`` makes of ``text``: the repr of its value (so 1, 1.0
+    and True differ), or the class of its error."""
+    try:
+        return repr(_yaml_load(text, Loader=loader))
+    except yaml.YAMLError as exc:
+        return type(exc)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def both_yaml_loaders():
+    """Every config and rules text ledgerloop reads during the tests with
+    libyaml's loader is read with the pure-Python one too, and must give
+    the same value or the same error class."""
+
+    def load(stream, Loader):
+        if Loader is not _YAML_LOADER or Loader is yaml.SafeLoader:
+            return _yaml_load(stream, Loader=Loader)
+        assert yaml_outcome(stream, Loader) == yaml_outcome(stream, yaml.SafeLoader), stream
+        YAML_CHECKED.append(stream)
+        return _yaml_load(stream, Loader=Loader)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(yaml, "load", load)
+        yield
 
 
 def deep_merge(base: dict, overrides: dict) -> dict:

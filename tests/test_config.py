@@ -1,7 +1,12 @@
-import pytest
+from pathlib import Path
 
-from conftest import BASE_CONFIG, make_run_config
+import pytest
+import yaml
+
+from conftest import BASE_CONFIG, YAML_CHECKED, make_run_config, yaml_outcome
+from ledgerloop.cli import main
 from ledgerloop.config import (
+    _YAML_LOADER,
     config_digest,
     config_from_dict,
     header_config_dict,
@@ -21,6 +26,48 @@ def test_load_config_from_yaml(tmp_path):
     assert config.master_seed == 42
     assert config.model.baseline_dim == 3
     assert config.schedule.trial_days == 3
+
+
+EXAMPLE = Path(__file__).resolve().parent.parent / "configs" / "example.yaml"
+
+# Texts where a YAML loader could go its own way: a control character, tab
+# indentation, a duplicate key, a byte-order mark, a NEL line break, and
+# YAML 1.1 scalars (booleans, hex, octal, underscores, dates, infinities).
+EDGE_TEXTS = [
+    "a: \x07\n",
+    "\ta: 1\n",
+    "a: 1\na: 2\n",
+    "\ufeffa: 1\n",
+    "a: x\x85y\n",
+    "a: yes\nb: 0x1F\nc: 1_000\nd: 2001-01-01\ne: .inf\nf: ~\ng: 0o17\nh: 017\ni: Off\nj: 1e3\n",
+]
+
+
+@pytest.mark.parametrize("text", [EXAMPLE.read_text(), *EDGE_TEXTS])
+def test_libyaml_reads_what_the_python_loader_reads(text):
+    assert _YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+    assert yaml_outcome(text, _YAML_LOADER) == yaml_outcome(text, yaml.SafeLoader)
+
+
+def test_every_yaml_text_the_tests_read_is_checked_with_both_loaders():
+    # The session-wide check of conftest.both_yaml_loaders sees load_config.
+    before = len(YAML_CHECKED)
+    load_config(EXAMPLE)
+    assert len(YAML_CHECKED) == before + (_YAML_LOADER is not yaml.SafeLoader)
+
+
+@pytest.mark.parametrize("text", ["model: [unclosed\n", "\ta: 1\n", "a: \x07\n", "a: b\n  c: d\n"])
+def test_invalid_yaml_is_one_config_error(tmp_path, capsys, text):
+    # The loader's message may span lines (its mark), but only one line is
+    # the error's and nothing is a traceback.
+    config = tmp_path / "bad.yaml"
+    config.write_text(text)
+    assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "out")]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("config error: config file is not valid YAML: ")
+    assert [line for line in err.splitlines() if line.startswith("config error:")] == err.splitlines()[:1]
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_missing_model_names_field():

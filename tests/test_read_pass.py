@@ -30,7 +30,7 @@ from conftest import first_seq, make_run_config, rechain
 from ledgerloop import ledger as ledger_module
 from ledgerloop.cli import main
 from ledgerloop.errors import ConfigurationError, DecodeError
-from ledgerloop.events import PAYLOADS, DatumInfo, ErrorInfo, decode_payload
+from ledgerloop.events import PAYLOADS, DatumInfo, ErrorInfo, SnapshotInfo, UpdateInfo, decode_payload
 from ledgerloop.ledger import (
     GENESIS_HASH,
     EventEnvelope,
@@ -324,6 +324,31 @@ def test_the_typed_read_gives_the_json_paths_records(event_type, data):
         assert map_floats(expected.payload, encode_float) == map_floats(value, encode_float)
 
 
+# Lists the matchers convert in one piece, at their edges: empty, one item,
+# and strings holding commas, where the strings are plain.
+LIST_EDGES = {
+    "empty lists": SnapshotInfo((), (), (), (), (), 0, "p", 0),
+    "one item each": SnapshotInfo((-0.0,), (), ("observed",), (None,), (-(2**70),), 0, "p", 0),
+    "commas in methods": SnapshotInfo(
+        (0.5, float("nan")), (float("inf"),), ("imputed", "default", "observed"),
+        ("a,b", ",", None), (None, 0, 7), 0, "p,q", 1,
+    ),
+    "empty batch and bytes": UpdateInfo("p", (), b"", b"", b""),
+    "one batch seq": UpdateInfo("p", (0,), b"\x00", b"\xff" * 3, b"ab"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LIST_EDGES))
+def test_a_list_at_its_edge_reads_as_the_json_path_reads_it(tmp_path, case):
+    value = LIST_EDGES[case]
+    path = tmp_path / "l.ndjson"
+    with Ledger("s", "test", path=path, fsync=False) as ledger:
+        ledger.append(value, backend_ts=0, version_id="v1")
+    (line,), (record,), (expected,) = path.read_bytes().splitlines(), read_records(path), json_path_records(path)
+    _assert_reads_equal(record.event_type, line, record, expected)
+    assert map_floats(record.payload, encode_float) == map_floats(value, encode_float)
+
+
 @pytest.mark.parametrize("text", ['"', "\\", "\x01", "\x7f", "é", "\u2028"])
 def test_a_string_with_an_escape_takes_the_json_path(tmp_path, text):
     path = tmp_path / "l.ndjson"
@@ -378,6 +403,21 @@ def _swap_first_members(line: bytes) -> bytes:
     return re.sub(rb'"payload":\{("[a-z_]+":\d+),("[a-z_]+":\d+),', rb'"payload":{\2,\1,', line, count=1)
 
 
+def _list_item(name, index, edit):
+    """An edit of item ``index`` of the payload's list member ``name``."""
+    def apply(p, s):
+        def change(record):
+            record["payload"][name][index] = edit(record["payload"][name][index])
+        rechain(p, s, change)
+
+    return apply
+
+
+def _leading_zero_int_item(line: bytes) -> bytes:
+    # The first integer item of source_device_ts (its other items are null).
+    return re.sub(rb'("source_device_ts":\[[^\]]*?)([1-9])', rb"\g<1>0\2", line, count=1)
+
+
 # Each edit: the event type of the record it edits, and how it edits it.
 LINE_EDITS = {
     "uppercase hex digit": ("DATA_INGESTED", _member("value", "3FF0000000000000")),
@@ -392,6 +432,12 @@ LINE_EDITS = {
         "MODEL_UPDATE", lambda p, s: rechain(p, s, lambda r: r["payload"].update(post_state=r["payload"]["post_state"] + "a")),
     ),
     "refused by __post_init__": ("DECISION", _member("action", 2)),
+    "15-digit float item": ("FEATURE_SNAPSHOT", _list_item("baseline", 0, lambda item: item[:15])),
+    "uppercase float item": ("FEATURE_SNAPSHOT", _list_item("treatment", 0, lambda item: "3FF0000000000000")),
+    "empty string list": ("FEATURE_SNAPSHOT", _member("provenance", [])),
+    "string item with a comma": ("FEATURE_SNAPSHOT", _list_item("provenance", 0, lambda item: item + ",observed")),
+    "leading-zero int item": ("FEATURE_SNAPSHOT", lambda p, s: _edit_line(p, s, _leading_zero_int_item)),
+    "negative zero int item": ("MODEL_UPDATE", _text(b'"batch_seqs":[', b'"batch_seqs":[-0,')),
 }
 
 

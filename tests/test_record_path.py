@@ -86,7 +86,7 @@ any_float = (
     | st.sampled_from([-0.0, math.inf, -math.inf, _bits(0x7FF8000000000BAD), _bits(0xFFF0000000000001)])
     | st.floats(allow_nan=True, allow_infinity=True).map(np.float64)
 )
-texts = st.text(max_size=5) | st.sampled_from(["", "é", "日本", "\u2028", '"%s\\'])
+texts = st.text(max_size=5) | st.sampled_from(["", "é", "日本", "\u2028", '"%s\\', ",", "a,b", '","'])
 ints = st.integers() | st.sampled_from([0, -1, 2**64, -(2**70)])
 probabilities = st.floats(0.0, 1.0) | st.just(-0.0)
 
@@ -301,9 +301,9 @@ def test_append_refuses_a_value_of_no_payload_class():
 def test_append_refusal_names_the_path_inside_the_payload():
     # The HEADER's config is the one dict a payload holds.
     ledger = Ledger("s", "test")
-    with pytest.raises(ConfigurationError, match=r"raw float at \$\.a\[1\]\.b;"):
+    with pytest.raises(ConfigurationError, match=r"^HEADER payload: config: raw float at \$\.a\[1\]\.b;"):
         ledger.append(make_header(a=[0, {"b": 0.5}]), backend_ts=0, version_id="v1")
-    with pytest.raises(ConfigurationError, match=r"non-string key at \$\.a: 3"):
+    with pytest.raises(ConfigurationError, match=r"^HEADER payload: config: non-string key at \$\.a: 3$"):
         ledger.append(make_header(a={3: "x"}), backend_ts=0, version_id="v1")
     assert len(ledger) == 0
 
