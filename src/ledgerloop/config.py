@@ -11,7 +11,6 @@ so its digest does not depend on YAML formatting quirks.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import itertools
 from dataclasses import dataclass, field, make_dataclass
 from pathlib import Path
@@ -23,7 +22,6 @@ from .errors import ConfigurationError, DecodeError
 from .ledger import (
     CONFIG_FORMAT,
     ENVIRONMENT_PROFILES,
-    canonical_json_bytes,
     decode_as,
     encode_float,
     map_floats,
@@ -78,6 +76,8 @@ EnvironmentAxes = make_dataclass(
     ],
     frozen=True,
 )
+# Before Python 3.12 make_dataclass names the module "types"; pickles need this one.
+EnvironmentAxes.__module__ = __name__
 
 
 @dataclass(frozen=True)
@@ -98,9 +98,11 @@ class VersionSwitch:
 
 
 @dataclass(frozen=True, kw_only=True)
-class _Sections:
-    """What a config file and a RunConfig share; a file may leave out any
-    section but ``model``."""
+class RunConfig:
+    """Everything one simulate/twin run needs, typed and checked: what a
+    config file holds, which may leave out any section but ``model``.
+    ``grid`` gives the axes of the environments that twin-run and twin-tune
+    evaluate, and ``environments`` holds those environments."""
 
     model: ModelConfig
     master_seed: int = 0
@@ -114,21 +116,11 @@ class _Sections:
     environment: EnvironmentSpec = field(default_factory=EnvironmentSpec)
     tuning: Tuning = field(default_factory=Tuning)
     version_switch: VersionSwitch | None = None
-
-
-@dataclass(frozen=True, kw_only=True)
-class _ConfigFile(_Sections):
-    """What a config file holds: the grid is given by its axes."""
-
     grid: EnvironmentAxes = field(default_factory=EnvironmentAxes)
+    environments: tuple[EnvironmentSpec, ...] = field(init=False)
 
-
-@dataclass(frozen=True, kw_only=True)
-class RunConfig(_Sections):
-    """Everything one simulate/twin run needs, typed and checked. ``grid``
-    holds the environments twin-run and twin-tune evaluate."""
-
-    grid: tuple[EnvironmentSpec, ...]
+    def __post_init__(self):
+        object.__setattr__(self, "environments", _environment_grid(self.environment, self.grid))
 
 
 # Where a config's model defaults differ from ModelConfig's.
@@ -142,20 +134,32 @@ _STANDARD_DEFAULTS = {"intercept": 1.0, "prior_outcome": 0.0, "time_of_day": 0.0
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
-def read_yaml(path: str | Path, unreadable: str, invalid: str):
+def read_yaml(path: str | Path, unreadable: str, what: str):
     """The value of the YAML file at ``path``. A ConfigurationError reads
-    ``<unreadable>: <error>`` if the file cannot be read, ``<invalid>:
-    <error>`` if it is not valid YAML."""
+    ``<unreadable>: <error>`` if the file cannot be read, and ``<what>
+    <path> is not valid YAML: line L, column C: <problem>`` if it is not
+    valid YAML."""
     try:
-        return yaml.load(Path(path).read_text(), Loader=_YAML_LOADER)
+        text = Path(path).read_text()
     except OSError as exc:
         raise ConfigurationError(f"{unreadable}: {exc}") from None
+    try:
+        return yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
-        raise ConfigurationError(f"{invalid}: {exc}") from None
+        mark = getattr(exc, "problem_mark", None)
+        if mark is None:  # a reader error: a character YAML does not allow, at a position
+            at = exc.position
+            line, column = text.count("\n", 0, at), at - text.rfind("\n", 0, at) - 1
+            problem = str(exc).splitlines()[0]
+        else:
+            line, column, problem = mark.line, mark.column, exc.problem
+        raise ConfigurationError(
+            f"{what} {path} is not valid YAML: line {line + 1}, column {column + 1}: {problem}"
+        ) from None
 
 
 def load_config(path: str | Path) -> RunConfig:
-    raw = read_yaml(path, f"cannot read config file {path}", "config file is not valid YAML")
+    raw = read_yaml(path, f"cannot read config file {path}", "config file")
     if not isinstance(raw, dict):
         raise ConfigurationError("config root must be a mapping")
     return config_from_dict(raw)
@@ -169,7 +173,7 @@ def config_from_dict(raw: dict) -> RunConfig:
     if type(raw.get("model")) is dict:
         raw = {**raw, "model": {**_MODEL_DEFAULTS, **raw["model"]}}
     try:
-        config = decode_as(_ConfigFile, raw, CONFIG_FORMAT)
+        config = decode_as(RunConfig, raw, CONFIG_FORMAT)
     except DecodeError as exc:
         raise ConfigurationError(str(exc)) from None
 
@@ -193,11 +197,7 @@ def config_from_dict(raw: dict) -> RunConfig:
             raise ConfigurationError("version_switch.day: must be at least 1")
         if switch.version_id == config.model.version_id:
             raise ConfigurationError("version_switch.version_id: must differ from model.version_id")
-    return RunConfig(**{
-        **vars(config),
-        "imputation": dataclasses.replace(config.imputation, defaults=defaults),
-        "grid": _environment_grid(config.environment, config.grid),
-    })
+    return dataclasses.replace(config, imputation=dataclasses.replace(config.imputation, defaults=defaults))
 
 
 def _environment_grid(base: EnvironmentSpec, axes) -> tuple[EnvironmentSpec, ...]:
@@ -244,8 +244,3 @@ def header_config_dict(
         },
         encode_float,
     )
-
-
-def config_digest(header_config: dict) -> str:
-    return hashlib.sha256(canonical_json_bytes(header_config)).hexdigest()
-

@@ -17,10 +17,6 @@ class NumericalStateError(LedgerLoopError):
     """Model state is numerically unusable (Cholesky factorization failed)."""
 
 
-class IsolationError(LedgerLoopError):
-    """Attempt to mix environment profiles or streams in one ledger."""
-
-
 class StorageError(LedgerLoopError):
     """Durable write or read of a ledger file failed."""
 
@@ -43,7 +39,8 @@ class AuditError(LedgerLoopError):
 
 class StructuralAuditError(AuditError):
     """Ledger structure violates audit preconditions (missing snapshot,
-    batch references pointing at the wrong event type, ...)."""
+    batch references pointing at the wrong event type, a record of another
+    stream or environment profile than its HEADER's, ...)."""
 
 
 class InjectedFailure(LedgerLoopError):

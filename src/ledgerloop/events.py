@@ -29,7 +29,8 @@ from typing import Iterable, NamedTuple
 
 from . import runtime
 from .errors import ConfigurationError, DecodeError, StructuralAuditError
-from .ledger import FORMAT_VERSION, LEDGER_FORMAT, EventEnvelope, _Refusal, decode_as
+from .ledger import ENVIRONMENT_PROFILES, FORMAT_VERSION, LEDGER_FORMAT, EventEnvelope, _Refusal, decode_as
+from .ledger import config_digest
 from .policy import DecisionRecord, FeatureSnapshot, ModelConfig
 
 
@@ -48,8 +49,8 @@ _RUN_HEADER_MEMBERS = tuple(f.name for f in fields(RunHeader))
 @dataclass(frozen=True)
 class HeaderInfo:
     """A HEADER payload. ``config`` stays the canonical dict it was written
-    as, since its digest is checked against ``config_digest``; its model,
-    schedule and participants are decoded once, on construction."""
+    as, since the fold checks its digest against ``config_digest``; its
+    model, schedule and participants are decoded once, on construction."""
 
     stream_id: str
     environment_profile: str
@@ -208,7 +209,8 @@ class Stamp(NamedTuple):
 
 @dataclass
 class StreamIndex:
-    """What the runtime, replay and the monitor know of a stream's records.
+    """What the runtime, replay and the monitor know of a stream's records,
+    which :meth:`apply` checks are those of one stream in one profile.
 
     Snapshots, decisions, updates and errors are kept as the record's
     :class:`Stamp` with its typed value, never the envelope. Snapshots and
@@ -237,19 +239,31 @@ class StreamIndex:
         problem is raised at the first record that has one."""
         index = cls()
         for record in records:
-            if index.size == 0 and record.event_type != "HEADER":
-                break
             index.apply(record)
         if index.header is None:
             raise StructuralAuditError("ledger does not start with a HEADER record")
         return index
 
     def apply(self, record: EventEnvelope) -> None:
-        """Fold in one record, keeping its typed payload."""
+        """Fold in one record, keeping its typed payload. StructuralAuditError,
+        naming the seq, for a HEADER :meth:`_begin` refuses, a record of
+        another stream or profile than the HEADER's, a repeated decision, a
+        VERSION_CHANGE that activates a version again or whose
+        ``previous_version_id`` is not the version active before it, and an
+        update whose batch :meth:`batch` refuses."""
         value = record.payload
+        etype = record.event_type
+        header = self.header
+        if header is None or etype == "HEADER":
+            header = self.header = self._begin(record)
+        if record.stream_id != header.stream_id or record.environment_profile != header.environment_profile:
+            raise StructuralAuditError(
+                f"{etype} at seq {record.seq} is stamped stream {record.stream_id!r} in profile "
+                f"{record.environment_profile!r}, but the HEADER payload names stream "
+                f"{header.stream_id!r} in profile {header.environment_profile!r}"
+            )
         self.size += 1
         self.stamped.setdefault(record.version_id, record.seq)
-        etype = record.event_type
         if etype == "FEATURE_SNAPSHOT":
             self.snapshots[(value.participant_id, value.decision_index)] = (Stamp.of(record), value)
         elif etype == "DECISION":
@@ -272,10 +286,32 @@ class StreamIndex:
                 raise StructuralAuditError(
                     f"VERSION_CHANGE at seq {record.seq} activates {value.version_id!r} a second time"
                 )
+            previous = self.versions[-1][1] if self.versions else None
+            if value.previous_version_id != previous:
+                raise StructuralAuditError(
+                    f"VERSION_CHANGE at seq {record.seq} names previous version "
+                    f"{value.previous_version_id!r}, not {previous!r}"
+                )
             self.versions.append((record.seq, value.version_id))
             self.fingerprints[value.version_id] = value.fingerprint
-        elif etype == "HEADER":
-            self.header = value
+
+    def _begin(self, record: EventEnvelope) -> HeaderInfo:
+        """The payload of the first record, a HEADER of a known profile that holds its config's digest."""
+        if record.event_type != "HEADER":
+            raise StructuralAuditError("ledger does not start with a HEADER record")
+        if self.header is not None:
+            raise StructuralAuditError(f"HEADER at seq {record.seq} is not the ledger's first record")
+        header = record.payload
+        if header.environment_profile not in ENVIRONMENT_PROFILES:
+            raise StructuralAuditError(
+                f"HEADER at seq {record.seq} names profile {header.environment_profile!r}, "
+                f"not one of {'/'.join(ENVIRONMENT_PROFILES)}"
+            )
+        if config_digest(header.config) != header.config_digest:
+            raise StructuralAuditError(
+                f"HEADER config_digest {header.config_digest!r} is not the digest of its config"
+            )
+        return header
 
     def batch(self, participant_id: str, batch_seqs, seq: int) -> list[Row]:
         """The rows of an update at ``seq`` consuming ``batch_seqs``; raises

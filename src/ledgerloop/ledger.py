@@ -72,7 +72,7 @@ from operator import itemgetter
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
-from .errors import ConfigurationError, DecodeError, IsolationError, StorageError
+from .errors import ConfigurationError, DecodeError, StorageError
 
 GENESIS_HASH = b"\x00" * 32
 
@@ -95,7 +95,7 @@ def decode_float(hex_str: str) -> float:
         raw = _unhex(hex_str)
         if raw is not None:
             return _UNPACK_FLOAT(raw)[0]
-    raise _Refusal(f"expected 16 lowercase hex chars, got {hex_str!r}")
+    raise _Refusal(f"expected 16 lowercase hex chars, {_got(hex_str)}")
 
 
 _UNPACK_FLOAT = struct.Struct(">d").unpack
@@ -144,6 +144,11 @@ def canonical_json_bytes(obj) -> bytes:
     """
     _reject_floats(obj)
     return _dumps(obj)
+
+
+def config_digest(header_config: dict) -> str:
+    """The SHA-256, in hex, of a HEADER config's canonical bytes."""
+    return hashlib.sha256(canonical_json_bytes(header_config)).hexdigest()
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
@@ -200,10 +205,16 @@ class _Refusal(DecodeError):
         self.problem, self.path = problem, path
 
 
+def _got(value) -> str:
+    """``got <repr>``, a repr over 64 characters cut to 64 and its length, so a refusal stays short."""
+    text = repr(value)
+    return f"got {text}" if len(text) <= 64 else f"got {text[:64]}... ({len(text)} characters)"
+
+
 def _exactly(kind: type, what: str):
     def convert(value):
         if type(value) is not kind:  # so an int is never a bool
-            raise _Refusal(f"expected {what}, got {value!r}")
+            raise _Refusal(f"expected {what}, {_got(value)}")
         return value
 
     return convert
@@ -212,7 +223,7 @@ def _exactly(kind: type, what: str):
 def _bytes(value) -> bytes:
     raw = _unhex(value)
     if raw is None:
-        raise _Refusal(f"expected lowercase hex, got {value!r}")
+        raise _Refusal(f"expected lowercase hex, {_got(value)}")
     return raw
 
 
@@ -223,7 +234,7 @@ def _optional(convert):
 def _tuple_of(convert):
     def convert_all(value):
         if type(value) is not list:
-            raise _Refusal(f"expected a list, got {value!r}")
+            raise _Refusal(f"expected a list, {_got(value)}")
         items = []
         for i, item in enumerate(value):
             try:
@@ -238,11 +249,11 @@ def _tuple_of(convert):
 def _dict_of(convert):
     def convert_all(value):
         if type(value) is not dict:
-            raise _Refusal(f"expected an object, got {value!r}")
+            raise _Refusal(f"expected an object, {_got(value)}")
         converted = {}
         for key, item in value.items():
             if type(key) is not str:
-                raise _Refusal(f"expected a string key, got {key!r}")
+                raise _Refusal(f"expected a string key, {_got(key)}")
             try:
                 converted[key] = convert(item)
             except _Refusal as refusal:
@@ -266,7 +277,7 @@ def _dataclass(cls: type, fmt: Format):
 
     def convert(value):
         if type(value) is not dict:
-            raise _Refusal(f"expected an object, got {value!r}")
+            raise _Refusal(f"expected an object, {_got(value)}")
         if value.keys() != members:
             missing, unknown = required - value.keys(), value.keys() - members
             if missing or unknown:
@@ -296,7 +307,7 @@ def _number(value) -> float:
             return float(value)
         except OverflowError:
             pass
-    raise _Refusal(f"expected a number, got {value!r}")
+    raise _Refusal(f"expected a number, {_got(value)}")
 
 
 @dataclass(frozen=True)
@@ -438,7 +449,7 @@ def _canonical_text(obj: dict) -> str:
 
 
 def _misfit(member: str, what: str, value):
-    raise ConfigurationError(f"{member}: expected {what}, got {value!r}")
+    raise ConfigurationError(f"{member}: expected {what}, {_got(value)}")
 
 
 def _tuple_text(item: _Text) -> _Text:
@@ -836,8 +847,6 @@ class Ledger:
         backend_ts: int,
         version_id: str,
         device_ts: int | None = None,
-        stream_id: str | None = None,
-        environment_profile: str | None = None,
     ) -> EventEnvelope:
         """Append ``value`` as the payload of a record of its event type:
         assigns seq, chains hashes, writes durably.
@@ -849,10 +858,8 @@ class Ledger:
         int). A value that cannot be written is a ConfigurationError naming
         the class, or the event type and the member, raised before anything
         is written. A write that fails or is short is a StorageError, and
-        the file is cut back to its last record.
-        ``stream_id``/``environment_profile`` default to the ledger's own;
-        passing a mismatching value is an isolation error, which is how
-        mixed-profile ledgers are made unrepresentable.
+        the file is cut back to its last record. Every record is stamped
+        with the ledger's stream and profile, as the fold requires.
         """
         if not _is_device_ts(device_ts):
             raise ConfigurationError(f"device_ts must be an integer or None, got {device_ts!r}")
@@ -869,15 +876,6 @@ class Ledger:
             seq, prev_hash = (0, GENESIS_HASH) if last is None else (last.seq + 1, last.hash)
             event_type, head, tail = piece.write(value, backend_ts, device_ts, self._profile_text,
                                                  prev_hash.hex(), seq, self._stream_text, version_id)
-            if stream_id is not None and stream_id != self.stream_id:
-                raise IsolationError(
-                    f"stream {stream_id!r} does not match ledger stream {self.stream_id!r}"
-                )
-            if environment_profile is not None and environment_profile != self.environment_profile:
-                raise IsolationError(
-                    f"profile {environment_profile!r} does not match ledger "
-                    f"profile {self.environment_profile!r}"
-                )
             if self._torn:
                 raise StorageError(f"{self.path} ends in a torn record; refusing to append")
             if event_type == "HEADER" and seq != 0:

@@ -16,14 +16,8 @@ import math
 from dataclasses import dataclass, field
 
 from . import events, policy
-from .errors import (
-    ConfigurationError,
-    InjectedFailure,
-    IsolationError,
-    StorageError,
-    StructuralAuditError,
-)
-from .ledger import EventEnvelope, Ledger
+from .errors import ConfigurationError, InjectedFailure, StructuralAuditError
+from .ledger import EventEnvelope, Ledger, config_digest
 from .policy import DecisionRecord, FeatureSnapshot, ModelConfig, PosteriorState
 from .rng import SplitMix64, derive_seed
 
@@ -214,16 +208,12 @@ class Runtime:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self, header_config: dict, config_digest: str, backend_ts: int) -> None:
-        """Write the header record and activate the configured version."""
+    def start(self, header_config: dict, backend_ts: int) -> None:
+        """Write the header record, which holds ``header_config`` and its
+        digest, and activate the configured version."""
         version_id = self.model_config.version_id
-        header = events.HeaderInfo(
-            stream_id=self.ledger.stream_id,
-            environment_profile=self.ledger.environment_profile,
-            deployment_seed=self.deployment_seed,
-            config=header_config,
-            config_digest=config_digest,
-        )
+        header = events.HeaderInfo(self.ledger.stream_id, self.ledger.environment_profile,
+                                   self.deployment_seed, header_config, config_digest(header_config))
         self._log(header, backend_ts=backend_ts, version_id=version_id)
         self.register_version(version_id, backend_ts)
 
@@ -369,8 +359,8 @@ class Runtime:
         """Produce exactly one decision for a due decision point.
 
         Any policy or state error is converted to a uniform fallback decision
-        (pi = 0.5) with the same seeded coin; only storage and isolation
-        errors escape. A DECISION event is always appended.
+        (pi = 0.5) with the same seeded coin; only storage errors escape.
+        A DECISION event is always appended.
         """
         self._require_participant(participant_id)
         snap = self.index.snapshots.get((participant_id, decision_index))
@@ -395,8 +385,6 @@ class Runtime:
                     raise InjectedFailure("injected policy exception")
             state = self.states[participant_id]
             pi_raw, pi = self.logic.action_probability(state, snapshot, self.model_config)
-        except (StorageError, IsolationError):
-            raise
         except Exception as exc:
             fallback = True
             fallback_reason = f"{type(exc).__name__}: {exc}"
@@ -446,8 +434,6 @@ class Runtime:
             new_state = self.logic.update_posterior(
                 state, batch, self.model_config, last_update_seq=max(batch_seqs)
             )
-        except (StorageError, IsolationError):
-            raise
         except Exception as exc:
             self._log(
                 events.ErrorInfo(

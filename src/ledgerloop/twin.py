@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import events, policy
-from .config import EnvironmentSpec, RunConfig, config_digest, header_config_dict
+from .config import EnvironmentSpec, RunConfig, header_config_dict
 from .errors import ConfigurationError
 from .ledger import LEDGER_TEXT, Ledger, _converter, report_bytes
 from .replay import default_logic
@@ -226,11 +226,7 @@ def run_trial(
 
     run_config = dataclasses.replace(config, schedule=schedule)
     header = header_config_dict(run_config, participants, env)
-    runtime.start(
-        header_config=header,
-        config_digest=config_digest(header),
-        backend_ts=schedule.trial_start_ts,
-    )
+    runtime.start(header_config=header, backend_ts=schedule.trial_start_ts)
 
     twins = {
         pid: realize_participant(env, master_seed, pid, d_g, d_h) for pid in participants

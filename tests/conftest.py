@@ -4,9 +4,9 @@ import json
 import pytest
 import yaml
 
-from ledgerloop.config import _YAML_LOADER, RunConfig, config_digest, config_from_dict, header_config_dict
+from ledgerloop.config import _YAML_LOADER, RunConfig, config_from_dict, header_config_dict
 from ledgerloop.events import HeaderInfo, StreamIndex
-from ledgerloop.ledger import GENESIS_HASH, Ledger, compute_record_hash, read_records
+from ledgerloop.ledger import GENESIS_HASH, Ledger, compute_record_hash, config_digest, read_records
 from ledgerloop.replay import default_logic
 from ledgerloop.runtime import Runtime
 from ledgerloop.rng import derive_seed
@@ -182,4 +182,4 @@ def start_runtime(runtime: Runtime) -> None:
         injection=runtime.injection,
     )
     header = header_config_dict(config, runtime.participants)
-    runtime.start(header_config=header, config_digest=config_digest(header), backend_ts=0)
+    runtime.start(header_config=header, backend_ts=0)

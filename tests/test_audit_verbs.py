@@ -14,10 +14,11 @@ import warnings
 import pytest
 import yaml
 
-from conftest import BASE_CONFIG, deep_merge, first_seq, rechain
+from conftest import BASE_CONFIG, deep_merge, first_seq, index_of, rechain
 from ledgerloop.cli import main
-from ledgerloop.config import config_digest
+from ledgerloop.errors import StructuralAuditError
 from ledgerloop.events import ErrorInfo
+from ledgerloop.ledger import config_digest
 
 SMALL = {"environment": {"n_participants": 2, "n_days": 2}}
 
@@ -340,3 +341,101 @@ def test_append_alerts_refuses_a_ledger_that_changed(tmp_path, ledger_path, monk
     )
     assert not out.exists()
     assert b'"event_type":"ALERT"' not in ledger_path.read_bytes()
+
+
+def _every_record(edit):
+    def apply(path):
+        for seq in range(len(path.read_bytes().splitlines())):
+            rechain(path, seq, edit)
+    return apply
+
+
+def _first(event_type, edit):
+    return lambda path: rechain(path, first_seq(path, event_type), edit)
+
+
+def _header_payload(**members):
+    return lambda path: rechain(path, 0, lambda record: record["payload"].update(members))
+
+
+# Edits that keep every record readable but break what the fold checks of a
+# ledger as a whole: one stream in one profile, one config, one version
+# timeline. Each: the edit, the seq it is met at, and the audit line.
+STAMPED = "stamped stream {!r} in profile {!r}, but the HEADER payload names stream {!r} in profile {!r}"
+STREAM = "env-candidate-seed42"
+FOLD_EDITS = {
+    "decision-profile": (
+        _first("DECISION", _set(environment_profile="prod-sim")), "DECISION",
+        "DECISION at seq {seq} is " + STAMPED.format(STREAM, "prod-sim", STREAM, "test"),
+    ),
+    "decision-stream": (
+        _first("DECISION", _set(stream_id="other")), "DECISION",
+        "DECISION at seq {seq} is " + STAMPED.format("other", "test", STREAM, "test"),
+    ),
+    "header-payload-profile": (
+        _header_payload(environment_profile="dev"), "HEADER",
+        "HEADER at seq 0 is " + STAMPED.format(STREAM, "test", STREAM, "dev"),
+    ),
+    "header-payload-stream": (
+        _header_payload(stream_id="other"), "HEADER",
+        "HEADER at seq 0 is " + STAMPED.format(STREAM, "test", "other", "test"),
+    ),
+    "every-envelope-profile": (
+        _every_record(_set(environment_profile="nonsense")), "HEADER",
+        "HEADER at seq 0 is " + STAMPED.format(STREAM, "nonsense", STREAM, "test"),
+    ),
+    "unknown-profile-throughout": (
+        lambda path: (_every_record(_set(environment_profile="nonsense"))(path),
+                      _header_payload(environment_profile="nonsense")(path)),
+        "HEADER", "HEADER at seq 0 names profile 'nonsense', not one of dev/test/prod-sim",
+    ),
+    "false-config_digest": (
+        _header_payload(config_digest="0" * 64), "HEADER",
+        f"HEADER config_digest {'0' * 64!r} is not the digest of its config",
+    ),
+    "previous-version": (
+        _first("VERSION_CHANGE", lambda record: record["payload"].update(previous_version_id="v0.9.9")),
+        "VERSION_CHANGE", "VERSION_CHANGE at seq {seq} names previous version 'v0.9.9', not None",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FOLD_EDITS))
+def test_the_fold_refuses_a_ledger_that_is_not_one_stream(tmp_path, ledger_path, capsys, name):
+    # Every record still passes the read pass; only the fold, which both
+    # audits share, can refuse the edit, and it names the record.
+    edit, event_type, message = FOLD_EDITS[name]
+    seq = first_seq(ledger_path, event_type)
+    edit(ledger_path)
+    message = message.format(seq=seq)
+    assert f"seq {seq}" in message or event_type == "HEADER"
+    with pytest.raises(StructuralAuditError) as caught:
+        index_of(ledger_path)
+    assert str(caught.value) == message
+    for argv in AUDITS:
+        assert _audit(tmp_path, ledger_path, argv) == 2
+        assert capsys.readouterr().err == f"audit error: {message}\n"
+    assert not (tmp_path / "mon.txt").exists()
+
+
+def test_ledger_inspect_prints_a_record_of_another_stream(ledger_path, capsys):
+    # ledger-inspect reads records, it does not fold them, so a record the
+    # audits refuse can still be looked at.
+    seq = first_seq(ledger_path, "DECISION")
+    rechain(ledger_path, seq, _set(environment_profile="prod-sim", stream_id="other"))
+    assert main(["ledger-inspect", "--ledger", str(ledger_path), "--seq", str(seq)]) == 0
+    captured = capsys.readouterr()
+    shown = json.loads(captured.out.split("# decoded floats:")[0])
+    assert (shown["seq"], shown["stream_id"], shown["environment_profile"]) == (seq, "other", "prod-sim")
+    assert captured.err == ""
+
+
+def test_an_odd_length_post_state_is_one_short_audit_line(tmp_path, ledger_path, capsys):
+    seq = first_seq(ledger_path, "MODEL_UPDATE")
+    rechain(ledger_path, seq, lambda record: record["payload"].update(
+        post_state=record["payload"]["post_state"] + "a"))
+    for argv in AUDITS:
+        assert _audit(tmp_path, ledger_path, argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("audit error: malformed MODEL_UPDATE payload: post_state: expected lowercase hex")
+        assert len(err.splitlines()) == 1 and len(err) < 200

@@ -6,9 +6,9 @@ import pytest
 
 from conftest import make_run_config
 from ledgerloop import events
-from ledgerloop.config import config_digest, header_config_dict
+from ledgerloop.config import header_config_dict
 from ledgerloop.errors import DecodeError
-from ledgerloop.ledger import FORMAT_VERSION, canonical_json_bytes, encode_float, map_floats
+from ledgerloop.ledger import FORMAT_VERSION, canonical_json_bytes, config_digest, encode_float, map_floats
 from ledgerloop.policy import DecisionRecord, FeatureSnapshot
 
 

@@ -7,12 +7,7 @@ import numpy as np
 import pytest
 
 from conftest import make_header, rechain
-from ledgerloop.errors import (
-    ConfigurationError,
-    DecodeError,
-    IsolationError,
-    StorageError,
-)
+from ledgerloop.errors import ConfigurationError, DecodeError, StorageError
 from ledgerloop.ledger import (
     GENESIS_HASH,
     Ledger,
@@ -128,19 +123,6 @@ def test_chain_rule(tmp_path):
     r0, r1 = append_n(ledger, 2)
     assert (r0.seq, r1.seq) == (0, 1)
     assert r1.prev_hash == r0.hash
-
-
-def test_profile_mismatch_is_isolation_error(tmp_path):
-    ledger = Ledger(stream_id="s", environment_profile="prod-sim", path=tmp_path / "l.ndjson")
-    with pytest.raises(IsolationError):
-        ledger.append(note("m"), backend_ts=0, version_id="v1", environment_profile="dev")
-    ledger.close()
-
-
-def test_stream_mismatch_is_isolation_error():
-    ledger = make_ledger()
-    with pytest.raises(IsolationError):
-        ledger.append(note("m"), backend_ts=0, version_id="v1", stream_id="other")
 
 
 def test_append_only_grows_file(tmp_path):
@@ -526,8 +508,6 @@ def test_append_refusals_keep_their_order(tmp_path):
         ({"device_ts": 1.5}, ConfigurationError, "device_ts must be"),
         ({"backend_ts": "0"}, ConfigurationError, "backend_ts must be"),
         ({"value": make_header("stream-1", x=0.5)}, ConfigurationError, "raw float"),
-        ({"stream_id": "other"}, IsolationError, "stream 'other'"),
-        ({"environment_profile": "dev"}, IsolationError, "profile 'dev'"),
     ]
     for i, (_, kind, message) in enumerate(steps):
         call = {"value": make_header("stream-1"), "backend_ts": 0, "version_id": "v1"}
@@ -538,16 +518,13 @@ def test_append_refusals_keep_their_order(tmp_path):
     with pytest.raises(StorageError, match="torn"):
         ledger.append(make_header("stream-1"), backend_ts=0, version_id="v1")
     # A value of no payload class is refused before its members are checked,
-    # a member's refusal comes before isolation, isolation before the
-    # HEADER's place.
+    # a member's refusal before the HEADER's place.
     whole = make_ledger()
     append_n(whole, 1)
     with pytest.raises(ConfigurationError, match="payload must be an instance of a payload class, got dict"):
-        whole.append({}, backend_ts=0, version_id="v1", stream_id="other")
+        whole.append({}, backend_ts=0, version_id="v1")
     with pytest.raises(ConfigurationError, match="value: expected a float"):
-        whole.append(DatumInfo("p0", "f", 1, 5, None), 0, "v1", stream_id="other")
-    with pytest.raises(IsolationError):
-        whole.append(make_header("stream-1"), backend_ts=0, version_id="v1", stream_id="other")
+        whole.append(DatumInfo("p0", "f", 1, 5, None), 0, "v1")
     with pytest.raises(ConfigurationError, match="HEADER is only valid at seq 0"):
         whole.append(make_header("stream-1"), backend_ts=0, version_id="v1")
     assert len(whole) == 1

@@ -26,9 +26,8 @@ from hypothesis import strategies as st
 from conftest import first_seq, rechain
 from ledgerloop import events, ledger
 from ledgerloop.cli import main
-from ledgerloop.config import config_digest
 from ledgerloop.errors import DecodeError
-from ledgerloop.ledger import encode_float, map_floats, read_records
+from ledgerloop.ledger import config_digest, encode_float, map_floats, read_records
 from test_golden import GOLDEN_CONFIG
 
 

@@ -27,7 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_header, make_run_config, rechain
-from ledgerloop.config import config_digest, header_config_dict
+from ledgerloop.config import header_config_dict
 from ledgerloop.errors import ConfigurationError, DecodeError
 from ledgerloop.events import (
     PAYLOADS,
@@ -48,6 +48,7 @@ from ledgerloop.ledger import (
     Ledger,
     canonical_json_bytes,
     compute_record_hash,
+    config_digest,
     encode_float,
     map_floats,
     read_records,

@@ -141,3 +141,14 @@ def test_the_folded_golden_index_holds_no_envelope(tmp_path):
     assert not [v for v in _contents(index) if isinstance(v, EventEnvelope)]
     stamp, _ = next(iter(index.decisions.values()))
     assert type(stamp).__name__ == "Stamp" and stamp._fields == ("seq", "backend_ts", "version_id")
+
+
+def test_the_header_comes_first_and_only_once(tmp_path):
+    path = tmp_path / "trial.ndjson"
+    run_trial(small_env(n_days=1), make_run_config(), 3, out_path=path).ledger.close()
+    records = list(read_records(path))
+    with pytest.raises(StructuralAuditError, match="^ledger does not start with a HEADER record$"):
+        StreamIndex.fold(records[1:])
+    again = records[0]._replace(seq=2)
+    with pytest.raises(StructuralAuditError, match="^HEADER at seq 2 is not the ledger's first record$"):
+        StreamIndex.fold([*records[:2], again, *records[2:]])

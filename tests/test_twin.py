@@ -46,14 +46,14 @@ def small_env(**overrides) -> EnvironmentSpec:
 
 
 def grid_of(axes: dict) -> tuple[EnvironmentSpec, ...]:
-    return make_run_config(grid=axes).grid
+    return make_run_config(grid=axes).environments
 
 
 def test_grid_singleton():
     config = make_run_config()
-    assert config.grid == (config.environment,)
+    assert config.environments == (config.environment,)
     assert grid_of({}) == (config.environment,)
-    assert config.grid[0].label == "env"
+    assert config.environments[0].label == "env"
 
 
 def test_grid_two_by_two():
