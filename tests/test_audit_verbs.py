@@ -408,7 +408,6 @@ def test_the_fold_refuses_a_ledger_that_is_not_one_stream(tmp_path, ledger_path,
     seq = first_seq(ledger_path, event_type)
     edit(ledger_path)
     message = message.format(seq=seq)
-    assert f"seq {seq}" in message or event_type == "HEADER"
     with pytest.raises(StructuralAuditError) as caught:
         index_of(ledger_path)
     assert str(caught.value) == message
