@@ -29,7 +29,7 @@ from .events import StreamIndex
 from . import ledger
 from .ledger import CONFIG_FORMAT, Ledger, decode_as, map_floats
 from .monitor import DEFAULT_RULES, AlertRule, compute_metrics, emit_report, evaluate_alerts
-from .replay import registered_logics, replay_verify
+from .replay import reconstruct_states, replay_verify
 from .runtime import FailureInjectionSpec
 
 EXIT_OK = 0
@@ -173,9 +173,8 @@ def _cmd_twin_tune(args) -> int:
 
 def _cmd_replay_verify(args) -> int:
     out = None if args.out is None else _fresh_out_path(args.out)
-    index = StreamIndex.fold(ledger.read_records(args.ledger))
     versions = None if args.versions is None else [v for v in args.versions.split(",") if v]
-    report = replay_verify(index, registered_logics(index, versions))
+    report = replay_verify(ledger.read_records(args.ledger), versions=versions)
     if out is not None:
         out.write_bytes(report.to_bytes())
     if report.exact:
@@ -211,11 +210,14 @@ def _load_rules(path_str: str | None) -> list[AlertRule]:
 def _cmd_monitor_report(args) -> int:
     rules = _load_rules(args.rules)
     out = _fresh_out_path(args.out)
-    index = StreamIndex.fold(ledger.read_records(args.ledger))
-    metrics = compute_metrics(index)
+    records = ledger.read_records(args.ledger)
     divergence = None
     if args.replay:
-        divergence = replay_verify(index)
+        recon = reconstruct_states(records)
+        index, divergence = recon.index, recon.report()
+    else:
+        index = StreamIndex.fold(records)
+    metrics = compute_metrics(index)
     if args.append_alerts:
         # Only an append needs the ledger object. Opening it verifies the
         # file again but keeps only its last record.

@@ -17,15 +17,17 @@ the read pass calls them, but the benchmark's tracer wraps them by name.
 each record it appends, whose payload is the typed value it appended; replay
 and the monitor fold the records of the read pass, each with its typed
 payload. Both sides therefore index versions, snapshots, decisions and
-outcomes with the same code.
+outcomes, and count what the monitor reports, with the same code. Replay
+checks each decision and update right after the fold applies it, so an
+audit is one pass over the file; the index forgets a point once an update
+has consumed its outcome.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import math
 from dataclasses import dataclass, field, fields
-from operator import itemgetter
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from . import runtime
 from .errors import ConfigurationError, DecodeError, StructuralAuditError
@@ -192,44 +194,89 @@ def parse_update(payload) -> UpdateInfo:
 # -- the stream index ------------------------------------------------------------
 
 Row = tuple[FeatureSnapshot, int, float]  # (snapshot, action, reward) of one consumed outcome
+Point = tuple[str, int]  # (participant_id, decision_index)
 
 
-class Stamp(NamedTuple):
-    """What the index keeps of a record's envelope beside its typed value:
-    all that the runtime, replay and the monitor read of it."""
+@dataclass
+class RunningFsum:
+    """``math.fsum`` over the values added so far, kept as fsum keeps it
+    while it runs: the non-overlapping partials of Shewchuk's exact sum
+    ("Adaptive precision floating-point arithmetic and fast robust geometric
+    predicates", 1997). So :meth:`value` gives fsum's bits over every value
+    added, while the state is a few floats however many were added. The
+    values must be finite and sum without overflow, as the probabilities in
+    [0, 1] a DECISION payload holds do."""
 
-    seq: int
-    backend_ts: int
-    version_id: str
+    partials: list[float] = field(default_factory=list)
 
-    @classmethod
-    def of(cls, record: EventEnvelope) -> "Stamp":
-        return cls(record.seq, record.backend_ts, record.version_id)
+    def add(self, x: float) -> None:
+        partials, i = self.partials, 0
+        for y in partials:
+            if abs(x) < abs(y):
+                x, y = y, x
+            hi = x + y
+            lo = y - (hi - x)
+            if lo:
+                partials[i] = lo
+                i += 1
+            x = hi
+        partials[i:] = [x] if x else []
+
+    def value(self) -> float:
+        return math.fsum(self.partials)
+
+
+@dataclass
+class Counts:
+    """What the monitor reads of one day's records, or of a whole stream's.
+    Decisions and snapshots count on the day of their decision index;
+    updates and errors on the trial day of their backend timestamp."""
+
+    decisions: int = 0
+    fallbacks: int = 0
+    pi_sum: RunningFsum = field(default_factory=RunningFsum)
+    tags: int = 0  # provenance tags of each point's current snapshot
+    observed: int = 0  # of those, the "observed" ones
+    updates: int = 0
+    update_failures: int = 0
+    errors: int = 0
 
 
 @dataclass
 class StreamIndex:
-    """What the runtime, replay and the monitor know of a stream's records,
-    which :meth:`apply` checks are those of one stream in one profile.
+    """The one fold over a stream's records, which :meth:`apply` checks are
+    those of one stream in one profile. The runtime folds each record it
+    appends; replay and the monitor fold the verified records of a file.
 
-    Snapshots, decisions, updates and errors are kept as the record's
-    :class:`Stamp` with its typed value, never the envelope. Snapshots and
-    decisions are keyed by ``(participant_id, decision_index)``; a later snapshot for a point
-    replaces the earlier one, a second decision is a structural error. An
-    outcome stays pending until a MODEL_UPDATE consuming it is applied.
+    It keeps only what a later record can still use: the versions; the
+    pending outcomes; the monitor's :class:`Counts`; and the snapshot and
+    decision of each point (``(participant_id, decision_index)``) until an
+    update consumes its outcome. What still grows with a trial's length:
+
+    - ``snapshot_seqs``, each point's snapshot seq, for the seq late data
+      names as superseded
+    - ``decided`` and ``rewarded``, the points with a decision and with an
+      outcome, for "no second decision, snapshot after it, or outcome"
+    - ``consumed``, each consumed outcome seq's participant, for an update's
+      "consumed twice" and "of another participant"
+    - ``days``, one :class:`Counts` per day with a record
+    - the snapshot and decision of a point whose outcome never arrives
     """
 
     header: HeaderInfo | None = None
     versions: list[tuple[int, str]] = field(default_factory=list)  # (seq, id) per VERSION_CHANGE
     fingerprints: dict[str, str] = field(default_factory=dict)  # version id -> its logic's fingerprint
-    stamped: dict[str, int] = field(default_factory=dict)  # envelope version_id -> first seq
     size: int = 0  # records applied
-    snapshots: dict[tuple[str, int], tuple[Stamp, SnapshotInfo]] = field(default_factory=dict)
-    decisions: dict[tuple[str, int], tuple[Stamp, DecisionRecord]] = field(default_factory=dict)
-    outcomes: dict[int, OutcomeInfo] = field(default_factory=dict)
-    pending: dict[str, list[int]] = field(default_factory=dict)  # participant -> outcome seqs
-    updates: list[tuple[Stamp, UpdateInfo, list[Row]]] = field(default_factory=list)
-    errors: list[tuple[Stamp, ErrorInfo]] = field(default_factory=list)
+    snapshots: dict[Point, SnapshotInfo] = field(default_factory=dict)
+    decisions: dict[Point, DecisionRecord] = field(default_factory=dict)
+    outcomes: dict[int, OutcomeInfo] = field(default_factory=dict)  # the pending ones, by seq
+    pending: dict[str, list[int]] = field(default_factory=dict)  # participant -> its pending outcome seqs
+    snapshot_seqs: dict[Point, int] = field(default_factory=dict)
+    decided: set[Point] = field(default_factory=set)
+    rewarded: set[Point] = field(default_factory=set)
+    consumed: dict[int, str] = field(default_factory=dict)  # outcome seq -> participant
+    days: dict[int, Counts] = field(default_factory=dict)
+    totals: Counts = field(default_factory=Counts)
 
     @classmethod
     def fold(cls, records: Iterable[EventEnvelope]) -> "StreamIndex":
@@ -240,47 +287,78 @@ class StreamIndex:
         index = cls()
         for record in records:
             index.apply(record)
-        if index.header is None:
-            raise StructuralAuditError("ledger does not start with a HEADER record")
-        return index
+        return index.complete()
 
-    def apply(self, record: EventEnvelope) -> None:
-        """Fold in one record, keeping its typed payload. StructuralAuditError,
-        naming the seq, for a HEADER :meth:`_begin` refuses, a record of
-        another stream or profile than the HEADER's, a repeated decision, a
-        VERSION_CHANGE that activates a version again or whose
-        ``previous_version_id`` is not the version active before it, and an
-        update whose batch :meth:`batch` refuses."""
+    def complete(self) -> "StreamIndex":
+        """The index after its last record; StructuralAuditError if it has none."""
+        if self.header is None:
+            raise StructuralAuditError("ledger does not start with a HEADER record")
+        return self
+
+    def apply(self, record: EventEnvelope) -> list[Row] | None:
+        """Fold in one record; returns the rows an update consumes. Raises
+        StructuralAuditError, naming the seq and changing nothing, for a
+        HEADER :meth:`_begin` refuses, a record of another stream or profile
+        than the HEADER's, a second decision or outcome of a point, a
+        snapshot of a decided point, a VERSION_CHANGE that activates a
+        version again or whose ``previous_version_id`` is not the version
+        active before it, and an update whose batch :meth:`batch` refuses."""
         value = record.payload
         etype = record.event_type
         header = self.header
         if header is None or etype == "HEADER":
-            header = self.header = self._begin(record)
+            header = self._begin(record)
         if record.stream_id != header.stream_id or record.environment_profile != header.environment_profile:
             raise StructuralAuditError(
                 f"{etype} at seq {record.seq} is stamped stream {record.stream_id!r} in profile "
                 f"{record.environment_profile!r}, but the HEADER payload names stream "
                 f"{header.stream_id!r} in profile {header.environment_profile!r}"
             )
-        self.size += 1
-        self.stamped.setdefault(record.version_id, record.seq)
-        if etype == "FEATURE_SNAPSHOT":
-            self.snapshots[(value.participant_id, value.decision_index)] = (Stamp.of(record), value)
+        rows = None
+        if etype == "HEADER":
+            self.header = header
+        elif etype == "FEATURE_SNAPSHOT":
+            key = (value.participant_id, value.decision_index)
+            if key in self.decided:
+                raise StructuralAuditError(f"FEATURE_SNAPSHOT at seq {record.seq} follows the DECISION of {key}")
+            tags, replaced = value.provenance, self.snapshots[key].provenance if key in self.snapshots else ()
+            added, observed = len(tags) - len(replaced), tags.count("observed") - replaced.count("observed")
+            for counts in self._counts(value.decision_index // header.schedule.points_per_day):
+                counts.tags += added
+                counts.observed += observed
+            self.snapshots[key] = value
+            self.snapshot_seqs[key] = record.seq
         elif etype == "DECISION":
             key = (value.participant_id, value.decision_index)
-            if key in self.decisions:
+            if key in self.decided:
                 raise StructuralAuditError(f"DECISION at seq {record.seq} repeats {key}")
-            self.decisions[key] = (Stamp.of(record), value)
+            for counts in self._counts(value.decision_index // header.schedule.points_per_day):
+                counts.decisions += 1
+                counts.fallbacks += value.fallback
+                counts.pi_sum.add(value.pi)
+            self.decided.add(key)
+            self.decisions[key] = value
         elif etype == "OUTCOME_OBSERVED":
+            key = (value.participant_id, value.decision_index)
+            if key in self.rewarded:
+                raise StructuralAuditError(f"OUTCOME_OBSERVED at seq {record.seq} repeats {key}")
+            self.rewarded.add(key)
             self.outcomes[record.seq] = value
             self.pending.setdefault(value.participant_id, []).append(record.seq)
         elif etype == "MODEL_UPDATE":
-            rows = self.batch(value.participant_id, value.batch_seqs, record.seq)
-            pending = self.pending.get(value.participant_id, [])
-            self.pending[value.participant_id] = [s for s in pending if s not in value.batch_seqs]
-            self.updates.append((Stamp.of(record), value, rows))
+            pid, batch_seqs = value.participant_id, value.batch_seqs
+            rows = self.batch(pid, batch_seqs, record.seq)
+            for outcome_seq in batch_seqs:
+                key = (pid, self.outcomes.pop(outcome_seq).decision_index)
+                del self.snapshots[key], self.decisions[key]
+                self.consumed[outcome_seq] = pid
+            self.pending[pid] = [s for s in self.pending[pid] if s not in batch_seqs]
+            for counts in self._counts(self._trial_day(record.backend_ts)):
+                counts.updates += 1
         elif etype == "ERROR":
-            self.errors.append((Stamp.of(record), value))
+            for counts in self._counts(self._trial_day(record.backend_ts)):
+                counts.errors += 1
+                counts.update_failures += value.kind == "update_failure"
         elif etype == "VERSION_CHANGE":
             if value.version_id in self.fingerprints:
                 raise StructuralAuditError(
@@ -294,6 +372,8 @@ class StreamIndex:
                 )
             self.versions.append((record.seq, value.version_id))
             self.fingerprints[value.version_id] = value.fingerprint
+        self.size += 1
+        return rows
 
     def _begin(self, record: EventEnvelope) -> HeaderInfo:
         """The payload of the first record, a HEADER of a known profile that holds its config's digest."""
@@ -313,6 +393,16 @@ class StreamIndex:
             )
         return header
 
+    def _counts(self, day: int) -> tuple[Counts, Counts]:
+        """The counts of ``day`` and the totals."""
+        return self.days.get(day) or self.days.setdefault(day, Counts()), self.totals
+
+    def _trial_day(self, backend_ts: int) -> int:
+        """The trial day of a backend timestamp; earlier and later ones count on the first and last day."""
+        schedule = self.header.schedule
+        day = (backend_ts - schedule.trial_start_ts) // runtime.MS_PER_DAY
+        return min(max(day, 0), schedule.trial_days - 1)
+
     def batch(self, participant_id: str, batch_seqs, seq: int) -> list[Row]:
         """The rows of an update at ``seq`` consuming ``batch_seqs``; raises
         StructuralAuditError unless the seqs are non-empty, increase, and each
@@ -325,14 +415,15 @@ class StreamIndex:
         rows = []
         for outcome_seq in batch_seqs:
             outcome = self.outcomes.get(outcome_seq)
+            owner = self.consumed.get(outcome_seq) if outcome is None else outcome.participant_id
             problem = None
             if outcome_seq >= seq:
                 problem = f"references future seq {outcome_seq}"
-            elif outcome is None:
+            elif owner is None:
                 problem = f"references seq {outcome_seq}, which is not an OUTCOME_OBSERVED event"
-            elif outcome.participant_id != participant_id:
+            elif owner != participant_id:
                 problem = f"has outcome seq {outcome_seq} of another participant"
-            elif outcome_seq not in self.pending[participant_id]:
+            elif outcome is None:
                 problem = f"has outcome seq {outcome_seq} consumed twice"
             if problem is not None:
                 raise StructuralAuditError(f"MODEL_UPDATE at seq {seq} {problem}")
@@ -342,13 +433,5 @@ class StreamIndex:
                     f"outcome at seq {outcome_seq} references decision "
                     f"{outcome.decision_index} with no snapshot/decision"
                 )
-            rows.append((self.snapshots[key][1], self.decisions[key][1].action, outcome.reward))
+            rows.append((self.snapshots[key], self.decisions[key].action, outcome.reward))
         return rows
-
-    def version_at(self, seq: int) -> str:
-        """The version the last VERSION_CHANGE at or before ``seq`` activated."""
-        i = bisect_right(self.versions, seq, key=itemgetter(0))
-        if i == 0:
-            raise StructuralAuditError(f"no version active at seq {seq}")
-        return self.versions[i - 1][1]
-

@@ -2,23 +2,21 @@
 
 The monitor is read-mostly: it recomputes intervention-fidelity metrics from
 the ledger and may append ALERT events, but never touches existing records.
-It reads the ledger through the shared :class:`ledgerloop.events.StreamIndex`
-and only adds the per-day aggregation.
+The shared :class:`ledgerloop.events.StreamIndex` counts, as it folds the
+ledger's records, everything the metrics need; the monitor only turns those
+counts into the table, so it adds no pass over the ledger or the index.
 Metrics are defined so that a healthy trial is exactly clean (coverage 1.0,
 fallback rate 0.0) and every number is reproducible from the ledger alone.
 """
 
 from __future__ import annotations
 
-import math
-from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from . import events
 from .errors import ConfigurationError
 from .ledger import Ledger, report_bytes
 from .replay import DivergenceReport
-from .runtime import MS_PER_DAY
 
 METRIC_NAMES = (
     "decision_coverage",
@@ -83,81 +81,34 @@ class MetricTable:
         return table[metric]
 
 
-def _day_metrics(
-    scheduled: int,
-    decisions: list,
-    snapshot_entries: list[str],
-    updates: int,
-    update_failures: int,
-    errors: int,
-) -> dict:
-    n = len(decisions)
-    fallbacks = sum(1 for d in decisions if d.fallback)
-    observed = sum(1 for tag in snapshot_entries if tag == "observed")
-    cycles = updates + update_failures
+def _day_metrics(scheduled: int, counts: events.Counts) -> dict:
+    n = counts.decisions
+    cycles = counts.updates + counts.update_failures
     return {
         "scheduled": scheduled,
         "decision_count": n,
         "decision_coverage": n / scheduled if scheduled else 0.0,
-        "fallback_rate": fallbacks / n if n else 0.0,
-        "update_success_rate": updates / cycles if cycles else 1.0,
-        "data_completeness": observed / len(snapshot_entries) if snapshot_entries else 0.0,
-        "error_count": errors,
-        "mean_pi": math.fsum(d.pi for d in decisions) / n if n else 0.0,
+        "fallback_rate": counts.fallbacks / n if n else 0.0,
+        "update_success_rate": counts.updates / cycles if cycles else 1.0,
+        "data_completeness": counts.observed / counts.tags if counts.tags else 0.0,
+        "error_count": counts.errors,
+        "mean_pi": counts.pi_sum.value() / n if n else 0.0,
     }
 
 
 def compute_metrics(index: events.StreamIndex) -> MetricTable:
-    """Per-day and overall fidelity metrics for one trial ledger's index.
-    Decisions and snapshots attribute to days by decision index; updates and
-    errors by backend timestamp.
+    """Per-day and overall fidelity metrics of one trial ledger, from the
+    counts its index keeps (:class:`ledgerloop.events.Counts`): decisions
+    and snapshots count on the day of their decision index, updates and
+    errors on that of their backend timestamp.
     """
-    header = index.header
-    k = header.schedule.points_per_day
-    trial_days = header.schedule.trial_days
-    trial_start = header.schedule.trial_start_ts
-    n_participants = len(header.participants)
-
-    def ts_day(ts: int) -> int:
-        return min(max((ts - trial_start) // MS_PER_DAY, 0), trial_days - 1)
-
-    decisions_by_day: dict[int, list] = defaultdict(list)
-    for _, decision in index.decisions.values():
-        decisions_by_day[decision.decision_index // k].append(decision)
-    entries_by_day: dict[int, list] = defaultdict(list)
-    for (_, idx), (_, snapshot) in index.snapshots.items():
-        entries_by_day[idx // k].extend(snapshot.provenance)
-    updates_by_day = Counter(ts_day(stamp.backend_ts) for stamp, _, _ in index.updates)
-    errors_by_day = Counter(ts_day(stamp.backend_ts) for stamp, _ in index.errors)
-    update_failures_by_day = Counter(
-        ts_day(stamp.backend_ts) for stamp, error in index.errors if error.kind == "update_failure"
-    )
-
-    table = MetricTable(
-        stream_id=header.stream_id,
-        environment_profile=header.environment_profile,
-        n_participants=n_participants,
-        trial_days=trial_days,
-        points_per_day=k,
-    )
-    scheduled_per_day = n_participants * k
-    for day in range(trial_days):
-        table.per_day[day] = _day_metrics(
-            scheduled_per_day,
-            decisions_by_day[day],
-            entries_by_day[day],
-            updates_by_day[day],
-            update_failures_by_day[day],
-            errors_by_day[day],
-        )
-    table.overall = _day_metrics(
-        scheduled_per_day * trial_days,
-        [decision for _, decision in index.decisions.values()],
-        [tag for _, snapshot in index.snapshots.values() for tag in snapshot.provenance],
-        len(index.updates),
-        update_failures_by_day.total(),
-        len(index.errors),
-    )
+    header, schedule = index.header, index.header.schedule
+    table = MetricTable(header.stream_id, header.environment_profile, len(header.participants),
+                        schedule.trial_days, schedule.points_per_day)
+    scheduled = table.n_participants * table.points_per_day
+    idle = events.Counts()
+    table.per_day = {day: _day_metrics(scheduled, index.days.get(day, idle)) for day in range(table.trial_days)}
+    table.overall = _day_metrics(scheduled * table.trial_days, index.totals)
     return table
 
 

@@ -1,15 +1,15 @@
 """Replay audit: reconstruct model states from a ledger and verify that every
 logged decision and update is bit-exactly reproducible.
 
-Replay reads the ledger through the shared
-:class:`ledgerloop.events.StreamIndex`, the same fold the runtime keeps while
-it writes, and adds only the posterior recompute: one seq-ordered walk over
-the decisions and updates that compares each one where it recomputes it,
-keeping nothing but each participant's current posterior and the diffs.
-Comparison is bit-exact, never tolerance-based: floats travel as IEEE-754
-bit patterns, and each segment is replayed with the logic that wrote it, so
-an honest ledger replays to the last bit. The auditor only ever reads; it
-cannot append to the ledger under audit.
+Replay is one pass over a ledger's records. It folds each record into the
+shared :class:`ledgerloop.events.StreamIndex`, the same fold the runtime
+keeps while it writes, and right after the fold applies a decision or an
+update it recomputes that one from its participant's current posterior and
+compares. It keeps nothing but the index, each participant's current
+posterior and the diffs. Comparison is bit-exact, never tolerance-based:
+floats travel as IEEE-754 bit patterns, and each segment is replayed with
+the logic that wrote it, so an honest ledger replays to the last bit. The
+auditor only ever reads; it cannot append to the ledger under audit.
 
 Which logic replays a segment is decided by the fingerprint its
 VERSION_CHANGE records, looked up in :data:`LOGICS`:
@@ -30,16 +30,14 @@ given for a version whose recorded fingerprint is not that logic's.
 from __future__ import annotations
 
 import hashlib
-import heapq
 import struct
 from dataclasses import dataclass, field
-from operator import itemgetter
-from typing import Callable, Collection, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from . import policy
 from .errors import AuditError, LedgerLoopError, StructuralAuditError
 from .events import StreamIndex
-from .ledger import encode_float, report_bytes
+from .ledger import EventEnvelope, encode_float, report_bytes
 from .policy import FeatureSnapshot, ModelConfig, PosteriorState
 
 
@@ -168,25 +166,6 @@ def default_logic() -> PolicyLogic:
     return logic_for(V2_FINGERPRINT)
 
 
-def registered_logics(
-    index: StreamIndex, versions: Collection[str] | None = None
-) -> dict[str, PolicyLogic]:
-    """The logic of each version the ledger activates (of ``versions`` only,
-    when given), chosen by the fingerprint its VERSION_CHANGE records."""
-    built: dict[str, PolicyLogic] = {}
-    logics = {}
-    for version_id, fingerprint in index.fingerprints.items():
-        if versions is not None and version_id not in versions:
-            continue
-        if fingerprint not in built:
-            try:
-                built[fingerprint] = logic_for(fingerprint)
-            except AuditError as exc:
-                raise AuditError(f"version {version_id!r}: {exc}") from None
-        logics[version_id] = built[fingerprint]
-    return logics
-
-
 @dataclass(frozen=True)
 class FieldDiff:
     seq: int
@@ -231,27 +210,63 @@ def merge_reports(*reports: DivergenceReport) -> DivergenceReport:
     return merged
 
 
-_AT_SEQ = itemgetter(0)
-
-
 @dataclass
 class Reconstruction:
-    """The stream index of a ledger, each participant's final posterior, and
-    the diffs one walk over its decisions and updates found."""
+    """The stream index of a ledger after its last record, each
+    participant's final posterior, and the diffs the pass found in its
+    decisions and updates."""
 
     index: StreamIndex
     states: dict[str, PosteriorState]
     decisions: DivergenceReport
     updates: DivergenceReport
 
+    def report(self) -> DivergenceReport:
+        """The full verdict: the decision and update reports, merged in that
+        order, with the index's counts."""
+        merged = merge_reports(verify_decisions(self), verify_updates(self))
+        merged.counts["events_total"] = self.index.size
+        merged.counts["snapshots_seen"] = len(self.index.snapshot_seqs)
+        merged.counts["outcomes_seen"] = len(self.index.rewarded)
+        return merged
+
+
+def _in_blocks(records: Iterable[EventEnvelope], size: int = 1024) -> Iterator[EventEnvelope]:
+    """``records`` in order, read ``size`` at a time, so that the read pass
+    and the checks each run in long stretches with their code and data in
+    the CPU's caches. A problem the read pass meets is raised only after the
+    records before it."""
+    block: list[EventEnvelope] = []
+    try:
+        for record in records:
+            block.append(record)
+            if len(block) == size:
+                yield from block
+                block.clear()
+    except LedgerLoopError:
+        yield from block
+        raise
+    yield from block
+
+
+def _no_logic(version_id: str, seq: int) -> AuditError:
+    return AuditError(f"version {version_id!r} at seq {seq} has no registered logic")
+
 
 def reconstruct_states(
-    index: StreamIndex, logic_by_version: Mapping[str, PolicyLogic] | None = None
+    records: Iterable[EventEnvelope],
+    logic_by_version: Mapping[str, PolicyLogic] | None = None,
+    versions: Collection[str] | None = None,
 ) -> Reconstruction:
-    """Walk the indexed decisions and updates together in seq order, holding
-    one current posterior per participant, through per-version policy logic,
-    by default the logic each version's recorded fingerprint names
-    (:func:`registered_logics`), and check each one where it is recomputed.
+    """Fold ``records`` into a :class:`StreamIndex` one at a time and check
+    each decision and update right after the fold applies it, holding one
+    current posterior per participant, so the records are read once.
+
+    A version's logic is the one ``logic_by_version`` gives or, by default,
+    the registered logic its VERSION_CHANGE's fingerprint names (for the
+    ``versions`` only, when given). Each decision and update is recomputed
+    with the logic of the version active at its seq, from the prior of the
+    first version activated.
 
     - A decision's version stamp and seed are re-derived. A fallback decision
       must carry the uniform rule's ``pi_raw = pi = 1/2``; any other has its
@@ -265,64 +280,43 @@ def reconstruct_states(
       pre-state, as the runtime's does after a failed update.
 
     Diffs go to one report for decisions and one for updates, each in seq
-    order; nothing else recomputed is kept.
-
-    Raises AuditError when any event carries a version with no registered
-    logic or when a version's logic does not have the fingerprint it
-    recorded, and StructuralAuditError at a decision with no prior snapshot
-    or no active version. Other structural problems (bad batch references, a
-    missing header, double consumption) were already raised by the fold that
-    built the index.
+    order; nothing else recomputed is kept. Raises AuditError for a version
+    activated with no logic or with another logic's fingerprint, and for a
+    record stamped with a version the ledger never activates;
+    StructuralAuditError for what the fold refuses, and for a decision with
+    no snapshot before it or no version active.
     """
-    config = index.header.model
-    if logic_by_version is None:
-        logic_by_version = registered_logics(index)
-    # Every version the ledger names, envelope stamps before a VERSION_CHANGE
-    # payload at the same seq; the first one without logic is the error.
-    named = [(seq, version_id) for version_id, seq in index.stamped.items()] + index.versions
-    for seq, version_id in sorted(named, key=_AT_SEQ):
-        if version_id not in logic_by_version:
-            raise AuditError(f"version {version_id!r} at seq {seq} has no registered logic")
-    for seq, version_id in index.versions:
-        logic, recorded = logic_by_version[version_id], index.fingerprints[version_id]
-        if logic.fingerprint != recorded:
-            raise AuditError(
-                f"version {version_id!r} at seq {seq} records fingerprint {recorded}, "
-                f"not that of {logic.name} ({logic.fingerprint})"
-            )
-
-    initial = logic_by_version[next(iter(index.stamped))].init_state(config)  # the HEADER's
-    pids = [*index.header.participants, *(pid for pid, _ in index.snapshots)]
-    states = dict.fromkeys(pids, initial)
+    index = StreamIndex()
+    logics = dict(logic_by_version or {})
+    unresolved: dict[str, int] = {}  # a version stamped before it has logic -> the first such seq
+    states: dict[str, PosteriorState] = {}
+    logic = initial = None  # the active version's logic; the first version's prior
     decisions, updates = DivergenceReport(), DivergenceReport()
-    deployment_seed = index.header.deployment_seed
-    # Stamps order by seq, which no two records share.
-    walk = heapq.merge(
-        ((stamp, decision, None) for stamp, decision in index.decisions.values()),
-        index.updates,
-        key=_AT_SEQ,
-    )
-    for stamp, value, rows in walk:
-        seq, pid = stamp.seq, value.participant_id
-        if rows is None:  # a decision
-            idx = value.decision_index
-            snap = index.snapshots.get((pid, idx))
-            if snap is None or snap[0].seq >= seq:
+    for record in _in_blocks(records):
+        rows = index.apply(record)
+        seq, stamp, etype, value = record.seq, record.version_id, record.event_type, record.payload
+        if stamp not in logics:
+            unresolved.setdefault(stamp, seq)
+        if etype == "DECISION":
+            pid, idx = value.participant_id, value.decision_index
+            snapshot = index.snapshots.get((pid, idx))
+            if snapshot is None:
                 raise StructuralAuditError(
                     f"DECISION at seq {seq} has no prior FEATURE_SNAPSHOT for ({pid}, {idx})"
                 )
-            version_id = index.version_at(seq)
-            if stamp.version_id != version_id or value.version_id != version_id:
+            if logic is None:
+                raise StructuralAuditError(f"no version active at seq {seq}")
+            version_id = index.versions[-1][1]
+            if stamp != version_id or value.version_id != version_id:
                 decisions.record(seq, "version_id", value.version_id, version_id)
-            seed = policy.derive_decision_seed(deployment_seed, pid, idx)
+            seed = policy.derive_decision_seed(index.header.deployment_seed, pid, idx)
             if seed != value.seed:
                 decisions.record(seq, "seed", str(value.seed), str(seed))
             if value.fallback:
                 expected = (("pi", value.pi, 0.5), ("pi_raw", value.pi_raw, 0.5))
             else:
-                logic = logic_by_version[version_id]
                 try:
-                    pi_raw, pi = logic.action_probability(states[pid], snap[1], config)
+                    pi_raw, pi = logic.action_probability(states.get(pid, initial), snapshot, index.header.model)
                 except LedgerLoopError as exc:
                     logged = encode_float(value.pi_raw)
                     decisions.record(seq, "pi_raw", logged, f"error:{type(exc).__name__}")
@@ -334,53 +328,74 @@ def reconstruct_states(
             action = policy.decide(value.pi, value.seed)
             if action != value.action:
                 decisions.record(seq, "action", str(value.action), str(action))
-            continue
-        pre_hash = states[pid].state_hash
-        if value.pre_state_hash != pre_hash:
-            updates.record(seq, "pre_state_hash", value.pre_state_hash.hex(), pre_hash.hex())
-        try:
-            new_state = logic_by_version[stamp.version_id].update_posterior(
-                states[pid], rows, config, last_update_seq=max(value.batch_seqs)
-            )
-        except LedgerLoopError as exc:
-            updates.record(seq, "post_state", value.post_state.hex(), f"error:{type(exc).__name__}")
-        else:
-            states[pid] = new_state
-            recomputed = policy.canonical_serialize(new_state)
-            if value.post_state != recomputed:
-                updates.record(seq, "post_state", value.post_state.hex(), recomputed.hex())
-        logged_digest = hashlib.sha256(value.post_state).digest()
-        if value.post_state_hash != logged_digest:
-            updates.record(seq, "post_state_hash", value.post_state_hash.hex(), logged_digest.hex())
-    decisions.counts["decisions_checked"] = len(index.decisions)
-    updates.counts["updates_checked"] = len(index.updates)
+        elif etype == "MODEL_UPDATE":
+            pid = value.participant_id
+            state = states.get(pid, initial)
+            if value.pre_state_hash != state.state_hash:
+                updates.record(seq, "pre_state_hash", value.pre_state_hash.hex(), state.state_hash.hex())
+            try:
+                new_state = logic.update_posterior(
+                    state, rows, index.header.model, last_update_seq=max(value.batch_seqs)
+                )
+            except LedgerLoopError as exc:
+                updates.record(seq, "post_state", value.post_state.hex(), f"error:{type(exc).__name__}")
+            else:
+                states[pid] = new_state
+                recomputed = policy.canonical_serialize(new_state)
+                if value.post_state != recomputed:
+                    updates.record(seq, "post_state", value.post_state.hex(), recomputed.hex())
+            logged_digest = hashlib.sha256(value.post_state).digest()
+            if value.post_state_hash != logged_digest:
+                updates.record(seq, "post_state_hash", value.post_state_hash.hex(), logged_digest.hex())
+        elif etype == "VERSION_CHANGE":
+            version_id = value.version_id
+            if version_id not in logics:
+                if logic_by_version is not None or (versions is not None and version_id not in versions):
+                    raise _no_logic(version_id, unresolved.get(version_id, seq))
+                try:
+                    logics[version_id] = logic_for(value.fingerprint)
+                except AuditError as exc:
+                    raise AuditError(f"version {version_id!r}: {exc}") from None
+            unresolved.pop(version_id, None)
+            logic = logics[version_id]
+            if logic.fingerprint != value.fingerprint:
+                raise AuditError(
+                    f"version {version_id!r} at seq {seq} records fingerprint {value.fingerprint}, "
+                    f"not that of {logic.name} ({logic.fingerprint})"
+                )
+            if initial is None:
+                initial = logic.init_state(index.header.model)
+    index.complete()
+    if unresolved:
+        version_id = min(unresolved, key=unresolved.get)
+        raise _no_logic(version_id, unresolved[version_id])
+    if initial is not None:
+        for pid in (*index.header.participants, *(pid for pid, _ in index.snapshot_seqs)):
+            states.setdefault(pid, initial)
+    decisions.counts["decisions_checked"] = len(index.decided)
+    updates.counts["updates_checked"] = index.totals.updates
     return Reconstruction(index, states, decisions, updates)
 
 
 def verify_decisions(recon: Reconstruction) -> DivergenceReport:
-    """The walk's report on every logged decision (see :func:`reconstruct_states`)."""
+    """The pass's report on every logged decision (see :func:`reconstruct_states`)."""
     return recon.decisions
 
 
 def verify_updates(recon: Reconstruction) -> DivergenceReport:
-    """The walk's report on every logged update (see :func:`reconstruct_states`)."""
+    """The pass's report on every logged update (see :func:`reconstruct_states`)."""
     return recon.updates
 
 
 def replay_verify(
-    index: StreamIndex, logic_by_version: Mapping[str, PolicyLogic] | None = None
+    records: Iterable[EventEnvelope],
+    logic_by_version: Mapping[str, PolicyLogic] | None = None,
+    versions: Collection[str] | None = None,
 ) -> DivergenceReport:
-    """Full audit: the walk's decision and update reports, merged in that
-    order, with the index's counts.
+    """Full audit of a ledger's records: :meth:`Reconstruction.report` of
+    their :func:`reconstruct_states`.
 
     Raises AuditError/StructuralAuditError for attribution and structure
     problems; returns a DivergenceReport (status exact or diverged) otherwise.
     """
-    recon = reconstruct_states(index, logic_by_version)
-    decisions_report = verify_decisions(recon)
-    updates_report = verify_updates(recon)
-    merged = merge_reports(decisions_report, updates_report)
-    merged.counts["events_total"] = recon.index.size
-    merged.counts["snapshots_seen"] = len(recon.index.snapshots)
-    merged.counts["outcomes_seen"] = len(recon.index.outcomes)
-    return merged
+    return reconstruct_states(records, logic_by_version, versions).report()

@@ -220,6 +220,8 @@ class Runtime:
     def register_version(self, version_id: str, backend_ts: int) -> int:
         """Activate a new algorithm version; all later events carry it."""
         versions = self.index.versions
+        if self.index.header is None:
+            raise ConfigurationError("no HEADER written; call start() first")
         if version_id in self.index.fingerprints:
             raise ConfigurationError(f"version {version_id!r} already activated")
         previous = versions[-1][1] if versions else None
@@ -241,6 +243,10 @@ class Runtime:
     def _require_participant(self, participant_id: str) -> None:
         if participant_id not in self.states:
             raise ConfigurationError(f"unknown participant {participant_id!r}")
+
+    def _require_undecided(self, participant_id: str, decision_index: int) -> None:
+        if (participant_id, decision_index) in self.index.decided:
+            raise StructuralAuditError(f"{participant_id} decision {decision_index} is already made")
 
     def _window_index(self, device_ts: int) -> int:
         # Window j is (due(j-1), due(j)]; anything before due(0) is window 0
@@ -264,9 +270,7 @@ class Runtime:
         value = float(value)  # the payload holds a float, whatever number came in
         if not math.isfinite(value):
             raise ConfigurationError(f"{feature} value {value!r} of {participant_id} is not finite")
-        home = self._window_index(device_ts)
-        snap = self.index.snapshots.get((participant_id, home))
-        superseded = None if snap is None else snap[0].seq
+        superseded = self.index.snapshot_seqs.get((participant_id, self._window_index(device_ts)))
         record = self._log(
             events.DatumInfo(participant_id, feature, value, device_ts, superseded),
             backend_ts=backend_ts,
@@ -287,10 +291,12 @@ class Runtime:
         An outcome of a decision point that has no snapshot and decision, or
         with a NaN or infinite reward, is refused before anything is logged:
         no update could ever consume it, and left pending it would fail every
-        later cycle of the participant.
+        later cycle of the participant. So is a second outcome of a point.
         """
         self._require_participant(participant_id)
         key = (participant_id, decision_index)
+        if key in self.index.rewarded:
+            raise ConfigurationError(f"outcome for {participant_id} decision {decision_index} already logged")
         if key not in self.index.snapshots or key not in self.index.decisions:
             raise ConfigurationError(
                 f"outcome for {participant_id} decision {decision_index}, which has no "
@@ -316,9 +322,11 @@ class Runtime:
         recent datum (latest device_ts at or before the due time, lowest seq on
         a tie) when that falls within the current window (`observed`) or the
         carry-forward horizon (`imputed`, method "locf"), else to the
-        configured default.
+        configured default. A point that has its decision keeps its
+        snapshot: a new one is refused before anything is logged.
         """
         self._require_participant(participant_id)
+        self._require_undecided(participant_id, decision_index)
         due = self.schedule.due_ts(decision_index)
         if backend_ts is None:
             backend_ts = due
@@ -360,15 +368,16 @@ class Runtime:
 
         Any policy or state error is converted to a uniform fallback decision
         (pi = 0.5) with the same seeded coin; only storage errors escape.
-        A DECISION event is always appended.
+        A DECISION event is always appended, once per point: a second
+        decision is refused before anything is logged.
         """
         self._require_participant(participant_id)
-        snap = self.index.snapshots.get((participant_id, decision_index))
-        if snap is None:
+        self._require_undecided(participant_id, decision_index)
+        snapshot = self.index.snapshots.get((participant_id, decision_index))
+        if snapshot is None:
             raise StructuralAuditError(
                 f"no FEATURE_SNAPSHOT for {participant_id} decision {decision_index}"
             )
-        _, snapshot = snap
         if backend_ts is None:
             backend_ts = self.schedule.due_ts(decision_index)
         seed = policy.derive_decision_seed(self.deployment_seed, participant_id, decision_index)

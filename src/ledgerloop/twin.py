@@ -21,6 +21,7 @@ from . import events, policy
 from .config import EnvironmentSpec, RunConfig, header_config_dict
 from .errors import ConfigurationError
 from .ledger import LEDGER_TEXT, Ledger, _converter, report_bytes
+from .monitor import compute_metrics
 from .replay import default_logic
 from .rng import SplitMix64, derive_seed
 from .runtime import MS_PER_DAY, MS_PER_MINUTE, FeatureSpec, Runtime
@@ -143,12 +144,12 @@ def true_effect(twin: ParticipantTwin, context: dict[str, float], features: Feat
 @dataclass
 class TrialTruth:
     """What the twin knows and the ledger does not: realized parameters,
-    true effects, and realized outcomes."""
+    realized outcomes, and the regret of the logged actions."""
 
     env: EnvironmentSpec
     participants: dict[str, ParticipantTwin] = field(default_factory=dict)
-    deltas: dict[tuple[str, int], float] = field(default_factory=dict)
     outcomes: dict[tuple[str, int], float] = field(default_factory=dict)
+    regret: float = 0.0  # against the oracle action (argmax of the true mean, ties to 0), in decision order
 
 
 @dataclass
@@ -310,8 +311,8 @@ def run_trial(
                 flush(ts)
                 runtime.assemble_features(pid, idx, backend_ts=ts)
                 delta = true_effect(twin, context, features)
-                truth.deltas[(pid, idx)] = delta
                 record = runtime.make_decision(pid, idx, backend_ts=ts)
+                truth.regret += max(0.0, delta) - record.action * delta
                 twins[pid], y, _ = step_participant(
                     twin, env, idx, record.action, features, points_per_day=k
                 )
@@ -391,42 +392,26 @@ def _sd(xs: list[float]) -> float:
 def evaluate_rows(results: list[TrialResult]) -> list[EvalRow]:
     """Score trials against their environments' ground truth.
 
-    Regret compares the logged action against the oracle action (argmax of
-    the true conditional mean, ties to action 0) using the twin's retained
-    parameters, not realized noise.
+    Decision count, coverage, fallback rate and mean pi are the overall
+    metrics the monitor reads of the trial's index; regret is the twin's
+    own sum (:class:`TrialTruth`), from its retained parameters, not
+    realized noise.
     """
     rows = []
     for result in results:
-        env = result.env
-        truth = result.truth
-        points_per_day = result.index.header.schedule.points_per_day
-        scheduled = env.n_participants * env.n_days * points_per_day
-        n_decisions = 0
-        fallbacks = 0
-        pis: list[float] = []
-        regret = 0.0
-        for key, (_, decision) in result.index.decisions.items():
-            if key not in truth.deltas:
-                raise ConfigurationError(
-                    f"ledger decision {key} not found in environment ground truth"
-                )
-            n_decisions += 1
-            fallbacks += 1 if decision.fallback else 0
-            pis.append(decision.pi)
-            delta = truth.deltas[key]
-            regret += max(0.0, delta) - decision.action * delta
-        outcomes = [truth.outcomes[k] for k in sorted(truth.outcomes)]
+        overall = compute_metrics(result.index).overall
+        outcomes = [result.truth.outcomes[k] for k in sorted(result.truth.outcomes)]
         rows.append(
             EvalRow(
-                env_label=env.label,
+                env_label=result.env.label,
                 candidate_label=result.candidate_label,
                 seed=result.master_seed,
-                n_decisions=n_decisions,
+                n_decisions=overall["decision_count"],
                 mean_outcome=_mean(outcomes),
-                cumulative_regret=regret,
-                fallback_rate=(fallbacks / n_decisions) if n_decisions else 0.0,
-                decision_coverage=n_decisions / scheduled if scheduled else 0.0,
-                mean_pi=_mean(pis),
+                cumulative_regret=result.truth.regret,
+                fallback_rate=overall["fallback_rate"],
+                decision_coverage=overall["decision_coverage"],
+                mean_pi=overall["mean_pi"],
             )
         )
     return rows

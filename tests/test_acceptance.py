@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from conftest import BASE_CONFIG, deep_merge, index_of, make_run_config, records_of
+from conftest import BASE_CONFIG, deep_merge, make_run_config, records_of
 from ledgerloop import events
 from ledgerloop.cli import main
 from ledgerloop.errors import AuditError
@@ -126,7 +126,7 @@ def test_criterion_1_end_to_end_replay(tmp_path):
     assert len(decisions) == 20 * 28 * 2
 
     assert main(["replay-verify", "--ledger", str(ledger_path)]) == 0
-    report = replay_verify(index_of(ledger_path), {"v1.0.0": default_logic()})
+    report = replay_verify(read_records(ledger_path), {"v1.0.0": default_logic()})
     assert report.exact
     assert report.first_divergent_seq is None
     assert not report.field_diffs
@@ -251,12 +251,12 @@ def test_criterion_6_fallback_totality(tmp_path):
         assert decision.fallback is True
         assert record.payload["pi"] == half
         assert decision.action == decide(0.5, decision.seed)
-    report = replay_verify(index_of(path), {"v1.0.0": default_logic()})
+    report = replay_verify(read_records(path), {"v1.0.0": default_logic()})
     assert report.exact
 
 
 @criterion(7, "learning sanity: bandit beats uniform and finds the effect sign, >=9/10 seeds")
-def test_criterion_7_learning_sanity():
+def test_criterion_7_learning_sanity(tmp_path):
     # effect / noise = 0.6 / 0.5 >= 1, no heterogeneity
     env = full_scale_env()
     bandit_config = make_run_config()
@@ -269,12 +269,14 @@ def test_criterion_7_learning_sanity():
     wins = 0
     sign_hits = 0
     for seed in range(10):
-        bandit = run_trial(env, bandit_config, seed, candidate_label="bandit")
+        path = tmp_path / f"bandit{seed}.ndjson"
+        bandit = run_trial(env, bandit_config, seed, out_path=path, candidate_label="bandit")
+        bandit.ledger.close()
         uniform = run_trial(env, uniform_config, seed, candidate_label="uniform")
         if mean_outcome(bandit) > mean_outcome(uniform):
             wins += 1
 
-        recon = reconstruct_states(bandit.index, {"v1.0.0": default_logic()})
+        recon = reconstruct_states(read_records(path), {"v1.0.0": default_logic()})
         finals = [state.mean[d_g] for state in recon.states.values()]
         if float(np.mean(finals)) > 0.0:
             sign_hits += 1
@@ -328,7 +330,7 @@ def test_criterion_8_imputation_preservation(tmp_path):
         snap = events.parse_snapshot(record.payload)
         imputed += sum(1 for tag in snap.provenance if tag != "observed")
     assert imputed > 0
-    report = replay_verify(index_of(path), {"v1.0.0": default_logic()})
+    report = replay_verify(read_records(path), {"v1.0.0": default_logic()})
     assert report.exact
 
 
@@ -353,13 +355,12 @@ def test_criterion_9_version_traceability(tmp_path):
     }
     assert versions_on_decisions == {"v1.0.0", "v1.0.1"}
 
-    index = index_of(path)
     both = {"v1.0.0": default_logic(), "v1.0.1": default_logic()}
-    report = replay_verify(index, both)
+    report = replay_verify(read_records(path), both)
     assert report.exact
 
     with pytest.raises(AuditError, match="v1.0.1"):
-        replay_verify(index, {"v1.0.0": default_logic()})
+        replay_verify(read_records(path), {"v1.0.0": default_logic()})
 
 
 @criterion(10, "tamper evidence: 1000 single-byte corruptions all detected")
@@ -396,7 +397,7 @@ def test_criterion_10_tamper_evidence(tmp_path):
         from ledgerloop.errors import LedgerLoopError
 
         try:
-            report = replay_verify(index_of(mutated_path), {"v1.0.0": default_logic()})
+            report = replay_verify(read_records(mutated_path), {"v1.0.0": default_logic()})
         except LedgerLoopError:
             detected += 1
             continue

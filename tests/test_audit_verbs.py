@@ -417,6 +417,50 @@ def test_the_fold_refuses_a_ledger_that_is_not_one_stream(tmp_path, ledger_path,
     assert not (tmp_path / "mon.txt").exists()
 
 
+def _point(event_type, participant_id, decision_index):
+    return lambda path: first_seq(
+        path, event_type,
+        lambda payload: (payload["participant_id"], payload["decision_index"]) == (participant_id, decision_index),
+    )
+
+
+# Edits that give a point a second snapshot or outcome: the later snapshot of
+# p000 re-labelled as that of its decision 0, which is decided by then, and
+# the outcome of p000's decision 2 re-labelled as that of its decision 0,
+# whose outcome the first update consumed. Each: the seq of the record
+# re-labelled, and the fold's refusal of it.
+POINT_EDITS = {
+    "snapshot-after-its-decision": (
+        _point("FEATURE_SNAPSHOT", "p000", 1),
+        "FEATURE_SNAPSHOT at seq {seq} follows the DECISION of ('p000', 0)",
+    ),
+    "second-outcome": (
+        _point("OUTCOME_OBSERVED", "p000", 2),
+        "OUTCOME_OBSERVED at seq {seq} repeats ('p000', 0)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(POINT_EDITS))
+def test_the_fold_refuses_a_second_snapshot_or_outcome_of_a_point(tmp_path, ledger_path, capsys, name):
+    # The fold keeps a point's snapshot only until its decision, and its
+    # outcome only until an update consumes it, so a second one is refused
+    # where it is met, by both audits and by the monitor without replay.
+    seq_of, message = POINT_EDITS[name]
+    seq = seq_of(ledger_path)
+    rechain(ledger_path, seq, lambda record: record["payload"].update(decision_index=0))
+    message = message.format(seq=seq)
+    with pytest.raises(StructuralAuditError) as caught:
+        index_of(ledger_path)
+    assert str(caught.value) == message
+    for argv in (*AUDITS, ["monitor-report"]):
+        assert _audit(tmp_path, ledger_path, argv) == 2
+        assert capsys.readouterr().err == f"audit error: {message}\n"
+    assert not (tmp_path / "mon.txt").exists()
+    assert main(["ledger-inspect", "--ledger", str(ledger_path), "--seq", str(seq)]) == 0
+    assert json.loads(capsys.readouterr().out.split("# decoded floats:")[0])["payload"]["decision_index"] == 0
+
+
 def test_ledger_inspect_prints_a_record_of_another_stream(ledger_path, capsys):
     # ledger-inspect reads records, it does not fold them, so a record the
     # audits refuse can still be looked at.

@@ -1,8 +1,13 @@
+import math
+import struct
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_run_config
 from ledgerloop.errors import ConfigurationError, DecodeError
-from ledgerloop.events import StreamIndex
+from ledgerloop.events import ErrorInfo, RunningFsum, StreamIndex
 from ledgerloop.ledger import read_records, verify_chain
 from ledgerloop.monitor import (
     DEFAULT_RULES,
@@ -12,6 +17,7 @@ from ledgerloop.monitor import (
     evaluate_alerts,
 )
 from ledgerloop.replay import default_logic, replay_verify
+from ledgerloop.runtime import MS_PER_DAY
 from ledgerloop.twin import EnvironmentSpec, run_trial
 
 
@@ -86,6 +92,17 @@ def test_rate_identities():
             assert 0.0 <= table[name] <= 1.0
 
 
+def test_errors_count_on_the_trial_day_of_their_backend_ts():
+    # A day starts at its first millisecond; a timestamp before the trial
+    # counts on day 0 and one after it on the last day.
+    result = trial()
+    before = [result.index.days[day].errors for day in range(3)]
+    for backend_ts in (MS_PER_DAY - 1, MS_PER_DAY, 2 * MS_PER_DAY, -5 * MS_PER_DAY, 100 * MS_PER_DAY):
+        result.index.apply(result.ledger.append(ErrorInfo("probe", "m"), backend_ts, "v1.0.0"))
+    metrics = compute_metrics(result.index)
+    assert [metrics.per_day[day]["error_count"] - before[day] for day in range(3)] == [2, 1, 2]
+
+
 # -- alerts -------------------------------------------------------------------------
 
 
@@ -140,7 +157,7 @@ def test_replay_stays_exact_after_alert_appends(tmp_path):
     metrics = compute_metrics(result.index)
     with result.ledger:
         evaluate_alerts(metrics, list(DEFAULT_RULES), ledger=result.ledger)
-    report = replay_verify(StreamIndex.fold(read_records(path)), {"v1.0.0": default_logic()})
+    report = replay_verify(read_records(path), {"v1.0.0": default_logic()})
     assert report.exact
 
 
@@ -181,10 +198,12 @@ def test_report_without_replay_section():
     assert b'"replay_included":false' in data
 
 
-def test_report_with_exact_divergence_states_pass():
-    result = trial()
+def test_report_with_exact_divergence_states_pass(tmp_path):
+    path = tmp_path / "l.ndjson"
+    result = trial(path=path)
+    result.ledger.close()
     metrics = compute_metrics(result.index)
-    divergence = replay_verify(result.index, {"v1.0.0": default_logic()})
+    divergence = replay_verify(read_records(path), {"v1.0.0": default_logic()})
     data = emit_report(metrics, [], divergence)
     assert b'"deployment_reproducibility":"PASS"' in data
 
@@ -194,3 +213,24 @@ def test_report_deterministic_bytes():
     metrics = compute_metrics(result.index)
     alerts = evaluate_alerts(metrics, list(DEFAULT_RULES))
     assert emit_report(metrics, alerts) == emit_report(metrics, alerts)
+
+
+# -- the running sum behind mean_pi -------------------------------------------------
+
+
+def running_fsum(values) -> float:
+    running = RunningFsum()
+    for value in values:
+        running.add(value)
+    return running.value()
+
+
+# A DECISION's pi lies in [0, 1]; other finite floats of every scale and
+# sign too, short of sums that overflow.
+FINITE = st.one_of(st.floats(0.0, 1.0), st.floats(-1e300, 1e300), st.sampled_from([5e-324, -0.0, 1e300]))
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(FINITE, max_size=60))
+def test_the_running_sum_gives_fsums_bits(values):
+    assert struct.pack(">d", running_fsum(values)) == struct.pack(">d", math.fsum(values))

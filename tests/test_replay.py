@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import index_of, make_run_config, make_runtime, records_of, start_runtime
+from conftest import make_run_config, make_runtime, records_of, start_runtime
 from ledgerloop import events, policy
 from ledgerloop.errors import AuditError, NumericalStateError, StructuralAuditError
 from ledgerloop.ledger import Ledger, encode_float, map_floats, read_records, verify_chain
@@ -35,20 +35,16 @@ def small_env(**overrides) -> EnvironmentSpec:
     return EnvironmentSpec(**base)
 
 
-def healthy_trial(seed=7, **env_overrides):
-    config = make_run_config()
-    return run_trial(small_env(**env_overrides), config, seed)
-
-
-def trial_file(tmp_path, config=None, seed=7) -> Path:
+def trial_file(tmp_path, config=None, seed=7, **env_overrides) -> Path:
     """The ledger file of one small trial, written under ``tmp_path``."""
     path = tmp_path / "trial.ndjson"
-    run_trial(small_env(), config or make_run_config(), seed, out_path=path).ledger.close()
+    run_trial(small_env(**env_overrides), config or make_run_config(), seed, out_path=path).ledger.close()
     return path
 
 
-def logic_for(index):
-    return {version_id: default_logic() for version_id in index.stamped}
+def logic_for(path):
+    """The default logic for every version a record of the ledger at ``path`` is stamped with."""
+    return {record.version_id: default_logic() for record in read_records(path)}
 
 
 def rechain(path: Path, mutate=None, skip=()) -> Path:
@@ -85,21 +81,21 @@ def flip_low_mantissa_bit(hex_str: str) -> str:
 # -- reconstruction ------------------------------------------------------------------
 
 
-def test_reconstruct_no_updates_gives_initial_states():
-    config = make_run_config()
+def test_reconstruct_no_updates_gives_initial_states(tmp_path):
     # One day, updates happen at 23:00 but outcomes arrive afterwards only if
     # delayed; with no outcome ever (miss everything) there are no updates.
-    result = run_trial(small_env(miss_prob=1.0, n_days=1), config, 1)
-    recon = reconstruct_states(result.index, logic_for(result.index))
+    path = trial_file(tmp_path, seed=1, miss_prob=1.0, n_days=1)
+    recon = reconstruct_states(read_records(path), logic_for(path))
     assert recon.updates.counts["updates_checked"] == 0
     for pid, state in recon.states.items():
         assert state.update_count == 0
 
 
-def test_final_state_hash_matches_last_update():
-    result = healthy_trial()
-    recon = reconstruct_states(result.index, logic_for(result.index))
-    last_updates = {info.participant_id: info for _, info, _ in result.index.updates}
+def test_final_state_hash_matches_last_update(tmp_path):
+    path = trial_file(tmp_path)
+    recon = reconstruct_states(read_records(path), logic_for(path))
+    last_updates = {record.payload.participant_id: record.payload
+                    for record in read_records(path) if record.event_type == "MODEL_UPDATE"}
     assert last_updates
     for pid, info in last_updates.items():
         assert recon.states[pid].state_hash == info.post_state_hash
@@ -137,29 +133,29 @@ def test_final_states_are_the_runtimes(tmp_path):
             runtime.run_update_cycle(pid, backend_ts=runtime.schedule.update_ts(day))
     runtime.ledger.close()
     assert refusals and fallbacks
-    assert [info.kind for _, info in runtime.index.errors].count("update_failure") == 1
+    path = tmp_path / "trial.ndjson"
+    errors = [record.payload.kind for record in read_records(path) if record.event_type == "ERROR"]
+    assert errors.count("update_failure") == 1
 
-    index = index_of(tmp_path / "trial.ndjson")
-    recon = reconstruct_states(index)
+    recon = reconstruct_states(read_records(path))
     assert recon.states.keys() == runtime.states.keys()
     for pid, state in runtime.states.items():
         assert state.update_count > 0
         assert recon.states[pid].state_hash == state.state_hash
-    assert replay_verify(index).exact
+    assert replay_verify(read_records(path)).exact
 
 
-def test_unregistered_version_is_audit_error():
-    result = healthy_trial()
+def test_unregistered_version_is_audit_error(tmp_path):
+    path = trial_file(tmp_path)
     with pytest.raises(AuditError, match="v1.0.0"):
-        reconstruct_states(result.index, {"v9.9.9": default_logic()})
+        reconstruct_states(read_records(path), {"v9.9.9": default_logic()})
 
 
 def test_a_logic_given_for_another_fingerprint_is_audit_error():
     # The v1 fixture's versions record v1's fingerprint; v2 may not replay them.
     fixture = Path(__file__).resolve().parent / "fixtures" / "v1-golden.ndjson"
-    index = index_of(fixture)
     with pytest.raises(AuditError, match=f"records fingerprint {V1_FINGERPRINT}, not that of conjugate-linear-v2"):
-        reconstruct_states(index, {"v1.0.0": default_logic(), "v1.1.0": default_logic()})
+        reconstruct_states(read_records(fixture), {"v1.0.0": default_logic(), "v1.1.0": default_logic()})
 
 
 def test_v2_is_refused_where_it_misses_its_known_answers(monkeypatch):
@@ -180,15 +176,15 @@ def test_reconstruction_requires_header(tmp_path):
     with Ledger(stream_id="s", environment_profile="test", path=path, fsync=False) as ledger:
         ledger.append(events.ErrorInfo("k", "m"), backend_ts=0, version_id="v1")
     with pytest.raises(StructuralAuditError):
-        reconstruct_states(index_of(path), {"v1": default_logic()})
+        reconstruct_states(read_records(path), {"v1": default_logic()})
 
 
 # -- verify_decisions ------------------------------------------------------------------
 
 
 def test_untampered_ledger_is_exact(tmp_path):
-    index = index_of(trial_file(tmp_path))
-    report = replay_verify(index, logic_for(index))
+    path = trial_file(tmp_path)
+    report = replay_verify(read_records(path), logic_for(path))
     assert report.exact
     assert report.first_divergent_seq is None
     assert report.counts["decisions_checked"] == 12
@@ -208,8 +204,7 @@ def test_flipped_pi_bit_detected_with_field(tmp_path):
 
     tampered = rechain(path, mutate)
     assert verify_chain(tampered) is None  # chain is consistent; content lies
-    index = index_of(tampered)
-    recon = reconstruct_states(index, logic_for(index))
+    recon = reconstruct_states(read_records(tampered), logic_for(tampered))
     report = verify_decisions(recon)
     assert not report.exact
     assert report.first_divergent_seq == target
@@ -227,8 +222,8 @@ def test_flipped_action_detected(tmp_path):
             payload["action"] = 1 - payload["action"]
         return payload
 
-    index = index_of(rechain(path, mutate))
-    recon = reconstruct_states(index, logic_for(index))
+    tampered = rechain(path, mutate)
+    recon = reconstruct_states(read_records(tampered), logic_for(tampered))
     report = verify_decisions(recon)
     assert not report.exact
     diffs = {d.path for d in report.field_diffs if d.seq == target}
@@ -247,8 +242,8 @@ def test_tampered_seed_detected(tmp_path):
             payload["seed"] = payload["seed"] ^ 1
         return payload
 
-    index = index_of(rechain(path, mutate))
-    recon = reconstruct_states(index, logic_for(index))
+    tampered = rechain(path, mutate)
+    recon = reconstruct_states(read_records(tampered), logic_for(tampered))
     report = verify_decisions(recon)
     assert any(d.path == "seed" for d in report.field_diffs)
 
@@ -256,8 +251,7 @@ def test_tampered_seed_detected(tmp_path):
 def test_fallback_decisions_checked_against_uniform_rule(tmp_path):
     config = make_run_config(injection={"policy_exception_prob": 1.0})
     path = trial_file(tmp_path, config, seed=3)
-    index = index_of(path)
-    report = replay_verify(index, logic_for(index))
+    report = replay_verify(read_records(path), logic_for(path))
     assert report.exact
 
     decision_seqs = [r.seq for r in records_of(path, "DECISION")]
@@ -268,8 +262,8 @@ def test_fallback_decisions_checked_against_uniform_rule(tmp_path):
             payload["pi"] = encode_float(0.75)  # fallback must be exactly 0.5
         return payload
 
-    index = index_of(rechain(path, mutate))
-    recon = reconstruct_states(index, logic_for(index))
+    tampered = rechain(path, mutate)
+    recon = reconstruct_states(read_records(tampered), logic_for(tampered))
     report = verify_decisions(recon)
     assert any(d.path == "pi" and d.seq == target for d in report.field_diffs)
 
@@ -277,8 +271,7 @@ def test_fallback_decisions_checked_against_uniform_rule(tmp_path):
 def test_missing_snapshot_is_structural_error(tmp_path):
     tampered = rechain(trial_file(tmp_path), skip={"FEATURE_SNAPSHOT"})
     with pytest.raises(StructuralAuditError):
-        index = index_of(tampered)
-        replay_verify(index, logic_for(index))
+        replay_verify(read_records(tampered), logic_for(tampered))
 
 
 # -- verify_updates ---------------------------------------------------------------------
@@ -297,8 +290,8 @@ def test_perturbed_post_state_detected(tmp_path):
             payload["post_state"] = raw.hex()
         return payload
 
-    index = index_of(rechain(path, mutate))
-    recon = reconstruct_states(index, logic_for(index))
+    tampered = rechain(path, mutate)
+    recon = reconstruct_states(read_records(tampered), logic_for(tampered))
     report = verify_updates(recon)
     assert not report.exact
     assert report.first_divergent_seq == target
@@ -317,8 +310,7 @@ def test_batch_seq_pointing_at_decision_is_structural_error(tmp_path):
 
     tampered = rechain(path, mutate)
     with pytest.raises(StructuralAuditError):
-        index = index_of(tampered)
-        reconstruct_states(index, logic_for(index))
+        reconstruct_states(read_records(tampered), logic_for(tampered))
 
 
 def test_double_consumption_is_structural_error(tmp_path):
@@ -336,8 +328,7 @@ def test_double_consumption_is_structural_error(tmp_path):
 
     tampered = rechain(path, mutate)
     with pytest.raises(StructuralAuditError, match="consumed twice"):
-        index = index_of(tampered)
-        reconstruct_states(index, logic_for(index))
+        reconstruct_states(read_records(tampered), logic_for(tampered))
 
 
 # -- end-to-end soundness ------------------------------------------------------------------
@@ -353,29 +344,28 @@ def test_double_consumption_is_structural_error(tmp_path):
     ],
 )
 def test_replay_soundness_across_seeds_and_injection(tmp_path, seed, injection):
-    index = index_of(trial_file(tmp_path, make_run_config(injection=injection), seed))
-    report = replay_verify(index, logic_for(index))
+    path = trial_file(tmp_path, make_run_config(injection=injection), seed)
+    report = replay_verify(read_records(path), logic_for(path))
     assert report.exact, report.field_diffs[:3]
 
 
 def test_replay_never_appends(tmp_path):
     path = trial_file(tmp_path)
     before = path.read_bytes()
-    index = index_of(path)
-    replay_verify(index, logic_for(index))
+    replay_verify(read_records(path), logic_for(path))
     assert path.read_bytes() == before
 
 
-def test_divergence_report_bytes():
-    result = healthy_trial()
-    report = replay_verify(result.index, logic_for(result.index))
+def test_divergence_report_bytes(tmp_path):
+    path = trial_file(tmp_path)
+    report = replay_verify(read_records(path), logic_for(path))
     data = report.to_bytes()
     assert data.startswith(b"# ledgerloop divergence report v1\n")
     assert b'"status":"exact"' in data
 
 
-def test_merge_reports_combines_diffs():
-    result = healthy_trial()
-    r1 = replay_verify(result.index, logic_for(result.index))
+def test_merge_reports_combines_diffs(tmp_path):
+    path = trial_file(tmp_path)
+    r1 = replay_verify(read_records(path), logic_for(path))
     merged = merge_reports(r1, r1)
     assert merged.exact

@@ -323,19 +323,24 @@ def test_decision_totality_under_always_failing_policy():
     for idx in range(4):
         runtime.assemble_features("p0", idx)
         runtime.make_decision("p0", idx)
-    decisions = [decision for _, decision in runtime.index.decisions.values()]
+    decisions = list(runtime.index.decisions.values())
     assert len(decisions) == 4
     assert all(decision.fallback for decision in decisions)
 
 
-def test_snapshot_always_precedes_decision():
-    runtime = fresh_runtime()
+def test_snapshot_always_precedes_decision(file_runtime):
+    runtime = file_runtime()
     for idx in range(3):
         runtime.assemble_features("p0", idx)
         runtime.make_decision("p0", idx)
     assert len(runtime.index.decisions) == 3
-    for key, (stamp, _) in runtime.index.decisions.items():
-        assert runtime.index.snapshots[key][0].seq < stamp.seq
+    decision_seqs = {
+        (r.payload.participant_id, r.payload.decision_index): r.seq
+        for r in written(runtime) if r.event_type == "DECISION"
+    }
+    assert decision_seqs.keys() == runtime.index.decisions.keys()
+    for key, seq in decision_seqs.items():
+        assert runtime.index.snapshot_seqs[key] < seq
 
 
 # -- update cycles --------------------------------------------------------------------
@@ -352,13 +357,13 @@ def test_no_outcomes_no_update_event():
     state = runtime.states["p0"]
     out = runtime.run_update_cycle("p0", backend_ts=H23)
     assert out is state
-    assert not runtime.index.updates
+    assert runtime.index.totals.updates == 0
 
 
 def test_single_outcome_matches_update_posterior():
     runtime = fresh_runtime()
     record = run_decision_point(runtime, "p0", 0, H9)
-    snapshot = runtime.index.snapshots[("p0", 0)][1]
+    snapshot = runtime.index.snapshots[("p0", 0)]
     outcome_seq = runtime.ingest_outcome("p0", 0, 1.25, H9 + 1000, backend_ts=H9 + 1000)
     new_state = runtime.run_update_cycle("p0", backend_ts=H23)
     expected = update_posterior(
@@ -368,17 +373,18 @@ def test_single_outcome_matches_update_posterior():
         last_update_seq=outcome_seq,
     )
     assert canonical_serialize(new_state) == canonical_serialize(expected)
-    updates = runtime.index.updates
-    assert len(updates) == 1
-    _, info, _ = updates[0]
+    assert runtime.index.totals.updates == 1
+    last = runtime.ledger.last()
+    assert last.event_type == "MODEL_UPDATE"
+    info = last.payload
     assert info.batch_seqs == (outcome_seq,)
     assert info.post_state == canonical_serialize(expected)
 
 
-def test_late_outcome_consumed_exactly_once_by_next_cycle():
+def test_late_outcome_consumed_exactly_once_by_next_cycle(file_runtime):
     # Three-day fixture: outcome for day 0 arrives two days late and must be
     # consumed by the day-2 cycle only.
-    runtime = fresh_runtime()
+    runtime = file_runtime()
     run_decision_point(runtime, "p0", 0, H9)
     runtime.run_update_cycle("p0", backend_ts=H23)  # day 0: nothing arrived
 
@@ -391,7 +397,7 @@ def test_late_outcome_consumed_exactly_once_by_next_cycle():
     )
     runtime.run_update_cycle("p0", backend_ts=2 * MS_PER_DAY + H23)  # day 2: consumes idx 0
 
-    updates = [info for _, info, _ in runtime.index.updates]
+    updates = [r.payload for r in written(runtime) if r.event_type == "MODEL_UPDATE"]
     assert len(updates) == 2
     all_consumed = [seq for info in updates for seq in info.batch_seqs]
     assert late_seq in updates[1].batch_seqs
@@ -407,7 +413,7 @@ def test_fallback_decisions_feed_updates():
     runtime.ingest_outcome("p0", 0, 0.8, H9 + 1000, backend_ts=H9 + 1000)
     new_state = runtime.run_update_cycle("p0", backend_ts=H23)
     assert new_state.update_count == 1
-    assert len(runtime.index.updates) == 1
+    assert runtime.index.totals.updates == 1
 
 
 def test_unknown_participant_is_config_error():
@@ -456,6 +462,39 @@ def test_a_non_finite_datum_or_reward_is_refused_before_logging(bad):
     assert runtime.run_update_cycle("p0", backend_ts=H23).update_count == 1
 
 
+def test_a_call_the_fold_would_refuse_writes_nothing(tmp_path, capsys):
+    # A second decision, snapshot or outcome of a point, and a version
+    # before the HEADER, are refused before anything is written, so the
+    # file never holds a record its own audit refuses.
+    path = tmp_path / "runtime.ndjson"
+    runtime = make_runtime(make_run_config(), path=path)
+    with pytest.raises(ConfigurationError, match="call start"):
+        runtime.register_version("v2.0.0", backend_ts=0)
+    assert len(runtime.ledger) == runtime.index.size == 0
+    start_runtime(runtime)
+    run_decision_point(runtime, "p0", 0, H9)
+    runtime.ingest_outcome("p0", 0, 1.0, H9 + 1000, backend_ts=H9 + 1000)
+
+    def refused():
+        with pytest.raises(StructuralAuditError, match="^p0 decision 0 is already made$"):
+            runtime.make_decision("p0", 0)
+        with pytest.raises(StructuralAuditError, match="^p0 decision 0 is already made$"):
+            runtime.assemble_features("p0", 0)
+        with pytest.raises(ConfigurationError, match="^outcome for p0 decision 0 already logged$"):
+            runtime.ingest_outcome("p0", 0, 2.0, H9 + 2000, backend_ts=H9 + 2000)
+
+    before = len(runtime.ledger)
+    refused()  # the outcome pending
+    assert len(runtime.ledger) == runtime.index.size == before
+    assert runtime.run_update_cycle("p0", backend_ts=H23).update_count == 1
+    before = len(runtime.ledger)
+    refused()  # the outcome consumed
+    assert len(runtime.ledger) == runtime.index.size == before
+    runtime.ledger.close()
+    assert main(["replay-verify", "--ledger", str(path)]) == 0
+    assert "replay exact" in capsys.readouterr().out
+
+
 def test_update_failure_keeps_state_and_outcomes():
     runtime = fresh_runtime()
     run_decision_point(runtime, "p0", 0, H9)
@@ -464,9 +503,10 @@ def test_update_failure_keeps_state_and_outcomes():
     runtime.states["p0"] = before = PosteriorState(np.zeros(6), np.diag([1.0] * 5 + [-1.0]).ravel())
     after = runtime.run_update_cycle("p0", backend_ts=H23)
     assert after is before
-    assert not runtime.index.updates
-    errors = runtime.index.errors
-    assert errors and errors[-1][1].kind == "update_failure"
+    assert runtime.index.totals.updates == 0
+    assert runtime.index.totals.update_failures == 1
+    last = runtime.ledger.last()
+    assert last.event_type == "ERROR" and last.payload.kind == "update_failure"
     assert runtime.index.pending["p0"]  # still pending for a later cycle
 
 
@@ -481,15 +521,15 @@ def test_initial_version_registered_at_seq_one(file_runtime):
     assert records[1].event_type == "VERSION_CHANGE"
 
 
-def test_mid_stream_version_change_stamps_later_events():
-    runtime = fresh_runtime()
+def test_mid_stream_version_change_stamps_later_events(file_runtime):
+    runtime = file_runtime()
     run_decision_point(runtime, "p0", 0, H9)
     runtime.register_version("v1.0.1", backend_ts=H9 + 1)
     run_decision_point(runtime, "p0", 1, H18)
-    (first, _), (second, decision) = runtime.index.decisions.values()
+    first, second = [r for r in written(runtime) if r.event_type == "DECISION"]
     assert first.version_id == "v1.0.0"
     assert second.version_id == "v1.0.1"
-    assert decision.version_id == "v1.0.1"
+    assert second.payload.version_id == "v1.0.1"
 
 
 def test_duplicate_version_activation_rejected():

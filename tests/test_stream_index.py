@@ -12,7 +12,8 @@ from conftest import make_run_config
 from ledgerloop import twin as twin_module
 from ledgerloop.errors import NumericalStateError, StructuralAuditError
 from ledgerloop.cli import main
-from ledgerloop.events import StreamIndex
+from ledgerloop.events import SnapshotInfo, StreamIndex
+from ledgerloop.policy import DecisionRecord
 from ledgerloop.ledger import EventEnvelope, read_records
 from ledgerloop.replay import default_logic
 from ledgerloop.twin import EnvironmentSpec, run_trial
@@ -53,22 +54,22 @@ def test_runtime_index_equals_the_index_folded_from_its_file(tmp_path, monkeypat
     records = list(read_records(path))
     folded = StreamIndex.fold(records)
 
+    def of_type(event_type):
+        return [r for r in records if r.event_type == event_type]
+
     # The trial holds every case the two folds must agree on.
     assert [v for _, v in folded.versions] == ["v1.0.0", "v1.0.1"]
-    assert any(decision.fallback for _, decision in folded.decisions.values())
-    assert any(
-        r.event_type == "DATA_INGESTED" and r.payload.superseded_snapshot_seq is not None
-        for r in records
-    )
-    failures = [(r, e) for r, e in folded.errors if e.kind == "update_failure"]
+    assert any(r.payload.fallback for r in of_type("DECISION"))
+    assert any(r.payload.superseded_snapshot_seq is not None for r in of_type("DATA_INGESTED"))
+    failures = [r for r in of_type("ERROR") if r.payload.kind == "update_failure"]
     assert len(failures) == 1
-    failure, error = failures[0]
+    failure = failures[0]
     # The failed cycle consumed nothing: the participant's next update takes
     # the outcomes that were pending when it failed.
-    pid = error.participant_id
+    pid = failure.payload.participant_id
     retry = next(
-        info for record, info, _ in folded.updates
-        if record.seq > failure.seq and info.participant_id == pid
+        r.payload for r in of_type("MODEL_UPDATE")
+        if r.seq > failure.seq and r.payload.participant_id == pid
     )
     assert min(retry.batch_seqs) < failure.seq
 
@@ -129,18 +130,32 @@ def _contents(obj):
 
 
 def test_the_folded_golden_index_holds_no_envelope(tmp_path):
-    # The index keeps a (seq, backend_ts, version_id) stamp beside each typed
-    # value, not the envelope with its payload dict.
+    # The index keeps typed values and counts, not the envelope with its
+    # payload dict.
     from test_golden import GOLDEN_CONFIG
 
     config, path = tmp_path / "golden.yaml", tmp_path / "golden.ndjson"
     config.write_text(yaml.safe_dump(GOLDEN_CONFIG))
     assert main(["simulate", "--config", str(config), "--out", str(path)]) == 0
     index = StreamIndex.fold(read_records(path))
-    assert index.snapshots and index.decisions and index.updates and index.errors
+    assert index.decided and index.totals.updates and index.totals.errors
     assert not [v for v in _contents(index) if isinstance(v, EventEnvelope)]
-    stamp, _ = next(iter(index.decisions.values()))
-    assert type(stamp).__name__ == "Stamp" and stamp._fields == ("seq", "backend_ts", "version_id")
+    assert all(type(v) is SnapshotInfo for v in index.snapshots.values())
+    assert all(type(v) is DecisionRecord for v in index.decisions.values())
+
+
+def test_the_index_keeps_only_the_points_whose_outcome_is_pending(tmp_path):
+    # No loss, so every outcome arrives; delays leave some of them pending
+    # after the last update cycle. Every other point's snapshot, decision
+    # and outcome were consumed and forgotten.
+    config = make_run_config(injection={"data_loss_prob": 0.0, "delay_geometric_p": 0.6})
+    index = run_trial(small_env(), config, 6).index
+    points = 3 * 4 * 2
+    pending = {(o.participant_id, o.decision_index) for o in index.outcomes.values()}
+    assert pending
+    assert index.snapshots.keys() == index.decisions.keys() == pending
+    assert len(index.snapshot_seqs) == len(index.decided) == len(index.rewarded) == points
+    assert len(index.consumed) == points - len(pending)
 
 
 def test_the_header_comes_first_and_only_once(tmp_path):

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import statistics
 
@@ -227,7 +226,7 @@ def test_total_miss_means_nothing_observed(tmp_path):
 def test_decision_count_arithmetic():
     config = make_run_config()
     result = run_trial(small_env(n_participants=2, n_days=3), config, 5)
-    assert len(result.index.decisions) == 2 * 3 * 2
+    assert len(result.index.decided) == 2 * 3 * 2
 
 
 def test_seed_isolation_between_participants(tmp_path):
@@ -255,10 +254,7 @@ def test_miss_probability_monotonicity():
     counts = []
     for p_miss in (0.0, 0.3, 0.7, 1.0):
         result = run_trial(small_env(miss_prob=p_miss, n_days=4), config, 21)
-        observed = 0
-        for _, snapshot in result.index.snapshots.values():
-            observed += sum(1 for tag in snapshot.provenance if tag == "observed")
-        counts.append(observed)
+        counts.append(result.index.totals.observed)
     assert counts == sorted(counts, reverse=True)
     assert counts[0] > 0 and counts[-1] == 0
 
@@ -291,15 +287,6 @@ def test_coverage_is_one_without_failures():
     assert row.fallback_rate == 0.0
 
 
-def test_evaluate_rejects_mismatched_ledger():
-    config = make_run_config()
-    r1 = run_trial(small_env(), config, 4, participant_ids=["a", "b"])
-    r2 = run_trial(small_env(), config, 4, participant_ids=["c", "d"])
-    mixed = dataclasses.replace(r1, truth=r2.truth)
-    with pytest.raises(ConfigurationError):
-        evaluate_rows([mixed])
-
-
 def test_eval_report_bytes_deterministic():
     config = make_run_config()
     env = small_env()
@@ -321,7 +308,7 @@ def test_pool_workers_inherit_the_compiled_payload_encoders(monkeypatch):
     assert list(policy._KERNELS) == [config.model.dim]
 
 
-def test_null_effect_calibration():
+def test_null_effect_calibration(tmp_path):
     # theta = 0, tau = 0: no arm difference at alpha = 0.01 over ~10^4 decisions.
     config = make_run_config()
     env = small_env(
@@ -330,9 +317,11 @@ def test_null_effect_calibration():
         n_days=100,
         outcome_noise_sd=1.0,
     )
-    result = run_trial(env, config, 31)
+    path = tmp_path / "null.ndjson"
+    result = run_trial(env, config, 31, out_path=path)
+    result.ledger.close()
     arm = {0: [], 1: []}
-    decisions = [decision for _, decision in result.index.decisions.values()]
+    decisions = [record.payload for record in read_records(path) if record.event_type == "DECISION"]
     for decision in decisions:
         key = (decision.participant_id, decision.decision_index)
         arm[decision.action].append(result.truth.outcomes[key])
