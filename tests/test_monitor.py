@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_run_config
+from conftest import make_run_config, make_runtime, start_runtime
 from ledgerloop.errors import ConfigurationError, DecodeError
 from ledgerloop.events import ErrorInfo, RunningFsum, StreamIndex
 from ledgerloop.ledger import read_records, verify_chain
@@ -101,6 +101,19 @@ def test_errors_count_on_the_trial_day_of_their_backend_ts():
         result.index.apply(result.ledger.append(ErrorInfo("probe", "m"), backend_ts, "v1.0.0"))
     metrics = compute_metrics(result.index)
     assert [metrics.per_day[day]["error_count"] - before[day] for day in range(3)] == [2, 1, 2]
+
+
+def test_a_replaced_snapshot_counts_once():
+    # A point assembled again before its decision counts with its last
+    # snapshot's provenance only.
+    runtime = make_runtime(make_run_config(), participants=("p0",))
+    start_runtime(runtime)
+    first = runtime.assemble_features("p0", 0)
+    runtime.ingest_observation("p0", "engagement", 0.5, 9 * 3_600_000 - 60_000, backend_ts=9 * 3_600_000 - 60_000)
+    last = runtime.assemble_features("p0", 0)
+    assert first.provenance.count("observed") < last.provenance.count("observed")
+    day = compute_metrics(runtime.index).per_day[0]
+    assert day["data_completeness"] == last.provenance.count("observed") / len(last.provenance)
 
 
 # -- alerts -------------------------------------------------------------------------
