@@ -32,7 +32,7 @@ from typing import Iterable
 from . import runtime
 from .errors import ConfigurationError, DecodeError, StructuralAuditError
 from .ledger import ENVIRONMENT_PROFILES, FORMAT_VERSION, LEDGER_FORMAT, EventEnvelope, _Refusal, decode_as
-from .ledger import config_digest
+from .ledger import config_digest, frozen_record
 from .policy import DecisionRecord, FeatureSnapshot, ModelConfig
 
 
@@ -76,7 +76,7 @@ class HeaderInfo:
             object.__setattr__(self, name, getattr(typed, name))
 
 
-@dataclass(frozen=True)
+@frozen_record
 class DatumInfo:
     participant_id: str
     feature: str
@@ -85,7 +85,7 @@ class DatumInfo:
     superseded_snapshot_seq: int | None
 
 
-@dataclass(frozen=True)
+@frozen_record
 class SnapshotInfo(FeatureSnapshot):
     """A FEATURE_SNAPSHOT payload: the snapshot of one decision point, with
     the point's key as two more members."""
@@ -94,7 +94,7 @@ class SnapshotInfo(FeatureSnapshot):
     decision_index: int
 
 
-@dataclass(frozen=True)
+@frozen_record
 class OutcomeInfo:
     participant_id: str
     decision_index: int
@@ -102,7 +102,7 @@ class OutcomeInfo:
     device_ts: int
 
 
-@dataclass(frozen=True)
+@frozen_record
 class UpdateInfo:
     participant_id: str
     batch_seqs: tuple[int, ...]
@@ -111,14 +111,14 @@ class UpdateInfo:
     post_state: bytes
 
 
-@dataclass(frozen=True)
+@frozen_record
 class VersionInfo:
     version_id: str
     fingerprint: str
     previous_version_id: str | None
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ErrorInfo:
     kind: str
     message: str
@@ -126,7 +126,7 @@ class ErrorInfo:
     decision_index: int | None = None
 
 
-@dataclass(frozen=True)
+@frozen_record
 class AlertInfo:
     metric: str
     comparator: str
@@ -295,8 +295,9 @@ class StreamIndex:
             raise StructuralAuditError("ledger does not start with a HEADER record")
         return self
 
-    def apply(self, record: EventEnvelope) -> list[Row] | None:
-        """Fold in one record; returns the rows an update consumes. Raises
+    def apply(self, record: EventEnvelope, _rows: list[Row] | None = None) -> list[Row] | None:
+        """Fold in one record; returns the rows an update consumes (``_rows``:
+        what :meth:`batch` gave for it, with nothing applied since). Raises
         StructuralAuditError, naming the seq and changing nothing, for a
         HEADER :meth:`_begin` refuses, a record of another stream or profile
         than the HEADER's, a second decision or outcome of a point, a
@@ -315,7 +316,9 @@ class StreamIndex:
                 f"{header.stream_id!r} in profile {header.environment_profile!r}"
             )
         rows = None
-        if etype == "HEADER":
+        if etype == "DATA_INGESTED":
+            pass  # half of all records; only counted
+        elif etype == "HEADER":
             self.header = header
         elif etype == "FEATURE_SNAPSHOT":
             key = (value.participant_id, value.decision_index)
@@ -347,7 +350,7 @@ class StreamIndex:
             self.pending.setdefault(value.participant_id, []).append(record.seq)
         elif etype == "MODEL_UPDATE":
             pid, batch_seqs = value.participant_id, value.batch_seqs
-            rows = self.batch(pid, batch_seqs, record.seq)
+            rows = self.batch(pid, batch_seqs, record.seq) if _rows is None else _rows
             for outcome_seq in batch_seqs:
                 key = (pid, self.outcomes.pop(outcome_seq).decision_index)
                 del self.snapshots[key], self.decisions[key]

@@ -28,12 +28,13 @@ the writer (:func:`_writer_piece`), which checks each member's type and
 writes a record of the class's event type whose payload is the bytes
 ``_dumps`` would give for ``map_floats(value, encode_float)``; and the line
 matcher (:func:`_line_reader`), one anchored regex over a whole record line
-with a converter from its groups to the typed value, built through the
-class's own ``__init__``, which converts each tuple or bytes member in a
-fixed number of C calls. Regex and converter together take only the
-canonical bytes of a record carrying that class's payload: the regex admits
-a bytes member with an odd digit count too, which its converter's
-``bytes.fromhex`` refuses. With :data:`LEDGER_FORMAT` it builds the
+with a converter from its groups to the typed value, which converts each
+tuple or bytes member in a fixed number of C calls and builds the value
+through the class's own ``__init__`` (a :func:`frozen_record` class's
+writes the instance dict in one call). Regex and converter together take
+only the canonical bytes of a record carrying that class's payload: the
+regex admits a bytes member with an odd digit count too, which its
+converter's ``bytes.fromhex`` refuses. With :data:`LEDGER_FORMAT` it builds the
 annotation walk (:func:`_dataclass`, behind :func:`decode_as`), which
 decodes a payload dict and names the member it refuses; the walk also reads
 a run config (:data:`CONFIG_FORMAT`).
@@ -636,12 +637,6 @@ def compute_record_hash(prev_hash: bytes, body_bytes: bytes) -> bytes:
     return hashlib.sha256(prev_hash + body_bytes).digest()
 
 
-def _is_device_ts(value) -> bool:
-    # An integer (bool is not one) or None. Keeping it a scalar keeps every
-    # member that sorts before "hash" a scalar, which _verified relies on.
-    return value is None or type(value) is int
-
-
 def _reject_number(text: str):
     raise ValueError(f"raw number {text}; canonical records hex-encode floats")
 
@@ -680,7 +675,9 @@ def _parse_line(line: bytes, seq_hint: int) -> tuple:
         seq, stream_id, profile, device_ts, backend_ts, version_id, event_type, payload = fields
         if type(seq) is not int or type(backend_ts) is not int:
             raise ValueError("seq and backend_ts must be integers")
-        if not _is_device_ts(device_ts):
+        # An integer (bool is not one) or None: every member that sorts
+        # before "hash" is then a scalar, which _verified relies on.
+        if device_ts is not None and type(device_ts) is not int:
             raise ValueError("device_ts must be an integer or null")
         if not (type(stream_id) is type(profile) is type(version_id) is type(event_type) is str):
             raise ValueError("stream_id, environment_profile, version_id, event_type must be strings")
@@ -716,12 +713,13 @@ def _line_reader(event_type: str, cls: type):
     records of ``event_type`` whose payload class is ``cls``: a function of
     a line's text that returns what :func:`_parse_line` returns for the
     line, with the payload's typed value built through ``cls``'s own
-    ``__init__``. One anchored regex admits the canonical bytes of such a
-    record, and a bytes member with an odd digit count, which the
-    converter refuses; so a line it takes would pass every check of
-    :func:`_parse_line` and decode to the same value. It returns None for
-    any other line and for a value ``cls`` refuses; the JSON path reads
-    those. None for a class with a member no regex reads."""
+    ``__init__`` (the one :func:`frozen_record` generates, which runs
+    ``__post_init__`` as the walk's does). One anchored regex admits the
+    canonical bytes of such a record, and a bytes member with an odd digit
+    count, which the converter refuses; so a line it takes would pass every
+    check of :func:`_parse_line` and decode to the same value. It returns
+    None for any other line and for a value ``cls`` refuses; the JSON path
+    reads those. None for a class with a member no regex reads."""
     hints = typing.get_type_hints(cls)
     fields = [f for f in dataclasses.fields(cls) if f.init]
     texts = {f.name: _converter(hints[f.name], LEDGER_TEXT) for f in fields}
@@ -742,7 +740,7 @@ def _line_reader(event_type: str, cls: type):
         f"    backend_ts, device_ts, profile, hash_text, {''.join(v + ', ' for v in var.values())}"
         "prev_text, seq, stream_id, version_id = m.groups()",
         "    try:",
-        f"        value = cls({', '.join(f'{f.name}={arg}' if f.kw_only else arg for f, arg in zip(fields, args))})",
+        f"        value = cls({', '.join(args)})",  # a frozen_record class: no keyword-only field
         "        return (int(seq), stream_id, profile, None if device_ts == 'null' else int(device_ts),",
         "                int(backend_ts), version_id, event_type, value), prev_text, hash_text",
         "    except (ConfigurationError, ValueError):  # ValueError: an int too long, odd hex digits",
@@ -752,6 +750,31 @@ def _line_reader(event_type: str, cls: type):
     namespace = {**globals(), "fullmatch": re.compile(regex).fullmatch, "cls": cls, "event_type": event_type}
     exec(compile(source, f"<line matcher of {cls.__qualname__}>", "exec"), namespace)
     return namespace["read"]
+
+
+def frozen_record(cls: type) -> type:
+    """``@dataclass(frozen=True)``, but its ``__init__``, generated in place of
+    the dataclass one with the same parameters, writes the instance dict
+    with one ``update`` (not one ``object.__setattr__`` per field), then runs
+    ``__post_init__`` if the class has one. A field with a default factory,
+    ``init=False`` or ``kw_only`` is refused."""
+    doc, cls.__doc__ = cls.__doc__, "-"  # any docstring spares dataclass building one
+    cls = dataclass(frozen=True, init=False)(cls)
+    fields = dataclasses.fields(cls)
+    if any(not f.init or f.kw_only or f.default_factory is not MISSING for f in fields):
+        raise TypeError(f"{cls.__qualname__}: no generated __init__ for its fields")
+    defaults = {f"_default_{f.name}": f.default for f in fields if f.default is not MISSING}
+    names = [f.name for f in fields]
+    source = "\n".join([
+        f"def __init__(self, {', '.join(n + (f'=_default_{n}' if f'_default_{n}' in defaults else '') for n in names)}):",
+        f"    self.__dict__.update({{{', '.join(f'{n!r}: {n}' for n in names)}}})",
+        *(["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []),
+    ])
+    exec(compile(source, f"<__init__ of {cls.__qualname__}>", "exec"), defaults)
+    cls.__init__ = defaults["__init__"]
+    cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+    cls.__doc__ = doc or f"{cls.__name__}({', '.join(names)})"
+    return cls
 
 
 class Ledger:
@@ -861,7 +884,7 @@ class Ledger:
         the file is cut back to its last record. Every record is stamped
         with the ledger's stream and profile, as the fold requires.
         """
-        if not _is_device_ts(device_ts):
+        if device_ts is not None and type(device_ts) is not int:  # as _parse_line checks it
             raise ConfigurationError(f"device_ts must be an integer or None, got {device_ts!r}")
         if type(backend_ts) is not int or not isinstance(version_id, str):
             raise ConfigurationError("backend_ts must be an integer and version_id a string")
@@ -887,7 +910,7 @@ class Ledger:
             ))
             if self.path is not None:
                 line = b'%s,"hash":"%s"%s\n' % (head, rec_hash.hex().encode("ascii"), tail)
-                fh = self._fh
+                fh = self._handle or self._fh
                 try:
                     # The handle is unbuffered: one write, which may be short.
                     written = fh.write(line)

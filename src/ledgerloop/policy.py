@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 from .errors import ConfigurationError, DataError, DecodeError, NumericalStateError
+from .ledger import frozen_record
 from .rng import splitmix64_next, unit_float
 
 PROVENANCE_TAGS = ("observed", "imputed", "default")
@@ -180,7 +181,7 @@ class PosteriorState:
         )
 
 
-@dataclass(frozen=True)
+@frozen_record
 class FeatureSnapshot:
     """The exact feature vectors used at one decision point, frozen forever.
 
@@ -215,7 +216,7 @@ class FeatureSnapshot:
                 raise ConfigurationError("imputed entries must name their method")
 
 
-@dataclass(frozen=True)
+@frozen_record
 class DecisionRecord:
     """One randomized decision: everything needed to re-derive the action."""
 

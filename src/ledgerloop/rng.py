@@ -53,11 +53,10 @@ def unit_float(word: int) -> float:
 
 
 class SplitMix64:
-    """Tiny stateful wrapper over :func:`splitmix64_next`.
-
-    The full generator state is the single integer ``state``, so a stream can
-    be checkpointed and resumed by copying one number.
-    """
+    """A SplitMix64 stream whose whole state is the single integer ``state``,
+    so it can be checkpointed and resumed by copying one number. Each draw
+    runs in one frame: :func:`splitmix64_next` and, for a uniform,
+    :func:`unit_float` are written out inline, with the same arithmetic."""
 
     __slots__ = ("state",)
 
@@ -65,17 +64,28 @@ class SplitMix64:
         self.state = seed & MASK64
 
     def next_u64(self) -> int:
-        self.state, out = splitmix64_next(self.state)
-        return out
+        self.state = z = (self.state + _GOLDEN) & MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+        return z ^ (z >> 31)
 
     def next_float(self) -> float:
-        return unit_float(self.next_u64())
+        self.state = z = (self.state + _GOLDEN) & MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+        return ((z ^ (z >> 31)) >> 11) * 2.0**-53
 
     def next_gauss(self) -> float:
         # Box-Muller, cosine branch only: two uniforms per draw, no cached
         # partner, so the stream state fully determines the next value.
-        u1 = 1.0 - self.next_float()  # (0, 1], keeps log() finite
-        u2 = self.next_float()
+        z = (self.state + _GOLDEN) & MASK64
+        self.state = w = (z + _GOLDEN) & MASK64
+        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+        w = ((w ^ (w >> 30)) * _MIX1) & MASK64
+        w = ((w ^ (w >> 27)) * _MIX2) & MASK64
+        u1 = 1.0 - ((z ^ (z >> 31)) >> 11) * 2.0**-53  # (0, 1], keeps log() finite
+        u2 = ((w ^ (w >> 31)) >> 11) * 2.0**-53
         return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
     def next_geometric(self, p: float) -> int:
@@ -84,11 +94,14 @@ class SplitMix64:
         p = 1 always returns 0. Uses one uniform via inversion so the draw
         count per call is fixed regardless of p.
         """
-        u = self.next_float()
+        self.state = z = (self.state + _GOLDEN) & MASK64
         if p >= 1.0:
             return 0
         if p <= 0.0:
             raise ValueError("geometric success probability must be > 0")
+        z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+        z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+        u = ((z ^ (z >> 31)) >> 11) * 2.0**-53
         # u in [0, 1); guard log1p(-u) == 0 when u == 0
         if u == 0.0:
             return 0

@@ -199,11 +199,12 @@ class Runtime:
             self.schedule.due_ts(i) for i in range(self.schedule.total_points)
         ]
 
-    def _log(self, value, backend_ts: int, version_id: str, device_ts: int | None = None) -> EventEnvelope:
+    def _log(self, value, backend_ts: int, version_id: str, device_ts: int | None = None, rows=None) -> EventEnvelope:
         """Append ``value`` as the payload of a record of its event type and
-        fold the record into the index."""
+        fold the record into the index; ``rows``: an update's, as the index
+        checked them for this record."""
         record = self.ledger.append(value, backend_ts, version_id, device_ts)
-        self.index.apply(record)
+        self.index.apply(record, rows)
         return record
 
     # -- lifecycle -----------------------------------------------------------
@@ -273,9 +274,7 @@ class Runtime:
         superseded = self.index.snapshot_seqs.get((participant_id, self._window_index(device_ts)))
         record = self._log(
             events.DatumInfo(participant_id, feature, value, device_ts, superseded),
-            backend_ts=backend_ts,
-            device_ts=device_ts,
-            version_id=self.version_id,
+            backend_ts, self.version_id, device_ts,
         )
         bisect.insort(
             self._data.setdefault((participant_id, feature), []),
@@ -351,11 +350,11 @@ class Runtime:
             resolved[n] for n in self.features.treatment
         ]
         snapshot = events.SnapshotInfo(
-            baseline=tuple(resolved[n][0] for n in self.features.baseline),
-            treatment=tuple(resolved[n][0] for n in self.features.treatment),
-            provenance=tuple(e[1] for e in entries),
-            imputation_methods=tuple(e[2] for e in entries),
-            source_device_ts=tuple(e[3] for e in entries),
+            baseline=tuple([resolved[n][0] for n in self.features.baseline]),
+            treatment=tuple([resolved[n][0] for n in self.features.treatment]),
+            provenance=tuple([e[1] for e in entries]),
+            imputation_methods=tuple([e[2] for e in entries]),
+            source_device_ts=tuple([e[3] for e in entries]),
             assembled_ts=due,
             participant_id=participant_id,
             decision_index=decision_index,
@@ -459,6 +458,6 @@ class Runtime:
             participant_id, batch_seqs, state.state_hash, new_state.state_hash,
             policy.canonical_serialize(new_state),
         )
-        self._log(info, backend_ts=backend_ts, version_id=self.version_id)
+        self._log(info, backend_ts, self.version_id, rows=batch)
         self.states[participant_id] = new_state
         return new_state

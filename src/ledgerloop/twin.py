@@ -15,12 +15,13 @@ import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from pathlib import Path
 
 from . import events, policy
 from .config import EnvironmentSpec, RunConfig, header_config_dict
 from .errors import ConfigurationError
-from .ledger import LEDGER_TEXT, Ledger, _converter, report_bytes
+from .ledger import LEDGER_TEXT, Ledger, _converter, frozen_record, report_bytes
 from .monitor import compute_metrics
 from .replay import default_logic
 from .rng import SplitMix64, derive_seed
@@ -31,7 +32,7 @@ OUTCOME_LAG_MS = 30 * MS_PER_MINUTE  # outcome observed half an hour after
 ARRIVAL_EPSILON_MS = 1000  # delayed data lands just after a later decision
 
 
-@dataclass(frozen=True)
+@frozen_record
 class ParticipantTwin:
     """Realized generative state of one simulated participant.
 
@@ -89,17 +90,19 @@ def step_participant(
     action: int,
     features: FeatureSpec | None = None,
     points_per_day: int = 2,
+    context: dict[str, float] | None = None,
 ) -> tuple[ParticipantTwin, float, dict[str, float]]:
     """Advance one participant through one decision point.
 
-    The outcome is linear in the true context with the action adding the
-    participant's treatment effect; engagement follows an AR(1) recurrence
-    nudged by the action. Draw order is fixed: outcome noise, then engagement
-    noise, one Gaussian each, every step.
+    The outcome is linear in the true context (``twin_context``'s, unless
+    passed) with the action adding the participant's treatment effect;
+    engagement follows an AR(1) recurrence nudged by the action. Draw order
+    is fixed: outcome noise, then engagement noise, one Gaussian each.
     """
     if features is None:
         features = FeatureSpec()
-    context = twin_context(twin, t, points_per_day)
+    if context is None:
+        context = twin_context(twin, t, points_per_day)
     g = [context[name] for name in features.baseline]
     h = [context[name] for name in features.treatment]
     # Drift shifts the first baseline weight linearly in t.
@@ -109,8 +112,8 @@ def step_participant(
     noise = SplitMix64(twin.noise_state)
     eps = noise.next_gauss()
     y = (
-        math.fsum(gv * bv for gv, bv in zip(g, b_eff))
-        + action * math.fsum(hv * tv for hv, tv in zip(h, twin.theta))
+        math.fsum(map(mul, g, b_eff))
+        + action * math.fsum(map(mul, h, twin.theta))
         + env.outcome_noise_sd * eps
     )
 
@@ -138,7 +141,7 @@ def step_participant(
 
 def true_effect(twin: ParticipantTwin, context: dict[str, float], features: FeatureSpec) -> float:
     """Ground-truth treatment effect h(s)'theta_i for the current context."""
-    return math.fsum(context[name] * tv for name, tv in zip(features.treatment, twin.theta))
+    return math.fsum(map(mul, [context[name] for name in features.treatment], twin.theta))
 
 
 @dataclass
@@ -247,40 +250,34 @@ def run_trial(
     )
 
     k = schedule.points_per_day
+    ingest_observation = runtime.ingest_observation
     total_points = schedule.total_points
     trial_end_ts = schedule.trial_start_ts + env.n_days * MS_PER_DAY
 
-    # Pending arrivals, a heap of (arrival_ts, insertion counter, kind, args):
-    # ties on arrival go in insertion order.
-    pending: list[tuple[int, int, str, tuple]] = []
+    # Late data and outcomes wait in a heap of (arrival_ts, insertion counter,
+    # ingest, args), ingested as ``ingest(*args, arrival_ts)``, ties in
+    # insertion order. A datum on time arrives at its device_ts, before its
+    # point, and is ingested as drawn: after the point's flush every pending
+    # arrival is later than the point, so no arrival goes ahead of it.
+    pending: list[tuple[int, int, object, tuple]] = []
     counter = itertools.count()
-    switch_done = False
 
-    def enqueue_datum(pid: str, kind: str, args: tuple, device_ts: int, idx: int) -> None:
+    def arrival_ts(pid: str, device_ts: int, idx: int) -> int | None:
+        """When a datum of point ``idx`` reaches the backend; None if it is lost."""
         stream = miss_streams[pid]
         u_loss = stream.next_float()
         delay_points = stream.next_geometric(delay_p)
         if u_loss < loss_prob:
-            return  # lost forever; draws consumed either way
+            return None  # lost forever; draws consumed either way
         if delay_points == 0:
-            arrival = device_ts
-        else:
-            late_idx = idx + delay_points
-            if late_idx < total_points:
-                arrival = schedule.due_ts(late_idx) + ARRIVAL_EPSILON_MS
-            else:
-                arrival = trial_end_ts
-        heapq.heappush(pending, (arrival, next(counter), kind, args))
+            return device_ts
+        late_idx = idx + delay_points
+        return schedule.due_ts(late_idx) + ARRIVAL_EPSILON_MS if late_idx < total_points else trial_end_ts
 
     def flush(now_ts: int) -> None:
         while pending and pending[0][0] <= now_ts:
-            arrival, _, kind, args = heapq.heappop(pending)
-            if kind == "data":
-                pid, fname, value, device_ts = args
-                runtime.ingest_observation(pid, fname, value, device_ts, backend_ts=arrival)
-            else:
-                pid, idx, reward, device_ts = args
-                runtime.ingest_outcome(pid, idx, reward, device_ts, backend_ts=arrival)
+            arrival, _, ingest, args = heapq.heappop(pending)
+            ingest(*args, arrival)
 
     timeline: list[tuple[int, int, str, int]] = []
     for day in range(env.n_days):
@@ -289,36 +286,40 @@ def run_trial(
         timeline.append((schedule.update_ts(day), 0, "update", day))
     timeline.sort(key=lambda item: item[0])
 
+    switch = config.version_switch
+    switch_ts = None if switch is None else schedule.trial_start_ts + switch.day * MS_PER_DAY
     for ts, _, kind, arg in timeline:
-        if (
-            config.version_switch is not None
-            and not switch_done
-            and ts >= schedule.trial_start_ts + config.version_switch.day * MS_PER_DAY
-        ):
-            switch_ts = schedule.trial_start_ts + config.version_switch.day * MS_PER_DAY
+        if switch_ts is not None and ts >= switch_ts:
             flush(switch_ts)  # arrivals preceding the switch keep the old stamp
-            runtime.register_version(config.version_switch.version_id, backend_ts=switch_ts)
-            switch_done = True
+            runtime.register_version(switch.version_id, backend_ts=switch_ts)
+            switch_ts = None
         flush(ts)
         if kind == "decision":
             idx = arg
+            device_ts = ts - CONTEXT_LEAD_MS
+            outcome_device_ts = ts + OUTCOME_LAG_MS
             for pid in participants:
                 twin = twins[pid]
                 context = twin_context(twin, idx, k)
-                device_ts = ts - CONTEXT_LEAD_MS
                 for fname in features.names:
-                    enqueue_datum(pid, "data", (pid, fname, context[fname], device_ts), device_ts, idx)
-                flush(ts)
+                    args = (pid, fname, context[fname], device_ts)
+                    arrival = arrival_ts(pid, device_ts, idx)
+                    if arrival == device_ts:
+                        ingest_observation(*args, device_ts)
+                    elif arrival is not None:
+                        heapq.heappush(pending, (arrival, next(counter), ingest_observation, args))
                 runtime.assemble_features(pid, idx, backend_ts=ts)
                 delta = true_effect(twin, context, features)
                 record = runtime.make_decision(pid, idx, backend_ts=ts)
                 truth.regret += max(0.0, delta) - record.action * delta
                 twins[pid], y, _ = step_participant(
-                    twin, env, idx, record.action, features, points_per_day=k
+                    twin, env, idx, record.action, features, points_per_day=k, context=context
                 )
                 truth.outcomes[(pid, idx)] = y
-                outcome_device_ts = ts + OUTCOME_LAG_MS
-                enqueue_datum(pid, "outcome", (pid, idx, y, outcome_device_ts), outcome_device_ts, idx)
+                arrival = arrival_ts(pid, outcome_device_ts, idx)
+                if arrival is not None:
+                    args = (pid, idx, y, outcome_device_ts)
+                    heapq.heappush(pending, (arrival, next(counter), runtime.ingest_outcome, args))
         else:
             for pid in participants:
                 runtime.run_update_cycle(pid, backend_ts=ts)

@@ -1,5 +1,7 @@
 import math
 
+import pytest
+
 from ledgerloop.rng import MASK64, SplitMix64, derive_seed, splitmix64_next, unit_float
 
 
@@ -74,3 +76,99 @@ def test_geometric_consumes_one_draw_regardless_of_p():
     g1.next_geometric(0.2)
     g2.next_geometric(0.9)
     assert g1.state == g2.state
+
+
+# -- each method against the reference composition --------------------------------
+
+_GOLDEN = 0x9E3779B97F4A7C15
+# Seed 0, the largest seed, and states whose next step wraps past 2**64.
+SEEDS = (0, MASK64, MASK64 - _GOLDEN + 1, MASK64 - _GOLDEN + 2**40)
+DRAWS = 10_000
+
+
+def reference_float(state):
+    state, word = splitmix64_next(state)
+    return state, unit_float(word)
+
+
+def reference_gauss(state):
+    state, a = reference_float(state)
+    state, b = reference_float(state)
+    return state, math.sqrt(-2.0 * math.log(1.0 - a)) * math.cos(2.0 * math.pi * b)
+
+
+def reference_geometric(state, p):
+    state, u = reference_float(state)
+    if p >= 1.0 or u == 0.0:
+        return state, 0
+    return state, int(math.log1p(-u) // math.log1p(-p))
+
+
+def draws_of(method, reference, seed):
+    """``DRAWS`` draws of a SplitMix64 method and of its reference, each with
+    the state after it; floats as their bits."""
+    gen, state = SplitMix64(seed), seed
+    got, want = [], []
+    for _ in range(DRAWS):
+        value = method(gen)
+        state, expected = reference(state)
+        got.append((value.hex() if isinstance(value, float) else value, gen.state))
+        want.append((expected.hex() if isinstance(expected, float) else expected, state))
+    return got, want
+
+
+def test_seeds_include_states_that_wrap():
+    assert all(seed + _GOLDEN > MASK64 for seed in SEEDS[1:])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize(
+    "method, reference",
+    [
+        (SplitMix64.next_u64, splitmix64_next),
+        (SplitMix64.next_float, reference_float),
+        (SplitMix64.next_gauss, reference_gauss),
+    ],
+    ids=["u64", "float", "gauss"],
+)
+def test_each_draw_has_the_bits_of_the_reference_composition(method, reference, seed):
+    got, want = draws_of(method, reference, seed)
+    assert got == want
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("p", [1.0, 0.95, 0.5, 1e-9])
+def test_geometric_draws_match_the_reference_inversion(p, seed):
+    got, want = draws_of(
+        lambda gen: gen.next_geometric(p), lambda state: reference_geometric(state, p), seed
+    )
+    assert got == want
+
+
+def _unmix(word: int) -> int:
+    """The stepped state whose SplitMix64 output is ``word``: the finalizer
+    inverted, each xorshift undone and each multiplier inverted mod 2**64."""
+    def unshift(z, k):
+        x = z
+        for _ in range(64 // k):
+            x = z ^ (x >> k)
+        return x
+
+    z = unshift(word, 31)
+    z = unshift((z * pow(0x94D049BB133111EB, -1, 2**64)) & MASK64, 27)
+    return unshift((z * pow(0xBF58476D1CE4E5B9, -1, 2**64)) & MASK64, 30)
+
+
+def test_a_zero_uniform_reaches_the_geometric_guard():
+    # A nonzero word below 2**11 maps to u == 0.0, where log1p(-u) is 0.
+    stepped = _unmix(0x7FF)
+    state = (stepped - _GOLDEN) & MASK64
+    assert splitmix64_next(state) == (stepped, 0x7FF)
+    assert unit_float(0x7FF) == 0.0
+    for p in (0.95, 0.5, 1e-9):
+        gen = SplitMix64(state)
+        assert gen.next_geometric(p) == 0
+        assert gen.state == stepped
+    assert SplitMix64(state).next_float() == 0.0
+    with pytest.raises(ValueError, match="must be > 0"):
+        SplitMix64(state).next_geometric(0.0)

@@ -381,6 +381,23 @@ def test_single_outcome_matches_update_posterior():
     assert info.post_state == canonical_serialize(expected)
 
 
+def test_an_updates_rows_are_checked_once(monkeypatch):
+    # The cycle's own batch check gives the rows the fold applies; the fold
+    # of the update it logs does not check them again.
+    runtime = fresh_runtime()
+    for idx in (0, 1):
+        run_decision_point(runtime, "p0", idx, H9 + idx * 1000)
+        runtime.ingest_outcome("p0", idx, 0.5, H9 + 5000, backend_ts=H9 + 5000)
+    calls = []
+    batch = type(runtime.index).batch
+    monkeypatch.setattr(type(runtime.index), "batch", lambda index, *args: calls.append(args) or batch(index, *args))
+    runtime.run_update_cycle("p0", backend_ts=H23)
+    info = runtime.ledger.last().payload
+    assert len(info.batch_seqs) == 2 and runtime.index.totals.updates == 1
+    assert calls == [("p0", info.batch_seqs, runtime.ledger.last().seq)]
+    assert not runtime.index.pending["p0"] and ("p0", 0) not in runtime.index.snapshots
+
+
 def test_late_outcome_consumed_exactly_once_by_next_cycle(file_runtime):
     # Three-day fixture: outcome for day 0 arrives two days late and must be
     # consumed by the day-2 cycle only.

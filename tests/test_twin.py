@@ -1,9 +1,13 @@
+import hashlib
 import math
 import statistics
+from pathlib import Path
 
 import pytest
+import yaml
 
-from conftest import make_run_config, records_of
+from conftest import deep_merge, make_run_config, records_of
+from ledgerloop.cli import main
 from ledgerloop import events, policy
 from ledgerloop.errors import ConfigurationError
 from ledgerloop.ledger import LEDGER_TEXT, encode_float, map_floats, read_records
@@ -199,6 +203,30 @@ def test_trial_determinism_byte_identical(tmp_path):
     run_trial(env, config, 11, out_path=p2).ledger.close()
     assert p1.read_bytes() == p2.read_bytes()
     assert p1.stat().st_size > 0
+
+
+# The seed-7 example config at 20x28 with a version switch and heavy
+# injection: more than half of the data that reach the runtime arrive late,
+# so the ledger pins the order in which on-time data, late data and outcomes
+# reach it.
+ARRIVAL_ORDER_CONFIG = {
+    "master_seed": 7,
+    "version_switch": {"day": 9, "version_id": "v1.1.0"},
+    "injection": {"policy_exception_prob": 0.1, "data_loss_prob": 0.3, "delay_geometric_p": 0.4},
+}
+ARRIVAL_ORDER_SHA256 = "eaab65f56a691439199730688ef286ba931497b413ae4d36ff6ba37fdb55876c"
+
+
+def test_arrival_order_is_pinned(tmp_path):
+    example = Path(__file__).resolve().parents[1] / "configs" / "example.yaml"
+    config = tmp_path / "config.yaml"
+    config.write_text(yaml.safe_dump(deep_merge(yaml.safe_load(example.read_text()), ARRIVAL_ORDER_CONFIG)))
+    out = tmp_path / "trial.ndjson"
+    args = ["simulate", "--config", str(config), "--out", str(out), "--participants", "20", "--days", "28"]
+    assert main(args) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == ARRIVAL_ORDER_SHA256
+    late = [r for r in read_records(out) if r.event_type == "DATA_INGESTED" and r.backend_ts != r.device_ts]
+    assert len(late) > 1000
 
 
 def test_trial_different_seed_differs(tmp_path):
