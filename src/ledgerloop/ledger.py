@@ -31,10 +31,12 @@ matcher (:func:`_line_reader`), one anchored regex over a whole record line
 with a converter from its groups to the typed value, which converts each
 tuple or bytes member in a fixed number of C calls and builds the value
 through the class's own ``__init__`` (a :func:`frozen_record` class's
-writes the instance dict in one call). Regex and converter together take
-only the canonical bytes of a record carrying that class's payload: the
-regex admits a bytes member with an odd digit count too, which its
-converter's ``bytes.fromhex`` refuses. With :data:`LEDGER_FORMAT` it builds the
+sets each slot with one C call). Regex and converter together take only
+the canonical bytes of a record carrying that class's payload, but for the
+``hash`` and ``prev_hash`` texts, which the regex admits as any 64
+characters but a quote and leaves to the chain check; the regex also
+admits a bytes member with an odd digit count, which its converter's
+``bytes.fromhex`` refuses. With :data:`LEDGER_FORMAT` it builds the
 annotation walk (:func:`_dataclass`, behind :func:`decode_as`), which
 decodes a payload dict and names the member it refuses; the walk also reads
 a run config (:data:`CONFIG_FORMAT`).
@@ -45,15 +47,17 @@ it. Every read of a ledger file goes through one verified pass
 (:func:`_verified`): :func:`read_records`, :meth:`Ledger.open` and
 :func:`verify_chain` all check the same things, so a record a reader sees has
 passed the chain check and carries its typed payload. Each line's matcher is
-tried first. A match proves that the line is canonical, holds exactly the
-envelope's members and its class's, each of its annotation's type, and that
-the class takes the value. Any other line (the HEADER, whose config is a
-dict; a string with an escape; every malformed line, an odd-length bytes
-member among them; a value the class refuses) goes through the JSON path,
-:func:`_parse_line`, which gives every verdict and message a line gets.
-Either way the seq, linkage and SHA-256 checks follow, and then a payload
-the JSON path read is decoded by the walk (``events.decode_payload``),
-whose refusal is a DecodeError without a seq.
+tried first, then the seq, linkage and SHA-256 comparisons. A match that
+passes them proves that the line is canonical, holds exactly the envelope's
+members and its class's, each of its annotation's type, and that the class
+takes the value. Any other line (the HEADER, whose config is a dict; a
+string with an escape; every malformed line, an odd-length bytes member
+among them; a value the class refuses), and a matched line that fails a
+comparison, goes through the JSON path (:func:`_json_record`):
+:func:`_parse_line`, the same comparisons, and the walk
+(``events.decode_payload``) over the payload, whose refusal is a
+DecodeError without a seq. So the JSON path gives every verdict and
+message a line gets.
 """
 
 from __future__ import annotations
@@ -311,8 +315,8 @@ def _number(value) -> float:
     raise _Refusal(f"expected a number, {_got(value)}")
 
 
-@dataclass(frozen=True)
-class Format:
+# A NamedTuple, not a frozen dataclass: it is built at import in a fifth of the time.
+class Format(NamedTuple):
     """How typed values are read from or written as JSON-like data.
 
     ``converters`` maps each scalar annotation to its converter (the
@@ -398,6 +402,7 @@ class _Text(NamedTuple):
     ValueError, so the line takes the JSON path. ``items``, if set, is an
     expression for the tuple of the values whose list text ``{0}`` holds at
     least one item, in a fixed number of C calls (see :func:`_tuple_text`);
+    ``json_value``: the JSON value of each text is the value itself;
     ``scalar``: no text holds a comma outside a string. An empty ``regex``
     means no matcher reads the annotation (a dict, a dataclass), so a line
     holding one is read by :func:`_parse_line`. ``write`` is set for a
@@ -410,6 +415,7 @@ class _Text(NamedTuple):
     regex: str = ""
     convert: str = ""
     items: str = ""
+    json_value: bool = False
     scalar: bool = True
     write: typing.Callable | None = None
 
@@ -433,9 +439,6 @@ _quoted = json.encoder.encode_basestring_ascii  # a string's JSON text, as _dump
 # character as it is: printable ASCII but the quote and the backslash.
 _PLAIN = r"[ !#-\[\]-~]*"
 _INT = "0|-?[1-9][0-9]*"
-# The item texts of a list that a tuple's regex has admitted: each is a
-# plain string or holds no comma.
-_ITEMS = re.compile(r'"[^"]*"|[^,\[\]]+')
 _fromhex = bytes.fromhex
 _unpack = struct.unpack
 
@@ -455,24 +458,18 @@ def _misfit(member: str, what: str, value):
 
 def _tuple_text(item: _Text) -> _Text:
     """A tuple's text: a JSON list of its items' texts. A line matcher
-    converts a list in one piece with the item's ``items``; failing that,
-    if no item text holds a string, and so no comma, from one split at the
-    commas; failing that (optional strings, which may hold commas), item by
-    item from :data:`_ITEMS`."""
+    converts a list in one piece: with the item's ``items``, or if each
+    item's JSON value is the item (an integer, a boolean or a string, or one
+    of them or None), with one call of the JSON scanner. No matcher reads a
+    list of any other item (an optional float, bytes)."""
     item = item.inline()
-    each = item.convert.replace("{0}", "_i")
-    if item.items:
-        items = item.items
-    elif '"' not in item.regex:
-        items = f"tuple([{each} for _i in {{0}}[1:-1].split(',')])"
-    else:
-        items = f"tuple([{each} for _i in _ITEMS.findall({{0}})])"
+    items = item.items or ("tuple(_scan({0}, 0)[0])" if item.json_value else "")
     return _Text(
         f"(isinstance({{0}}, tuple) and all([{item.check.replace('{0}', '_i')} for _i in {{0}}]))",
         "[%s]",
         f"\",\".join([{item.text('_i')} for _i in {{0}}])",
         f"a tuple, each item {item.what}",
-        rf"\[(?:(?:{item.regex})(?:,(?:{item.regex}))*)?\]" if item.regex and item.scalar else "",
+        rf"\[(?:(?:{item.regex})(?:,(?:{item.regex}))*)?\]" if item.regex and item.scalar and items else "",
         f"(() if {{0}} == '[]' else {items})",
         scalar=False,
     )
@@ -487,6 +484,7 @@ def _optional_text(inner: _Text) -> _Text:
         f"{inner.what} or None",
         inner.regex and f"null|{inner.regex}",
         f"(None if {{0}} == 'null' else {inner.convert})",
+        json_value=inner.json_value,
         scalar=inner.scalar,
     )
 
@@ -544,17 +542,19 @@ def _writer_piece(cls: type, fmt: Format) -> _Text:
 # whose ValueError sends the line to the JSON path. A list of floats is one
 # ``fromhex`` of its joined digits and one unpack (each item's text and its
 # comma are 19 characters); a list of plain strings, which hold no quote,
-# is one split at the quotes and comma between two of them.
+# is one split at the quotes and comma between two of them. The JSON value of
+# an int's, a bool's and a plain string's text is the value, so a list of
+# them, or of them or None, is one call of the JSON scanner.
 LEDGER_TEXT = Format(
     {
         float: _Text("isinstance({0}, float)", '"%s"', "_FLOAT_BITS({0}).hex()", "a float",
                      '"[0-9a-f]{16}"', "_UNPACK_FLOAT(_fromhex({0}[1:-1]))[0]",
                      """_unpack('>%dd' % (len({0}) // 19), _fromhex({0}[2:-2].replace('","', '')))"""),
-        int: _Text("type({0}) is int", "%s", "{0}", "an integer", _INT, "int({0})"),
+        int: _Text("type({0}) is int", "%s", "{0}", "an integer", _INT, "int({0})", json_value=True),
         bool: _Text("type({0}) is bool", "%s", '("true" if {0} else "false")', "a boolean",
-                    "true|false", "({0} == 'true')"),
+                    "true|false", "({0} == 'true')", json_value=True),
         str: _Text("isinstance({0}, str)", "%s", "_quoted({0})", "a string",
-                   f'"{_PLAIN}"', "{0}[1:-1]", """tuple({0}[2:-2].split('","'))"""),
+                   f'"{_PLAIN}"', "{0}[1:-1]", """tuple({0}[2:-2].split('","'))""", True),
         bytes: _Text("isinstance({0}, bytes)", '"%s"', "{0}.hex()", "bytes",
                      '"[0-9a-f]*"', "_fromhex({0}[1:-1])"),
         dict: _Text("isinstance({0}, dict)", "%s", "_canonical_text({0})", "an object"),
@@ -644,6 +644,7 @@ def _reject_number(text: str):
 # No canonical record holds a float literal or NaN/Infinity. The C scanner
 # calls these hooks only when it meets one, so valid lines pay nothing.
 _DECODER = json.JSONDecoder(parse_float=_reject_number, parse_constant=_reject_number)
+_scan = _DECODER.scan_once  # (the value at an index of a text, the index after it)
 
 
 _KEYS = frozenset((
@@ -702,8 +703,8 @@ def _parse_line(line: bytes, seq_hint: int) -> tuple:
 # seq, stream_id and version_id.
 _LINE = (
     r'\{"backend_ts":(%(int)s),"device_ts":(null|%(int)s),"environment_profile":"(%(plain)s)",'
-    r'"event_type":%(event_type)s,"hash":"([0-9a-f]{64})","payload":\{%(payload)s\},'
-    r'"prev_hash":"([0-9a-f]{64})","seq":(%(int)s),"stream_id":"(%(plain)s)","version_id":"(%(plain)s)"\}'
+    r'"event_type":%(event_type)s,"hash":"([^"]{64})","payload":\{%(payload)s\},'
+    r'"prev_hash":"([^"]{64})","seq":(%(int)s),"stream_id":"(%(plain)s)","version_id":"(%(plain)s)"\}'
 )
 
 
@@ -715,11 +716,15 @@ def _line_reader(event_type: str, cls: type):
     line, with the payload's typed value built through ``cls``'s own
     ``__init__`` (the one :func:`frozen_record` generates, which runs
     ``__post_init__`` as the walk's does). One anchored regex admits the
-    canonical bytes of such a record, and a bytes member with an odd digit
-    count, which the converter refuses; so a line it takes would pass every
-    check of :func:`_parse_line` and decode to the same value. It returns
-    None for any other line and for a value ``cls`` refuses; the JSON path
-    reads those. None for a class with a member no regex reads."""
+    canonical bytes of such a record; a bytes member with an odd digit
+    count, which the converter refuses; and, as the ``hash`` and
+    ``prev_hash`` texts, any 64 characters but a quote. Whether those are
+    lowercase hex is left to the chain comparisons of :func:`_verified`,
+    which prove it or send the line to the JSON path. So a line it takes
+    whose hash texts pass them would pass every check of
+    :func:`_parse_line` and decode to the same value. It returns None for
+    any other line and for a value ``cls`` refuses; the JSON path reads
+    those. None for a class with a member no regex reads."""
     hints = typing.get_type_hints(cls)
     fields = [f for f in dataclasses.fields(cls) if f.init]
     texts = {f.name: _converter(hints[f.name], LEDGER_TEXT) for f in fields}
@@ -753,25 +758,46 @@ def _line_reader(event_type: str, cls: type):
 
 
 def frozen_record(cls: type) -> type:
-    """``@dataclass(frozen=True)``, but its ``__init__``, generated in place of
-    the dataclass one with the same parameters, writes the instance dict
-    with one ``update`` (not one ``object.__setattr__`` per field), then runs
-    ``__post_init__`` if the class has one. A field with a default factory,
-    ``init=False`` or ``kw_only`` is refused."""
-    doc, cls.__doc__ = cls.__doc__, "-"  # any docstring spares dataclass building one
-    cls = dataclass(frozen=True, init=False)(cls)
-    fields = dataclasses.fields(cls)
-    if any(not f.init or f.kw_only or f.default_factory is not MISSING for f in fields):
+    """``@dataclass(frozen=True)`` over a class with ``__slots__`` and no
+    instance dict. Its ``__init__``, generated in place of the dataclass one
+    with the same parameters, sets each field with one C call (its slot's
+    ``__set__``), then runs ``__post_init__`` if the class has one. The
+    slotted class is built from ``cls`` before ``dataclass`` sees it, so
+    the frozen ``__setattr__`` guards the class returned; a default, which
+    cannot share its name with a slot, is put back on its field. Pickling
+    and copying build the value again through ``__init__`` (``__reduce__``),
+    as the frozen ``__setattr__`` refuses the default slot restore. A field
+    made with ``dataclasses.field`` is refused."""
+    own = cls.__dict__.get("__annotations__", {})
+    defaults = {name: cls.__dict__[name] for name in own if name in cls.__dict__}
+    if any(isinstance(value, dataclasses.Field) for value in defaults.values()):
         raise TypeError(f"{cls.__qualname__}: no generated __init__ for its fields")
-    defaults = {f"_default_{f.name}": f.default for f in fields if f.default is not MISSING}
-    names = [f.name for f in fields]
+    namespace = dict(
+        cls.__dict__, __slots__=tuple(own), __qualname__=cls.__qualname__,
+        __doc__="-",  # any docstring spares dataclass building one
+        __reduce__=lambda self: (type(self), tuple([getattr(self, name) for name in names])),
+    )
+    for name in (*defaults, "__dict__", "__weakref__"):
+        namespace.pop(name, None)
+    doc = cls.__doc__
+    cls = dataclass(frozen=True, init=False)(type(cls)(cls.__name__, cls.__bases__, namespace))
+    fields = dataclasses.fields(cls)
+    names, scope, params = [], {}, []
+    for f in fields:
+        names.append(f.name)
+        scope[f"_set_{f.name}"] = getattr(cls, f.name).__set__
+        if f.name in defaults:
+            f.default = defaults[f.name]
+        if f.default is not MISSING:
+            scope[f"_default_{f.name}"] = f.default
+        params.append(f"{f.name}=_default_{f.name}" if f.default is not MISSING else f.name)
     source = "\n".join([
-        f"def __init__(self, {', '.join(n + (f'=_default_{n}' if f'_default_{n}' in defaults else '') for n in names)}):",
-        f"    self.__dict__.update({{{', '.join(f'{n!r}: {n}' for n in names)}}})",
+        f"def __init__(self, {', '.join(params)}):",
+        *[f"    _set_{name}(self, {name})" for name in names],
         *(["    self.__post_init__()"] if hasattr(cls, "__post_init__") else []),
     ])
-    exec(compile(source, f"<__init__ of {cls.__qualname__}>", "exec"), defaults)
-    cls.__init__ = defaults["__init__"]
+    exec(compile(source, f"<__init__ of {cls.__qualname__}>", "exec"), scope)
+    cls.__init__ = scope["__init__"]
     cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
     cls.__doc__ = doc or f"{cls.__name__}({', '.join(names)})"
     return cls
@@ -955,15 +981,53 @@ class Ledger:
         self.close()
 
 
+_BLOCK = 1 << 20
+
+
 def _file_lines(path: str | Path) -> Iterator[bytes]:
-    """The lines of a ledger file, split as ``bytes.splitlines`` splits them,
-    read one file line at a time so the whole file is never held at once."""
+    """The lines of a ledger file, split as ``bytes.splitlines`` splits the
+    whole file, read in blocks of 1 MiB so the whole file is never held at
+    once. Each block is cut just after its last ``\n`` and split with one
+    ``splitlines``; the bytes after the cut start the next block. A cut
+    after a ``\n`` never parts a ``\r\n``, so the split is the whole
+    file's."""
     try:
         with open(path, "rb") as fh:
-            for chunk in fh:
-                yield from chunk.splitlines()
+            pieces: list[bytes] = []  # the bytes after the last cut
+            while block := fh.read(_BLOCK):
+                cut = block.rfind(b"\n") + 1
+                if cut:
+                    pieces.append(block[:cut])
+                    yield from b"".join(pieces).splitlines()
+                    pieces = [block[cut:]]
+                else:
+                    pieces.append(block)
+            yield from b"".join(pieces).splitlines()
     except OSError as exc:
         raise StorageError(f"cannot read ledger file {path}: {exc}") from None
+
+
+def _json_record(line: bytes, seq: int, prev_hash: bytes, prev_text: str) -> tuple:
+    """The JSON path of the read pass for the line of record ``seq``: the
+    envelope's members up to ``payload``, with the payload decoded by the
+    annotation walk (``events.decode_payload``), the line's SHA-256 and its
+    hash text, once the line has passed :func:`_parse_line` and the seq,
+    linkage and hash comparisons, in that order. A line that fails one
+    raises the DecodeError carrying ``seq`` that names it, and a payload the
+    walk refuses one without a seq."""
+    from .events import decode_payload  # the schema; it imports this module
+
+    fields, line_prev_text, hash_text = _parse_line(line, seq)
+    if fields[0] != seq:
+        raise DecodeError(f"record {seq} carries seq {fields[0]}", seq=seq)
+    if line_prev_text != prev_text:
+        raise DecodeError(f"record {seq} does not chain from the record before it", seq=seq)
+    # Every member ahead of "hash" is a scalar, so the first match is it.
+    at = line.index(b',"hash":"')
+    digest = hashlib.sha256(prev_hash + line[:at] + line[at + _HASH_MEMBER:])
+    if digest.hexdigest() != hash_text:
+        raise DecodeError(f"record {seq} does not match its hash", seq=seq)
+    return (*fields[:7], decode_payload(fields[6], fields[7])), digest, hash_text
 
 
 def _verified(lines: Iterable[bytes]) -> Iterator[EventEnvelope]:
@@ -973,18 +1037,19 @@ def _verified(lines: Iterable[bytes]) -> Iterator[EventEnvelope]:
     schema refuses, or one without a seq after the last line if there was
     none.
 
-    Per line, first the checks that need no other record: the line matcher
-    of its event type's class (:func:`_line_reader`), whose match also gives
-    the typed payload; for a line the matcher does not take, one parse,
-    which checks the line's shape and canonical form (:func:`_parse_line`)
-    and gives the payload dict. Then the seq and ``prev_hash`` linkage, and
-    one SHA-256 over ``prev_hash`` plus the body: the line with its ``hash``
-    member cut out, the head and tail :meth:`Ledger.append` hashed. Both
-    hashes are compared as the text they are stored as; the envelope's
-    digests are the bytes of that SHA-256. Last, a payload dict is decoded
-    by the annotation walk (``events.decode_payload``).
+    Each line is first offered to the line matcher of its event type's class
+    (:func:`_line_reader`), whose match gives the typed payload. Then the
+    seq and ``prev_hash`` linkage are compared, and one SHA-256 over
+    ``prev_hash`` plus the body (the line with its ``hash`` member cut out:
+    the head and tail :meth:`Ledger.append` hashed) is compared with the
+    ``hash`` text. Both hashes are compared as the text they are stored as,
+    which proves them lowercase hex; the matcher leaves that to these
+    comparisons. A line the matcher does not take, and a typed line that
+    fails any comparison, is read again from the start by the JSON path
+    (:func:`_json_record`), so its verdict, message and seq are the JSON
+    path's. The envelope's digests are the bytes of the SHA-256.
     """
-    from .events import PAYLOADS, decode_payload  # the schema; it imports this module
+    from .events import PAYLOADS  # the schema; it imports this module
 
     readers = {event_type: _line_reader(event_type, cls) for event_type, cls in PAYLOADS.items()}
     prev_hash, prev_text = GENESIS_HASH, GENESIS_HASH.hex()
@@ -995,21 +1060,14 @@ def _verified(lines: Iterable[bytes]) -> Iterator[EventEnvelope]:
         at = text.find('"event_type":"') + 14
         reader = readers.get(text[at:text.find('"', at)])
         parsed = None if reader is None else reader(text)
-        typed = parsed is not None
-        if not typed:
-            parsed = _parse_line(line, seq)
-        fields, line_prev_text, hash_text = parsed
-        if fields[0] != seq:
-            raise DecodeError(f"record {seq} carries seq {fields[0]}", seq=seq)
-        if line_prev_text != prev_text:
-            raise DecodeError(f"record {seq} does not chain from the record before it", seq=seq)
-        # Every member ahead of "hash" is a scalar, so the first match is it.
-        at = line.index(b',"hash":"')
-        digest = hashlib.sha256(prev_hash + line[:at] + line[at + _HASH_MEMBER:])
-        if digest.hexdigest() != hash_text:
-            raise DecodeError(f"record {seq} does not match its hash", seq=seq)
-        if not typed:
-            fields = (*fields[:7], decode_payload(fields[6], fields[7]))
+        if parsed is not None:
+            fields, line_prev_text, hash_text = parsed
+            at = line.index(b',"hash":"')
+            digest = hashlib.sha256(prev_hash + line[:at] + line[at + _HASH_MEMBER:])
+            if fields[0] != seq or line_prev_text != prev_text or digest.hexdigest() != hash_text:
+                parsed = None
+        if parsed is None:
+            fields, digest, hash_text = _json_record(line, seq, prev_hash, prev_text)
         rec_hash = digest.digest()
         yield tuple.__new__(EventEnvelope, (*fields, prev_hash, rec_hash))  # minus a Python call
         prev_hash, prev_text = rec_hash, hash_text

@@ -209,6 +209,9 @@ class FeatureSnapshot:
             raise ConfigurationError("provenance must tag every feature entry")
         if len(self.imputation_methods) != n or len(self.source_device_ts) != n:
             raise ConfigurationError("per-entry metadata must match entry count")
+        # Every tag "observed" or "default": the loop would find nothing.
+        if self.provenance.count("observed") + self.provenance.count("default") == n:
+            return
         for tag, method in zip(self.provenance, self.imputation_methods):
             if tag not in PROVENANCE_TAGS:
                 raise ConfigurationError(f"unknown provenance tag {tag!r}")

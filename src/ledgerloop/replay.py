@@ -249,6 +249,9 @@ def _in_blocks(records: Iterable[EventEnvelope], size: int = 1024) -> Iterator[E
     yield from block
 
 
+_bits = struct.Struct(">d").pack  # a float's bits, which encode_float shows as hex
+
+
 def _no_logic(version_id: str, seq: int) -> AuditError:
     return AuditError(f"version {version_id!r} at seq {seq} has no registered logic")
 
@@ -323,7 +326,7 @@ def reconstruct_states(
                     continue
                 expected = (("pi_raw", value.pi_raw, pi_raw), ("pi", value.pi, pi))
             for path, logged, recomputed in expected:
-                if encode_float(logged) != encode_float(recomputed):
+                if _bits(logged) != _bits(recomputed):
                     decisions.record(seq, path, encode_float(logged), encode_float(recomputed))
             action = policy.decide(value.pi, value.seed)
             if action != value.action:
@@ -333,6 +336,7 @@ def reconstruct_states(
             state = states.get(pid, initial)
             if value.pre_state_hash != state.state_hash:
                 updates.record(seq, "pre_state_hash", value.pre_state_hash.hex(), state.state_hash.hex())
+            logged_digest = None
             try:
                 new_state = logic.update_posterior(
                     state, rows, index.header.model, last_update_seq=max(value.batch_seqs)
@@ -342,9 +346,12 @@ def reconstruct_states(
             else:
                 states[pid] = new_state
                 recomputed = policy.canonical_serialize(new_state)
-                if value.post_state != recomputed:
+                if value.post_state == recomputed:
+                    logged_digest = new_state.state_hash  # the SHA-256 of these bytes
+                else:
                     updates.record(seq, "post_state", value.post_state.hex(), recomputed.hex())
-            logged_digest = hashlib.sha256(value.post_state).digest()
+            if logged_digest is None:
+                logged_digest = hashlib.sha256(value.post_state).digest()
             if value.post_state_hash != logged_digest:
                 updates.record(seq, "post_state_hash", value.post_state_hash.hex(), logged_digest.hex())
         elif etype == "VERSION_CHANGE":

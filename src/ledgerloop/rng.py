@@ -102,7 +102,5 @@ class SplitMix64:
         z = ((z ^ (z >> 30)) * _MIX1) & MASK64
         z = ((z ^ (z >> 27)) * _MIX2) & MASK64
         u = ((z ^ (z >> 31)) >> 11) * 2.0**-53
-        # u in [0, 1); guard log1p(-u) == 0 when u == 0
-        if u == 0.0:
-            return 0
+        # u in [0, 1); at u == 0, log1p(-u) is -0.0, and -0.0 // a negative is 0.0
         return int(math.log1p(-u) // math.log1p(-p))

@@ -462,3 +462,120 @@ def test_a_line_edit_gets_the_json_paths_verdict(tmp_path, golden, capsys, monke
     assert typed == plain
     assert typed[0] == [(2, False), (2, False)]
     assert typed[1].err.count("\n") == 2
+
+
+# -- verify or defer: hash texts the matchers leave to the chain check ----------------
+
+
+def json_path_verdict(path) -> tuple[int, str | None, int | None]:
+    """The ledger file at ``path`` as the JSON path alone reads it: each line
+    through ``_parse_line``, then its seq, its ``prev_hash`` text against the
+    hash text before it and its ``hash`` text against the SHA-256 of its
+    body, then its payload through the annotation walk. Returns the records
+    read before the first refusal, with that DecodeError's message and seq
+    (None and None if there is none)."""
+    prev_hash, prev_text = GENESIS_HASH, GENESIS_HASH.hex()
+    count = 0
+    try:
+        for seq, line in enumerate(path.read_bytes().splitlines()):
+            fields, line_prev_text, hash_text = ledger_module._parse_line(line, seq)
+            if fields[0] != seq:
+                raise DecodeError(f"record {seq} carries seq {fields[0]}", seq=seq)
+            if line_prev_text != prev_text:
+                raise DecodeError(f"record {seq} does not chain from the record before it", seq=seq)
+            cut = line.index(b',"hash":"')
+            digest = compute_record_hash(prev_hash, line[:cut] + line[cut + len(b',"hash":"') + 65:])
+            if digest.hex() != hash_text:
+                raise DecodeError(f"record {seq} does not match its hash", seq=seq)
+            decode_payload(fields[6], fields[7])
+            prev_hash, prev_text = digest, hash_text
+            count += 1
+    except DecodeError as exc:
+        return count, str(exc), exc.seq
+    return count, None, None
+
+
+def read_verdict(path) -> tuple[int, str | None, int | None]:
+    """What :func:`json_path_verdict` returns, from ``read_records``."""
+    count = 0
+    try:
+        for _ in read_records(path):
+            count += 1
+    except DecodeError as exc:
+        return count, str(exc), exc.seq
+    return count, None, None
+
+
+def _member_span(line: bytes, name: bytes) -> tuple[int, int]:
+    """Where the text of the string member ``name`` starts and ends in a line."""
+    start = line.index(b'"' + name + b'":"') + len(name) + 4
+    return start, line.index(b'"', start)
+
+
+# Each edit of a hash text (64 lowercase hex digits) that a loose matcher
+# regex admits or not; the JSON path refuses every one.
+HASH_TEXT_EDITS = {
+    "uppercase digit": lambda text: re.sub(rb"[a-f]", lambda m: m[0].upper(), text, count=1),
+    "non-hex letter": lambda text: b"g" + text[1:],
+    "non-ASCII byte": lambda text: text[:5] + b"\xe9" + text[6:],
+    "escape, 64 characters": lambda text: b"\\u0061" + text[6:],
+    "escape for a digit": lambda text: text[:7] + b"\\u0061" + text[8:],
+    "63 characters": lambda text: text[:-1],
+    "65 characters": lambda text: text + b"0",
+}
+
+
+def _rechain_from(lines: list[bytes], seq: int, keep_hash: bool) -> None:
+    """Give line ``seq`` the SHA-256 of its body as stored (unless
+    ``keep_hash``: its hash member is the edit), and re-derive every later
+    line's ``prev_hash`` and ``hash`` from there."""
+    start, end = _member_span(lines[seq - 1], b"hash") if seq else (0, 0)
+    prev = bytes.fromhex(lines[seq - 1][start:end].decode()) if seq else GENESIS_HASH
+    for i in range(seq, len(lines)):
+        line = lines[i]
+        if i > seq:
+            start, end = _member_span(line, b"prev_hash")
+            line = line[:start] + prev.hex().encode() + line[end:]
+        start, end = _member_span(line, b"hash")
+        digest = compute_record_hash(prev, line[:start - len(b',"hash":"')] + line[end + 1:])
+        if not (i == seq and keep_hash):
+            line = line[:start] + digest.hex().encode() + line[end:]
+        lines[i], prev = line, digest
+
+
+@pytest.mark.parametrize("edit", sorted(HASH_TEXT_EDITS))
+def test_a_hash_text_edit_gets_the_json_paths_verdict(tmp_path, small_ledger, edit):
+    # A typed line whose seq, link or hash comparison fails is read again by
+    # the JSON path, so a hash text the matcher's regex admits gets the
+    # message and seq the JSON path gives, even with a wrong seq beside it.
+    original = small_ledger.read_bytes().splitlines()
+    seqs = {event_type: first_seq(small_ledger, event_type) for event_type in (
+        "HEADER", "DATA_INGESTED", "FEATURE_SNAPSHOT", "DECISION", "OUTCOME_OBSERVED", "MODEL_UPDATE"
+    )}
+    edited = tmp_path / "edited.ndjson"
+    for event_type, seq in seqs.items():
+        for member in (b"hash", b"prev_hash"):
+            for wrong_seq in (False, True):
+                for rechained in (False, True):
+                    lines = list(original)
+                    start, end = _member_span(lines[seq], member)
+                    text = HASH_TEXT_EDITS[edit](lines[seq][start:end])
+                    if text == lines[seq][start:end]:
+                        continue  # the genesis prev_hash has no letter to upper-case
+                    line = lines[seq][:start] + text + lines[seq][end:]
+                    if wrong_seq:
+                        line = line.replace(b'"seq":%d,' % seq, b'"seq":%d,' % (seq + 1), 1)
+                    lines[seq] = line
+                    if rechained:
+                        _rechain_from(lines, seq, keep_hash=member == b"hash")
+                    edited.write_bytes(b"\n".join(lines) + b"\n")
+                    expected = json_path_verdict(edited)
+                    case = (event_type, member, wrong_seq, rechained)
+                    assert expected[2] == seq, case  # the edited line is the first one refused
+                    assert read_verdict(edited) == expected, case
+                    assert verify_chain(edited) == expected[0] == seq, case
+                    # A text of 64 characters, none a quote, passes the
+                    # matcher's regex: only the comparisons refuse it.
+                    matcher = ledger_module._line_reader(event_type, PAYLOADS[event_type])
+                    taken = matcher is not None and matcher(line.decode("latin-1")) is not None
+                    assert taken == (event_type != "HEADER" and len(text) == 64), case
