@@ -11,11 +11,19 @@ Everything here is a pure function over immutable values: no operation
 mutates its inputs, and identical inputs give bit-identical outputs. That is
 what makes logged decisions and updates replayable after the fact.
 
-The module-level functions are ``conjugate-linear-v2``, the default logic.
-Its numerics are plain Python floats in one fixed order of operations: a
-lower Cholesky factor computed row by row, forward and back substitution with
-every sum taken in increasing index order, and the outer-product update
-summed in batch order. That order lives in generated code: for each model
+A logic is only its numerics: how it computes the treatment effect's
+posterior mean and variance ``(delta, v)`` and the updated posterior. Every
+other step is written once, here, and is the same for every logic: the prior
+(:func:`init_state`), the dimension checks (:func:`check_dims`), the update's
+rows and their checks (:func:`update_rows`), the limit when ``v <= 0`` and
+the clip (:func:`probabilities`), the seed derivation, the coin and the
+state encoding.
+
+:func:`action_probability` and :func:`update_posterior` are
+``conjugate-linear-v2``, the default logic. Its numerics are plain Python
+floats in one fixed order of operations: a lower Cholesky factor computed
+row by row, forward and back substitution with every sum taken in
+increasing index order, and the outer-product update summed in batch order. That order lives in generated code: for each model
 dimension d, :func:`kernels` writes the factor, the update and the action
 probability's solve as straight-line Python source, every loop unrolled, and
 compiles it on first use (never at import). ``tests/policy_loops.py`` keeps
@@ -91,12 +99,13 @@ class PosteriorState:
     ``mean`` is a tuple of d floats and ``precision`` a tuple of d * d floats
     in row-major order; "updating" a state means building a new one.
     ``state_hash`` is the SHA-256 of the canonical serialization and is
-    recomputed on construction, never trusted from input. The lower Cholesky
-    factor of the precision is derived data: computed at most once per state
-    and kept out of serialization, hashing and equality.
+    recomputed on construction, never trusted from input; the state keeps
+    the bytes it was hashed from, which :func:`canonical_serialize` returns.
+    The lower Cholesky factor of the precision is derived data: computed at
+    most once per state and kept out of serialization, hashing and equality.
     """
 
-    __slots__ = ("mean", "precision", "update_count", "last_update_seq", "state_hash", "_factor")
+    __slots__ = ("mean", "precision", "update_count", "last_update_seq", "state_hash", "_encoded", "_factor")
 
     def __init__(
         self,
@@ -122,14 +131,7 @@ class PosteriorState:
                     raise ConfigurationError("precision matrix is not bit-exactly symmetric")
         if update_count < 0:
             raise ConfigurationError("update_count must be non-negative")
-        object.__setattr__(self, "mean", mean)
-        object.__setattr__(self, "precision", precision)
-        object.__setattr__(self, "update_count", int(update_count))
-        object.__setattr__(
-            self, "last_update_seq", None if last_update_seq is None else int(last_update_seq)
-        )
-        object.__setattr__(self, "state_hash", hashlib.sha256(canonical_serialize(self)).digest())
-        object.__setattr__(self, "_factor", None)
+        self._seal(mean, precision, int(update_count), last_update_seq, None)
 
     @classmethod
     def _built(cls, mean, precision, update_count, last_update_seq, factor) -> "PosteriorState":
@@ -137,14 +139,25 @@ class PosteriorState:
         tuples of floats, the precision symmetric by construction, so none
         of ``__init__``'s conversions and checks are repeated."""
         state = object.__new__(cls)
-        setattr_ = object.__setattr__
-        setattr_(state, "mean", mean)
-        setattr_(state, "precision", precision)
-        setattr_(state, "update_count", update_count)
-        setattr_(state, "last_update_seq", None if last_update_seq is None else int(last_update_seq))
-        setattr_(state, "state_hash", hashlib.sha256(canonical_serialize(state)).digest())
-        setattr_(state, "_factor", factor)
+        state._seal(mean, precision, update_count, last_update_seq, factor)
         return state
+
+    def _seal(self, mean, precision, update_count, last_update_seq, factor) -> None:
+        """Set every slot: the fields, their encoding (see
+        :func:`canonical_serialize`), its SHA-256 and ``factor``."""
+        last_update_seq = None if last_update_seq is None else int(last_update_seq)
+        encoded = struct.pack(
+            f">{len(mean) + len(precision)}dQQ", *mean, *precision, update_count,
+            _NO_SEQ if last_update_seq is None else last_update_seq,
+        )
+        setattr_ = object.__setattr__
+        setattr_(self, "mean", mean)
+        setattr_(self, "precision", precision)
+        setattr_(self, "update_count", update_count)
+        setattr_(self, "last_update_seq", last_update_seq)
+        setattr_(self, "_encoded", encoded)
+        setattr_(self, "state_hash", hashlib.sha256(encoded).digest())
+        setattr_(self, "_factor", factor)
 
     def __setattr__(self, name, value):
         raise AttributeError("PosteriorState is immutable")
@@ -386,16 +399,16 @@ def _phi(z: float) -> float:
     return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
-def action_probability(
-    state: PosteriorState, snapshot: FeatureSnapshot, config: ModelConfig
-) -> tuple[float, float]:
-    """Selection probability for action 1 given the current posterior.
+# -- the front end of every logic --------------------------------------------------
+#
+# What a logic's action probability and update do around their numerics is
+# the same for every logic, so it is written once, here: each logic calls
+# these steps and computes only ``(delta, v)`` and the updated posterior.
 
-    Returns ``(pi_raw, pi)`` where pi_raw is the posterior probability that
-    the treatment effect h(s)'theta is positive and pi is pi_raw clipped to
-    [clip_min, clip_max]. DataError when pi_raw is not a number in [0, 1],
-    as a NaN or infinite feature makes it.
-    """
+
+def check_dims(state: PosteriorState, snapshot: FeatureSnapshot, config: ModelConfig) -> None:
+    """ConfigurationError unless ``snapshot`` and ``state`` have the
+    dimensions of ``config``."""
     d_g, d_h = config.baseline_dim, config.treatment_dim
     if len(snapshot.baseline) != d_g or len(snapshot.treatment) != d_h:
         raise ConfigurationError(
@@ -404,17 +417,65 @@ def action_probability(
         )
     if state.dim != config.dim:
         raise ConfigurationError("state dimension does not match config")
-    # delta = h' mu_h; v = h' Sigma_hh h with Sigma = Lambda^-1 is
-    # x' Lambda^-1 x for the zero-padded x = [0; h], which is |y|^2 for L y = x.
-    delta, v = kernels(config.dim).action[d_g](state.factor, state.mean, snapshot.treatment)
+
+
+def probabilities(delta: float, v: float, config: ModelConfig) -> tuple[float, float]:
+    """``(pi_raw, pi)`` for a treatment effect with posterior mean ``delta``
+    and variance ``v``: pi_raw is ``Phi(delta / sqrt(v))``, or its limit when
+    ``v <= 0``, and pi is pi_raw clipped to [clip_min, clip_max]. A NaN
+    pi_raw clips to clip_min; refusing it is for the logic."""
     if v <= 0.0:
         # Degenerate posterior along h: the limit of Phi(delta/sqrt(v)).
         pi_raw = 1.0 if delta > 0.0 else (0.5 if delta == 0.0 else 0.0)
     else:
         pi_raw = _phi(delta / math.sqrt(v))
+    return pi_raw, min(config.clip_max, max(config.clip_min, pi_raw))
+
+
+def update_rows(
+    state: PosteriorState, batch: list[tuple[FeatureSnapshot, int, float]], config: ModelConfig
+) -> list[tuple[float, ...]]:
+    """One row per observation of a non-empty ``batch``, in batch order: the
+    entries of ``x = [g; a * h]``, then ``w = reward / sigma^2``.
+
+    ConfigurationError for a state or snapshot of other dimensions than
+    ``config``'s, DataError for an action other than 0 or 1 or a non-finite
+    reward; the first refused row is reported.
+    """
+    d_g, d_h = config.baseline_dim, config.treatment_dim
+    if state.dim != config.dim:
+        raise ConfigurationError("state dimension does not match config")
+    inv_noise = 1.0 / config.noise_variance
+    rows = []
+    for snapshot, action, reward in batch:
+        if len(snapshot.baseline) != d_g or len(snapshot.treatment) != d_h:
+            raise ConfigurationError("snapshot dims do not match config")
+        if action not in (0, 1):
+            raise DataError(f"action must be 0 or 1, got {action!r}")
+        if not math.isfinite(reward):
+            raise DataError(f"non-finite reward {reward!r}; batch rejected")
+        a = float(action)
+        rows.append((*snapshot.baseline, *[t * a for t in snapshot.treatment], reward * inv_noise))
+    return rows
+
+
+def action_probability(
+    state: PosteriorState, snapshot: FeatureSnapshot, config: ModelConfig
+) -> tuple[float, float]:
+    """Selection probability for action 1 given the current posterior.
+
+    Returns ``(pi_raw, pi)`` where pi_raw is the posterior probability that
+    the treatment effect h(s)'theta is positive and pi is pi_raw clipped to
+    [clip_min, clip_max] (see :func:`probabilities`). DataError when pi_raw
+    is not a number in [0, 1], as a NaN or infinite feature makes it.
+    """
+    check_dims(state, snapshot, config)
+    # delta = h' mu_h; v = h' Sigma_hh h with Sigma = Lambda^-1 is
+    # x' Lambda^-1 x for the zero-padded x = [0; h], which is |y|^2 for L y = x.
+    delta, v = kernels(config.dim).action[config.baseline_dim](state.factor, state.mean, snapshot.treatment)
+    pi_raw, pi = probabilities(delta, v, config)
     if not 0.0 <= pi_raw <= 1.0:  # NaN, from a NaN or infinite feature
         raise DataError(f"pi_raw {pi_raw!r} is not a probability")
-    pi = min(config.clip_max, max(config.clip_min, pi_raw))
     return pi_raw, pi
 
 
@@ -426,6 +487,9 @@ def derive_decision_seed(deployment_seed: int, participant_id: str, decision_ind
     h.update(participant_id.encode("utf-8"))
     h.update(int(decision_index).to_bytes(8, "big"))
     return int.from_bytes(h.digest()[:8], "big")
+
+
+FALLBACK_PI = 0.5  # the uniform rule's pi_raw and pi: 1/|A| for two actions
 
 
 def decide(pi: float, seed: int) -> int:
@@ -453,28 +517,14 @@ def update_posterior(
     Lambda' mu' = Lambda mu + sigma^-2 * sum(x_i r_i) via Cholesky. Sums run
     in batch order so the result is a deterministic function of the ordered
     batch. The input state is never modified; an empty batch returns it
-    unchanged.
+    unchanged. A batch :func:`update_rows` refuses is refused.
     """
     if not batch:
         return state
-    d_g, d_h = config.baseline_dim, config.treatment_dim
-    d = config.dim
-    if state.dim != d:
-        raise ConfigurationError("state dimension does not match config")
-
-    inv_noise = 1.0 / config.noise_variance
-    rows = []  # each x = [g; a * h] with w = reward / sigma^2 after it
-    for snapshot, action, reward in batch:
-        if len(snapshot.baseline) != d_g or len(snapshot.treatment) != d_h:
-            raise ConfigurationError("snapshot dims do not match config")
-        if action not in (0, 1):
-            raise DataError(f"action must be 0 or 1, got {action!r}")
-        if not math.isfinite(reward):
-            raise DataError(f"non-finite reward {reward!r}; batch rejected")
-        a = float(action)
-        rows.append((*snapshot.baseline, *[t * a for t in snapshot.treatment], reward * inv_noise))
-
-    mean, precision, factor = kernels(d).update(state.precision, state.mean, rows, inv_noise)
+    rows = update_rows(state, batch, config)
+    mean, precision, factor = kernels(config.dim).update(
+        state.precision, state.mean, rows, 1.0 / config.noise_variance
+    )
     if last_update_seq is None:
         last_update_seq = state.last_update_seq
     return PosteriorState._built(
@@ -485,10 +535,10 @@ def update_posterior(
 def canonical_serialize(state: PosteriorState) -> bytes:
     """Bit-exact encoding: mean entries, then precision row-major, each as
     8 big-endian IEEE-754 bytes, then update_count and last_update_seq as
-    8 big-endian bytes (all-ones sentinel for "never updated")."""
-    seq = _NO_SEQ if state.last_update_seq is None else state.last_update_seq
-    n = len(state.mean) + len(state.precision)
-    return struct.pack(f">{n}dQQ", *state.mean, *state.precision, state.update_count, seq)
+    8 big-endian bytes (all-ones sentinel for "never updated"). These are
+    the bytes ``state_hash`` is the SHA-256 of, kept on the state when it
+    was built."""
+    return state._encoded
 
 
 def canonical_deserialize(data: bytes) -> PosteriorState:

@@ -1,10 +1,14 @@
-"""``conjugate-linear-v1``: the posterior kernel on numpy and scipy.
+"""``conjugate-linear-v1``: the posterior numerics on numpy and scipy.
 
 This is the logic every ledger written before ``conjugate-linear-v2`` records.
 Its bits depend on the BLAS and LAPACK kernels the host picks, so it stays
 only to replay those ledgers, and is imported only when replay meets its
 fingerprint. It needs the optional ``v1`` extra (numpy and scipy).
 
+A logic is only its numerics. The dimension checks, the update's rows, the
+limit when the variance is not positive, the clip and the prior are
+:mod:`ledgerloop.policy`'s, the same for every logic; what is v1's own is
+how it computes ``(delta, v)`` and the updated posterior from those rows.
 Each function converts the shared :class:`ledgerloop.policy.PosteriorState`
 to arrays at its entry and back at its exit, and between those does exactly
 what the v1 logic always did, so it reproduces the v1 bits.
@@ -12,13 +16,11 @@ what the v1 logic always did, so it reproduces the v1 bits.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import ConfigurationError, DataError, NumericalStateError
-from .policy import FeatureSnapshot, ModelConfig, PosteriorState, _phi
+from .errors import NumericalStateError
+from .policy import FeatureSnapshot, ModelConfig, PosteriorState, check_dims, probabilities, update_rows
 
 
 def _arrays(state: PosteriorState) -> tuple[np.ndarray, np.ndarray]:
@@ -35,28 +37,14 @@ def _cho(precision: np.ndarray):
         raise NumericalStateError(f"precision matrix is not positive definite: {exc}") from None
 
 
-def init_state(config: ModelConfig) -> PosteriorState:
-    """Fresh posterior: mean = prior mean, precision = scale * identity."""
-    d = config.dim
-    mean = np.asarray(config.prior_mean, dtype=np.float64)
-    precision = np.zeros((d, d), dtype=np.float64)
-    np.fill_diagonal(precision, config.prior_precision_scale)
-    return PosteriorState(mean.tolist(), precision.reshape(-1).tolist())
-
-
 def action_probability(
     state: PosteriorState, snapshot: FeatureSnapshot, config: ModelConfig
 ) -> tuple[float, float]:
     """``(pi_raw, pi)`` as :func:`ledgerloop.policy.action_probability`
-    defines them, with v1's numerics."""
-    d_g, d_h = config.baseline_dim, config.treatment_dim
-    if len(snapshot.baseline) != d_g or len(snapshot.treatment) != d_h:
-        raise ConfigurationError(
-            f"snapshot dims ({len(snapshot.baseline)}, {len(snapshot.treatment)}) "
-            f"do not match config ({d_g}, {d_h})"
-        )
-    if state.dim != config.dim:
-        raise ConfigurationError("state dimension does not match config")
+    defines them, with v1's numerics. Unlike v2, v1 returns a NaN pi_raw,
+    with pi at clip_min, where v2 refuses it: v1's outputs never change."""
+    check_dims(state, snapshot, config)
+    d_g = config.baseline_dim
     mean, precision = _arrays(state)
     h = np.asarray(snapshot.treatment, dtype=np.float64)
     mu_h = mean[d_g:]
@@ -67,14 +55,7 @@ def action_probability(
     x = np.zeros(state.dim, dtype=np.float64)
     x[d_g:] = h
     v = float(x @ cho_solve(_cho(precision), x))
-
-    if v <= 0.0:
-        # Degenerate posterior along h: the limit of Phi(delta/sqrt(v)).
-        pi_raw = 1.0 if delta > 0.0 else (0.5 if delta == 0.0 else 0.0)
-    else:
-        pi_raw = _phi(delta / math.sqrt(v))
-    pi = min(config.clip_max, max(config.clip_min, pi_raw))
-    return pi_raw, pi
+    return probabilities(delta, v, config)
 
 
 def update_posterior(
@@ -84,32 +65,19 @@ def update_posterior(
     last_update_seq: int | None = None,
 ) -> PosteriorState:
     """The conjugate update of :func:`ledgerloop.policy.update_posterior`,
-    with v1's numerics."""
+    with v1's numerics: each row's outer product and ``x * w`` accumulated
+    in batch order onto the precision and ``Lambda mu``, then one Cholesky
+    solve."""
     if not batch:
         return state
-    d_g, d_h = config.baseline_dim, config.treatment_dim
-    d = config.dim
-    if state.dim != d:
-        raise ConfigurationError("state dimension does not match config")
-
-    for snapshot, action, reward in batch:
-        if len(snapshot.baseline) != d_g or len(snapshot.treatment) != d_h:
-            raise ConfigurationError("snapshot dims do not match config")
-        if action not in (0, 1):
-            raise DataError(f"action must be 0 or 1, got {action!r}")
-        if not math.isfinite(reward):
-            raise DataError(f"non-finite reward {reward!r}; batch rejected")
-
+    rows = update_rows(state, batch, config)
     inv_noise = 1.0 / config.noise_variance
-    state_mean, state_precision = _arrays(state)
-    precision = np.array(state_precision, dtype=np.float64, copy=True)
-    rhs = state_precision @ state_mean
-    for snapshot, action, reward in batch:
-        x = np.empty(d, dtype=np.float64)
-        x[:d_g] = snapshot.baseline
-        x[d_g:] = np.asarray(snapshot.treatment, dtype=np.float64) * float(action)
+    mean, precision = _arrays(state)
+    rhs = precision @ mean
+    for *x, w in rows:
+        x = np.array(x, dtype=np.float64)
         precision += np.outer(x, x) * inv_noise
-        rhs += x * (reward * inv_noise)
+        rhs += x * w
 
     mean = cho_solve(_cho(precision), rhs)
     if last_update_seq is None:

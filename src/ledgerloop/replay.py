@@ -23,6 +23,11 @@ VERSION_CHANGE records, looked up in :data:`LOGICS`:
   the digest of its function names that ledgers written before v2 record.
   It is imported only when a ledger names it, and needs the ``v1`` extra.
 
+A logic is only its numerics, ``(delta, v)`` and the updated posterior:
+every segment starts from the one prior, ``policy.init_state``, and the
+checks, update rows, clip, seed derivation, coin and state encoding around
+those numerics are :mod:`ledgerloop.policy`'s for every logic.
+
 A fingerprint no registered logic has is an audit error, and so is a logic
 given for a version whose recorded fingerprint is not that logic's.
 """
@@ -38,23 +43,24 @@ from . import policy
 from .errors import AuditError, LedgerLoopError, StructuralAuditError
 from .events import StreamIndex
 from .ledger import EventEnvelope, encode_float, report_bytes
-from .policy import FeatureSnapshot, ModelConfig, PosteriorState
+from .policy import FALLBACK_PI, FeatureSnapshot, ModelConfig, PosteriorState
 
 
 @dataclass(frozen=True)
 class PolicyLogic:
-    """What one algorithm version's policy numerics are: its prior, its
-    action probability and its posterior update.
+    """One algorithm version's policy numerics: its action probability and
+    its posterior update.
 
     Replay applies, segment by segment, the logic registered for the version
-    that was active when each event was written. The seed derivation, the
+    that was active when each event was written. A logic is only its
+    numerics: the prior, the dimension checks, the update rows, the limit
+    when the variance is not positive, the clip, the seed derivation, the
     coin and the state encoding are the same for every logic, so they are
-    called from :mod:`ledgerloop.policy` directly.
+    :mod:`ledgerloop.policy`'s.
     """
 
     name: str
     fingerprint: str
-    init_state: Callable[[ModelConfig], PosteriorState]
     action_probability: Callable
     update_posterior: Callable
 
@@ -95,7 +101,7 @@ def known_answers(logic: PolicyLogic) -> str:
         for g, h in _KAT_FEATURES
     ]
     digest = hashlib.sha256()
-    state = logic.init_state(config)
+    state = policy.init_state(config)
     for step in range(len(_KAT_BATCHES) + 1):
         if step:
             rows = [(snapshots[i], action, reward) for i, action, reward in _KAT_BATCHES[step - 1]]
@@ -123,7 +129,6 @@ def _v1() -> PolicyLogic:
     return PolicyLogic(
         name="conjugate-linear-v1",
         fingerprint=V1_FINGERPRINT,
-        init_state=policy_v1.init_state,
         action_probability=policy_v1.action_probability,
         update_posterior=policy_v1.update_posterior,
     )
@@ -135,7 +140,6 @@ def _v2() -> PolicyLogic:
     logic = PolicyLogic(
         name="conjugate-linear-v2",
         fingerprint=V2_FINGERPRINT,
-        init_state=policy.init_state,
         action_probability=policy.action_probability,
         update_posterior=policy.update_posterior,
     )
@@ -268,7 +272,8 @@ def reconstruct_states(
     A version's logic is the one ``logic_by_version`` gives or, by default,
     the registered logic its VERSION_CHANGE's fingerprint names (for the
     ``versions`` only, when given). Each decision and update is recomputed
-    with the logic of the version active at its seq, from the prior of the
+    with the logic of the version active at its seq, from the prior
+    (``policy.init_state`` of the HEADER's model), which holds from the
     first version activated.
 
     - A decision's version stamp and seed are re-derived. A fallback decision
@@ -293,7 +298,7 @@ def reconstruct_states(
     logics = dict(logic_by_version or {})
     unresolved: dict[str, int] = {}  # a version stamped before it has logic -> the first such seq
     states: dict[str, PosteriorState] = {}
-    logic = initial = None  # the active version's logic; the first version's prior
+    logic = initial = None  # the active version's logic; the prior, once a version is active
     decisions, updates = DivergenceReport(), DivergenceReport()
     for record in _in_blocks(records):
         rows = index.apply(record)
@@ -316,7 +321,7 @@ def reconstruct_states(
             if seed != value.seed:
                 decisions.record(seq, "seed", str(value.seed), str(seed))
             if value.fallback:
-                expected = (("pi", value.pi, 0.5), ("pi_raw", value.pi_raw, 0.5))
+                expected = (("pi", value.pi, FALLBACK_PI), ("pi_raw", value.pi_raw, FALLBACK_PI))
             else:
                 try:
                     pi_raw, pi = logic.action_probability(states.get(pid, initial), snapshot, index.header.model)
@@ -371,7 +376,7 @@ def reconstruct_states(
                     f"not that of {logic.name} ({logic.fingerprint})"
                 )
             if initial is None:
-                initial = logic.init_state(index.header.model)
+                initial = policy.init_state(index.header.model)
     index.complete()
     if unresolved:
         version_id = min(unresolved, key=unresolved.get)

@@ -25,8 +25,6 @@ MS_PER_DAY = 86_400_000
 MS_PER_MINUTE = 60_000
 MAX_TRIAL_DAYS = 36_525  # a century; the monitor reports every day of a trial
 
-FALLBACK_PI = 0.5  # 1/|A| for two actions
-
 
 def _parse_clock(text: str, where: str) -> int:
     """\"HH:MM\" -> milliseconds since local midnight."""
@@ -189,9 +187,8 @@ class Runtime:
         self.index = events.StreamIndex()
         self.logic = logic
 
-        self.states: dict[str, PosteriorState] = {
-            pid: logic.init_state(model_config) for pid in self.participants
-        }
+        # Every participant starts from the one prior, an immutable state.
+        self.states: dict[str, PosteriorState] = dict.fromkeys(self.participants, policy.init_state(model_config))
         # (participant, feature) -> [(device_ts, -seq, value)], kept sorted, so
         # the datum a snapshot uses is the last entry at or before its due time.
         self._data: dict[tuple[str, str], list[tuple[int, int, float]]] = {}
@@ -396,7 +393,7 @@ class Runtime:
         except Exception as exc:
             fallback = True
             fallback_reason = f"{type(exc).__name__}: {exc}"
-            pi_raw = pi = FALLBACK_PI
+            pi_raw = pi = policy.FALLBACK_PI
             self._log(
                 events.ErrorInfo(
                     kind="policy_exception",

@@ -50,15 +50,8 @@ class ParticipantTwin:
     engage_state: int = 0
 
 
-def realize_participant(
-    env: EnvironmentSpec, master_seed: int, participant_id: str, d_g: int, d_h: int
-) -> ParticipantTwin:
+def realize_participant(env: EnvironmentSpec, master_seed: int, participant_id: str) -> ParticipantTwin:
     """Draw one participant's weights from the environment's population."""
-    if len(env.baseline_mean) != d_g or len(env.effect_mean) != d_h:
-        raise ConfigurationError(
-            f"environment vectors ({len(env.baseline_mean)}, {len(env.effect_mean)}) "
-            f"do not match feature dims ({d_g}, {d_h})"
-        )
     stream = SplitMix64(derive_seed(master_seed, "twin-realize", participant_id))
     b = tuple(m + env.baseline_sd * stream.next_gauss() for m in env.baseline_mean)
     theta = tuple(m + env.effect_sd * stream.next_gauss() for m in env.effect_mean)
@@ -233,7 +226,7 @@ def run_trial(
     runtime.start(header_config=header, backend_ts=schedule.trial_start_ts)
 
     twins = {
-        pid: realize_participant(env, master_seed, pid, d_g, d_h) for pid in participants
+        pid: realize_participant(env, master_seed, pid) for pid in participants
     }
     miss_streams = {
         pid: SplitMix64(derive_seed(master_seed, "twin-miss", pid)) for pid in participants

@@ -206,7 +206,7 @@ def reconstruct_states(index: ReferenceIndex, logic_by_version=None):
                 f"not that of {logic.name} ({logic.fingerprint})"
             )
 
-    initial = logic_by_version[next(iter(index.stamped))].init_state(config)
+    initial = policy.init_state(config)
     pids = [*index.header.participants, *(pid for pid, _ in index.snapshots)]
     states = dict.fromkeys(pids, initial)
     decisions, updates = DivergenceReport(), DivergenceReport()

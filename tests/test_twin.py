@@ -175,12 +175,12 @@ def test_engagement_clamped_to_unit_interval():
 
 def test_realize_participant_heterogeneity():
     env = small_env(effect_sd=0.5, baseline_sd=0.3)
-    a = realize_participant(env, 7, "p000", 3, 3)
-    b = realize_participant(env, 7, "p001", 3, 3)
+    a = realize_participant(env, 7, "p000")
+    b = realize_participant(env, 7, "p001")
     assert a.theta != b.theta
     assert a.b != b.b
     # deterministic given (seed, id)
-    again = realize_participant(env, 7, "p000", 3, 3)
+    again = realize_participant(env, 7, "p000")
     assert again.theta == a.theta and again.b == a.b
 
 
