@@ -13,11 +13,13 @@ the HEADER's. No other module knows how a payload field is encoded. The
 ``parse_*`` functions are the walk's entry points by event type; nothing in
 the read pass calls them, but the benchmark's tracer wraps them by name.
 
-:class:`StreamIndex` is the one fold over ledger records. The runtime applies
-each record it appends, whose payload is the typed value it appended; replay
-and the monitor fold the records of the read pass, each with its typed
-payload. Both sides therefore index versions, snapshots, decisions and
-outcomes, and count what the monitor reports, with the same code. Replay
+:class:`StreamIndex` is the one fold over ledger records, and the only
+place the rules of a stream's structure are written. The runtime checks
+each record it is about to append against them and commits it once it is
+written; replay and the monitor fold the records of the read pass, each with
+its typed payload. All three therefore index versions, snapshots, decisions
+and outcomes, refuse the same records, and count what the monitor reports,
+with the same code. Replay
 checks each decision and update right after the fold applies it, so an
 audit is one pass over the file; the index forgets a point once an update
 has consumed its outcome.
@@ -195,6 +197,8 @@ def parse_update(payload) -> UpdateInfo:
 
 Row = tuple[FeatureSnapshot, int, float]  # (snapshot, action, reward) of one consumed outcome
 Point = tuple[str, int]  # (participant_id, decision_index)
+_POINT_EVENTS = frozenset({"FEATURE_SNAPSHOT", "DECISION", "OUTCOME_OBSERVED"})  # payloads that name a point
+_NO_HEADER = "ledger does not start with a HEADER record"
 
 
 @dataclass
@@ -244,14 +248,16 @@ class Counts:
 
 @dataclass
 class StreamIndex:
-    """The one fold over a stream's records, which :meth:`apply` checks are
-    those of one stream in one profile. The runtime folds each record it
-    appends; replay and the monitor fold the verified records of a file.
+    """The one fold over a stream's records, and the one home of the rules a
+    stream's structure must keep (:meth:`check`). The runtime checks each
+    record before it appends it and commits it after; replay and the monitor
+    fold the verified records of a file.
 
-    It keeps only what a later record can still use: the versions; the
-    pending outcomes; the monitor's :class:`Counts`; and the snapshot and
-    decision of each point (``(participant_id, decision_index)``) until an
-    update consumes its outcome. What still grows with a trial's length:
+    It keeps only what a later record can still use: the versions, and the
+    first seq of each version stamp; the pending outcomes; the monitor's
+    :class:`Counts`; and the snapshot and decision of each point
+    (``(participant_id, decision_index)``) until an update consumes its
+    outcome. What still grows with a trial's length:
 
     - ``snapshot_seqs``, each point's snapshot seq, for the seq late data
       names as superseded
@@ -266,6 +272,7 @@ class StreamIndex:
     header: HeaderInfo | None = None
     versions: list[tuple[int, str]] = field(default_factory=list)  # (seq, id) per VERSION_CHANGE
     fingerprints: dict[str, str] = field(default_factory=dict)  # version id -> its logic's fingerprint
+    stamps: dict[str, int] = field(default_factory=dict)  # version id -> the first seq stamped with it
     size: int = 0  # records applied
     snapshots: dict[Point, SnapshotInfo] = field(default_factory=dict)
     decisions: dict[Point, DecisionRecord] = field(default_factory=dict)
@@ -290,67 +297,128 @@ class StreamIndex:
         return index.complete()
 
     def complete(self) -> "StreamIndex":
-        """The index after its last record; StructuralAuditError if it has none."""
+        """The index after its last record. StructuralAuditError if it has
+        none, or if a record is stamped with a version no VERSION_CHANGE
+        activates, naming the first seq with such a stamp."""
         if self.header is None:
-            raise StructuralAuditError("ledger does not start with a HEADER record")
+            raise StructuralAuditError(_NO_HEADER)
+        for version_id, seq in self.stamps.items():  # in order of first seq
+            if version_id not in self.fingerprints:
+                raise StructuralAuditError(f"version {version_id!r} stamped at seq {seq} is never activated")
         return self
 
-    def apply(self, record: EventEnvelope, _rows: list[Row] | None = None) -> list[Row] | None:
-        """Fold in one record; returns the rows an update consumes (``_rows``:
-        what :meth:`batch` gave for it, with nothing applied since). Raises
-        StructuralAuditError, naming the seq and changing nothing, for a
-        HEADER :meth:`_begin` refuses, a record of another stream or profile
-        than the HEADER's, a second decision or outcome of a point, a
-        snapshot of a decided point, a VERSION_CHANGE that activates a
-        version again or whose ``previous_version_id`` is not the version
-        active before it, and an update whose batch :meth:`batch` refuses."""
-        value = record.payload
-        etype = record.event_type
+    def apply(self, record: EventEnvelope) -> list[Row] | None:
+        """Fold in one record: :meth:`check` it, then :meth:`commit` it.
+        Returns the rows an update consumes."""
+        rows = self.check(record.seq, record.stream_id, record.environment_profile, record.event_type, record.payload)
+        self.commit(record)
+        return rows
+
+    def check(
+        self, seq: int, stream_id: str, environment_profile: str, etype: str, value, _rows: list[Row] | None = None
+    ) -> list[Row] | None:
+        """Check the record at ``seq``, stamped with ``stream_id`` and
+        ``environment_profile``, of event type ``etype`` and payload
+        ``value``, against every rule below: StructuralAuditError naming its
+        seq if it breaks one. Returns the rows the record consumes if it is
+        an update (``_rows``: what :meth:`batch` gave for it, with nothing
+        committed since), else None. Changes nothing, so the runtime checks
+        a record before it appends it. The rules, each checked here only:
+
+        - the first record is the only HEADER; its profile is a known one and
+          its ``config_digest`` the digest of its config (:meth:`_begin`)
+        - every record is stamped with the stream and profile the HEADER
+          names
+        - a snapshot, decision or outcome names a decision index in
+          ``[0, schedule.total_points)``
+        - a point has no snapshot once it has its decision
+        - a decision follows its point's snapshot and a VERSION_CHANGE, and
+          is its point's only one
+        - an outcome follows its point's decision, and is its point's only one
+        - an update's batch is one :meth:`batch` takes
+        - a VERSION_CHANGE activates a version not active before, and its
+          ``previous_version_id`` names the version active before it
+        - every version stamp is one a VERSION_CHANGE activates, which only
+          :meth:`complete` can tell
+        """
         header = self.header
         if header is None or etype == "HEADER":
-            header = self._begin(record)
-        if record.stream_id != header.stream_id or record.environment_profile != header.environment_profile:
+            header = self._begin(seq, etype, value)
+        if stream_id != header.stream_id or environment_profile != header.environment_profile:
             raise StructuralAuditError(
-                f"{etype} at seq {record.seq} is stamped stream {record.stream_id!r} in profile "
-                f"{record.environment_profile!r}, but the HEADER payload names stream "
+                f"{etype} at seq {seq} is stamped stream {stream_id!r} in profile "
+                f"{environment_profile!r}, but the HEADER payload names stream "
                 f"{header.stream_id!r} in profile {header.environment_profile!r}"
             )
-        rows = None
         if etype == "DATA_INGESTED":
-            pass  # half of all records; only counted
+            return None  # half of all records; nothing to check
+        if etype in _POINT_EVENTS:
+            key = (value.participant_id, value.decision_index)
+            total = header.schedule.total_points
+            if not 0 <= value.decision_index < total:
+                raise StructuralAuditError(
+                    f"{etype} at seq {seq} names decision {value.decision_index}, not in [0, {total})"
+                )
+            if etype == "FEATURE_SNAPSHOT":
+                if key in self.decided:
+                    raise StructuralAuditError(f"FEATURE_SNAPSHOT at seq {seq} follows the DECISION of {key}")
+            elif etype == "DECISION":
+                if key in self.decided:
+                    raise StructuralAuditError(f"DECISION at seq {seq} repeats {key}")
+                if key not in self.snapshots:
+                    raise StructuralAuditError(f"DECISION at seq {seq} has no prior FEATURE_SNAPSHOT for {key}")
+                if not self.versions:
+                    raise StructuralAuditError(f"DECISION at seq {seq} has no VERSION_CHANGE before it")
+            elif key in self.rewarded:
+                raise StructuralAuditError(f"OUTCOME_OBSERVED at seq {seq} repeats {key}")
+            elif key not in self.decided:
+                raise StructuralAuditError(f"OUTCOME_OBSERVED at seq {seq} has no prior DECISION of {key}")
+        elif etype == "MODEL_UPDATE":
+            return self.batch(value.participant_id, value.batch_seqs, seq) if _rows is None else _rows
+        elif etype == "VERSION_CHANGE":
+            if value.version_id in self.fingerprints:
+                raise StructuralAuditError(
+                    f"VERSION_CHANGE at seq {seq} activates {value.version_id!r} a second time"
+                )
+            previous = self.versions[-1][1] if self.versions else None
+            if value.previous_version_id != previous:
+                raise StructuralAuditError(
+                    f"VERSION_CHANGE at seq {seq} names previous version "
+                    f"{value.previous_version_id!r}, not {previous!r}"
+                )
+        return None
+
+    def commit(self, record: EventEnvelope) -> None:
+        """Fold in a record :meth:`check` passed."""
+        value, etype = record.payload, record.event_type
+        self.stamps.setdefault(record.version_id, record.seq)
+        if etype == "DATA_INGESTED":
+            pass  # only counted
         elif etype == "HEADER":
-            self.header = header
+            self.header = value
         elif etype == "FEATURE_SNAPSHOT":
             key = (value.participant_id, value.decision_index)
-            if key in self.decided:
-                raise StructuralAuditError(f"FEATURE_SNAPSHOT at seq {record.seq} follows the DECISION of {key}")
             tags, replaced = value.provenance, self.snapshots[key].provenance if key in self.snapshots else ()
             added, observed = len(tags) - len(replaced), tags.count("observed") - replaced.count("observed")
-            for counts in self._counts(value.decision_index // header.schedule.points_per_day):
+            for counts in self._counts(value.decision_index // self.header.schedule.points_per_day):
                 counts.tags += added
                 counts.observed += observed
             self.snapshots[key] = value
             self.snapshot_seqs[key] = record.seq
         elif etype == "DECISION":
             key = (value.participant_id, value.decision_index)
-            if key in self.decided:
-                raise StructuralAuditError(f"DECISION at seq {record.seq} repeats {key}")
-            for counts in self._counts(value.decision_index // header.schedule.points_per_day):
+            for counts in self._counts(value.decision_index // self.header.schedule.points_per_day):
                 counts.decisions += 1
                 counts.fallbacks += value.fallback
                 counts.pi_sum.add(value.pi)
             self.decided.add(key)
             self.decisions[key] = value
         elif etype == "OUTCOME_OBSERVED":
-            key = (value.participant_id, value.decision_index)
-            if key in self.rewarded:
-                raise StructuralAuditError(f"OUTCOME_OBSERVED at seq {record.seq} repeats {key}")
-            self.rewarded.add(key)
+            self.rewarded.add((value.participant_id, value.decision_index))
             self.outcomes[record.seq] = value
             self.pending.setdefault(value.participant_id, []).append(record.seq)
         elif etype == "MODEL_UPDATE":
             pid, batch_seqs = value.participant_id, value.batch_seqs
-            rows = self.batch(pid, batch_seqs, record.seq) if _rows is None else _rows
             for outcome_seq in batch_seqs:
                 key = (pid, self.outcomes.pop(outcome_seq).decision_index)
                 del self.snapshots[key], self.decisions[key]
@@ -363,31 +431,20 @@ class StreamIndex:
                 counts.errors += 1
                 counts.update_failures += value.kind == "update_failure"
         elif etype == "VERSION_CHANGE":
-            if value.version_id in self.fingerprints:
-                raise StructuralAuditError(
-                    f"VERSION_CHANGE at seq {record.seq} activates {value.version_id!r} a second time"
-                )
-            previous = self.versions[-1][1] if self.versions else None
-            if value.previous_version_id != previous:
-                raise StructuralAuditError(
-                    f"VERSION_CHANGE at seq {record.seq} names previous version "
-                    f"{value.previous_version_id!r}, not {previous!r}"
-                )
             self.versions.append((record.seq, value.version_id))
             self.fingerprints[value.version_id] = value.fingerprint
         self.size += 1
-        return rows
 
-    def _begin(self, record: EventEnvelope) -> HeaderInfo:
-        """The payload of the first record, a HEADER of a known profile that holds its config's digest."""
-        if record.event_type != "HEADER":
-            raise StructuralAuditError("ledger does not start with a HEADER record")
+    def _begin(self, seq: int, etype: str, header: HeaderInfo) -> HeaderInfo:
+        """``header``, the payload of the first record, once that record is a
+        HEADER of a known profile that holds its config's digest."""
+        if etype != "HEADER":
+            raise StructuralAuditError(_NO_HEADER)
         if self.header is not None:
-            raise StructuralAuditError(f"HEADER at seq {record.seq} is not the ledger's first record")
-        header = record.payload
+            raise StructuralAuditError(f"HEADER at seq {seq} is not the ledger's first record")
         if header.environment_profile not in ENVIRONMENT_PROFILES:
             raise StructuralAuditError(
-                f"HEADER at seq {record.seq} names profile {header.environment_profile!r}, "
+                f"HEADER at seq {seq} names profile {header.environment_profile!r}, "
                 f"not one of {'/'.join(ENVIRONMENT_PROFILES)}"
             )
         if config_digest(header.config) != header.config_digest:
@@ -409,8 +466,7 @@ class StreamIndex:
     def batch(self, participant_id: str, batch_seqs, seq: int) -> list[Row]:
         """The rows of an update at ``seq`` consuming ``batch_seqs``; raises
         StructuralAuditError unless the seqs are non-empty, increase, and each
-        is a pending earlier outcome of ``participant_id`` with a snapshot and
-        decision."""
+        is a pending earlier outcome of ``participant_id``."""
         if not batch_seqs:
             raise StructuralAuditError(f"MODEL_UPDATE at seq {seq} has an empty batch_seqs")
         if any(a >= b for a, b in zip(batch_seqs, batch_seqs[1:])):
@@ -430,11 +486,6 @@ class StreamIndex:
                 problem = f"has outcome seq {outcome_seq} consumed twice"
             if problem is not None:
                 raise StructuralAuditError(f"MODEL_UPDATE at seq {seq} {problem}")
-            key = (participant_id, outcome.decision_index)
-            if key not in self.snapshots or key not in self.decisions:
-                raise StructuralAuditError(
-                    f"outcome at seq {outcome_seq} references decision "
-                    f"{outcome.decision_index} with no snapshot/decision"
-                )
+            key = (participant_id, outcome.decision_index)  # decided, so snapshotted, when it came
             rows.append((self.snapshots[key], self.decisions[key].action, outcome.reward))
         return rows

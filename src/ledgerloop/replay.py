@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 from . import policy
-from .errors import AuditError, LedgerLoopError, StructuralAuditError
+from .errors import AuditError, LedgerLoopError
 from .events import StreamIndex
 from .ledger import EventEnvelope, encode_float, report_bytes
 from .policy import FALLBACK_PI, FeatureSnapshot, ModelConfig, PosteriorState
@@ -256,10 +256,6 @@ def _in_blocks(records: Iterable[EventEnvelope], size: int = 1024) -> Iterator[E
 _bits = struct.Struct(">d").pack  # a float's bits, which encode_float shows as hex
 
 
-def _no_logic(version_id: str, seq: int) -> AuditError:
-    return AuditError(f"version {version_id!r} at seq {seq} has no registered logic")
-
-
 def reconstruct_states(
     records: Iterable[EventEnvelope],
     logic_by_version: Mapping[str, PolicyLogic] | None = None,
@@ -279,43 +275,35 @@ def reconstruct_states(
     - A decision's version stamp and seed are re-derived. A fallback decision
       must carry the uniform rule's ``pi_raw = pi = 1/2``; any other has its
       ``(pi_raw, pi)`` recomputed from the state current at its seq, and one
-      the logic refuses is recorded as ``error:<type>`` with no action check.
-      The action must follow from the logged ``(pi, seed)``.
+      the logic fails on is recorded as ``error:<type>`` with no action
+      check. The action must follow from the logged ``(pi, seed)``.
     - An update's pre-state hash must be its participant's current state's,
       its post-state the recomputed one byte for byte, and its post-state
-      hash the digest of the logged post-state. One the logic refuses is
+      hash the digest of the logged post-state. One the logic fails on is
       recorded as ``error:<type>`` and the participant stays at its
       pre-state, as the runtime's does after a failed update.
 
-    Diffs go to one report for decisions and one for updates, each in seq
-    order; nothing else recomputed is kept. Raises AuditError for a version
-    activated with no logic or with another logic's fingerprint, and for a
-    record stamped with a version the ledger never activates;
-    StructuralAuditError for what the fold refuses, and for a decision with
-    no snapshot before it or no version active.
+    A logic fails on an input when it raises any exception, as the runtime
+    takes any exception for a fallback or a failed update. Diffs go to one
+    report for decisions and one for updates, each in seq order; nothing
+    else recomputed is kept. Raises AuditError for a version activated with
+    no logic or with another logic's fingerprint; StructuralAuditError for
+    what the fold refuses, so a decision always has its snapshot and an
+    active version here.
     """
     index = StreamIndex()
     logics = dict(logic_by_version or {})
-    unresolved: dict[str, int] = {}  # a version stamped before it has logic -> the first such seq
     states: dict[str, PosteriorState] = {}
     logic = initial = None  # the active version's logic; the prior, once a version is active
     decisions, updates = DivergenceReport(), DivergenceReport()
     for record in _in_blocks(records):
         rows = index.apply(record)
-        seq, stamp, etype, value = record.seq, record.version_id, record.event_type, record.payload
-        if stamp not in logics:
-            unresolved.setdefault(stamp, seq)
+        seq, etype, value = record.seq, record.event_type, record.payload
         if etype == "DECISION":
             pid, idx = value.participant_id, value.decision_index
-            snapshot = index.snapshots.get((pid, idx))
-            if snapshot is None:
-                raise StructuralAuditError(
-                    f"DECISION at seq {seq} has no prior FEATURE_SNAPSHOT for ({pid}, {idx})"
-                )
-            if logic is None:
-                raise StructuralAuditError(f"no version active at seq {seq}")
+            snapshot = index.snapshots[(pid, idx)]
             version_id = index.versions[-1][1]
-            if stamp != version_id or value.version_id != version_id:
+            if record.version_id != version_id or value.version_id != version_id:
                 decisions.record(seq, "version_id", value.version_id, version_id)
             seed = policy.derive_decision_seed(index.header.deployment_seed, pid, idx)
             if seed != value.seed:
@@ -325,7 +313,7 @@ def reconstruct_states(
             else:
                 try:
                     pi_raw, pi = logic.action_probability(states.get(pid, initial), snapshot, index.header.model)
-                except LedgerLoopError as exc:
+                except Exception as exc:
                     logged = encode_float(value.pi_raw)
                     decisions.record(seq, "pi_raw", logged, f"error:{type(exc).__name__}")
                     continue
@@ -346,7 +334,7 @@ def reconstruct_states(
                 new_state = logic.update_posterior(
                     state, rows, index.header.model, last_update_seq=max(value.batch_seqs)
                 )
-            except LedgerLoopError as exc:
+            except Exception as exc:
                 updates.record(seq, "post_state", value.post_state.hex(), f"error:{type(exc).__name__}")
             else:
                 states[pid] = new_state
@@ -363,12 +351,13 @@ def reconstruct_states(
             version_id = value.version_id
             if version_id not in logics:
                 if logic_by_version is not None or (versions is not None and version_id not in versions):
-                    raise _no_logic(version_id, unresolved.get(version_id, seq))
+                    raise AuditError(
+                        f"version {version_id!r} at seq {index.stamps.get(version_id, seq)} has no registered logic"
+                    )
                 try:
                     logics[version_id] = logic_for(value.fingerprint)
                 except AuditError as exc:
                     raise AuditError(f"version {version_id!r}: {exc}") from None
-            unresolved.pop(version_id, None)
             logic = logics[version_id]
             if logic.fingerprint != value.fingerprint:
                 raise AuditError(
@@ -378,9 +367,6 @@ def reconstruct_states(
             if initial is None:
                 initial = policy.init_state(index.header.model)
     index.complete()
-    if unresolved:
-        version_id = min(unresolved, key=unresolved.get)
-        raise _no_logic(version_id, unresolved[version_id])
     if initial is not None:
         for pid in (*index.header.participants, *(pid for pid, _ in index.snapshot_seqs)):
             states.setdefault(pid, initial)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 
 from . import events, policy
-from .errors import ConfigurationError, InjectedFailure, StructuralAuditError
+from .errors import ConfigurationError, InjectedFailure
 from .ledger import EventEnvelope, Ledger, config_digest
 from .policy import DecisionRecord, FeatureSnapshot, ModelConfig, PosteriorState
 from .rng import SplitMix64, derive_seed
@@ -183,7 +183,8 @@ class Runtime:
         self.injection = injection
         self.deployment_seed = deployment_seed
         self.participants = list(participants)
-        # Every record the runtime appends, folded in as it is written.
+        # The fold of every record the runtime appends: it checks each one
+        # before it is written and commits it after.
         self.index = events.StreamIndex()
         self.logic = logic
 
@@ -196,12 +197,23 @@ class Runtime:
             self.schedule.due_ts(i) for i in range(self.schedule.total_points)
         ]
 
+    def _check(self, value, seq: int, rows=None) -> None:
+        """Check, with the fold's rules (:meth:`events.StreamIndex.check`),
+        the record that ``value`` would be at ``seq``; ``rows``: as
+        :meth:`_log` takes them."""
+        ledger = self.ledger
+        event_type = events._EVENT_TYPES.get(type(value))
+        self.index.check(seq, ledger.stream_id, ledger.environment_profile, event_type, value, rows)
+
     def _log(self, value, backend_ts: int, version_id: str, device_ts: int | None = None, rows=None) -> EventEnvelope:
-        """Append ``value`` as the payload of a record of its event type and
-        fold the record into the index; ``rows``: an update's, as the index
-        checked them for this record."""
+        """Append ``value`` as the payload of a record of its event type once
+        the fold's rules pass that record (:meth:`_check`), then commit it to
+        the index: a record the fold refuses is never written. ``rows``: an
+        update's, as :meth:`events.StreamIndex.batch` gave them for this
+        record, so they are not built again."""
+        self._check(value, self.index.size, rows)
         record = self.ledger.append(value, backend_ts, version_id, device_ts)
-        self.index.apply(record, rows)
+        self.index.commit(record)
         return record
 
     # -- lifecycle -----------------------------------------------------------
@@ -216,12 +228,10 @@ class Runtime:
         self.register_version(version_id, backend_ts)
 
     def register_version(self, version_id: str, backend_ts: int) -> int:
-        """Activate a new algorithm version; all later events carry it."""
+        """Activate a new algorithm version; all later events carry it. A
+        version activated before, or one before the HEADER, is refused by the
+        fold before anything is logged."""
         versions = self.index.versions
-        if self.index.header is None:
-            raise ConfigurationError("no HEADER written; call start() first")
-        if version_id in self.index.fingerprints:
-            raise ConfigurationError(f"version {version_id!r} already activated")
         previous = versions[-1][1] if versions else None
         record = self._log(
             events.VersionInfo(version_id, self.logic.fingerprint, previous),
@@ -241,10 +251,6 @@ class Runtime:
     def _require_participant(self, participant_id: str) -> None:
         if participant_id not in self.states:
             raise ConfigurationError(f"unknown participant {participant_id!r}")
-
-    def _require_undecided(self, participant_id: str, decision_index: int) -> None:
-        if (participant_id, decision_index) in self.index.decided:
-            raise StructuralAuditError(f"{participant_id} decision {decision_index} is already made")
 
     def _window_index(self, device_ts: int) -> int:
         # Window j is (due(j-1), due(j)]; anything before due(0) is window 0
@@ -284,20 +290,12 @@ class Runtime:
     ) -> int:
         """Append one OUTCOME_OBSERVED event; consumed by a later update cycle.
 
-        An outcome of a decision point that has no snapshot and decision, or
-        with a NaN or infinite reward, is refused before anything is logged:
-        no update could ever consume it, and left pending it would fail every
-        later cycle of the participant. So is a second outcome of a point.
+        A NaN or infinite reward is refused before anything is logged: left
+        pending, it would fail every later cycle of the participant. An
+        outcome of a point that has no decision, or already has its outcome,
+        is refused by the fold before anything is logged.
         """
         self._require_participant(participant_id)
-        key = (participant_id, decision_index)
-        if key in self.index.rewarded:
-            raise ConfigurationError(f"outcome for {participant_id} decision {decision_index} already logged")
-        if key not in self.index.snapshots or key not in self.index.decisions:
-            raise ConfigurationError(
-                f"outcome for {participant_id} decision {decision_index}, which has no "
-                "snapshot and decision"
-            )
         reward = float(reward)
         if not math.isfinite(reward):
             raise ConfigurationError(f"reward {reward!r} for {participant_id} decision {decision_index} is not finite")
@@ -319,10 +317,9 @@ class Runtime:
         a tie) when that falls within the current window (`observed`) or the
         carry-forward horizon (`imputed`, method "locf"), else to the
         configured default. A point that has its decision keeps its
-        snapshot: a new one is refused before anything is logged.
+        snapshot: a new one is refused by the fold before anything is logged.
         """
         self._require_participant(participant_id)
-        self._require_undecided(participant_id, decision_index)
         due = self.schedule.due_ts(decision_index)
         if backend_ts is None:
             backend_ts = due
@@ -365,21 +362,16 @@ class Runtime:
         Any policy or state error is converted to a uniform fallback decision
         (pi = 0.5) with the same seeded coin; only storage errors escape.
         A DECISION event is always appended, once per point: a second
-        decision is refused before anything is logged.
+        decision, or one with no snapshot, is refused by the fold before
+        anything is logged, the fallback's ERROR included.
         """
         self._require_participant(participant_id)
-        self._require_undecided(participant_id, decision_index)
         snapshot = self.index.snapshots.get((participant_id, decision_index))
-        if snapshot is None:
-            raise StructuralAuditError(
-                f"no FEATURE_SNAPSHOT for {participant_id} decision {decision_index}"
-            )
         if backend_ts is None:
             backend_ts = self.schedule.due_ts(decision_index)
         seed = policy.derive_decision_seed(self.deployment_seed, participant_id, decision_index)
         version_id = self.version_id
 
-        fallback = False
         fallback_reason = None
         try:
             if self.injection.policy_exception_prob > 0.0:
@@ -390,33 +382,26 @@ class Runtime:
                     raise InjectedFailure("injected policy exception")
             state = self.states[participant_id]
             pi_raw, pi = self.logic.action_probability(state, snapshot, self.model_config)
-        except Exception as exc:
-            fallback = True
-            fallback_reason = f"{type(exc).__name__}: {exc}"
+        except Exception as exc:  # a missing snapshot too, which the fold refuses below
             pi_raw = pi = policy.FALLBACK_PI
-            self._log(
-                events.ErrorInfo(
-                    kind="policy_exception",
-                    message=fallback_reason,
-                    participant_id=participant_id,
-                    decision_index=decision_index,
-                ),
-                backend_ts=backend_ts,
-                version_id=version_id,
-            )
+            fallback_reason = f"{type(exc).__name__}: {exc}"
 
-        action = policy.decide(pi, seed)
         record = DecisionRecord(
             participant_id=participant_id,
             decision_index=decision_index,
             pi_raw=pi_raw,
             pi=pi,
             seed=seed,
-            action=action,
-            fallback=fallback,
+            action=policy.decide(pi, seed),
+            fallback=fallback_reason is not None,
             fallback_reason=fallback_reason,
             version_id=version_id,
         )
+        if record.fallback:
+            # The DECISION is checked before its ERROR is written, so a refused decision logs neither.
+            self._check(record, self.index.size + 1)
+            error = events.ErrorInfo("policy_exception", fallback_reason, participant_id, decision_index)
+            self._log(error, backend_ts=backend_ts, version_id=version_id)
         self._log(record, backend_ts=backend_ts, version_id=version_id)
         return record
 

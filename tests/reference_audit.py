@@ -12,6 +12,11 @@ the read pass, the payload classes, the policy logics, the divergence report
 and the monitor's alerts and report bytes. ``tests/test_reference_audit.py``
 requires the package's verbs to give this reference's exit codes and report
 bytes.
+
+One change was made since it was frozen, as in the package: a logic that
+raises any exception on a logged input, not only a ``LedgerLoopError``, is
+recorded as ``error:<type>``, since the runtime takes any exception for a
+fallback decision or a failed update.
 """
 
 from __future__ import annotations
@@ -237,7 +242,7 @@ def reconstruct_states(index: ReferenceIndex, logic_by_version=None):
                 logic = logic_by_version[version_id]
                 try:
                     pi_raw, pi = logic.action_probability(states[pid], snap[1], config)
-                except LedgerLoopError as exc:
+                except Exception as exc:
                     logged = encode_float(value.pi_raw)
                     decisions.record(seq, "pi_raw", logged, f"error:{type(exc).__name__}")
                     continue
@@ -256,7 +261,7 @@ def reconstruct_states(index: ReferenceIndex, logic_by_version=None):
             new_state = logic_by_version[stamp.version_id].update_posterior(
                 states[pid], rows, config, last_update_seq=max(value.batch_seqs)
             )
-        except LedgerLoopError as exc:
+        except Exception as exc:
             updates.record(seq, "post_state", value.post_state.hex(), f"error:{type(exc).__name__}")
         else:
             states[pid] = new_state

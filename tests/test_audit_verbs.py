@@ -14,7 +14,7 @@ import warnings
 import pytest
 import yaml
 
-from conftest import BASE_CONFIG, deep_merge, first_seq, index_of, rechain
+from conftest import BASE_CONFIG, deep_merge, first_seq, index_of, rechain, records_of
 from ledgerloop.cli import main
 from ledgerloop.errors import StructuralAuditError
 from ledgerloop.events import ErrorInfo
@@ -397,13 +397,24 @@ FOLD_EDITS = {
         _first("VERSION_CHANGE", lambda record: record["payload"].update(previous_version_id="v0.9.9")),
         "VERSION_CHANGE", "VERSION_CHANGE at seq {seq} names previous version 'v0.9.9', not None",
     ),
+    # A DATA_INGESTED stamped with a version the ledger never activates: the
+    # monitor alone accepted it.
+    "unactivated-stamp": (
+        _first("DATA_INGESTED", _set(version_id="bogus")), "DATA_INGESTED",
+        "version 'bogus' stamped at seq {seq} is never activated",
+    ),
+    "no-version-change": (
+        _first("VERSION_CHANGE", _set(event_type="ERROR", payload={
+            "kind": "x", "message": "y", "participant_id": None, "decision_index": None})),
+        "DECISION", "DECISION at seq {seq} has no VERSION_CHANGE before it",
+    ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(FOLD_EDITS))
 def test_the_fold_refuses_a_ledger_that_is_not_one_stream(tmp_path, ledger_path, capsys, name):
-    # Every record still passes the read pass; only the fold, which both
-    # audits share, can refuse the edit, and it names the record.
+    # Every record still passes the read pass; only the fold, which every
+    # audit verb shares, can refuse the edit, and it names the record.
     edit, event_type, message = FOLD_EDITS[name]
     seq = first_seq(ledger_path, event_type)
     edit(ledger_path)
@@ -411,7 +422,7 @@ def test_the_fold_refuses_a_ledger_that_is_not_one_stream(tmp_path, ledger_path,
     with pytest.raises(StructuralAuditError) as caught:
         index_of(ledger_path)
     assert str(caught.value) == message
-    for argv in AUDITS:
+    for argv in (*AUDITS, ["monitor-report"]):
         assert _audit(tmp_path, ledger_path, argv) == 2
         assert capsys.readouterr().err == f"audit error: {message}\n"
     assert not (tmp_path / "mon.txt").exists()
@@ -424,19 +435,45 @@ def _point(event_type, participant_id, decision_index):
     )
 
 
-# Edits that give a point a second snapshot or outcome: the later snapshot of
-# p000 re-labelled as that of its decision 0, which is decided by then, and
-# the outcome of p000's decision 2 re-labelled as that of its decision 0,
-# whose outcome the first update consumed. Each: the seq of the record
-# re-labelled, and the fold's refusal of it.
+def _last(event_type):
+    return lambda path: records_of(path, event_type)[-1].seq
+
+
+# Edits that re-label a record as that of another point of the 2x2 trial
+# (4 points per participant). The later snapshot of p000 re-labelled as that
+# of its decision 0, which is decided by then, and the outcome of p000's
+# decision 2 re-labelled as that of its decision 0, whose outcome the first
+# update consumed, give a point a second snapshot or outcome. The first
+# snapshot re-labelled as that of a point outside the schedule, or of a later
+# point, which leaves the DECISION right after it ({next}) without one; the
+# last outcome re-labelled outside the schedule, where it could never be
+# consumed; and the first outcome re-labelled as that of a point not yet
+# decided, were each accepted by some audit verb once. Each: the seq of the
+# record re-labelled, its new decision index, and the fold's refusal.
 POINT_EDITS = {
     "snapshot-after-its-decision": (
-        _point("FEATURE_SNAPSHOT", "p000", 1),
+        _point("FEATURE_SNAPSHOT", "p000", 1), 0,
         "FEATURE_SNAPSHOT at seq {seq} follows the DECISION of ('p000', 0)",
     ),
     "second-outcome": (
-        _point("OUTCOME_OBSERVED", "p000", 2),
+        _point("OUTCOME_OBSERVED", "p000", 2), 0,
         "OUTCOME_OBSERVED at seq {seq} repeats ('p000', 0)",
+    ),
+    "snapshot-outside-the-schedule": (
+        _point("FEATURE_SNAPSHOT", "p000", 0), 9999,
+        "FEATURE_SNAPSHOT at seq {seq} names decision 9999, not in [0, 4)",
+    ),
+    "decision-without-its-snapshot": (
+        _point("FEATURE_SNAPSHOT", "p000", 0), 3,
+        "DECISION at seq {next} has no prior FEATURE_SNAPSHOT for ('p000', 0)",
+    ),
+    "orphan-outcome": (
+        _last("OUTCOME_OBSERVED"), 9999,
+        "OUTCOME_OBSERVED at seq {seq} names decision 9999, not in [0, 4)",
+    ),
+    "outcome-before-its-decision": (
+        _point("OUTCOME_OBSERVED", "p000", 0), 3,
+        "OUTCOME_OBSERVED at seq {seq} has no prior DECISION of ('p000', 3)",
     ),
 }
 
@@ -445,11 +482,12 @@ POINT_EDITS = {
 def test_the_fold_refuses_a_second_snapshot_or_outcome_of_a_point(tmp_path, ledger_path, capsys, name):
     # The fold keeps a point's snapshot only until its decision, and its
     # outcome only until an update consumes it, so a second one is refused
-    # where it is met, by both audits and by the monitor without replay.
-    seq_of, message = POINT_EDITS[name]
+    # where it is met, as is a record of a point that is not due, by both
+    # audits and by the monitor without replay, with one line.
+    seq_of, decision_index, message = POINT_EDITS[name]
     seq = seq_of(ledger_path)
-    rechain(ledger_path, seq, lambda record: record["payload"].update(decision_index=0))
-    message = message.format(seq=seq)
+    rechain(ledger_path, seq, lambda record: record["payload"].update(decision_index=decision_index))
+    message = message.format(seq=seq, next=seq + 1)
     with pytest.raises(StructuralAuditError) as caught:
         index_of(ledger_path)
     assert str(caught.value) == message
@@ -458,7 +496,7 @@ def test_the_fold_refuses_a_second_snapshot_or_outcome_of_a_point(tmp_path, ledg
         assert capsys.readouterr().err == f"audit error: {message}\n"
     assert not (tmp_path / "mon.txt").exists()
     assert main(["ledger-inspect", "--ledger", str(ledger_path), "--seq", str(seq)]) == 0
-    assert json.loads(capsys.readouterr().out.split("# decoded floats:")[0])["payload"]["decision_index"] == 0
+    assert json.loads(capsys.readouterr().out.split("# decoded floats:")[0])["payload"]["decision_index"] == decision_index
 
 
 def test_ledger_inspect_prints_a_record_of_another_stream(ledger_path, capsys):

@@ -3,10 +3,14 @@ give the exit codes and report bytes of the audit they replaced
 (``tests/reference_audit.py``), on small trials of every shape, honest and
 with up to two members edited.
 
-The one exception is a ledger that breaks a rule the one-pass fold added: a
-FEATURE_SNAPSHOT of a point that already has its DECISION, or a second
-OUTCOME_OBSERVED of one point. The test finds those in the records
-themselves, and then requires exit 2 from every verb.
+The one exception is a ledger that breaks a structural rule the reference
+did not check, or checked in its replay only, as the fold of all three
+verbs now does (``breaks_a_new_rule``). The test finds those in the records
+themselves, and then requires exit 2 from every verb with one and the same
+stderr line. A ledger whose VERSION_CHANGE records a fingerprint that no
+registered logic has is exempt from the same line: only replay builds
+logics, so the replaying verbs refuse it at that VERSION_CHANGE, where plain
+``monitor-report`` goes on to the fold's refusal.
 """
 
 import contextlib
@@ -22,6 +26,8 @@ from hypothesis import strategies as st
 import reference_audit
 from conftest import make_run_config, rechain
 from ledgerloop.cli import main
+from ledgerloop.events import PAYLOADS
+from ledgerloop.replay import LOGICS
 from ledgerloop.runtime import MS_PER_DAY
 from ledgerloop.twin import EnvironmentSpec, run_trial
 
@@ -65,9 +71,12 @@ def edited(value, draw):
     return value  # a dict (the HEADER's config) or an empty list stays
 
 
+POINTS = {"FEATURE_SNAPSHOT", "DECISION", "OUTCOME_OBSERVED"}
 # Edits aimed at what the audits check, each with the event types it edits.
 AIMED = {
-    "point": {"FEATURE_SNAPSHOT", "DECISION", "OUTCOME_OBSERVED"},  # decision_index -> another point's
+    "point": POINTS,  # decision_index -> another point's, or one outside the schedule
+    "participant": POINTS | {"MODEL_UPDATE"},  # participant_id -> another's
+    "stamp": set(PAYLOADS),  # the envelope's version_id -> another version, active or not
     "action": {"DECISION"},  # the other action
     "kind": {"ERROR"},  # policy_exception <-> update_failure
     "backend_ts": {"ERROR", "MODEL_UPDATE"},  # days away, or either side of a midnight
@@ -88,11 +97,19 @@ def edit_one_member(path: Path, draw) -> None:
     payload = records[seq]["payload"]
     if how == "point":
         pid = payload["participant_id"]
-        index = draw(st.sampled_from(sorted({payload["decision_index"]} | {
+        schedule = records[0]["payload"]["config"]["schedule"]
+        total = schedule["trial_days"] * len(schedule["decision_times"])
+        index = draw(st.sampled_from(sorted({payload["decision_index"], -1, total, 9999} | {
             r["payload"]["decision_index"] for r in records
             if r["event_type"] == "DECISION" and r["payload"]["participant_id"] == pid
         })))
         rechain(path, seq, lambda record: record["payload"].update(decision_index=index))
+    elif how == "participant":
+        pid = draw(st.sampled_from([*records[0]["payload"]["config"]["participants"], "p999"]))
+        rechain(path, seq, lambda record: record["payload"].update(participant_id=pid))
+    elif how == "stamp":
+        stamp = draw(st.sampled_from(["v1.0.0", "v1.0.1", "bogus"]))
+        rechain(path, seq, lambda record: record.update(version_id=stamp))
     elif how == "action":
         rechain(path, seq, lambda record: record["payload"].update(action=1 - payload["action"]))
     elif how == "kind":
@@ -111,22 +128,51 @@ def edit_one_member(path: Path, draw) -> None:
 
 
 def breaks_a_new_rule(path: Path) -> bool:
-    """Whether a record snapshots a decided point or repeats a point's outcome."""
-    decided, rewarded = set(), set()
-    for line in path.read_bytes().splitlines():
-        record = json.loads(line)
-        payload = record["payload"]
+    """Whether a snapshot, decision or outcome names a point outside the
+    schedule; a snapshot follows its point's decision; a decision has no
+    snapshot of its point, or no VERSION_CHANGE, before it; an outcome has
+    no decision of its point before it, or repeats its point's; or a record
+    is stamped with a version that no VERSION_CHANGE activates."""
+    records = [json.loads(line) for line in path.read_bytes().splitlines()]
+    schedule = records[0]["payload"]["config"]["schedule"]
+    total = schedule["trial_days"] * len(schedule["decision_times"])
+    snapshotted, decided, rewarded, activated, stamps = set(), set(), set(), set(), set()
+    for record in records:
+        payload, event_type = record["payload"], record["event_type"]
+        stamps.add(json.dumps(record["version_id"]))
         if not isinstance(payload, dict):
             continue
-        point = json.dumps([payload.get("participant_id"), payload.get("decision_index")])
-        if record["event_type"] == "FEATURE_SNAPSHOT" and point in decided:
+        if event_type == "VERSION_CHANGE":
+            activated.add(json.dumps(payload.get("version_id")))
+        if event_type not in POINTS:
+            continue
+        index = payload.get("decision_index")
+        if type(index) is int and not 0 <= index < total:
             return True
-        if record["event_type"] == "DECISION":
+        point = json.dumps([payload.get("participant_id"), index])
+        if event_type == "FEATURE_SNAPSHOT":
+            if point in decided:
+                return True
+            snapshotted.add(point)
+        elif event_type == "DECISION":
+            if point not in snapshotted or not activated:
+                return True
             decided.add(point)
-        if record["event_type"] == "OUTCOME_OBSERVED":
-            if point in rewarded:
+        else:
+            if point not in decided or point in rewarded:
                 return True
             rewarded.add(point)
+    return not stamps <= activated
+
+
+def unregistered_fingerprint(path: Path) -> bool:
+    """Whether a VERSION_CHANGE records a fingerprint no registered logic has."""
+    for line in path.read_bytes().splitlines():
+        record = json.loads(line)
+        if record["event_type"] == "VERSION_CHANGE":
+            payload = record["payload"]
+            if not isinstance(payload, dict) or payload.get("fingerprint") not in LOGICS:
+                return True
     return False
 
 
@@ -138,11 +184,17 @@ def outcome(run) -> tuple:
         return ("raised", type(exc).__name__), None
 
 
-def verbs(path: Path, tmp: Path) -> list[tuple]:
+def verbs(path: Path, tmp: Path, stderr: list[str]) -> list[tuple]:
+    """The outcome of each audit verb on ``path``; what each wrote to stderr
+    goes to ``stderr``."""
     def cli(*argv, out):
         def run():
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-                code = main([*argv, "--ledger", str(path), "--out", str(out)])
+            err = io.StringIO()
+            try:
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                    code = main([*argv, "--ledger", str(path), "--out", str(out)])
+            finally:
+                stderr.append(err.getvalue())
             return code, out.read_bytes() if out.exists() else None
 
         return run
@@ -182,9 +234,12 @@ def test_the_audit_verbs_give_the_references_verdicts_and_bytes(data):
         run_trial(env, make_run_config(**overrides), seed, out_path=path).ledger.close()
         for _ in range(draw(st.integers(0, 2), label="edits")):
             edit_one_member(path, draw)
-        got = verbs(path, tmp)
+        stderr = []
+        got = verbs(path, tmp, stderr)
         if breaks_a_new_rule(path):
             assert [code for code, _ in got] == [2, 2, 2]
+            if not unregistered_fingerprint(path):
+                assert len(set(stderr)) == 1 and stderr[0].count("\n") == 1, stderr
         else:
             assert got == [
                 outcome(lambda: reference_audit.replay_verify_verb(path)),

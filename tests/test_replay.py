@@ -1,12 +1,15 @@
 import dataclasses
 import math
+import shutil
 import struct
 from pathlib import Path
 
 import pytest
 
+import conftest
 from conftest import make_run_config, make_runtime, records_of, start_runtime
 from ledgerloop import events, policy
+from ledgerloop.cli import main
 from ledgerloop.errors import AuditError, NumericalStateError, StructuralAuditError
 from ledgerloop.ledger import Ledger, encode_float, map_floats, read_records, verify_chain
 from ledgerloop.replay import (
@@ -266,6 +269,78 @@ def test_fallback_decisions_checked_against_uniform_rule(tmp_path):
     recon = reconstruct_states(read_records(tampered), logic_for(tampered))
     report = verify_decisions(recon)
     assert any(d.path == "pi" and d.seq == target for d in report.field_diffs)
+
+
+def _stamp(record):
+    record["version_id"] = "v1.0.1"
+
+
+def _carry(record):
+    record["payload"]["version_id"] = "v1.0.1"
+
+
+def _fails(*args, **kwargs):
+    raise ZeroDivisionError("not a LedgerLoopError")
+
+
+# What replay records where it cannot reproduce a decision or an update of a
+# trial that activates v1.0.1 on day 1: each case edits the first DECISION
+# record (or none) and may give every version a logic one of whose functions
+# raises. Each: (edit, the function that raises, the report, the path of the
+# first diff, its logged value given the record's payload, its recomputed one).
+REPLAY_DIFFS = {
+    "decision-stamped-with-a-later-version": (_stamp, None, "decisions", "version_id", "v1.0.0", "v1.0.0"),
+    "decision-carrying-a-later-version": (_carry, None, "decisions", "version_id", "v1.0.1", "v1.0.0"),
+    "decision-logic-raises": (
+        None, "action_probability", "decisions", "pi_raw", lambda p: p["pi_raw"], "error:ZeroDivisionError",
+    ),
+    "update-logic-raises": (
+        None, "update_posterior", "updates", "post_state", lambda p: p["post_state"], "error:ZeroDivisionError",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", REPLAY_DIFFS)
+def test_what_replay_cannot_reproduce_is_a_diff_at_its_seq(tmp_path, case):
+    edit, raising, report, path, logged, recomputed = REPLAY_DIFFS[case]
+    switched = make_run_config(version_switch={"day": 1, "version_id": "v1.0.1"})
+    ledger_path = trial_file(tmp_path, switched, n_days=2)
+    event_type = "DECISION" if report == "decisions" else "MODEL_UPDATE"
+    first = records_of(ledger_path, event_type)
+    if event_type == "DECISION":
+        first = [r for r in first if not r.payload["fallback"]]
+    seq = first[0].seq
+    if edit is not None:
+        conftest.rechain(ledger_path, seq, edit)
+    logic = default_logic()
+    if raising is not None:
+        logic = dataclasses.replace(logic, **{raising: _fails})
+    recon = reconstruct_states(read_records(ledger_path), {"v1.0.0": logic, "v1.0.1": logic})
+    diffs = getattr(recon, report).field_diffs
+    logged = logged(first[0].payload) if callable(logged) else logged
+    assert (diffs[0].seq, diffs[0].path, diffs[0].logged, diffs[0].recomputed) == (seq, path, logged, recomputed)
+    assert recon.report().first_divergent_seq == seq
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_v1_logic_that_raises_is_a_divergence_not_a_traceback(tmp_path, capsys):
+    # v1 solves with scipy, whose finiteness check raises ValueError, not a
+    # LedgerLoopError, for an infinite treatment entry. Replay records it as
+    # it records any failure of a logic, as the runtime would have fallen back.
+    pytest.importorskip("scipy")
+    ledger_path = tmp_path / "v1.ndjson"
+    shutil.copyfile(Path(__file__).resolve().parent / "fixtures" / "v1-golden.ndjson", ledger_path)
+    assert [r.seq for r in records_of(ledger_path, "DECISION") if not r.payload["fallback"]][0] == 11
+
+    def infinite(record):
+        record["payload"]["treatment"][1] = "7ff0000000000000"
+
+    conftest.rechain(ledger_path, 10, infinite)
+    out = tmp_path / "divergence.txt"
+    assert main(["replay-verify", "--ledger", str(ledger_path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("replay diverged: first_divergent_seq=11 (") and len(err.splitlines()) == 1
+    assert b'"path":"pi_raw","recomputed":"error:ValueError","seq":11' in out.read_bytes()
 
 
 def test_missing_snapshot_is_structural_error(tmp_path):

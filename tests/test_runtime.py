@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from conftest import make_run_config, make_runtime, records_of, start_runtime
 from ledgerloop.cli import main
 from ledgerloop.errors import ConfigurationError, StructuralAuditError
+from ledgerloop.events import StreamIndex
 from ledgerloop.ledger import read_records
 from ledgerloop.policy import (
     PosteriorState,
@@ -452,11 +454,15 @@ def test_unknown_participant_observation_is_refused_before_logging():
 
 
 def test_outcome_without_a_decision_is_refused_before_logging():
+    # The fold refuses it: an outcome of an undecided point, or of a point
+    # outside the schedule, could never be consumed.
     runtime = fresh_runtime()
-    before = len(runtime.ledger)
-    with pytest.raises(ConfigurationError, match="p0 decision 99, which has no snapshot and decision"):
+    n = len(runtime.ledger)
+    with pytest.raises(StructuralAuditError, match=rf"^OUTCOME_OBSERVED at seq {n} has no prior DECISION of \('p0', 1\)$"):
+        runtime.ingest_outcome("p0", 1, 1.0, H9, backend_ts=H9)
+    with pytest.raises(StructuralAuditError, match=rf"^OUTCOME_OBSERVED at seq {n} names decision 99, not in \[0, 6\)$"):
         runtime.ingest_outcome("p0", 99, 1.0, H9, backend_ts=H9)
-    assert len(runtime.ledger) == runtime.index.size == before
+    assert len(runtime.ledger) == runtime.index.size == n
     run_decision_point(runtime, "p0", 0, H9)
     runtime.ingest_outcome("p0", 0, 1.0, H9 + 1000, backend_ts=H9 + 1000)
     assert runtime.run_update_cycle("p0", backend_ts=H23).update_count > 0
@@ -480,33 +486,50 @@ def test_a_non_finite_datum_or_reward_is_refused_before_logging(bad):
 
 
 def test_a_call_the_fold_would_refuse_writes_nothing(tmp_path, capsys):
-    # A second decision, snapshot or outcome of a point, and a version
-    # before the HEADER, are refused before anything is written, so the
-    # file never holds a record its own audit refuses.
+    # The runtime checks each record with the fold's own rules before it
+    # writes it, so a refused call leaves the file's bytes as they were and
+    # the runtime's index the fold of that file: the file never holds a
+    # record its own audit refuses.
     path = tmp_path / "runtime.ndjson"
     runtime = make_runtime(make_run_config(), path=path)
-    with pytest.raises(ConfigurationError, match="call start"):
+    with pytest.raises(StructuralAuditError, match="^ledger does not start with a HEADER record$"):
         runtime.register_version("v2.0.0", backend_ts=0)
-    assert len(runtime.ledger) == runtime.index.size == 0
+    assert path.read_bytes() == b"" and runtime.index == StreamIndex()
     start_runtime(runtime)
     run_decision_point(runtime, "p0", 0, H9)
     runtime.ingest_outcome("p0", 0, 1.0, H9 + 1000, backend_ts=H9 + 1000)
 
-    def refused():
-        with pytest.raises(StructuralAuditError, match="^p0 decision 0 is already made$"):
-            runtime.make_decision("p0", 0)
-        with pytest.raises(StructuralAuditError, match="^p0 decision 0 is already made$"):
-            runtime.assemble_features("p0", 0)
-        with pytest.raises(ConfigurationError, match="^outcome for p0 decision 0 already logged$"):
-            runtime.ingest_outcome("p0", 0, 2.0, H9 + 2000, backend_ts=H9 + 2000)
+    def refused(call, message):
+        before = path.read_bytes()
+        n = len(runtime.ledger)
+        with pytest.raises(StructuralAuditError) as caught:
+            call()
+        assert str(caught.value) == message.format(n=n, next=n + 1)
+        assert path.read_bytes() == before
+        assert runtime.index == StreamIndex.fold(read_records(path))
 
-    before = len(runtime.ledger)
-    refused()  # the outcome pending
-    assert len(runtime.ledger) == runtime.index.size == before
+    def always_fail(*args):
+        raise ValueError("no policy")
+
+    def refusals(decision_seq):
+        refused(lambda: runtime.make_decision("p0", 0), "DECISION at seq " + decision_seq + " repeats ('p0', 0)")
+        refused(lambda: runtime.assemble_features("p0", 0), "FEATURE_SNAPSHOT at seq {n} follows the DECISION of ('p0', 0)")
+        refused(lambda: runtime.ingest_outcome("p0", 0, 2.0, H9 + 2000, backend_ts=H9 + 2000),
+                "OUTCOME_OBSERVED at seq {n} repeats ('p0', 0)")
+        refused(lambda: runtime.register_version("v1.0.0", backend_ts=H9 + 2000),
+                "VERSION_CHANGE at seq {n} activates 'v1.0.0' a second time")
+        refused(lambda: runtime.assemble_features("p0", 6), "FEATURE_SNAPSHOT at seq {n} names decision 6, not in [0, 6)")
+        # A decision the policy fails on (for want of a snapshot, too) falls
+        # back, and its ERROR would come first; the DECISION, at the seq
+        # after it, is checked before either is written.
+        refused(lambda: runtime.make_decision("p0", 1), "DECISION at seq {next} has no prior FEATURE_SNAPSHOT for ('p0', 1)")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(runtime, "logic", dataclasses.replace(runtime.logic, action_probability=always_fail))
+            refused(lambda: runtime.make_decision("p0", 0), "DECISION at seq {next} repeats ('p0', 0)")
+
+    refusals("{n}")  # the outcome pending
     assert runtime.run_update_cycle("p0", backend_ts=H23).update_count == 1
-    before = len(runtime.ledger)
-    refused()  # the outcome consumed
-    assert len(runtime.ledger) == runtime.index.size == before
+    refusals("{next}")  # the outcome consumed, and the point's snapshot forgotten
     runtime.ledger.close()
     assert main(["replay-verify", "--ledger", str(path)]) == 0
     assert "replay exact" in capsys.readouterr().out
@@ -551,7 +574,7 @@ def test_mid_stream_version_change_stamps_later_events(file_runtime):
 
 def test_duplicate_version_activation_rejected():
     runtime = fresh_runtime()
-    with pytest.raises(ConfigurationError):
+    with pytest.raises(StructuralAuditError, match="activates 'v1.0.0' a second time"):
         runtime.register_version("v1.0.0", backend_ts=1)
 
 
