@@ -16,8 +16,6 @@ from dataclasses import dataclass, field, make_dataclass
 from pathlib import Path
 from typing import get_type_hints
 
-import yaml
-
 from .errors import ConfigurationError, DecodeError
 from .ledger import (
     CONFIG_FORMAT,
@@ -27,7 +25,7 @@ from .ledger import (
     map_floats,
 )
 from .policy import ModelConfig
-from .runtime import FailureInjectionSpec, FeatureSpec, ImputationPolicy, Schedule
+from .runtime import FailureInjectionSpec, FeatureSpec, ImputationPolicy, Schedule, check_features
 
 
 @dataclass(frozen=True)
@@ -129,22 +127,22 @@ _MODEL_DEFAULTS = {"noise_variance": 1.0, "prior_precision_scale": 1.0, "version
 _STANDARD_DEFAULTS = {"intercept": 1.0, "prior_outcome": 0.0, "time_of_day": 0.0, "engagement": 0.0}
 
 
-# libyaml's safe loader where PyYAML was built with it: the values the
-# pure-Python one gives, several times faster.
-_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-
-
 def read_yaml(path: str | Path, unreadable: str, what: str):
     """The value of the YAML file at ``path``. A ConfigurationError reads
     ``<unreadable>: <error>`` if the file cannot be read, and ``<what>
     <path> is not valid YAML: line L, column C: <problem>`` if it is not
-    valid YAML."""
+    valid YAML. PyYAML is imported here only, so the audit verbs run
+    without it."""
+    import yaml
+
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigurationError(f"{unreadable}: {exc}") from None
     try:
-        return yaml.load(text, Loader=_YAML_LOADER)
+        # libyaml's safe loader where PyYAML was built with it: the values
+        # the pure-Python one gives, several times faster.
+        return yaml.load(text, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is None:  # a reader error: a character YAML does not allow, at a position
@@ -186,9 +184,8 @@ def config_from_dict(raw: dict) -> RunConfig:
         **{name: value for name, value in _STANDARD_DEFAULTS.items() if name in names},
         **config.imputation.defaults,
     }
-    for name in names:
-        if name not in defaults:
-            raise ConfigurationError(f"imputation.defaults.{name}: missing required field")
+    imputation = dataclasses.replace(config.imputation, defaults=defaults)
+    check_features(config.model, config.features, imputation)
     switch = config.version_switch
     if switch is not None:
         # The trial length is governed by the twin environment's n_days, so
@@ -197,7 +194,7 @@ def config_from_dict(raw: dict) -> RunConfig:
             raise ConfigurationError("version_switch.day: must be at least 1")
         if switch.version_id == config.model.version_id:
             raise ConfigurationError("version_switch.version_id: must differ from model.version_id")
-    return dataclasses.replace(config, imputation=dataclasses.replace(config.imputation, defaults=defaults))
+    return dataclasses.replace(config, imputation=imputation)
 
 
 def _environment_grid(base: EnvironmentSpec, axes) -> tuple[EnvironmentSpec, ...]:
@@ -229,8 +226,9 @@ def header_config_dict(
     values with every float hex-encoded. ``environment`` is by default the
     config's own.
 
-    Audits read its model, schedule and participants back through
-    ``ledgerloop.events.HeaderInfo``.
+    The runtime runs from, and the audits read, its model, schedule,
+    features, imputation, injection and participants as they come back
+    through ``ledgerloop.events.HeaderInfo``.
     """
     return map_floats(
         {

@@ -40,11 +40,19 @@ from .policy import DecisionRecord, FeatureSnapshot, ModelConfig
 
 @dataclass(frozen=True)
 class RunHeader:
-    """What the audits read of a HEADER's ``config``, typed."""
+    """The sections of a HEADER's ``config`` that the runtime runs from and
+    the audits read, typed, and checked against each other
+    (:func:`ledgerloop.runtime.check_features`)."""
 
     model: ModelConfig
     schedule: runtime.Schedule
+    features: runtime.FeatureSpec
+    imputation: runtime.ImputationPolicy
+    injection: runtime.FailureInjectionSpec
     participants: tuple[str, ...]
+
+    def __post_init__(self):
+        runtime.check_features(self.model, self.features, self.imputation)
 
 
 _RUN_HEADER_MEMBERS = tuple(f.name for f in fields(RunHeader))
@@ -52,9 +60,12 @@ _RUN_HEADER_MEMBERS = tuple(f.name for f in fields(RunHeader))
 
 @dataclass(frozen=True)
 class HeaderInfo:
-    """A HEADER payload. ``config`` stays the canonical dict it was written
-    as, since the fold checks its digest against ``config_digest``; its
-    model, schedule and participants are decoded once, on construction."""
+    """A HEADER payload, and a run's one configuration: the runtime is built
+    from it and logs it as it is. ``config`` stays the canonical dict it was
+    written as, since the fold checks its digest against ``config_digest``;
+    its six :class:`RunHeader` sections are decoded once, on construction,
+    and ``roster`` is the set of its participants. A config whose sections
+    disagree is a ``malformed HEADER config``."""
 
     stream_id: str
     environment_profile: str
@@ -64,7 +75,11 @@ class HeaderInfo:
     format_version: int = FORMAT_VERSION
     model: ModelConfig = field(init=False)
     schedule: runtime.Schedule = field(init=False)
+    features: runtime.FeatureSpec = field(init=False)
+    imputation: runtime.ImputationPolicy = field(init=False)
+    injection: runtime.FailureInjectionSpec = field(init=False)
     participants: tuple[str, ...] = field(init=False)
+    roster: frozenset[str] = field(init=False)
 
     def __post_init__(self):
         if self.format_version != FORMAT_VERSION:
@@ -76,6 +91,7 @@ class HeaderInfo:
             raise DecodeError(f"malformed HEADER config: {refusal}") from None
         for name in _RUN_HEADER_MEMBERS:
             object.__setattr__(self, name, getattr(typed, name))
+        object.__setattr__(self, "roster", frozenset(self.participants))
 
 
 @frozen_record
@@ -329,6 +345,8 @@ class StreamIndex:
           its ``config_digest`` the digest of its config (:meth:`_begin`)
         - every record is stamped with the stream and profile the HEADER
           names
+        - a record that names a participant names one of the HEADER's
+          (:meth:`check_participant`)
         - a snapshot, decision or outcome names a decision index in
           ``[0, schedule.total_points)``
         - a point has no snapshot once it has its decision
@@ -350,8 +368,9 @@ class StreamIndex:
                 f"{environment_profile!r}, but the HEADER payload names stream "
                 f"{header.stream_id!r} in profile {header.environment_profile!r}"
             )
+        self.check_participant(seq, etype, getattr(value, "participant_id", None))
         if etype == "DATA_INGESTED":
-            return None  # half of all records; nothing to check
+            return None  # half of all records; nothing more to check
         if etype in _POINT_EVENTS:
             key = (value.participant_id, value.decision_index)
             total = header.schedule.total_points
@@ -387,6 +406,20 @@ class StreamIndex:
                     f"{value.previous_version_id!r}, not {previous!r}"
                 )
         return None
+
+    def check_participant(self, seq: int, etype: str, participant_id: str | None) -> None:
+        """The rule that a record naming a participant names one of the
+        HEADER's: StructuralAuditError naming ``seq`` unless
+        ``participant_id`` is None or in the HEADER's roster. The runtime
+        asks it also of an update cycle that has nothing to log."""
+        if participant_id is None:
+            return
+        if self.header is None:
+            raise StructuralAuditError(_NO_HEADER)
+        if participant_id not in self.header.roster:
+            raise StructuralAuditError(
+                f"{etype} at seq {seq} names participant {participant_id!r}, not one of the HEADER's"
+            )
 
     def commit(self, record: EventEnvelope) -> None:
         """Fold in a record :meth:`check` passed."""

@@ -11,7 +11,9 @@ limit when the variance is not positive, the clip and the prior are
 how it computes ``(delta, v)`` and the updated posterior from those rows.
 Each function converts the shared :class:`ledgerloop.policy.PosteriorState`
 to arrays at its entry and back at its exit, and between those does exactly
-what the v1 logic always did, so it reproduces the v1 bits.
+what the v1 logic always did, so it reproduces the v1 bits. Both run with
+numpy's floating-point warnings off (``np.errstate``), which changes no bit:
+a non-finite input gives v1's values or errors, and prints nothing.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ def _cho(precision: np.ndarray):
         raise NumericalStateError(f"precision matrix is not positive definite: {exc}") from None
 
 
+@np.errstate(all="ignore")
 def action_probability(
     state: PosteriorState, snapshot: FeatureSnapshot, config: ModelConfig
 ) -> tuple[float, float]:
@@ -58,6 +61,7 @@ def action_probability(
     return probabilities(delta, v, config)
 
 
+@np.errstate(all="ignore")
 def update_posterior(
     state: PosteriorState,
     batch: list[tuple[FeatureSnapshot, int, float]],

@@ -368,7 +368,7 @@ def reconstruct_states(
                 initial = policy.init_state(index.header.model)
     index.complete()
     if initial is not None:
-        for pid in (*index.header.participants, *(pid for pid, _ in index.snapshot_seqs)):
+        for pid in index.header.participants:  # the fold refuses a record of any other
             states.setdefault(pid, initial)
     decisions.counts["decisions_checked"] = len(index.decided)
     updates.counts["updates_checked"] = index.totals.updates

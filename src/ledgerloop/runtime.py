@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from . import events, policy
 from .errors import ConfigurationError, InjectedFailure
-from .ledger import EventEnvelope, Ledger, config_digest
+from .ledger import EventEnvelope, Ledger
 from .policy import DecisionRecord, FeatureSnapshot, ModelConfig, PosteriorState
 from .rng import SplitMix64, derive_seed
 
@@ -125,9 +125,7 @@ class ImputationPolicy:
         object.__setattr__(self, "defaults", defaults)
 
     def default_for(self, feature: str) -> float:
-        if feature not in self.defaults:
-            raise ConfigurationError(f"imputation.defaults missing feature {feature!r}")
-        return self.defaults[feature]
+        return self.defaults[feature]  # check_features gives every feature of a run one
 
 
 @dataclass(frozen=True)
@@ -148,54 +146,51 @@ class FailureInjectionSpec:
             raise ConfigurationError("injection.delay_geometric_p must be in (0, 1]")
 
 
+def check_features(model: ModelConfig, features: FeatureSpec, imputation: ImputationPolicy) -> None:
+    """ConfigurationError unless every feature has an imputation default and
+    the feature lists are as long as the model's dimensions: what a run's
+    sections must agree on, checked once for a config
+    (:func:`ledgerloop.config.config_from_dict`) and once for a HEADER
+    (:class:`ledgerloop.events.HeaderInfo`)."""
+    for name in features.names:
+        if name not in imputation.defaults:
+            raise ConfigurationError(f"imputation.defaults.{name}: missing required field")
+    d_g, d_h = len(features.baseline), len(features.treatment)
+    if (d_g, d_h) != (model.baseline_dim, model.treatment_dim):
+        raise ConfigurationError(
+            f"feature spec dims ({d_g}, {d_h}) do not match model config "
+            f"({model.baseline_dim}, {model.treatment_dim})"
+        )
+
+
 class Runtime:
-    """Drives one stream: all participants share the ledger, the model
-    configuration and the policy logic (a ``ledgerloop.replay.PolicyLogic``,
-    whose fingerprint every VERSION_CHANGE records), while posterior states
-    and data caches are per participant.
+    """Drives one stream from its HEADER (``header``, a
+    :class:`ledgerloop.events.HeaderInfo`), the run's one configuration:
+    :meth:`start` logs exactly that header, and the model, schedule,
+    features, imputation, failure injection, deployment seed and
+    participants the runtime works with are the header's. All participants
+    share the ledger and the policy logic (a
+    ``ledgerloop.replay.PolicyLogic``, whose fingerprint every
+    VERSION_CHANGE records), while posterior states and data caches are per
+    participant. Every record is checked by the fold's rules before it is
+    written, a call that names a participant the HEADER lacks included.
     """
 
-    def __init__(
-        self,
-        ledger: Ledger,
-        model_config: ModelConfig,
-        schedule: Schedule,
-        features: FeatureSpec,
-        imputation: ImputationPolicy,
-        injection: FailureInjectionSpec,
-        deployment_seed: int,
-        participants: list[str],
-        logic,
-    ):
-        d_g, d_h = len(features.baseline), len(features.treatment)
-        if (d_g, d_h) != (model_config.baseline_dim, model_config.treatment_dim):
-            raise ConfigurationError(
-                f"feature spec dims ({d_g}, {d_h}) do not match model config "
-                f"({model_config.baseline_dim}, {model_config.treatment_dim})"
-            )
-        for name in features.names:
-            imputation.default_for(name)  # fail fast on missing defaults
+    def __init__(self, ledger: Ledger, header: events.HeaderInfo, logic):
         self.ledger = ledger
-        self.model_config = model_config
-        self.schedule = schedule
-        self.features = features
-        self.imputation = imputation
-        self.injection = injection
-        self.deployment_seed = deployment_seed
-        self.participants = list(participants)
+        self.header = header
+        self.logic = logic
         # The fold of every record the runtime appends: it checks each one
         # before it is written and commits it after.
         self.index = events.StreamIndex()
-        self.logic = logic
 
         # Every participant starts from the one prior, an immutable state.
-        self.states: dict[str, PosteriorState] = dict.fromkeys(self.participants, policy.init_state(model_config))
+        self.states: dict[str, PosteriorState] = dict.fromkeys(header.participants, policy.init_state(header.model))
         # (participant, feature) -> [(device_ts, -seq, value)], kept sorted, so
         # the datum a snapshot uses is the last entry at or before its due time.
         self._data: dict[tuple[str, str], list[tuple[int, int, float]]] = {}
-        self._due_cache = [
-            self.schedule.due_ts(i) for i in range(self.schedule.total_points)
-        ]
+        schedule = header.schedule
+        self._due_cache = [schedule.due_ts(i) for i in range(schedule.total_points)]
 
     def _check(self, value, seq: int, rows=None) -> None:
         """Check, with the fold's rules (:meth:`events.StreamIndex.check`),
@@ -218,13 +213,10 @@ class Runtime:
 
     # -- lifecycle -----------------------------------------------------------
 
-    def start(self, header_config: dict, backend_ts: int) -> None:
-        """Write the header record, which holds ``header_config`` and its
-        digest, and activate the configured version."""
-        version_id = self.model_config.version_id
-        header = events.HeaderInfo(self.ledger.stream_id, self.ledger.environment_profile,
-                                   self.deployment_seed, header_config, config_digest(header_config))
-        self._log(header, backend_ts=backend_ts, version_id=version_id)
+    def start(self, backend_ts: int) -> None:
+        """Write the HEADER record, :attr:`header`, and activate its model's version."""
+        version_id = self.header.model.version_id
+        self._log(self.header, backend_ts=backend_ts, version_id=version_id)
         self.register_version(version_id, backend_ts)
 
     def register_version(self, version_id: str, backend_ts: int) -> int:
@@ -248,14 +240,10 @@ class Runtime:
 
     # -- ingestion -----------------------------------------------------------
 
-    def _require_participant(self, participant_id: str) -> None:
-        if participant_id not in self.states:
-            raise ConfigurationError(f"unknown participant {participant_id!r}")
-
     def _window_index(self, device_ts: int) -> int:
         # Window j is (due(j-1), due(j)]; anything before due(0) is window 0
         # unless it precedes the trial start, which maps to window -1.
-        if device_ts < self.schedule.trial_start_ts:
+        if device_ts < self.header.schedule.trial_start_ts:
             return -1
         return bisect.bisect_left(self._due_cache, device_ts)
 
@@ -270,7 +258,6 @@ class Runtime:
         snapshot holding it would fail every later update cycle of the
         participant.
         """
-        self._require_participant(participant_id)
         value = float(value)  # the payload holds a float, whatever number came in
         if not math.isfinite(value):
             raise ConfigurationError(f"{feature} value {value!r} of {participant_id} is not finite")
@@ -295,7 +282,6 @@ class Runtime:
         outcome of a point that has no decision, or already has its outcome,
         is refused by the fold before anything is logged.
         """
-        self._require_participant(participant_id)
         reward = float(reward)
         if not math.isfinite(reward):
             raise ConfigurationError(f"reward {reward!r} for {participant_id} decision {decision_index} is not finite")
@@ -319,33 +305,32 @@ class Runtime:
         configured default. A point that has its decision keeps its
         snapshot: a new one is refused by the fold before anything is logged.
         """
-        self._require_participant(participant_id)
-        due = self.schedule.due_ts(decision_index)
+        header = self.header
+        features, imputation = header.features, header.imputation
+        due = header.schedule.due_ts(decision_index)
         if backend_ts is None:
             backend_ts = due
         resolved: dict[str, tuple[float, str, str | None, int | None]] = {}
         after_due = (due, math.inf)  # sorts after every entry with device_ts <= due
-        for name in self.features.names:
+        for name in features.names:
             data = self._data.get((participant_id, name), ())
             i = bisect.bisect_right(data, after_due)
             if i == 0:
-                resolved[name] = (self.imputation.default_for(name), "default", None, None)
+                resolved[name] = (imputation.default_for(name), "default", None, None)
                 continue
             device_ts, _, value = data[i - 1]
             age = decision_index - self._window_index(device_ts)
             if age == 0:
                 resolved[name] = (value, "observed", None, device_ts)
-            elif age <= self.imputation.horizon:
+            elif age <= imputation.horizon:
                 resolved[name] = (value, "imputed", "locf", device_ts)
             else:
-                resolved[name] = (self.imputation.default_for(name), "default", None, None)
+                resolved[name] = (imputation.default_for(name), "default", None, None)
 
-        entries = [resolved[n] for n in self.features.baseline] + [
-            resolved[n] for n in self.features.treatment
-        ]
+        entries = [resolved[n] for n in features.baseline] + [resolved[n] for n in features.treatment]
         snapshot = events.SnapshotInfo(
-            baseline=tuple([resolved[n][0] for n in self.features.baseline]),
-            treatment=tuple([resolved[n][0] for n in self.features.treatment]),
+            baseline=tuple([resolved[n][0] for n in features.baseline]),
+            treatment=tuple([resolved[n][0] for n in features.treatment]),
             provenance=tuple([e[1] for e in entries]),
             imputation_methods=tuple([e[2] for e in entries]),
             source_device_ts=tuple([e[3] for e in entries]),
@@ -365,24 +350,25 @@ class Runtime:
         decision, or one with no snapshot, is refused by the fold before
         anything is logged, the fallback's ERROR included.
         """
-        self._require_participant(participant_id)
+        header = self.header
         snapshot = self.index.snapshots.get((participant_id, decision_index))
         if backend_ts is None:
-            backend_ts = self.schedule.due_ts(decision_index)
-        seed = policy.derive_decision_seed(self.deployment_seed, participant_id, decision_index)
+            backend_ts = header.schedule.due_ts(decision_index)
+        seed = policy.derive_decision_seed(header.deployment_seed, participant_id, decision_index)
         version_id = self.version_id
 
         fallback_reason = None
         try:
-            if self.injection.policy_exception_prob > 0.0:
+            exception_prob = header.injection.policy_exception_prob
+            if exception_prob > 0.0:
                 gate = SplitMix64(
-                    derive_seed(self.deployment_seed, "inject-policy", participant_id, decision_index)
+                    derive_seed(header.deployment_seed, "inject-policy", participant_id, decision_index)
                 )
-                if gate.next_float() < self.injection.policy_exception_prob:
+                if gate.next_float() < exception_prob:
                     raise InjectedFailure("injected policy exception")
             state = self.states[participant_id]
-            pi_raw, pi = self.logic.action_probability(state, snapshot, self.model_config)
-        except Exception as exc:  # a missing snapshot too, which the fold refuses below
+            pi_raw, pi = self.logic.action_probability(state, snapshot, header.model)
+        except Exception as exc:  # a missing snapshot or participant too, which the fold refuses below
             pi_raw = pi = policy.FALLBACK_PI
             fallback_reason = f"{type(exc).__name__}: {exc}"
 
@@ -410,19 +396,21 @@ class Runtime:
     def run_update_cycle(self, participant_id: str, backend_ts: int) -> PosteriorState:
         """Consume every outcome that has arrived since the last cycle.
 
-        With nothing to consume this is a no-op (no event). On update failure
-        an ERROR event is appended, the previous state stays active, and the
-        outcomes remain pending for the next cycle.
+        With nothing to consume this is a no-op (no event), but for a
+        participant the HEADER lacks, which the fold's rule refuses as it
+        would the update. On update failure an ERROR event is appended, the
+        previous state stays active, and the outcomes remain pending for the
+        next cycle.
         """
-        self._require_participant(participant_id)
         batch_seqs = tuple(self.index.pending.get(participant_id, ()))
-        state = self.states[participant_id]
         if not batch_seqs:
-            return state
+            self.index.check_participant(self.index.size, "MODEL_UPDATE", participant_id)
+            return self.states[participant_id]
+        state = self.states[participant_id]
         try:
             batch = self.index.batch(participant_id, batch_seqs, len(self.ledger))
             new_state = self.logic.update_posterior(
-                state, batch, self.model_config, last_update_seq=max(batch_seqs)
+                state, batch, self.header.model, last_update_seq=max(batch_seqs)
             )
         except Exception as exc:
             self._log(

@@ -21,7 +21,7 @@ from pathlib import Path
 from . import events, policy
 from .config import EnvironmentSpec, RunConfig, header_config_dict
 from .errors import ConfigurationError
-from .ledger import LEDGER_TEXT, Ledger, _converter, frozen_record, report_bytes
+from .ledger import LEDGER_TEXT, Ledger, _converter, config_digest, frozen_record, report_bytes
 from .monitor import compute_metrics
 from .replay import default_logic
 from .rng import SplitMix64, derive_seed
@@ -180,14 +180,11 @@ def run_trial(
             f"(day {config.version_switch.day}, trial has {env.n_days} days)"
         )
     model = config.model
-    features = config.features
-    d_g, d_h = model.baseline_dim, model.treatment_dim
-    if len(env.baseline_mean) != d_g or len(env.effect_mean) != d_h:
+    if len(env.baseline_mean) != model.baseline_dim or len(env.effect_mean) != model.treatment_dim:
         raise ConfigurationError(
             "environment vector lengths do not match model dimensions"
         )
 
-    schedule = dataclasses.replace(config.schedule, trial_days=env.n_days)
     if participant_ids is None:
         participants = [f"p{i:03d}" for i in range(env.n_participants)]
     else:
@@ -200,6 +197,12 @@ def run_trial(
         else derive_seed(master_seed, "deployment")
     )
     stream_id = config.stream_id or f"{env.label}-{candidate_label}-seed{master_seed}"
+    run_config = dataclasses.replace(config, schedule=dataclasses.replace(config.schedule, trial_days=env.n_days))
+    header_config = header_config_dict(run_config, participants, env)
+    header = events.HeaderInfo(
+        stream_id, config.environment_profile, deployment_seed, header_config, config_digest(header_config)
+    )
+    schedule, features, injection = header.schedule, header.features, header.injection
 
     truth = TrialTruth(env=env)
 
@@ -209,21 +212,8 @@ def run_trial(
         path=out_path,
         fsync=fsync,
     )
-    runtime = Runtime(
-        ledger=ledger,
-        model_config=model,
-        schedule=schedule,
-        features=features,
-        imputation=config.imputation,
-        injection=config.injection,
-        deployment_seed=deployment_seed,
-        participants=participants,
-        logic=default_logic(),
-    )
-
-    run_config = dataclasses.replace(config, schedule=schedule)
-    header = header_config_dict(run_config, participants, env)
-    runtime.start(header_config=header, backend_ts=schedule.trial_start_ts)
+    runtime = Runtime(ledger, header, default_logic())
+    runtime.start(backend_ts=schedule.trial_start_ts)
 
     twins = {
         pid: realize_participant(env, master_seed, pid) for pid in participants
@@ -231,16 +221,8 @@ def run_trial(
     miss_streams = {
         pid: SplitMix64(derive_seed(master_seed, "twin-miss", pid)) for pid in participants
     }
-    loss_prob = (
-        config.injection.data_loss_prob
-        if config.injection.data_loss_prob is not None
-        else env.miss_prob
-    )
-    delay_p = (
-        config.injection.delay_geometric_p
-        if config.injection.delay_geometric_p is not None
-        else env.delay_geometric_p
-    )
+    loss_prob = injection.data_loss_prob if injection.data_loss_prob is not None else env.miss_prob
+    delay_p = injection.delay_geometric_p if injection.delay_geometric_p is not None else env.delay_geometric_p
 
     k = schedule.points_per_day
     ingest_observation = runtime.ingest_observation

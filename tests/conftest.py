@@ -1,10 +1,9 @@
-import dataclasses
 import json
 
 import pytest
 import yaml
 
-from ledgerloop.config import _YAML_LOADER, RunConfig, config_from_dict, header_config_dict
+from ledgerloop.config import RunConfig, config_from_dict, header_config_dict
 from ledgerloop.events import HeaderInfo, StreamIndex
 from ledgerloop.ledger import GENESIS_HASH, Ledger, compute_record_hash, config_digest, read_records
 from ledgerloop.replay import default_logic
@@ -49,6 +48,8 @@ BASE_CONFIG = {
 
 
 _yaml_load = yaml.load
+# The loader ledgerloop.config.read_yaml reads with.
+YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 YAML_CHECKED: list[str] = []  # every text the libyaml check below has read
 
 
@@ -68,7 +69,7 @@ def both_yaml_loaders():
     the same value or the same error class."""
 
     def load(stream, Loader):
-        if Loader is not _YAML_LOADER or Loader is yaml.SafeLoader:
+        if Loader is not YAML_LOADER or Loader is yaml.SafeLoader:
             return _yaml_load(stream, Loader=Loader)
         assert yaml_outcome(stream, Loader) == yaml_outcome(stream, yaml.SafeLoader), stream
         YAML_CHECKED.append(stream)
@@ -117,6 +118,20 @@ def first_seq(path, event_type: str, where=lambda payload: True) -> int:
     raise AssertionError(f"no {event_type} record")
 
 
+def relabel(path, participant_id: str, decision_index: int, other: str) -> int:
+    """Re-label the snapshot, decision and outcome of ``participant_id``'s
+    point ``decision_index`` as ``other``'s, each with :func:`rechain`, and
+    return the snapshot's seq."""
+    seqs = [
+        first_seq(path, event_type, lambda payload: (payload["participant_id"], payload["decision_index"])
+                  == (participant_id, decision_index))
+        for event_type in ("FEATURE_SNAPSHOT", "DECISION", "OUTCOME_OBSERVED")
+    ]
+    for seq in seqs:
+        rechain(path, seq, lambda record: record["payload"].update(participant_id=other))
+    return seqs[0]
+
+
 def records_of(path, event_type: str) -> list:
     """The records of one event type in the ledger file at ``path``, in seq
     order, each with its payload as the dict it is stored as (the dict an
@@ -151,35 +166,12 @@ def run_config() -> RunConfig:
 
 
 def make_runtime(config: RunConfig, participants=("p0", "p1"), path=None) -> Runtime:
-    ledger = Ledger(
-        stream_id="test-stream",
-        environment_profile=config.environment_profile,
-        path=path,
+    """A runtime of stream ``test-stream``, not yet started, whose HEADER is
+    the one a run of ``config`` with ``participants`` records."""
+    ledger = Ledger(stream_id="test-stream", environment_profile=config.environment_profile, path=path)
+    header_config = header_config_dict(config, list(participants))
+    header = HeaderInfo(
+        ledger.stream_id, ledger.environment_profile, derive_seed(config.master_seed, "deployment"),
+        header_config, config_digest(header_config),
     )
-    runtime = Runtime(
-        ledger=ledger,
-        model_config=config.model,
-        schedule=config.schedule,
-        features=config.features,
-        imputation=config.imputation,
-        injection=config.injection,
-        deployment_seed=derive_seed(config.master_seed, "deployment"),
-        participants=list(participants),
-        logic=default_logic(),
-    )
-    return runtime
-
-
-def start_runtime(runtime: Runtime) -> None:
-    """Write the runtime's HEADER, its config the one a run with the
-    runtime's parameters would record."""
-    config = dataclasses.replace(
-        make_run_config(),
-        model=runtime.model_config,
-        schedule=runtime.schedule,
-        features=runtime.features,
-        imputation=runtime.imputation,
-        injection=runtime.injection,
-    )
-    header = header_config_dict(config, runtime.participants)
-    runtime.start(header_config=header, backend_ts=0)
+    return Runtime(ledger, header, default_logic())

@@ -288,11 +288,11 @@ def test_criterion_7_learning_sanity(tmp_path):
 @criterion(8, "imputation snapshots preserved under late ground truth")
 def test_criterion_8_imputation_preservation(tmp_path):
     # Manual fixture first: delayed datum arrives after its decision point.
-    from conftest import make_runtime, start_runtime
+    from conftest import make_runtime
 
     config = make_run_config()
     runtime = make_runtime(config, participants=("p0",), path=tmp_path / "manual.ndjson")
-    start_runtime(runtime)
+    runtime.start(backend_ts=0)
     snapshot = runtime.assemble_features("p0", 0)
     assert snapshot.provenance[5] == "default"  # engagement never arrived
     manual = tmp_path / "manual.ndjson"

@@ -14,7 +14,7 @@ import warnings
 import pytest
 import yaml
 
-from conftest import BASE_CONFIG, deep_merge, first_seq, index_of, rechain, records_of
+from conftest import BASE_CONFIG, deep_merge, first_seq, index_of, rechain, records_of, relabel
 from ledgerloop.cli import main
 from ledgerloop.errors import StructuralAuditError
 from ledgerloop.events import ErrorInfo
@@ -419,6 +419,21 @@ def test_the_fold_refuses_a_ledger_that_is_not_one_stream(tmp_path, ledger_path,
     seq = first_seq(ledger_path, event_type)
     edit(ledger_path)
     message = message.format(seq=seq)
+    with pytest.raises(StructuralAuditError) as caught:
+        index_of(ledger_path)
+    assert str(caught.value) == message
+    for argv in (*AUDITS, ["monitor-report"]):
+        assert _audit(tmp_path, ledger_path, argv) == 2
+        assert capsys.readouterr().err == f"audit error: {message}\n"
+    assert not (tmp_path / "mon.txt").exists()
+
+
+def test_the_fold_refuses_a_participant_the_header_lacks(tmp_path, ledger_path, capsys):
+    # p001's snapshot, decision and outcome of point 3 re-labelled as those
+    # of p999, whom the HEADER does not name: the monitor once counted that
+    # decision and reported full coverage, and replay found a seed diff only.
+    seq = relabel(ledger_path, "p001", 3, "p999")
+    message = f"FEATURE_SNAPSHOT at seq {seq} names participant 'p999', not one of the HEADER's"
     with pytest.raises(StructuralAuditError) as caught:
         index_of(ledger_path)
     assert str(caught.value) == message

@@ -4,9 +4,9 @@ from pathlib import Path
 import pytest
 import yaml
 
-from conftest import BASE_CONFIG, YAML_CHECKED, make_run_config, yaml_outcome
+from conftest import BASE_CONFIG, YAML_CHECKED, YAML_LOADER, make_run_config, yaml_outcome
 from ledgerloop.cli import main
-from ledgerloop.config import _YAML_LOADER, config_from_dict, header_config_dict, load_config
+from ledgerloop.config import config_from_dict, header_config_dict, load_config
 from ledgerloop.errors import ConfigurationError
 from ledgerloop.ledger import LEDGER_FORMAT, config_digest, decode_as
 from ledgerloop.policy import ModelConfig
@@ -40,15 +40,15 @@ EDGE_TEXTS = [
 
 @pytest.mark.parametrize("text", [EXAMPLE.read_text(), *EDGE_TEXTS])
 def test_libyaml_reads_what_the_python_loader_reads(text):
-    assert _YAML_LOADER is getattr(yaml, "CSafeLoader", yaml.SafeLoader)
-    assert yaml_outcome(text, _YAML_LOADER) == yaml_outcome(text, yaml.SafeLoader)
+    assert yaml_outcome(text, YAML_LOADER) == yaml_outcome(text, yaml.SafeLoader)
 
 
 def test_every_yaml_text_the_tests_read_is_checked_with_both_loaders():
-    # The session-wide check of conftest.both_yaml_loaders sees load_config.
+    # The session-wide check of conftest.both_yaml_loaders sees load_config,
+    # which reads with libyaml's loader where PyYAML has it.
     before = len(YAML_CHECKED)
     load_config(EXAMPLE)
-    assert len(YAML_CHECKED) == before + (_YAML_LOADER is not yaml.SafeLoader)
+    assert len(YAML_CHECKED) == before + (YAML_LOADER is not yaml.SafeLoader)
 
 
 @pytest.mark.parametrize("text", ["model: [unclosed\n", "\ta: 1\n", "a: \x07\n", "a: b\n  c: d\n"])

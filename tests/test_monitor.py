@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_run_config, make_runtime, start_runtime
+from conftest import make_run_config, make_runtime
 from ledgerloop.errors import ConfigurationError, DecodeError
 from ledgerloop.events import ErrorInfo, RunningFsum, StreamIndex
 from ledgerloop.ledger import read_records, verify_chain
@@ -107,7 +107,7 @@ def test_a_replaced_snapshot_counts_once():
     # A point assembled again before its decision counts with its last
     # snapshot's provenance only.
     runtime = make_runtime(make_run_config(), participants=("p0",))
-    start_runtime(runtime)
+    runtime.start(backend_ts=0)
     first = runtime.assemble_features("p0", 0)
     runtime.ingest_observation("p0", "engagement", 0.5, 9 * 3_600_000 - 60_000, backend_ts=9 * 3_600_000 - 60_000)
     last = runtime.assemble_features("p0", 0)

@@ -1,10 +1,12 @@
 """numpy and scipy are optional: only replaying a conjugate-linear-v1 ledger
-needs them (the ``v1`` extra).
+needs them (the ``v1`` extra). PyYAML is needed only to read a config or
+rules file, so the audit verbs run without any of the three.
 
 Each check runs in a fresh interpreter, because this test process has
-imported numpy and scipy already.
+imported numpy, scipy and PyYAML already.
 """
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -13,6 +15,8 @@ from pathlib import Path
 import yaml
 
 from conftest import BASE_CONFIG, deep_merge
+from ledgerloop.cli import main
+from test_golden import DIVERGENCE_SHA256, GOLDEN_CONFIG, MONITOR_SHA256
 
 ROOT = Path(__file__).resolve().parents[1]
 V1_LEDGER = ROOT / "tests" / "fixtures" / "v1-golden.ndjson"
@@ -29,6 +33,17 @@ class Blocker:
         return None
 
 sys.meta_path.insert(0, Blocker())
+from ledgerloop.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+# Runs the CLI with PyYAML, numpy and scipy absent: an entry of None in
+# sys.modules makes every import of that name fail.
+AUDIT_ONLY_CLI = r"""
+import sys
+
+for name in ("yaml", "numpy", "scipy"):
+    sys.modules[name] = None
 from ledgerloop.cli import main
 sys.exit(main(sys.argv[1:]))
 """
@@ -81,3 +96,22 @@ def test_verbs_run_without_numpy_and_scipy(tmp_path):
                                       "conjugate-linear-v1, which needs the optional `v1` extra")
         assert "Traceback" not in done.stderr
     assert not (tmp_path / "v1.txt").exists()
+
+
+def test_the_audit_verbs_run_without_yaml_numpy_and_scipy(tmp_path):
+    # The golden ledger audits to its pinned report bytes all the same.
+    config = tmp_path / "golden.yaml"
+    config.write_text(yaml.safe_dump(GOLDEN_CONFIG))
+    ledger = tmp_path / "golden.ndjson"
+    assert main(["simulate", "--config", str(config), "--out", str(ledger)]) == 0
+    divergence, monitor = tmp_path / "divergence.txt", tmp_path / "monitor.txt"
+    for argv in (
+        ["replay-verify", "--ledger", str(ledger), "--out", str(divergence)],
+        ["monitor-report", "--ledger", str(ledger), "--out", str(monitor), "--replay"],
+        ["ledger-inspect", "--ledger", str(ledger), "--seq", "1"],
+    ):
+        done = _run(["-X", "dev", "-c", AUDIT_ONLY_CLI, *argv])
+        assert (done.returncode, done.stderr) == (0, ""), argv
+    assert '"event_type": "VERSION_CHANGE"' in done.stdout
+    assert hashlib.sha256(divergence.read_bytes()).hexdigest() == DIVERGENCE_SHA256
+    assert hashlib.sha256(monitor.read_bytes()).hexdigest() == MONITOR_SHA256

@@ -14,6 +14,7 @@ logics, so the replaying verbs refuse it at that VERSION_CHANGE, where plain
 """
 
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -24,9 +25,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import reference_audit
-from conftest import make_run_config, rechain
+from conftest import make_run_config, make_runtime, rechain
 from ledgerloop.cli import main
-from ledgerloop.events import PAYLOADS
+from ledgerloop.events import PAYLOADS, RunHeader
+from ledgerloop.ledger import config_digest, read_records
 from ledgerloop.replay import LOGICS
 from ledgerloop.runtime import MS_PER_DAY
 from ledgerloop.twin import EnvironmentSpec, run_trial
@@ -72,10 +74,13 @@ def edited(value, draw):
 
 
 POINTS = {"FEATURE_SNAPSHOT", "DECISION", "OUTCOME_OBSERVED"}
+NAMING = POINTS | {"DATA_INGESTED", "MODEL_UPDATE", "ERROR"}  # payloads with a participant_id
 # Edits aimed at what the audits check, each with the event types it edits.
 AIMED = {
     "point": POINTS,  # decision_index -> another point's, or one outside the schedule
     "participant": POINTS | {"MODEL_UPDATE"},  # participant_id -> another's
+    "stranger": NAMING,  # participant_id -> one the HEADER lacks
+    "features": {"HEADER"},  # a feature list one name shorter or longer, the digest re-derived
     "stamp": set(PAYLOADS),  # the envelope's version_id -> another version, active or not
     "action": {"DECISION"},  # the other action
     "kind": {"ERROR"},  # policy_exception <-> update_failure
@@ -107,6 +112,14 @@ def edit_one_member(path: Path, draw) -> None:
     elif how == "participant":
         pid = draw(st.sampled_from([*records[0]["payload"]["config"]["participants"], "p999"]))
         rechain(path, seq, lambda record: record["payload"].update(participant_id=pid))
+    elif how == "stranger":
+        rechain(path, seq, lambda record: record["payload"].update(participant_id="p999"))
+    elif how == "features":
+        which = draw(st.sampled_from(["baseline", "treatment"]))
+        names = payload["config"]["features"][which]
+        names = names[:-1] if draw(st.booleans(), label="drop") else [*names, names[-1]]
+        config = {**payload["config"], "features": {**payload["config"]["features"], which: names}}
+        rechain(path, seq, lambda record: record["payload"].update(config=config, config_digest=config_digest(config)))
     elif how == "stamp":
         stamp = draw(st.sampled_from(["v1.0.0", "v1.0.1", "bogus"]))
         rechain(path, seq, lambda record: record.update(version_id=stamp))
@@ -128,13 +141,19 @@ def edit_one_member(path: Path, draw) -> None:
 
 
 def breaks_a_new_rule(path: Path) -> bool:
-    """Whether a snapshot, decision or outcome names a point outside the
-    schedule; a snapshot follows its point's decision; a decision has no
-    snapshot of its point, or no VERSION_CHANGE, before it; an outcome has
-    no decision of its point before it, or repeats its point's; or a record
-    is stamped with a version that no VERSION_CHANGE activates."""
+    """Whether the HEADER's feature lists are not as long as its model's
+    dimensions; a record names a participant the HEADER does not; a
+    snapshot, decision or outcome names a point outside the schedule; a
+    snapshot follows its point's decision; a decision has no snapshot of its
+    point, or no VERSION_CHANGE, before it; an outcome has no decision of
+    its point before it, or repeats its point's; or a record is stamped with
+    a version that no VERSION_CHANGE activates."""
     records = [json.loads(line) for line in path.read_bytes().splitlines()]
-    schedule = records[0]["payload"]["config"]["schedule"]
+    config = records[0]["payload"]["config"]
+    features, model = config["features"], config["model"]
+    if (len(features["baseline"]), len(features["treatment"])) != (model["baseline_dim"], model["treatment_dim"]):
+        return True
+    schedule = config["schedule"]
     total = schedule["trial_days"] * len(schedule["decision_times"])
     snapshotted, decided, rewarded, activated, stamps = set(), set(), set(), set(), set()
     for record in records:
@@ -142,6 +161,9 @@ def breaks_a_new_rule(path: Path) -> bool:
         stamps.add(json.dumps(record["version_id"]))
         if not isinstance(payload, dict):
             continue
+        participant = payload.get("participant_id")
+        if isinstance(participant, str) and participant not in config["participants"]:
+            return True
         if event_type == "VERSION_CHANGE":
             activated.add(json.dumps(payload.get("version_id")))
         if event_type not in POINTS:
@@ -246,3 +268,21 @@ def test_the_audit_verbs_give_the_references_verdicts_and_bytes(data):
                 outcome(lambda: reference_audit.monitor_replay_verb(path)),
                 outcome(lambda: reference_audit.monitor_verb(path)),
             ]
+
+
+def test_a_runtime_logs_the_header_it_runs_from(tmp_path):
+    # The runtime is built from its HEADER and logs it as it is, so the
+    # record an audit reads back holds the very sections the runtime ran
+    # with: an imputation horizon of 3 cannot be logged as any other.
+    path = tmp_path / "runtime.ndjson"
+    runtime = make_runtime(make_run_config(imputation={"horizon": 3}), participants=("p0",), path=path)
+    runtime.start(backend_ts=0)
+    runtime.ingest_observation("p0", "engagement", 0.9, 9 * 3_600_000 - 60_000, backend_ts=0)
+    assert "imputed" in runtime.assemble_features("p0", 2).provenance
+    runtime.ledger.close()
+    logged = next(iter(read_records(path))).payload
+    sections = [f.name for f in dataclasses.fields(RunHeader)]
+    assert sections == ["model", "schedule", "features", "imputation", "injection", "participants"]
+    for section in sections:
+        assert getattr(logged, section) == getattr(runtime.header, section), section
+    assert logged == runtime.header and logged.imputation.horizon == 3

@@ -1,13 +1,16 @@
 import dataclasses
 import math
+import os
 import shutil
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import conftest
-from conftest import make_run_config, make_runtime, records_of, start_runtime
+from conftest import make_run_config, make_runtime, records_of
 from ledgerloop import events, policy
 from ledgerloop.cli import main
 from ledgerloop.errors import AuditError, NumericalStateError, StructuralAuditError
@@ -119,21 +122,21 @@ def test_final_states_are_the_runtimes(tmp_path):
         return policy.update_posterior(state, batch, *args, **kwargs)
 
     runtime.logic = dataclasses.replace(runtime.logic, update_posterior=refuse_once)
-    start_runtime(runtime)
+    runtime.start(backend_ts=0)
     fallbacks = 0
     for day in range(3):
         if day == 2:
             runtime.register_version("v1.1.0", backend_ts=day * MS_PER_DAY)
-        for idx, due in runtime.schedule.decision_points(day):
-            for k, pid in enumerate(runtime.participants):
+        for idx, due in runtime.header.schedule.decision_points(day):
+            for k, pid in enumerate(runtime.header.participants):
                 runtime.ingest_observation(pid, "engagement", 0.25 * (idx + k), due - 60_000, backend_ts=due - 60_000)
                 runtime.assemble_features(pid, idx, backend_ts=due)
                 # The prior outcome of this point arrives only after its snapshot.
                 runtime.ingest_observation(pid, "prior_outcome", 0.5 - k, due - 1000, backend_ts=due + 1)
                 fallbacks += runtime.make_decision(pid, idx, backend_ts=due + 2).fallback
                 runtime.ingest_outcome(pid, idx, 0.1 * idx - k, due + 3, backend_ts=due + 3)
-        for pid in runtime.participants:
-            runtime.run_update_cycle(pid, backend_ts=runtime.schedule.update_ts(day))
+        for pid in runtime.header.participants:
+            runtime.run_update_cycle(pid, backend_ts=runtime.header.schedule.update_ts(day))
     runtime.ledger.close()
     assert refusals and fallbacks
     path = tmp_path / "trial.ndjson"
@@ -322,11 +325,9 @@ def test_what_replay_cannot_reproduce_is_a_diff_at_its_seq(tmp_path, case):
     assert recon.report().first_divergent_seq == seq
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
-def test_a_v1_logic_that_raises_is_a_divergence_not_a_traceback(tmp_path, capsys):
-    # v1 solves with scipy, whose finiteness check raises ValueError, not a
-    # LedgerLoopError, for an infinite treatment entry. Replay records it as
-    # it records any failure of a logic, as the runtime would have fallen back.
+def v1_with_an_infinite_treatment(tmp_path) -> Path:
+    """A copy of the v1 fixture whose snapshot at seq 10, that of the first
+    decision (seq 11) that is not a fallback, holds an infinite treatment[1]."""
     pytest.importorskip("scipy")
     ledger_path = tmp_path / "v1.ndjson"
     shutil.copyfile(Path(__file__).resolve().parent / "fixtures" / "v1-golden.ndjson", ledger_path)
@@ -336,11 +337,34 @@ def test_a_v1_logic_that_raises_is_a_divergence_not_a_traceback(tmp_path, capsys
         record["payload"]["treatment"][1] = "7ff0000000000000"
 
     conftest.rechain(ledger_path, 10, infinite)
+    return ledger_path
+
+
+def test_a_v1_logic_that_raises_is_a_divergence_not_a_traceback(tmp_path, capsys):
+    # v1 solves with scipy, whose finiteness check raises ValueError, not a
+    # LedgerLoopError, for an infinite treatment entry. Replay records it as
+    # it records any failure of a logic, as the runtime would have fallen back.
+    ledger_path = v1_with_an_infinite_treatment(tmp_path)
     out = tmp_path / "divergence.txt"
     assert main(["replay-verify", "--ledger", str(ledger_path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("replay diverged: first_divergent_seq=11 (") and len(err.splitlines()) == 1
     assert b'"path":"pi_raw","recomputed":"error:ValueError","seq":11' in out.read_bytes()
+
+
+def test_a_v1_logic_that_raises_prints_only_the_verdict(tmp_path):
+    # In a fresh process, where nothing captures warnings, numpy's
+    # floating-point warnings on the infinite entry would reach stderr too.
+    ledger_path = v1_with_an_infinite_treatment(tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(Path(__file__).resolve().parents[1] / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "ledgerloop.cli", "replay-verify", "--ledger", str(ledger_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 1
+    assert done.stderr.startswith("replay diverged: first_divergent_seq=11 (")
+    assert len(done.stderr.splitlines()) == 1, done.stderr
 
 
 def test_missing_snapshot_is_structural_error(tmp_path):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_run_config, make_runtime, records_of, start_runtime
+from conftest import make_run_config, make_runtime, records_of
 from ledgerloop.cli import main
 from ledgerloop.errors import ConfigurationError, StructuralAuditError
 from ledgerloop.events import StreamIndex
@@ -65,7 +65,7 @@ def test_schedule_rejects_unsorted_times():
 def fresh_runtime(path=None, **overrides):
     config = make_run_config(**overrides)
     runtime = make_runtime(config, path=path)
-    start_runtime(runtime)
+    runtime.start(backend_ts=0)
     return runtime
 
 
@@ -186,7 +186,7 @@ def scan_reference(runtime, data, decision_index):
                 continue
             if best is None or (device_ts, -seq) > (best[1], -best[0]):
                 best = (seq, device_ts, value)
-        default = (runtime.imputation.default_for(name), "default", None, None)
+        default = (runtime.header.imputation.default_for(name), "default", None, None)
         if best is None:
             resolved[name] = default
             continue
@@ -197,11 +197,11 @@ def scan_reference(runtime, data, decision_index):
         age = decision_index - window
         if age == 0:
             resolved[name] = (value, "observed", None, device_ts)
-        elif age <= runtime.imputation.horizon:
+        elif age <= runtime.header.imputation.horizon:
             resolved[name] = (value, "imputed", "locf", device_ts)
         else:
             resolved[name] = default
-    return [resolved[n] for n in runtime.features.baseline + runtime.features.treatment]
+    return [resolved[n] for n in runtime.header.features.baseline + runtime.header.features.treatment]
 
 
 ingest_op = st.tuples(
@@ -246,7 +246,7 @@ def test_healthy_decision_within_clip():
     record = runtime.make_decision("p0", 0)
     assert record.fallback is False
     assert 0.1 <= record.pi <= 0.9
-    assert record.seed == derive_decision_seed(runtime.deployment_seed, "p0", 0)
+    assert record.seed == derive_decision_seed(runtime.header.deployment_seed, "p0", 0)
     assert record.action == decide(record.pi, record.seed)
 
 
@@ -285,9 +285,9 @@ def test_a_non_finite_feature_falls_back_to_uniform(tmp_path, capsys, monkeypatc
     path = tmp_path / "ledger.ndjson"
     config = make_run_config()
     runtime = make_runtime(config, participants=("p0",), path=path)
-    start_runtime(runtime)
-    ts = runtime.schedule.due_ts(0) - 1000
-    for name in runtime.features.names:
+    runtime.start(backend_ts=0)
+    ts = runtime.header.schedule.due_ts(0) - 1000
+    for name in runtime.header.features.names:
         if name != "engagement":
             runtime.ingest_observation("p0", name, 0.5, ts, backend_ts=ts)
     runtime.assemble_features("p0", 0)
@@ -369,9 +369,9 @@ def test_single_outcome_matches_update_posterior():
     outcome_seq = runtime.ingest_outcome("p0", 0, 1.25, H9 + 1000, backend_ts=H9 + 1000)
     new_state = runtime.run_update_cycle("p0", backend_ts=H23)
     expected = update_posterior(
-        init_state(runtime.model_config),
+        init_state(runtime.header.model),
         [(snapshot, record.action, 1.25)],
-        runtime.model_config,
+        runtime.header.model,
         last_update_seq=outcome_seq,
     )
     assert canonical_serialize(new_state) == canonical_serialize(expected)
@@ -435,20 +435,34 @@ def test_fallback_decisions_feed_updates():
     assert runtime.index.totals.updates == 1
 
 
-def test_unknown_participant_is_config_error():
-    runtime = fresh_runtime()
-    with pytest.raises(ConfigurationError):
-        runtime.ingest_outcome("ghost", 0, 1.0, H9, backend_ts=H9)
-    with pytest.raises(ConfigurationError):
-        runtime.assemble_features("ghost", 0)
-    with pytest.raises(ConfigurationError):
-        runtime.run_update_cycle("ghost", backend_ts=H23)
+def test_unknown_participant_is_a_structural_error(file_runtime):
+    # A participant the HEADER lacks is refused by the fold's one rule, as
+    # the record the call would write: nothing is written, and an update
+    # cycle with nothing to log is refused all the same. A decision falls
+    # back (the participant has no state), so its ERROR would come first.
+    runtime = file_runtime()
+    path = runtime.ledger.path
+    calls = {
+        "DATA_INGESTED": lambda: runtime.ingest_observation("ghost", "engagement", 0.5, H9, backend_ts=H9),
+        "FEATURE_SNAPSHOT": lambda: runtime.assemble_features("ghost", 0),
+        "DECISION": lambda: runtime.make_decision("ghost", 0),
+        "OUTCOME_OBSERVED": lambda: runtime.ingest_outcome("ghost", 0, 1.0, H9, backend_ts=H9),
+        "MODEL_UPDATE": lambda: runtime.run_update_cycle("ghost", backend_ts=H23),
+    }
+    for event_type, call in calls.items():
+        before, n = path.read_bytes(), len(runtime.ledger)
+        seq = n + (event_type == "DECISION")
+        with pytest.raises(StructuralAuditError) as caught:
+            call()
+        assert str(caught.value) == f"{event_type} at seq {seq} names participant 'ghost', not one of the HEADER's"
+        assert path.read_bytes() == before
+        assert runtime.index == StreamIndex.fold(read_records(path))
 
 
 def test_unknown_participant_observation_is_refused_before_logging():
     runtime = fresh_runtime()
     before = len(runtime.ledger)
-    with pytest.raises(ConfigurationError, match="unknown participant 'ghost'"):
+    with pytest.raises(StructuralAuditError, match="^DATA_INGESTED at seq 2 names participant 'ghost'"):
         runtime.ingest_observation("ghost", "engagement", 0.5, H9, backend_ts=H9)
     assert len(runtime.ledger) == runtime.index.size == before
 
@@ -495,7 +509,7 @@ def test_a_call_the_fold_would_refuse_writes_nothing(tmp_path, capsys):
     with pytest.raises(StructuralAuditError, match="^ledger does not start with a HEADER record$"):
         runtime.register_version("v2.0.0", backend_ts=0)
     assert path.read_bytes() == b"" and runtime.index == StreamIndex()
-    start_runtime(runtime)
+    runtime.start(backend_ts=0)
     run_decision_point(runtime, "p0", 0, H9)
     runtime.ingest_outcome("p0", 0, 1.0, H9 + 1000, backend_ts=H9 + 1000)
 
