@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import twin
-from .config import load_config, read_yaml
+from .config import FailureInjectionSpec, load_config, read_yaml
 from .errors import (
     AuditError,
     ConfigurationError,
@@ -30,7 +30,6 @@ from . import ledger
 from .ledger import CONFIG_FORMAT, Ledger, decode_as, map_floats
 from .monitor import DEFAULT_RULES, AlertRule, compute_metrics, emit_report, evaluate_alerts
 from .replay import reconstruct_states, replay_verify
-from .runtime import FailureInjectionSpec
 
 EXIT_OK = 0
 EXIT_DIVERGED = 1

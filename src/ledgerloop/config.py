@@ -1,31 +1,167 @@
-"""Plain-text run configuration: parsing, validation, canonical encoding.
+"""A run's configuration: its typed sections, and the plain-text file they
+are parsed and validated from.
 
 One YAML file declares everything a run needs (model, schedule, features,
 imputation, failure injection, twin environment, tuning grids). Validation
 errors always name the offending field path so the CLI can exit 64 with a
-usable diagnostic. The canonical dict written into the
-ledger header is rebuilt from the *typed* values with all floats hex-encoded,
-so its digest does not depend on YAML formatting quirks.
+usable diagnostic. The section types are also those of a ledger HEADER's
+config (``ledgerloop.events.RunHeader``), which is written from the typed
+values, so its digest does not depend on YAML formatting quirks.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 from dataclasses import dataclass, field, make_dataclass
 from pathlib import Path
 from typing import get_type_hints
 
 from .errors import ConfigurationError, DecodeError
-from .ledger import (
-    CONFIG_FORMAT,
-    ENVIRONMENT_PROFILES,
-    decode_as,
-    encode_float,
-    map_floats,
-)
+from .ledger import CONFIG_FORMAT, ENVIRONMENT_PROFILES, decode_as
 from .policy import ModelConfig
-from .runtime import FailureInjectionSpec, FeatureSpec, ImputationPolicy, Schedule, check_features
+
+MS_PER_DAY = 86_400_000
+MS_PER_MINUTE = 60_000
+MAX_TRIAL_DAYS = 36_525  # a century; the monitor reports every day of a trial
+
+
+def _parse_clock(text: str, where: str) -> int:
+    """\"HH:MM\" -> milliseconds since local midnight."""
+    try:
+        hours, minutes = text.split(":")
+        h, m = int(hours), int(minutes)
+    except (ValueError, AttributeError):
+        raise ConfigurationError(f"{where}: expected \"HH:MM\", got {text!r}") from None
+    if not (0 <= h < 24 and 0 <= m < 60):
+        raise ConfigurationError(f"{where}: {text!r} is not a valid time of day")
+    return (h * 60 + m) * MS_PER_MINUTE
+
+
+@dataclass(frozen=True)
+class Schedule:
+    """Daily decision and update timing for one trial."""
+
+    decision_times: tuple[str, ...] = ("09:00", "18:00")
+    update_time: str = "23:00"
+    trial_days: int = 28
+    trial_start_ts: int = 0
+
+    def __post_init__(self):
+        if not self.decision_times:
+            raise ConfigurationError("schedule.decision_times must be non-empty")
+        if not 1 <= self.trial_days <= MAX_TRIAL_DAYS:
+            raise ConfigurationError(f"schedule.trial_days must be in [1, {MAX_TRIAL_DAYS}]")
+        offsets = [
+            _parse_clock(t, f"schedule.decision_times[{i}]")
+            for i, t in enumerate(self.decision_times)
+        ]
+        if any(a >= b for a, b in zip(offsets, offsets[1:])):
+            raise ConfigurationError("schedule.decision_times must be strictly increasing")
+        update_offset = _parse_clock(self.update_time, "schedule.update_time")
+        if update_offset in offsets:
+            raise ConfigurationError("schedule.update_time must differ from decision_times")
+        object.__setattr__(self, "_decision_offsets", tuple(offsets))
+        object.__setattr__(self, "_update_offset", update_offset)
+
+    @property
+    def points_per_day(self) -> int:
+        return len(self.decision_times)
+
+    def due_ts(self, decision_index: int) -> int:
+        day, slot = divmod(decision_index, self.points_per_day)
+        return self.trial_start_ts + day * MS_PER_DAY + self._decision_offsets[slot]
+
+    def update_ts(self, day: int) -> int:
+        return self.trial_start_ts + day * MS_PER_DAY + self._update_offset
+
+    def decision_points(self, day: int) -> list[tuple[int, int]]:
+        """All (decision_index, due_ts) for one trial day; indices are global
+        per participant: day * k + slot."""
+        if not (0 <= day < self.trial_days):
+            raise ConfigurationError(f"day {day} outside trial range [0, {self.trial_days})")
+        k = self.points_per_day
+        return [(day * k + slot, self.due_ts(day * k + slot)) for slot in range(k)]
+
+    @property
+    def total_points(self) -> int:
+        return self.trial_days * self.points_per_day
+
+
+@dataclass(frozen=True)
+class FeatureSpec:
+    """Names of the data features feeding the baseline and treatment vectors.
+
+    Every entry is a named datum (the constant intercept included): an entry
+    is `observed` exactly when a fresh datum for its name arrived in time.
+    """
+
+    baseline: tuple[str, ...] = ("intercept", "prior_outcome", "time_of_day")
+    treatment: tuple[str, ...] = ("intercept", "prior_outcome", "engagement")
+    # Every feature name once, in first-use order.
+    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        if not self.baseline or not self.treatment:
+            raise ConfigurationError("features.baseline and features.treatment must be non-empty")
+        object.__setattr__(self, "names", tuple(dict.fromkeys(self.baseline + self.treatment)))
+
+
+@dataclass(frozen=True)
+class ImputationPolicy:
+    """Carry-forward horizon (in decision points) and per-feature defaults."""
+
+    horizon: int = 3
+    defaults: dict[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.horizon < 0:
+            raise ConfigurationError("imputation.horizon must be non-negative")
+        defaults = {k: float(v) for k, v in dict(self.defaults).items()}
+        for name, value in defaults.items():
+            # A snapshot holding a NaN or infinite default fails every later update.
+            if not math.isfinite(value):
+                raise ConfigurationError(f"imputation.defaults.{name} must be finite, got {value!r}")
+        object.__setattr__(self, "defaults", defaults)
+
+    def default_for(self, feature: str) -> float:
+        return self.defaults[feature]  # check_features gives every feature of a run one
+
+
+@dataclass(frozen=True)
+class FailureInjectionSpec:
+    """Synthetic fault probabilities for QA runs; None defers to the twin
+    environment's own missingness/latency parameters."""
+
+    policy_exception_prob: float = 0.0
+    data_loss_prob: float | None = None
+    delay_geometric_p: float | None = None
+
+    def __post_init__(self):
+        if not (0.0 <= self.policy_exception_prob <= 1.0):
+            raise ConfigurationError("injection.policy_exception_prob must be in [0, 1]")
+        if self.data_loss_prob is not None and not (0.0 <= self.data_loss_prob <= 1.0):
+            raise ConfigurationError("injection.data_loss_prob must be in [0, 1]")
+        if self.delay_geometric_p is not None and not (0.0 < self.delay_geometric_p <= 1.0):
+            raise ConfigurationError("injection.delay_geometric_p must be in (0, 1]")
+
+
+def check_features(model: ModelConfig, features: FeatureSpec, imputation: ImputationPolicy) -> None:
+    """ConfigurationError unless every feature has an imputation default and
+    the feature lists are as long as the model's dimensions: what a run's
+    sections must agree on, checked once for a config
+    (:func:`config_from_dict`) and once for a HEADER's
+    (:class:`ledgerloop.events.RunHeader`)."""
+    for name in features.names:
+        if name not in imputation.defaults:
+            raise ConfigurationError(f"imputation.defaults.{name}: missing required field")
+    d_g, d_h = len(features.baseline), len(features.treatment)
+    if (d_g, d_h) != (model.baseline_dim, model.treatment_dim):
+        raise ConfigurationError(
+            f"feature spec dims ({d_g}, {d_h}) do not match model config "
+            f"({model.baseline_dim}, {model.treatment_dim})"
+        )
 
 
 @dataclass(frozen=True)
@@ -214,31 +350,3 @@ def _environment_grid(base: EnvironmentSpec, axes) -> tuple[EnvironmentSpec, ...
         )
     except ConfigurationError as exc:
         raise ConfigurationError(f"grid: {exc}") from None
-
-
-# -- canonical encoding -----------------------------------------------------------
-
-
-def header_config_dict(
-    config: RunConfig, participants: list[str], environment: EnvironmentSpec | None = None
-) -> dict:
-    """Self-describing run parameters embedded in the ledger header: the typed
-    values with every float hex-encoded. ``environment`` is by default the
-    config's own.
-
-    The runtime runs from, and the audits read, its model, schedule,
-    features, imputation, injection and participants as they come back
-    through ``ledgerloop.events.HeaderInfo``.
-    """
-    return map_floats(
-        {
-            "model": config.model,
-            "schedule": config.schedule,
-            "features": config.features,
-            "imputation": config.imputation,
-            "injection": config.injection,
-            "participants": participants,
-            "environment": config.environment if environment is None else environment,
-        },
-        encode_float,
-    )

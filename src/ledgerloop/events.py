@@ -28,10 +28,18 @@ has consumed its outcome.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Iterable
 
-from . import runtime
+from .config import (
+    MS_PER_DAY,
+    EnvironmentSpec,
+    FailureInjectionSpec,
+    FeatureSpec,
+    ImputationPolicy,
+    Schedule,
+    check_features,
+)
 from .errors import ConfigurationError, DecodeError, StructuralAuditError
 from .ledger import ENVIRONMENT_PROFILES, FORMAT_VERSION, LEDGER_FORMAT, EventEnvelope, _Refusal, decode_as
 from .ledger import config_digest, frozen_record
@@ -40,58 +48,47 @@ from .policy import DecisionRecord, FeatureSnapshot, ModelConfig
 
 @dataclass(frozen=True)
 class RunHeader:
-    """The sections of a HEADER's ``config`` that the runtime runs from and
-    the audits read, typed, and checked against each other
-    (:func:`ledgerloop.runtime.check_features`)."""
+    """A HEADER's ``config``: the sections of a run that the runtime runs
+    from and the audits read, typed, and checked against each other
+    (:func:`ledgerloop.config.check_features`), with the twin environment
+    the run was simulated in. No participant is named twice."""
 
     model: ModelConfig
-    schedule: runtime.Schedule
-    features: runtime.FeatureSpec
-    imputation: runtime.ImputationPolicy
-    injection: runtime.FailureInjectionSpec
+    schedule: Schedule
+    features: FeatureSpec
+    imputation: ImputationPolicy
+    injection: FailureInjectionSpec
     participants: tuple[str, ...]
+    environment: EnvironmentSpec
 
     def __post_init__(self):
-        runtime.check_features(self.model, self.features, self.imputation)
-
-
-_RUN_HEADER_MEMBERS = tuple(f.name for f in fields(RunHeader))
+        check_features(self.model, self.features, self.imputation)
+        seen = set()
+        for participant in self.participants:
+            if participant in seen:
+                raise ConfigurationError(f"participants: {participant!r} is named twice")
+            seen.add(participant)
 
 
 @dataclass(frozen=True)
 class HeaderInfo:
     """A HEADER payload, and a run's one configuration: the runtime is built
-    from it and logs it as it is. ``config`` stays the canonical dict it was
-    written as, since the fold checks its digest against ``config_digest``;
-    its six :class:`RunHeader` sections are decoded once, on construction,
-    and ``roster`` is the set of its participants. A config whose sections
-    disagree is a ``malformed HEADER config``."""
+    from it and logs it as it is. ``config_digest`` is the digest of
+    ``config`` (:func:`ledgerloop.ledger.config_digest`), and ``roster`` the
+    set of its participants."""
 
     stream_id: str
     environment_profile: str
     deployment_seed: int
-    config: dict
+    config: RunHeader
     config_digest: str
     format_version: int = FORMAT_VERSION
-    model: ModelConfig = field(init=False)
-    schedule: runtime.Schedule = field(init=False)
-    features: runtime.FeatureSpec = field(init=False)
-    imputation: runtime.ImputationPolicy = field(init=False)
-    injection: runtime.FailureInjectionSpec = field(init=False)
-    participants: tuple[str, ...] = field(init=False)
     roster: frozenset[str] = field(init=False)
 
     def __post_init__(self):
         if self.format_version != FORMAT_VERSION:
             raise ConfigurationError(f"format_version {self.format_version!r} is not {FORMAT_VERSION}")
-        given = {k: self.config[k] for k in _RUN_HEADER_MEMBERS if k in self.config}
-        try:
-            typed = decode_as(RunHeader, given, LEDGER_FORMAT)
-        except _Refusal as refusal:
-            raise DecodeError(f"malformed HEADER config: {refusal}") from None
-        for name in _RUN_HEADER_MEMBERS:
-            object.__setattr__(self, name, getattr(typed, name))
-        object.__setattr__(self, "roster", frozenset(self.participants))
+        object.__setattr__(self, "roster", frozenset(self.config.participants))
 
 
 @frozen_record
@@ -174,14 +171,17 @@ def decode_payload(event_type: str, payload):
     """The typed value of a payload dict of ``event_type``; DecodeError
     (without a seq) unless the payload is one ``Ledger.append`` could have
     written. A refusal of the walk is prefixed ``malformed <event_type>
-    payload:``; the HEADER's own refusal of its config passes through as it
-    is."""
+    payload:``, but one of a HEADER's config, or of a member inside it,
+    ``malformed HEADER config:``."""
     cls = PAYLOADS.get(event_type)
     if cls is None:
         raise DecodeError(f"unknown event type {event_type!r}")
     try:
         return decode_as(cls, payload, LEDGER_FORMAT)
     except _Refusal as refusal:
+        member, _, inner = refusal.path[1:].partition(".")
+        if cls is HeaderInfo and member == "config":
+            raise DecodeError(f"malformed HEADER config: {_Refusal(refusal.problem, inner)}") from None
         raise DecodeError(f"malformed {event_type} payload: {refusal}") from None
 
 
@@ -373,7 +373,7 @@ class StreamIndex:
             return None  # half of all records; nothing more to check
         if etype in _POINT_EVENTS:
             key = (value.participant_id, value.decision_index)
-            total = header.schedule.total_points
+            total = header.config.schedule.total_points
             if not 0 <= value.decision_index < total:
                 raise StructuralAuditError(
                     f"{etype} at seq {seq} names decision {value.decision_index}, not in [0, {total})"
@@ -433,14 +433,14 @@ class StreamIndex:
             key = (value.participant_id, value.decision_index)
             tags, replaced = value.provenance, self.snapshots[key].provenance if key in self.snapshots else ()
             added, observed = len(tags) - len(replaced), tags.count("observed") - replaced.count("observed")
-            for counts in self._counts(value.decision_index // self.header.schedule.points_per_day):
+            for counts in self._counts(value.decision_index // self.header.config.schedule.points_per_day):
                 counts.tags += added
                 counts.observed += observed
             self.snapshots[key] = value
             self.snapshot_seqs[key] = record.seq
         elif etype == "DECISION":
             key = (value.participant_id, value.decision_index)
-            for counts in self._counts(value.decision_index // self.header.schedule.points_per_day):
+            for counts in self._counts(value.decision_index // self.header.config.schedule.points_per_day):
                 counts.decisions += 1
                 counts.fallbacks += value.fallback
                 counts.pi_sum.add(value.pi)
@@ -492,8 +492,8 @@ class StreamIndex:
 
     def _trial_day(self, backend_ts: int) -> int:
         """The trial day of a backend timestamp; earlier and later ones count on the first and last day."""
-        schedule = self.header.schedule
-        day = (backend_ts - schedule.trial_start_ts) // runtime.MS_PER_DAY
+        schedule = self.header.config.schedule
+        day = (backend_ts - schedule.trial_start_ts) // MS_PER_DAY
         return min(max(day, 0), schedule.trial_days - 1)
 
     def batch(self, participant_id: str, batch_seqs, seq: int) -> list[Row]:

@@ -26,7 +26,9 @@ that states each scalar's check, text, regex and converter side by side, it
 generates straight-line code on the class's first use (never at import):
 the writer (:func:`_writer_piece`), which checks each member's type and
 writes a record of the class's event type whose payload is the bytes
-``_dumps`` would give for ``map_floats(value, encode_float)``; and the line
+``_dumps`` would give for ``map_floats(value, encode_float)`` (a dataclass
+member, the HEADER's typed config, as ``canonical_json_bytes`` of its
+``map_floats``, once the walk reads those back); and the line
 matcher (:func:`_line_reader`), one anchored regex over a whole record line
 with a converter from its groups to the typed value, which converts each
 tuple or bytes member in a fixed number of C calls and builds the value
@@ -50,10 +52,10 @@ passed the chain check and carries its typed payload. Each line's matcher is
 tried first, then the seq, linkage and SHA-256 comparisons. A match that
 passes them proves that the line is canonical, holds exactly the envelope's
 members and its class's, each of its annotation's type, and that the class
-takes the value. Any other line (the HEADER, whose config is a dict; a
-string with an escape; every malformed line, an odd-length bytes member
-among them; a value the class refuses), and a matched line that fails a
-comparison, goes through the JSON path (:func:`_json_record`):
+takes the value. Any other line (the HEADER, whose config no matcher
+reads; a string with an escape; every malformed line, an odd-length bytes
+member among them; a value the class refuses), and a matched line that
+fails a comparison, goes through the JSON path (:func:`_json_record`):
 :func:`_parse_line`, the same comparisons, and the walk
 (``events.decode_payload``) over the payload, whose refusal is a
 DecodeError without a seq. So the JSON path gives every verdict and
@@ -151,9 +153,11 @@ def canonical_json_bytes(obj) -> bytes:
     return _dumps(obj)
 
 
-def config_digest(header_config: dict) -> str:
-    """The SHA-256, in hex, of a HEADER config's canonical bytes."""
-    return hashlib.sha256(canonical_json_bytes(header_config)).hexdigest()
+def config_digest(config) -> str:
+    """The SHA-256, in hex, of a HEADER config's canonical bytes: those of
+    ``map_floats(config, encode_float)``, which the HEADER's writer writes
+    for its ``events.RunHeader``."""
+    return hashlib.sha256(canonical_json_bytes(map_floats(config, encode_float))).hexdigest()
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
@@ -347,7 +351,6 @@ LEDGER_FORMAT = Format(
         int: _exactly(int, "an integer"),
         str: _exactly(str, "a string"),
         bool: _exactly(bool, "a boolean"),
-        dict: _exactly(dict, "an object"),
     },
     defaults=False,
 )
@@ -404,9 +407,11 @@ class _Text(NamedTuple):
     least one item, in a fixed number of C calls (see :func:`_tuple_text`);
     ``json_value``: the JSON value of each text is the value itself;
     ``scalar``: no text holds a comma outside a string. An empty ``regex``
-    means no matcher reads the annotation (a dict, a dataclass), so a line
-    holding one is read by :func:`_parse_line`. ``write`` is set for a
-    payload class only: its compiled writer, which is all of its text."""
+    means no matcher reads the annotation (a dataclass), so a line holding
+    one is read by :func:`_parse_line`. ``{1}`` in ``arg`` stands for the
+    member's name as a refusal gives it, and ``binds`` holds the names the
+    texts use beside the module's, with their values. ``write`` is set for
+    a payload class only: its compiled writer, which is all of its text."""
 
     check: str = ""
     spec: str = ""
@@ -417,11 +422,12 @@ class _Text(NamedTuple):
     items: str = ""
     json_value: bool = False
     scalar: bool = True
+    binds: tuple = ()
     write: typing.Callable | None = None
 
     def inline(self) -> "_Text":
         if not self.check:
-            raise TypeError("no compiled encoding for a dataclass inside a payload")
+            raise TypeError("no compiled encoding for a payload inside a payload")
         return self
 
     def text(self, value: str) -> str:
@@ -443,13 +449,18 @@ _fromhex = bytes.fromhex
 _unpack = struct.unpack
 
 
-def _canonical_text(obj: dict) -> str:
-    # The HEADER's config is the one dict a payload holds; a refusal names
-    # it as _misfit names every other member.
+def _nested_text(value, member: str) -> str:
+    """The text of a dataclass ``value`` inside a payload: the canonical
+    bytes of ``map_floats(value, encode_float)``, once the annotation walk
+    reads them back, so a member holds no value the read pass refuses. A
+    refusal is a ConfigurationError naming ``member`` and the path inside
+    it."""
     try:
-        return canonical_json_bytes(obj).decode("ascii")
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"HEADER payload: config: {exc}") from None
+        mapped = map_floats(value, encode_float)
+        decode_as(type(value), mapped, LEDGER_FORMAT)
+    except (ConfigurationError, _Refusal) as exc:
+        raise ConfigurationError(f"{member}: {exc}") from None
+    return canonical_json_bytes(mapped).decode("ascii")
 
 
 def _misfit(member: str, what: str, value):
@@ -472,6 +483,7 @@ def _tuple_text(item: _Text) -> _Text:
         rf"\[(?:(?:{item.regex})(?:,(?:{item.regex}))*)?\]" if item.regex and item.scalar and items else "",
         f"(() if {{0}} == '[]' else {items})",
         scalar=False,
+        binds=item.binds,
     )
 
 
@@ -486,6 +498,7 @@ def _optional_text(inner: _Text) -> _Text:
         f"(None if {{0}} == 'null' else {inner.convert})",
         json_value=inner.json_value,
         scalar=inner.scalar,
+        binds=inner.binds,
     )
 
 
@@ -504,19 +517,25 @@ def _writer_piece(cls: type, fmt: Format) -> _Text:
     previous hash as hex) that returns the event type and the record's head
     and tail as ASCII bytes (see :data:`_HEAD`), each with one %-format,
     once every member has passed its check. A member that does not raises
-    ConfigurationError naming it. No writer for a class that is no event
-    type's payload."""
+    ConfigurationError naming it.
+
+    A class that is no event type's payload gets the text of a payload
+    member holding one instead (:func:`_nested_text`), which no line
+    matcher reads."""
     from .events import _EVENT_TYPES  # the schema; it imports this module
 
     event_type = _EVENT_TYPES.get(cls)
     if event_type is None:
-        return _Text()
+        name = f"_{cls.__name__}"
+        return _Text(f"isinstance({{0}}, {name})", "%s", "_nested_text({0}, {1})", f"a {cls.__name__}",
+                     binds=((name, cls),))
     hints = typing.get_type_hints(cls)
     names = sorted(f.name for f in dataclasses.fields(cls) if f.init)
     members = [(name, f"m{i}", _converter(hints[name], fmt).inline()) for i, name in enumerate(names)]
     payload = "{" + ",".join(_quoted(name) + ":" + piece.spec for name, _, piece in members) + "}"
     checks = [piece.check.replace("{0}", var) for _, var, piece in members]
-    args = "".join(piece.arg.replace("{0}", var) + ", " for _, var, piece in members)
+    args = "".join(piece.arg.replace("{0}", var).replace("{1}", repr(f"{event_type} payload: {name}")) + ", "
+                   for name, var, piece in members)
     source = "\n".join([
         "def write(value, backend_ts, device_ts, profile, prev_hex, seq, stream, version_id):",
         *(f"    {var} = value.{name}" for name, var, _ in members),
@@ -527,9 +546,9 @@ def _writer_piece(cls: type, fmt: Format) -> _Text:
         " 'null' if device_ts is None else device_ts, profile)).encode('ascii'),",
         f"            ({_TAIL % payload!r} % ({args}prev_hex, seq, stream, _quoted(version_id))).encode('ascii'))",
     ])
-    namespace: dict = {}
-    # The module's own namespace, so the helpers are looked up when called.
-    exec(compile(source, f"<writer of {cls.__qualname__}>", "exec"), globals(), namespace)
+    # The module's own names, and those the members' texts bind.
+    namespace = {**globals(), **{name: value for _, _, piece in members for name, value in piece.binds}}
+    exec(compile(source, f"<writer of {cls.__qualname__}>", "exec"), namespace)
     return _Text(write=namespace["write"])
 
 
@@ -557,7 +576,6 @@ LEDGER_TEXT = Format(
                    f'"{_PLAIN}"', "{0}[1:-1]", """tuple({0}[2:-2].split('","'))""", True),
         bytes: _Text("isinstance({0}, bytes)", '"%s"', "{0}.hex()", "bytes",
                      '"[0-9a-f]*"', "_fromhex({0}[1:-1])"),
-        dict: _Text("isinstance({0}, dict)", "%s", "_canonical_text({0})", "an object"),
     },
     defaults=False,
     of_dataclass=_writer_piece,

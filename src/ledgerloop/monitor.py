@@ -102,8 +102,8 @@ def compute_metrics(index: events.StreamIndex) -> MetricTable:
     and snapshots count on the day of their decision index, updates and
     errors on that of their backend timestamp.
     """
-    header, schedule = index.header, index.header.schedule
-    table = MetricTable(header.stream_id, header.environment_profile, len(header.participants),
+    header, schedule = index.header, index.header.config.schedule
+    table = MetricTable(header.stream_id, header.environment_profile, len(header.config.participants),
                         schedule.trial_days, schedule.points_per_day)
     scheduled = table.n_participants * table.points_per_day
     idle = events.Counts()

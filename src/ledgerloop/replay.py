@@ -312,7 +312,7 @@ def reconstruct_states(
                 expected = (("pi", value.pi, FALLBACK_PI), ("pi_raw", value.pi_raw, FALLBACK_PI))
             else:
                 try:
-                    pi_raw, pi = logic.action_probability(states.get(pid, initial), snapshot, index.header.model)
+                    pi_raw, pi = logic.action_probability(states.get(pid, initial), snapshot, index.header.config.model)
                 except Exception as exc:
                     logged = encode_float(value.pi_raw)
                     decisions.record(seq, "pi_raw", logged, f"error:{type(exc).__name__}")
@@ -332,7 +332,7 @@ def reconstruct_states(
             logged_digest = None
             try:
                 new_state = logic.update_posterior(
-                    state, rows, index.header.model, last_update_seq=max(value.batch_seqs)
+                    state, rows, index.header.config.model, last_update_seq=max(value.batch_seqs)
                 )
             except Exception as exc:
                 updates.record(seq, "post_state", value.post_state.hex(), f"error:{type(exc).__name__}")
@@ -365,10 +365,10 @@ def reconstruct_states(
                     f"not that of {logic.name} ({logic.fingerprint})"
                 )
             if initial is None:
-                initial = policy.init_state(index.header.model)
+                initial = policy.init_state(index.header.config.model)
     index.complete()
     if initial is not None:
-        for pid in index.header.participants:  # the fold refuses a record of any other
+        for pid in index.header.config.participants:  # the fold refuses a record of any other
             states.setdefault(pid, initial)
     decisions.counts["decisions_checked"] = len(index.decided)
     updates.counts["updates_checked"] = index.totals.updates

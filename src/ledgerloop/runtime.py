@@ -13,162 +13,20 @@ from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
 
 from . import events, policy
 from .errors import ConfigurationError, InjectedFailure
 from .ledger import EventEnvelope, Ledger
-from .policy import DecisionRecord, FeatureSnapshot, ModelConfig, PosteriorState
+from .policy import DecisionRecord, FeatureSnapshot, PosteriorState
 from .rng import SplitMix64, derive_seed
-
-MS_PER_DAY = 86_400_000
-MS_PER_MINUTE = 60_000
-MAX_TRIAL_DAYS = 36_525  # a century; the monitor reports every day of a trial
-
-
-def _parse_clock(text: str, where: str) -> int:
-    """\"HH:MM\" -> milliseconds since local midnight."""
-    try:
-        hours, minutes = text.split(":")
-        h, m = int(hours), int(minutes)
-    except (ValueError, AttributeError):
-        raise ConfigurationError(f"{where}: expected \"HH:MM\", got {text!r}") from None
-    if not (0 <= h < 24 and 0 <= m < 60):
-        raise ConfigurationError(f"{where}: {text!r} is not a valid time of day")
-    return (h * 60 + m) * MS_PER_MINUTE
-
-
-@dataclass(frozen=True)
-class Schedule:
-    """Daily decision and update timing for one trial."""
-
-    decision_times: tuple[str, ...] = ("09:00", "18:00")
-    update_time: str = "23:00"
-    trial_days: int = 28
-    trial_start_ts: int = 0
-
-    def __post_init__(self):
-        if not self.decision_times:
-            raise ConfigurationError("schedule.decision_times must be non-empty")
-        if not 1 <= self.trial_days <= MAX_TRIAL_DAYS:
-            raise ConfigurationError(f"schedule.trial_days must be in [1, {MAX_TRIAL_DAYS}]")
-        offsets = [
-            _parse_clock(t, f"schedule.decision_times[{i}]")
-            for i, t in enumerate(self.decision_times)
-        ]
-        if any(a >= b for a, b in zip(offsets, offsets[1:])):
-            raise ConfigurationError("schedule.decision_times must be strictly increasing")
-        update_offset = _parse_clock(self.update_time, "schedule.update_time")
-        if update_offset in offsets:
-            raise ConfigurationError("schedule.update_time must differ from decision_times")
-        object.__setattr__(self, "_decision_offsets", tuple(offsets))
-        object.__setattr__(self, "_update_offset", update_offset)
-
-    @property
-    def points_per_day(self) -> int:
-        return len(self.decision_times)
-
-    def due_ts(self, decision_index: int) -> int:
-        day, slot = divmod(decision_index, self.points_per_day)
-        return self.trial_start_ts + day * MS_PER_DAY + self._decision_offsets[slot]
-
-    def update_ts(self, day: int) -> int:
-        return self.trial_start_ts + day * MS_PER_DAY + self._update_offset
-
-    def decision_points(self, day: int) -> list[tuple[int, int]]:
-        """All (decision_index, due_ts) for one trial day; indices are global
-        per participant: day * k + slot."""
-        if not (0 <= day < self.trial_days):
-            raise ConfigurationError(f"day {day} outside trial range [0, {self.trial_days})")
-        k = self.points_per_day
-        return [(day * k + slot, self.due_ts(day * k + slot)) for slot in range(k)]
-
-    @property
-    def total_points(self) -> int:
-        return self.trial_days * self.points_per_day
-
-
-@dataclass(frozen=True)
-class FeatureSpec:
-    """Names of the data features feeding the baseline and treatment vectors.
-
-    Every entry is a named datum (the constant intercept included): an entry
-    is `observed` exactly when a fresh datum for its name arrived in time.
-    """
-
-    baseline: tuple[str, ...] = ("intercept", "prior_outcome", "time_of_day")
-    treatment: tuple[str, ...] = ("intercept", "prior_outcome", "engagement")
-    # Every feature name once, in first-use order.
-    names: tuple[str, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if not self.baseline or not self.treatment:
-            raise ConfigurationError("features.baseline and features.treatment must be non-empty")
-        object.__setattr__(self, "names", tuple(dict.fromkeys(self.baseline + self.treatment)))
-
-
-@dataclass(frozen=True)
-class ImputationPolicy:
-    """Carry-forward horizon (in decision points) and per-feature defaults."""
-
-    horizon: int = 3
-    defaults: dict[str, float] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.horizon < 0:
-            raise ConfigurationError("imputation.horizon must be non-negative")
-        defaults = {k: float(v) for k, v in dict(self.defaults).items()}
-        for name, value in defaults.items():
-            # A snapshot holding a NaN or infinite default fails every later update.
-            if not math.isfinite(value):
-                raise ConfigurationError(f"imputation.defaults.{name} must be finite, got {value!r}")
-        object.__setattr__(self, "defaults", defaults)
-
-    def default_for(self, feature: str) -> float:
-        return self.defaults[feature]  # check_features gives every feature of a run one
-
-
-@dataclass(frozen=True)
-class FailureInjectionSpec:
-    """Synthetic fault probabilities for QA runs; None defers to the twin
-    environment's own missingness/latency parameters."""
-
-    policy_exception_prob: float = 0.0
-    data_loss_prob: float | None = None
-    delay_geometric_p: float | None = None
-
-    def __post_init__(self):
-        if not (0.0 <= self.policy_exception_prob <= 1.0):
-            raise ConfigurationError("injection.policy_exception_prob must be in [0, 1]")
-        if self.data_loss_prob is not None and not (0.0 <= self.data_loss_prob <= 1.0):
-            raise ConfigurationError("injection.data_loss_prob must be in [0, 1]")
-        if self.delay_geometric_p is not None and not (0.0 < self.delay_geometric_p <= 1.0):
-            raise ConfigurationError("injection.delay_geometric_p must be in (0, 1]")
-
-
-def check_features(model: ModelConfig, features: FeatureSpec, imputation: ImputationPolicy) -> None:
-    """ConfigurationError unless every feature has an imputation default and
-    the feature lists are as long as the model's dimensions: what a run's
-    sections must agree on, checked once for a config
-    (:func:`ledgerloop.config.config_from_dict`) and once for a HEADER
-    (:class:`ledgerloop.events.HeaderInfo`)."""
-    for name in features.names:
-        if name not in imputation.defaults:
-            raise ConfigurationError(f"imputation.defaults.{name}: missing required field")
-    d_g, d_h = len(features.baseline), len(features.treatment)
-    if (d_g, d_h) != (model.baseline_dim, model.treatment_dim):
-        raise ConfigurationError(
-            f"feature spec dims ({d_g}, {d_h}) do not match model config "
-            f"({model.baseline_dim}, {model.treatment_dim})"
-        )
 
 
 class Runtime:
     """Drives one stream from its HEADER (``header``, a
     :class:`ledgerloop.events.HeaderInfo`), the run's one configuration:
-    :meth:`start` logs exactly that header, and the model, schedule,
-    features, imputation, failure injection, deployment seed and
-    participants the runtime works with are the header's. All participants
+    :meth:`start` logs exactly that header, and the deployment seed and
+    the model, schedule, features, imputation, failure injection and
+    participants of its config are those the runtime works with. All participants
     share the ledger and the policy logic (a
     ``ledgerloop.replay.PolicyLogic``, whose fingerprint every
     VERSION_CHANGE records), while posterior states and data caches are per
@@ -185,11 +43,12 @@ class Runtime:
         self.index = events.StreamIndex()
 
         # Every participant starts from the one prior, an immutable state.
-        self.states: dict[str, PosteriorState] = dict.fromkeys(header.participants, policy.init_state(header.model))
+        config = header.config
+        self.states: dict[str, PosteriorState] = dict.fromkeys(config.participants, policy.init_state(config.model))
         # (participant, feature) -> [(device_ts, -seq, value)], kept sorted, so
         # the datum a snapshot uses is the last entry at or before its due time.
         self._data: dict[tuple[str, str], list[tuple[int, int, float]]] = {}
-        schedule = header.schedule
+        schedule = config.schedule
         self._due_cache = [schedule.due_ts(i) for i in range(schedule.total_points)]
 
     def _check(self, value, seq: int, rows=None) -> None:
@@ -215,7 +74,7 @@ class Runtime:
 
     def start(self, backend_ts: int) -> None:
         """Write the HEADER record, :attr:`header`, and activate its model's version."""
-        version_id = self.header.model.version_id
+        version_id = self.header.config.model.version_id
         self._log(self.header, backend_ts=backend_ts, version_id=version_id)
         self.register_version(version_id, backend_ts)
 
@@ -243,7 +102,7 @@ class Runtime:
     def _window_index(self, device_ts: int) -> int:
         # Window j is (due(j-1), due(j)]; anything before due(0) is window 0
         # unless it precedes the trial start, which maps to window -1.
-        if device_ts < self.header.schedule.trial_start_ts:
+        if device_ts < self.header.config.schedule.trial_start_ts:
             return -1
         return bisect.bisect_left(self._due_cache, device_ts)
 
@@ -305,9 +164,9 @@ class Runtime:
         configured default. A point that has its decision keeps its
         snapshot: a new one is refused by the fold before anything is logged.
         """
-        header = self.header
-        features, imputation = header.features, header.imputation
-        due = header.schedule.due_ts(decision_index)
+        config = self.header.config
+        features, imputation = config.features, config.imputation
+        due = config.schedule.due_ts(decision_index)
         if backend_ts is None:
             backend_ts = due
         resolved: dict[str, tuple[float, str, str | None, int | None]] = {}
@@ -350,16 +209,16 @@ class Runtime:
         decision, or one with no snapshot, is refused by the fold before
         anything is logged, the fallback's ERROR included.
         """
-        header = self.header
+        header, config = self.header, self.header.config
         snapshot = self.index.snapshots.get((participant_id, decision_index))
         if backend_ts is None:
-            backend_ts = header.schedule.due_ts(decision_index)
+            backend_ts = config.schedule.due_ts(decision_index)
         seed = policy.derive_decision_seed(header.deployment_seed, participant_id, decision_index)
         version_id = self.version_id
 
         fallback_reason = None
         try:
-            exception_prob = header.injection.policy_exception_prob
+            exception_prob = config.injection.policy_exception_prob
             if exception_prob > 0.0:
                 gate = SplitMix64(
                     derive_seed(header.deployment_seed, "inject-policy", participant_id, decision_index)
@@ -367,7 +226,7 @@ class Runtime:
                 if gate.next_float() < exception_prob:
                     raise InjectedFailure("injected policy exception")
             state = self.states[participant_id]
-            pi_raw, pi = self.logic.action_probability(state, snapshot, header.model)
+            pi_raw, pi = self.logic.action_probability(state, snapshot, config.model)
         except Exception as exc:  # a missing snapshot or participant too, which the fold refuses below
             pi_raw = pi = policy.FALLBACK_PI
             fallback_reason = f"{type(exc).__name__}: {exc}"
@@ -410,7 +269,7 @@ class Runtime:
         try:
             batch = self.index.batch(participant_id, batch_seqs, len(self.ledger))
             new_state = self.logic.update_posterior(
-                state, batch, self.header.model, last_update_seq=max(batch_seqs)
+                state, batch, self.header.config.model, last_update_seq=max(batch_seqs)
             )
         except Exception as exc:
             self._log(

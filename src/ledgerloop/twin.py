@@ -19,13 +19,13 @@ from operator import mul
 from pathlib import Path
 
 from . import events, policy
-from .config import EnvironmentSpec, RunConfig, header_config_dict
+from .config import MS_PER_DAY, MS_PER_MINUTE, EnvironmentSpec, FeatureSpec, RunConfig
 from .errors import ConfigurationError
 from .ledger import LEDGER_TEXT, Ledger, _converter, config_digest, frozen_record, report_bytes
 from .monitor import compute_metrics
 from .replay import default_logic
 from .rng import SplitMix64, derive_seed
-from .runtime import MS_PER_DAY, MS_PER_MINUTE, FeatureSpec, Runtime
+from .runtime import Runtime
 
 CONTEXT_LEAD_MS = MS_PER_MINUTE  # context measured one minute before the decision
 OUTCOME_LAG_MS = 30 * MS_PER_MINUTE  # outcome observed half an hour after
@@ -139,11 +139,10 @@ def true_effect(twin: ParticipantTwin, context: dict[str, float], features: Feat
 
 @dataclass
 class TrialTruth:
-    """What the twin knows and the ledger does not: realized parameters,
-    realized outcomes, and the regret of the logged actions."""
+    """What the twin knows and the ledger does not: realized outcomes, and
+    the regret of the logged actions."""
 
     env: EnvironmentSpec
-    participants: dict[str, ParticipantTwin] = field(default_factory=dict)
     outcomes: dict[tuple[str, int], float] = field(default_factory=dict)
     regret: float = 0.0  # against the oracle action (argmax of the true mean, ties to 0), in decision order
 
@@ -186,23 +185,25 @@ def run_trial(
         )
 
     if participant_ids is None:
-        participants = [f"p{i:03d}" for i in range(env.n_participants)]
+        participants = tuple(f"p{i:03d}" for i in range(env.n_participants))
     else:
         if len(participant_ids) != env.n_participants:
             raise ConfigurationError("participant_ids must match environment.n_participants")
-        participants = list(participant_ids)
+        participants = tuple(participant_ids)
     deployment_seed = (
         config.deployment_seed
         if config.deployment_seed is not None
         else derive_seed(master_seed, "deployment")
     )
     stream_id = config.stream_id or f"{env.label}-{candidate_label}-seed{master_seed}"
-    run_config = dataclasses.replace(config, schedule=dataclasses.replace(config.schedule, trial_days=env.n_days))
-    header_config = header_config_dict(run_config, participants, env)
-    header = events.HeaderInfo(
-        stream_id, config.environment_profile, deployment_seed, header_config, config_digest(header_config)
+    schedule = dataclasses.replace(config.schedule, trial_days=env.n_days)
+    run_header = events.RunHeader(
+        config.model, schedule, config.features, config.imputation, config.injection, participants, env
     )
-    schedule, features, injection = header.schedule, header.features, header.injection
+    header = events.HeaderInfo(
+        stream_id, config.environment_profile, deployment_seed, run_header, config_digest(run_header)
+    )
+    features, injection = config.features, config.injection
 
     truth = TrialTruth(env=env)
 
@@ -300,7 +301,6 @@ def run_trial(
                 runtime.run_update_cycle(pid, backend_ts=ts)
 
     flush(trial_end_ts)
-    truth.participants = dict(twins)
     return TrialResult(
         ledger=ledger,
         index=runtime.index,

@@ -3,8 +3,8 @@ import json
 import pytest
 import yaml
 
-from ledgerloop.config import RunConfig, config_from_dict, header_config_dict
-from ledgerloop.events import HeaderInfo, StreamIndex
+from ledgerloop.config import RunConfig, config_from_dict
+from ledgerloop.events import HeaderInfo, RunHeader, StreamIndex
 from ledgerloop.ledger import GENESIS_HASH, Ledger, compute_record_hash, config_digest, read_records
 from ledgerloop.replay import default_logic
 from ledgerloop.runtime import Runtime
@@ -153,11 +153,16 @@ def make_run_config(**overrides) -> RunConfig:
     return config_from_dict(deep_merge(BASE_CONFIG, overrides))
 
 
-def make_header(stream_id="s", environment_profile="test", **extra) -> HeaderInfo:
-    """A HEADER payload of the base run config, with the members ``extra``
-    added to its config (its ``config_digest`` is the base config's)."""
-    config = header_config_dict(make_run_config(), ["p0", "p1"])
-    return HeaderInfo(stream_id, environment_profile, 0, {**config, **extra}, config_digest(config))
+def make_run_header(config: RunConfig, participants) -> RunHeader:
+    """The HEADER config of a run of ``config`` with ``participants``."""
+    return RunHeader(config.model, config.schedule, config.features, config.imputation, config.injection,
+                     tuple(participants), config.environment)
+
+
+def make_header(stream_id="s", environment_profile="test") -> HeaderInfo:
+    """A HEADER payload of the base run config."""
+    config = make_run_header(make_run_config(), ["p0", "p1"])
+    return HeaderInfo(stream_id, environment_profile, 0, config, config_digest(config))
 
 
 @pytest.fixture
@@ -169,7 +174,7 @@ def make_runtime(config: RunConfig, participants=("p0", "p1"), path=None) -> Run
     """A runtime of stream ``test-stream``, not yet started, whose HEADER is
     the one a run of ``config`` with ``participants`` records."""
     ledger = Ledger(stream_id="test-stream", environment_profile=config.environment_profile, path=path)
-    header_config = header_config_dict(config, list(participants))
+    header_config = make_run_header(config, participants)
     header = HeaderInfo(
         ledger.stream_id, ledger.environment_profile, derive_seed(config.master_seed, "deployment"),
         header_config, config_digest(header_config),

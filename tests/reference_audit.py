@@ -32,6 +32,7 @@ from pathlib import Path
 from typing import Collection, Iterable, NamedTuple
 
 from ledgerloop import policy
+from ledgerloop.config import MS_PER_DAY
 from ledgerloop.errors import (
     AuditError,
     ConfigurationError,
@@ -43,7 +44,6 @@ from ledgerloop.errors import (
 from ledgerloop.ledger import ENVIRONMENT_PROFILES, config_digest, encode_float, read_records
 from ledgerloop.monitor import DEFAULT_RULES, MetricTable, emit_report, evaluate_alerts
 from ledgerloop.replay import DivergenceReport, logic_for, merge_reports
-from ledgerloop.runtime import MS_PER_DAY
 
 
 class Stamp(NamedTuple):
@@ -196,7 +196,7 @@ _AT_SEQ = itemgetter(0)
 
 def reconstruct_states(index: ReferenceIndex, logic_by_version=None):
     """(final states, decision report, update report) of the walk."""
-    config = index.header.model
+    config = index.header.config.model
     if logic_by_version is None:
         logic_by_version = registered_logics(index)
     named = [(seq, version_id) for version_id, seq in index.stamped.items()] + index.versions
@@ -212,7 +212,7 @@ def reconstruct_states(index: ReferenceIndex, logic_by_version=None):
             )
 
     initial = policy.init_state(config)
-    pids = [*index.header.participants, *(pid for pid, _ in index.snapshots)]
+    pids = [*index.header.config.participants, *(pid for pid, _ in index.snapshots)]
     states = dict.fromkeys(pids, initial)
     decisions, updates = DivergenceReport(), DivergenceReport()
     deployment_seed = index.header.deployment_seed
@@ -304,10 +304,10 @@ def _day_metrics(scheduled, decisions, snapshot_entries, updates, update_failure
 
 def compute_metrics(index: ReferenceIndex) -> MetricTable:
     header = index.header
-    k = header.schedule.points_per_day
-    trial_days = header.schedule.trial_days
-    trial_start = header.schedule.trial_start_ts
-    n_participants = len(header.participants)
+    k = header.config.schedule.points_per_day
+    trial_days = header.config.schedule.trial_days
+    trial_start = header.config.schedule.trial_start_ts
+    n_participants = len(header.config.participants)
 
     def ts_day(ts: int) -> int:
         return min(max((ts - trial_start) // MS_PER_DAY, 0), trial_days - 1)

@@ -18,7 +18,7 @@ from conftest import BASE_CONFIG, deep_merge, first_seq, index_of, rechain, reco
 from ledgerloop.cli import main
 from ledgerloop.errors import StructuralAuditError
 from ledgerloop.events import ErrorInfo
-from ledgerloop.ledger import config_digest
+from ledgerloop.ledger import config_digest, encode_float
 
 SMALL = {"environment": {"n_participants": 2, "n_days": 2}}
 
@@ -248,6 +248,32 @@ def test_false_header_config_digest_is_an_audit_error(tmp_path, ledger_path, cap
         assert capsys.readouterr().err == (
             f"audit error: HEADER config_digest {'0' * 64!r} is not the digest of its config\n"
         )
+    assert not (tmp_path / "mon.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"participants": ["p000", "p001", "p001"]}, "participants: 'p001' is named twice"),
+        ({"unchecked": 1}, "unchecked: not a member"),
+        ({"environment": {"miss_prob": encode_float(2.0)}}, "environment: miss_prob must be in [0, 1]"),
+    ],
+    ids=["repeated participant", "extra member", "environment"],
+)
+def test_a_header_config_the_schema_refuses_is_an_audit_error(tmp_path, ledger_path, capsys, edit, message):
+    # Each edit, with the digest re-derived, once passed every audit: the
+    # monitor counted a participant named twice as two, and nothing read
+    # the environment or refused a member beside the sections.
+    def set_config(record):
+        config = record["payload"]["config"]
+        for name, value in edit.items():
+            config[name] = {**config[name], **value} if isinstance(value, dict) else value
+        record["payload"]["config_digest"] = config_digest(config)
+
+    rechain(ledger_path, 0, set_config)
+    for argv in (*AUDITS, ["monitor-report"], ["ledger-inspect", "--seq", "0"]):
+        assert _audit(tmp_path, ledger_path, argv) == 2
+        assert capsys.readouterr() == ("", f"audit error: malformed HEADER config: {message}\n")
     assert not (tmp_path / "mon.txt").exists()
 
 

@@ -4,11 +4,11 @@ from pathlib import Path
 import pytest
 import yaml
 
-from conftest import BASE_CONFIG, YAML_CHECKED, YAML_LOADER, make_run_config, yaml_outcome
+from conftest import BASE_CONFIG, YAML_CHECKED, YAML_LOADER, make_run_config, make_run_header, yaml_outcome
 from ledgerloop.cli import main
-from ledgerloop.config import config_from_dict, header_config_dict, load_config
+from ledgerloop.config import config_from_dict, load_config
 from ledgerloop.errors import ConfigurationError
-from ledgerloop.ledger import LEDGER_FORMAT, config_digest, decode_as
+from ledgerloop.ledger import LEDGER_FORMAT, config_digest, decode_as, encode_float, map_floats
 from ledgerloop.policy import ModelConfig
 
 
@@ -113,16 +113,16 @@ def test_version_switch_beyond_trial_rejected_at_run_time():
 
 def test_model_config_canonical_round_trip():
     config = make_run_config()
-    back = decode_as(ModelConfig, header_config_dict(config, ["p000"])["model"], LEDGER_FORMAT)
+    back = decode_as(ModelConfig, map_floats(config.model, encode_float), LEDGER_FORMAT)
     assert back == config.model
 
 
 def test_config_digest_stable_and_sensitive():
     config = make_run_config()
-    header = header_config_dict(config, ["p000"])
-    assert config_digest(header) == config_digest(header_config_dict(config, ["p000"]))
+    header = make_run_header(config, ["p000"])
+    assert config_digest(header) == config_digest(make_run_header(config, ["p000"]))
     other = make_run_config(model={"noise_variance": 2.0})
-    assert config_digest(header) != config_digest(header_config_dict(other, ["p000"]))
+    assert config_digest(header) != config_digest(make_run_header(other, ["p000"]))
 
 
 def test_default_intercept_default_is_one():

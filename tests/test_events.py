@@ -4,9 +4,8 @@ import struct
 
 import pytest
 
-from conftest import make_run_config
+from conftest import make_run_config, make_run_header
 from ledgerloop import events
-from ledgerloop.config import header_config_dict
 from ledgerloop.errors import DecodeError
 from ledgerloop.ledger import FORMAT_VERSION, canonical_json_bytes, config_digest, encode_float, map_floats
 from ledgerloop.policy import DecisionRecord, FeatureSnapshot
@@ -24,7 +23,7 @@ def make_snapshot():
 
 
 def make_header(**overrides):
-    config = header_config_dict(make_run_config(), ["p000", "p001"])
+    config = make_run_header(make_run_config(), ["p000", "p001"])
     fields = dict(stream_id="s1", environment_profile="test", deployment_seed=123,
                   config=config, config_digest=config_digest(config))
     return events.HeaderInfo(**{**fields, **overrides})
@@ -110,11 +109,11 @@ def test_header_payload_round_trip():
     assert payload["format_version"] == FORMAT_VERSION
     assert back.stream_id == "s1"
     assert back.deployment_seed == 123
-    # The config stays the dict it was written as; its typed parts are decoded.
-    assert back.config == payload["config"]
+    assert back.config == VALUES["HEADER"].config
     config = make_run_config()
-    assert (back.model, back.schedule) == (config.model, config.schedule)
-    assert back.participants == ("p000", "p001")
+    assert (back.config.model, back.config.schedule) == (config.model, config.schedule)
+    assert back.config.participants == ("p000", "p001")
+    assert back.roster == {"p000", "p001"}
 
 
 def test_data_ingested_nan_value_round_trip():
@@ -195,8 +194,47 @@ def test_the_walk_names_the_first_problem(event_type, payload, message):
     ],
 )
 def test_header_config_is_decoded_strictly(model, message):
-    config = header_config_dict(make_run_config(), ["p000"])
-    config["model"] = {**config["model"], **model}
+    payload = encode(make_header())
+    payload["config"]["model"] = {**payload["config"]["model"], **model}
     with pytest.raises(DecodeError) as caught:
-        make_header(config=config)
+        events.decode_payload("HEADER", payload)
     assert str(caught.value) == f"malformed HEADER config: {message}"
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        ({"environment": {"miss_prob": encode_float(2.0)}}, "environment: miss_prob must be in [0, 1]"),
+        ({"environment": {"outcome_noise_sd": encode_float(-1.0)}},
+         "environment: outcome_noise_sd must be non-negative"),
+        ({"environment": {"n_days": 1.5}}, "environment.n_days: expected an integer, got 1.5"),
+        ({"unchecked": 1}, "unchecked: not a member"),
+        ({"participants": ["p000", "p001", "p001"]}, "participants: 'p001' is named twice"),
+        ({"participants": "p000"}, "participants: expected a list, got 'p000'"),
+    ],
+)
+def test_every_header_config_section_is_decoded_strictly(edit, message):
+    # The environment and the participants too, and no member beside the
+    # sections: each refusal inside the config names its path there.
+    payload = encode(make_header())
+    config = payload["config"]
+    for name, value in edit.items():
+        config[name] = {**config[name], **value} if isinstance(value, dict) else value
+    with pytest.raises(DecodeError) as caught:
+        events.decode_payload("HEADER", payload)
+    assert str(caught.value) == f"malformed HEADER config: {message}"
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [(7, "malformed HEADER config: expected an object, got 7"), (None, "malformed HEADER config: missing")],
+)
+def test_a_header_config_that_is_no_object_is_refused(config, message):
+    payload = encode(make_header())
+    if config is None:
+        del payload["config"]
+    else:
+        payload["config"] = config
+    with pytest.raises(DecodeError) as caught:
+        events.decode_payload("HEADER", payload)
+    assert str(caught.value) == message

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import struct
@@ -350,18 +351,11 @@ def test_envelope_line_round_trip():
 
 
 def test_append_writes_exactly_to_line_for_nested_payload_and_hash_keys(tmp_path):
-    # The HEADER's config is the one dict in a payload; a string holds the
-    # members' text only with its quotes escaped.
+    # The HEADER's config is the one dataclass in a payload, nested in it;
+    # a string holds the members' text only with its quotes escaped.
     ledger = make_ledger(tmp_path)
     values = [
-        make_header(
-            "stream-1",
-            payload={"payload": "inner", "hash": "not-a-hash"},
-            hash=[1, {"hash": None}],
-            a={"payload": [{"payload": {"payload": 0}}]},
-            prev_hash="x",
-            seq=-1,
-        ),
+        make_header("stream-1"),
         ErrorInfo('"hash":"', ',"payload":{"hash":"' + "0" * 64 + '"}'),
         ErrorInfo("", ""),
     ]
@@ -507,7 +501,8 @@ def test_append_refusals_keep_their_order(tmp_path):
     steps = [
         ({"device_ts": 1.5}, ConfigurationError, "device_ts must be"),
         ({"backend_ts": "0"}, ConfigurationError, "backend_ts must be"),
-        ({"value": make_header("stream-1", x=0.5)}, ConfigurationError, "raw float"),
+        ({"value": dataclasses.replace(make_header("stream-1"), deployment_seed=0.5)}, ConfigurationError,
+         "HEADER payload: deployment_seed: expected an integer"),
     ]
     for i, (_, kind, message) in enumerate(steps):
         call = {"value": make_header("stream-1"), "backend_ts": 0, "version_id": "v1"}

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_run_config, make_runtime
+from ledgerloop.config import MS_PER_DAY
 from ledgerloop.errors import ConfigurationError, DecodeError
 from ledgerloop.events import ErrorInfo, RunningFsum, StreamIndex
 from ledgerloop.ledger import read_records, verify_chain
@@ -17,7 +18,6 @@ from ledgerloop.monitor import (
     evaluate_alerts,
 )
 from ledgerloop.replay import default_logic, replay_verify
-from ledgerloop.runtime import MS_PER_DAY
 from ledgerloop.twin import EnvironmentSpec, run_trial
 
 

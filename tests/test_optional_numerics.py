@@ -1,18 +1,24 @@
 """numpy and scipy are optional: only replaying a conjugate-linear-v1 ledger
 needs them (the ``v1`` extra). PyYAML is needed only to read a config or
-rules file, so the audit verbs run without any of the three.
+rules file, so the audit verbs run without any of the three, under every
+CPython listed in ``LEDGERLOOP_TEST_PYTHONS``. Each module of the package
+imports when it is the first one imported.
 
 Each check runs in a fresh interpreter, because this test process has
-imported numpy, scipy and PyYAML already.
+imported numpy, scipy, PyYAML and the package already.
 """
 
 import hashlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 import yaml
+
+import ledgerloop
 
 from conftest import BASE_CONFIG, deep_merge
 from ledgerloop.cli import main
@@ -115,3 +121,54 @@ def test_the_audit_verbs_run_without_yaml_numpy_and_scipy(tmp_path):
     assert '"event_type": "VERSION_CHANGE"' in done.stdout
     assert hashlib.sha256(divergence.read_bytes()).hexdigest() == DIVERGENCE_SHA256
     assert hashlib.sha256(monitor.read_bytes()).hexdigest() == MONITOR_SHA256
+
+
+def test_every_module_imports_first_in_a_fresh_interpreter():
+    # An import cycle shows only when a module of the cycle is imported first.
+    modules = sorted(info.name for info in pkgutil.iter_modules(ledgerloop.__path__))
+    assert {"cli", "config", "events", "ledger", "runtime"} <= set(modules)
+    for module in modules:
+        done = _run(["-c", f"import ledgerloop.{module}"])
+        assert (done.returncode, done.stderr) == (0, ""), module
+    # The configuration types import neither the loop nor the schema, and
+    # the schema does not import the loop.
+    for module, below in (("config", ("events", "runtime")), ("events", ("runtime",))):
+        code = f"import sys, ledgerloop.{module}; print([m for m in {below!r} if 'ledgerloop.' + m in sys.modules])"
+        done = _run(["-c", code])
+        assert (done.returncode, done.stdout) == (0, "[]\n"), (module, done.stdout, done.stderr)
+
+
+# Runs the CLI with ``src`` alone added to the interpreter's own path.
+SRC_ONLY_CLI = r"""
+import sys
+
+sys.path.insert(0, sys.argv.pop(1))
+from ledgerloop.cli import main
+sys.exit(main(sys.argv[1:]))
+"""
+
+
+@pytest.mark.skipif(not os.environ.get("LEDGERLOOP_TEST_PYTHONS"), reason="LEDGERLOOP_TEST_PYTHONS is not set")
+def test_the_audits_give_the_golden_bytes_under_every_listed_python(tmp_path):
+    # The golden ledger, written here, audits to its pinned report bytes
+    # under each interpreter listed (paths separated as in PATH), run
+    # isolated from the environment and the user's site-packages.
+    config = tmp_path / "golden.yaml"
+    config.write_text(yaml.safe_dump(GOLDEN_CONFIG))
+    ledger = tmp_path / "golden.ndjson"
+    assert main(["simulate", "--config", str(config), "--out", str(ledger)]) == 0
+    for python in filter(None, os.environ["LEDGERLOOP_TEST_PYTHONS"].split(os.pathsep)):
+        divergence, monitor = tmp_path / "divergence.txt", tmp_path / "monitor.txt"
+        for argv in (
+            ["replay-verify", "--ledger", str(ledger), "--out", str(divergence)],
+            ["monitor-report", "--ledger", str(ledger), "--out", str(monitor), "--replay"],
+        ):
+            done = subprocess.run(
+                [python, "-I", "-c", SRC_ONLY_CLI, str(ROOT / "src"), *argv],
+                capture_output=True, text=True, timeout=120,
+            )
+            assert (done.returncode, done.stderr) == (0, ""), (python, argv)
+        assert hashlib.sha256(divergence.read_bytes()).hexdigest() == DIVERGENCE_SHA256, python
+        assert hashlib.sha256(monitor.read_bytes()).hexdigest() == MONITOR_SHA256, python
+        divergence.unlink()
+        monitor.unlink()

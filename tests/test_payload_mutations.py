@@ -244,8 +244,8 @@ def _line(event_type: str, payload) -> str:
 def test_the_compiled_decoder_answers_as_the_annotation_walk(golden, event_type):
     # The compiled decoder is the line matcher: on lines whose strings need
     # no escape (so every edit below), it takes exactly the payloads the walk
-    # takes and gives the walk's value. The HEADER, whose config is a dict,
-    # has none and is always read by the JSON path.
+    # takes and gives the walk's value. The HEADER, whose config no regex
+    # reads, has none and is always read by the JSON path.
     cls = events.PAYLOADS[event_type]
     read = ledger._line_reader(event_type, cls)
     walk = ledger._dataclass(cls, ledger.LEDGER_FORMAT)
@@ -297,8 +297,9 @@ def test_every_record_read_carries_its_typed_payload(golden, data):
 
 
 # SHA-256 of the standard output of ledger-inspect for every seq of the
-# golden ledger, in seq order.
-INSPECT_SHA256 = "220d2cc7d38b5847a14b462c7ee725215fc2669b57fa3b425fb9455e8d03118f"
+# golden ledger, in seq order. The HEADER's shows its typed config's floats
+# decoded too.
+INSPECT_SHA256 = "0f3e8a99a94f30ab00a627f5140d8bd5a7a9f6a67cd350c17dabe278bdbc45be"
 
 
 def _holds_a_float(value) -> bool:

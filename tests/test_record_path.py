@@ -14,6 +14,7 @@ whose type is not its annotation's before anything is written. A record
 whose payload is another event type's is refused by every reader.
 """
 
+import dataclasses
 import json
 import math
 import re
@@ -27,7 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_header, make_run_config, rechain
-from ledgerloop.config import header_config_dict
+from ledgerloop.config import EnvironmentSpec, ImputationPolicy
 from ledgerloop.errors import ConfigurationError, DecodeError
 from ledgerloop.events import (
     PAYLOADS,
@@ -36,6 +37,7 @@ from ledgerloop.events import (
     ErrorInfo,
     HeaderInfo,
     OutcomeInfo,
+    RunHeader,
     SnapshotInfo,
     UpdateInfo,
     VersionInfo,
@@ -54,7 +56,7 @@ from ledgerloop.ledger import (
     read_records,
     verify_chain,
 )
-from ledgerloop.policy import PROVENANCE_TAGS, DecisionRecord, FeatureSnapshot
+from ledgerloop.policy import PROVENANCE_TAGS, DecisionRecord, FeatureSnapshot, ModelConfig
 
 
 def reference_append(prev_hash, seq, event_type, payload, backend_ts, version_id, device_ts,
@@ -128,16 +130,46 @@ def decisions(draw):
 
 
 RUN_CONFIG = make_run_config()
+positive = st.floats(min_value=0.0, exclude_min=True)
+non_negative = st.floats(min_value=0.0)
 
 
-def _header(stream_id, profile, seed, participants, digest):
-    config = header_config_dict(RUN_CONFIG, participants)
+@st.composite
+def run_headers(draw):
+    """HEADER configs of the base run config's schedule, features and
+    injection, with every float of the model, the imputation and the
+    environment drawn, and participants named once each."""
+    def floats(n):
+        return tuple(draw(st.lists(any_float, min_size=n, max_size=n)))
+
+    model = ModelConfig(
+        3, 3, draw(positive), floats(6), draw(positive), draw(st.floats(0.0, 0.5, exclude_min=True)),
+        draw(st.floats(0.5, 1.0, exclude_max=True)), draw(texts),
+    )
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    imputation = ImputationPolicy(
+        draw(st.integers(0, 2**64)), {name: draw(finite) for name in RUN_CONFIG.features.names}
+    )
+    environment = EnvironmentSpec(
+        effect_mean=floats(3), effect_sd=draw(non_negative), baseline_mean=floats(3),
+        baseline_sd=draw(non_negative), drift=draw(any_float), outcome_noise_sd=draw(non_negative),
+        engagement_persistence=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        action_engagement_boost=draw(any_float), engagement_noise_sd=draw(non_negative),
+        miss_prob=draw(st.floats(0.0, 1.0)), delay_geometric_p=draw(st.floats(0.0, 1.0, exclude_min=True)),
+        n_participants=draw(st.integers(1, 2**64)), n_days=draw(st.integers(1, 2**64)), label=draw(texts),
+    )
+    participants = tuple(draw(st.lists(texts, max_size=3, unique=True)))
+    return RunHeader(model, RUN_CONFIG.schedule, RUN_CONFIG.features, imputation, RUN_CONFIG.injection,
+                     participants, environment)
+
+
+def _header(stream_id, profile, seed, config, digest):
     return HeaderInfo(stream_id, profile, seed, config, digest or config_digest(config))
 
 
 # Well-typed values of every payload class, as the ledger's writers make them.
 TYPED = {
-    "HEADER": st.builds(_header, texts, texts, ints, st.lists(texts, max_size=3), st.none() | texts),
+    "HEADER": st.builds(_header, texts, texts, ints, run_headers(), st.none() | texts),
     "DATA_INGESTED": st.builds(DatumInfo, texts, texts, any_float, ints, st.none() | ints),
     "FEATURE_SNAPSHOT": snapshots(),
     "DECISION": decisions(),
@@ -300,12 +332,24 @@ def test_append_refuses_a_value_of_no_payload_class():
 
 
 def test_append_refusal_names_the_path_inside_the_payload():
-    # The HEADER's config is the one dict a payload holds.
+    # The HEADER's config is the one dataclass a payload holds. Its writer
+    # refuses a value the read pass would not read back, such as an int
+    # where a float belongs, naming the path inside the config.
     ledger = Ledger("s", "test")
-    with pytest.raises(ConfigurationError, match=r"^HEADER payload: config: raw float at \$\.a\[1\]\.b;"):
-        ledger.append(make_header(a=[0, {"b": 0.5}]), backend_ts=0, version_id="v1")
-    with pytest.raises(ConfigurationError, match=r"^HEADER payload: config: non-string key at \$\.a: 3$"):
-        ledger.append(make_header(a={3: "x"}), backend_ts=0, version_id="v1")
+    header = make_header()
+    environment = dataclasses.replace(header.config.environment, effect_sd=0)
+    probes = [
+        (dataclasses.replace(header.config, environment=environment),
+         "HEADER payload: config: environment.effect_sd: expected 16 lowercase hex chars, got 0"),
+        (dataclasses.replace(header.config, participants=(1,)),
+         "HEADER payload: config: participants[0]: expected a string, got 1"),
+        (dataclasses.replace(header.config, environment=dataclasses.replace(environment, label=object())),
+         "HEADER payload: config: cannot encode <object object at"),
+    ]
+    for config, message in probes:
+        with pytest.raises(ConfigurationError) as refused:
+            ledger.append(dataclasses.replace(header, config=config), backend_ts=0, version_id="v1")
+        assert str(refused.value).startswith(message)
     assert len(ledger) == 0
 
 

@@ -27,10 +27,10 @@ from hypothesis import strategies as st
 import reference_audit
 from conftest import make_run_config, make_runtime, rechain
 from ledgerloop.cli import main
+from ledgerloop.config import MS_PER_DAY
 from ledgerloop.events import PAYLOADS, RunHeader
-from ledgerloop.ledger import config_digest, read_records
+from ledgerloop.ledger import config_digest, encode_float, read_records
 from ledgerloop.replay import LOGICS
-from ledgerloop.runtime import MS_PER_DAY
 from ledgerloop.twin import EnvironmentSpec, run_trial
 
 HEX_FLOAT = re.compile("[0-9a-f]{16}")
@@ -81,6 +81,8 @@ AIMED = {
     "participant": POINTS | {"MODEL_UPDATE"},  # participant_id -> another's
     "stranger": NAMING,  # participant_id -> one the HEADER lacks
     "features": {"HEADER"},  # a feature list one name shorter or longer, the digest re-derived
+    "roster": {"HEADER"},  # a participant named twice, the digest re-derived
+    "environment": {"HEADER"},  # an environment value EnvironmentSpec refuses, the digest re-derived
     "stamp": set(PAYLOADS),  # the envelope's version_id -> another version, active or not
     "action": {"DECISION"},  # the other action
     "kind": {"ERROR"},  # policy_exception <-> update_failure
@@ -119,6 +121,19 @@ def edit_one_member(path: Path, draw) -> None:
         names = payload["config"]["features"][which]
         names = names[:-1] if draw(st.booleans(), label="drop") else [*names, names[-1]]
         config = {**payload["config"], "features": {**payload["config"]["features"], which: names}}
+        rechain(path, seq, lambda record: record["payload"].update(config=config, config_digest=config_digest(config)))
+    elif how == "roster":
+        participants = payload["config"]["participants"]
+        repeated = draw(st.sampled_from(participants))
+        config = {**payload["config"], "participants": [*participants, repeated]}
+        rechain(path, seq, lambda record: record["payload"].update(config=config, config_digest=config_digest(config)))
+    elif how == "environment":
+        member, value = draw(st.sampled_from([
+            ("miss_prob", 2.0), ("outcome_noise_sd", -1.0), ("engagement_persistence", 1.0),
+            ("delay_geometric_p", 0.0), ("n_days", 0),
+        ]))
+        shown = encode_float(value) if isinstance(value, float) else value
+        config = {**payload["config"], "environment": {**payload["config"]["environment"], member: shown}}
         rechain(path, seq, lambda record: record["payload"].update(config=config, config_digest=config_digest(config)))
     elif how == "stamp":
         stamp = draw(st.sampled_from(["v1.0.0", "v1.0.1", "bogus"]))
@@ -282,7 +297,7 @@ def test_a_runtime_logs_the_header_it_runs_from(tmp_path):
     runtime.ledger.close()
     logged = next(iter(read_records(path))).payload
     sections = [f.name for f in dataclasses.fields(RunHeader)]
-    assert sections == ["model", "schedule", "features", "imputation", "injection", "participants"]
+    assert sections == ["model", "schedule", "features", "imputation", "injection", "participants", "environment"]
     for section in sections:
-        assert getattr(logged, section) == getattr(runtime.header, section), section
-    assert logged == runtime.header and logged.imputation.horizon == 3
+        assert getattr(logged.config, section) == getattr(runtime.header.config, section), section
+    assert logged == runtime.header and logged.config.imputation.horizon == 3

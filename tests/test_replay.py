@@ -13,6 +13,7 @@ import conftest
 from conftest import make_run_config, make_runtime, records_of
 from ledgerloop import events, policy
 from ledgerloop.cli import main
+from ledgerloop.config import MS_PER_DAY
 from ledgerloop.errors import AuditError, NumericalStateError, StructuralAuditError
 from ledgerloop.ledger import Ledger, encode_float, map_floats, read_records, verify_chain
 from ledgerloop.replay import (
@@ -24,7 +25,6 @@ from ledgerloop.replay import (
     verify_decisions,
     verify_updates,
 )
-from ledgerloop.runtime import MS_PER_DAY
 from ledgerloop.twin import EnvironmentSpec, run_trial
 
 
@@ -127,16 +127,16 @@ def test_final_states_are_the_runtimes(tmp_path):
     for day in range(3):
         if day == 2:
             runtime.register_version("v1.1.0", backend_ts=day * MS_PER_DAY)
-        for idx, due in runtime.header.schedule.decision_points(day):
-            for k, pid in enumerate(runtime.header.participants):
+        for idx, due in runtime.header.config.schedule.decision_points(day):
+            for k, pid in enumerate(runtime.header.config.participants):
                 runtime.ingest_observation(pid, "engagement", 0.25 * (idx + k), due - 60_000, backend_ts=due - 60_000)
                 runtime.assemble_features(pid, idx, backend_ts=due)
                 # The prior outcome of this point arrives only after its snapshot.
                 runtime.ingest_observation(pid, "prior_outcome", 0.5 - k, due - 1000, backend_ts=due + 1)
                 fallbacks += runtime.make_decision(pid, idx, backend_ts=due + 2).fallback
                 runtime.ingest_outcome(pid, idx, 0.1 * idx - k, due + 3, backend_ts=due + 3)
-        for pid in runtime.header.participants:
-            runtime.run_update_cycle(pid, backend_ts=runtime.header.schedule.update_ts(day))
+        for pid in runtime.header.config.participants:
+            runtime.run_update_cycle(pid, backend_ts=runtime.header.config.schedule.update_ts(day))
     runtime.ledger.close()
     assert refusals and fallbacks
     path = tmp_path / "trial.ndjson"

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import make_run_config, make_runtime, records_of
 from ledgerloop.cli import main
+from ledgerloop.config import MS_PER_DAY, ImputationPolicy, Schedule
 from ledgerloop.errors import ConfigurationError, StructuralAuditError
 from ledgerloop.events import StreamIndex
 from ledgerloop.ledger import read_records
@@ -19,7 +20,6 @@ from ledgerloop.policy import (
     init_state,
     update_posterior,
 )
-from ledgerloop.runtime import MS_PER_DAY, ImputationPolicy, Schedule
 
 H9 = 9 * 3_600_000  # 09:00 in ms
 H18 = 18 * 3_600_000
@@ -186,7 +186,7 @@ def scan_reference(runtime, data, decision_index):
                 continue
             if best is None or (device_ts, -seq) > (best[1], -best[0]):
                 best = (seq, device_ts, value)
-        default = (runtime.header.imputation.default_for(name), "default", None, None)
+        default = (runtime.header.config.imputation.default_for(name), "default", None, None)
         if best is None:
             resolved[name] = default
             continue
@@ -197,11 +197,11 @@ def scan_reference(runtime, data, decision_index):
         age = decision_index - window
         if age == 0:
             resolved[name] = (value, "observed", None, device_ts)
-        elif age <= runtime.header.imputation.horizon:
+        elif age <= runtime.header.config.imputation.horizon:
             resolved[name] = (value, "imputed", "locf", device_ts)
         else:
             resolved[name] = default
-    return [resolved[n] for n in runtime.header.features.baseline + runtime.header.features.treatment]
+    return [resolved[n] for n in runtime.header.config.features.baseline + runtime.header.config.features.treatment]
 
 
 ingest_op = st.tuples(
@@ -286,8 +286,8 @@ def test_a_non_finite_feature_falls_back_to_uniform(tmp_path, capsys, monkeypatc
     config = make_run_config()
     runtime = make_runtime(config, participants=("p0",), path=path)
     runtime.start(backend_ts=0)
-    ts = runtime.header.schedule.due_ts(0) - 1000
-    for name in runtime.header.features.names:
+    ts = runtime.header.config.schedule.due_ts(0) - 1000
+    for name in runtime.header.config.features.names:
         if name != "engagement":
             runtime.ingest_observation("p0", name, 0.5, ts, backend_ts=ts)
     runtime.assemble_features("p0", 0)
@@ -369,9 +369,9 @@ def test_single_outcome_matches_update_posterior():
     outcome_seq = runtime.ingest_outcome("p0", 0, 1.25, H9 + 1000, backend_ts=H9 + 1000)
     new_state = runtime.run_update_cycle("p0", backend_ts=H23)
     expected = update_posterior(
-        init_state(runtime.header.model),
+        init_state(runtime.header.config.model),
         [(snapshot, record.action, 1.25)],
-        runtime.header.model,
+        runtime.header.config.model,
         last_update_seq=outcome_seq,
     )
     assert canonical_serialize(new_state) == canonical_serialize(expected)

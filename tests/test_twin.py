@@ -277,6 +277,14 @@ def test_seed_isolation_between_participants(tmp_path):
     assert participant_payloads(base, "pA") != participant_payloads(changed, "pX")
 
 
+def test_a_participant_named_twice_is_refused_before_the_ledger_is_made(tmp_path):
+    path = tmp_path / "trial.ndjson"
+    with pytest.raises(ConfigurationError, match=r"^participants: 'p001' is named twice$"):
+        run_trial(small_env(n_participants=3), make_run_config(), 1, out_path=path,
+                  participant_ids=["p000", "p001", "p001"])
+    assert not path.exists()
+
+
 def test_miss_probability_monotonicity():
     config = make_run_config()
     counts = []
