@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field, make_dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -72,6 +73,23 @@ class Schedule:
     def due_ts(self, decision_index: int) -> int:
         day, slot = divmod(decision_index, self.points_per_day)
         return self.trial_start_ts + day * MS_PER_DAY + self._decision_offsets[slot]
+
+    def window(self, ts: int) -> int:
+        """The decision index whose window holds ``ts``: window j is
+        ``(due_ts(j - 1), due_ts(j)]``, so a time at or before the first due
+        time is window 0, one before the trial start -1, and one after the
+        last due time ``total_points``."""
+        t = ts - self.trial_start_ts
+        if t < 0:
+            return -1
+        if t >= self.trial_days * MS_PER_DAY:
+            return self.total_points
+        offsets = self._decision_offsets
+        return t // MS_PER_DAY * len(offsets) + bisect_left(offsets, t % MS_PER_DAY)
+
+    def day(self, ts: int) -> int:
+        """The trial day of ``ts``; earlier and later times count on the first and last day."""
+        return min(max((ts - self.trial_start_ts) // MS_PER_DAY, 0), self.trial_days - 1)
 
     def update_ts(self, day: int) -> int:
         return self.trial_start_ts + day * MS_PER_DAY + self._update_offset
@@ -186,6 +204,15 @@ class EnvironmentSpec:
     def __post_init__(self):
         object.__setattr__(self, "effect_mean", tuple(float(v) for v in self.effect_mean))
         object.__setattr__(self, "baseline_mean", tuple(float(v) for v in self.baseline_mean))
+        # NaN passes every comparison below as false, so it is refused here.
+        for name in ("effect_mean", "baseline_mean"):
+            for i, value in enumerate(getattr(self, name)):
+                if not math.isfinite(value):
+                    raise ConfigurationError(f"{name}[{i}] must be finite, got {value!r}")
+        for name in ("effect_sd", "baseline_sd", "drift", "outcome_noise_sd", "action_engagement_boost",
+                     "engagement_noise_sd"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {getattr(self, name)!r}")
         if self.effect_sd < 0 or self.baseline_sd < 0 or self.engagement_noise_sd < 0:
             raise ConfigurationError("sd parameters must be non-negative")
         if self.outcome_noise_sd < 0:

@@ -22,17 +22,19 @@ and outcomes, refuse the same records, and count what the monitor reports,
 with the same code. Replay
 checks each decision and update right after the fold applies it, so an
 audit is one pass over the file; the index forgets a point once an update
-has consumed its outcome.
+has consumed its outcome, and keeps per participant, not per point, what
+tells a later record of a forgotten point apart.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Iterable
 
 from .config import (
-    MS_PER_DAY,
     EnvironmentSpec,
     FailureInjectionSpec,
     FeatureSpec,
@@ -51,7 +53,8 @@ class RunHeader:
     """A HEADER's ``config``: the sections of a run that the runtime runs
     from and the audits read, typed, and checked against each other
     (:func:`ledgerloop.config.check_features`), with the twin environment
-    the run was simulated in. No participant is named twice."""
+    the run was simulated in. No participant is named twice, and the
+    environment is as long and as wide as the schedule and the roster."""
 
     model: ModelConfig
     schedule: Schedule
@@ -68,6 +71,15 @@ class RunHeader:
             if participant in seen:
                 raise ConfigurationError(f"participants: {participant!r} is named twice")
             seen.add(participant)
+        if self.environment.n_days != self.schedule.trial_days:
+            raise ConfigurationError(
+                f"environment.n_days {self.environment.n_days} is not schedule.trial_days {self.schedule.trial_days}"
+            )
+        if self.environment.n_participants != len(self.participants):
+            raise ConfigurationError(
+                f"environment.n_participants {self.environment.n_participants} is not the "
+                f"{len(self.participants)} participants named"
+            )
 
 
 @dataclass(frozen=True)
@@ -217,7 +229,7 @@ _POINT_EVENTS = frozenset({"FEATURE_SNAPSHOT", "DECISION", "OUTCOME_OBSERVED"}) 
 _NO_HEADER = "ledger does not start with a HEADER record"
 
 
-@dataclass
+@dataclass(slots=True)
 class RunningFsum:
     """``math.fsum`` over the values added so far, kept as fsum keeps it
     while it runs: the non-overlapping partials of Shewchuk's exact sum
@@ -246,7 +258,7 @@ class RunningFsum:
         return math.fsum(self.partials)
 
 
-@dataclass
+@dataclass(slots=True)
 class Counts:
     """What the monitor reads of one day's records, or of a whole stream's.
     Decisions and snapshots count on the day of their decision index;
@@ -263,6 +275,32 @@ class Counts:
 
 
 @dataclass
+class SnapshotSeqs:
+    """One participant's snapshot seqs by decision index: two sorted arrays
+    of machine ints, 16 bytes a point and no object per entry. A snapshot of
+    a new point adds one entry, and nothing else adds any."""
+
+    points: array = field(default_factory=lambda: array("q"))
+    seqs: array = field(default_factory=lambda: array("q"))
+
+    def get(self, decision_index: int) -> int | None:
+        """The seq of the point's last snapshot, or None if it has none."""
+        points = self.points
+        if not points or decision_index > points[-1]:  # data on time name a point not yet assembled
+            return None
+        i = bisect_left(points, decision_index)
+        return self.seqs[i] if points[i] == decision_index else None
+
+    def set(self, decision_index: int, seq: int) -> None:
+        i = bisect_left(self.points, decision_index)
+        if i < len(self.points) and self.points[i] == decision_index:
+            self.seqs[i] = seq
+        else:
+            self.points.insert(i, decision_index)
+            self.seqs.insert(i, seq)
+
+
+@dataclass
 class StreamIndex:
     """The one fold over a stream's records, and the one home of the rules a
     stream's structure must keep (:meth:`check`). The runtime checks each
@@ -271,16 +309,14 @@ class StreamIndex:
 
     It keeps only what a later record can still use: the versions, and the
     first seq of each version stamp; the pending outcomes; the monitor's
-    :class:`Counts`; and the snapshot and decision of each point
+    :class:`Counts`; the snapshot and decision of each point
     (``(participant_id, decision_index)``) until an update consumes its
-    outcome. What still grows with a trial's length:
+    outcome; and, per participant, the index of its last decision, below
+    which no snapshot or decision may come. What still grows with a trial's
+    length:
 
-    - ``snapshot_seqs``, each point's snapshot seq, for the seq late data
-      names as superseded
-    - ``decided`` and ``rewarded``, the points with a decision and with an
-      outcome, for "no second decision, snapshot after it, or outcome"
-    - ``consumed``, each consumed outcome seq's participant, for an update's
-      "consumed twice" and "of another participant"
+    - ``snapshot_seqs``, each participant's :class:`SnapshotSeqs`, for the
+      seq late data names as superseded
     - ``days``, one :class:`Counts` per day with a record
     - the snapshot and decision of a point whose outcome never arrives
     """
@@ -292,12 +328,11 @@ class StreamIndex:
     size: int = 0  # records applied
     snapshots: dict[Point, SnapshotInfo] = field(default_factory=dict)
     decisions: dict[Point, DecisionRecord] = field(default_factory=dict)
-    outcomes: dict[int, OutcomeInfo] = field(default_factory=dict)  # the pending ones, by seq
-    pending: dict[str, list[int]] = field(default_factory=dict)  # participant -> its pending outcome seqs
-    snapshot_seqs: dict[Point, int] = field(default_factory=dict)
-    decided: set[Point] = field(default_factory=set)
-    rewarded: set[Point] = field(default_factory=set)
-    consumed: dict[int, str] = field(default_factory=dict)  # outcome seq -> participant
+    pending: dict[str, dict[int, OutcomeInfo]] = field(default_factory=dict)  # participant -> seq -> outcome
+    last_decided: dict[str, int] = field(default_factory=dict)  # participant -> its last decision index
+    snapshot_seqs: dict[str, SnapshotSeqs] = field(default_factory=dict)
+    snapshots_seen: int = 0  # points with a snapshot
+    outcomes_seen: int = 0
     days: dict[int, Counts] = field(default_factory=dict)
     totals: Counts = field(default_factory=Counts)
 
@@ -349,10 +384,11 @@ class StreamIndex:
           (:meth:`check_participant`)
         - a snapshot, decision or outcome names a decision index in
           ``[0, schedule.total_points)``
-        - a point has no snapshot once it has its decision
-        - a decision follows its point's snapshot and a VERSION_CHANGE, and
-          is its point's only one
-        - an outcome follows its point's decision, and is its point's only one
+        - a participant's decisions come in increasing decision index, and
+          none of its snapshots follows a decision of the same or a later
+          point
+        - a decision follows its point's snapshot and a VERSION_CHANGE
+        - an outcome's point holds its decision and no pending outcome
         - an update's batch is one :meth:`batch` takes
         - a VERSION_CHANGE activates a version not active before, and its
           ``previous_version_id`` names the version active before it
@@ -372,26 +408,33 @@ class StreamIndex:
         if etype == "DATA_INGESTED":
             return None  # half of all records; nothing more to check
         if etype in _POINT_EVENTS:
-            key = (value.participant_id, value.decision_index)
-            total = header.config.schedule.total_points
-            if not 0 <= value.decision_index < total:
-                raise StructuralAuditError(
-                    f"{etype} at seq {seq} names decision {value.decision_index}, not in [0, {total})"
-                )
-            if etype == "FEATURE_SNAPSHOT":
-                if key in self.decided:
-                    raise StructuralAuditError(f"FEATURE_SNAPSHOT at seq {seq} follows the DECISION of {key}")
-            elif etype == "DECISION":
-                if key in self.decided:
-                    raise StructuralAuditError(f"DECISION at seq {seq} repeats {key}")
-                if key not in self.snapshots:
-                    raise StructuralAuditError(f"DECISION at seq {seq} has no prior FEATURE_SNAPSHOT for {key}")
-                if not self.versions:
-                    raise StructuralAuditError(f"DECISION at seq {seq} has no VERSION_CHANGE before it")
-            elif key in self.rewarded:
-                raise StructuralAuditError(f"OUTCOME_OBSERVED at seq {seq} repeats {key}")
-            elif key not in self.decided:
-                raise StructuralAuditError(f"OUTCOME_OBSERVED at seq {seq} has no prior DECISION of {key}")
+            pid, idx = value.participant_id, value.decision_index
+            key, last, total = (pid, idx), self.last_decided.get(pid, -1), header.config.schedule.total_points
+            held = key in self.decisions  # decided, and its outcome not consumed
+            problem = None
+            if not 0 <= idx < total:
+                problem = f"names decision {idx}, not in [0, {total})"
+            elif etype == "OUTCOME_OBSERVED":
+                if held:
+                    if any(o.decision_index == idx for o in self.pending.get(pid, {}).values()):
+                        problem = f"repeats {key}"
+                elif idx == last:  # decided, and its outcome consumed
+                    problem = f"repeats {key}"
+                elif idx > last:
+                    problem = f"has no prior DECISION of {key}"
+                else:  # consumed, or never decided
+                    problem = f"names {key}, which has no DECISION awaiting its outcome"
+            elif idx <= last:
+                if idx == last or held:
+                    problem = f"repeats {key}" if etype == "DECISION" else f"follows the DECISION of {key}"
+                else:
+                    problem = f"names {key}, but {pid!r} has decided point {last} already"
+            elif etype == "DECISION" and key not in self.snapshots:
+                problem = f"has no prior FEATURE_SNAPSHOT for {key}"
+            elif etype == "DECISION" and not self.versions:
+                problem = "has no VERSION_CHANGE before it"
+            if problem is not None:
+                raise StructuralAuditError(f"{etype} at seq {seq} {problem}")
         elif etype == "MODEL_UPDATE":
             return self.batch(value.participant_id, value.batch_seqs, seq) if _rows is None else _rows
         elif etype == "VERSION_CHANGE":
@@ -430,37 +473,37 @@ class StreamIndex:
         elif etype == "HEADER":
             self.header = value
         elif etype == "FEATURE_SNAPSHOT":
-            key = (value.participant_id, value.decision_index)
+            pid, idx = value.participant_id, value.decision_index
+            key = (pid, idx)
             tags, replaced = value.provenance, self.snapshots[key].provenance if key in self.snapshots else ()
             added, observed = len(tags) - len(replaced), tags.count("observed") - replaced.count("observed")
-            for counts in self._counts(value.decision_index // self.header.config.schedule.points_per_day):
+            for counts in self._counts(idx // self.header.config.schedule.points_per_day):
                 counts.tags += added
                 counts.observed += observed
+            self.snapshots_seen += key not in self.snapshots  # a point leaves it only at or below the last decision
             self.snapshots[key] = value
-            self.snapshot_seqs[key] = record.seq
+            seqs = self.snapshot_seqs.get(pid) or self.snapshot_seqs.setdefault(pid, SnapshotSeqs())
+            seqs.set(idx, record.seq)
         elif etype == "DECISION":
-            key = (value.participant_id, value.decision_index)
-            for counts in self._counts(value.decision_index // self.header.config.schedule.points_per_day):
+            pid, idx = value.participant_id, value.decision_index
+            for counts in self._counts(idx // self.header.config.schedule.points_per_day):
                 counts.decisions += 1
                 counts.fallbacks += value.fallback
                 counts.pi_sum.add(value.pi)
-            self.decided.add(key)
-            self.decisions[key] = value
+            self.last_decided[pid] = idx
+            self.decisions[(pid, idx)] = value
         elif etype == "OUTCOME_OBSERVED":
-            self.rewarded.add((value.participant_id, value.decision_index))
-            self.outcomes[record.seq] = value
-            self.pending.setdefault(value.participant_id, []).append(record.seq)
+            self.outcomes_seen += 1
+            self.pending.setdefault(value.participant_id, {})[record.seq] = value
         elif etype == "MODEL_UPDATE":
-            pid, batch_seqs = value.participant_id, value.batch_seqs
-            for outcome_seq in batch_seqs:
-                key = (pid, self.outcomes.pop(outcome_seq).decision_index)
+            pid, pending = value.participant_id, self.pending[value.participant_id]
+            for outcome_seq in value.batch_seqs:
+                key = (pid, pending.pop(outcome_seq).decision_index)
                 del self.snapshots[key], self.decisions[key]
-                self.consumed[outcome_seq] = pid
-            self.pending[pid] = [s for s in self.pending[pid] if s not in batch_seqs]
-            for counts in self._counts(self._trial_day(record.backend_ts)):
+            for counts in self._counts(self.header.config.schedule.day(record.backend_ts)):
                 counts.updates += 1
         elif etype == "ERROR":
-            for counts in self._counts(self._trial_day(record.backend_ts)):
+            for counts in self._counts(self.header.config.schedule.day(record.backend_ts)):
                 counts.errors += 1
                 counts.update_failures += value.kind == "update_failure"
         elif etype == "VERSION_CHANGE":
@@ -490,12 +533,6 @@ class StreamIndex:
         """The counts of ``day`` and the totals."""
         return self.days.get(day) or self.days.setdefault(day, Counts()), self.totals
 
-    def _trial_day(self, backend_ts: int) -> int:
-        """The trial day of a backend timestamp; earlier and later ones count on the first and last day."""
-        schedule = self.header.config.schedule
-        day = (backend_ts - schedule.trial_start_ts) // MS_PER_DAY
-        return min(max(day, 0), schedule.trial_days - 1)
-
     def batch(self, participant_id: str, batch_seqs, seq: int) -> list[Row]:
         """The rows of an update at ``seq`` consuming ``batch_seqs``; raises
         StructuralAuditError unless the seqs are non-empty, increase, and each
@@ -506,17 +543,14 @@ class StreamIndex:
             raise StructuralAuditError(f"MODEL_UPDATE at seq {seq} has non-increasing batch_seqs")
         rows = []
         for outcome_seq in batch_seqs:
-            outcome = self.outcomes.get(outcome_seq)
-            owner = self.consumed.get(outcome_seq) if outcome is None else outcome.participant_id
+            outcome = self.pending.get(participant_id, {}).get(outcome_seq)
             problem = None
             if outcome_seq >= seq:
                 problem = f"references future seq {outcome_seq}"
-            elif owner is None:
-                problem = f"references seq {outcome_seq}, which is not an OUTCOME_OBSERVED event"
-            elif owner != participant_id:
+            elif outcome is None and any(outcome_seq in others for others in self.pending.values()):
                 problem = f"has outcome seq {outcome_seq} of another participant"
             elif outcome is None:
-                problem = f"has outcome seq {outcome_seq} consumed twice"
+                problem = f"references seq {outcome_seq}, which is not a pending OUTCOME_OBSERVED event"
             if problem is not None:
                 raise StructuralAuditError(f"MODEL_UPDATE at seq {seq} {problem}")
             key = (participant_id, outcome.decision_index)  # decided, so snapshotted, when it came

@@ -161,18 +161,11 @@ def config_digest(config) -> str:
 
 
 _ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=True)
-# JSONEncoder.encode builds a C encoder on every call; build it once. Without
-# the C accelerator the pure-Python encoder gives the same bytes.
-_C_ENCODE = None if json.encoder.c_make_encoder is None else json.encoder.c_make_encoder(
-    None, _ENCODER.default, json.encoder.encode_basestring_ascii, None, ":", ",", True, False, True
-)
 
 
 def _dumps(obj) -> bytes:
     # The encoding step of canonical_json_bytes, for values already checked.
-    if _C_ENCODE is None:
-        return _ENCODER.encode(obj).encode("ascii")
-    return "".join(_C_ENCODE(obj, 0)).encode("ascii")
+    return _ENCODER.encode(obj).encode("ascii")
 
 
 _LEAVES = {str, int, bool, type(None)}

@@ -230,8 +230,8 @@ class Reconstruction:
         order, with the index's counts."""
         merged = merge_reports(verify_decisions(self), verify_updates(self))
         merged.counts["events_total"] = self.index.size
-        merged.counts["snapshots_seen"] = len(self.index.snapshot_seqs)
-        merged.counts["outcomes_seen"] = len(self.index.rewarded)
+        merged.counts["snapshots_seen"] = self.index.snapshots_seen
+        merged.counts["outcomes_seen"] = self.index.outcomes_seen
         return merged
 
 
@@ -370,7 +370,7 @@ def reconstruct_states(
     if initial is not None:
         for pid in index.header.config.participants:  # the fold refuses a record of any other
             states.setdefault(pid, initial)
-    decisions.counts["decisions_checked"] = len(index.decided)
+    decisions.counts["decisions_checked"] = index.totals.decisions
     updates.counts["updates_checked"] = index.totals.updates
     return Reconstruction(index, states, decisions, updates)
 

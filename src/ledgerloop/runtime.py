@@ -48,8 +48,6 @@ class Runtime:
         # (participant, feature) -> [(device_ts, -seq, value)], kept sorted, so
         # the datum a snapshot uses is the last entry at or before its due time.
         self._data: dict[tuple[str, str], list[tuple[int, int, float]]] = {}
-        schedule = config.schedule
-        self._due_cache = [schedule.due_ts(i) for i in range(schedule.total_points)]
 
     def _check(self, value, seq: int, rows=None) -> None:
         """Check, with the fold's rules (:meth:`events.StreamIndex.check`),
@@ -99,13 +97,6 @@ class Runtime:
 
     # -- ingestion -----------------------------------------------------------
 
-    def _window_index(self, device_ts: int) -> int:
-        # Window j is (due(j-1), due(j)]; anything before due(0) is window 0
-        # unless it precedes the trial start, which maps to window -1.
-        if device_ts < self.header.config.schedule.trial_start_ts:
-            return -1
-        return bisect.bisect_left(self._due_cache, device_ts)
-
     def ingest_observation(
         self, participant_id: str, feature: str, value: float, device_ts: int, backend_ts: int
     ) -> int:
@@ -120,7 +111,8 @@ class Runtime:
         value = float(value)  # the payload holds a float, whatever number came in
         if not math.isfinite(value):
             raise ConfigurationError(f"{feature} value {value!r} of {participant_id} is not finite")
-        superseded = self.index.snapshot_seqs.get((participant_id, self._window_index(device_ts)))
+        seqs = self.index.snapshot_seqs.get(participant_id)
+        superseded = None if seqs is None else seqs.get(self.header.config.schedule.window(device_ts))
         record = self._log(
             events.DatumInfo(participant_id, feature, value, device_ts, superseded),
             backend_ts, self.version_id, device_ts,
@@ -165,8 +157,8 @@ class Runtime:
         snapshot: a new one is refused by the fold before anything is logged.
         """
         config = self.header.config
-        features, imputation = config.features, config.imputation
-        due = config.schedule.due_ts(decision_index)
+        features, imputation, schedule = config.features, config.imputation, config.schedule
+        due = schedule.due_ts(decision_index)
         if backend_ts is None:
             backend_ts = due
         resolved: dict[str, tuple[float, str, str | None, int | None]] = {}
@@ -178,7 +170,7 @@ class Runtime:
                 resolved[name] = (imputation.default_for(name), "default", None, None)
                 continue
             device_ts, _, value = data[i - 1]
-            age = decision_index - self._window_index(device_ts)
+            age = decision_index - schedule.window(device_ts)
             if age == 0:
                 resolved[name] = (value, "observed", None, device_ts)
             elif age <= imputation.horizon:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -154,9 +155,13 @@ def make_run_config(**overrides) -> RunConfig:
 
 
 def make_run_header(config: RunConfig, participants) -> RunHeader:
-    """The HEADER config of a run of ``config`` with ``participants``."""
+    """The HEADER config of a run of ``config`` with ``participants``, its
+    environment as long as the schedule and as wide as the roster."""
+    environment = dataclasses.replace(
+        config.environment, n_participants=len(participants), n_days=config.schedule.trial_days
+    )
     return RunHeader(config.model, config.schedule, config.features, config.imputation, config.injection,
-                     tuple(participants), config.environment)
+                     tuple(participants), environment)
 
 
 def make_header(stream_id="s", environment_profile="test") -> HeaderInfo:

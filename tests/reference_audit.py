@@ -13,10 +13,13 @@ and the monitor's alerts and report bytes. ``tests/test_reference_audit.py``
 requires the package's verbs to give this reference's exit codes and report
 bytes.
 
-One change was made since it was frozen, as in the package: a logic that
+Two changes were made since it was frozen, as in the package. A logic that
 raises any exception on a logged input, not only a ``LedgerLoopError``, is
 recorded as ``error:<type>``, since the runtime takes any exception for a
-fallback decision or a failed update.
+fallback decision or a failed update. And a participant's decisions come in
+increasing decision index, no snapshot of it following a decision of the
+same or a later point, with the package's texts; a batch seq that is no
+pending outcome has one text, whether it is another event or consumed.
 """
 
 from __future__ import annotations
@@ -67,6 +70,8 @@ class ReferenceIndex:
     decisions: dict = field(default_factory=dict)
     outcomes: dict = field(default_factory=dict)
     pending: dict = field(default_factory=dict)
+    last_decided: dict = field(default_factory=dict)
+    consumed: set = field(default_factory=set)  # points whose outcome an update consumed
     updates: list = field(default_factory=list)
     errors: list = field(default_factory=list)
 
@@ -93,12 +98,23 @@ class ReferenceIndex:
             )
         self.size += 1
         self.stamped.setdefault(record.version_id, record.seq)
+        if etype in ("FEATURE_SNAPSHOT", "DECISION"):
+            pid, idx = value.participant_id, value.decision_index
+            key, last = (pid, idx), self.last_decided.get(pid, -1)
+            if idx <= last:
+                if idx == last or (key in self.decisions and key not in self.consumed):
+                    raise StructuralAuditError(
+                        f"DECISION at seq {record.seq} repeats {key}" if etype == "DECISION"
+                        else f"FEATURE_SNAPSHOT at seq {record.seq} follows the DECISION of {key}"
+                    )
+                raise StructuralAuditError(
+                    f"{etype} at seq {record.seq} names {key}, but {pid!r} has decided point {last} already"
+                )
         if etype == "FEATURE_SNAPSHOT":
             self.snapshots[(value.participant_id, value.decision_index)] = (Stamp.of(record), value)
         elif etype == "DECISION":
             key = (value.participant_id, value.decision_index)
-            if key in self.decisions:
-                raise StructuralAuditError(f"DECISION at seq {record.seq} repeats {key}")
+            self.last_decided[value.participant_id] = value.decision_index
             self.decisions[key] = (Stamp.of(record), value)
         elif etype == "OUTCOME_OBSERVED":
             self.outcomes[record.seq] = value
@@ -107,6 +123,7 @@ class ReferenceIndex:
             rows = self.batch(value.participant_id, value.batch_seqs, record.seq)
             pending = self.pending.get(value.participant_id, [])
             self.pending[value.participant_id] = [s for s in pending if s not in value.batch_seqs]
+            self.consumed.update((value.participant_id, self.outcomes[s].decision_index) for s in value.batch_seqs)
             self.updates.append((Stamp.of(record), value, rows))
         elif etype == "ERROR":
             self.errors.append((Stamp.of(record), value))
@@ -152,12 +169,10 @@ class ReferenceIndex:
             problem = None
             if outcome_seq >= seq:
                 problem = f"references future seq {outcome_seq}"
-            elif outcome is None:
-                problem = f"references seq {outcome_seq}, which is not an OUTCOME_OBSERVED event"
+            elif outcome is None or outcome_seq not in self.pending[outcome.participant_id]:
+                problem = f"references seq {outcome_seq}, which is not a pending OUTCOME_OBSERVED event"
             elif outcome.participant_id != participant_id:
                 problem = f"has outcome seq {outcome_seq} of another participant"
-            elif outcome_seq not in self.pending[participant_id]:
-                problem = f"has outcome seq {outcome_seq} consumed twice"
             if problem is not None:
                 raise StructuralAuditError(f"MODEL_UPDATE at seq {seq} {problem}")
             key = (participant_id, outcome.decision_index)

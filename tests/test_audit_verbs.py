@@ -257,13 +257,16 @@ def test_false_header_config_digest_is_an_audit_error(tmp_path, ledger_path, cap
         ({"participants": ["p000", "p001", "p001"]}, "participants: 'p001' is named twice"),
         ({"unchecked": 1}, "unchecked: not a member"),
         ({"environment": {"miss_prob": encode_float(2.0)}}, "environment: miss_prob must be in [0, 1]"),
+        ({"environment": {"n_days": 99, "n_participants": 7}}, "environment.n_days 99 is not schedule.trial_days 2"),
+        ({"environment": {"n_participants": 7}}, "environment.n_participants 7 is not the 2 participants named"),
     ],
-    ids=["repeated participant", "extra member", "environment"],
+    ids=["repeated participant", "extra member", "environment", "environment length", "environment width"],
 )
 def test_a_header_config_the_schema_refuses_is_an_audit_error(tmp_path, ledger_path, capsys, edit, message):
     # Each edit, with the digest re-derived, once passed every audit: the
     # monitor counted a participant named twice as two, and nothing read
-    # the environment or refused a member beside the sections.
+    # the environment, held its sizes to the schedule's and the roster's,
+    # or refused a member beside the sections.
     def set_config(record):
         config = record["payload"]["config"]
         for name, value in edit.items():
@@ -484,7 +487,10 @@ def _last(event_type):
 # (4 points per participant). The later snapshot of p000 re-labelled as that
 # of its decision 0, which is decided by then, and the outcome of p000's
 # decision 2 re-labelled as that of its decision 0, whose outcome the first
-# update consumed, give a point a second snapshot or outcome. The first
+# update consumed, give a point a second snapshot or outcome. The fold keeps
+# only each participant's last decision of the points it has forgotten, so
+# an outcome of a consumed point below it, and a decision below it, are
+# refused without naming a repeat. The first
 # snapshot re-labelled as that of a point outside the schedule, or of a later
 # point, which leaves the DECISION right after it ({next}) without one; the
 # last outcome re-labelled outside the schedule, where it could never be
@@ -498,7 +504,7 @@ POINT_EDITS = {
     ),
     "second-outcome": (
         _point("OUTCOME_OBSERVED", "p000", 2), 0,
-        "OUTCOME_OBSERVED at seq {seq} repeats ('p000', 0)",
+        "OUTCOME_OBSERVED at seq {seq} names ('p000', 0), which has no DECISION awaiting its outcome",
     ),
     "snapshot-outside-the-schedule": (
         _point("FEATURE_SNAPSHOT", "p000", 0), 9999,
@@ -515,6 +521,14 @@ POINT_EDITS = {
     "outcome-before-its-decision": (
         _point("OUTCOME_OBSERVED", "p000", 0), 3,
         "OUTCOME_OBSERVED at seq {seq} has no prior DECISION of ('p000', 3)",
+    ),
+    "decision-below-the-last-decision": (
+        _point("DECISION", "p000", 2), 0,
+        "DECISION at seq {seq} names ('p000', 0), but 'p000' has decided point 1 already",
+    ),
+    "outcome-of-the-last-consumed-point": (
+        _point("OUTCOME_OBSERVED", "p001", 3), 1,
+        "OUTCOME_OBSERVED at seq {seq} names ('p001', 1), which has no DECISION awaiting its outcome",
     ),
 }
 
@@ -538,6 +552,46 @@ def test_the_fold_refuses_a_second_snapshot_or_outcome_of_a_point(tmp_path, ledg
     assert not (tmp_path / "mon.txt").exists()
     assert main(["ledger-inspect", "--ledger", str(ledger_path), "--seq", str(seq)]) == 0
     assert json.loads(capsys.readouterr().out.split("# decoded floats:")[0])["payload"]["decision_index"] == decision_index
+
+
+def _update(participant_id, nth):
+    return lambda path: [r.seq for r in records_of(path, "MODEL_UPDATE")
+                         if r.payload["participant_id"] == participant_id][nth]
+
+
+# Seqs added to an update's batch of the 2x2 trial. The fold keeps only the
+# pending outcomes, so an outcome an update consumed, whoever's it was, is
+# refused as any other record that is no pending outcome is; a pending one
+# of another participant keeps its own text. Each: the update, the seq
+# added, and the refusal's end.
+BATCH_EDITS = {
+    "own-consumed-outcome": (_update("p001", -1), _point("OUTCOME_OBSERVED", "p001", 0),
+                             "references seq {added}, which is not a pending OUTCOME_OBSERVED event"),
+    "others-consumed-outcome": (_update("p001", -1), _point("OUTCOME_OBSERVED", "p000", 0),
+                                "references seq {added}, which is not a pending OUTCOME_OBSERVED event"),
+    "another-event": (_update("p001", -1), lambda path: first_seq(path, "DECISION"),
+                      "references seq {added}, which is not a pending OUTCOME_OBSERVED event"),
+    "others-pending-outcome": (_update("p000", -1), _point("OUTCOME_OBSERVED", "p001", 2),
+                               "has outcome seq {added} of another participant"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BATCH_EDITS))
+def test_the_fold_refuses_a_batch_seq_that_is_no_pending_outcome_of_its_participant(
+    tmp_path, ledger_path, capsys, name
+):
+    update_of, added_of, problem = BATCH_EDITS[name]
+    seq, added = update_of(ledger_path), added_of(ledger_path)
+    rechain(ledger_path, seq, lambda record: record["payload"].update(
+        batch_seqs=sorted([added, *record["payload"]["batch_seqs"]])))
+    message = f"MODEL_UPDATE at seq {seq} " + problem.format(added=added)
+    with pytest.raises(StructuralAuditError) as caught:
+        index_of(ledger_path)
+    assert str(caught.value) == message
+    for argv in (*AUDITS, ["monitor-report"]):
+        assert _audit(tmp_path, ledger_path, argv) == 2
+        assert capsys.readouterr().err == f"audit error: {message}\n"
+    assert not (tmp_path / "mon.txt").exists()
 
 
 def test_ledger_inspect_prints_a_record_of_another_stream(ledger_path, capsys):

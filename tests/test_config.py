@@ -1,12 +1,15 @@
+import bisect
 import pickle
 from pathlib import Path
 
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import BASE_CONFIG, YAML_CHECKED, YAML_LOADER, make_run_config, make_run_header, yaml_outcome
 from ledgerloop.cli import main
-from ledgerloop.config import config_from_dict, load_config
+from ledgerloop.config import MS_PER_DAY, Schedule, config_from_dict, load_config
 from ledgerloop.errors import ConfigurationError
 from ledgerloop.ledger import LEDGER_FORMAT, config_digest, decode_as, encode_float, map_floats
 from ledgerloop.policy import ModelConfig
@@ -207,3 +210,79 @@ def test_a_run_config_pickles_with_its_grid():
     back = pickle.loads(pickle.dumps(config))
     assert back == config
     assert back.grid == config.grid and len(back.environments) == 4
+
+
+# Every float of the environment, and the prior mean, one field at a time:
+# NaN is false under every comparison, so only a finiteness check refuses it.
+NON_FINITE_PROBES = [
+    ({"environment": {"effect_sd": float("nan")}}, "environment: effect_sd must be finite, got nan"),
+    ({"environment": {"baseline_sd": float("nan")}}, "environment: baseline_sd must be finite, got nan"),
+    ({"environment": {"outcome_noise_sd": float("nan")}}, "environment: outcome_noise_sd must be finite, got nan"),
+    ({"environment": {"engagement_noise_sd": float("inf")}},
+     "environment: engagement_noise_sd must be finite, got inf"),
+    ({"environment": {"drift": float("nan")}}, "environment: drift must be finite, got nan"),
+    ({"environment": {"action_engagement_boost": float("-inf")}},
+     "environment: action_engagement_boost must be finite, got -inf"),
+    ({"environment": {"effect_mean": [0.5, float("nan"), 0.0]}}, "environment: effect_mean[1] must be finite, got nan"),
+    ({"environment": {"baseline_mean": [float("inf"), 0.0, 0.0]}},
+     "environment: baseline_mean[0] must be finite, got inf"),
+    ({"model": {"prior_mean": [0.0, 0.0, float("nan"), 0.0, 0.0, 0.0]}}, "model: prior_mean[2] must be finite, got nan"),
+]
+
+
+@pytest.mark.parametrize("overrides, message", NON_FINITE_PROBES, ids=[
+    "effect_sd", "baseline_sd", "outcome_noise_sd", "engagement_noise_sd", "drift", "action_engagement_boost",
+    "effect_mean", "baseline_mean", "prior_mean",
+])
+def test_a_non_finite_environment_or_prior_float_is_refused(overrides, message):
+    with pytest.raises(ConfigurationError) as caught:
+        make_run_config(**overrides)
+    assert str(caught.value) == message
+
+
+def test_a_nan_environment_float_stops_simulate_before_any_ledger_exists(tmp_path, capsys):
+    # It once made simulate exit 64 mid-run, leaving a ledger the audits accepted.
+    raw = yaml.safe_load(EXAMPLE.read_text())
+    raw["environment"]["effect_sd"] = float("nan")
+    config = tmp_path / "nan.yaml"
+    config.write_text(yaml.safe_dump(raw))
+    out = tmp_path / "trial.ndjson"
+    assert main(["simulate", "--config", str(config), "--out", str(out), "--participants", "2", "--days", "2"]) == 64
+    assert capsys.readouterr().err == "config error: environment: effect_sd must be finite, got nan\n"
+    assert not out.exists()
+
+
+def _window_by_bisect(schedule: Schedule, ts: int) -> int:
+    """Window j is (due_ts(j - 1), due_ts(j)]: the bisect over every due time."""
+    if ts < schedule.trial_start_ts:
+        return -1
+    return bisect.bisect_left([schedule.due_ts(i) for i in range(schedule.total_points)], ts)
+
+
+@st.composite
+def schedules_and_times(draw):
+    minutes = draw(st.lists(st.integers(0, 24 * 60 - 1), min_size=1, max_size=4, unique=True).map(sorted))
+    update = draw(st.integers(0, 24 * 60 - 1).filter(lambda m: m not in minutes))
+    schedule = Schedule(
+        decision_times=tuple(f"{m // 60:02d}:{m % 60:02d}" for m in minutes),
+        update_time=f"{update // 60:02d}:{update % 60:02d}",
+        trial_days=draw(st.integers(1, 5)),
+        trial_start_ts=draw(st.integers(-(10**12), 10**12)),
+    )
+    due = [schedule.due_ts(i) for i in range(schedule.total_points)]
+    start, end = schedule.trial_start_ts, due[-1]
+    ts = draw(st.one_of(
+        st.integers(start - 3 * MS_PER_DAY, start - 1),  # before the start
+        st.sampled_from(due),  # at a due time
+        st.sampled_from(due).flatmap(lambda t: st.integers(t - MS_PER_DAY, t + MS_PER_DAY)),  # around one
+        st.integers(end + 1, end + 3 * MS_PER_DAY),  # past the last point
+        st.integers(start, end),
+    ))
+    return schedule, ts
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=schedules_and_times())
+def test_a_schedule_window_is_the_bisect_over_its_due_times(case):
+    schedule, ts = case
+    assert schedule.window(ts) == _window_by_bisect(schedule, ts)

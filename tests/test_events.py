@@ -211,6 +211,8 @@ def test_header_config_is_decoded_strictly(model, message):
         ({"unchecked": 1}, "unchecked: not a member"),
         ({"participants": ["p000", "p001", "p001"]}, "participants: 'p001' is named twice"),
         ({"participants": "p000"}, "participants: expected a list, got 'p000'"),
+        ({"environment": {"n_days": 99}}, "environment.n_days 99 is not schedule.trial_days 3"),
+        ({"environment": {"n_participants": 7}}, "environment.n_participants 7 is not the 2 participants named"),
     ],
 )
 def test_every_header_config_section_is_decoded_strictly(edit, message):

@@ -131,34 +131,36 @@ def decisions(draw):
 
 RUN_CONFIG = make_run_config()
 positive = st.floats(min_value=0.0, exclude_min=True)
-non_negative = st.floats(min_value=0.0)
+non_negative = st.floats(min_value=0.0, allow_infinity=False)
 
 
 @st.composite
 def run_headers(draw):
     """HEADER configs of the base run config's schedule, features and
     injection, with every float of the model, the imputation and the
-    environment drawn, and participants named once each."""
+    environment drawn (finite where the class requires it), and
+    participants named once each, as many as the environment has."""
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+
     def floats(n):
-        return tuple(draw(st.lists(any_float, min_size=n, max_size=n)))
+        return tuple(draw(st.lists(finite, min_size=n, max_size=n)))
 
     model = ModelConfig(
         3, 3, draw(positive), floats(6), draw(positive), draw(st.floats(0.0, 0.5, exclude_min=True)),
         draw(st.floats(0.5, 1.0, exclude_max=True)), draw(texts),
     )
-    finite = st.floats(allow_nan=False, allow_infinity=False)
     imputation = ImputationPolicy(
         draw(st.integers(0, 2**64)), {name: draw(finite) for name in RUN_CONFIG.features.names}
     )
+    participants = tuple(draw(st.lists(texts, min_size=1, max_size=3, unique=True)))
     environment = EnvironmentSpec(
         effect_mean=floats(3), effect_sd=draw(non_negative), baseline_mean=floats(3),
-        baseline_sd=draw(non_negative), drift=draw(any_float), outcome_noise_sd=draw(non_negative),
+        baseline_sd=draw(non_negative), drift=draw(finite), outcome_noise_sd=draw(non_negative),
         engagement_persistence=draw(st.floats(0.0, 1.0, exclude_max=True)),
-        action_engagement_boost=draw(any_float), engagement_noise_sd=draw(non_negative),
+        action_engagement_boost=draw(finite), engagement_noise_sd=draw(non_negative),
         miss_prob=draw(st.floats(0.0, 1.0)), delay_geometric_p=draw(st.floats(0.0, 1.0, exclude_min=True)),
-        n_participants=draw(st.integers(1, 2**64)), n_days=draw(st.integers(1, 2**64)), label=draw(texts),
+        n_participants=len(participants), n_days=RUN_CONFIG.schedule.trial_days, label=draw(texts),
     )
-    participants = tuple(draw(st.lists(texts, max_size=3, unique=True)))
     return RunHeader(model, RUN_CONFIG.schedule, RUN_CONFIG.features, imputation, RUN_CONFIG.injection,
                      participants, environment)
 
@@ -341,7 +343,7 @@ def test_append_refusal_names_the_path_inside_the_payload():
     probes = [
         (dataclasses.replace(header.config, environment=environment),
          "HEADER payload: config: environment.effect_sd: expected 16 lowercase hex chars, got 0"),
-        (dataclasses.replace(header.config, participants=(1,)),
+        (dataclasses.replace(header.config, participants=(1, "p1")),
          "HEADER payload: config: participants[0]: expected a string, got 1"),
         (dataclasses.replace(header.config, environment=dataclasses.replace(environment, label=object())),
          "HEADER payload: config: cannot encode <object object at"),

@@ -159,10 +159,11 @@ def breaks_a_new_rule(path: Path) -> bool:
     """Whether the HEADER's feature lists are not as long as its model's
     dimensions; a record names a participant the HEADER does not; a
     snapshot, decision or outcome names a point outside the schedule; a
-    snapshot follows its point's decision; a decision has no snapshot of its
-    point, or no VERSION_CHANGE, before it; an outcome has no decision of
-    its point before it, or repeats its point's; or a record is stamped with
-    a version that no VERSION_CHANGE activates."""
+    snapshot follows its point's decision; a snapshot or decision names a
+    point at or below its participant's last decision; a decision has no
+    snapshot of its point, or no VERSION_CHANGE, before it; an outcome has
+    no decision of its point before it, or repeats its point's; or a record
+    is stamped with a version that no VERSION_CHANGE activates."""
     records = [json.loads(line) for line in path.read_bytes().splitlines()]
     config = records[0]["payload"]["config"]
     features, model = config["features"], config["model"]
@@ -171,6 +172,7 @@ def breaks_a_new_rule(path: Path) -> bool:
     schedule = config["schedule"]
     total = schedule["trial_days"] * len(schedule["decision_times"])
     snapshotted, decided, rewarded, activated, stamps = set(), set(), set(), set(), set()
+    last_decided = {}
     for record in records:
         payload, event_type = record["payload"], record["event_type"]
         stamps.add(json.dumps(record["version_id"]))
@@ -187,6 +189,11 @@ def breaks_a_new_rule(path: Path) -> bool:
         if type(index) is int and not 0 <= index < total:
             return True
         point = json.dumps([payload.get("participant_id"), index])
+        if event_type != "OUTCOME_OBSERVED" and isinstance(participant, str) and type(index) is int:
+            if index <= last_decided.get(participant, -1):
+                return True
+            if event_type == "DECISION":
+                last_decided[participant] = index
         if event_type == "FEATURE_SNAPSHOT":
             if point in decided:
                 return True

@@ -426,7 +426,7 @@ def test_double_consumption_is_structural_error(tmp_path):
         return payload
 
     tampered = rechain(path, mutate)
-    with pytest.raises(StructuralAuditError, match="consumed twice"):
+    with pytest.raises(StructuralAuditError, match="which is not a pending OUTCOME_OBSERVED event"):
         reconstruct_states(read_records(tampered), logic_for(tampered))
 
 

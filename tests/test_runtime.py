@@ -342,7 +342,7 @@ def test_snapshot_always_precedes_decision(file_runtime):
     }
     assert decision_seqs.keys() == runtime.index.decisions.keys()
     for key, seq in decision_seqs.items():
-        assert runtime.index.snapshot_seqs[key] < seq
+        assert runtime.index.snapshot_seqs[key[0]].get(key[1]) < seq
 
 
 # -- update cycles --------------------------------------------------------------------

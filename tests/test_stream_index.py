@@ -3,6 +3,8 @@ reader folds from the file, so replay and the monitor audit the runtime's own
 bookkeeping rather than a second reading of the records."""
 
 import dataclasses
+import re
+from array import array
 
 import yaml
 
@@ -91,9 +93,12 @@ def repeat_first(path, event_type: str) -> int:
 
 
 def test_a_second_decision_for_one_point_is_a_structural_error(tmp_path):
+    # p000's point 0 is decided and consumed by the end of the day, so the
+    # fold knows only that it lies below p000's last decision, point 1.
     path = tmp_path / "trial.ndjson"
-    repeat_first(path, "DECISION")
-    with pytest.raises(StructuralAuditError, match="repeats"):
+    seq = repeat_first(path, "DECISION")
+    message = f"DECISION at seq {seq} names ('p000', 0), but 'p000' has decided point 1 already"
+    with pytest.raises(StructuralAuditError, match=f"^{re.escape(message)}$"):
         StreamIndex.fold(read_records(path))
 
 
@@ -138,7 +143,7 @@ def test_the_folded_golden_index_holds_no_envelope(tmp_path):
     config.write_text(yaml.safe_dump(GOLDEN_CONFIG))
     assert main(["simulate", "--config", str(config), "--out", str(path)]) == 0
     index = StreamIndex.fold(read_records(path))
-    assert index.decided and index.totals.updates and index.totals.errors
+    assert index.totals.decisions and index.totals.updates and index.totals.errors
     assert not [v for v in _contents(index) if isinstance(v, EventEnvelope)]
     assert all(type(v) is SnapshotInfo for v in index.snapshots.values())
     assert all(type(v) is DecisionRecord for v in index.decisions.values())
@@ -147,15 +152,24 @@ def test_the_folded_golden_index_holds_no_envelope(tmp_path):
 def test_the_index_keeps_only_the_points_whose_outcome_is_pending(tmp_path):
     # No loss, so every outcome arrives; delays leave some of them pending
     # after the last update cycle. Every other point's snapshot, decision
-    # and outcome were consumed and forgotten.
+    # and outcome were consumed and forgotten: no map keyed by point holds
+    # a point beyond its outcome, and what the index keeps of every point is
+    # its participant's last decision, counters, and a snapshot seq in an
+    # array of machine ints.
     config = make_run_config(injection={"data_loss_prob": 0.0, "delay_geometric_p": 0.6})
     index = run_trial(small_env(), config, 6).index
     points = 3 * 4 * 2
-    pending = {(o.participant_id, o.decision_index) for o in index.outcomes.values()}
+    pending = {(o.participant_id, o.decision_index) for by_seq in index.pending.values() for o in by_seq.values()}
     assert pending
     assert index.snapshots.keys() == index.decisions.keys() == pending
-    assert len(index.snapshot_seqs) == len(index.decided) == len(index.rewarded) == points
-    assert len(index.consumed) == points - len(pending)
+    point_keyed = [v for v in _contents(index) if isinstance(v, dict) and any(type(k) is tuple for k in v)]
+    assert [id(v) for v in point_keyed] == [id(index.snapshots), id(index.decisions)]
+    assert not {"decided", "rewarded", "consumed"} & {f.name for f in dataclasses.fields(index)}
+    assert index.last_decided == {pid: 4 * 2 - 1 for pid in ("p000", "p001", "p002")}
+    assert index.totals.decisions == index.snapshots_seen == index.outcomes_seen == points
+    for seqs in index.snapshot_seqs.values():
+        assert type(seqs.points) is type(seqs.seqs) is array and seqs.points.typecode == seqs.seqs.typecode == "q"
+        assert list(seqs.points) == list(range(4 * 2))
 
 
 def test_the_header_comes_first_and_only_once(tmp_path):

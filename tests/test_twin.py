@@ -254,7 +254,7 @@ def test_total_miss_means_nothing_observed(tmp_path):
 def test_decision_count_arithmetic():
     config = make_run_config()
     result = run_trial(small_env(n_participants=2, n_days=3), config, 5)
-    assert len(result.index.decided) == 2 * 3 * 2
+    assert result.index.totals.decisions == 2 * 3 * 2
 
 
 def test_seed_isolation_between_participants(tmp_path):
