@@ -14,8 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from . import twin
-from .config import FailureInjectionSpec, load_config, read_yaml
+from .config import EnvironmentSpec, FailureInjectionSpec, load_config, read_yaml
 from .errors import (
     AuditError,
     ConfigurationError,
@@ -117,7 +116,7 @@ def _fresh_out_path(path_str: str) -> Path:
     return path
 
 
-def _resolve_env(config, args) -> twin.EnvironmentSpec:
+def _resolve_env(config, args) -> EnvironmentSpec:
     sizes = {"n_participants": args.participants, "n_days": args.days}
     return dataclasses.replace(
         config.environment, **{name: size for name, size in sizes.items() if size is not None}
@@ -125,6 +124,8 @@ def _resolve_env(config, args) -> twin.EnvironmentSpec:
 
 
 def _cmd_simulate(args) -> int:
+    from . import twin  # and the runtime: only the verbs that run a trial load them
+
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
@@ -145,6 +146,8 @@ def _seeds_for_run(config) -> list[int]:
 
 
 def _cmd_twin_run(args) -> int:
+    from . import twin
+
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)
@@ -156,6 +159,8 @@ def _cmd_twin_run(args) -> int:
 
 
 def _cmd_twin_tune(args) -> int:
+    from . import twin
+
     config = load_config(args.config)
     if args.seed is not None:
         config = dataclasses.replace(config, master_seed=args.seed)

@@ -43,7 +43,7 @@ from .config import (
     check_features,
 )
 from .errors import ConfigurationError, DecodeError, StructuralAuditError
-from .ledger import ENVIRONMENT_PROFILES, FORMAT_VERSION, LEDGER_FORMAT, EventEnvelope, _Refusal, decode_as
+from .ledger import ENVIRONMENT_PROFILES, FORMAT_VERSION, LEDGER_FORMAT, EventEnvelope, _got, _Refusal, decode_as
 from .ledger import config_digest, frozen_record
 from .policy import DecisionRecord, FeatureSnapshot, ModelConfig
 
@@ -226,6 +226,9 @@ def parse_update(payload) -> UpdateInfo:
 Row = tuple[FeatureSnapshot, int, float]  # (snapshot, action, reward) of one consumed outcome
 Point = tuple[str, int]  # (participant_id, decision_index)
 _POINT_EVENTS = frozenset({"FEATURE_SNAPSHOT", "DECISION", "OUTCOME_OBSERVED"})  # payloads that name a point
+_TIMED_EVENTS = frozenset({"DATA_INGESTED", "OUTCOME_OBSERVED"})  # payloads that repeat the envelope's device_ts
+_ERROR_KINDS = ("policy_exception", "update_failure")
+_METHODS = {"imputed": "locf"}  # provenance tag -> the imputation method a snapshot names for it; None for the others
 _NO_HEADER = "ledger does not start with a HEADER record"
 
 
@@ -277,8 +280,10 @@ class Counts:
 @dataclass
 class SnapshotSeqs:
     """One participant's snapshot seqs by decision index: two sorted arrays
-    of machine ints, 16 bytes a point and no object per entry. A snapshot of
-    a new point adds one entry, and nothing else adds any."""
+    of machine ints, 16 bytes a point and no object per entry. Snapshots
+    come in non-decreasing decision index (a rule of the fold), so a
+    snapshot of a new point appends one entry, a new snapshot of the last
+    point replaces its seq, and nothing else adds any."""
 
     points: array = field(default_factory=lambda: array("q"))
     seqs: array = field(default_factory=lambda: array("q"))
@@ -292,12 +297,12 @@ class SnapshotSeqs:
         return self.seqs[i] if points[i] == decision_index else None
 
     def set(self, decision_index: int, seq: int) -> None:
-        i = bisect_left(self.points, decision_index)
-        if i < len(self.points) and self.points[i] == decision_index:
-            self.seqs[i] = seq
+        """Record the seq of a snapshot of ``decision_index``, at or above every point held."""
+        if self.points and self.points[-1] == decision_index:
+            self.seqs[-1] = seq
         else:
-            self.points.insert(i, decision_index)
-            self.seqs.insert(i, seq)
+            self.points.append(decision_index)
+            self.seqs.append(seq)
 
 
 @dataclass
@@ -308,7 +313,8 @@ class StreamIndex:
     fold the verified records of a file.
 
     It keeps only what a later record can still use: the versions, and the
-    first seq of each version stamp; the pending outcomes; the monitor's
+    first seq of each version stamp; the pending outcomes, by seq and, as
+    a set of decision indexes, by point; the monitor's
     :class:`Counts`; the snapshot and decision of each point
     (``(participant_id, decision_index)``) until an update consumes its
     outcome; and, per participant, the index of its last decision, below
@@ -329,6 +335,7 @@ class StreamIndex:
     snapshots: dict[Point, SnapshotInfo] = field(default_factory=dict)
     decisions: dict[Point, DecisionRecord] = field(default_factory=dict)
     pending: dict[str, dict[int, OutcomeInfo]] = field(default_factory=dict)  # participant -> seq -> outcome
+    pending_points: dict[str, set[int]] = field(default_factory=dict)  # participant -> decision indexes pending
     last_decided: dict[str, int] = field(default_factory=dict)  # participant -> its last decision index
     snapshot_seqs: dict[str, SnapshotSeqs] = field(default_factory=dict)
     snapshots_seen: int = 0  # points with a snapshot
@@ -361,20 +368,30 @@ class StreamIndex:
     def apply(self, record: EventEnvelope) -> list[Row] | None:
         """Fold in one record: :meth:`check` it, then :meth:`commit` it.
         Returns the rows an update consumes."""
-        rows = self.check(record.seq, record.stream_id, record.environment_profile, record.event_type, record.payload)
+        rows = self.check(
+            record.seq, record.stream_id, record.environment_profile, record.device_ts, record.event_type, record.payload
+        )
         self.commit(record)
         return rows
 
     def check(
-        self, seq: int, stream_id: str, environment_profile: str, etype: str, value, _rows: list[Row] | None = None
+        self,
+        seq: int,
+        stream_id: str,
+        environment_profile: str,
+        device_ts: int | None,
+        etype: str,
+        value,
+        _rows: list[Row] | None = None,
     ) -> list[Row] | None:
-        """Check the record at ``seq``, stamped with ``stream_id`` and
-        ``environment_profile``, of event type ``etype`` and payload
-        ``value``, against every rule below: StructuralAuditError naming its
-        seq if it breaks one. Returns the rows the record consumes if it is
-        an update (``_rows``: what :meth:`batch` gave for it, with nothing
-        committed since), else None. Changes nothing, so the runtime checks
-        a record before it appends it. The rules, each checked here only:
+        """Check the record at ``seq``, stamped with ``stream_id``,
+        ``environment_profile`` and ``device_ts``, of event type ``etype``
+        and payload ``value``, against every rule below: StructuralAuditError
+        naming its seq if it breaks one. Returns the rows the record
+        consumes if it is an update (``_rows``: what :meth:`batch` gave for
+        it, with nothing committed since), else None. Changes nothing, so
+        the runtime checks a record before it appends it. The rules, each
+        checked here only:
 
         - the first record is the only HEADER; its profile is a known one and
           its ``config_digest`` the digest of its config (:meth:`_begin`)
@@ -382,13 +399,19 @@ class StreamIndex:
           names
         - a record that names a participant names one of the HEADER's
           (:meth:`check_participant`)
+        - a DATA_INGESTED or OUTCOME_OBSERVED payload's ``device_ts`` is its
+          envelope's
         - a snapshot, decision or outcome names a decision index in
           ``[0, schedule.total_points)``
         - a participant's decisions come in increasing decision index, and
           none of its snapshots follows a decision of the same or a later
-          point
+          point; its snapshots come in non-decreasing decision index
+        - a snapshot's imputation method is ``"locf"`` for an ``imputed``
+          entry and None for any other
         - a decision follows its point's snapshot and a VERSION_CHANGE
         - an outcome's point holds its decision and no pending outcome
+        - an ERROR's ``kind`` is ``policy_exception`` or ``update_failure``,
+          and its decision index, if any, is in ``[0, schedule.total_points)``
         - an update's batch is one :meth:`batch` takes
         - a VERSION_CHANGE activates a version not active before, and its
           ``previous_version_id`` names the version active before it
@@ -405,18 +428,24 @@ class StreamIndex:
                 f"{header.stream_id!r} in profile {header.environment_profile!r}"
             )
         self.check_participant(seq, etype, getattr(value, "participant_id", None))
+        if etype in _TIMED_EVENTS and value.device_ts != device_ts:
+            raise StructuralAuditError(
+                f"{etype} at seq {seq} carries device_ts {value.device_ts} in its payload "
+                f"but {device_ts} in its envelope"
+            )
         if etype == "DATA_INGESTED":
             return None  # half of all records; nothing more to check
+        total = header.config.schedule.total_points
         if etype in _POINT_EVENTS:
             pid, idx = value.participant_id, value.decision_index
-            key, last, total = (pid, idx), self.last_decided.get(pid, -1), header.config.schedule.total_points
+            key, last = (pid, idx), self.last_decided.get(pid, -1)
             held = key in self.decisions  # decided, and its outcome not consumed
             problem = None
             if not 0 <= idx < total:
                 problem = f"names decision {idx}, not in [0, {total})"
             elif etype == "OUTCOME_OBSERVED":
                 if held:
-                    if any(o.decision_index == idx for o in self.pending.get(pid, {}).values()):
+                    if idx in self.pending_points.get(pid, ()):
                         problem = f"repeats {key}"
                 elif idx == last:  # decided, and its outcome consumed
                     problem = f"repeats {key}"
@@ -433,10 +462,29 @@ class StreamIndex:
                 problem = f"has no prior FEATURE_SNAPSHOT for {key}"
             elif etype == "DECISION" and not self.versions:
                 problem = "has no VERSION_CHANGE before it"
+            elif etype == "FEATURE_SNAPSHOT":
+                seqs = self.snapshot_seqs.get(pid)
+                methods = tuple(map(_METHODS.get, value.provenance))
+                if seqs is not None and idx < seqs.points[-1]:
+                    problem = f"names {key}, but {pid!r} has a snapshot of point {seqs.points[-1]} already"
+                elif value.imputation_methods != methods:
+                    i = next(i for i, method in enumerate(methods) if method != value.imputation_methods[i])
+                    problem = (
+                        f"imputation_methods[{i}]: expected {methods[i]!r} for tag {value.provenance[i]!r}, "
+                        f"{_got(value.imputation_methods[i])}"
+                    )
             if problem is not None:
                 raise StructuralAuditError(f"{etype} at seq {seq} {problem}")
         elif etype == "MODEL_UPDATE":
             return self.batch(value.participant_id, value.batch_seqs, seq) if _rows is None else _rows
+        elif etype == "ERROR":
+            if value.kind not in _ERROR_KINDS:
+                raise StructuralAuditError(
+                    f"ERROR at seq {seq} kind: expected one of {'/'.join(_ERROR_KINDS)}, {_got(value.kind)}"
+                )
+            idx = value.decision_index
+            if idx is not None and not 0 <= idx < total:
+                raise StructuralAuditError(f"ERROR at seq {seq} names decision {idx}, not in [0, {total})")
         elif etype == "VERSION_CHANGE":
             if value.version_id in self.fingerprints:
                 raise StructuralAuditError(
@@ -493,13 +541,17 @@ class StreamIndex:
             self.last_decided[pid] = idx
             self.decisions[(pid, idx)] = value
         elif etype == "OUTCOME_OBSERVED":
+            pid = value.participant_id
             self.outcomes_seen += 1
-            self.pending.setdefault(value.participant_id, {})[record.seq] = value
+            self.pending.setdefault(pid, {})[record.seq] = value
+            self.pending_points.setdefault(pid, set()).add(value.decision_index)
         elif etype == "MODEL_UPDATE":
-            pid, pending = value.participant_id, self.pending[value.participant_id]
+            pid = value.participant_id
+            pending, points = self.pending[pid], self.pending_points[pid]
             for outcome_seq in value.batch_seqs:
-                key = (pid, pending.pop(outcome_seq).decision_index)
-                del self.snapshots[key], self.decisions[key]
+                idx = pending.pop(outcome_seq).decision_index
+                points.remove(idx)
+                del self.snapshots[(pid, idx)], self.decisions[(pid, idx)]
             for counts in self._counts(self.header.config.schedule.day(record.backend_ts)):
                 counts.updates += 1
         elif etype == "ERROR":

@@ -37,10 +37,10 @@ from __future__ import annotations
 import hashlib
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Collection, Iterable, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Mapping
 
 from . import policy
-from .errors import AuditError, LedgerLoopError
+from .errors import AuditError
 from .events import StreamIndex
 from .ledger import EventEnvelope, encode_float, report_bytes
 from .policy import FALLBACK_PI, FeatureSnapshot, ModelConfig, PosteriorState
@@ -235,24 +235,6 @@ class Reconstruction:
         return merged
 
 
-def _in_blocks(records: Iterable[EventEnvelope], size: int = 1024) -> Iterator[EventEnvelope]:
-    """``records`` in order, read ``size`` at a time, so that the read pass
-    and the checks each run in long stretches with their code and data in
-    the CPU's caches. A problem the read pass meets is raised only after the
-    records before it."""
-    block: list[EventEnvelope] = []
-    try:
-        for record in records:
-            block.append(record)
-            if len(block) == size:
-                yield from block
-                block.clear()
-    except LedgerLoopError:
-        yield from block
-        raise
-    yield from block
-
-
 _bits = struct.Struct(">d").pack  # a float's bits, which encode_float shows as hex
 
 
@@ -296,7 +278,7 @@ def reconstruct_states(
     states: dict[str, PosteriorState] = {}
     logic = initial = None  # the active version's logic; the prior, once a version is active
     decisions, updates = DivergenceReport(), DivergenceReport()
-    for record in _in_blocks(records):
+    for record in records:
         rows = index.apply(record)
         seq, etype, value = record.seq, record.event_type, record.payload
         if etype == "DECISION":

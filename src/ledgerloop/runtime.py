@@ -49,13 +49,13 @@ class Runtime:
         # the datum a snapshot uses is the last entry at or before its due time.
         self._data: dict[tuple[str, str], list[tuple[int, int, float]]] = {}
 
-    def _check(self, value, seq: int, rows=None) -> None:
+    def _check(self, value, seq: int, device_ts: int | None = None, rows=None) -> None:
         """Check, with the fold's rules (:meth:`events.StreamIndex.check`),
-        the record that ``value`` would be at ``seq``; ``rows``: as
-        :meth:`_log` takes them."""
+        the record that ``value`` would be at ``seq``, stamped with
+        ``device_ts``; ``rows``: as :meth:`_log` takes them."""
         ledger = self.ledger
         event_type = events._EVENT_TYPES.get(type(value))
-        self.index.check(seq, ledger.stream_id, ledger.environment_profile, event_type, value, rows)
+        self.index.check(seq, ledger.stream_id, ledger.environment_profile, device_ts, event_type, value, rows)
 
     def _log(self, value, backend_ts: int, version_id: str, device_ts: int | None = None, rows=None) -> EventEnvelope:
         """Append ``value`` as the payload of a record of its event type once
@@ -63,7 +63,7 @@ class Runtime:
         the index: a record the fold refuses is never written. ``rows``: an
         update's, as :meth:`events.StreamIndex.batch` gave them for this
         record, so they are not built again."""
-        self._check(value, self.index.size, rows)
+        self._check(value, self.index.size, device_ts, rows)
         record = self.ledger.append(value, backend_ts, version_id, device_ts)
         self.index.commit(record)
         return record

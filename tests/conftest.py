@@ -133,6 +133,19 @@ def relabel(path, participant_id: str, decision_index: int, other: str) -> int:
     return seqs[0]
 
 
+def snapshot_ahead(path, participant_id: str, decision_index: int, ahead: int) -> int:
+    """Turn the last DATA_INGESTED record before ``participant_id``'s
+    snapshot of point ``decision_index`` into a copy of that snapshot naming
+    point ``ahead``, with :func:`rechain`, and return the snapshot's seq."""
+    seq = first_seq(path, "FEATURE_SNAPSHOT", lambda payload: (payload["participant_id"], payload["decision_index"])
+                    == (participant_id, decision_index))
+    records = [json.loads(line) for line in path.read_bytes().splitlines()[: seq + 1]]
+    datum = max(r["seq"] for r in records[:seq] if r["event_type"] == "DATA_INGESTED")
+    copy = {**records[seq]["payload"], "decision_index": ahead}
+    rechain(path, datum, lambda record: record.update(event_type="FEATURE_SNAPSHOT", device_ts=None, payload=copy))
+    return seq
+
+
 def records_of(path, event_type: str) -> list:
     """The records of one event type in the ledger file at ``path``, in seq
     order, each with its payload as the dict it is stored as (the dict an

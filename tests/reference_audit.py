@@ -20,6 +20,14 @@ fallback decision or a failed update. And a participant's decisions come in
 increasing decision index, no snapshot of it following a decision of the
 same or a later point, with the package's texts; a batch seq that is no
 pending outcome has one text, whether it is another event or consumed.
+
+Four rules were added later, as in the package, each with a text of its
+own here: a DATA_INGESTED or OUTCOME_OBSERVED payload's ``device_ts`` is its
+envelope's; a participant's snapshots come in non-decreasing decision
+index; a snapshot's imputation method is ``"locf"`` for each ``imputed``
+entry and None for every other; and an ERROR's kind is
+``policy_exception`` or ``update_failure``, its decision index, if any, one
+the schedule has.
 """
 
 from __future__ import annotations
@@ -71,6 +79,7 @@ class ReferenceIndex:
     outcomes: dict = field(default_factory=dict)
     pending: dict = field(default_factory=dict)
     last_decided: dict = field(default_factory=dict)
+    last_snapshot: dict = field(default_factory=dict)  # participant -> its last snapshot's decision index
     consumed: set = field(default_factory=set)  # points whose outcome an update consumed
     updates: list = field(default_factory=list)
     errors: list = field(default_factory=list)
@@ -98,6 +107,8 @@ class ReferenceIndex:
             )
         self.size += 1
         self.stamped.setdefault(record.version_id, record.seq)
+        if etype in ("DATA_INGESTED", "OUTCOME_OBSERVED") and value.device_ts != record.device_ts:
+            raise StructuralAuditError(f"{etype} at seq {record.seq} has two device_ts")
         if etype in ("FEATURE_SNAPSHOT", "DECISION"):
             pid, idx = value.participant_id, value.decision_index
             key, last = (pid, idx), self.last_decided.get(pid, -1)
@@ -111,7 +122,14 @@ class ReferenceIndex:
                     f"{etype} at seq {record.seq} names {key}, but {pid!r} has decided point {last} already"
                 )
         if etype == "FEATURE_SNAPSHOT":
-            self.snapshots[(value.participant_id, value.decision_index)] = (Stamp.of(record), value)
+            pid, idx = value.participant_id, value.decision_index
+            if idx < self.last_snapshot.get(pid, idx):
+                raise StructuralAuditError(f"FEATURE_SNAPSHOT at seq {record.seq} comes after a later point's")
+            methods = tuple("locf" if tag == "imputed" else None for tag in value.provenance)
+            if value.imputation_methods != methods:
+                raise StructuralAuditError(f"FEATURE_SNAPSHOT at seq {record.seq} has imputation methods {methods}")
+            self.last_snapshot[pid] = idx
+            self.snapshots[(pid, idx)] = (Stamp.of(record), value)
         elif etype == "DECISION":
             key = (value.participant_id, value.decision_index)
             self.last_decided[value.participant_id] = value.decision_index
@@ -126,6 +144,11 @@ class ReferenceIndex:
             self.consumed.update((value.participant_id, self.outcomes[s].decision_index) for s in value.batch_seqs)
             self.updates.append((Stamp.of(record), value, rows))
         elif etype == "ERROR":
+            if value.kind not in ("policy_exception", "update_failure"):
+                raise StructuralAuditError(f"ERROR at seq {record.seq} has kind {value.kind!r}")
+            schedule, idx = header.config.schedule, value.decision_index
+            if idx is not None and not 0 <= idx < schedule.trial_days * len(schedule.decision_times):
+                raise StructuralAuditError(f"ERROR at seq {record.seq} names decision {idx}")
             self.errors.append((Stamp.of(record), value))
         elif etype == "VERSION_CHANGE":
             if value.version_id in self.fingerprints:

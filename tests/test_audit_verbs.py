@@ -14,7 +14,7 @@ import warnings
 import pytest
 import yaml
 
-from conftest import BASE_CONFIG, deep_merge, first_seq, index_of, rechain, records_of, relabel
+from conftest import BASE_CONFIG, deep_merge, first_seq, index_of, rechain, records_of, relabel, snapshot_ahead
 from ledgerloop.cli import main
 from ledgerloop.errors import StructuralAuditError
 from ledgerloop.events import ErrorInfo
@@ -434,7 +434,7 @@ FOLD_EDITS = {
     ),
     "no-version-change": (
         _first("VERSION_CHANGE", _set(event_type="ERROR", payload={
-            "kind": "x", "message": "y", "participant_id": None, "decision_index": None})),
+            "kind": "update_failure", "message": "y", "participant_id": None, "decision_index": None})),
         "DECISION", "DECISION at seq {seq} has no VERSION_CHANGE before it",
     ),
 }
@@ -552,6 +552,76 @@ def test_the_fold_refuses_a_second_snapshot_or_outcome_of_a_point(tmp_path, ledg
     assert not (tmp_path / "mon.txt").exists()
     assert main(["ledger-inspect", "--ledger", str(ledger_path), "--seq", str(seq)]) == 0
     assert json.loads(capsys.readouterr().out.split("# decoded floats:")[0])["payload"]["decision_index"] == decision_index
+
+
+def _edited(event_type, edit, where=lambda payload: True):
+    def apply(path):
+        seq = first_seq(path, event_type, where)
+        rechain(path, seq, edit)
+        return seq
+    return apply
+
+
+def _datum_as_error(**members):
+    """The first DATA_INGESTED record turned into an ERROR of ``members``."""
+    payload = {"message": "nothing failed", "participant_id": "p000", **members}
+    return _edited("DATA_INGESTED", _set(event_type="ERROR", payload=payload))
+
+
+# Edits of what the runtime always writes one way, each of which once passed
+# every audit verb: a payload's device_ts apart from its envelope's, in
+# either copy; an ERROR of a kind the runtime never writes, which the
+# monitor's update_failure count reads, or of a point outside the schedule;
+# an imputation method on an observed entry; and a snapshot of p000's point
+# 1 after a copy of it naming point 3 (a DATA_INGESTED turned into that
+# copy). Each: the edit, which returns the seq of the record the fold
+# refuses, and the refusal, formatted with that record as ``record``.
+RULE_EDITS = {
+    "payload-device_ts": (
+        _edited("DATA_INGESTED", lambda record: record["payload"].update(device_ts=0)),
+        "DATA_INGESTED at seq {seq} carries device_ts 0 in its payload but {record[device_ts]} in its envelope",
+    ),
+    "envelope-device_ts": (
+        _edited("OUTCOME_OBSERVED", _set(device_ts=None)),
+        "OUTCOME_OBSERVED at seq {seq} carries device_ts {record[payload][device_ts]} in its payload "
+        "but None in its envelope",
+    ),
+    "error-kind": (
+        _datum_as_error(kind="anything at all", decision_index=None),
+        "ERROR at seq {seq} kind: expected one of policy_exception/update_failure, got 'anything at all'",
+    ),
+    "error-outside-the-schedule": (
+        _datum_as_error(kind="policy_exception", decision_index=9999),
+        "ERROR at seq {seq} names decision 9999, not in [0, 4)",
+    ),
+    "imputation-method": (
+        _edited("FEATURE_SNAPSHOT", lambda record: record["payload"]["imputation_methods"].__setitem__(0, "locf"),
+                lambda payload: payload["provenance"][0] == "observed"),
+        "FEATURE_SNAPSHOT at seq {seq} imputation_methods[0]: expected None for tag 'observed', got 'locf'",
+    ),
+    "snapshot-below-the-last": (
+        lambda path: snapshot_ahead(path, "p000", 1, 3),
+        "FEATURE_SNAPSHOT at seq {seq} names ('p000', 1), but 'p000' has a snapshot of point 3 already",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RULE_EDITS))
+def test_the_fold_refuses_what_the_runtime_never_writes(tmp_path, ledger_path, capsys, name):
+    # Every record still passes the read pass; the fold refuses the one that
+    # breaks the rule, with one line from both audits and the monitor
+    # without replay, and ledger-inspect, which does not fold, prints it.
+    edit, message = RULE_EDITS[name]
+    seq = edit(ledger_path)
+    message = message.format(seq=seq, record=json.loads(ledger_path.read_bytes().splitlines()[seq]))
+    with pytest.raises(StructuralAuditError) as caught:
+        index_of(ledger_path)
+    assert str(caught.value) == message
+    for argv in (*AUDITS, ["monitor-report"]):
+        assert _audit(tmp_path, ledger_path, argv) == 2
+        assert capsys.readouterr().err == f"audit error: {message}\n"
+    assert not (tmp_path / "mon.txt").exists()
+    assert main(["ledger-inspect", "--ledger", str(ledger_path), "--seq", str(seq)]) == 0
 
 
 def _update(participant_id, nth):

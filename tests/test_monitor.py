@@ -98,7 +98,7 @@ def test_errors_count_on_the_trial_day_of_their_backend_ts():
     result = trial()
     before = [result.index.days[day].errors for day in range(3)]
     for backend_ts in (MS_PER_DAY - 1, MS_PER_DAY, 2 * MS_PER_DAY, -5 * MS_PER_DAY, 100 * MS_PER_DAY):
-        result.index.apply(result.ledger.append(ErrorInfo("probe", "m"), backend_ts, "v1.0.0"))
+        result.index.apply(result.ledger.append(ErrorInfo("update_failure", "m"), backend_ts, "v1.0.0"))
     metrics = compute_metrics(result.index)
     assert [metrics.per_day[day]["error_count"] - before[day] for day in range(3)] == [2, 1, 2]
 

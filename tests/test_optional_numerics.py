@@ -1,8 +1,9 @@
 """numpy and scipy are optional: only replaying a conjugate-linear-v1 ledger
 needs them (the ``v1`` extra). PyYAML is needed only to read a config or
 rules file, so the audit verbs run without any of the three, under every
-CPython listed in ``LEDGERLOOP_TEST_PYTHONS``. Each module of the package
-imports when it is the first one imported.
+CPython listed in ``LEDGERLOOP_TEST_PYTHONS``. Nor do they load the digital
+twin or the runtime, which only the verbs that run a trial import. Each
+module of the package imports when it is the first one imported.
 
 Each check runs in a fresh interpreter, because this test process has
 imported numpy, scipy, PyYAML and the package already.
@@ -43,12 +44,12 @@ from ledgerloop.cli import main
 sys.exit(main(sys.argv[1:]))
 """
 
-# Runs the CLI with PyYAML, numpy and scipy absent: an entry of None in
-# sys.modules makes every import of that name fail.
+# Runs the CLI with PyYAML, numpy, scipy, the twin and the runtime absent:
+# an entry of None in sys.modules makes every import of that name fail.
 AUDIT_ONLY_CLI = r"""
 import sys
 
-for name in ("yaml", "numpy", "scipy"):
+for name in ("yaml", "numpy", "scipy", "ledgerloop.twin", "ledgerloop.runtime"):
     sys.modules[name] = None
 from ledgerloop.cli import main
 sys.exit(main(sys.argv[1:]))
@@ -105,7 +106,8 @@ def test_verbs_run_without_numpy_and_scipy(tmp_path):
 
 
 def test_the_audit_verbs_run_without_yaml_numpy_and_scipy(tmp_path):
-    # The golden ledger audits to its pinned report bytes all the same.
+    # Nor with the twin and the runtime: the golden ledger audits to its
+    # pinned report bytes all the same.
     config = tmp_path / "golden.yaml"
     config.write_text(yaml.safe_dump(GOLDEN_CONFIG))
     ledger = tmp_path / "golden.ndjson"

@@ -210,7 +210,9 @@ ingest_op = st.tuples(
     st.floats(-10.0, 10.0, allow_nan=False),
     st.one_of(st.sampled_from(EDGE_TS), st.integers(-MS_PER_DAY, 3 * MS_PER_DAY)),
 )
-assemble_op = st.tuples(st.just("assemble"), st.integers(0, len(DUES) - 1))
+# A step up from the point assembled last: a participant's snapshots come
+# in non-decreasing decision index, and a step of 0 assembles a point again.
+assemble_op = st.tuples(st.just("assemble"), st.integers(0, 2))
 
 
 @settings(max_examples=150, deadline=None)
@@ -221,19 +223,36 @@ def test_indexed_assembly_matches_linear_scan(horizon, ops):
     # and ages on both sides of the carry-forward horizon.
     runtime = fresh_runtime(imputation={"horizon": horizon})
     data: dict[str, list] = {}
+    idx = 0
     for op in ops:
         if op[0] == "ingest":
             _, name, value, ts = op
             seq = runtime.ingest_observation("p0", name, value, ts, backend_ts=max(ts, 0))
             data.setdefault(name, []).append((seq, ts, value))
             continue
-        idx = op[1]
+        idx = min(idx + op[1], len(DUES) - 1)
         snapshot = runtime.assemble_features("p0", idx)
         expected = scan_reference(runtime, data, idx)
         assert snapshot.baseline + snapshot.treatment == tuple(e[0] for e in expected)
         assert snapshot.provenance == tuple(e[1] for e in expected)
         assert snapshot.imputation_methods == tuple(e[2] for e in expected)
         assert snapshot.source_device_ts == tuple(e[3] for e in expected)
+
+
+def test_a_snapshot_below_the_last_one_is_refused_before_it_is_written():
+    # A participant's snapshots come in non-decreasing decision index, so
+    # the fold appends each snapshot seq, or replaces the last one's.
+    runtime = fresh_runtime()
+    runtime.assemble_features("p0", 3)
+    size = len(runtime.ledger)
+    with pytest.raises(StructuralAuditError) as caught:
+        runtime.assemble_features("p0", 1)
+    assert str(caught.value) == f"FEATURE_SNAPSHOT at seq {size} names ('p0', 1), but 'p0' has a snapshot of point 3 already"
+    assert len(runtime.ledger) == runtime.index.size == size
+    runtime.assemble_features("p0", 3)
+    runtime.assemble_features("p1", 0)  # another participant's points are its own
+    assert list(runtime.index.snapshot_seqs["p0"].points) == [3]
+    assert runtime.index.snapshot_seqs["p0"].get(3) == size
 
 
 # -- decisions ----------------------------------------------------------------------

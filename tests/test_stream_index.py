@@ -10,13 +10,14 @@ import yaml
 
 import pytest
 
-from conftest import make_run_config
+from conftest import make_run_config, make_run_header
+from ledgerloop import events
 from ledgerloop import twin as twin_module
 from ledgerloop.errors import NumericalStateError, StructuralAuditError
 from ledgerloop.cli import main
-from ledgerloop.events import SnapshotInfo, StreamIndex
+from ledgerloop.events import HeaderInfo, SnapshotInfo, StreamIndex, VersionInfo
 from ledgerloop.policy import DecisionRecord
-from ledgerloop.ledger import EventEnvelope, read_records
+from ledgerloop.ledger import EventEnvelope, config_digest, read_records
 from ledgerloop.replay import default_logic
 from ledgerloop.twin import EnvironmentSpec, run_trial
 
@@ -181,3 +182,69 @@ def test_the_header_comes_first_and_only_once(tmp_path):
     again = records[0]._replace(seq=2)
     with pytest.raises(StructuralAuditError, match="^HEADER at seq 2 is not the ledger's first record$"):
         StreamIndex.fold([*records[:2], again, *records[2:]])
+
+
+class CountedOutcome:
+    """An OUTCOME_OBSERVED payload that counts the reads of its
+    ``decision_index``: the work the fold does on pending outcomes."""
+
+    reads = 0
+
+    def __init__(self, participant_id, decision_index, reward, device_ts):
+        self.participant_id, self._index, self.reward, self.device_ts = participant_id, decision_index, reward, device_ts
+
+    @property
+    def decision_index(self):
+        CountedOutcome.reads += 1
+        return self._index
+
+
+class CountedArray(array):
+    """An array that counts the elements an insert moves."""
+
+    moved = 0
+
+    def insert(self, i, x):
+        CountedArray.moved += len(self) - i
+        super().insert(i, x)
+
+
+def _degraded_trial(n: int) -> list[EventEnvelope]:
+    """One participant's n points, each with a snapshot, a decision and an
+    outcome, and no update: every outcome stays pending, as in a trial whose
+    updates keep failing."""
+    config = make_run_config(schedule={"trial_days": n})
+    header = make_run_header(config, ["p0"])
+    payloads = [
+        ("HEADER", None, HeaderInfo("s", "test", 0, header, config_digest(header))),
+        ("VERSION_CHANGE", None, VersionInfo("v1.0.0", default_logic().fingerprint, None)),
+    ]
+    for i in range(n):
+        payloads += [
+            ("FEATURE_SNAPSHOT", None, SnapshotInfo(
+                (1.0,) * 3, (1.0,) * 3, ("default",) * 6, (None,) * 6, (None,) * 6, 0, "p0", i)),
+            ("DECISION", None, DecisionRecord("p0", i, 0.5, 0.5, i, 0, False, version_id="v1.0.0")),
+            ("OUTCOME_OBSERVED", i, CountedOutcome("p0", i, 1.0, i)),
+        ]
+    return [
+        EventEnvelope(seq, "s", "test", device_ts, 0, "v1.0.0", etype, payload, b"", b"")
+        for seq, (etype, device_ts, payload) in enumerate(payloads)
+    ]
+
+
+def test_the_fold_does_bounded_work_per_record_on_a_degraded_trial(monkeypatch):
+    # Outcomes that no update consumes once made each new outcome's repeat
+    # check scan all of them, and out-of-order snapshots moved arrays: both
+    # quadratic in the trial's length. Per record, the fold now reads a
+    # pending outcome's decision index as often at 8,000 points as at 1,000,
+    # and a snapshot moves no element of its participant's arrays.
+    monkeypatch.setattr(events, "array", CountedArray)
+    reads = {}
+    for n in (1000, 8000):
+        records = _degraded_trial(n)
+        CountedOutcome.reads = CountedArray.moved = 0
+        index = StreamIndex.fold(records)
+        assert len(index.pending["p0"]) == index.outcomes_seen == n
+        assert type(index.snapshot_seqs["p0"].points) is CountedArray and CountedArray.moved == 0
+        reads[n] = CountedOutcome.reads / n
+    assert reads[1000] == reads[8000] <= 2
