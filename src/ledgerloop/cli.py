@@ -123,12 +123,16 @@ def _resolve_env(config, args) -> EnvironmentSpec:
     )
 
 
+def _load_config(args):
+    """The run config of ``--config``, with ``--seed`` as its master seed if given."""
+    config = load_config(args.config)
+    return config if args.seed is None else dataclasses.replace(config, master_seed=args.seed)
+
+
 def _cmd_simulate(args) -> int:
     from . import twin  # and the runtime: only the verbs that run a trial load them
 
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
+    config = _load_config(args)
     if args.inject is not None:
         config = dataclasses.replace(
             config, injection=_parse_inject(args.inject, config.injection)
@@ -148,9 +152,7 @@ def _seeds_for_run(config) -> list[int]:
 def _cmd_twin_run(args) -> int:
     from . import twin
 
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
+    config = _load_config(args)
     out = _fresh_out_path(args.out)
     report = twin.run_grid(config, list(config.environments), _seeds_for_run(config), jobs=args.jobs)
     out.write_bytes(report.to_bytes())
@@ -161,9 +163,7 @@ def _cmd_twin_run(args) -> int:
 def _cmd_twin_tune(args) -> int:
     from . import twin
 
-    config = load_config(args.config)
-    if args.seed is not None:
-        config = dataclasses.replace(config, master_seed=args.seed)
+    config = _load_config(args)
     candidates = twin.tuning_candidates(config)
     out = _fresh_out_path(args.out)
     ranked, report = twin.tune(

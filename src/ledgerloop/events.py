@@ -224,7 +224,6 @@ def parse_update(payload) -> UpdateInfo:
 # -- the stream index ------------------------------------------------------------
 
 Row = tuple[FeatureSnapshot, int, float]  # (snapshot, action, reward) of one consumed outcome
-Point = tuple[str, int]  # (participant_id, decision_index)
 _POINT_EVENTS = frozenset({"FEATURE_SNAPSHOT", "DECISION", "OUTCOME_OBSERVED"})  # payloads that name a point
 _TIMED_EVENTS = frozenset({"DATA_INGESTED", "OUTCOME_OBSERVED"})  # payloads that repeat the envelope's device_ts
 _ERROR_KINDS = ("policy_exception", "update_failure")
@@ -277,18 +276,36 @@ class Counts:
     errors: int = 0
 
 
-@dataclass
-class SnapshotSeqs:
-    """One participant's snapshot seqs by decision index: two sorted arrays
-    of machine ints, 16 bytes a point and no object per entry. Snapshots
-    come in non-decreasing decision index (a rule of the fold), so a
-    snapshot of a new point appends one entry, a new snapshot of the last
-    point replaces its seq, and nothing else adds any."""
+@dataclass(slots=True)
+class Participant:
+    """What the fold keeps of one participant: what a later record of it can
+    still read, and no payload object but a point's snapshot.
+
+    - ``points`` and ``seqs``: the seq of each point's last snapshot, by
+      decision index, in two sorted arrays of machine ints (16 bytes a point
+      and no object per entry). Snapshots come in non-decreasing decision
+      index (a rule of the fold), so a snapshot of a new point appends one
+      entry, a new snapshot of the last point replaces its seq, and nothing
+      else adds any.
+    - ``snapshots`` and ``actions``: by decision index, a point's snapshot,
+      and its decision's action once decided, until an update consumes the
+      point's outcome
+    - ``pending``: outcome seq -> ``(decision_index, reward)`` of each
+      outcome no update has consumed, in seq order, and ``pending_points``
+      the decision indexes of those
+    - ``last_decided``: the index of its last decision, below which no
+      snapshot or decision may come; -1 before its first
+    """
 
     points: array = field(default_factory=lambda: array("q"))
     seqs: array = field(default_factory=lambda: array("q"))
+    snapshots: dict[int, SnapshotInfo] = field(default_factory=dict)
+    actions: dict[int, int] = field(default_factory=dict)
+    pending: dict[int, tuple[int, float]] = field(default_factory=dict)
+    pending_points: set[int] = field(default_factory=set)
+    last_decided: int = -1
 
-    def get(self, decision_index: int) -> int | None:
+    def snapshot_seq(self, decision_index: int) -> int | None:
         """The seq of the point's last snapshot, or None if it has none."""
         points = self.points
         if not points or decision_index > points[-1]:  # data on time name a point not yet assembled
@@ -296,13 +313,8 @@ class SnapshotSeqs:
         i = bisect_left(points, decision_index)
         return self.seqs[i] if points[i] == decision_index else None
 
-    def set(self, decision_index: int, seq: int) -> None:
-        """Record the seq of a snapshot of ``decision_index``, at or above every point held."""
-        if self.points and self.points[-1] == decision_index:
-            self.seqs[-1] = seq
-        else:
-            self.points.append(decision_index)
-            self.seqs.append(seq)
+
+_UNSEEN = Participant()  # what a participant with no record yet reads as; never written to
 
 
 @dataclass
@@ -313,18 +325,15 @@ class StreamIndex:
     fold the verified records of a file.
 
     It keeps only what a later record can still use: the versions, and the
-    first seq of each version stamp; the pending outcomes, by seq and, as
-    a set of decision indexes, by point; the monitor's
-    :class:`Counts`; the snapshot and decision of each point
-    (``(participant_id, decision_index)``) until an update consumes its
-    outcome; and, per participant, the index of its last decision, below
-    which no snapshot or decision may come. What still grows with a trial's
-    length:
+    first seq of each version stamp; one :class:`Participant` record per
+    participant, made at its first snapshot, for the points of its stream;
+    the policy_exception ERROR a fallback DECISION must follow next; and
+    the monitor's :class:`Counts`. What still grows with a trial's length:
 
-    - ``snapshot_seqs``, each participant's :class:`SnapshotSeqs`, for the
-      seq late data names as superseded
+    - each participant's snapshot seqs, for the seq late data names as
+      superseded
     - ``days``, one :class:`Counts` per day with a record
-    - the snapshot and decision of a point whose outcome never arrives
+    - the snapshot, action and outcome of a point whose update never comes
     """
 
     header: HeaderInfo | None = None
@@ -332,12 +341,8 @@ class StreamIndex:
     fingerprints: dict[str, str] = field(default_factory=dict)  # version id -> its logic's fingerprint
     stamps: dict[str, int] = field(default_factory=dict)  # version id -> the first seq stamped with it
     size: int = 0  # records applied
-    snapshots: dict[Point, SnapshotInfo] = field(default_factory=dict)
-    decisions: dict[Point, DecisionRecord] = field(default_factory=dict)
-    pending: dict[str, dict[int, OutcomeInfo]] = field(default_factory=dict)  # participant -> seq -> outcome
-    pending_points: dict[str, set[int]] = field(default_factory=dict)  # participant -> decision indexes pending
-    last_decided: dict[str, int] = field(default_factory=dict)  # participant -> its last decision index
-    snapshot_seqs: dict[str, SnapshotSeqs] = field(default_factory=dict)
+    participants: dict[str, Participant] = field(default_factory=dict)
+    exception: ErrorInfo | None = None  # the last record, if a policy_exception ERROR
     snapshots_seen: int = 0  # points with a snapshot
     outcomes_seen: int = 0
     days: dict[int, Counts] = field(default_factory=dict)
@@ -356,13 +361,17 @@ class StreamIndex:
 
     def complete(self) -> "StreamIndex":
         """The index after its last record. StructuralAuditError if it has
-        none, or if a record is stamped with a version no VERSION_CHANGE
-        activates, naming the first seq with such a stamp."""
+        none, if a record is stamped with a version no VERSION_CHANGE
+        activates, naming the first seq with such a stamp, or if the last
+        record is a policy_exception ERROR, which its fallback DECISION must
+        follow."""
         if self.header is None:
             raise StructuralAuditError(_NO_HEADER)
         for version_id, seq in self.stamps.items():  # in order of first seq
             if version_id not in self.fingerprints:
                 raise StructuralAuditError(f"version {version_id!r} stamped at seq {seq} is never activated")
+        if self.exception is not None:
+            raise StructuralAuditError(f"ERROR at seq {self.size - 1} is a policy_exception with no DECISION after it")
         return self
 
     def apply(self, record: EventEnvelope) -> list[Row] | None:
@@ -407,11 +416,15 @@ class StreamIndex:
           none of its snapshots follows a decision of the same or a later
           point; its snapshots come in non-decreasing decision index
         - a snapshot's imputation method is ``"locf"`` for an ``imputed``
-          entry and None for any other
+          entry and None for any other, and its ``assembled_ts`` is its
+          point's due time
         - a decision follows its point's snapshot and a VERSION_CHANGE
         - an outcome's point holds its decision and no pending outcome
         - an ERROR's ``kind`` is ``policy_exception`` or ``update_failure``,
           and its decision index, if any, is in ``[0, schedule.total_points)``
+        - the record after a policy_exception ERROR is the fallback DECISION
+          of the ERROR's point, whose ``fallback_reason`` is the ERROR's
+          message, and a fallback DECISION comes only there
         - an update's batch is one :meth:`batch` takes
         - a VERSION_CHANGE activates a version not active before, and its
           ``previous_version_id`` names the version active before it
@@ -433,46 +446,60 @@ class StreamIndex:
                 f"{etype} at seq {seq} carries device_ts {value.device_ts} in its payload "
                 f"but {device_ts} in its envelope"
             )
+        exception = self.exception  # the last record, if a policy_exception ERROR
+        if exception is not None or etype == "DECISION" and value.fallback:
+            if exception is None:
+                raise StructuralAuditError(
+                    f"DECISION at seq {seq} is a fallback with no policy_exception ERROR before it"
+                )
+            key = (exception.participant_id, exception.decision_index)
+            if etype != "DECISION" or not value.fallback or (value.participant_id, value.decision_index) != key:
+                raise StructuralAuditError(
+                    f"{etype} at seq {seq} follows the policy_exception ERROR of {key}, not its fallback DECISION"
+                )
+            if value.fallback_reason != exception.message:
+                raise StructuralAuditError(
+                    f"DECISION at seq {seq} has a fallback_reason other than its ERROR's message"
+                )
         if etype == "DATA_INGESTED":
             return None  # half of all records; nothing more to check
         total = header.config.schedule.total_points
         if etype in _POINT_EVENTS:
             pid, idx = value.participant_id, value.decision_index
-            key, last = (pid, idx), self.last_decided.get(pid, -1)
-            held = key in self.decisions  # decided, and its outcome not consumed
+            kept = self.participants.get(pid, _UNSEEN)
+            key, last, decided = (pid, idx), kept.last_decided, idx in kept.actions  # and its outcome not consumed
             problem = None
             if not 0 <= idx < total:
                 problem = f"names decision {idx}, not in [0, {total})"
             elif etype == "OUTCOME_OBSERVED":
-                if held:
-                    if idx in self.pending_points.get(pid, ()):
-                        problem = f"repeats {key}"
-                elif idx == last:  # decided, and its outcome consumed
+                if idx in kept.pending_points or idx == last and not decided:  # its outcome pending, or consumed
                     problem = f"repeats {key}"
-                elif idx > last:
+                elif not decided and idx > last:
                     problem = f"has no prior DECISION of {key}"
-                else:  # consumed, or never decided
+                elif not decided:  # consumed, or never decided
                     problem = f"names {key}, which has no DECISION awaiting its outcome"
             elif idx <= last:
-                if idx == last or held:
+                if idx == last or decided:
                     problem = f"repeats {key}" if etype == "DECISION" else f"follows the DECISION of {key}"
                 else:
                     problem = f"names {key}, but {pid!r} has decided point {last} already"
-            elif etype == "DECISION" and key not in self.snapshots:
+            elif etype == "DECISION" and idx not in kept.snapshots:
                 problem = f"has no prior FEATURE_SNAPSHOT for {key}"
             elif etype == "DECISION" and not self.versions:
                 problem = "has no VERSION_CHANGE before it"
             elif etype == "FEATURE_SNAPSHOT":
-                seqs = self.snapshot_seqs.get(pid)
+                points, due = kept.points, header.config.schedule.due_ts(idx)
                 methods = tuple(map(_METHODS.get, value.provenance))
-                if seqs is not None and idx < seqs.points[-1]:
-                    problem = f"names {key}, but {pid!r} has a snapshot of point {seqs.points[-1]} already"
+                if points and idx < points[-1]:
+                    problem = f"names {key}, but {pid!r} has a snapshot of point {points[-1]} already"
                 elif value.imputation_methods != methods:
                     i = next(i for i, method in enumerate(methods) if method != value.imputation_methods[i])
                     problem = (
                         f"imputation_methods[{i}]: expected {methods[i]!r} for tag {value.provenance[i]!r}, "
                         f"{_got(value.imputation_methods[i])}"
                     )
+                elif value.assembled_ts != due:
+                    problem = f"assembled_ts: expected {due}, the due time of point {idx}, {_got(value.assembled_ts)}"
             if problem is not None:
                 raise StructuralAuditError(f"{etype} at seq {seq} {problem}")
         elif etype == "MODEL_UPDATE":
@@ -522,42 +549,48 @@ class StreamIndex:
             self.header = value
         elif etype == "FEATURE_SNAPSHOT":
             pid, idx = value.participant_id, value.decision_index
-            key = (pid, idx)
-            tags, replaced = value.provenance, self.snapshots[key].provenance if key in self.snapshots else ()
-            added, observed = len(tags) - len(replaced), tags.count("observed") - replaced.count("observed")
+            kept = self.participants.get(pid) or self.participants.setdefault(pid, Participant())
+            replaced = kept.snapshots.get(idx)
+            tags, old = value.provenance, () if replaced is None else replaced.provenance
+            added, observed = len(tags) - len(old), tags.count("observed") - old.count("observed")
             for counts in self._counts(idx // self.header.config.schedule.points_per_day):
                 counts.tags += added
                 counts.observed += observed
-            self.snapshots_seen += key not in self.snapshots  # a point leaves it only at or below the last decision
-            self.snapshots[key] = value
-            seqs = self.snapshot_seqs.get(pid) or self.snapshot_seqs.setdefault(pid, SnapshotSeqs())
-            seqs.set(idx, record.seq)
+            self.snapshots_seen += replaced is None  # a point leaves it only at or below the last decision
+            kept.snapshots[idx] = value
+            if kept.points and kept.points[-1] == idx:
+                kept.seqs[-1] = record.seq
+            else:
+                kept.points.append(idx)
+                kept.seqs.append(record.seq)
         elif etype == "DECISION":
-            pid, idx = value.participant_id, value.decision_index
+            idx, kept = value.decision_index, self.participants[value.participant_id]  # snapshotted, so kept
             for counts in self._counts(idx // self.header.config.schedule.points_per_day):
                 counts.decisions += 1
                 counts.fallbacks += value.fallback
                 counts.pi_sum.add(value.pi)
-            self.last_decided[pid] = idx
-            self.decisions[(pid, idx)] = value
+            kept.last_decided = idx
+            kept.actions[idx] = value.action
+            self.exception = None
         elif etype == "OUTCOME_OBSERVED":
-            pid = value.participant_id
+            idx, kept = value.decision_index, self.participants[value.participant_id]
             self.outcomes_seen += 1
-            self.pending.setdefault(pid, {})[record.seq] = value
-            self.pending_points.setdefault(pid, set()).add(value.decision_index)
+            kept.pending[record.seq] = (idx, value.reward)
+            kept.pending_points.add(idx)
         elif etype == "MODEL_UPDATE":
-            pid = value.participant_id
-            pending, points = self.pending[pid], self.pending_points[pid]
+            kept = self.participants[value.participant_id]
             for outcome_seq in value.batch_seqs:
-                idx = pending.pop(outcome_seq).decision_index
-                points.remove(idx)
-                del self.snapshots[(pid, idx)], self.decisions[(pid, idx)]
+                idx = kept.pending.pop(outcome_seq)[0]
+                kept.pending_points.remove(idx)
+                del kept.snapshots[idx], kept.actions[idx]
             for counts in self._counts(self.header.config.schedule.day(record.backend_ts)):
                 counts.updates += 1
         elif etype == "ERROR":
             for counts in self._counts(self.header.config.schedule.day(record.backend_ts)):
                 counts.errors += 1
                 counts.update_failures += value.kind == "update_failure"
+            if value.kind == "policy_exception":
+                self.exception = value
         elif etype == "VERSION_CHANGE":
             self.versions.append((record.seq, value.version_id))
             self.fingerprints[value.version_id] = value.fingerprint
@@ -593,18 +626,23 @@ class StreamIndex:
             raise StructuralAuditError(f"MODEL_UPDATE at seq {seq} has an empty batch_seqs")
         if any(a >= b for a, b in zip(batch_seqs, batch_seqs[1:])):
             raise StructuralAuditError(f"MODEL_UPDATE at seq {seq} has non-increasing batch_seqs")
-        rows = []
+        kept, rows = self.participant(participant_id), []
         for outcome_seq in batch_seqs:
-            outcome = self.pending.get(participant_id, {}).get(outcome_seq)
+            outcome = kept.pending.get(outcome_seq)
             problem = None
             if outcome_seq >= seq:
                 problem = f"references future seq {outcome_seq}"
-            elif outcome is None and any(outcome_seq in others for others in self.pending.values()):
+            elif outcome is None and any(outcome_seq in other.pending for other in self.participants.values()):
                 problem = f"has outcome seq {outcome_seq} of another participant"
             elif outcome is None:
                 problem = f"references seq {outcome_seq}, which is not a pending OUTCOME_OBSERVED event"
             if problem is not None:
                 raise StructuralAuditError(f"MODEL_UPDATE at seq {seq} {problem}")
-            key = (participant_id, outcome.decision_index)  # decided, so snapshotted, when it came
-            rows.append((self.snapshots[key], self.decisions[key].action, outcome.reward))
+            idx, reward = outcome  # decided, so snapshotted, when it came
+            rows.append((kept.snapshots[idx], kept.actions[idx], reward))
         return rows
+
+    def participant(self, participant_id: str) -> Participant:
+        """The record of ``participant_id``: an empty one, not to be written
+        to, before its first snapshot."""
+        return self.participants.get(participant_id, _UNSEEN)

@@ -283,7 +283,7 @@ def reconstruct_states(
         seq, etype, value = record.seq, record.event_type, record.payload
         if etype == "DECISION":
             pid, idx = value.participant_id, value.decision_index
-            snapshot = index.snapshots[(pid, idx)]
+            snapshot = index.participants[pid].snapshots[idx]
             version_id = index.versions[-1][1]
             if record.version_id != version_id or value.version_id != version_id:
                 decisions.record(seq, "version_id", value.version_id, version_id)

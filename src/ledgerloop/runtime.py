@@ -1,6 +1,7 @@
-"""The deployment loop: schedules decision points, ingests (possibly delayed)
-observations, assembles provenance-tagged feature snapshots, makes decisions
-with fallback protection, and runs batch update cycles.
+"""The deployment loop: ingests (possibly delayed) observations and
+outcomes, assembles provenance-tagged feature snapshots, makes decisions
+with fallback protection, and runs batch update cycles, each when its
+caller asks (the digital twin schedules them).
 
 The runtime holds no algorithm internals: it calls the pure functions of the
 policy logic it is given and writes everything it does to the ledger. A
@@ -12,6 +13,7 @@ decision.
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import math
 
 from . import events, policy
@@ -111,8 +113,8 @@ class Runtime:
         value = float(value)  # the payload holds a float, whatever number came in
         if not math.isfinite(value):
             raise ConfigurationError(f"{feature} value {value!r} of {participant_id} is not finite")
-        seqs = self.index.snapshot_seqs.get(participant_id)
-        superseded = None if seqs is None else seqs.get(self.header.config.schedule.window(device_ts))
+        window = self.header.config.schedule.window(device_ts)
+        superseded = self.index.participant(participant_id).snapshot_seq(window)
         record = self._log(
             events.DatumInfo(participant_id, feature, value, device_ts, superseded),
             backend_ts, self.version_id, device_ts,
@@ -202,7 +204,7 @@ class Runtime:
         anything is logged, the fallback's ERROR included.
         """
         header, config = self.header, self.header.config
-        snapshot = self.index.snapshots.get((participant_id, decision_index))
+        snapshot = self.index.participant(participant_id).snapshots.get(decision_index)
         if backend_ts is None:
             backend_ts = config.schedule.due_ts(decision_index)
         seed = policy.derive_decision_seed(header.deployment_seed, participant_id, decision_index)
@@ -235,8 +237,9 @@ class Runtime:
             version_id=version_id,
         )
         if record.fallback:
-            # The DECISION is checked before its ERROR is written, so a refused decision logs neither.
-            self._check(record, self.index.size + 1)
+            # The DECISION is checked before its ERROR is written, so a refused decision logs neither: as
+            # no fallback, which every rule but the one that pairs it with its ERROR treats alike.
+            self._check(dataclasses.replace(record, fallback=False, fallback_reason=None), self.index.size + 1)
             error = events.ErrorInfo("policy_exception", fallback_reason, participant_id, decision_index)
             self._log(error, backend_ts=backend_ts, version_id=version_id)
         self._log(record, backend_ts=backend_ts, version_id=version_id)
@@ -253,7 +256,7 @@ class Runtime:
         previous state stays active, and the outcomes remain pending for the
         next cycle.
         """
-        batch_seqs = tuple(self.index.pending.get(participant_id, ()))
+        batch_seqs = tuple(self.index.participant(participant_id).pending)
         if not batch_seqs:
             self.index.check_participant(self.index.size, "MODEL_UPDATE", participant_id)
             return self.states[participant_id]

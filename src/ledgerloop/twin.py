@@ -376,7 +376,7 @@ def evaluate_rows(results: list[TrialResult]) -> list[EvalRow]:
     rows = []
     for result in results:
         overall = compute_metrics(result.index).overall
-        outcomes = [result.truth.outcomes[k] for k in sorted(result.truth.outcomes)]
+        outcomes = list(result.truth.outcomes.values())  # fsum is exact, so their order is moot
         rows.append(
             EvalRow(
                 env_label=result.env.label,

@@ -5,7 +5,7 @@ import pytest
 import yaml
 
 from ledgerloop.config import RunConfig, config_from_dict
-from ledgerloop.events import HeaderInfo, RunHeader, StreamIndex
+from ledgerloop.events import HeaderInfo, RunHeader, StreamIndex, parse_header
 from ledgerloop.ledger import GENESIS_HASH, Ledger, compute_record_hash, config_digest, read_records
 from ledgerloop.replay import default_logic
 from ledgerloop.runtime import Runtime
@@ -133,15 +133,23 @@ def relabel(path, participant_id: str, decision_index: int, other: str) -> int:
     return seqs[0]
 
 
+def due_ts(path, decision_index: int) -> int:
+    """The due time of point ``decision_index`` in the schedule of the
+    HEADER of the ledger file at ``path``: a snapshot's ``assembled_ts``."""
+    header = json.loads(path.read_bytes().split(b"\n", 1)[0])["payload"]
+    return parse_header(header).config.schedule.due_ts(decision_index)
+
+
 def snapshot_ahead(path, participant_id: str, decision_index: int, ahead: int) -> int:
     """Turn the last DATA_INGESTED record before ``participant_id``'s
     snapshot of point ``decision_index`` into a copy of that snapshot naming
-    point ``ahead``, with :func:`rechain`, and return the snapshot's seq."""
+    point ``ahead``, assembled at that point's due time, with
+    :func:`rechain`, and return the snapshot's seq."""
     seq = first_seq(path, "FEATURE_SNAPSHOT", lambda payload: (payload["participant_id"], payload["decision_index"])
                     == (participant_id, decision_index))
     records = [json.loads(line) for line in path.read_bytes().splitlines()[: seq + 1]]
     datum = max(r["seq"] for r in records[:seq] if r["event_type"] == "DATA_INGESTED")
-    copy = {**records[seq]["payload"], "decision_index": ahead}
+    copy = {**records[seq]["payload"], "decision_index": ahead, "assembled_ts": due_ts(path, ahead)}
     rechain(path, datum, lambda record: record.update(event_type="FEATURE_SNAPSHOT", device_ts=None, payload=copy))
     return seq
 

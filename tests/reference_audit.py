@@ -21,13 +21,15 @@ increasing decision index, no snapshot of it following a decision of the
 same or a later point, with the package's texts; a batch seq that is no
 pending outcome has one text, whether it is another event or consumed.
 
-Four rules were added later, as in the package, each with a text of its
+Six rules were added later, as in the package, each with a text of its
 own here: a DATA_INGESTED or OUTCOME_OBSERVED payload's ``device_ts`` is its
 envelope's; a participant's snapshots come in non-decreasing decision
 index; a snapshot's imputation method is ``"locf"`` for each ``imputed``
-entry and None for every other; and an ERROR's kind is
-``policy_exception`` or ``update_failure``, its decision index, if any, one
-the schedule has.
+entry and None for every other; a snapshot is assembled at its point's due
+time; an ERROR's kind is ``policy_exception`` or ``update_failure``, its
+decision index, if any, one the schedule has; and a policy_exception ERROR
+and the fallback DECISION of its point, with the ERROR's message as its
+reason, come as a pair, one right after the other, and never apart.
 """
 
 from __future__ import annotations
@@ -83,6 +85,7 @@ class ReferenceIndex:
     consumed: set = field(default_factory=set)  # points whose outcome an update consumed
     updates: list = field(default_factory=list)
     errors: list = field(default_factory=list)
+    previous: object = None  # the last record folded
 
     @classmethod
     def fold(cls, records: Iterable) -> "ReferenceIndex":
@@ -91,6 +94,8 @@ class ReferenceIndex:
             index.apply(record)
         if index.header is None:
             raise StructuralAuditError("ledger does not start with a HEADER record")
+        if _is_policy_exception(index.previous):
+            raise StructuralAuditError(f"the ledger ends on the policy_exception ERROR at seq {index.previous.seq}")
         return index
 
     def apply(self, record) -> None:
@@ -107,6 +112,16 @@ class ReferenceIndex:
             )
         self.size += 1
         self.stamped.setdefault(record.version_id, record.seq)
+        previous, self.previous = self.previous, record
+        if _is_policy_exception(previous):
+            error = previous.payload
+            if not (
+                etype == "DECISION" and value.fallback and value.fallback_reason == error.message
+                and (value.participant_id, value.decision_index) == (error.participant_id, error.decision_index)
+            ):
+                raise StructuralAuditError(f"{etype} at seq {record.seq} does not answer the ERROR before it")
+        elif etype == "DECISION" and value.fallback:
+            raise StructuralAuditError(f"DECISION at seq {record.seq} is a fallback that answers no ERROR")
         if etype in ("DATA_INGESTED", "OUTCOME_OBSERVED") and value.device_ts != record.device_ts:
             raise StructuralAuditError(f"{etype} at seq {record.seq} has two device_ts")
         if etype in ("FEATURE_SNAPSHOT", "DECISION"):
@@ -128,6 +143,8 @@ class ReferenceIndex:
             methods = tuple("locf" if tag == "imputed" else None for tag in value.provenance)
             if value.imputation_methods != methods:
                 raise StructuralAuditError(f"FEATURE_SNAPSHOT at seq {record.seq} has imputation methods {methods}")
+            if value.assembled_ts != header.config.schedule.due_ts(idx):
+                raise StructuralAuditError(f"FEATURE_SNAPSHOT at seq {record.seq} was not assembled when due")
             self.last_snapshot[pid] = idx
             self.snapshots[(pid, idx)] = (Stamp.of(record), value)
         elif etype == "DECISION":
@@ -212,6 +229,10 @@ class ReferenceIndex:
         if i == 0:
             raise StructuralAuditError(f"no version active at seq {seq}")
         return self.versions[i - 1][1]
+
+
+def _is_policy_exception(record) -> bool:
+    return record is not None and record.event_type == "ERROR" and record.payload.kind == "policy_exception"
 
 
 def registered_logics(index: ReferenceIndex, versions: Collection[str] | None = None) -> dict:

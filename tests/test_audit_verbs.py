@@ -14,7 +14,9 @@ import warnings
 import pytest
 import yaml
 
-from conftest import BASE_CONFIG, deep_merge, first_seq, index_of, rechain, records_of, relabel, snapshot_ahead
+from conftest import (
+    BASE_CONFIG, deep_merge, due_ts, first_seq, index_of, rechain, records_of, relabel, snapshot_ahead,
+)
 from ledgerloop.cli import main
 from ledgerloop.errors import StructuralAuditError
 from ledgerloop.events import ErrorInfo
@@ -23,13 +25,17 @@ from ledgerloop.ledger import config_digest, encode_float
 SMALL = {"environment": {"n_participants": 2, "n_days": 2}}
 
 
-@pytest.fixture
-def ledger_path(tmp_path):
+def _simulate(tmp_path, *flags):
     config = tmp_path / "run.yaml"
     config.write_text(yaml.safe_dump(deep_merge(BASE_CONFIG, SMALL)))
     path = tmp_path / "trial.ndjson"
-    assert main(["simulate", "--config", str(config), "--out", str(path)]) == 0
+    assert main(["simulate", "--config", str(config), "--out", str(path), *flags]) == 0
     return path
+
+
+@pytest.fixture
+def ledger_path(tmp_path):
+    return _simulate(tmp_path)
 
 
 def _flip_hash_byte(path, seq):
@@ -541,7 +547,10 @@ def test_the_fold_refuses_a_second_snapshot_or_outcome_of_a_point(tmp_path, ledg
     # audits and by the monitor without replay, with one line.
     seq_of, decision_index, message = POINT_EDITS[name]
     seq = seq_of(ledger_path)
-    rechain(ledger_path, seq, lambda record: record["payload"].update(decision_index=decision_index))
+    relabelled = {"decision_index": decision_index}
+    if json.loads(ledger_path.read_bytes().splitlines()[seq])["event_type"] == "FEATURE_SNAPSHOT":
+        relabelled["assembled_ts"] = due_ts(ledger_path, decision_index)  # as the runtime assembles it
+    rechain(ledger_path, seq, lambda record: record["payload"].update(relabelled))
     message = message.format(seq=seq, next=seq + 1)
     with pytest.raises(StructuralAuditError) as caught:
         index_of(ledger_path)
@@ -568,13 +577,24 @@ def _datum_as_error(**members):
     return _edited("DATA_INGESTED", _set(event_type="ERROR", payload=payload))
 
 
+def _last_as_error(path):
+    """The last record turned into a policy_exception ERROR; its seq."""
+    seq = len(path.read_bytes().splitlines()) - 1
+    payload = {"kind": "policy_exception", "message": "x", "participant_id": "p001", "decision_index": 3}
+    rechain(path, seq, _set(event_type="ERROR", payload=payload))
+    return seq
+
+
 # Edits of what the runtime always writes one way, each of which once passed
 # every audit verb: a payload's device_ts apart from its envelope's, in
 # either copy; an ERROR of a kind the runtime never writes, which the
 # monitor's update_failure count reads, or of a point outside the schedule;
-# an imputation method on an observed entry; and a snapshot of p000's point
-# 1 after a copy of it naming point 3 (a DATA_INGESTED turned into that
-# copy). Each: the edit, which returns the seq of the record the fold
+# an imputation method on an observed entry; a snapshot of p000's point 1
+# after a copy of it naming point 3 (a DATA_INGESTED turned into that copy);
+# a snapshot assembled 1 ms after its point's due time; a computed decision
+# relabelled as a fallback of pi 1/2, which masks a divergent one; and a
+# policy_exception ERROR that no fallback DECISION follows, or that ends
+# the ledger. Each: the edit, which returns the seq of the record the fold
 # refuses, and the refusal, formatted with that record as ``record``.
 RULE_EDITS = {
     "payload-device_ts": (
@@ -603,15 +623,51 @@ RULE_EDITS = {
         lambda path: snapshot_ahead(path, "p000", 1, 3),
         "FEATURE_SNAPSHOT at seq {seq} names ('p000', 1), but 'p000' has a snapshot of point 3 already",
     ),
+    "assembled_ts": (
+        _edited("FEATURE_SNAPSHOT", lambda record: record["payload"].update(assembled_ts=9 * 3_600_000 + 1)),
+        "FEATURE_SNAPSHOT at seq {seq} assembled_ts: expected 32400000, the due time of point 0, got 32400001",
+    ),
+    "fallback-without-its-error": (
+        _edited("DECISION", lambda record: record["payload"].update(
+            fallback=True, fallback_reason="masked", pi=encode_float(0.5), pi_raw=encode_float(0.5))),
+        "DECISION at seq {seq} is a fallback with no policy_exception ERROR before it",
+    ),
+    "error-without-its-fallback": (
+        lambda path: _datum_as_error(kind="policy_exception", decision_index=0)(path) + 1,
+        "{record[event_type]} at seq {seq} follows the policy_exception ERROR of ('p000', 0), "
+        "not its fallback DECISION",
+    ),
+    "error-at-the-end": (
+        _last_as_error,
+        "ERROR at seq {seq} is a policy_exception with no DECISION after it",
+    ),
+}
+
+# Edits of the first fallback DECISION of a 2x2 trial whose every decision
+# is a fallback, each one after its policy_exception ERROR: the decision
+# flipped to no fallback, which leaves the ERROR before a computed
+# decision, and its reason made another than the ERROR's message.
+FALLBACK_EDITS = {
+    "error-before-a-computed-decision": (
+        _edited("DECISION", lambda record: record["payload"].update(fallback=False, fallback_reason=None)),
+        "DECISION at seq {seq} follows the policy_exception ERROR of ('p000', 0), not its fallback DECISION",
+    ),
+    "fallback-reason": (
+        _edited("DECISION", lambda record: record["payload"].update(fallback_reason="another reason")),
+        "DECISION at seq {seq} has a fallback_reason other than its ERROR's message",
+    ),
 }
 
 
-@pytest.mark.parametrize("name", sorted(RULE_EDITS))
-def test_the_fold_refuses_what_the_runtime_never_writes(tmp_path, ledger_path, capsys, name):
+@pytest.mark.parametrize("name", sorted(RULE_EDITS) + sorted(FALLBACK_EDITS))
+def test_the_fold_refuses_what_the_runtime_never_writes(tmp_path, capsys, name):
     # Every record still passes the read pass; the fold refuses the one that
     # breaks the rule, with one line from both audits and the monitor
     # without replay, and ledger-inspect, which does not fold, prints it.
-    edit, message = RULE_EDITS[name]
+    if name in RULE_EDITS:
+        (edit, message), ledger_path = RULE_EDITS[name], _simulate(tmp_path)
+    else:
+        (edit, message), ledger_path = FALLBACK_EDITS[name], _simulate(tmp_path, "--inject", "policy_exception_prob=1")
     seq = edit(ledger_path)
     message = message.format(seq=seq, record=json.loads(ledger_path.read_bytes().splitlines()[seq]))
     with pytest.raises(StructuralAuditError) as caught:

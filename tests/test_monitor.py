@@ -116,7 +116,7 @@ def test_a_replaced_snapshot_counts_once():
     assert day["data_completeness"] == last.provenance.count("observed") / len(last.provenance)
     # Replay's snapshots_seen counts points, and late data names the last snapshot.
     assert runtime.index.snapshots_seen == 1
-    assert runtime.index.snapshot_seqs["p0"].get(0) == len(runtime.ledger) - 1
+    assert runtime.index.participants["p0"].snapshot_seq(0) == len(runtime.ledger) - 1
 
 
 # -- alerts -------------------------------------------------------------------------

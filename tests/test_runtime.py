@@ -251,8 +251,8 @@ def test_a_snapshot_below_the_last_one_is_refused_before_it_is_written():
     assert len(runtime.ledger) == runtime.index.size == size
     runtime.assemble_features("p0", 3)
     runtime.assemble_features("p1", 0)  # another participant's points are its own
-    assert list(runtime.index.snapshot_seqs["p0"].points) == [3]
-    assert runtime.index.snapshot_seqs["p0"].get(3) == size
+    assert list(runtime.index.participants["p0"].points) == [3]
+    assert runtime.index.participants["p0"].snapshot_seq(3) == size
 
 
 # -- decisions ----------------------------------------------------------------------
@@ -344,9 +344,8 @@ def test_decision_totality_under_always_failing_policy():
     for idx in range(4):
         runtime.assemble_features("p0", idx)
         runtime.make_decision("p0", idx)
-    decisions = list(runtime.index.decisions.values())
-    assert len(decisions) == 4
-    assert all(decision.fallback for decision in decisions)
+    assert runtime.index.totals.decisions == runtime.index.totals.fallbacks == 4
+    assert sorted(runtime.index.participants["p0"].actions) == [0, 1, 2, 3]
 
 
 def test_snapshot_always_precedes_decision(file_runtime):
@@ -354,14 +353,15 @@ def test_snapshot_always_precedes_decision(file_runtime):
     for idx in range(3):
         runtime.assemble_features("p0", idx)
         runtime.make_decision("p0", idx)
-    assert len(runtime.index.decisions) == 3
+    kept = runtime.index.participants["p0"]
+    assert len(kept.actions) == 3
     decision_seqs = {
         (r.payload.participant_id, r.payload.decision_index): r.seq
         for r in written(runtime) if r.event_type == "DECISION"
     }
-    assert decision_seqs.keys() == runtime.index.decisions.keys()
+    assert decision_seqs.keys() == {("p0", idx) for idx in kept.actions}
     for key, seq in decision_seqs.items():
-        assert runtime.index.snapshot_seqs[key[0]].get(key[1]) < seq
+        assert runtime.index.participants[key[0]].snapshot_seq(key[1]) < seq
 
 
 # -- update cycles --------------------------------------------------------------------
@@ -384,7 +384,7 @@ def test_no_outcomes_no_update_event():
 def test_single_outcome_matches_update_posterior():
     runtime = fresh_runtime()
     record = run_decision_point(runtime, "p0", 0, H9)
-    snapshot = runtime.index.snapshots[("p0", 0)]
+    snapshot = runtime.index.participants["p0"].snapshots[0]
     outcome_seq = runtime.ingest_outcome("p0", 0, 1.25, H9 + 1000, backend_ts=H9 + 1000)
     new_state = runtime.run_update_cycle("p0", backend_ts=H23)
     expected = update_posterior(
@@ -416,7 +416,8 @@ def test_an_updates_rows_are_checked_once(monkeypatch):
     info = runtime.ledger.last().payload
     assert len(info.batch_seqs) == 2 and runtime.index.totals.updates == 1
     assert calls == [("p0", info.batch_seqs, runtime.ledger.last().seq)]
-    assert not runtime.index.pending["p0"] and ("p0", 0) not in runtime.index.snapshots
+    kept = runtime.index.participants["p0"]
+    assert not kept.pending and not kept.pending_points and 0 not in kept.snapshots and 0 not in kept.actions
 
 
 def test_late_outcome_consumed_exactly_once_by_next_cycle(file_runtime):
@@ -580,7 +581,7 @@ def test_update_failure_keeps_state_and_outcomes():
     assert runtime.index.totals.update_failures == 1
     last = runtime.ledger.last()
     assert last.event_type == "ERROR" and last.payload.kind == "update_failure"
-    assert runtime.index.pending["p0"]  # still pending for a later cycle
+    assert runtime.index.participants["p0"].pending  # still pending for a later cycle
 
 
 # -- version registry ----------------------------------------------------------------

@@ -4,6 +4,7 @@ bookkeeping rather than a second reading of the records."""
 
 import dataclasses
 import re
+import tracemalloc
 from array import array
 
 import yaml
@@ -15,7 +16,7 @@ from ledgerloop import events
 from ledgerloop import twin as twin_module
 from ledgerloop.errors import NumericalStateError, StructuralAuditError
 from ledgerloop.cli import main
-from ledgerloop.events import HeaderInfo, SnapshotInfo, StreamIndex, VersionInfo
+from ledgerloop.events import HeaderInfo, OutcomeInfo, SnapshotInfo, StreamIndex, VersionInfo
 from ledgerloop.policy import DecisionRecord
 from ledgerloop.ledger import EventEnvelope, config_digest, read_records
 from ledgerloop.replay import default_logic
@@ -135,9 +136,7 @@ def _contents(obj):
         yield from _contents(value)
 
 
-def test_the_folded_golden_index_holds_no_envelope(tmp_path):
-    # The index keeps typed values and counts, not the envelope with its
-    # payload dict.
+def _golden_index(tmp_path) -> StreamIndex:
     from test_golden import GOLDEN_CONFIG
 
     config, path = tmp_path / "golden.yaml", tmp_path / "golden.ndjson"
@@ -145,32 +144,72 @@ def test_the_folded_golden_index_holds_no_envelope(tmp_path):
     assert main(["simulate", "--config", str(config), "--out", str(path)]) == 0
     index = StreamIndex.fold(read_records(path))
     assert index.totals.decisions and index.totals.updates and index.totals.errors
+    return index
+
+
+def test_the_folded_golden_index_holds_no_envelope(tmp_path):
+    # The index keeps typed values and counts, not the envelope with its
+    # payload dict.
+    index = _golden_index(tmp_path)
     assert not [v for v in _contents(index) if isinstance(v, EventEnvelope)]
-    assert all(type(v) is SnapshotInfo for v in index.snapshots.values())
-    assert all(type(v) is DecisionRecord for v in index.decisions.values())
+    assert all(type(v) is SnapshotInfo for kept in index.participants.values() for v in kept.snapshots.values())
+
+
+def test_the_folded_golden_index_holds_no_decision_or_outcome_payload(tmp_path):
+    # Of a decision a later record reads only its action, and of an outcome
+    # its decision index and reward, so the index keeps those and not the
+    # payload objects; the golden trial leaves points pending at its end.
+    index = _golden_index(tmp_path)
+    assert any(kept.pending for kept in index.participants.values())
+    assert not [v for v in _contents(index) if isinstance(v, (DecisionRecord, OutcomeInfo))]
+    for kept in index.participants.values():
+        assert all(type(action) is int for action in kept.actions.values())
+        assert all(type(i) is int and type(reward) is float for i, reward in kept.pending.values())
+
+
+def test_a_header_costs_no_record_per_participant():
+    # A participant's record is made at its first snapshot, not from the
+    # HEADER's roster: folding a HEADER of 100,000 participants allocates
+    # next to nothing beyond the HEADER itself, which holds the roster.
+    participants = [f"p{i:06d}" for i in range(100_000)]
+    header = make_run_header(make_run_config(), participants)
+    record = EventEnvelope(0, "s", "test", None, 0, "v1.0.0", "HEADER",
+                           HeaderInfo("s", "test", 0, header, config_digest(header)), b"", b"")
+    index = StreamIndex()
+    tracemalloc.start()
+    try:
+        index.apply(record)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 1_000_000, held
+    assert not index.participants and index.size == 1
 
 
 def test_the_index_keeps_only_the_points_whose_outcome_is_pending(tmp_path):
     # No loss, so every outcome arrives; delays leave some of them pending
     # after the last update cycle. Every other point's snapshot, decision
-    # and outcome were consumed and forgotten: no map keyed by point holds
-    # a point beyond its outcome, and what the index keeps of every point is
+    # and outcome were consumed and forgotten: a participant's record holds
+    # no point beyond its outcome, and what the index keeps of every point is
     # its participant's last decision, counters, and a snapshot seq in an
-    # array of machine ints.
+    # array of machine ints. No map of the index is keyed by point.
     config = make_run_config(injection={"data_loss_prob": 0.0, "delay_geometric_p": 0.6})
     index = run_trial(small_env(), config, 6).index
     points = 3 * 4 * 2
-    pending = {(o.participant_id, o.decision_index) for by_seq in index.pending.values() for o in by_seq.values()}
-    assert pending
-    assert index.snapshots.keys() == index.decisions.keys() == pending
-    point_keyed = [v for v in _contents(index) if isinstance(v, dict) and any(type(k) is tuple for k in v)]
-    assert [id(v) for v in point_keyed] == [id(index.snapshots), id(index.decisions)]
-    assert not {"decided", "rewarded", "consumed"} & {f.name for f in dataclasses.fields(index)}
-    assert index.last_decided == {pid: 4 * 2 - 1 for pid in ("p000", "p001", "p002")}
+    assert [f.name for f in dataclasses.fields(index) if f.name in ("participants", "exception")] == [
+        "participants", "exception"]
+    assert not [v for v in _contents(index) if isinstance(v, dict) and any(type(k) is tuple for k in v)]
+    assert sorted(index.participants) == ["p000", "p001", "p002"]
+    assert any(kept.pending for kept in index.participants.values())
+    for kept in index.participants.values():
+        pending = sorted(i for i, _ in kept.pending.values())
+        assert list(kept.pending) == sorted(kept.pending)  # in seq order
+        assert sorted(kept.snapshots) == sorted(kept.actions) == sorted(kept.pending_points) == pending
+        assert kept.last_decided == 4 * 2 - 1
+        assert type(kept.points) is type(kept.seqs) is array and kept.points.typecode == kept.seqs.typecode == "q"
+        assert list(kept.points) == list(range(4 * 2))
     assert index.totals.decisions == index.snapshots_seen == index.outcomes_seen == points
-    for seqs in index.snapshot_seqs.values():
-        assert type(seqs.points) is type(seqs.seqs) is array and seqs.points.typecode == seqs.seqs.typecode == "q"
-        assert list(seqs.points) == list(range(4 * 2))
+    assert index.exception is None
 
 
 def test_the_header_comes_first_and_only_once(tmp_path):
@@ -184,14 +223,29 @@ def test_the_header_comes_first_and_only_once(tmp_path):
         StreamIndex.fold([*records[:2], again, *records[2:]])
 
 
+class CountedIndex(int):
+    """A decision index that counts its comparisons for equality: the work
+    the fold does on the pending outcomes it keeps. A set or dict lookup of
+    a missing index compares none, and one of a present index one."""
+
+    compared = 0
+
+    def __eq__(self, other):
+        CountedIndex.compared += 1
+        return int(self) == other
+
+    __hash__ = int.__hash__
+
+
 class CountedOutcome:
     """An OUTCOME_OBSERVED payload that counts the reads of its
-    ``decision_index``: the work the fold does on pending outcomes."""
+    ``decision_index``, which is a :class:`CountedIndex`."""
 
     reads = 0
 
     def __init__(self, participant_id, decision_index, reward, device_ts):
-        self.participant_id, self._index, self.reward, self.device_ts = participant_id, decision_index, reward, device_ts
+        self.participant_id, self.reward, self.device_ts = participant_id, reward, device_ts
+        self._index = CountedIndex(decision_index)
 
     @property
     def decision_index(self):
@@ -220,9 +274,10 @@ def _degraded_trial(n: int) -> list[EventEnvelope]:
         ("VERSION_CHANGE", None, VersionInfo("v1.0.0", default_logic().fingerprint, None)),
     ]
     for i in range(n):
+        due = config.schedule.due_ts(i)
         payloads += [
             ("FEATURE_SNAPSHOT", None, SnapshotInfo(
-                (1.0,) * 3, (1.0,) * 3, ("default",) * 6, (None,) * 6, (None,) * 6, 0, "p0", i)),
+                (1.0,) * 3, (1.0,) * 3, ("default",) * 6, (None,) * 6, (None,) * 6, due, "p0", i)),
             ("DECISION", None, DecisionRecord("p0", i, 0.5, 0.5, i, 0, False, version_id="v1.0.0")),
             ("OUTCOME_OBSERVED", i, CountedOutcome("p0", i, 1.0, i)),
         ]
@@ -235,16 +290,18 @@ def _degraded_trial(n: int) -> list[EventEnvelope]:
 def test_the_fold_does_bounded_work_per_record_on_a_degraded_trial(monkeypatch):
     # Outcomes that no update consumes once made each new outcome's repeat
     # check scan all of them, and out-of-order snapshots moved arrays: both
-    # quadratic in the trial's length. Per record, the fold now reads a
-    # pending outcome's decision index as often at 8,000 points as at 1,000,
-    # and a snapshot moves no element of its participant's arrays.
+    # quadratic in the trial's length. Per record, the fold now reads an
+    # outcome's decision index, and compares the decision indexes of the
+    # pending outcomes it keeps, as often at 8,000 points as at 1,000, and a
+    # snapshot moves no element of its participant's arrays.
     monkeypatch.setattr(events, "array", CountedArray)
-    reads = {}
+    work = {}
     for n in (1000, 8000):
         records = _degraded_trial(n)
-        CountedOutcome.reads = CountedArray.moved = 0
+        CountedOutcome.reads = CountedIndex.compared = CountedArray.moved = 0
         index = StreamIndex.fold(records)
-        assert len(index.pending["p0"]) == index.outcomes_seen == n
-        assert type(index.snapshot_seqs["p0"].points) is CountedArray and CountedArray.moved == 0
-        reads[n] = CountedOutcome.reads / n
-    assert reads[1000] == reads[8000] <= 2
+        kept = index.participants["p0"]
+        assert len(kept.pending) == len(kept.pending_points) == index.outcomes_seen == n
+        assert type(kept.points) is CountedArray and CountedArray.moved == 0
+        work[n] = (CountedOutcome.reads / n, CountedIndex.compared / n)
+    assert work[1000] == work[8000] and work[1000][0] <= 2 and work[1000][1] <= 2
