@@ -314,7 +314,7 @@ class Participant:
         return self.seqs[i] if points[i] == decision_index else None
 
 
-_UNSEEN = Participant()  # what a participant with no record yet reads as; never written to
+_UNSEEN = Participant()  # read through StreamIndex.participant only
 
 
 @dataclass
@@ -466,7 +466,7 @@ class StreamIndex:
         total = header.config.schedule.total_points
         if etype in _POINT_EVENTS:
             pid, idx = value.participant_id, value.decision_index
-            kept = self.participants.get(pid, _UNSEEN)
+            kept = self.participant(pid)
             key, last, decided = (pid, idx), kept.last_decided, idx in kept.actions  # and its outcome not consumed
             problem = None
             if not 0 <= idx < total:
@@ -643,6 +643,8 @@ class StreamIndex:
         return rows
 
     def participant(self, participant_id: str) -> Participant:
-        """The record of ``participant_id``: an empty one, not to be written
-        to, before its first snapshot."""
+        """The record of ``participant_id`` for reading: before its first
+        snapshot, one empty record that every such participant shares, so
+        nothing may write to what this returns (:meth:`commit` makes the
+        record it writes to)."""
         return self.participants.get(participant_id, _UNSEEN)

@@ -921,6 +921,34 @@ class Ledger:
         the file is cut back to its last record. Every record is stamped
         with the ledger's stream and profile, as the fold requires.
         """
+        with self._lock:
+            envelope, line = self._record(value, backend_ts, version_id, device_ts, self._last)
+            if self.path is not None:
+                self._write(line)
+            self._last = envelope
+            return envelope
+
+    def append_together(self, values, backend_ts: int, version_id: str) -> list[EventEnvelope]:
+        """Append each of ``values`` as :meth:`append` appends it, with no
+        ``device_ts``, all with one write: a value that cannot be written
+        appends none of them, a failed write cuts the file back to its last
+        record, and a reader of the file sees all of them or none."""
+        with self._lock:
+            envelopes, lines, last = [], [], self._last
+            for value in values:
+                last, line = self._record(value, backend_ts, version_id, None, last)
+                envelopes.append(last)
+                lines.append(line)
+            if self.path is not None:
+                self._write(b"".join(lines))
+            self._last = last
+            return envelopes
+
+    def _record(self, value, backend_ts, version_id, device_ts, last) -> tuple[EventEnvelope, bytes]:
+        """The record of ``value`` chained after ``last``, and its line (empty
+        for a ledger with no file); ConfigurationError as :meth:`append`
+        says, and StorageError if the file ends in bytes a failed write left
+        that could not be cut."""
         if device_ts is not None and type(device_ts) is not int:  # as _parse_line checks it
             raise ConfigurationError(f"device_ts must be an integer or None, got {device_ts!r}")
         if type(backend_ts) is not int or not isinstance(version_id, str):
@@ -931,36 +959,38 @@ class Ledger:
             piece = _converter(kind, LEDGER_TEXT)
         if piece is None or piece.write is None:
             raise ConfigurationError(f"payload must be an instance of a payload class, got {kind.__name__}")
-        with self._lock:
-            last = self._last
-            seq, prev_hash = (0, GENESIS_HASH) if last is None else (last.seq + 1, last.hash)
-            event_type, head, tail = piece.write(value, backend_ts, device_ts, self._profile_text,
-                                                 prev_hash.hex(), seq, self._stream_text, version_id)
-            if self._torn:
-                raise StorageError(f"{self.path} ends in a torn record; refusing to append")
-            if event_type == "HEADER" and seq != 0:
-                raise ConfigurationError("HEADER is only valid at seq 0")
-            rec_hash = hashlib.sha256(prev_hash + head + tail).digest()
-            envelope = tuple.__new__(EventEnvelope, (  # EventEnvelope(...), minus a Python call
-                seq, self.stream_id, self.environment_profile, device_ts, backend_ts,
-                version_id, event_type, value, prev_hash, rec_hash,
-            ))
-            if self.path is not None:
-                line = b'%s,"hash":"%s"%s\n' % (head, rec_hash.hex().encode("ascii"), tail)
-                fh = self._handle or self._fh
-                try:
-                    # The handle is unbuffered: one write, which may be short.
-                    written = fh.write(line)
-                    if written != len(line):
-                        raise OSError(f"wrote {written} of {len(line)} bytes")
-                    if self.fsync:
-                        os.fsync(fh.fileno())
-                except OSError as exc:
-                    self._cut_torn_tail()
-                    raise StorageError(f"append to {self.path} failed: {exc}") from None
-                self._size += len(line)
-            self._last = envelope
-            return envelope
+        seq, prev_hash = (0, GENESIS_HASH) if last is None else (last.seq + 1, last.hash)
+        event_type, head, tail = piece.write(value, backend_ts, device_ts, self._profile_text,
+                                             prev_hash.hex(), seq, self._stream_text, version_id)
+        if self._torn:
+            raise StorageError(f"{self.path} ends in a torn record; refusing to append")
+        if event_type == "HEADER" and seq != 0:
+            raise ConfigurationError("HEADER is only valid at seq 0")
+        rec_hash = hashlib.sha256(prev_hash + head + tail).digest()
+        envelope = tuple.__new__(EventEnvelope, (  # EventEnvelope(...), minus a Python call
+            seq, self.stream_id, self.environment_profile, device_ts, backend_ts,
+            version_id, event_type, value, prev_hash, rec_hash,
+        ))
+        if self.path is None:
+            return envelope, b""
+        return envelope, b'%s,"hash":"%s"%s\n' % (head, rec_hash.hex().encode("ascii"), tail)
+
+    def _write(self, data: bytes) -> None:
+        """Write the lines ``data`` to the ledger's file with one write on its
+        unbuffered handle; StorageError, with the file cut back to its last
+        record, if that write fails or is short."""
+        fh = self._handle or self._fh
+        try:
+            # The handle is unbuffered: one write, which may be short.
+            written = fh.write(data)
+            if written != len(data):
+                raise OSError(f"wrote {written} of {len(data)} bytes")
+            if self.fsync:
+                os.fsync(fh.fileno())
+        except OSError as exc:
+            self._cut_torn_tail()
+            raise StorageError(f"append to {self.path} failed: {exc}") from None
+        self._size += len(data)
 
     def _cut_torn_tail(self) -> None:
         """Truncate the file to the last whole record after a failed write, so

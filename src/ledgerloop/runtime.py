@@ -199,9 +199,10 @@ class Runtime:
 
         Any policy or state error is converted to a uniform fallback decision
         (pi = 0.5) with the same seeded coin; only storage errors escape.
-        A DECISION event is always appended, once per point: a second
-        decision, or one with no snapshot, is refused by the fold before
-        anything is logged, the fallback's ERROR included.
+        A DECISION event is always appended, once per point, a fallback's
+        with its ERROR in one write: a second decision, or one with no
+        snapshot, is refused by the fold before anything is logged, the
+        fallback's ERROR included.
         """
         header, config = self.header, self.header.config
         snapshot = self.index.participant(participant_id).snapshots.get(decision_index)
@@ -237,12 +238,16 @@ class Runtime:
             version_id=version_id,
         )
         if record.fallback:
-            # The DECISION is checked before its ERROR is written, so a refused decision logs neither: as
-            # no fallback, which every rule but the one that pairs it with its ERROR treats alike.
-            self._check(dataclasses.replace(record, fallback=False, fallback_reason=None), self.index.size + 1)
+            # The DECISION is checked before its ERROR, as no fallback, which every rule but the one that
+            # pairs it with its ERROR treats alike; then both go to the file in one write. So a refused
+            # decision logs neither, a failed write logs neither, and a reader never sees the ERROR alone.
             error = events.ErrorInfo("policy_exception", fallback_reason, participant_id, decision_index)
-            self._log(error, backend_ts=backend_ts, version_id=version_id)
-        self._log(record, backend_ts=backend_ts, version_id=version_id)
+            self._check(dataclasses.replace(record, fallback=False, fallback_reason=None), self.index.size + 1)
+            self._check(error, self.index.size)
+            for logged in self.ledger.append_together((error, record), backend_ts, version_id):
+                self.index.commit(logged)
+        else:
+            self._log(record, backend_ts=backend_ts, version_id=version_id)
         return record
 
     # -- learning ---------------------------------------------------------------

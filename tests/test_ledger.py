@@ -402,6 +402,23 @@ def test_failed_append_leaves_no_torn_bytes(tmp_path):
     assert [r.hash for r in read_records(ledger.path)] == [first.hash, more.hash]
 
 
+def test_records_appended_together_take_one_write_or_none(tmp_path):
+    ledger = make_ledger(tmp_path)
+    first = append_n(ledger, 1)[0]
+    size = ledger.path.stat().st_size
+    with pytest.raises(ConfigurationError, match="payload must be an instance of a payload class"):
+        ledger.append_together((note("a"), object()), backend_ts=5, version_id="v1")
+    ledger._fh = _TearingHandle(ledger._fh)
+    with pytest.raises(StorageError):
+        ledger.append_together((note("a"), note("b")), backend_ts=5, version_id="v1")
+    assert ledger.path.stat().st_size == size
+    assert len(ledger) == 1
+    pair = ledger.append_together((note("a"), note("b")), backend_ts=5, version_id="v1")
+    assert [(r.seq, r.prev_hash) for r in pair] == [(1, first.hash), (2, pair[0].hash)]
+    ledger.close()
+    assert list(read_records(ledger.path)) == [first, *pair]
+
+
 def test_failed_append_after_reopen_cuts_back_to_existing_end(tmp_path):
     ledger = make_ledger(tmp_path)
     append_n(ledger, 3)

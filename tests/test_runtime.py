@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import make_run_config, make_runtime, records_of
 from ledgerloop.cli import main
 from ledgerloop.config import MS_PER_DAY, ImputationPolicy, Schedule
-from ledgerloop.errors import ConfigurationError, StructuralAuditError
+from ledgerloop.errors import ConfigurationError, StorageError, StructuralAuditError
 from ledgerloop.events import StreamIndex
 from ledgerloop.ledger import read_records
 from ledgerloop.policy import (
@@ -337,6 +337,45 @@ def test_injected_exception_forces_fallback():
     assert record.fallback is True
     assert record.pi == 0.5
     assert "InjectedFailure" in record.fallback_reason
+
+
+class _FailingHandle:
+    """File handle stand-in that counts its writes; the first puts half its
+    bytes in the file and fails, as a full disk can."""
+
+    def __init__(self, fh):
+        self._fh, self.writes = fh, 0
+
+    def write(self, data):
+        self.writes += 1
+        if self.writes > 1:
+            return self._fh.write(data)
+        self._fh.write(data[: len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+
+def test_a_fallback_and_its_error_are_written_together(file_runtime):
+    # The ERROR and its fallback DECISION go to the file in one write, so a
+    # live audit never reads the ERROR without its DECISION, and a write
+    # that fails logs neither: the file is cut back, the index is the fold
+    # of the file, and the call can be made again.
+    runtime = file_runtime(injection={"policy_exception_prob": 1.0})
+    runtime.assemble_features("p0", 0)
+    path, handle = runtime.ledger.path, _FailingHandle(runtime.ledger._fh)
+    before, runtime.ledger._fh = path.read_bytes(), handle
+    with pytest.raises(StorageError, match="No space left on device"):
+        runtime.make_decision("p0", 0)
+    assert path.read_bytes() == before
+    assert runtime.index == StreamIndex.fold(read_records(path)) and runtime.index.exception is None
+    record = runtime.make_decision("p0", 0)
+    assert record.fallback and handle.writes == 2
+    assert [r.event_type for r in written(runtime)[-2:]] == ["ERROR", "DECISION"]
+    assert runtime.index == StreamIndex.fold(read_records(path))
+    runtime.assemble_features("p1", 0)  # the runtime writes on after the pair
+    assert handle.writes == 3
 
 
 def test_decision_totality_under_always_failing_policy():

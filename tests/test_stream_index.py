@@ -126,7 +126,7 @@ def _contents(obj):
     yield obj
     if isinstance(obj, dict):
         inner = [*obj.keys(), *obj.values()]
-    elif isinstance(obj, (list, tuple)):
+    elif isinstance(obj, (list, tuple, set, frozenset)):
         inner = obj
     elif dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         inner = [getattr(obj, f.name) for f in dataclasses.fields(obj)]
@@ -192,13 +192,17 @@ def test_the_index_keeps_only_the_points_whose_outcome_is_pending(tmp_path):
     # and outcome were consumed and forgotten: a participant's record holds
     # no point beyond its outcome, and what the index keeps of every point is
     # its participant's last decision, counters, and a snapshot seq in an
-    # array of machine ints. No map of the index is keyed by point.
+    # array of machine ints. No map or set of the index is keyed by point,
+    # and the one empty record that a participant with no record reads as
+    # is still empty after the runtime has read it.
     config = make_run_config(injection={"data_loss_prob": 0.0, "delay_geometric_p": 0.6})
     index = run_trial(small_env(), config, 6).index
     points = 3 * 4 * 2
     assert [f.name for f in dataclasses.fields(index) if f.name in ("participants", "exception")] == [
         "participants", "exception"]
-    assert not [v for v in _contents(index) if isinstance(v, dict) and any(type(k) is tuple for k in v)]
+    assert not {"decided", "rewarded", "consumed"} & {f.name for f in dataclasses.fields(index)}
+    point_keyed = (dict, set, frozenset)
+    assert not [v for v in _contents(index) if isinstance(v, point_keyed) and any(type(k) is tuple for k in v)]
     assert sorted(index.participants) == ["p000", "p001", "p002"]
     assert any(kept.pending for kept in index.participants.values())
     for kept in index.participants.values():
@@ -210,6 +214,7 @@ def test_the_index_keeps_only_the_points_whose_outcome_is_pending(tmp_path):
         assert list(kept.points) == list(range(4 * 2))
     assert index.totals.decisions == index.snapshots_seen == index.outcomes_seen == points
     assert index.exception is None
+    assert events._UNSEEN == events.Participant()
 
 
 def test_the_header_comes_first_and_only_once(tmp_path):
