@@ -19,11 +19,16 @@ each record it is about to append against them and commits it once it is
 written; replay and the monitor fold the records of the read pass, each with
 its typed payload. All three therefore index versions, snapshots, decisions
 and outcomes, refuse the same records, and count what the monitor reports,
-with the same code. Replay
-checks each decision and update right after the fold applies it, so an
-audit is one pass over the file; the index forgets a point once an update
-has consumed its outcome, and keeps per participant, not per point, what
-tells a later record of a forgotten point apart.
+with the same code. The index forgets a point once an update has consumed
+its outcome, and keeps per participant, not per point, what tells a later
+record of a forgotten point apart.
+
+:func:`decision_step` and :func:`update_step` are the runtime's two
+derivations, a decision of a point and an update of a participant's
+posterior, each a pure function of what the index and the HEADER hold. The
+runtime logs what they give; replay runs them again right after the fold
+applies each decision and update and compares, so an audit is one pass over
+the file and the algorithm has one account.
 """
 
 from __future__ import annotations
@@ -42,10 +47,12 @@ from .config import (
     Schedule,
     check_features,
 )
-from .errors import ConfigurationError, DecodeError, StructuralAuditError
+from .errors import ConfigurationError, DecodeError, InjectedFailure, StructuralAuditError
 from .ledger import ENVIRONMENT_PROFILES, FORMAT_VERSION, LEDGER_FORMAT, EventEnvelope, _got, _Refusal, decode_as
 from .ledger import config_digest, frozen_record
-from .policy import DecisionRecord, FeatureSnapshot, ModelConfig
+from .policy import FALLBACK_PI, DecisionRecord, FeatureSnapshot, ModelConfig
+from .policy import canonical_serialize, decide, derive_decision_seed
+from .rng import SplitMix64, derive_seed
 
 
 @dataclass(frozen=True)
@@ -410,6 +417,9 @@ class StreamIndex:
           (:meth:`check_participant`)
         - a DATA_INGESTED or OUTCOME_OBSERVED payload's ``device_ts`` is its
           envelope's
+        - a DATA_INGESTED's ``superseded_snapshot_seq`` is the seq of the
+          last snapshot of the point whose window holds its ``device_ts``,
+          or None if that point has none yet, as the runtime writes it
         - a snapshot, decision or outcome names a decision index in
           ``[0, schedule.total_points)``
         - a participant's decisions come in increasing decision index, and
@@ -461,8 +471,15 @@ class StreamIndex:
                 raise StructuralAuditError(
                     f"DECISION at seq {seq} has a fallback_reason other than its ERROR's message"
                 )
-        if etype == "DATA_INGESTED":
-            return None  # half of all records; nothing more to check
+        if etype == "DATA_INGESTED":  # half of all records: one rule of their own, and done
+            window = header.config.schedule.window(device_ts)
+            superseded = self.participant(value.participant_id).snapshot_seq(window)
+            if value.superseded_snapshot_seq != superseded:
+                raise StructuralAuditError(
+                    f"DATA_INGESTED at seq {seq} superseded_snapshot_seq: expected {superseded} for point "
+                    f"{window}, {_got(value.superseded_snapshot_seq)}"
+                )
+            return None
         total = header.config.schedule.total_points
         if etype in _POINT_EVENTS:
             pid, idx = value.participant_id, value.decision_index
@@ -648,3 +665,45 @@ class StreamIndex:
         nothing may write to what this returns (:meth:`commit` makes the
         record it writes to)."""
         return self.participants.get(participant_id, _UNSEEN)
+
+
+# -- the runtime's derivations ----------------------------------------------------------
+
+
+def decision_step(header: HeaderInfo, logic, state, snapshot, participant_id: str, decision_index: int) -> tuple:
+    """The decision of a point, as ``(pi_raw, pi, seed, action,
+    fallback_reason)``. The injection gate fails the point with probability
+    ``policy_exception_prob``, drawn from the HEADER's deployment seed and
+    the point; otherwise ``logic.action_probability`` gives ``(pi_raw, pi)``
+    at ``state`` and ``snapshot``. Any exception of either makes it the
+    uniform fallback, ``pi_raw = pi = 1/2``, with the reason ``Type:
+    message``; a decision that is no fallback has the reason None. Then the
+    point's seed, and the action its coin gives at ``pi``."""
+    config = header.config
+    try:
+        exception_prob = config.injection.policy_exception_prob
+        if exception_prob > 0.0:
+            gate = SplitMix64(derive_seed(header.deployment_seed, "inject-policy", participant_id, decision_index))
+            if gate.next_float() < exception_prob:
+                raise InjectedFailure("injected policy exception")
+        pi_raw, pi = logic.action_probability(state, snapshot, config.model)
+        reason = None
+    except Exception as exc:  # a missing snapshot or participant too, which the fold refuses
+        pi_raw = pi = FALLBACK_PI
+        reason = f"{type(exc).__name__}: {exc}"
+    seed = derive_decision_seed(header.deployment_seed, participant_id, decision_index)
+    return pi_raw, pi, seed, decide(pi, seed), reason
+
+
+def update_step(logic, model: ModelConfig, state, participant_id: str, batch_seqs: tuple, rows: list[Row]):
+    """The update of ``participant_id`` from ``state`` on the ``rows`` of its
+    outcomes at ``batch_seqs``, as ``(payload, state)``: the
+    :class:`UpdateInfo` of ``logic.update_posterior`` and the new state; or,
+    if that raises any exception, an ``update_failure`` :class:`ErrorInfo`
+    whose message is ``Type: message``, and ``state``."""
+    try:
+        new_state = logic.update_posterior(state, rows, model, last_update_seq=max(batch_seqs))
+    except Exception as exc:
+        return ErrorInfo("update_failure", f"{type(exc).__name__}: {exc}", participant_id), state
+    post_state = canonical_serialize(new_state)
+    return UpdateInfo(participant_id, batch_seqs, state.state_hash, new_state.state_hash, post_state), new_state

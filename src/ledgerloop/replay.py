@@ -4,12 +4,14 @@ logged decision and update is bit-exactly reproducible.
 Replay is one pass over a ledger's records. It folds each record into the
 shared :class:`ledgerloop.events.StreamIndex`, the same fold the runtime
 keeps while it writes, and right after the fold applies a decision or an
-update it recomputes that one from its participant's current posterior and
-compares. It keeps nothing but the index, each participant's current
-posterior and the diffs. Comparison is bit-exact, never tolerance-based:
-floats travel as IEEE-754 bit patterns, and each segment is replayed with
-the logic that wrote it, so an honest ledger replays to the last bit. The
-auditor only ever reads; it cannot append to the ledger under audit.
+update it re-runs the runtime's own step for it
+(:func:`ledgerloop.events.decision_step`, :func:`~ledgerloop.events.update_step`)
+from its participant's current posterior and compares. It keeps nothing but
+the index, each participant's current posterior and the diffs. Comparison
+is bit-exact, never tolerance-based: floats travel as IEEE-754 bit
+patterns, and each segment is replayed with the logic that wrote it, so an
+honest ledger replays to the last bit. The auditor only ever reads; it
+cannot append to the ledger under audit.
 
 Which logic replays a segment is decided by the fingerprint its
 VERSION_CHANGE records, looked up in :data:`LOGICS`:
@@ -41,9 +43,9 @@ from typing import Callable, Collection, Iterable, Mapping
 
 from . import policy
 from .errors import AuditError
-from .events import StreamIndex
+from .events import ErrorInfo, StreamIndex, decision_step, update_step
 from .ledger import EventEnvelope, encode_float, report_bytes
-from .policy import FALLBACK_PI, FeatureSnapshot, ModelConfig, PosteriorState
+from .policy import FeatureSnapshot, ModelConfig, PosteriorState
 
 
 @dataclass(frozen=True)
@@ -174,8 +176,8 @@ def default_logic() -> PolicyLogic:
 class FieldDiff:
     seq: int
     path: str
-    logged: str
-    recomputed: str
+    logged: str | None
+    recomputed: str | None
 
 
 @dataclass
@@ -185,7 +187,7 @@ class DivergenceReport:
     field_diffs: list[FieldDiff] = field(default_factory=list)
     counts: dict = field(default_factory=dict)
 
-    def record(self, seq: int, path: str, logged: str, recomputed: str) -> None:
+    def record(self, seq: int, path: str, logged: str | None, recomputed: str | None) -> None:
         self.status = "diverged"
         if self.first_divergent_seq is None or seq < self.first_divergent_seq:
             self.first_divergent_seq = seq
@@ -238,40 +240,47 @@ class Reconstruction:
 _bits = struct.Struct(">d").pack  # a float's bits, which encode_float shows as hex
 
 
+def _failed(reason: str) -> str:
+    """``error:<Type>`` of a step's ``Type: message`` reason."""
+    return "error:" + reason.partition(":")[0]
+
+
 def reconstruct_states(
     records: Iterable[EventEnvelope],
     logic_by_version: Mapping[str, PolicyLogic] | None = None,
     versions: Collection[str] | None = None,
 ) -> Reconstruction:
-    """Fold ``records`` into a :class:`StreamIndex` one at a time and check
-    each decision and update right after the fold applies it, holding one
-    current posterior per participant, so the records are read once.
+    """Fold ``records`` into a :class:`StreamIndex` one at a time and, right
+    after the fold applies each decision and update, re-run the runtime's
+    step for it and compare, holding one current posterior per participant,
+    so the records are read once.
 
     A version's logic is the one ``logic_by_version`` gives or, by default,
     the registered logic its VERSION_CHANGE's fingerprint names (for the
-    ``versions`` only, when given). Each decision and update is recomputed
-    with the logic of the version active at its seq, from the prior
-    (``policy.init_state`` of the HEADER's model), which holds from the
-    first version activated.
+    ``versions`` only, when given). Each step runs with the logic of the
+    version active at its seq, from the prior (``policy.init_state`` of the
+    HEADER's model), which holds from the first version activated.
 
-    - A decision's version stamp and seed are re-derived. A fallback decision
-      must carry the uniform rule's ``pi_raw = pi = 1/2``; any other has its
-      ``(pi_raw, pi)`` recomputed from the state current at its seq, and one
-      the logic fails on is recorded as ``error:<type>`` with no action
-      check. The action must follow from the logged ``(pi, seed)``.
+    - A decision is compared with :func:`~ledgerloop.events.decision_step`
+      at the state current at its seq: its version stamp, its seed, whether
+      it is a fallback and why (``fallback_reason``), and ``(pi_raw, pi)``.
+      A computed decision that the step makes a fallback, the logic or the
+      injection gate failing on it, is recorded as ``error:<type>`` on
+      ``pi_raw`` with no more checks. The action must follow from the logged
+      ``(pi, seed)``.
     - An update's pre-state hash must be its participant's current state's,
-      its post-state the recomputed one byte for byte, and its post-state
-      hash the digest of the logged post-state. One the logic fails on is
-      recorded as ``error:<type>`` and the participant stays at its
-      pre-state, as the runtime's does after a failed update.
+      its post-state the one :func:`~ledgerloop.events.update_step` gives,
+      byte for byte, and its post-state hash the digest of the logged
+      post-state. One the step fails is recorded as ``error:<type>`` and
+      the participant stays at its pre-state, as the runtime's does after a
+      failed update. An ``update_failure`` ERROR is an input: a logic may
+      refuse an update and take the same outcomes later.
 
-    A logic fails on an input when it raises any exception, as the runtime
-    takes any exception for a fallback or a failed update. Diffs go to one
-    report for decisions and one for updates, each in seq order; nothing
-    else recomputed is kept. Raises AuditError for a version activated with
-    no logic or with another logic's fingerprint; StructuralAuditError for
-    what the fold refuses, so a decision always has its snapshot and an
-    active version here.
+    Diffs go to one report for decisions and one for updates, each in seq
+    order; nothing else derived is kept. Raises AuditError for a version
+    activated with no logic or with another logic's fingerprint;
+    StructuralAuditError for what the fold refuses, so a decision always
+    has its snapshot and an active version here.
     """
     index = StreamIndex()
     logics = dict(logic_by_version or {})
@@ -283,27 +292,24 @@ def reconstruct_states(
         seq, etype, value = record.seq, record.event_type, record.payload
         if etype == "DECISION":
             pid, idx = value.participant_id, value.decision_index
-            snapshot = index.participants[pid].snapshots[idx]
             version_id = index.versions[-1][1]
             if record.version_id != version_id or value.version_id != version_id:
                 decisions.record(seq, "version_id", value.version_id, version_id)
-            seed = policy.derive_decision_seed(index.header.deployment_seed, pid, idx)
+            snapshot, state = index.participants[pid].snapshots[idx], states.get(pid, initial)
+            pi_raw, pi, seed, action, reason = decision_step(index.header, logic, state, snapshot, pid, idx)
             if seed != value.seed:
                 decisions.record(seq, "seed", str(value.seed), str(seed))
-            if value.fallback:
-                expected = (("pi", value.pi, FALLBACK_PI), ("pi_raw", value.pi_raw, FALLBACK_PI))
-            else:
-                try:
-                    pi_raw, pi = logic.action_probability(states.get(pid, initial), snapshot, index.header.config.model)
-                except Exception as exc:
-                    logged = encode_float(value.pi_raw)
-                    decisions.record(seq, "pi_raw", logged, f"error:{type(exc).__name__}")
-                    continue
-                expected = (("pi_raw", value.pi_raw, pi_raw), ("pi", value.pi, pi))
-            for path, logged, recomputed in expected:
-                if _bits(logged) != _bits(recomputed):
-                    decisions.record(seq, path, encode_float(logged), encode_float(recomputed))
-            action = policy.decide(value.pi, value.seed)
+            if reason is not None and not value.fallback:
+                decisions.record(seq, "pi_raw", encode_float(value.pi_raw), _failed(reason))
+                continue
+            if value.fallback_reason != reason:
+                decisions.record(seq, "fallback_reason", value.fallback_reason, reason)
+            pairs = (("pi_raw", value.pi_raw, pi_raw), ("pi", value.pi, pi))
+            for path, logged, derived in pairs[::-1] if value.fallback else pairs:
+                if _bits(logged) != _bits(derived):
+                    decisions.record(seq, path, encode_float(logged), encode_float(derived))
+            if seed != value.seed or _bits(pi) != _bits(value.pi):
+                action = policy.decide(value.pi, value.seed)  # what the logged pi and seed give
             if action != value.action:
                 decisions.record(seq, "action", str(value.action), str(action))
         elif etype == "MODEL_UPDATE":
@@ -311,22 +317,12 @@ def reconstruct_states(
             state = states.get(pid, initial)
             if value.pre_state_hash != state.state_hash:
                 updates.record(seq, "pre_state_hash", value.pre_state_hash.hex(), state.state_hash.hex())
-            logged_digest = None
-            try:
-                new_state = logic.update_posterior(
-                    state, rows, index.header.config.model, last_update_seq=max(value.batch_seqs)
-                )
-            except Exception as exc:
-                updates.record(seq, "post_state", value.post_state.hex(), f"error:{type(exc).__name__}")
-            else:
-                states[pid] = new_state
-                recomputed = policy.canonical_serialize(new_state)
-                if value.post_state == recomputed:
-                    logged_digest = new_state.state_hash  # the SHA-256 of these bytes
-                else:
-                    updates.record(seq, "post_state", value.post_state.hex(), recomputed.hex())
-            if logged_digest is None:
-                logged_digest = hashlib.sha256(value.post_state).digest()
+            derived, states[pid] = update_step(logic, index.header.config.model, state, pid, value.batch_seqs, rows)
+            if type(derived) is ErrorInfo:
+                updates.record(seq, "post_state", value.post_state.hex(), _failed(derived.message))
+            elif value.post_state != derived.post_state:
+                updates.record(seq, "post_state", value.post_state.hex(), derived.post_state.hex())
+            logged_digest = hashlib.sha256(value.post_state).digest()
             if value.post_state_hash != logged_digest:
                 updates.record(seq, "post_state_hash", value.post_state_hash.hex(), logged_digest.hex())
         elif etype == "VERSION_CHANGE":

@@ -3,11 +3,12 @@ outcomes, assembles provenance-tagged feature snapshots, makes decisions
 with fallback protection, and runs batch update cycles, each when its
 caller asks (the digital twin schedules them).
 
-The runtime holds no algorithm internals: it calls the pure functions of the
-policy logic it is given and writes everything it does to the ledger. A
-policy failure can therefore never corrupt the ledger; it degrades to a
-uniform-random fallback decision, which is itself logged like any other
-decision.
+The runtime holds no algorithm internals: a decision and an update are
+:func:`ledgerloop.events.decision_step` and :func:`~ledgerloop.events.update_step`
+of the policy logic it is given, the steps replay re-runs, and it writes
+everything it does to the ledger. A policy failure can therefore never
+corrupt the ledger; it degrades to a uniform-random fallback decision, or to
+a failed update, each logged like any other record.
 """
 
 from __future__ import annotations
@@ -17,10 +18,9 @@ import dataclasses
 import math
 
 from . import events, policy
-from .errors import ConfigurationError, InjectedFailure
+from .errors import ConfigurationError
 from .ledger import EventEnvelope, Ledger
 from .policy import DecisionRecord, FeatureSnapshot, PosteriorState
-from .rng import SplitMix64, derive_seed
 
 
 class Runtime:
@@ -195,47 +195,24 @@ class Runtime:
         return snapshot
 
     def make_decision(self, participant_id: str, decision_index: int, backend_ts: int | None = None) -> DecisionRecord:
-        """Produce exactly one decision for a due decision point.
-
-        Any policy or state error is converted to a uniform fallback decision
-        (pi = 0.5) with the same seeded coin; only storage errors escape.
-        A DECISION event is always appended, once per point, a fallback's
-        with its ERROR in one write: a second decision, or one with no
-        snapshot, is refused by the fold before anything is logged, the
-        fallback's ERROR included.
+        """Produce exactly one decision for a due decision point, the one
+        :func:`events.decision_step` gives: an injected or policy failure is
+        a uniform fallback decision (pi = 0.5) with the same seeded coin;
+        only storage errors escape. A DECISION event is always appended,
+        once per point, a fallback's with its ERROR in one write: a second
+        decision, or one with no snapshot, is refused by the fold before
+        anything is logged, the fallback's ERROR included.
         """
-        header, config = self.header, self.header.config
         snapshot = self.index.participant(participant_id).snapshots.get(decision_index)
         if backend_ts is None:
-            backend_ts = config.schedule.due_ts(decision_index)
-        seed = policy.derive_decision_seed(header.deployment_seed, participant_id, decision_index)
+            backend_ts = self.header.config.schedule.due_ts(decision_index)
         version_id = self.version_id
-
-        fallback_reason = None
-        try:
-            exception_prob = config.injection.policy_exception_prob
-            if exception_prob > 0.0:
-                gate = SplitMix64(
-                    derive_seed(header.deployment_seed, "inject-policy", participant_id, decision_index)
-                )
-                if gate.next_float() < exception_prob:
-                    raise InjectedFailure("injected policy exception")
-            state = self.states[participant_id]
-            pi_raw, pi = self.logic.action_probability(state, snapshot, config.model)
-        except Exception as exc:  # a missing snapshot or participant too, which the fold refuses below
-            pi_raw = pi = policy.FALLBACK_PI
-            fallback_reason = f"{type(exc).__name__}: {exc}"
-
+        pi_raw, pi, seed, action, fallback_reason = events.decision_step(
+            self.header, self.logic, self.states.get(participant_id), snapshot, participant_id, decision_index
+        )
         record = DecisionRecord(
-            participant_id=participant_id,
-            decision_index=decision_index,
-            pi_raw=pi_raw,
-            pi=pi,
-            seed=seed,
-            action=policy.decide(pi, seed),
-            fallback=fallback_reason is not None,
-            fallback_reason=fallback_reason,
-            version_id=version_id,
+            participant_id, decision_index, pi_raw, pi, seed, action, fallback_reason is not None, fallback_reason,
+            version_id,
         )
         if record.fallback:
             # The DECISION is checked before its ERROR, as no fallback, which every rule but the one that
@@ -253,7 +230,8 @@ class Runtime:
     # -- learning ---------------------------------------------------------------
 
     def run_update_cycle(self, participant_id: str, backend_ts: int) -> PosteriorState:
-        """Consume every outcome that has arrived since the last cycle.
+        """Consume every outcome that has arrived since the last cycle, with
+        :func:`events.update_step`.
 
         With nothing to consume this is a no-op (no event), but for a
         participant the HEADER lacks, which the fold's rule refuses as it
@@ -265,28 +243,10 @@ class Runtime:
         if not batch_seqs:
             self.index.check_participant(self.index.size, "MODEL_UPDATE", participant_id)
             return self.states[participant_id]
-        state = self.states[participant_id]
-        try:
-            batch = self.index.batch(participant_id, batch_seqs, len(self.ledger))
-            new_state = self.logic.update_posterior(
-                state, batch, self.header.config.model, last_update_seq=max(batch_seqs)
-            )
-        except Exception as exc:
-            self._log(
-                events.ErrorInfo(
-                    kind="update_failure",
-                    message=f"{type(exc).__name__}: {exc}",
-                    participant_id=participant_id,
-                ),
-                backend_ts=backend_ts,
-                version_id=self.version_id,
-            )
-            return state
-
-        info = events.UpdateInfo(
-            participant_id, batch_seqs, state.state_hash, new_state.state_hash,
-            policy.canonical_serialize(new_state),
+        rows = self.index.batch(participant_id, batch_seqs, self.index.size)
+        value, state = events.update_step(
+            self.logic, self.header.config.model, self.states[participant_id], participant_id, batch_seqs, rows
         )
-        self._log(info, backend_ts, self.version_id, rows=batch)
-        self.states[participant_id] = new_state
-        return new_state
+        self._log(value, backend_ts, self.version_id, rows=rows)
+        self.states[participant_id] = state
+        return state

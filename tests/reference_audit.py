@@ -30,6 +30,16 @@ time; an ERROR's kind is ``policy_exception`` or ``update_failure``, its
 decision index, if any, one the schedule has; and a policy_exception ERROR
 and the fallback DECISION of its point, with the ERROR's message as its
 reason, come as a pair, one right after the other, and never apart.
+
+Later still, as in the package, and with code of this module's own: a
+DATA_INGESTED names as superseded the last snapshot of the point whose
+window, ``(due_ts(j - 1), due_ts(j)]``, holds its ``device_ts``; and a
+decision's fallback is derived, not only checked for its shape. The
+injection gate is drawn again from the HEADER with ``ledgerloop.rng``, the
+logic is asked as before, and the reason either gives must be the logged
+``fallback_reason`` (None for a computed decision). A computed decision the
+gate fails reads ``error:InjectedFailure`` on ``pi_raw``, as one the logic
+fails on reads ``error:<type>``.
 """
 
 from __future__ import annotations
@@ -57,6 +67,7 @@ from ledgerloop.errors import (
 from ledgerloop.ledger import ENVIRONMENT_PROFILES, config_digest, encode_float, read_records
 from ledgerloop.monitor import DEFAULT_RULES, MetricTable, emit_report, evaluate_alerts
 from ledgerloop.replay import DivergenceReport, logic_for, merge_reports
+from ledgerloop.rng import SplitMix64, derive_seed
 
 
 class Stamp(NamedTuple):
@@ -124,6 +135,10 @@ class ReferenceIndex:
             raise StructuralAuditError(f"DECISION at seq {record.seq} is a fallback that answers no ERROR")
         if etype in ("DATA_INGESTED", "OUTCOME_OBSERVED") and value.device_ts != record.device_ts:
             raise StructuralAuditError(f"{etype} at seq {record.seq} has two device_ts")
+        if etype == "DATA_INGESTED":
+            snapshot = self.snapshots.get((value.participant_id, _window(header.config.schedule, value.device_ts)))
+            if value.superseded_snapshot_seq != (None if snapshot is None else snapshot[0].seq):
+                raise StructuralAuditError(f"DATA_INGESTED at seq {record.seq} names another superseded snapshot")
         if etype in ("FEATURE_SNAPSHOT", "DECISION"):
             pid, idx = value.participant_id, value.decision_index
             key, last = (pid, idx), self.last_decided.get(pid, -1)
@@ -231,6 +246,15 @@ class ReferenceIndex:
         return self.versions[i - 1][1]
 
 
+def _window(schedule, ts: int) -> int:
+    """The point j whose window ``(due_ts(j - 1), due_ts(j)]`` holds ``ts``:
+    -1 before the trial starts, the number of points after the last due time."""
+    if ts < schedule.trial_start_ts:
+        return -1
+    total = schedule.trial_days * len(schedule.decision_times)
+    return next((j for j in range(total) if ts <= schedule.due_ts(j)), total)
+
+
 def _is_policy_exception(record) -> bool:
     return record is not None and record.event_type == "ERROR" and record.payload.kind == "policy_exception"
 
@@ -295,16 +319,26 @@ def reconstruct_states(index: ReferenceIndex, logic_by_version=None):
             seed = policy.derive_decision_seed(deployment_seed, pid, idx)
             if seed != value.seed:
                 decisions.record(seq, "seed", str(value.seed), str(seed))
-            if value.fallback:
-                expected = (("pi", value.pi, 0.5), ("pi_raw", value.pi_raw, 0.5))
+            failed = reason = None
+            injection = index.header.config.injection
+            gate = SplitMix64(derive_seed(deployment_seed, "inject-policy", pid, idx)).next_float()
+            if injection.policy_exception_prob > 0.0 and gate < injection.policy_exception_prob:
+                failed, reason = "InjectedFailure", "InjectedFailure: injected policy exception"
             else:
-                logic = logic_by_version[version_id]
                 try:
-                    pi_raw, pi = logic.action_probability(states[pid], snap[1], config)
+                    pi_raw, pi = logic_by_version[version_id].action_probability(states[pid], snap[1], config)
                 except Exception as exc:
-                    logged = encode_float(value.pi_raw)
-                    decisions.record(seq, "pi_raw", logged, f"error:{type(exc).__name__}")
-                    continue
+                    failed, reason = type(exc).__name__, f"{type(exc).__name__}: {exc}"
+            if failed is not None and not value.fallback:
+                decisions.record(seq, "pi_raw", encode_float(value.pi_raw), f"error:{failed}")
+                continue
+            if value.fallback_reason != reason:
+                decisions.record(seq, "fallback_reason", value.fallback_reason, reason)
+            if failed is not None:
+                pi_raw = pi = 0.5
+            if value.fallback:
+                expected = (("pi", value.pi, pi), ("pi_raw", value.pi_raw, pi_raw))
+            else:
                 expected = (("pi_raw", value.pi_raw, pi_raw), ("pi", value.pi, pi))
             for path, logged, recomputed in expected:
                 if encode_float(logged) != encode_float(recomputed):

@@ -587,7 +587,9 @@ def _last_as_error(path):
 
 # Edits of what the runtime always writes one way, each of which once passed
 # every audit verb: a payload's device_ts apart from its envelope's, in
-# either copy; an ERROR of a kind the runtime never writes, which the
+# either copy; a datum naming as superseded a snapshot other than the last
+# of its window's point (the HEADER, seq 0, is none); an ERROR of a kind
+# the runtime never writes, which the
 # monitor's update_failure count reads, or of a point outside the schedule;
 # an imputation method on an observed entry; a snapshot of p000's point 1
 # after a copy of it naming point 3 (a DATA_INGESTED turned into that copy);
@@ -605,6 +607,10 @@ RULE_EDITS = {
         _edited("OUTCOME_OBSERVED", _set(device_ts=None)),
         "OUTCOME_OBSERVED at seq {seq} carries device_ts {record[payload][device_ts]} in its payload "
         "but None in its envelope",
+    ),
+    "superseded_snapshot_seq": (
+        _edited("DATA_INGESTED", lambda record: record["payload"].update(superseded_snapshot_seq=0)),
+        "DATA_INGESTED at seq {seq} superseded_snapshot_seq: expected None for point 0, got 0",
     ),
     "error-kind": (
         _datum_as_error(kind="anything at all", decision_index=None),
@@ -678,6 +684,65 @@ def test_the_fold_refuses_what_the_runtime_never_writes(tmp_path, capsys, name):
         assert capsys.readouterr().err == f"audit error: {message}\n"
     assert not (tmp_path / "mon.txt").exists()
     assert main(["ledger-inspect", "--ledger", str(ledger_path), "--seq", str(seq)]) == 0
+
+
+def _rewrite_pair(path):
+    """The golden ledger's first policy_exception ERROR (seq 6) and its
+    fallback DECISION (seq 7), each with "nothing failed" as its reason."""
+    assert [r.seq for r in records_of(path, "ERROR")][0] == 6
+    rechain(path, 6, lambda record: record["payload"].update(message="nothing failed"))
+    rechain(path, 7, lambda record: record["payload"].update(fallback_reason="nothing failed"))
+
+
+def _raise_gate(path):
+    """The HEADER's policy_exception_prob set to 1/2, its digest re-derived."""
+    def edit(record):
+        config = record["payload"]["config"]
+        config["injection"]["policy_exception_prob"] = encode_float(0.5)
+        record["payload"]["config_digest"] = config_digest(config)
+
+    rechain(path, 0, edit)
+
+
+# Edits of the golden ledger that keep every fallback in the shape the fold
+# requires, each of which once replayed as exact: a policy_exception pair
+# whose reason is rewritten in both records, and a HEADER that raises the
+# injection gate of a ledger written with none. Each: the injection the
+# ledger is simulated with, the edit, and the first diff, whose seq is the
+# first divergent one.
+DERIVED_EDITS = {
+    "rewritten-pair": ({}, _rewrite_pair, {
+        "seq": 7, "path": "fallback_reason", "logged": "nothing failed",
+        "recomputed": "InjectedFailure: injected policy exception",
+    }),
+    "raised-gate": ({"policy_exception_prob": 0.0}, _raise_gate, {
+        "seq": 6, "path": "pi_raw", "logged": encode_float(0.5), "recomputed": "error:InjectedFailure",
+    }),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVED_EDITS))
+def test_replay_derives_each_fallback(tmp_path, capsys, name):
+    # Replay runs the runtime's decision step again, injection gate
+    # included, so a fallback that did not happen as logged, or a decision
+    # the gate would have failed, diverges; the fold, which checks only the
+    # shape of a fallback, accepts both, as the monitor without replay does.
+    from test_golden import GOLDEN_CONFIG
+
+    injection, edit, first = DERIVED_EDITS[name]
+    config = tmp_path / "golden.yaml"
+    config.write_text(yaml.safe_dump(deep_merge(GOLDEN_CONFIG, {"injection": injection})))
+    path = tmp_path / "golden.ndjson"
+    assert main(["simulate", "--config", str(config), "--out", str(path)]) == 0
+    edit(path)
+    capsys.readouterr()
+    divergence, replayed = tmp_path / "divergence.txt", tmp_path / "replayed.txt"
+    assert main(["replay-verify", "--ledger", str(path), "--out", str(divergence)]) == 1
+    assert capsys.readouterr().err.startswith(f"replay diverged: first_divergent_seq={first['seq']} (")
+    assert divergence.read_bytes().splitlines()[2] == json.dumps(first, sort_keys=True, separators=(",", ":")).encode()
+    assert main(["monitor-report", "--replay", "--ledger", str(path), "--out", str(replayed)]) == 1
+    assert f'"first_divergent_seq":{first["seq"]},"kind":"replay"'.encode() in replayed.read_bytes()
+    assert main(["monitor-report", "--ledger", str(path), "--out", str(tmp_path / "monitor.txt")]) == 0
 
 
 def _update(participant_id, nth):

@@ -87,6 +87,9 @@ AIMED = {
     "action": {"DECISION"},  # the other action
     "kind": {"ERROR"},  # policy_exception <-> update_failure
     "backend_ts": {"ERROR", "MODEL_UPDATE"},  # days away, or either side of a midnight
+    "pair": {"ERROR"},  # a policy_exception's message and its fallback's reason rewritten alike
+    "gate": {"HEADER"},  # another policy_exception_prob, the digest re-derived
+    "superseded": {"DATA_INGESTED"},  # superseded_snapshot_seq -> None, or a snapshot's seq
 }
 
 
@@ -143,6 +146,22 @@ def edit_one_member(path: Path, draw) -> None:
     elif how == "kind":
         kind = "policy_exception" if payload["kind"] == "update_failure" else "update_failure"
         rechain(path, seq, lambda record: record["payload"].update(kind=kind))
+    elif how == "pair":
+        message = draw(st.sampled_from(["nothing failed", payload["message"] + "x"]))
+        if payload["kind"] == "policy_exception" and seq + 1 < len(records):
+            rechain(path, seq + 1, lambda record: record["payload"].update(fallback_reason=message))
+        rechain(path, seq, lambda record: record["payload"].update(message=message))
+    elif how == "gate":
+        injection = payload["config"]["injection"]
+        prob = draw(st.sampled_from([
+            shown for shown in map(encode_float, (0.0, 0.2, 0.5, 1.0)) if shown != injection["policy_exception_prob"]
+        ]))
+        config = {**payload["config"], "injection": {**injection, "policy_exception_prob": prob}}
+        rechain(path, seq, lambda record: record["payload"].update(config=config, config_digest=config_digest(config)))
+    elif how == "superseded":
+        snapshots = [r["seq"] for r in records if r["event_type"] == "FEATURE_SNAPSHOT"]
+        superseded = draw(st.sampled_from([None, *snapshots]))
+        rechain(path, seq, lambda record: record["payload"].update(superseded_snapshot_seq=superseded))
     elif how == "backend_ts":
         ts = records[seq]["backend_ts"]
         midnight = ts - ts % MS_PER_DAY
