@@ -42,7 +42,8 @@ def _parse_clock(text: str, where: str) -> int:
 
 @dataclass(frozen=True)
 class Schedule:
-    """Daily decision and update timing for one trial."""
+    """Daily decision and update timing for one trial. Its sizes,
+    ``points_per_day`` and ``total_points``, are set once on construction."""
 
     decision_times: tuple[str, ...] = ("09:00", "18:00")
     update_time: str = "23:00"
@@ -65,10 +66,9 @@ class Schedule:
             raise ConfigurationError("schedule.update_time must differ from decision_times")
         object.__setattr__(self, "_decision_offsets", tuple(offsets))
         object.__setattr__(self, "_update_offset", update_offset)
-
-    @property
-    def points_per_day(self) -> int:
-        return len(self.decision_times)
+        object.__setattr__(self, "_trial_ms", self.trial_days * MS_PER_DAY)
+        object.__setattr__(self, "points_per_day", len(offsets))
+        object.__setattr__(self, "total_points", self.trial_days * len(offsets))
 
     def due_ts(self, decision_index: int) -> int:
         day, slot = divmod(decision_index, self.points_per_day)
@@ -82,7 +82,7 @@ class Schedule:
         t = ts - self.trial_start_ts
         if t < 0:
             return -1
-        if t >= self.trial_days * MS_PER_DAY:
+        if t >= self._trial_ms:
             return self.total_points
         offsets = self._decision_offsets
         return t // MS_PER_DAY * len(offsets) + bisect_left(offsets, t % MS_PER_DAY)
@@ -101,10 +101,6 @@ class Schedule:
             raise ConfigurationError(f"day {day} outside trial range [0, {self.trial_days})")
         k = self.points_per_day
         return [(day * k + slot, self.due_ts(day * k + slot)) for slot in range(k)]
-
-    @property
-    def total_points(self) -> int:
-        return self.trial_days * self.points_per_day
 
 
 @dataclass(frozen=True)

@@ -23,19 +23,21 @@ with the same code. The index forgets a point once an update has consumed
 its outcome, and keeps per participant, not per point, what tells a later
 record of a forgotten point apart.
 
-:func:`decision_step` and :func:`update_step` are the runtime's two
-derivations, a decision of a point and an update of a participant's
-posterior, each a pure function of what the index and the HEADER hold. The
-runtime logs what they give; replay runs them again right after the fold
-applies each decision and update and compares, so an audit is one pass over
-the file and the algorithm has one account.
+:func:`snapshot_step`, :func:`decision_step` and :func:`update_step` are
+the runtime's three derivations: a point's feature snapshot, its decision,
+and an update of a participant's posterior, each a pure function of the
+HEADER and what the runtime's data and the index hold. The runtime logs
+what they give; replay runs the last two again right after the fold applies
+each decision and update and compares, so an audit is one pass over the
+file and the algorithm has one account. Replay does not re-run snapshot
+assembly yet: the fold keeps no data.
 """
 
 from __future__ import annotations
 
 import math
 from array import array
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -432,6 +434,8 @@ class StreamIndex:
         - an outcome's point holds its decision and no pending outcome
         - an ERROR's ``kind`` is ``policy_exception`` or ``update_failure``,
           and its decision index, if any, is in ``[0, schedule.total_points)``
+        - an ``update_failure`` ERROR that names a participant names one
+          with a pending outcome: a cycle with nothing to consume logs nothing
         - the record after a policy_exception ERROR is the fallback DECISION
           of the ERROR's point, whose ``fallback_reason`` is the ERROR's
           message, and a fallback DECISION comes only there
@@ -529,6 +533,11 @@ class StreamIndex:
             idx = value.decision_index
             if idx is not None and not 0 <= idx < total:
                 raise StructuralAuditError(f"ERROR at seq {seq} names decision {idx}, not in [0, {total})")
+            pid = value.participant_id
+            if value.kind == "update_failure" and pid is not None and not self.participant(pid).pending:
+                raise StructuralAuditError(
+                    f"ERROR at seq {seq} is an update_failure of {pid!r}, which has no pending outcome"
+                )
         elif etype == "VERSION_CHANGE":
             if value.version_id in self.fingerprints:
                 raise StructuralAuditError(
@@ -668,6 +677,49 @@ class StreamIndex:
 
 
 # -- the runtime's derivations ----------------------------------------------------------
+
+
+def add_datum(data: dict, record: EventEnvelope, window: int) -> None:
+    """Add the datum of the DATA_INGESTED ``record``, whose ``device_ts`` is
+    in point ``window``'s window, to ``data`` as :func:`snapshot_step` reads
+    it."""
+    datum = record.payload
+    entry = (datum.device_ts, -record.seq, datum.value, window)
+    insort(data.setdefault((datum.participant_id, datum.feature), []), entry)
+
+
+def snapshot_step(header: HeaderInfo, data: dict, participant_id: str, decision_index: int) -> SnapshotInfo:
+    """The snapshot of a point, assembled at its due time from ``data``:
+    (participant, feature) -> the participant's data of that feature, in
+    sorted entries ``(device_ts, -seq, value, window)``, where ``window`` is
+    the point whose window holds ``device_ts`` (``Schedule.window``).
+
+    Missing data never blocks assembly: each feature resolves to its most
+    recent datum (latest device_ts at or before the due time, lowest seq on
+    a tie) when that datum's window is the point's (``observed``) or at most
+    ``imputation.horizon`` points before it (``imputed``, with the method
+    :data:`_METHODS` names for it), else to the configured default
+    (``default``)."""
+    config = header.config
+    features, imputation = config.features, config.imputation
+    due = config.schedule.due_ts(decision_index)
+    after_due = (due, math.inf)  # sorts after every entry with device_ts <= due
+    resolved: dict[str, tuple[float, str, str | None, int | None]] = {}
+    for name in features.names:
+        entries = data.get((participant_id, name), ())
+        i = bisect_right(entries, after_due)
+        if i and decision_index - entries[i - 1][3] <= imputation.horizon:
+            device_ts, _, value, window = entries[i - 1]
+            tag = "observed" if window == decision_index else "imputed"
+            resolved[name] = (value, tag, _METHODS.get(tag), device_ts)
+        else:
+            resolved[name] = (imputation.default_for(name), "default", None, None)
+    values, provenance, methods, source_ts = zip(*[resolved[n] for n in features.baseline + features.treatment])
+    k = len(features.baseline)
+    return SnapshotInfo(
+        baseline=values[:k], treatment=values[k:], provenance=provenance, imputation_methods=methods,
+        source_device_ts=source_ts, assembled_ts=due, participant_id=participant_id, decision_index=decision_index,
+    )
 
 
 def decision_step(header: HeaderInfo, logic, state, snapshot, participant_id: str, decision_index: int) -> tuple:

@@ -1051,11 +1051,11 @@ def _file_lines(path: str | Path) -> Iterator[bytes]:
 def _json_record(line: bytes, seq: int, prev_hash: bytes, prev_text: str) -> tuple:
     """The JSON path of the read pass for the line of record ``seq``: the
     envelope's members up to ``payload``, with the payload decoded by the
-    annotation walk (``events.decode_payload``), the line's SHA-256 and its
-    hash text, once the line has passed :func:`_parse_line` and the seq,
-    linkage and hash comparisons, in that order. A line that fails one
-    raises the DecodeError carrying ``seq`` that names it, and a payload the
-    walk refuses one without a seq."""
+    annotation walk (``events.decode_payload``), the line's SHA-256
+    (:func:`_body_digest`) and its hash text, once the line has passed
+    :func:`_parse_line` and the seq, linkage and hash comparisons, in that
+    order. A line that fails one raises the DecodeError carrying ``seq``
+    that names it, and a payload the walk refuses one without a seq."""
     from .events import decode_payload  # the schema; it imports this module
 
     fields, line_prev_text, hash_text = _parse_line(line, seq)
@@ -1063,12 +1063,22 @@ def _json_record(line: bytes, seq: int, prev_hash: bytes, prev_text: str) -> tup
         raise DecodeError(f"record {seq} carries seq {fields[0]}", seq=seq)
     if line_prev_text != prev_text:
         raise DecodeError(f"record {seq} does not chain from the record before it", seq=seq)
-    # Every member ahead of "hash" is a scalar, so the first match is it.
-    at = line.index(b',"hash":"')
-    digest = hashlib.sha256(prev_hash + line[:at] + line[at + _HASH_MEMBER:])
-    if digest.hexdigest() != hash_text:
+    digest = _body_digest(prev_hash, line)
+    if digest.hex() != hash_text:
         raise DecodeError(f"record {seq} does not match its hash", seq=seq)
     return (*fields[:7], decode_payload(fields[6], fields[7])), digest, hash_text
+
+
+def _body_digest(prev_hash: bytes, line: bytes) -> bytes:
+    """The SHA-256 of ``prev_hash`` and the body of ``line``: the line with
+    its ``hash`` member cut out, the head and tail :meth:`Ledger.append`
+    hashed."""
+    # Every member ahead of "hash" is a scalar, so the first match is it.
+    at = line.index(b',"hash":"')
+    digest = hashlib.sha256(prev_hash)
+    digest.update(line[:at])
+    digest.update(line[at + _HASH_MEMBER:])
+    return digest.digest()
 
 
 def _verified(lines: Iterable[bytes]) -> Iterator[EventEnvelope]:
@@ -1080,10 +1090,8 @@ def _verified(lines: Iterable[bytes]) -> Iterator[EventEnvelope]:
 
     Each line is first offered to the line matcher of its event type's class
     (:func:`_line_reader`), whose match gives the typed payload. Then the
-    seq and ``prev_hash`` linkage are compared, and one SHA-256 over
-    ``prev_hash`` plus the body (the line with its ``hash`` member cut out:
-    the head and tail :meth:`Ledger.append` hashed) is compared with the
-    ``hash`` text. Both hashes are compared as the text they are stored as,
+    seq and ``prev_hash`` linkage are compared, and the line's one SHA-256
+    (:func:`_body_digest`) is compared with the ``hash`` text. Both hashes are compared as the text they are stored as,
     which proves them lowercase hex; the matcher leaves that to these
     comparisons. A line the matcher does not take, and a typed line that
     fails any comparison, is read again from the start by the JSON path
@@ -1103,13 +1111,11 @@ def _verified(lines: Iterable[bytes]) -> Iterator[EventEnvelope]:
         parsed = None if reader is None else reader(text)
         if parsed is not None:
             fields, line_prev_text, hash_text = parsed
-            at = line.index(b',"hash":"')
-            digest = hashlib.sha256(prev_hash + line[:at] + line[at + _HASH_MEMBER:])
-            if fields[0] != seq or line_prev_text != prev_text or digest.hexdigest() != hash_text:
+            rec_hash = _body_digest(prev_hash, line)
+            if fields[0] != seq or line_prev_text != prev_text or rec_hash.hex() != hash_text:
                 parsed = None
         if parsed is None:
-            fields, digest, hash_text = _json_record(line, seq, prev_hash, prev_text)
-        rec_hash = digest.digest()
+            fields, rec_hash, hash_text = _json_record(line, seq, prev_hash, prev_text)
         yield tuple.__new__(EventEnvelope, (*fields, prev_hash, rec_hash))  # minus a Python call
         prev_hash, prev_text = rec_hash, hash_text
     if prev_hash is GENESIS_HASH:

@@ -3,17 +3,18 @@ outcomes, assembles provenance-tagged feature snapshots, makes decisions
 with fallback protection, and runs batch update cycles, each when its
 caller asks (the digital twin schedules them).
 
-The runtime holds no algorithm internals: a decision and an update are
-:func:`ledgerloop.events.decision_step` and :func:`~ledgerloop.events.update_step`
-of the policy logic it is given, the steps replay re-runs, and it writes
-everything it does to the ledger. A policy failure can therefore never
-corrupt the ledger; it degrades to a uniform-random fallback decision, or to
-a failed update, each logged like any other record.
+The runtime holds no algorithm internals. A snapshot, a decision and an
+update are its three steps, :func:`ledgerloop.events.snapshot_step`,
+:func:`~ledgerloop.events.decision_step` and
+:func:`~ledgerloop.events.update_step`, the last two of the policy logic it
+is given and re-run by replay, and it writes everything it does to the
+ledger. A policy failure can therefore never corrupt the ledger; it
+degrades to a uniform-random fallback decision, or to a failed update, each
+logged like any other record.
 """
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import math
 
@@ -47,9 +48,8 @@ class Runtime:
         # Every participant starts from the one prior, an immutable state.
         config = header.config
         self.states: dict[str, PosteriorState] = dict.fromkeys(config.participants, policy.init_state(config.model))
-        # (participant, feature) -> [(device_ts, -seq, value)], kept sorted, so
-        # the datum a snapshot uses is the last entry at or before its due time.
-        self._data: dict[tuple[str, str], list[tuple[int, int, float]]] = {}
+        # Every datum ingested, as events.snapshot_step reads them (events.add_datum).
+        self._data: dict[tuple[str, str], list[tuple[int, int, float, int]]] = {}
 
     def _check(self, value, seq: int, device_ts: int | None = None, rows=None) -> None:
         """Check, with the fold's rules (:meth:`events.StreamIndex.check`),
@@ -102,7 +102,7 @@ class Runtime:
     def ingest_observation(
         self, participant_id: str, feature: str, value: float, device_ts: int, backend_ts: int
     ) -> int:
-        """Append one DATA_INGESTED event and index it for assembly.
+        """Append one DATA_INGESTED event and add it to the data of assembly.
 
         Arrival after the snapshot that needed this datum never mutates that
         snapshot; the new event just references the superseded snapshot seq.
@@ -119,10 +119,7 @@ class Runtime:
             events.DatumInfo(participant_id, feature, value, device_ts, superseded),
             backend_ts, self.version_id, device_ts,
         )
-        bisect.insort(
-            self._data.setdefault((participant_id, feature), []),
-            (device_ts, -record.seq, value),
-        )
+        events.add_datum(self._data, record, window)
         return record.seq
 
     def ingest_outcome(
@@ -149,49 +146,14 @@ class Runtime:
     # -- decision path ---------------------------------------------------------
 
     def assemble_features(self, participant_id: str, decision_index: int, backend_ts: int | None = None) -> FeatureSnapshot:
-        """Build and log the immutable snapshot for one decision point.
-
-        Missing data never blocks assembly: each feature resolves to its most
-        recent datum (latest device_ts at or before the due time, lowest seq on
-        a tie) when that falls within the current window (`observed`) or the
-        carry-forward horizon (`imputed`, method "locf"), else to the
-        configured default. A point that has its decision keeps its
-        snapshot: a new one is refused by the fold before anything is logged.
+        """Log the immutable snapshot of one decision point,
+        :func:`events.snapshot_step` of the data ingested so far, stamped
+        with ``backend_ts`` or else the point's due time. A point that has
+        its decision keeps its snapshot: a new one is refused by the fold
+        before anything is logged.
         """
-        config = self.header.config
-        features, imputation, schedule = config.features, config.imputation, config.schedule
-        due = schedule.due_ts(decision_index)
-        if backend_ts is None:
-            backend_ts = due
-        resolved: dict[str, tuple[float, str, str | None, int | None]] = {}
-        after_due = (due, math.inf)  # sorts after every entry with device_ts <= due
-        for name in features.names:
-            data = self._data.get((participant_id, name), ())
-            i = bisect.bisect_right(data, after_due)
-            if i == 0:
-                resolved[name] = (imputation.default_for(name), "default", None, None)
-                continue
-            device_ts, _, value = data[i - 1]
-            age = decision_index - schedule.window(device_ts)
-            if age == 0:
-                resolved[name] = (value, "observed", None, device_ts)
-            elif age <= imputation.horizon:
-                resolved[name] = (value, "imputed", "locf", device_ts)
-            else:
-                resolved[name] = (imputation.default_for(name), "default", None, None)
-
-        entries = [resolved[n] for n in features.baseline] + [resolved[n] for n in features.treatment]
-        snapshot = events.SnapshotInfo(
-            baseline=tuple([resolved[n][0] for n in features.baseline]),
-            treatment=tuple([resolved[n][0] for n in features.treatment]),
-            provenance=tuple([e[1] for e in entries]),
-            imputation_methods=tuple([e[2] for e in entries]),
-            source_device_ts=tuple([e[3] for e in entries]),
-            assembled_ts=due,
-            participant_id=participant_id,
-            decision_index=decision_index,
-        )
-        self._log(snapshot, backend_ts=backend_ts, version_id=self.version_id)
+        snapshot = events.snapshot_step(self.header, self._data, participant_id, decision_index)
+        self._log(snapshot, snapshot.assembled_ts if backend_ts is None else backend_ts, self.version_id)
         return snapshot
 
     def make_decision(self, participant_id: str, decision_index: int, backend_ts: int | None = None) -> DecisionRecord:

@@ -40,6 +40,10 @@ logic is asked as before, and the reason either gives must be the logged
 ``fallback_reason`` (None for a computed decision). A computed decision the
 gate fails reads ``error:InjectedFailure`` on ``pi_raw``, as one the logic
 fails on reads ``error:<type>``.
+
+And last, with code of its own too: an ``update_failure`` ERROR that names
+a participant names one with an outcome pending, as only an update cycle
+with something to consume can fail.
 """
 
 from __future__ import annotations
@@ -181,6 +185,9 @@ class ReferenceIndex:
             schedule, idx = header.config.schedule, value.decision_index
             if idx is not None and not 0 <= idx < schedule.trial_days * len(schedule.decision_times):
                 raise StructuralAuditError(f"ERROR at seq {record.seq} names decision {idx}")
+            pid = value.participant_id
+            if value.kind == "update_failure" and pid is not None and not self.pending.get(pid):
+                raise StructuralAuditError(f"ERROR at seq {record.seq} fails an update with nothing to consume")
             self.errors.append((Stamp.of(record), value))
         elif etype == "VERSION_CHANGE":
             if value.version_id in self.fingerprints:

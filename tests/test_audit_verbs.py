@@ -591,6 +591,8 @@ def _last_as_error(path):
 # of its window's point (the HEADER, seq 0, is none); an ERROR of a kind
 # the runtime never writes, which the
 # monitor's update_failure count reads, or of a point outside the schedule;
+# an update_failure ERROR of a participant with no pending outcome, which no
+# update cycle writes and which that count reads too;
 # an imputation method on an observed entry; a snapshot of p000's point 1
 # after a copy of it naming point 3 (a DATA_INGESTED turned into that copy);
 # a snapshot assembled 1 ms after its point's due time; a computed decision
@@ -615,6 +617,10 @@ RULE_EDITS = {
     "error-kind": (
         _datum_as_error(kind="anything at all", decision_index=None),
         "ERROR at seq {seq} kind: expected one of policy_exception/update_failure, got 'anything at all'",
+    ),
+    "orphan-update_failure": (
+        _datum_as_error(kind="update_failure", decision_index=None),
+        "ERROR at seq {seq} is an update_failure of 'p000', which has no pending outcome",
     ),
     "error-outside-the-schedule": (
         _datum_as_error(kind="policy_exception", decision_index=9999),

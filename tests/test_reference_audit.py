@@ -90,6 +90,7 @@ AIMED = {
     "pair": {"ERROR"},  # a policy_exception's message and its fallback's reason rewritten alike
     "gate": {"HEADER"},  # another policy_exception_prob, the digest re-derived
     "superseded": {"DATA_INGESTED"},  # superseded_snapshot_seq -> None, or a snapshot's seq
+    "orphan": {"DATA_INGESTED"},  # the record -> an update_failure ERROR of its participant, pending outcome or not
 }
 
 
@@ -162,6 +163,10 @@ def edit_one_member(path: Path, draw) -> None:
         snapshots = [r["seq"] for r in records if r["event_type"] == "FEATURE_SNAPSHOT"]
         superseded = draw(st.sampled_from([None, *snapshots]))
         rechain(path, seq, lambda record: record["payload"].update(superseded_snapshot_seq=superseded))
+    elif how == "orphan":
+        error = {"kind": "update_failure", "message": "nothing failed", "participant_id": payload["participant_id"],
+                 "decision_index": None}
+        rechain(path, seq, lambda record: record.update(event_type="ERROR", payload=error))
     elif how == "backend_ts":
         ts = records[seq]["backend_ts"]
         midnight = ts - ts % MS_PER_DAY

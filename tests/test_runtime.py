@@ -10,7 +10,7 @@ from conftest import make_run_config, make_runtime, records_of
 from ledgerloop.cli import main
 from ledgerloop.config import MS_PER_DAY, ImputationPolicy, Schedule
 from ledgerloop.errors import ConfigurationError, StorageError, StructuralAuditError
-from ledgerloop.events import StreamIndex
+from ledgerloop.events import ErrorInfo, StreamIndex
 from ledgerloop.ledger import read_records
 from ledgerloop.policy import (
     PosteriorState,
@@ -603,13 +603,16 @@ def test_a_call_the_fold_would_refuse_writes_nothing(tmp_path, capsys):
     refusals("{n}")  # the outcome pending
     assert runtime.run_update_cycle("p0", backend_ts=H23).update_count == 1
     refusals("{next}")  # the outcome consumed, and the point's snapshot forgotten
+    # A cycle with nothing to consume logs nothing, so neither can its failure.
+    refused(lambda: runtime._log(ErrorInfo("update_failure", "nothing failed", "p0"), H23, "v1.0.0"),
+            "ERROR at seq {n} is an update_failure of 'p0', which has no pending outcome")
     runtime.ledger.close()
     assert main(["replay-verify", "--ledger", str(path)]) == 0
     assert "replay exact" in capsys.readouterr().out
 
 
-def test_update_failure_keeps_state_and_outcomes():
-    runtime = fresh_runtime()
+def test_update_failure_keeps_state_and_outcomes(file_runtime, capsys):
+    runtime = file_runtime()
     run_decision_point(runtime, "p0", 0, H9)
     runtime.ingest_outcome("p0", 0, 1.0, H9 + 1000, backend_ts=H9 + 1000)
     # A precision the factor refuses makes the update fail.
@@ -621,6 +624,11 @@ def test_update_failure_keeps_state_and_outcomes():
     last = runtime.ledger.last()
     assert last.event_type == "ERROR" and last.payload.kind == "update_failure"
     assert runtime.index.participants["p0"].pending  # still pending for a later cycle
+    # The ERROR names a participant with an outcome pending, so the file
+    # folds, and replay takes the failure as an input.
+    runtime.ledger.close()
+    assert main(["replay-verify", "--ledger", str(runtime.ledger.path)]) == 0
+    assert "replay exact" in capsys.readouterr().out
 
 
 # -- version registry ----------------------------------------------------------------
